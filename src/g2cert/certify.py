@@ -937,8 +937,12 @@ def _run_su3_stage(entry, branch, options: PipelineOptions, result: EntryResult)
                 result.notes.append(f"{name}: sampling skipped by options")
                 sampled = True
                 continue
-            trials = options.trials_override or step.get("trials", 500)
-            seed = options.seed_override or step.get("seed", 20260811)
+            trials = options.trials_override
+            if trials is None:
+                trials = step.get("trials", 500)
+            seed = options.seed_override
+            if seed is None:
+                seed = step.get("seed", 20260811)
             slice_name = step.get("slice")
             det_quad = None
             if slice_name == "t2_zero":

@@ -138,7 +138,11 @@ def cmd_su3(args) -> int:
 
 def cmd_run_all(args) -> int:
     entries = _load(args.catalog)
-    options = PipelineOptions(trials_override=args.samples, seed_override=args.seed)
+    options = PipelineOptions(
+        trials_override=args.samples,
+        seed_override=args.seed,
+        skip_sampling=args.samples == 0,
+    )
     report = run_all(entries, options, threads=args.threads)
     document = report.to_json()
     if args.out:

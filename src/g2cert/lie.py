@@ -180,7 +180,7 @@ class Subspace:
 
     def contains(self, v: VectorExpr) -> bool:
         row = [RationalFunction.from_polynomial(c) for c in v.coords]
-        return linalg.in_span(self._rref, row)
+        return linalg.in_span(self._rref, self._pivots, row)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(g) for g in other.generators)
@@ -247,12 +247,14 @@ def is_nilpotent(algebra: LieAlgebra, n: Subspace) -> bool:
 def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> Subspace:
     """Accept a declared nilradical: a nilpotent ideal of the declared
     dimension containing the derived algebra.  Maximality is a
-    classification fact and is not re-proved here."""
+    classification fact and is not re-proved here.
+
+    The ideal property is checked once, by descending_central_series
+    inside is_nilpotent, which raises NotAnIdeal before building the
+    series."""
     n = Subspace.from_indices(algebra, indices)
     if n.dim != len(indices):
         raise NotAnIdeal("declared nilradical generators are dependent")
-    if not is_ideal(algebra, n):
-        raise NotAnIdeal("declared nilradical is not an ideal")
     if not is_nilpotent(algebra, n):
         raise NotAnIdeal("declared nilradical is not nilpotent")
     if not n.contains_subspace(derived_algebra(algebra)):

@@ -4,6 +4,10 @@ Entries only need +, -, *, / and truthiness (nonzero test), which both
 fractions.Fraction and poly.RationalFunction provide, so one elimination
 routine serves numeric and symbolic computations.  Pivoting is positional
 (first nonzero), which keeps results deterministic.
+
+Membership (in_span) takes a basis that rref has already reduced, with its
+pivot columns, and reduces the vector against it once instead of
+eliminating again.
 """
 
 from __future__ import annotations
@@ -37,14 +41,6 @@ def rref(rows: List[list], ncols: int) -> tuple:
             break
     del rows[r:]
     return rows, pivots
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    rows = [list(row) for row in matrix]
-    if not rows:
-        return 0
-    _, pivots = rref(rows, len(rows[0]))
-    return len(pivots)
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int, one, zero) -> List[list]:
@@ -85,19 +81,23 @@ def solve_unique(matrix: Sequence[Sequence], rhs: Sequence):
     return solution
 
 
-def in_span(basis: Sequence[Sequence], vector: Sequence) -> bool:
-    """True when vector lies in the row span of basis."""
-    rows = [list(row) for row in basis]
-    if not rows:
-        return not any(vector)
-    ncols = len(rows[0])
-    before = rref([list(r) for r in rows], ncols)[1]
-    after = rref(rows + [list(vector)], ncols)[1]
-    return len(before) == len(after)
+def in_span(rows: Sequence[Sequence], pivots: Sequence[int], vector: Sequence) -> bool:
+    """True when vector lies in the row span of rows.
 
-
-def span_equal(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
-    return all(in_span(basis_a, v) for v in basis_b) and all(in_span(basis_b, v) for v in basis_a)
+    rows must be in reduced row echelon form with pivot columns pivots, as
+    rref returns them.  Each row then has 1 at its own pivot column and 0 at
+    every other pivot column, so subtracting vector[c] * row for each pivot
+    c zeroes the pivot columns and leaves vector minus its only candidate
+    combination of the rows.  The vector is in the span exactly when that
+    remainder is zero.  Every step is exact ring arithmetic, so the test is
+    exact over Fraction and over RationalFunction alike.
+    """
+    remainder = list(vector)
+    for row, c in zip(rows, pivots):
+        factor = remainder[c]
+        if factor:
+            remainder = [a - factor * b if b else a for a, b in zip(remainder, row)]
+    return not any(remainder)
 
 
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

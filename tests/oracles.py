@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from g2cert.forms import KForm, VectorExpr, indices_of
+from g2cert.linalg import rref
 from g2cert.poly import Polynomial
 
 _PARITY_CACHE = {}
@@ -120,3 +121,12 @@ def oracle_k_entry(psi: KForm, i: int, j: int) -> Fraction:
             continue
         total += _parity(tuple(p - 1 for p in perm)) * first * second
     return total / (2 * 6)
+
+
+def rank_in_span(rows, vector) -> bool:
+    """Membership by rank: the pivots of rref(rows) against the pivots of
+    rref(rows + [vector]), each eliminated in full."""
+    ncols = len(vector)
+    before = rref([list(r) for r in rows], ncols)[1]
+    after = rref([list(r) for r in rows] + [list(vector)], ncols)[1]
+    return len(before) == len(after)

@@ -290,6 +290,13 @@ class TestPipelines:
         report = run_all([])
         assert report.results == [] and report.verified_all()
 
+    def test_zero_seed_and_trials_are_honored(self, table1):
+        entry = next(e for e in table1 if "g_{5,33}" in e.name)
+        result = run_pipeline(entry, PipelineOptions(seed_override=0, trials_override=2))
+        cert = next(c for c in result.certificates if c.kind == CertKind.SAMPLED_NO_SU3)
+        assert cert.data["seed"] == 0
+        assert cert.data["trials"] == 2
+
     def test_stub_reports_data_not_shipped(self, indecomposable):
         stub = next(e for e in indecomposable if e.stub)
         result = run_pipeline(stub)

@@ -1,11 +1,15 @@
 """Command line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import g2cert
+from g2cert.catalog import load_builtin, save_catalog
 from g2cert.cli import main
 
 
@@ -77,11 +81,26 @@ def test_run_all_writes_reports(tmp_path, capsys):
     assert "lattice-out-of-scope" in out_md.read_text()
 
 
+def test_run_all_zero_samples_skips_sampling(tmp_path):
+    entry = next(e for e in load_builtin("table1") if "g_{5,33}" in e.name)
+    catalog = tmp_path / "one.json"
+    save_catalog([entry], catalog)
+    out_json = tmp_path / "report.json"
+    assert main(["run-all", str(catalog), "--samples", "0", "--out", str(out_json)]) == 0
+    (result,) = json.loads(out_json.read_text())["results"]
+    assert all(c["kind"] != "sampled_no_su3" for c in result["certificates"])
+    assert any("sampling skipped" in note for note in result["notes"])
+
+
 def test_console_script_entry_point():
+    # the child imports the same g2cert as this process, installed or not
+    src = str(Path(g2cert.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "g2cert.cli", "validate", "nonsolvable"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "4 entries validated" in proc.stdout

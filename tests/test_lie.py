@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P, algebra_of, fam
+from oracles import rank_in_span
 from g2cert.errors import JacobiFailure, NotAnIdeal
 from g2cert.forms import KForm, VectorExpr, generic_two_form
 from g2cert.lie import (
@@ -21,7 +24,7 @@ from g2cert.lie import (
     validate,
     verify_nilradical,
 )
-from g2cert.poly import Polynomial
+from g2cert.poly import Polynomial, RationalFunction
 
 G34_R3 = "(-e13, e23, 0, 0, 0, 0)"
 Q4 = "(-e23, -2*e12, 2*e13, -e14 - e25 - e47, e15 - e34 - e57, 2*e67, 0)"
@@ -118,12 +121,76 @@ class TestSeriesAndIdeals:
 
     def test_not_an_ideal_rejected(self):
         L = algebra_of(G34_R3)
-        with pytest.raises(NotAnIdeal):
+        with pytest.raises(NotAnIdeal, match="not an ideal"):
             verify_nilradical(L, [3, 4, 5, 6])  # e3 scales e1: not nilpotent ideal
+
+    @pytest.mark.parametrize(
+        "indices, reason",
+        [
+            ([1, 1, 2], "dependent"),  # a repeated index spans only 2 dimensions
+            ([1, 2, 3], "not nilpotent"),  # an ideal, but [e3, e1] = -e1 never dies
+            ([1], "derived algebra"),  # abelian ideal, while [g, g] = <e1, e2>
+        ],
+    )
+    def test_verify_nilradical_rejections(self, indices, reason):
+        L = algebra_of(G34_R3)
+        with pytest.raises(NotAnIdeal, match=reason):
+            verify_nilradical(L, indices)
 
     def test_derived_algebra(self):
         L = algebra_of(G34_R3)
         assert derived_algebra(L).equals(Subspace.from_indices(L, [1, 2]))
+
+
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def basis_and_vector(draw, symbolic):
+    """Up to four generators in dimension up to four, and a vector that is
+    either random or a combination of the generators.  Entries are small
+    rationals, plus a multiple of fam_p when symbolic."""
+    dim = draw(st.integers(1, 4))
+
+    def entry():
+        value = Polynomial.const(Fraction(draw(SMALL), draw(st.integers(1, 3))))
+        if symbolic:
+            value = value + draw(SMALL) * Polynomial.var("fam_p")
+        return value
+
+    gens = [VectorExpr(dim, [entry() for _ in range(dim)]) for _ in range(draw(st.integers(0, 4)))]
+    if gens and draw(st.booleans()):
+        vector = VectorExpr(dim, [Polynomial.zero()] * dim)
+        for g in gens:
+            scale = entry()
+            vector = vector + VectorExpr(dim, [scale * c for c in g.coords])
+    else:
+        vector = VectorExpr(dim, [entry() for _ in range(dim)])
+    return dim, gens, vector
+
+
+def _abelian(dim):
+    return LieAlgebra(dim, [KForm.zero(dim, 2)] * dim)
+
+
+def _rf_row(v):
+    return [RationalFunction.from_polynomial(c) for c in v.coords]
+
+
+class TestSubspaceMembership:
+    def check(self, dim, gens, vector):
+        sub = Subspace(_abelian(dim), gens)
+        assert sub.contains(vector) == rank_in_span([_rf_row(g) for g in gens], _rf_row(vector))
+
+    @settings(max_examples=200, deadline=None)
+    @given(basis_and_vector(symbolic=False))
+    def test_contains_matches_rank_over_q(self, case):
+        self.check(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(basis_and_vector(symbolic=True))
+    def test_contains_matches_rank_with_family_parameter(self, case):
+        self.check(*case)
 
 
 class TestUnimodularity:
