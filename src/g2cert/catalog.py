@@ -266,7 +266,10 @@ class FamilyParam:
         return {"name": self.name, "atoms": [a.to_json() for a in self.atoms]}
 
 
-def _family_from_json(algebra: LieAlgebra, node, subs=None) -> DerivationFamily:
+def family_from_json(algebra: LieAlgebra, node, subs=None) -> DerivationFamily:
+    """Parse a derivation family against `algebra`, substituting `subs` into
+    its entries first (a branch family satisfies Leibniz only on the
+    branch-substituted algebra), then check the Leibniz identity."""
     matrix = [[parse_polynomial(cell) for cell in row] for row in node["matrix"]]
     if subs:
         matrix = [[cell.substitute(subs) for cell in row] for row in matrix]
@@ -309,11 +312,10 @@ class AlgebraEntry:
             self.algebra = parse_structure_equations(self.structure, self.dim, name=self.name)
         return self.algebra
 
-    def build_derivation_family(self, node=None) -> Optional[DerivationFamily]:
-        node = node if node is not None else self.derivation_family
-        if node is None:
+    def build_derivation_family(self) -> Optional[DerivationFamily]:
+        if self.derivation_family is None:
             return None
-        return _family_from_json(self.build_algebra(), node)
+        return family_from_json(self.build_algebra(), self.derivation_family)
 
     def witness(self, key: str) -> Optional[NonNegWitness]:
         node = self.witnesses.get(key)
@@ -343,16 +345,16 @@ class AlgebraEntry:
                     branch_algebra = self.branch_algebra(step)
                     subs = {k: Fraction(v) for k, v in step.get("subs", {}).items()}
                     if step.get("derivation_family"):
-                        _family_from_json(branch_algebra, step["derivation_family"], subs)
+                        family_from_json(branch_algebra, step["derivation_family"], subs)
                     for sub in step.get("steps", []):
                         if sub.get("kind") == "gauge":
-                            _family_from_json(
+                            family_from_json(
                                 branch_algebra,
                                 {"params": sub["s_params"], "matrix": sub["s_matrix"]},
                                 subs,
                             )
                 elif step.get("kind") == "gauge":
-                    _family_from_json(
+                    family_from_json(
                         algebra, {"params": step["s_params"], "matrix": step["s_matrix"]}
                     )
             for key in self.witnesses:

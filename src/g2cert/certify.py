@@ -6,15 +6,19 @@ product, gauge normalization).  Randomized falsification is quarantined in
 SampledNoSU3 certificates, which are explicitly non-proving: they back the
 case analyses the source carries out in prose and this artifact cites.
 
-Every certificate is re-checkable from its stored data alone; recheck()
-never repeats a discovery search (gauge certificates store the solved gauge
-values, sampling certificates store their seed).
+Each certificate kind has one verifier, and discovery and recheck share it
+together with one context builder (`stage_context`).  Discovery searches
+for the inputs (the solved strong-unimodularity substitutions, the solved
+gauge) and then runs the verifier.  `recheck_certificate` rebuilds the
+context from the catalog and the substitutions stored in the certificate,
+runs the same verifier on the stored inputs, and compares the result with
+the stored certificate.  Recheck never repeats a discovery search: gauge
+certificates store the solved gauge, sampling certificates their seed.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,7 +27,7 @@ from math import isqrt
 from typing import Optional
 
 from . import numeric
-from .catalog import Atom, AlgebraEntry
+from .catalog import Atom, AlgebraEntry, family_from_json
 from .derivations import (
     DerivationFamily,
     ExtensionSpec,
@@ -38,26 +42,25 @@ from .errors import (
     IdentityFailure,
     IdentityMismatch,
     NotIdenticallyZero,
+    SingularSymbolicSystem,
     WitnessMismatch,
 )
 from .exprs import parse_polynomial
 from .forms import (
     KForm,
-    VectorExpr,
     form_value,
     generic_one_form,
     generic_two_form,
     pullback,
-    top_coefficient,
-    wedge,
 )
-from .hitchin import b_phi, h_form, k_psi, su3_check, SU3Verdict
+from .hitchin import b_phi, h_form, k_psi
 from .lie import LieAlgebra, Subspace, ce_differential
 from .poly import (
     NonNegWitness,
     Polynomial,
     RationalFunction,
     check_nonneg_witness,
+    poly_matrix_det,
     solve_linear,
     substitute_cramer,
 )
@@ -208,6 +211,33 @@ def certify_zero_diagonal(entry: AlgebraEntry, indices) -> Certificate:
     )
 
 
+def lambda_of(algebra: LieAlgebra) -> Polynomial:
+    """The quartic invariant lambda(d alpha) of the generic exact 3-form."""
+    return k_psi(ce_differential(algebra, generic_two_form(6, "alpha"))).lam
+
+
+def certify_lambda(
+    lam: Polynomial, witness: Optional[NonNegWitness], entry_name: str,
+    assumptions=(), witness_json=None, fam_subs=None,
+) -> Certificate:
+    """LambdaIdenticallyZero when lambda vanishes identically, else
+    LambdaNonNegative checked against the witness; raises when neither holds."""
+    data = {"fam_subs": dict(fam_subs or {})}
+    if lam.is_zero():
+        kind = CertKind.LAMBDA_ZERO
+    elif witness is None:
+        raise NotIdenticallyZero(lam)
+    else:
+        try:
+            check_nonneg_witness(lam, witness)
+        except G2CertError as exc:
+            raise WitnessMismatch(f"{entry_name}: {exc}") from exc
+        kind = CertKind.LAMBDA_NONNEG
+        data["witness"] = witness_json
+        data["lambda"] = str(lam)
+    return Certificate(kind, entry_name, assumptions=list(assumptions), data=data, verified=True)
+
+
 def certify_lambda_sign(
     algebra: LieAlgebra,
     witness: Optional[NonNegWitness],
@@ -220,33 +250,9 @@ def certify_lambda_sign(
 ):
     """LambdaIdenticallyZero / LambdaNonNegative certificate, or None plus a
     sample with lambda < 0 when no obstruction exists at this stage."""
-    lam = k_psi(ce_differential(algebra, generic_two_form(6, "alpha"))).lam
-    if lam.is_zero():
-        return (
-            Certificate(
-                CertKind.LAMBDA_ZERO,
-                entry_name,
-                assumptions=list(assumptions),
-                data={"fam_subs": dict(fam_subs or {})},
-                verified=True,
-            ),
-            None,
-        )
-    if witness is not None:
-        try:
-            check_nonneg_witness(lam, witness)
-        except G2CertError as exc:
-            raise WitnessMismatch(f"{entry_name}: {exc}") from exc
-        return (
-            Certificate(
-                CertKind.LAMBDA_NONNEG,
-                entry_name,
-                assumptions=list(assumptions),
-                data={"witness": witness_json, "lambda": str(lam), "fam_subs": dict(fam_subs or {})},
-                verified=True,
-            ),
-            None,
-        )
+    lam = lambda_of(algebra)
+    if lam.is_zero() or witness is not None:
+        return certify_lambda(lam, witness, entry_name, assumptions, witness_json, fam_subs), None
     rng = rng or random.Random(0)
     sample = _lambda_negative_sample(lam, atoms, rng)
     if sample is None:
@@ -323,6 +329,27 @@ def certify_sign_product(
     )
 
 
+def certify_trace_obstruction(context: "StageContext", su) -> Certificate:
+    """The strong-unimodularity trace conditions of the context contain a
+    nonzero constant, so no extension of it is strongly unimodular."""
+    if not su.constant_obstructions:
+        raise IdentityFailure(f"{context.name}: no trace condition is a nonzero constant")
+    return Certificate(
+        CertKind.TRACE_OBSTRUCTION,
+        context.name,
+        assumptions=list(context.assumptions),
+        data={
+            "branch": context.branch_name,
+            "constants": [str(c) for c in su.constant_obstructions],
+            "traces": [
+                {"operator": op, "level": lvl, "trace": str(tr)}
+                for op, lvl, tr in su.raw_traces
+            ],
+        },
+        verified=True,
+    )
+
+
 # -- gauge transport --------------------------------------------------------
 
 
@@ -373,34 +400,64 @@ def _affine_system(form3: KForm, targets, svars):
     return rows, rhs
 
 
+@dataclass
+class GaugeSystem:
+    """The affine system in the gauge parameters of a derivation family S
+    whose solution kills the target coefficients of F*psi, F = exp(S)."""
+
+    s_family: DerivationFamily
+    targets: list
+    F: list
+    f_psi: KForm
+    rows: list
+    rhs: list
+
+
+def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem:
+    """Check that S is a derivation, then pull psi back by exp(S) and set up
+    the system for the target coefficients."""
+    verify_derivation(s_family.algebra, s_family)
+    F = _exp_nilpotent(s_family.matrix, s_family.algebra.dim)
+    f_psi = pullback(F, psi)
+    rows, rhs = _affine_system(f_psi, targets, list(s_family.params))
+    return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
+
+
 def gauge_transport(
-    candidate: SU3Candidate,
-    s_family: DerivationFamily,
-    targets,
-    pair,
-    entry_name: str,
-    assumptions=(),
-    expect_k: Optional[dict] = None,
-    expect_det_multiple_of: Optional[Polynomial] = None,
-    context=None,
+    candidate: SU3Candidate, s_family: DerivationFamily, targets, pair, entry_name: str,
+    assumptions=(), expect_k: Optional[dict] = None,
+    expect_det_multiple_of: Optional[Polynomial] = None, context=None,
 ) -> Certificate:
     """Normalize (omega, psi) by F = exp(S) and certify the null pair.
 
-    Solves the linear system that kills the target coefficients of F*psi,
-    substitutes the solved gauge, and verifies, as identities after clearing
-    denominators: the killed coefficients vanish, F*omega(pair) = 0, and
-    K_{F*psi}(e_i) lies in span(e_i, e_j).  det(exp S) = 1 for nilpotent S,
-    so lambda is preserved on the nose, which is also checked.
+    Solves the linear system that kills the target coefficients of F*psi
+    (SingularSymbolicSystem when its determinant vanishes identically) and
+    runs verify_gauge on the solution.
     """
-    algebra = candidate.algebra
-    verify_derivation(algebra, s_family)
-    F = _exp_nilpotent(s_family.matrix, algebra.dim)
-    f_psi = pullback(F, candidate.psi)
+    system = gauge_system(candidate.psi, s_family, targets)
+    solved = solve_linear(system.rows, system.rhs)
+    return verify_gauge(
+        candidate, system, pair, solved.numerators, solved.determinant, entry_name,
+        assumptions, expect_k, expect_det_multiple_of, context,
+    )
+
+
+def verify_gauge(
+    candidate: SU3Candidate, system: GaugeSystem, pair, numerators, det: Polynomial,
+    entry_name: str, assumptions=(), expect_k: Optional[dict] = None,
+    expect_det_multiple_of: Optional[Polynomial] = None, context=None,
+) -> Certificate:
+    """Certify the null pair at the gauge s_k = numerators[k] / det.
+
+    Verifies, as identities after clearing denominators: det != 0, the
+    killed coefficients vanish, F*omega(pair) = 0, and K_{F*psi}(e_i) lies
+    in span(e_i, e_j).  det(exp S) = 1 for nilpotent S, so lambda is
+    preserved on the nose, which is also checked.
+    """
+    if det.is_zero():
+        raise SingularSymbolicSystem(det)
+    s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
-    rows, rhs = _affine_system(f_psi, targets, svars)
-    solved = solve_linear(rows, rhs)  # raises SingularSymbolicSystem when det = 0
-    det = solved.determinant
-    numerators = solved.numerators
 
     # (0) the normalized 3-form is polynomial: killed coefficients vanish and
     # the surviving ones must not involve the gauge parameters
@@ -746,7 +803,7 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
     if branches:
         branch_results = []
         for branch in branches:
-            branch_results.append(_run_su3_stage(entry, branch, options, result))
+            branch_results.append(_run_su3_stage(entry, branch["name"], options, result))
         result.outcome = _combine_outcomes(branch_results)
         return result
     outcome = _run_su3_stage(entry, None, options, result)
@@ -776,159 +833,234 @@ def _combine_outcomes(outcomes) -> Outcome:
     return worst
 
 
-
-def _branch_family(algebra, family_node, branch_subs) -> DerivationFamily:
-    """Parse a branch derivation family against the branch-substituted
-    algebra (the Leibniz identity only holds after the substitution)."""
-    matrix = [
-        [parse_polynomial(cell).substitute(branch_subs) for cell in row]
-        for row in family_node["matrix"]
-    ]
-    family = DerivationFamily(algebra, matrix, tuple(family_node["params"]))
-    verify_derivation(algebra, family)
-    return family
+# -- stage contexts ----------------------------------------------------------
 
 
-def _run_su3_stage(entry, branch, options: PipelineOptions, result: EntryResult) -> Outcome:
-    name = entry.name if branch is None else f"{entry.name} [{branch['name']}]"
+def _find_branch(entry: AlgebraEntry, branch_name: Optional[str]) -> Optional[dict]:
+    if branch_name is None:
+        return None
+    for step in entry.plan:
+        if step.get("kind") == "branch" and step.get("name") == branch_name:
+            return step
+    raise G2CertError(f"{entry.name}: no branch named {branch_name!r}")
+
+
+def _branch_algebra(entry: AlgebraEntry, branch: Optional[dict]) -> LieAlgebra:
+    return entry.build_algebra() if branch is None else entry.branch_algebra(branch)
+
+
+def _substitute_atoms(atoms, subs) -> list:
+    """The atoms after `subs`, dropping those that become constant."""
+    out = []
+    for atom in atoms:
+        poly = atom.poly.substitute(subs)
+        if not poly.is_constant():
+            out.append(Atom(atom.op, poly))
+    return out
+
+
+@dataclass
+class StageContext:
+    """What an SU(3)-stage certificate is proved on: the algebra (branch
+    substitutions applied), its derivation family, the domain atoms and the
+    assumptions, after the solved strong-unimodularity substitutions."""
+
+    name: str
+    branch_name: Optional[str]
+    algebra: LieAlgebra
+    family: DerivationFamily
+    atoms: list
+    assumptions: list
+    steps: list
+    derivation_subs: dict = field(default_factory=dict)
+    fam_subs: dict = field(default_factory=dict)
+
+    def constrained(self, derivation_subs, fam_subs) -> "StageContext":
+        """Substitute solved derivation parameters into the family, and solved
+        family parameters into the algebra, the family and the atoms."""
+        algebra = self.algebra
+        family = self.family.substitute(derivation_subs)
+        atoms = self.atoms
+        if fam_subs:
+            algebra = algebra.substitute(fam_subs)
+            family = DerivationFamily(
+                algebra,
+                [[e.substitute(fam_subs) for e in row] for row in family.matrix],
+                family.params,
+            )
+            atoms = _substitute_atoms(atoms, fam_subs)
+        assumptions = (
+            self.assumptions
+            + [f"{k} = {v}" for k, v in sorted(derivation_subs.items())]
+            + [f"{k} = {v}" for k, v in sorted(fam_subs.items())]
+        )
+        return StageContext(
+            self.name, self.branch_name, algebra, family, list(atoms), assumptions, self.steps,
+            {**self.derivation_subs, **derivation_subs}, {**self.fam_subs, **fam_subs},
+        )
+
+    def certificate_data(self) -> dict:
+        """The context fields every SU(3)-stage certificate stores."""
+        return {
+            "branch": self.branch_name,
+            "fam_subs": {k: str(v) for k, v in sorted(self.fam_subs.items())},
+            "derivation_subs": {k: str(v) for k, v in sorted(self.derivation_subs.items())},
+        }
+
+
+def stage_context(
+    entry: AlgebraEntry, branch_name: Optional[str] = None, derivation_subs=None, fam_subs=None
+) -> StageContext:
+    """The context of `entry` (or of its named branch) after the given
+    strong-unimodularity substitutions.
+
+    A branch algebra and its derivation family are both branch-substituted
+    before the Leibniz check.  Without a shipped family, Der is solved.
+    """
+    branch = _find_branch(entry, branch_name)
+    algebra = _branch_algebra(entry, branch)
     assumptions = [str(a) for a in entry.atoms]
-    if branch is not None:
-        algebra = entry.branch_algebra(branch)
-        branch_subs = {k: Fraction(v) for k, v in branch.get("subs", {}).items()}
-        atoms = [
-            Atom(a.op, a.poly.substitute(branch_subs))
-            for a in entry.atoms
-            if not a.poly.substitute(branch_subs).is_constant()
-        ] + [Atom.from_json(a) for a in branch.get("atoms", [])]
-        assumptions += [f"{k} = {v}" for k, v in branch.get("subs", {}).items()]
-        assumptions += [str(Atom.from_json(a)) for a in branch.get("atoms", [])]
-        steps = branch.get("steps", [])
-        family_node = branch.get("derivation_family")
-        family = _branch_family(algebra, family_node, branch_subs) if family_node else None
-    else:
-        algebra = entry.build_algebra()
+    if branch is None:
+        name = entry.name
+        family = entry.build_derivation_family()
         atoms = list(entry.atoms)
         steps = [s for s in entry.plan if s.get("kind") != "branch"]
-        family = entry.build_derivation_family()
-
+    else:
+        name = f"{entry.name} [{branch_name}]"
+        subs = {k: Fraction(v) for k, v in branch.get("subs", {}).items()}
+        node = branch.get("derivation_family")
+        family = family_from_json(algebra, node, subs) if node else None
+        branch_atoms = [Atom.from_json(a) for a in branch.get("atoms", [])]
+        atoms = _substitute_atoms(entry.atoms, subs) + branch_atoms
+        assumptions += [f"{k} = {v}" for k, v in branch.get("subs", {}).items()]
+        assumptions += [str(a) for a in branch_atoms]
+        steps = branch.get("steps", [])
     if family is None:
         family = solve_derivations(algebra)
+    base = StageContext(name, branch_name, algebra, family, atoms, assumptions, steps)
+    return base.constrained(derivation_subs or {}, fam_subs or {})
 
-    # strong unimodularity on the base nilradical
-    nil = Subspace.from_indices(algebra, entry.nilradical)
-    su = strongly_unimodular_constraints(ExtensionSpec(algebra, family), nil)
-    if branch is None:
+
+def _su_constraints(entry: AlgebraEntry, context: StageContext):
+    nil = Subspace.from_indices(context.algebra, entry.nilradical)
+    return strongly_unimodular_constraints(ExtensionSpec(context.algebra, context.family), nil)
+
+
+def _gauge_family(algebra: LieAlgebra, node) -> DerivationFamily:
+    """The gauge family S of a gauge plan step."""
+    return DerivationFamily(
+        algebra,
+        [[parse_polynomial(c) for c in row] for row in node["s_matrix"]],
+        tuple(node["s_params"]),
+    )
+
+
+def _gauge_expectations(step) -> dict:
+    expect_det = step.get("expect_det_multiple_of")
+    return {
+        "expect_k": step.get("expect_k"),
+        "expect_det_multiple_of": parse_polynomial(expect_det) if expect_det else None,
+    }
+
+
+def _gauge_determinant_for_slice(context: StageContext) -> Polynomial:
+    """The gauge determinant of the context's gauge step, as a polynomial
+    (quadratic in alpha_14), used to parametrize the singular slice."""
+    step = next(s for s in context.steps if s.get("kind") == "gauge")
+    psi = ce_differential(context.algebra, generic_two_form(6, "alpha"))
+    system = gauge_system(psi, _gauge_family(context.algebra, step), step["targets"])
+    return poly_matrix_det(system.rows)
+
+
+def _sampling_certificate(context: StageContext, trials: int, seed: int, slice_name, reason: str):
+    det_quad = _gauge_determinant_for_slice(context) if slice_name == "t2_zero" else None
+    sampler = PairSampler(
+        context.algebra, context.family, context.atoms, random.Random(seed),
+        slice_name=slice_name, det_in_alpha14=det_quad,
+    )
+    cert = sample_falsify(context.name, sampler, trials, seed, reason=reason)
+    cert.data.update(context.certificate_data())
+    return cert
+
+
+# -- the SU(3) stage ---------------------------------------------------------
+
+
+def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryResult) -> Outcome:
+    base = stage_context(entry, branch_name)
+    name = base.name
+    su = _su_constraints(entry, base)
+    if branch_name is None:
         _check_su_expected(entry.name, su, entry.su_expected)
-    constrained = family.substitute(su.derivation_subs)
-    fam_solution, unsolved = _solved_family_substitutions(su.family_equations)
-    su_assumptions = assumptions + [
-        f"{k} = {v}" for k, v in sorted(su.derivation_subs.items(), key=lambda kv: kv[0])
-    ] + [f"{k} = {v}" for k, v in sorted(fam_solution.items())]
-    if unsolved:
-        su_assumptions += [f"{e} = 0" for e in unsolved]
 
     if su.constant_obstructions:
-        cert = Certificate(
-            CertKind.TRACE_OBSTRUCTION,
-            name,
-            assumptions=assumptions,
-            data={
-                "branch": branch["name"] if branch is not None else None,
-                "constants": [str(c) for c in su.constant_obstructions],
-                "traces": [
-                    {"operator": op, "level": lvl, "trace": str(tr)}
-                    for op, lvl, tr in su.raw_traces
-                ],
-            },
-            verified=True,
-        )
+        cert = certify_trace_obstruction(base, su)
         result.certificates.append(cert)
         result.notes.append(
             f"{name}: the strong-unimodularity trace conditions contain nonzero "
             f"constants {cert.data['constants']}; no extension of this algebra is "
             "strongly unimodular (conclusion outside the source's certificate forms)"
         )
-        if any(s.get("kind") == "trace_obstruction" for s in steps):
+        if any(s.get("kind") == "trace_obstruction" for s in base.steps):
             return Outcome.NO_SU_EXTENSION
 
-    context = {
-        "branch": branch["name"] if branch is not None else None,
-        "fam_subs": {k: str(v) for k, v in sorted(fam_solution.items())},
-        "derivation_subs": {k: str(v) for k, v in sorted(su.derivation_subs.items())},
-    }
+    fam_solution, unsolved = _solved_family_substitutions(su.family_equations)
+    context = base.constrained(su.derivation_subs, fam_solution)
+    context.assumptions += [f"{e} = 0" for e in unsolved]
+    assumptions = context.assumptions
+    context_data = context.certificate_data()
     if fam_solution:
-        algebra = LieAlgebra(
-            6, [d.substitute(fam_solution) for d in algebra.differentials], name=algebra.name
-        )
-        constrained = DerivationFamily(
-            algebra,
-            [[e.substitute(fam_solution) for e in row] for row in constrained.matrix],
-            constrained.params,
-        )
-        atoms = [
-            Atom(a.op, a.poly.substitute(fam_solution))
-            for a in atoms
-            if not a.poly.substitute(fam_solution).is_constant()
-        ]
         # second lambda stage on the constrained structure
-        cert, negative_sample = certify_lambda_sign(
-            algebra,
+        cert, _ = certify_lambda_sign(
+            context.algebra,
             entry.witness("lambda"),
             name,
-            atoms=atoms,
-            assumptions=su_assumptions,
+            atoms=context.atoms,
+            assumptions=assumptions,
             rng=random.Random(11),
             witness_json=entry.witnesses.get("lambda"),
-            fam_subs=context["fam_subs"],
+            fam_subs=context_data["fam_subs"],
         )
         if cert is not None:
             result.certificates.append(cert)
             return Outcome.OBSTRUCTED
 
-    candidate = generic_su3_candidate(algebra, constrained)
+    candidate = generic_su3_candidate(context.algebra, context.family)
 
     proved = False
     sampled = False
-    for step in steps:
+    for step in context.steps:
         kind = step.get("kind")
         if kind == "null_direction":
             result.certificates.append(
-                certify_null_direction(candidate, step["indices"], name, su_assumptions, context)
+                certify_null_direction(candidate, step["indices"], name, assumptions, context_data)
             )
             proved = True
         elif kind == "sign_product":
-            witness = entry.witness(step["witness"])
             result.certificates.append(
                 certify_sign_product(
                     candidate,
                     step["pair"][0],
                     step["pair"][1],
-                    witness,
+                    entry.witness(step["witness"]),
                     name,
-                    su_assumptions,
+                    assumptions,
                     witness_json=entry.witnesses.get(step["witness"]),
-                    context=context,
+                    context=context_data,
                 )
             )
             proved = True
         elif kind == "gauge":
-            s_family = DerivationFamily(
-                algebra,
-                [[parse_polynomial(c) for c in row] for row in step["s_matrix"]],
-                tuple(step["s_params"]),
-            )
-            expect_det = step.get("expect_det_multiple_of")
             result.certificates.append(
                 gauge_transport(
                     candidate,
-                    s_family,
+                    _gauge_family(context.algebra, step),
                     [tuple(t) for t in step["targets"]],
                     tuple(step["pair"]),
                     name,
-                    su_assumptions,
-                    expect_k=step.get("expect_k"),
-                    expect_det_multiple_of=parse_polynomial(expect_det) if expect_det else None,
-                    context=context,
+                    assumptions,
+                    context=context_data,
+                    **_gauge_expectations(step),
                 )
             )
             proved = True
@@ -943,16 +1075,9 @@ def _run_su3_stage(entry, branch, options: PipelineOptions, result: EntryResult)
             seed = options.seed_override
             if seed is None:
                 seed = step.get("seed", 20260811)
-            slice_name = step.get("slice")
-            det_quad = None
-            if slice_name == "t2_zero":
-                det_quad = _gauge_determinant_for_slice(entry, branch)
-            sampler = PairSampler(
-                algebra, constrained, atoms, random.Random(seed),
-                slice_name=slice_name, det_in_alpha14=det_quad,
+            cert = _sampling_certificate(
+                context, trials, seed, step.get("slice"), step.get("reason", "")
             )
-            cert = sample_falsify(name, sampler, trials, seed, reason=step.get("reason", ""))
-            cert.data.update(context)
             result.certificates.append(cert)
             result.notes.append(
                 f"{name}: {step.get('reason', 'case analysis cited from the source')}; "
@@ -971,25 +1096,6 @@ def _run_su3_stage(entry, branch, options: PipelineOptions, result: EntryResult)
     if sampled:
         return Outcome.CITED_PROSE_SAMPLED
     return Outcome.INCONCLUSIVE
-
-
-def _gauge_determinant_for_slice(entry, branch) -> Polynomial:
-    """The gauge determinant of the branch, as a polynomial (quadratic in
-    alpha_14), used to parametrize the singular slice."""
-    algebra = entry.branch_algebra(branch) if branch else entry.build_algebra()
-    gauge_step = next(s for s in branch.get("steps", []) if s.get("kind") == "gauge")
-    s_family = DerivationFamily(
-        algebra,
-        [[parse_polynomial(c) for c in row] for row in gauge_step["s_matrix"]],
-        tuple(gauge_step["s_params"]),
-    )
-    psi = ce_differential(algebra, generic_two_form(6, "alpha"))
-    F = _exp_nilpotent(s_family.matrix, 6)
-    f_psi = pullback(F, psi)
-    rows, rhs = _affine_system(f_psi, [tuple(t) for t in gauge_step["targets"]], list(s_family.params))
-    from .poly import poly_matrix_det
-
-    return poly_matrix_det(rows)
 
 
 # -- reports ------------------------------------------------------------------
@@ -1030,190 +1136,108 @@ class Report:
         return "\n".join(lines)
 
 
-def run_all(entries, options: Optional[PipelineOptions] = None, threads: int = 1) -> Report:
+def run_all(entries, options: Optional[PipelineOptions] = None) -> Report:
     options = options or PipelineOptions()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda e: run_pipeline(e, options), entries))
-    else:
-        results = [run_pipeline(e, options) for e in entries]
-    return Report(results)
+    return Report([run_pipeline(e, options) for e in entries])
 
 
 # -- certificate rechecking ---------------------------------------------------
 
 
-def _context_algebra_and_family(entry: AlgebraEntry, data: dict):
-    """Rebuild the constrained algebra and derivation family a certificate
-    was produced on, from its stored context (no constraint re-solving)."""
-    branch_name = data.get("branch")
-    branch = None
-    if branch_name is not None:
-        branch = next(
-            s for s in entry.plan if s.get("kind") == "branch" and s.get("name") == branch_name
-        )
-        algebra = entry.branch_algebra(branch)
-        branch_subs = {k: Fraction(v) for k, v in branch.get("subs", {}).items()}
-        family = entry.build_derivation_family(branch.get("derivation_family"))
-        if family is not None:
-            family = DerivationFamily(
-                algebra,
-                [[e.substitute(branch_subs) for e in row] for row in family.matrix],
-                family.params,
-            )
-    else:
-        algebra = entry.build_algebra()
-        family = entry.build_derivation_family()
-    if family is None:
-        family = solve_derivations(algebra)
-    deriv_subs = {k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()}
-    fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
-    family = family.substitute(deriv_subs)
-    if fam_subs:
-        algebra = LieAlgebra(
-            algebra.dim,
-            [d.substitute(fam_subs) for d in algebra.differentials],
-            name=algebra.name,
-        )
-        family = DerivationFamily(
-            algebra,
-            [[e.substitute(fam_subs) for e in row] for row in family.matrix],
-            family.params,
-        )
-    return algebra, family, branch
+def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
+    """The branch a certificate was produced on, read from its algebra name
+    (`<entry>` or `<entry> [<branch>]`)."""
+    if cert_algebra == entry.name:
+        return None
+    prefix = f"{entry.name} ["
+    if cert_algebra.startswith(prefix) and cert_algebra.endswith("]"):
+        return cert_algebra[len(prefix):-1]
+    raise G2CertError(f"certificate for {cert_algebra!r} does not belong to {entry.name}")
 
 
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
-    """Re-verify a stored certificate from its stored data alone.
+    """Re-verify a stored certificate against the catalog entry.
 
-    Gauge certificates re-substitute their stored solved gauge instead of
-    re-running solve_linear; sampling certificates replay their stored seed.
+    Rebuilds the context from the catalog and the substitutions the
+    certificate stores, runs the verifier of its kind on the stored inputs
+    (the solved gauge of a gauge certificate, the seed of a sampling one),
+    and compares kind, algebra, data and verdict with the stored ones.  An
+    error while building the context from the catalog propagates; a
+    G2CertError while verifying the stored data means False.
     """
-    data = cert.data
-    kind = cert.kind
-    if kind == CertKind.ZERO_DIAGONAL:
-        algebra = entry.build_algebra()
-        _, b = generic_exact_g2(algebra)
-        return all(b.entry(i, i).is_zero() for i in data["indices"])
-
-    if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
-        fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
-        algebra = entry.build_algebra()
-        if fam_subs:
-            algebra = LieAlgebra(
-                algebra.dim, [d.substitute(fam_subs) for d in algebra.differentials]
-            )
-        lam = k_psi(ce_differential(algebra, generic_two_form(6, "alpha"))).lam
-        if kind == CertKind.LAMBDA_ZERO:
-            return lam.is_zero()
-        witness = NonNegWitness.from_json(data["witness"])
-        return witness.expand() == lam and str(lam) == data["lambda"]
-
-    if kind == CertKind.TRACE_OBSTRUCTION:
-        branch_name = data.get("branch")
-        if branch_name is None:
-            algebra = entry.build_algebra()
-            family = entry.build_derivation_family() or solve_derivations(algebra)
-        else:
-            algebra, family, _ = _context_algebra_and_family(
-                entry, {"branch": branch_name}
-            )
-        su = strongly_unimodular_constraints(
-            ExtensionSpec(algebra, family), Subspace.from_indices(algebra, entry.nilradical)
-        )
-        return [str(c) for c in su.constant_obstructions] == data["constants"]
-
-    if kind in (CertKind.NULL_DIRECTION, CertKind.SIGN_PRODUCT):
-        algebra, family, _ = _context_algebra_and_family(entry, data)
-        candidate = generic_su3_candidate(algebra, family)
-        if kind == CertKind.NULL_DIRECTION:
-            return all(candidate.h.entry(i, i).is_zero() for i in data["indices"])
-        i, j = data["pair"]
-        witness = NonNegWitness.from_json(data["witness"])
-        product = candidate.h.entry(i, i) * candidate.h.entry(j, j)
-        return (product + witness.expand()).is_zero()
-
-    if kind == CertKind.GAUGE_NULL:
-        algebra, family, _ = _context_algebra_and_family(entry, data)
-        candidate = generic_su3_candidate(algebra, family)
-        s_matrix = [[parse_polynomial(c) for c in row] for row in data["s_matrix"]]
-        F = _exp_nilpotent(s_matrix, algebra.dim)
-        svars = list(data["s_params"])
-        det = parse_polynomial(data["branch_condition"])
-        numerators = [parse_polynomial(data["solved_gauge"][sv]) for sv in svars]
-        f_psi = pullback(F, candidate.psi)
-        target_masks = {sum(1 << (i - 1) for i in t) for t in data["targets"]}
-        psi_bar_coeffs = {}
-        for mask, coeff in f_psi.coeffs.items():
-            num, power = substitute_cramer(coeff, svars, numerators, det)
-            if mask in target_masks:
-                if not num.is_zero():
-                    return False
-                continue
-            if num.is_zero():
-                continue
-            if power:
-                num = num.divide_exact(det ** power)
-                if num is None:
-                    return False
-            psi_bar_coeffs[mask] = num
-        i, j = data["pair"]
-        pair_num, _ = substitute_cramer(
-            form_value(pullback(F, candidate.omega), i, j), svars, numerators, det
-        )
-        if not pair_num.is_zero():
-            return False
-        k_bar = k_psi(KForm(6, 3, psi_bar_coeffs))
-        column = k_bar.column(i)
-        for l in range(1, 7):
-            if l not in (i, j) and not column[l - 1].is_zero():
-                return False
-        for key, expr in data["k_column"].items():
-            if str(column[int(key) - 1]) != expr:
-                return False
-        return k_bar.lam == candidate.lam
-
-    if kind == CertKind.SAMPLED_NO_SU3:
-        algebra, family, branch = _context_algebra_and_family(entry, data)
-        atoms = _atoms_in_context(entry, branch, data)
-        det_quad = None
-        if data.get("slice") == "t2_zero":
-            det_quad = _gauge_determinant_for_slice(entry, branch)
-        sampler = PairSampler(
-            algebra,
-            family,
-            atoms,
-            random.Random(data["seed"]),
-            slice_name=data.get("slice"),
-            det_in_alpha14=det_quad,
-        )
-        fresh = sample_falsify(
-            cert.algebra, sampler, data["trials"], data["seed"], reason=data.get("reason", "")
-        )
-        return fresh.data["passes"] == data["passes"] and fresh.verified == cert.verified
-
-    return False
-
-
-def _atoms_in_context(entry: AlgebraEntry, branch, data: dict):
-    atoms = list(entry.atoms)
-    if branch is not None:
-        branch_subs = {k: Fraction(v) for k, v in branch.get("subs", {}).items()}
-        atoms = [
-            Atom(a.op, a.poly.substitute(branch_subs))
-            for a in entry.atoms
-            if not a.poly.substitute(branch_subs).is_constant()
-        ] + [Atom.from_json(a) for a in branch.get("atoms", [])]
+    kind, data = cert.kind, cert.data
+    branch_name = _branch_name(entry, cert.algebra)
     fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
-    if fam_subs:
-        atoms = [
-            Atom(a.op, a.poly.substitute(fam_subs))
-            for a in atoms
-            if not a.poly.substitute(fam_subs).is_constant()
-        ]
-    return atoms
+    context = None  # a zero-diagonal certificate lives on the entry as shipped
+    if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
+        context = _branch_algebra(entry, _find_branch(entry, branch_name)).substitute(fam_subs)
+    elif kind != CertKind.ZERO_DIAGONAL:
+        derivation_subs = {
+            k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()
+        }
+        context = stage_context(entry, branch_name, derivation_subs, fam_subs)
+    try:
+        rebuilt = _reverify(entry, cert, context)
+    except G2CertError:
+        return False
+    return (rebuilt.kind, rebuilt.algebra, rebuilt.data, rebuilt.verified) == (
+        kind, cert.algebra, data, cert.verified
+    )
+
+
+def _reverify(entry: AlgebraEntry, cert: Certificate, context) -> Certificate:
+    """Run the verifier of the certificate's kind on its stored inputs.
+
+    `context` is the StageContext, the algebra for a lambda certificate, or
+    None for a zero-diagonal one.
+    """
+    kind, data = cert.kind, cert.data
+    if kind == CertKind.ZERO_DIAGONAL:
+        return certify_zero_diagonal(entry, data["indices"])
+    if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
+        witness = NonNegWitness.from_json(data["witness"]) if "witness" in data else None
+        return certify_lambda(
+            lambda_of(context), witness, cert.algebra,
+            witness_json=data.get("witness"), fam_subs=data.get("fam_subs"),
+        )
+    if kind == CertKind.TRACE_OBSTRUCTION:
+        return certify_trace_obstruction(context, _su_constraints(entry, context))
+    if kind == CertKind.SAMPLED_NO_SU3:
+        return _sampling_certificate(
+            context, data["trials"], data["seed"], data.get("slice"), data.get("reason", "")
+        )
+    candidate = generic_su3_candidate(context.algebra, context.family)
+    context_data = context.certificate_data()
+    if kind == CertKind.NULL_DIRECTION:
+        return certify_null_direction(
+            candidate, data["indices"], context.name, context.assumptions, context_data
+        )
+    if kind == CertKind.SIGN_PRODUCT:
+        i, j = data["pair"]
+        return certify_sign_product(
+            candidate, i, j, NonNegWitness.from_json(data["witness"]), context.name,
+            context.assumptions, witness_json=data["witness"], context=context_data,
+        )
+    if kind == CertKind.GAUGE_NULL:
+        step = next(
+            (
+                s for s in context.steps
+                if s.get("kind") == "gauge"
+                and [list(t) for t in s["targets"]] == data["targets"]
+                and list(s["pair"]) == data["pair"]
+            ),
+            None,
+        )
+        if step is None:
+            raise G2CertError(f"{context.name}: no gauge step has these targets and pair")
+        system = gauge_system(candidate.psi, _gauge_family(context.algebra, step), step["targets"])
+        numerators = [parse_polynomial(data["solved_gauge"][sv]) for sv in system.s_family.params]
+        return verify_gauge(
+            candidate, system, step["pair"], numerators,
+            parse_polynomial(data["branch_condition"]), context.name, context.assumptions,
+            context=context_data, **_gauge_expectations(step),
+        )
+    raise G2CertError(f"no verifier for certificate kind {kind.value!r}")
 
 
 def recheck_report(report_json: dict, entries) -> dict:
@@ -1247,16 +1271,17 @@ def standard_su3_pair():
 
 
 def negative_control(trials: int = 50, seed: int = 1) -> int:
-    """Feed the falsifier pairs pulled back from the standard SU(3) pair; the
-    checker must find passes, proving it is not vacuously rejecting."""
+    """Feed the falsifier's SU(3) predicate pairs pulled back from the
+    standard SU(3) pair; it must find passes, proving it is not vacuously
+    rejecting."""
     rng = random.Random(seed)
     omega0, psi0 = standard_su3_pair()
     passes = 0
     for _ in range(trials):
         diag = [Fraction(rng.choice([x for x in range(-5, 6) if x != 0])) for _ in range(6)]
         matrix = [[Polynomial.const(diag[i] if i == j else 0) for j in range(6)] for i in range(6)]
-        omega = pullback(matrix, omega0)
-        psi = pullback(matrix, psi0)
-        if su3_check(omega, psi) == SU3Verdict.PASSES:
+        omega = numeric.eval_form_int(pullback(matrix, omega0), {})
+        psi = numeric.eval_form_int(pullback(matrix, psi0), {})
+        if numeric.su3_passes_int(omega, psi):
             passes += 1
     return passes

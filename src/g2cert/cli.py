@@ -4,12 +4,14 @@
     g2cert lambda <algebra> [--witness]
     g2cert derivations <algebra> [--params k=v,...]
     g2cert su3 <algebra> [--gauge] [--samples N] [--seed S]
-    g2cert run-all <catalog> --out report.json [--md report.md] [--threads N]
+    g2cert run-all <catalog> --out report.json [--md report.md]
+    g2cert recheck report.json [--catalog <catalog>]
 
 <catalog> is a built-in dataset name (table1, nonsolvable, indecomposable),
 'all', or a path to a catalog JSON file.  <algebra> is an entry name or an
 unambiguous substring of one.  Exit code 0 iff every attempted certificate
-verifies.
+verifies; for recheck, iff every certificate of the report rechecks against
+the catalog (the default catalog is 'all').
 """
 
 from __future__ import annotations
@@ -21,17 +23,14 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .certify import (
-    Outcome,
     PipelineOptions,
-    generic_su3_candidate,
+    lambda_of,
+    recheck_report,
     run_all,
     run_pipeline,
 )
 from .derivations import solve_derivations
 from .errors import G2CertError
-from .forms import generic_two_form
-from .hitchin import k_psi
-from .lie import LieAlgebra, ce_differential
 from .poly import check_nonneg_witness
 
 
@@ -67,8 +66,7 @@ def cmd_lambda(args) -> int:
     entry = _find_entry(args.algebra)
     if entry.dim != 6:
         raise SystemExit(f"{entry.name} has dimension {entry.dim}; lambda lives on dimension 6")
-    algebra = entry.build_algebra()
-    lam = k_psi(ce_differential(algebra, generic_two_form(6, "alpha"))).lam
+    lam = lambda_of(entry.build_algebra())
     print(f"lambda(d alpha) on {entry.name}:")
     print(f"  {lam}")
     if lam.is_zero():
@@ -100,11 +98,7 @@ def cmd_derivations(args) -> int:
             f"{entry.name} depends on family parameters {sorted(missing)}; fix them with --params"
         )
     if params:
-        algebra = LieAlgebra(
-            algebra.dim,
-            [d.substitute(params) for d in algebra.differentials],
-            name=algebra.name,
-        )
+        algebra = algebra.substitute(params)
     family = solve_derivations(algebra)
     print(f"Der({entry.name}) at {({k: str(v) for k, v in params.items()} or 'rational constants')}:")
     print(f"  dimension {len(family.params)}, parameters {', '.join(family.params)}")
@@ -143,7 +137,7 @@ def cmd_run_all(args) -> int:
         seed_override=args.seed,
         skip_sampling=args.samples == 0,
     )
-    report = run_all(entries, options, threads=args.threads)
+    report = run_all(entries, options)
     document = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -159,6 +153,21 @@ def cmd_run_all(args) -> int:
     ok = report.verified_all()
     print(f"all attempted certificates verify: {ok}")
     return 0 if ok else 1
+
+
+def cmd_recheck(args) -> int:
+    with open(args.report, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    verdicts = recheck_report(document, _load(args.catalog))
+    total = failed = 0
+    for node in document["results"]:
+        for cert, ok in zip(node["certificates"], verdicts[node["name"]]):
+            total += 1
+            if not ok:
+                failed += 1
+                print(f"FAILED {cert['algebra']}: {cert['kind']}")
+    print(f"{total - failed} of {total} certificates recheck")
+    return 0 if failed == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,10 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("catalog")
     p.add_argument("--out", default="", metavar="report.json")
     p.add_argument("--md", default="", metavar="report.md")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
     p.add_argument("--samples", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="S")
     p.set_defaults(func=cmd_run_all)
+
+    p = sub.add_parser("recheck", help="recheck every certificate of a report")
+    p.add_argument("report")
+    p.add_argument("--catalog", default="all")
+    p.set_defaults(func=cmd_recheck)
     return parser
 
 

@@ -367,33 +367,3 @@ def strongly_unimodular_constraints(ext: ExtensionSpec, nilradical: Subspace) ->
     constants = sorted(set(constants))
     return StrongUnimodularity(subs, family_eqs, constants, traces)
 
-
-@dataclass
-class NilradicalBranch:
-    is_nilpotent_derivation: bool
-    indices_include_extension: bool
-    condition: str
-
-
-def nilradical_of_extension(ext: ExtensionSpec) -> list:
-    """Branches for the nilradical of s x_D R: the base nilradical n when D
-    is not nilpotent, n x_D R when it is.
-
-    For a symbolic family both branches are returned with their defining
-    conditions: D^n = 0 identically gives the nilpotent branch only; if
-    some entry of D^n is a nonzero polynomial, the generic branch is the
-    base nilradical and the nilpotent branch holds where all listed entries
-    vanish.
-    """
-    n = ext.base.dim
-    power = [row[:] for row in ext.derivation.matrix]
-    for _ in range(n - 1):
-        power = linalg.mat_mul(power, ext.derivation.matrix)
-    nonzero = [power[i][j] for i in range(n) for j in range(n) if not power[i][j].is_zero()]
-    if not nonzero:
-        return [NilradicalBranch(True, True, "D is nilpotent for all parameter values")]
-    condition = "; ".join(str(p) for p in nonzero[:4])
-    return [
-        NilradicalBranch(False, False, f"generic branch, valid where D^{n} != 0: {condition}"),
-        NilradicalBranch(True, True, f"special branch where all entries of D^{n} vanish"),
-    ]

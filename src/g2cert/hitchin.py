@@ -62,9 +62,6 @@ class Bilinear:
         return f"Bilinear(dim={self.dim})"
 
 
-SymBilinear = Bilinear
-
-
 class Definiteness(enum.Enum):
     POS_DEF = "PosDef"
     NEG_DEF = "NegDef"
@@ -124,15 +121,6 @@ class KOperator:
     def column(self, i: int) -> list:
         """Coordinates of K(e_i), 1-based."""
         return [self.entries[k][i - 1] for k in range(6)]
-
-    def apply(self, v: VectorExpr) -> VectorExpr:
-        coords = []
-        for row in self.entries:
-            acc = Polynomial.zero()
-            for entry, c in zip(row, v.coords):
-                acc = acc + entry * c
-            coords.append(acc)
-        return VectorExpr(6, coords)
 
 
 def k_psi(psi: KForm) -> KOperator:

@@ -40,6 +40,12 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"
 
+    def substitute(self, mapping) -> "LieAlgebra":
+        """The algebra with values substituted for its family parameters."""
+        return LieAlgebra(
+            self.dim, [d.substitute(mapping) for d in self.differentials], name=self.name
+        )
+
     # -- differential and bracket ------------------------------------------
 
     def d_basis(self, k: int) -> KForm:

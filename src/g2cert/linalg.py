@@ -13,7 +13,7 @@ eliminating again.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 
 def rref(rows: List[list], ncols: int) -> tuple:
@@ -124,19 +124,3 @@ def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
     return det
 
-
-def mat_mul(a, b, add: Callable = None):
-    """Product of two matrices with ring entries (Polynomial or Fraction)."""
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out

@@ -1,5 +1,6 @@
 """Certificates, pipelines, sampling, reports."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import P, algebra_of, fam
-from g2cert.catalog import load_builtin
+from g2cert.catalog import BUILTIN_DATASETS, load_any, load_builtin
 from g2cert.certify import (
     Certificate,
     CertKind,
@@ -334,6 +335,59 @@ class TestRecheckDeterminism:
         result = run_pipeline(entry, PipelineOptions(trials_override=15))
         cert = next(c for c in result.certificates if c.kind == CertKind.SAMPLED_NO_SU3)
         assert recheck_certificate(entry, cert)
+
+
+# sha256 of the trials-2 report over every built-in catalog, frozen from the
+# code before discovery and recheck shared their verifiers; certificate
+# content must not move without a stated reason.
+FULL_REPORT_TRIALS2_SHA256 = "a3973bb1450cb26326486b265b8e9f53ecad1f8c29a2ed6906d2442146245ec4"
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    """(entries, serialized report) of run_all over every built-in catalog."""
+    entries = [e for name in BUILTIN_DATASETS for e in load_any(name)]
+    report = run_all(entries, PipelineOptions(trials_override=2))
+    return entries, json.loads(json.dumps(report.to_json(include_timing=False)))
+
+
+def gauge_node(document, algebra):
+    return next(
+        c for r in document["results"] for c in r["certificates"]
+        if c["kind"] == "gauge_null" and c["algebra"] == algebra
+    )
+
+
+class TestFullReport:
+    def test_every_certificate_rechecks(self, full_report):
+        entries, document = full_report
+        verdicts = recheck_report(document, entries)
+        assert sum(len(v) for v in verdicts.values()) == 48
+        assert {name: v for name, v in verdicts.items() if not all(v)} == {}
+        # the branch certificate whose family needs the branch substitution
+        assert gauge_node(document, "g_{6,101}^{a,b,-1-a,-1-b} [a = -1]")["verified"]
+
+    def test_frozen_digest(self, full_report):
+        _, document = full_report
+        blob = json.dumps(document, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == FULL_REPORT_TRIALS2_SHA256
+
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("branch_condition", lambda data: "0"),
+            ("targets", lambda data: [[1, 2, 6]] + data["targets"][1:]),
+            ("k_column", lambda data: {**data["k_column"], "3": "0"}),
+            ("solved_gauge", lambda data: {sv: "0" for sv in data["solved_gauge"]}),
+        ],
+    )
+    def test_tampered_gauge_certificate_fails(self, full_report, field, tamper):
+        entries, document = full_report
+        entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
+        node = json.loads(json.dumps(gauge_node(document, entry.name)))
+        assert recheck_certificate(entry, Certificate.from_json(node))
+        node["data"][field] = tamper(node["data"])
+        assert not recheck_certificate(entry, Certificate.from_json(node))
 
 
 class TestReportRendering:

@@ -104,3 +104,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "4 entries validated" in proc.stdout
+
+
+def test_recheck_command(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["run-all", "nonsolvable", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["recheck", str(report), "--catalog", "nonsolvable"]) == 0
+    assert "3 of 3 certificates recheck" in capsys.readouterr().out
+
+    document = json.loads(report.read_text())
+    q1 = next(r for r in document["results"] if r["name"] == "q_1")
+    q1["certificates"][0]["data"]["indices"] = [1]
+    report.write_text(json.dumps(document))
+    assert main(["recheck", str(report), "--catalog", "nonsolvable"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED q_1: zero_diagonal" in out
+    assert "2 of 3 certificates recheck" in out

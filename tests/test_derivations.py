@@ -10,7 +10,6 @@ from g2cert.derivations import (
     DerivationFamily,
     ExtensionSpec,
     dstar_action,
-    nilradical_of_extension,
     solve_derivations,
     strongly_unimodular_constraints,
     verify_derivation,
@@ -222,31 +221,3 @@ class TestExtensionAndNilradical:
         ext = ExtensionSpec(L, printed)  # validates d^2 = 0 on construction
         assert ext.result.dim == 7
         assert ext.result.d_basis(7).is_zero()
-
-    def test_zero_derivation_nilpotent_branch(self):
-        L = algebra_of(G3434)
-        zero = DerivationFamily(L, [[Polynomial.zero()] * 6 for _ in range(6)])
-        branches = nilradical_of_extension(ExtensionSpec(L, zero))
-        assert len(branches) == 1 and branches[0].is_nilpotent_derivation
-
-    def test_g530_constrained_family_is_nilpotent(self):
-        L = algebra_of(G530)
-        printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
-        constrained = printed.substitute({"a_1": 0, "a_5": 0, "a_8": 0})
-        branches = nilradical_of_extension(ExtensionSpec(L, constrained))
-        assert len(branches) == 1 and branches[0].is_nilpotent_derivation
-        # oracle: the 7th matrix power of a sampled member vanishes
-        sample = {p: Fraction(i + 1) for i, p in enumerate(printed.params)}
-        sample.update({"a_1": 0, "a_5": 0, "a_8": 0})
-        numeric = [[e.substitute(sample).constant_value() for e in row] for row in printed.matrix]
-        power = numeric
-        for _ in range(6):
-            power = linalg.mat_mul(power, numeric)
-        assert all(x == 0 for row in power for x in row)
-
-    def test_nonnilpotent_sample_gives_base_branch(self):
-        L = algebra_of(G530)
-        printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
-        at_sample = printed.substitute({p: (1 if p == "a_1" else 0) for p in printed.params})
-        branches = nilradical_of_extension(ExtensionSpec(L, at_sample))
-        assert not branches[0].is_nilpotent_derivation
