@@ -33,13 +33,11 @@ from .errors import (
     DslSyntaxError,
     G2CertError,
     IndexOutOfRange,
-    JacobiFailure,
-    NotAnIdeal,
     ValidationFailure,
 )
-from .exprs import _Parser, parse_polynomial, tokenize
+from .exprs import _Parser, parse_polynomial
 from .forms import KForm
-from .lie import LieAlgebra, Subspace, unimodular_check, validate, verify_nilradical
+from .lie import LieAlgebra, unimodular_check, validate, verify_nilradical
 from .poly import NonNegWitness, Polynomial
 
 _BASIS_RE = re.compile(r"^e([1-9])([1-9])$")

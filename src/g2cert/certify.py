@@ -573,42 +573,39 @@ def _sample_atoms(atoms, variables, rng: random.Random, budget: int = 2000):
     raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in atoms]}")
 
 
-def _fraction_sqrt(value: Fraction):
-    if value < 0:
-        return None
-    num_root = isqrt(value.numerator)
-    den_root = isqrt(value.denominator)
-    if num_root * num_root != value.numerator or den_root * den_root != value.denominator:
-        return None
-    return Fraction(num_root, den_root)
-
-
 class PairSampler:
-    """Draws exact rational candidate pairs (omega, psi) for one entry."""
+    """Draws exact candidate pairs (omega, psi) for one entry.
+
+    The symbolic forms (and, on the t2_zero slice, the coefficients of the
+    gauge determinant in alpha_14) are compiled once into integer
+    evaluators over one ordered variable list.
+    """
 
     def __init__(self, algebra, derivation, atoms, rng, slice_name=None, det_in_alpha14=None):
-        self.algebra = algebra
-        self.derivation = derivation
         self.atoms = list(atoms)
         self.rng = rng
         self.slice_name = slice_name
-        self.det_in_alpha14 = det_in_alpha14
         alpha = generic_two_form(6, "alpha")
         beta = generic_one_form(6, "beta")
-        self.psi_sym = ce_differential(algebra, alpha)
-        self.omega_sym = ce_differential(algebra, beta) - dstar_action(derivation, alpha)
-        self.variables = sorted(
-            self.psi_sym.variables() | self.omega_sym.variables()
-        )
+        psi_sym = ce_differential(algebra, alpha)
+        omega_sym = ce_differential(algebra, beta) - dstar_action(derivation, alpha)
+        self.variables = sorted(psi_sym.variables() | omega_sym.variables())
         self.fam_vars = [v for v in self.variables if v.startswith("fam_")]
         self.free_vars = [v for v in self.variables if not v.startswith("fam_")]
+        self.psi_int = numeric.CompiledForm(psi_sym.coeffs, self.variables)
+        self.omega_int = numeric.CompiledForm(omega_sym.coeffs, self.variables)
+        if slice_name == "t2_zero":
+            parts = _coefficients_in(det_in_alpha14, "alpha_14")
+            if max(parts, default=0) > 2:
+                raise G2CertError("the gauge determinant is not quadratic in alpha_14")
+            self.det_int = numeric.CompiledForm(parts, self.variables)
 
     def _draw_assignment(self):
         assignment = {}
         if self.fam_vars or self.atoms:
             assignment.update(_sample_atoms(self.atoms, self.fam_vars, self.rng))
         for v in self.free_vars:
-            assignment[v] = Fraction(self.rng.randint(-20, 20))
+            assignment[v] = self.rng.randint(-20, 20)
         if self.slice_name == "t2_zero":
             if not self._apply_t2_slice(assignment):
                 return None
@@ -619,7 +616,9 @@ class PairSampler:
 
         The determinant is quadratic in alpha_14; rejection sampling cannot
         hit its zero set, so alpha_34 is chosen to make the discriminant a
-        perfect square and alpha_14 is set to a rational root.
+        perfect square and alpha_14 is set to a rational root.  The
+        coefficients A, B, C of alpha_14^2, alpha_14, 1 are evaluated with
+        one common positive scale, which leaves the root unchanged.
         """
         a = assignment["fam_a"]
         b = assignment["fam_b"]
@@ -633,34 +632,46 @@ class PairSampler:
         if p_val == 0:
             return False
         assignment["alpha_34"] = k * k * p_val / ((a - b) * a12)
-        quad = self.det_in_alpha14
-        zero = {**assignment, "alpha_14": Fraction(0)}
-        one = {**assignment, "alpha_14": Fraction(1)}
-        minus = {**assignment, "alpha_14": Fraction(-1)}
-        c0 = quad.evaluate(zero)
-        c_plus = quad.evaluate(one)
-        c_minus = quad.evaluate(minus)
-        A = (c_plus + c_minus - 2 * c0) / 2
-        B = (c_plus - c_minus) / 2
+        coeffs = self.det_int.evaluate(numeric.integer_point(self.variables, assignment))
+        A, B, C = (coeffs.get(exp, 0) for exp in (2, 1, 0))
         if A == 0:
             return False
-        disc = B * B - 4 * A * c0
-        root = _fraction_sqrt(disc)
-        if root is None:
+        disc = B * B - 4 * A * C
+        if disc < 0:
             return False
-        assignment["alpha_14"] = (-B + root) / (2 * A)
-        return quad.evaluate(assignment) == 0
+        root = isqrt(disc)
+        if root * root != disc:
+            return False
+        assignment["alpha_14"] = Fraction(root - B, 2 * A)
+        return True
 
     def draw(self):
-        """One candidate (omega, psi) as integer forms, or None (rejected)."""
+        """One trial (omega, psi, K of psi) in integers, or None (rejected).
+
+        psi is evaluated first and lambda < 0 tested on it: most rejected
+        draws fail there, and omega is only evaluated for the others.
+        """
         assignment = self._draw_assignment()
         if assignment is None:
             return None
-        omega = numeric.eval_form_int(self.omega_sym, assignment)
-        psi = numeric.eval_form_int(self.psi_sym, assignment)
-        if not numeric.candidate_conditions_int(omega, psi):
+        point = numeric.integer_point(self.variables, assignment)
+        psi = self.psi_int.evaluate(point)
+        k, trace_sq = numeric.k_matrix_int(psi)
+        if trace_sq >= 0:
             return None
-        return omega, psi
+        omega = self.omega_int.evaluate(point)
+        if not numeric.omega_cubed_int(omega):
+            return None
+        return omega, psi, k
+
+
+def _coefficients_in(poly: Polynomial, name: str) -> dict:
+    """{e: coefficient of name^e} of a polynomial, each free of name."""
+    parts = {}
+    for mono, coeff in poly.terms.items():
+        exp = dict(mono).get(name, 0)
+        parts.setdefault(exp, {})[tuple((v, e) for v, e in mono if v != name)] = coeff
+    return {exp: Polynomial(terms) for exp, terms in parts.items()}
 
 
 def sample_falsify(
@@ -691,9 +702,9 @@ def sample_falsify(
         drawn = sampler.draw()
         if drawn is None:
             continue
-        omega, psi = drawn
+        omega, psi, k = drawn
         done += 1
-        if numeric.su3_passes_int(omega, psi):
+        if numeric.su3_passes_int(omega, psi, k):
             passes += 1
     return Certificate(
         CertKind.SAMPLED_NO_SU3,
@@ -1155,6 +1166,11 @@ def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
     raise G2CertError(f"certificate for {cert_algebra!r} does not belong to {entry.name}")
 
 
+# What stored data that lacks a field or holds a value of the wrong form
+# raises while it is parsed or verified.
+_MALFORMED = (G2CertError, KeyError, ValueError, TypeError)
+
+
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     """Re-verify a stored certificate against the catalog entry.
 
@@ -1162,23 +1178,26 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     certificate stores, runs the verifier of its kind on the stored inputs
     (the solved gauge of a gauge certificate, the seed of a sampling one),
     and compares kind, algebra, data and verdict with the stored ones.  An
-    error while building the context from the catalog propagates; a
-    G2CertError while verifying the stored data means False.
+    error while building the context from the catalog propagates; stored
+    data that fails to parse or to verify means False.
     """
     kind, data = cert.kind, cert.data
-    branch_name = _branch_name(entry, cert.algebra)
-    fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
+    try:
+        branch_name = _branch_name(entry, cert.algebra)
+        fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
+        derivation_subs = {
+            k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()
+        }
+    except _MALFORMED:
+        return False
     context = None  # a zero-diagonal certificate lives on the entry as shipped
     if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
         context = _branch_algebra(entry, _find_branch(entry, branch_name)).substitute(fam_subs)
     elif kind != CertKind.ZERO_DIAGONAL:
-        derivation_subs = {
-            k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()
-        }
         context = stage_context(entry, branch_name, derivation_subs, fam_subs)
     try:
         rebuilt = _reverify(entry, cert, context)
-    except G2CertError:
+    except _MALFORMED:
         return False
     return (rebuilt.kind, rebuilt.algebra, rebuilt.data, rebuilt.verified) == (
         kind, cert.algebra, data, cert.verified
@@ -1249,7 +1268,11 @@ def recheck_report(report_json: dict, entries) -> dict:
         entry = by_name.get(node["name"])
         row = []
         for cert_node in node["certificates"]:
-            cert = Certificate.from_json(cert_node)
+            try:
+                cert = Certificate.from_json(cert_node)
+            except (KeyError, ValueError):  # a missing field or an unknown kind
+                row.append(False)
+                continue
             row.append(bool(entry) and recheck_certificate(entry, cert))
         verdicts[node["name"]] = row
     return verdicts

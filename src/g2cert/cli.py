@@ -165,7 +165,7 @@ def cmd_recheck(args) -> int:
             total += 1
             if not ok:
                 failed += 1
-                print(f"FAILED {cert['algebra']}: {cert['kind']}")
+                print(f"FAILED {cert.get('algebra')}: {cert.get('kind')}")
     print(f"{total - failed} of {total} certificates recheck")
     return 0 if failed == 0 else 1
 

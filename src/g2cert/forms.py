@@ -8,7 +8,6 @@ Forms are immutable and safe to share.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeMismatch, DegreeZero, DimensionMismatch

@@ -12,12 +12,11 @@ family parameters.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, JacobiFailure, NotAnIdeal
-from .forms import KForm, VectorExpr, contract, wedge
+from .forms import KForm, VectorExpr, wedge
 from .poly import Polynomial, RationalFunction
 
 

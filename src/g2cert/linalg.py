@@ -124,3 +124,28 @@ def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
     return det
 
+
+def leading_minors_int(matrix: Sequence[Sequence[int]]) -> list:
+    """Leading principal minors of a square integer matrix, in order, up to
+    and including the first zero one.
+
+    One fraction-free elimination without pivoting (Bareiss, Math. Comp. 22,
+    1968): the pivot of step k is the (k+1) x (k+1) leading minor, and each
+    division by the previous pivot is exact.  A zero pivot ends the pass,
+    since elimination cannot go on without a row swap.
+    """
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    minors = []
+    previous = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(k + 1, n):
+            row, factor = rows[i], rows[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * rows[k][j]) // previous
+        previous = pivot
+    return minors

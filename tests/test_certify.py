@@ -343,6 +343,19 @@ class TestRecheckDeterminism:
 FULL_REPORT_TRIALS2_SHA256 = "a3973bb1450cb26326486b265b8e9f53ecad1f8c29a2ed6906d2442146245ec4"
 
 
+# Draw attempts of the four sampling certificates at 100 trials and seed
+# 9876 (0 passes each), re-derived with the sampler that evaluated its
+# forms with Polynomial.evaluate; the trials-2 digest makes too few draws
+# on the t2_zero slice to pin that path.
+SAMPLER_PIN_SEED = 9876
+SAMPLER_ATTEMPTS_100_TRIALS = {
+    "g_{5,33}^{-1,-1}+R": 225,
+    "g_{6,101}^{a,b,-1-a,-1-b} [a != -1]": 197,
+    "g_{6,115}^{-1,b,c,-c}": 222,
+    "g_{6,118}^{0,b,-1}": 518,
+}
+
+
 @pytest.fixture(scope="module")
 def full_report():
     """(entries, serialized report) of run_all over every built-in catalog."""
@@ -387,6 +400,39 @@ class TestFullReport:
         node = json.loads(json.dumps(gauge_node(document, entry.name)))
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"][field] = tamper(node["data"])
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda data: data["solved_gauge"].pop(next(iter(data["solved_gauge"]))),
+            lambda data: data.pop("pair"),
+            lambda data: data.update(fam_subs={"fam_x": "abc"}),
+        ],
+        ids=["solved_gauge_key", "pair", "fam_subs_value"],
+    )
+    def test_malformed_gauge_certificate_fails(self, full_report, malform):
+        entries, document = full_report
+        entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
+        node = json.loads(json.dumps(gauge_node(document, entry.name)))
+        malform(node["data"])
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+
+    @pytest.mark.parametrize("algebra, attempts", SAMPLER_ATTEMPTS_100_TRIALS.items())
+    def test_sampler_draw_sequence_is_pinned(self, full_report, algebra, attempts):
+        # a sampling certificate rechecks only when replaying its seed gives
+        # the stored attempts and passes
+        entries, document = full_report
+        name, node = next(
+            (r["name"], c) for r in document["results"] for c in r["certificates"]
+            if c["kind"] == "sampled_no_su3" and c["algebra"] == algebra
+        )
+        entry = next(e for e in entries if e.name == name)
+        node = json.loads(json.dumps(node))
+        node["data"].update(trials=100, seed=SAMPLER_PIN_SEED, attempts=attempts, passes=0)
+        assert recheck_certificate(entry, Certificate.from_json(node))
+        node["data"]["attempts"] = attempts + 1
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
 

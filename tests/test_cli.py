@@ -121,3 +121,23 @@ def test_recheck_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAILED q_1: zero_diagonal" in out
     assert "2 of 3 certificates recheck" in out
+
+
+def test_recheck_reports_malformed_certificate(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["run-all", "nonsolvable", "--out", str(report)]) == 0
+    document = json.loads(report.read_text())
+    q1 = next(r for r in document["results"] if r["name"] == "q_1")
+    del q1["certificates"][0]["data"]["indices"]
+    q2 = next(r for r in document["results"] if r["name"].startswith("q_2"))
+    del q2["certificates"][0]["algebra"]
+    q3 = next(r for r in document["results"] if r["name"].startswith("q_3"))
+    q3["certificates"][0]["kind"] = "no_such_kind"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report), "--catalog", "nonsolvable"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED q_1: zero_diagonal" in out
+    assert "FAILED None: zero_diagonal" in out
+    assert ": no_such_kind" in out
+    assert "0 of 3 certificates recheck" in out

@@ -1,0 +1,148 @@
+"""The integer kernels of the sampler against the exact Fraction/Polynomial
+code they replace on the per-draw path."""
+
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from g2cert.certify import standard_su3_pair
+from g2cert.forms import KForm, pullback
+from g2cert.hitchin import SU3Verdict, k_psi, su3_check
+from g2cert.linalg import det_fraction, leading_minors_int
+from g2cert.numeric import (
+    CompiledForm,
+    eval_form_int,
+    integer_point,
+    k_matrix_int,
+    su3_passes_int,
+)
+from g2cert.poly import Polynomial
+
+NAMES = ("u", "v", "w")
+SMALL = st.integers(-2, 2)
+RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 5))
+
+
+def reference_eval(form: KForm, assignment) -> dict:
+    """Polynomial.evaluate on each coefficient, then clear denominators."""
+    values = {}
+    denominators = 1
+    for mask, coeff in form.coeffs.items():
+        value = coeff.evaluate(assignment)
+        if value:
+            values[mask] = value
+            denominators = lcm(denominators, value.denominator)
+    return {mask: int(v * denominators) for mask, v in values.items()}
+
+
+def masks_of_degree(degree):
+    return [m for m in range(1 << 6) if m.bit_count() == degree]
+
+
+@st.composite
+def rational_forms(draw):
+    """A KForm on dimension 6 whose coefficients are polynomials of degree
+    up to 4 in u, v, w with small rational (possibly zero) coefficients."""
+    degree = draw(st.integers(0, 3))
+    masks = draw(st.lists(st.sampled_from(masks_of_degree(degree)), max_size=6, unique=True))
+    coeffs = {}
+    for mask in masks:
+        terms = {}
+        for _ in range(draw(st.integers(0, 4))):
+            exps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+            mono = tuple((name, e) for name, e in zip(NAMES, exps) if e)
+            terms[mono] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+        coeffs[mask] = Polynomial(terms)
+    return KForm(6, degree, coeffs)
+
+
+class TestCompiledForm:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_forms(), st.fixed_dictionaries({name: RATIONALS for name in NAMES}))
+    def test_matches_fraction_evaluation(self, form, assignment):
+        expected = reference_eval(form, assignment)
+        assert eval_form_int(form, assignment) == expected
+        # compiled against a longer variable list, as the sampler does
+        variables = ["a_1", *NAMES, "z"]
+        point = integer_point(variables, {**assignment, "a_1": Fraction(1, 7), "z": 3})
+        assert CompiledForm(form.coeffs, variables).evaluate(point) == expected
+
+    def test_zero_form_and_zero_values(self):
+        assert eval_form_int(KForm.zero(6, 2), {}) == {}
+        u = Polynomial.var("u")
+        form = KForm(6, 2, {0b11: u * Fraction(1, 2), 0b101: u - 1})
+        assert eval_form_int(form, {"u": Fraction(0)}) == {0b101: -1}
+        assert eval_form_int(form, {"u": Fraction(1)}) == {0b11: 1}
+        assert eval_form_int(form, {"u": Fraction(4, 3)}) == {0b11: 2, 0b101: 1}
+
+
+@st.composite
+def integer_three_forms(draw):
+    return {mask: draw(st.integers(-3, 3)) for mask in masks_of_degree(3)}
+
+
+class TestKMatrix:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_three_forms())
+    def test_table_matches_k_psi(self, psi):
+        k = k_psi(KForm(6, 3, psi))
+        entries, trace_sq = k_matrix_int({m: c for m, c in psi.items() if c})
+        assert entries == [[int(e.constant_value()) for e in row] for row in k.entries]
+        assert trace_sq == 6 * k.lam.constant_value()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices; zero corner entries and a repeated
+    leading row make singular leading blocks common."""
+    n = draw(st.integers(1, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    if n > 1 and draw(st.booleans()):
+        m[1] = list(m[0])
+        for i in range(n):
+            m[i][1] = m[i][0]
+    return m
+
+
+class TestLeadingMinors:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_bareiss_matches_det_fraction(self, matrix):
+        minors = leading_minors_int(matrix)
+        expected = [
+            det_fraction([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))
+        ]
+        assert minors == expected[: len(minors)]
+        assert len(minors) == len(matrix) or minors[-1] == 0
+
+
+@st.composite
+def integer_pairs(draw):
+    """(omega, psi) as constant KForms: a pullback of e12 +- e34 +- e56 and
+    of +-Re(dz1 dz2 dz3) by one integer matrix, or with psi or omega (or
+    both) replaced by a random integer form."""
+    _, psi0 = standard_su3_pair()
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(3)]
+    omega = KForm.from_terms(6, 2, {(1, 2): signs[0], (3, 4): signs[1], (5, 6): signs[2]})
+    psi = psi0 * draw(st.sampled_from([1, -1]))
+    matrix = [[Polynomial.const(draw(SMALL)) for _ in range(6)] for _ in range(6)]
+    omega, psi = pullback(matrix, omega), pullback(matrix, psi)
+    if draw(st.booleans()):
+        psi = KForm(6, 3, {m: draw(SMALL) for m in masks_of_degree(3)})
+    if draw(st.booleans()):
+        omega = KForm(6, 2, {m: draw(SMALL) for m in masks_of_degree(2)})
+    return omega, psi
+
+
+class TestSU3Predicate:
+    @settings(max_examples=60, deadline=None)
+    @given(integer_pairs())
+    def test_matches_su3_check(self, pair):
+        omega, psi = pair
+        exact = su3_check(omega, psi) == SU3Verdict.PASSES
+        assert su3_passes_int(eval_form_int(omega, {}), eval_form_int(psi, {})) == exact
