@@ -2,18 +2,26 @@
 JSON persistence.
 
 Structure equations use the same notation as the source tables: a
-parenthesized n-tuple, one slot per de^k, each slot a signed sum of terms
-c*eIJ where c is a rational literal (default 1) or a parenthesized family
-parameter expression, and eIJ abbreviates e^i ^ e^j with single-digit
-indices (n <= 9).  Examples:
+parenthesized n-tuple, one slot per de^k.  The tuple and each slot are read
+by the expression grammar of `exprs`, in which eIJ is the basis symbol for
+e^i ^ e^j with single-digit indices (n <= 9).  After parsing, every term of
+a slot must hold exactly one basis symbol, to the first power, with
+1 <= I < J <= n; its coefficient is a rational polynomial in the family
+parameters.  Examples:
 
     (-e13, e23, 0, 0, 0, 0)
     (-e24 - 2/3*e15, -e34 + 1/3*e25, 4/3*e35, -e45, 0, 0)
     (-e16 - e35, -l*e26 - e45, (1+2*l)*e36, (2+l)*e46, (-2-2*l)*e56, 0)
 
-Bare identifiers inside a structure slot are family parameters and get the
-fam_ prefix; expressions elsewhere (witnesses, derivation matrices,
-constraints) use full variable names (alpha_14, a_1, fam_p, ...).
+Because a slot is an ordinary expression, powers of parameters (p^2*e12)
+and grouped basis terms (2*(e12 + e13)) are accepted too; e12^2, e12*e13
+and scalar terms are not.  The term check runs after like terms are
+collected, so terms that cancel (1 + e12 - 1) are never seen.
+
+Bare identifiers inside a structure slot, other than eIJ, are family
+parameters and get the fam_ prefix; expressions elsewhere (witnesses,
+derivation matrices, constraints) use full variable names (alpha_14, a_1,
+fam_p, ...).
 
 The persistence format is a JSON document, schema "g2cert-catalog/1",
 with entries re-validated on load and a byte-stable canonical form.
@@ -35,179 +43,57 @@ from .errors import (
     IndexOutOfRange,
     ValidationFailure,
 )
-from .exprs import _Parser, parse_polynomial
+from .exprs import parse_polynomial, parse_tuple
 from .forms import KForm
 from .lie import LieAlgebra, unimodular_check, validate, verify_nilradical
 from .poly import NonNegWitness, Polynomial
 
-_BASIS_RE = re.compile(r"^e([1-9])([1-9])$")
+_BASIS_RE = re.compile(r"e([1-9])([1-9])")
 
 
-def _fam_name_map(name: str) -> Polynomial:
-    return Polynomial.var(name if "_" in name else f"fam_{name}")
-
-
-class _SlotParser(_Parser):
-    """Expression parser extended with basis atoms e.g. e13 -> (1, 3)."""
-
-    def __init__(self, text: str, dim: int):
-        super().__init__(text, name_map=_fam_name_map)
-        self.dim = dim
-
-    # values are (coefficient Polynomial, mask or None); wedge factors of a
-    # product multiply coefficients and set the mask (at most one per term)
-    def parse_slot(self):
-        acc = {}
-
-        def add(mask, coeff):
-            if mask in acc:
-                acc[mask] = acc[mask] + coeff
-            else:
-                acc[mask] = coeff
-
-        coeff, mask = self._slot_term()
-        add(mask, coeff)
-        while True:
-            kind, tok, _ = self.peek()
-            if kind == "punct" and tok in "+-":
-                self.advance()
-                coeff, mask = self._slot_term()
-                add(mask, coeff if tok == "+" else -coeff)
-            else:
-                break
-        return acc
-
-    def _slot_term(self):
-        coeff = Polynomial.const(1)
-        mask = None
-        sign = 1
-        while True:
-            kind, tok, _ = self.peek()
-            if kind == "punct" and tok == "-":
-                self.advance()
-                sign = -sign
-                continue
-            break
-
-        def take_factor():
-            nonlocal coeff, mask
-            factor_coeff, factor_mask, pos = self._slot_factor()
-            if factor_mask is not None:
-                if mask is not None:
-                    raise DslSyntaxError(self.text, pos, "at most one basis factor per term")
-                mask = factor_mask
-            coeff = coeff * factor_coeff
-
-        take_factor()
-        while True:
-            kind, tok, pos = self.peek()
-            if kind == "punct" and tok == "*":
-                self.advance()
-                take_factor()
-            elif kind == "punct" and tok == "/":
-                self.advance()
-                rhs, rhs_mask, rpos = self._slot_factor()
-                if rhs_mask is not None or not rhs.is_constant() or rhs.is_zero():
-                    raise DslSyntaxError(self.text, rpos, "division by a nonzero rational constant")
-                coeff = coeff * (1 / rhs.constant_value())
-            else:
-                break
-        if sign < 0:
-            coeff = -coeff
-        return coeff, mask
-
-    def _slot_factor(self):
-        kind, tok, pos = self.peek()
-        if kind == "name":
-            m = _BASIS_RE.match(tok)
-            if m:
-                self.advance()
-                i, j = int(m.group(1)), int(m.group(2))
-                if i > self.dim or j > self.dim:
-                    raise IndexOutOfRange(f"index in {tok} exceeds dimension {self.dim}")
-                if i >= j:
-                    raise DslSyntaxError(self.text, pos, "strictly increasing basis indices")
-                return Polynomial.const(1), (1 << (i - 1)) | (1 << (j - 1)), pos
-            self.advance()
-            return self.name_map(tok), None, pos
-        if kind == "int":
-            self.advance()
-            value = Polynomial.const(int(tok))
-            kind2, tok2, _ = self.peek()
-            if kind2 == "punct" and tok2 == "^":
-                self.advance()
-                kind3, tok3, pos3 = self.peek()
-                if kind3 != "int":
-                    raise DslSyntaxError(self.text, pos3, "an integer exponent")
-                self.advance()
-                value = value ** int(tok3)
-            return value, None, pos
-        if kind == "punct" and tok == "(":
-            self.advance()
-            value = self.parse_expr()
-            self.expect_punct(")")
-            kind2, tok2, _ = self.peek()
-            if kind2 == "punct" and tok2 == "^":
-                self.advance()
-                kind3, tok3, pos3 = self.peek()
-                if kind3 != "int":
-                    raise DslSyntaxError(self.text, pos3, "an integer exponent")
-                self.advance()
-                value = value ** int(tok3)
-            return value, None, pos
-        raise DslSyntaxError(self.text, pos, "a coefficient or basis factor eIJ")
+def _name_map(name: str) -> Polynomial:
+    """eIJ is a basis symbol, a name with '_' is kept, any other bare name is
+    a family parameter."""
+    if "_" in name or _BASIS_RE.fullmatch(name):
+        return Polynomial.var(name)
+    return Polynomial.var(f"fam_{name}")
 
 
 def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = "") -> LieAlgebra:
     """Parse an n-tuple of structure equations into a validated LieAlgebra.
 
     Raises DslSyntaxError / IndexOutOfRange on malformed input and
-    JacobiFailure when d^2 != 0.
+    JacobiFailure when d^2 != 0.  Errors found after parsing, in a term of
+    a slot, carry the position where that slot starts.
     """
-    stripped = text.strip()
-    if not stripped.startswith("(") or not stripped.endswith(")"):
-        raise DslSyntaxError(text, 0, "a parenthesized tuple")
-    body = stripped[1:-1]
-    slots = _split_top_level(body)
+    slots = parse_tuple(text, name_map=_name_map)
     n = dim if dim is not None else len(slots)
     if len(slots) != n:
         raise DslSyntaxError(text, 0, f"{n} slots, got {len(slots)}")
     differentials = []
-    for slot in slots:
-        parser = _SlotParser(slot, n)
-        acc = parser.parse_slot()
-        kind, _, pos = parser.peek()
-        if kind != "end":
-            raise DslSyntaxError(slot, pos, "end of slot")
+    for start, slot in slots:
         coeffs = {}
-        constant = acc.pop(None, Polynomial.zero())
-        if not constant.is_zero():
-            raise DslSyntaxError(slot, 0, "a 2-form (scalar terms are not allowed)")
-        for mask, coeff in acc.items():
-            if not coeff.is_zero():
-                coeffs[mask] = coeff
+        for mono, coeff in slot.terms.items():
+            basis = [(var, exp) for var, exp in mono if _BASIS_RE.fullmatch(var)]
+            if not basis:
+                raise DslSyntaxError(text, start, "a 2-form (scalar terms are not allowed)")
+            if len(basis) > 1 or basis[0][1] != 1:
+                raise DslSyntaxError(text, start, "exactly one basis factor eIJ per term")
+            var = basis[0][0]
+            i, j = int(var[1]), int(var[2])
+            if i > n or j > n:
+                raise IndexOutOfRange(
+                    f"index in {var} exceeds dimension {n} (slot at position {start})"
+                )
+            if i >= j:
+                raise DslSyntaxError(text, start, "strictly increasing basis indices")
+            mask = (1 << (i - 1)) | (1 << (j - 1))
+            term = Polynomial({tuple(f for f in mono if f[0] != var): coeff})
+            coeffs[mask] = coeffs[mask] + term if mask in coeffs else term
         differentials.append(KForm(n, 2, coeffs))
     algebra = LieAlgebra(n, differentials, name=name)
     validate(algebra)
     return algebra
-
-
-def _split_top_level(body: str):
-    slots = []
-    depth = 0
-    current = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            slots.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    slots.append("".join(current))
-    return slots
 
 
 # -- catalog entries -----------------------------------------------------
@@ -276,13 +162,6 @@ def family_from_json(algebra: LieAlgebra, node, subs=None) -> DerivationFamily:
     return family
 
 
-def _family_to_json(family: DerivationFamily):
-    return {
-        "params": list(family.params),
-        "matrix": [[str(cell) for cell in row] for row in family.matrix],
-    }
-
-
 @dataclass
 class AlgebraEntry:
     """One catalog row: an algebra plus everything its pipeline needs."""
@@ -341,7 +220,7 @@ class AlgebraEntry:
             for step in self.plan:
                 if step.get("kind") == "branch":
                     branch_algebra = self.branch_algebra(step)
-                    subs = {k: Fraction(v) for k, v in step.get("subs", {}).items()}
+                    subs = self.branch_subs(step)
                     if step.get("derivation_family"):
                         family_from_json(branch_algebra, step["derivation_family"], subs)
                     for sub in step.get("steps", []):
@@ -360,11 +239,17 @@ class AlgebraEntry:
         except G2CertError as exc:
             raise ValidationFailure(self.name, exc) from exc
 
+    @staticmethod
+    def branch_subs(branch_step) -> dict:
+        """The family-parameter values of a branch step, as Fractions."""
+        return {k: Fraction(v) for k, v in branch_step.get("subs", {}).items()}
+
     def branch_algebra(self, branch_step) -> LieAlgebra:
-        subs = {k: Fraction(v) for k, v in branch_step.get("subs", {}).items()}
-        base = parse_structure_equations(self.structure, self.dim, name=self.name)
-        differentials = [d.substitute(subs) for d in base.differentials]
-        return LieAlgebra(self.dim, differentials, name=f"{self.name}[{branch_step.get('name', 'branch')}]")
+        """The validated algebra with the branch's values substituted; d^2 = 0
+        holds identically in the parameters, so it holds after substitution."""
+        algebra = self.build_algebra().substitute(self.branch_subs(branch_step))
+        algebra.name = f"{self.name}[{branch_step.get('name', 'branch')}]"
+        return algebra
 
     @staticmethod
     def from_json(node) -> "AlgebraEntry":

@@ -79,9 +79,6 @@ class CertKind(str, enum.Enum):
     TRACE_OBSTRUCTION = "trace_obstruction"
 
 
-PROVING_KINDS = frozenset(CertKind) - {CertKind.SAMPLED_NO_SU3}
-
-
 @dataclass
 class Certificate:
     kind: CertKind
@@ -89,9 +86,6 @@ class Certificate:
     assumptions: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
     verified: bool = False
-
-    def proving(self) -> bool:
-        return self.verified and self.kind in PROVING_KINDS
 
     def to_json(self):
         return {
@@ -762,7 +756,6 @@ def _check_su_expected(entry_name, su, expected):
 class PipelineOptions:
     trials_override: Optional[int] = None
     seed_override: Optional[int] = None
-    skip_sampling: bool = False
 
 
 def run_pipeline(entry: AlgebraEntry, options: Optional[PipelineOptions] = None) -> EntryResult:
@@ -938,7 +931,7 @@ def stage_context(
         steps = [s for s in entry.plan if s.get("kind") != "branch"]
     else:
         name = f"{entry.name} [{branch_name}]"
-        subs = {k: Fraction(v) for k, v in branch.get("subs", {}).items()}
+        subs = entry.branch_subs(branch)
         node = branch.get("derivation_family")
         family = family_from_json(algebra, node, subs) if node else None
         branch_atoms = [Atom.from_json(a) for a in branch.get("atoms", [])]
@@ -1076,7 +1069,7 @@ def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryRe
             )
             proved = True
         elif kind == "prose_sample":
-            if options.skip_sampling:
+            if options.trials_override == 0:
                 result.notes.append(f"{name}: sampling skipped by options")
                 sampled = True
                 continue

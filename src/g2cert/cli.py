@@ -34,14 +34,8 @@ from .errors import G2CertError
 from .poly import check_nonneg_witness
 
 
-def _load(spec: str):
-    return cat.load_any(spec)
-
-
 def _find_entry(name: str):
-    entries = []
-    for ds in cat.BUILTIN_DATASETS:
-        entries.extend(cat.load_builtin(ds))
+    entries = cat.load_any("all")
     exact = [e for e in entries if e.name == name]
     if exact:
         return exact[0]
@@ -54,7 +48,7 @@ def _find_entry(name: str):
 
 
 def cmd_validate(args) -> int:
-    entries = _load(args.catalog)
+    entries = cat.load_any(args.catalog)
     for entry in entries:
         status = "stub (data not shipped)" if entry.stub else "ok"
         print(f"validated {entry.name}: {status}")
@@ -111,11 +105,7 @@ def cmd_su3(args) -> int:
     entry = _find_entry(args.algebra)
     if entry.dim != 6:
         raise SystemExit(f"{entry.name} has dimension {entry.dim}")
-    options = PipelineOptions(
-        trials_override=args.samples,
-        seed_override=args.seed,
-        skip_sampling=args.samples == 0,
-    )
+    options = PipelineOptions(trials_override=args.samples, seed_override=args.seed)
     result = run_pipeline(entry, options)
     print(f"{entry.name}: {result.outcome.value}")
     for cert in result.certificates:
@@ -131,12 +121,8 @@ def cmd_su3(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    entries = _load(args.catalog)
-    options = PipelineOptions(
-        trials_override=args.samples,
-        seed_override=args.seed,
-        skip_sampling=args.samples == 0,
-    )
+    entries = cat.load_any(args.catalog)
+    options = PipelineOptions(trials_override=args.samples, seed_override=args.seed)
     report = run_all(entries, options)
     document = report.to_json()
     if args.out:
@@ -158,7 +144,7 @@ def cmd_run_all(args) -> int:
 def cmd_recheck(args) -> int:
     with open(args.report, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    verdicts = recheck_report(document, _load(args.catalog))
+    verdicts = recheck_report(document, cat.load_any(args.catalog))
     total = failed = 0
     for node in document["results"]:
         for cert, ok in zip(node["certificates"], verdicts[node["name"]]):

@@ -33,7 +33,6 @@ class DerivationFamily:
     algebra: LieAlgebra
     matrix: list  # n x n nested list of Polynomial
     params: tuple = ()
-    constraints: tuple = ()
 
     def apply(self, v: VectorExpr) -> VectorExpr:
         n = self.algebra.dim
@@ -53,10 +52,7 @@ class DerivationFamily:
     def substitute(self, mapping) -> "DerivationFamily":
         new = [[entry.substitute(mapping) for entry in row] for row in self.matrix]
         params = tuple(p for p in self.params if p not in mapping)
-        return DerivationFamily(self.algebra, new, params, self.constraints)
-
-    def is_numeric(self) -> bool:
-        return all(entry.is_constant() for row in self.matrix for entry in row)
+        return DerivationFamily(self.algebra, new, params)
 
 
 def verify_derivation(algebra: LieAlgebra, family: DerivationFamily) -> bool:
@@ -76,10 +72,11 @@ def verify_derivation(algebra: LieAlgebra, family: DerivationFamily) -> bool:
     return True
 
 
-def _leibniz_rows(algebra: LieAlgebra, field_of):
-    """Rows of the linear system in the n^2 unknowns D[l][k] (row-major)."""
+def _leibniz_rows(algebra: LieAlgebra):
+    """Rows of the linear system in the n^2 unknowns D[l][k] (row-major),
+    over Q: the structure constants must be numeric."""
     n = algebra.dim
-    zero = field_of(Polynomial.zero())
+    zero = Fraction(0)
     rows = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -94,72 +91,47 @@ def _leibniz_rows(algebra: LieAlgebra, field_of):
                 # D[e_i, e_j]: sum_l bij_l * D[k][l]
                 for l in range(1, n + 1):
                     if not bij.coords[l - 1].is_zero():
-                        row[unknown(k, l)] = row[unknown(k, l)] + field_of(bij.coords[l - 1])
+                        row[unknown(k, l)] = row[unknown(k, l)] + bij.coords[l - 1].constant_value()
                 # -[De_i, e_j] = -sum_l D[l][i] [e_l, e_j]_k
                 for l in range(1, n + 1):
                     blj = algebra.bracket_basis(l, j).coords[k - 1]
                     if not blj.is_zero():
-                        row[unknown(l, i)] = row[unknown(l, i)] - field_of(blj)
+                        row[unknown(l, i)] = row[unknown(l, i)] - blj.constant_value()
                 # -[e_i, De_j] = -sum_l D[l][j] [e_i, e_l]_k
                 for l in range(1, n + 1):
                     bil = algebra.bracket_basis(i, l).coords[k - 1]
                     if not bil.is_zero():
-                        row[unknown(l, j)] = row[unknown(l, j)] - field_of(bil)
+                        row[unknown(l, j)] = row[unknown(l, j)] - bil.constant_value()
                 if any(row):
                     rows.append(row)
     return rows
 
 
-def solve_derivations(algebra: LieAlgebra, generic: bool = False) -> DerivationFamily:
+def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
     """Basis of Der(s) as one affine family with parameters a_1, a_2, ...
 
     Structure constants must be numeric; free parameters are named in
     row-major pivot order of the (l, k) matrix entries, which makes the
-    parametrization canonical.  With generic=True the computation runs over
-    the rational-function field in the family parameters instead (used to
-    build catalog families; valid for generic parameter values only).
+    parametrization canonical.
     """
     n = algebra.dim
-    if generic:
-        field_of = RationalFunction.from_polynomial
-    else:
-        if algebra.family_parameters():
-            raise NonNumericEntries(
-                "solve_derivations needs numeric structure constants; "
-                "fix the family parameters or pass generic=True"
-            )
-        field_of = lambda p: p.constant_value()  # noqa: E731
-    rows = _leibniz_rows(algebra, field_of)
-    one = field_of(Polynomial.const(1))
-    zero = field_of(Polynomial.zero())
-    basis = linalg.nullspace(rows, n * n, one, zero)
+    if algebra.family_parameters():
+        raise NonNumericEntries(
+            "solve_derivations needs numeric structure constants; fix the family parameters"
+        )
+    rows = _leibniz_rows(algebra)
+    basis = linalg.nullspace(rows, n * n, Fraction(1), Fraction(0))
     matrix = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     params = []
     for m, vec in enumerate(basis, start=1):
         name = f"a_{m}"
         params.append(name)
         a = Polynomial.var(name)
-        if generic:
-            # clear denominators: rescaling a basis vector does not change the span
-            dens = []
-            for coeff in vec:
-                if not coeff.is_zero() and not coeff.den.is_constant():
-                    if all(d != coeff.den for d in dens):
-                        dens.append(coeff.den)
-            scale = Polynomial.const(1)
-            for d in dens:
-                scale = scale * d
-            vec = [coeff * scale for coeff in vec]
         for l in range(n):
             for c in range(n):
                 coeff = vec[l * n + c]
-                if generic:
-                    if coeff.is_zero():
-                        continue
-                    matrix[l][c] = matrix[l][c] + a * coeff.as_polynomial()
-                else:
-                    if coeff:
-                        matrix[l][c] = matrix[l][c] + a * Polynomial.const(coeff)
+                if coeff:
+                    matrix[l][c] = matrix[l][c] + a * Polynomial.const(coeff)
     family = DerivationFamily(algebra, matrix, tuple(params))
     verify_derivation(algebra, family)
     return family
@@ -245,9 +217,6 @@ class StrongUnimodularity:
     family_equations: list
     constant_obstructions: list
     raw_traces: list
-
-    def satisfiable(self) -> bool:
-        return not self.constant_obstructions
 
 
 def _quotient_trace(algebra: LieAlgebra, operator_cols, inner: Subspace, outer: Subspace):

@@ -1,7 +1,8 @@
-"""Parser for polynomial expressions in catalog files and tests.
+"""Parser for polynomial expressions and tuples of them.
 
 Grammar (whitespace insensitive):
 
+  tuple   := '(' expr (',' expr)* ')'
   expr    := term (('+' | '-') term)*
   term    := unary (('*' | '/') unary)*
   unary   := '-' unary | primary
@@ -10,6 +11,8 @@ Grammar (whitespace insensitive):
 
 Division is only allowed by subexpressions that evaluate to a nonzero
 rational constant, so "2/3*e15" and "-a/2" parse while "1/x" is rejected.
+A `name_map` decides what polynomial a bare NAME stands for; the catalog's
+structure equations are tuples whose names include the basis symbols eIJ.
 """
 
 from __future__ import annotations
@@ -135,6 +138,12 @@ class _Parser:
         raise DslSyntaxError(self.text, pos, "a number, name, or '('")
 
 
+def _expect_end(parser: _Parser, what: str) -> None:
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise DslSyntaxError(parser.text, pos, f"end of {what}")
+
+
 def parse_polynomial(text: str, name_map=None) -> Polynomial:
     """Parse an expression into a Polynomial.
 
@@ -143,7 +152,23 @@ def parse_polynomial(text: str, name_map=None) -> Polynomial:
     """
     parser = _Parser(text, name_map=name_map)
     value = parser.parse_expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise DslSyntaxError(text, pos, "end of expression")
+    _expect_end(parser, "expression")
     return value
+
+
+def parse_tuple(text: str, name_map=None) -> list:
+    """Parse '(' expr (',' expr)* ')' into one (position, Polynomial) pair
+    per slot; the position is where the slot's first token starts."""
+    parser = _Parser(text, name_map=name_map)
+    parser.expect_punct("(")
+    slots = []
+    while True:
+        start = parser.peek()[2]
+        slots.append((start, parser.parse_expr()))
+        kind, tok, pos = parser.advance()
+        if kind == "punct" and tok == ")":
+            break
+        if kind != "punct" or tok != ",":
+            raise DslSyntaxError(text, pos, "',' or ')'")
+    _expect_end(parser, "tuple")
+    return slots

@@ -77,11 +77,6 @@ class LieAlgebra:
         self._bracket_cache[key] = result
         return result
 
-    def ad_matrix(self, i: int) -> list:
-        """Matrix of ad_{e_i} (columns are [e_i, e_j])."""
-        cols = [self.bracket_basis(i, j).coords for j in range(1, self.dim + 1)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-
 
 def ce_differential(algebra: LieAlgebra, f: KForm) -> KForm:
     """Chevalley-Eilenberg differential, the antiderivation extending de^k.

@@ -474,12 +474,6 @@ class RationalFunction:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        den = self.den.evaluate(assignment)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.evaluate(assignment) / den
-
     def __str__(self):
         if self.den == P_ONE:
             return str(self.num)

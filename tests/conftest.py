@@ -3,8 +3,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fractions import Fraction
-
 import pytest
 
 from g2cert.catalog import parse_structure_equations

@@ -1,12 +1,14 @@
 """Catalog parsing, validation, and persistence."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P, fam
 from g2cert.catalog import (
-    AlgebraEntry,
     BUILTIN_DATASETS,
     load_any,
     load_builtin,
@@ -23,6 +25,7 @@ from g2cert.errors import (
 )
 from g2cert.forms import KForm
 from g2cert.lie import unimodular_check
+from g2cert.poly import Polynomial
 
 
 class TestDsl:
@@ -67,6 +70,70 @@ class TestDsl:
     def test_scalar_term_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse_structure_equations("(1 + e12, 0, 0)")
+
+    @pytest.mark.parametrize(
+        "text, slot",
+        [
+            ("(0, 1 + e12, 0)", "1 + e12"),
+            ("(0, 0, p*e12*e13)", "p*e12*e13"),
+            ("(e12, e21 + e13, 0)", "e21 + e13"),
+            ("(0, 0, 2*e12^2)", "2*e12^2"),
+        ],
+    )
+    def test_post_parse_error_points_into_its_slot(self, text, slot):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_structure_equations(text)
+        start = text.index(slot)
+        assert start <= err.value.pos < start + len(slot)
+        assert err.value.text == text
+
+
+# Structure equations of a two-step nilpotent algebra: de^k = 0 for k <= m and
+# de^k a combination of e^i ^ e^j with i < j <= m otherwise, so d^2 = 0 for any
+# coefficients and every drawn tuple must parse.
+COEFF_VARS = ("fam_p", "fam_q")
+
+
+@st.composite
+def coefficients(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [draw(st.integers(0, 2)) for _ in COEFF_VARS]
+        mono = tuple((var, exp) for var, exp in zip(COEFF_VARS, exps) if exp)
+        terms[mono] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return Polynomial(terms)
+
+
+@st.composite
+def nilpotent_tuples(draw):
+    dim = draw(st.integers(3, 7))
+    m = draw(st.integers(2, dim - 1))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    slots = [{} for _ in range(m)]
+    for _ in range(dim - m):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        slots.append({pair: draw(coefficients()) for pair in chosen})
+    return dim, slots
+
+
+def render_slot(terms, flip):
+    """DSL text of one slot; `flip` puts the basis symbol first in each term."""
+    if not terms:
+        return "0"
+    parts = []
+    for (i, j), coeff in terms.items():
+        text = f"({str(coeff).replace('fam_', '')})"
+        parts.append(f"e{i}{j}*{text}" if flip else f"{text}*e{i}{j}")
+    return " + ".join(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_tuples(), st.booleans())
+def test_rendered_tuples_round_trip(tuple_and_dim, flip):
+    dim, slots = tuple_and_dim
+    text = "(" + ", ".join(render_slot(terms, flip) for terms in slots) + ")"
+    algebra = parse_structure_equations(text, dim)
+    assert list(algebra.differentials) == [KForm.from_terms(dim, 2, terms) for terms in slots]
 
 
 class TestBuiltins:
@@ -146,6 +213,8 @@ def test_conformance_corpus():
         "(-p*e12 + (1 + 2*p)*e13, 0, 0)",
         "((p^2)*e12, 0, 0)",
         "( -e13 ,  e23 , 0 , 0 , 0 , 0 )",
+        "(p^2*e12, 0, 0)",                # newly accepted: power of a bare name
+        "(2*(e12 - e13), 0, 0)",          # newly accepted: grouped basis terms
     ]
     for text in valid:
         parse_structure_equations(text)
@@ -156,6 +225,10 @@ def test_conformance_corpus():
         "(e12*e13, 0, 0)",       # two basis factors in one term
         "(e12/p, 0, 0)",         # division by a parameter
         "(e21, 0, 0)",           # decreasing indices
+        "(e12^2, 0, 0)",         # a basis factor squared
+        "(e12*e12, 0, 0)",       # the same basis factor twice
+        "(0, 0, 0",              # unclosed tuple
+        "(0, 0, 0) x",           # text after the tuple
     ]
     for text in invalid:
         with pytest.raises((DslSyntaxError, IndexOutOfRange)):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import P, algebra_of, fam
+from conftest import P, algebra_of
 from g2cert.catalog import BUILTIN_DATASETS, load_any, load_builtin
 from g2cert.certify import (
     Certificate,
@@ -15,7 +15,6 @@ from g2cert.certify import (
     Outcome,
     PairSampler,
     PipelineOptions,
-    Report,
     certify_lambda_sign,
     certify_null_direction,
     certify_sign_product,
@@ -31,15 +30,13 @@ from g2cert.certify import (
     sample_falsify,
     standard_su3_pair,
 )
-from g2cert.derivations import DerivationFamily, dstar_action, verify_derivation
+from g2cert.derivations import DerivationFamily
 from g2cert.errors import (
     IdentityMismatch,
     NotIdenticallyZero,
     SingularSymbolicSystem,
     WitnessMismatch,
 )
-from g2cert.forms import generic_one_form, generic_two_form
-from g2cert.lie import ce_differential
 from g2cert.poly import Polynomial, Square, Sum
 from g2cert import numeric
 
@@ -325,7 +322,7 @@ class TestRecheckDeterminism:
 
     def test_gauge_certificate_rechecks_from_stored_data(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
-        result = run_pipeline(entry, PipelineOptions(skip_sampling=True))
+        result = run_pipeline(entry, PipelineOptions(trials_override=0))
         cert = next(c for c in result.certificates if c.kind == CertKind.GAUGE_NULL)
         rebuilt = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
         assert recheck_certificate(entry, rebuilt)

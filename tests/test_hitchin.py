@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import P, algebra_of, fam
+from conftest import P, algebra_of
 from g2cert.errors import NonNumericEntries
-from g2cert.forms import KForm, VectorExpr, generic_one_form, generic_two_form, pullback, wedge
+from g2cert.forms import KForm, generic_two_form, pullback, wedge
 from g2cert.hitchin import (
     Bilinear,
     Definiteness,

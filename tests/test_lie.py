@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P, algebra_of, fam
+from conftest import P, algebra_of
 from oracles import rank_in_span
 from g2cert.errors import JacobiFailure, NotAnIdeal
 from g2cert.forms import KForm, VectorExpr, generic_two_form
@@ -19,7 +19,6 @@ from g2cert.lie import (
     derived_algebra,
     descending_central_series,
     is_ideal,
-    is_nilpotent,
     unimodular_check,
     validate,
     verify_nilradical,
