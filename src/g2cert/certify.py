@@ -53,7 +53,7 @@ from .forms import (
     generic_two_form,
     pullback,
 )
-from .hitchin import b_phi, h_form, k_psi
+from .hitchin import b_phi, h_form, k_matrix, k_psi
 from .lie import LieAlgebra, Subspace, ce_differential
 from .poly import (
     NonNegWitness,
@@ -650,7 +650,7 @@ class PairSampler:
             return None
         point = numeric.integer_point(self.variables, assignment)
         psi = self.psi_int.evaluate(point)
-        k, trace_sq = numeric.k_matrix_int(psi)
+        k, trace_sq = k_matrix(psi, 0)
         if trace_sq >= 0:
             return None
         omega = self.omega_int.evaluate(point)
@@ -676,12 +676,15 @@ def sample_falsify(
     reason: str = "",
     reject_budget_factor: int = 200,
 ) -> Certificate:
-    """Run su3_check on `trials` exact candidates; record zero passes.
+    """Run su3_passes_int on `trials` exact candidates; record zero passes.
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
-    capped at reject_budget_factor * trials.
+    capped at reject_budget_factor * trials.  A negative count is an error,
+    so a certificate that stores one does not recheck.
     """
+    if trials < 0:
+        raise G2CertError(f"{entry_name}: the number of trials must be nonnegative, got {trials}")
     sampler.rng.seed(seed)
     passes = 0
     done = 0

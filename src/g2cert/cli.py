@@ -156,6 +156,14 @@ def cmd_recheck(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type: an integer N >= 0 (0 skips sampling)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2cert",
@@ -181,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("su3", help="run the SU(3) obstruction stage for one algebra")
     p.add_argument("algebra")
     p.add_argument("--gauge", action="store_true", help="print gauge certificate details")
-    p.add_argument("--samples", type=int, default=None, metavar="N")
+    p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="S")
     p.set_defaults(func=cmd_su3)
 
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("catalog")
     p.add_argument("--out", default="", metavar="report.json")
     p.add_argument("--md", default="", metavar="report.md")
-    p.add_argument("--samples", type=int, default=None, metavar="N")
+    p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None, metavar="S")
     p.set_defaults(func=cmd_run_all)
 

@@ -3,7 +3,9 @@
 Index tuples are stored as bitmasks over the basis 1..n (bit i-1 stands for
 e^i), with sign bookkeeping by transposition counting.  Coefficients are
 Polynomials; purely numeric forms are just forms with constant coefficients.
-Forms are immutable and safe to share.
+Forms are immutable and safe to share.  The exterior product works on the
+bare mask -> coefficient dicts (wedge_coeffs), so the integer sampler
+shares it.
 """
 
 from __future__ import annotations
@@ -231,26 +233,35 @@ class VectorExpr:
 # -- operations -----------------------------------------------------------
 
 
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product; graded-commutative and associative."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-    degree = a.degree + b.degree
+def wedge_coeffs(a: Mapping[int, object], b: Mapping[int, object]) -> dict:
+    """Exterior product of two forms given as mask -> coefficient dicts.
+
+    The coefficients may come from any commutative ring whose zero is falsy,
+    such as Polynomial or int; zero coefficients are left out of the result.
+    """
     out = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             if ma & mb:
                 continue
             mask = ma | mb
             term = ca * cb
             if merge_sign(ma, mb) < 0:
                 term = -term
-            total = out.get(mask, Polynomial.zero()) + term
-            if total.is_zero():
-                out.pop(mask, None)
-            else:
+            prior = out.get(mask)
+            total = term if prior is None else prior + term
+            if total:
                 out[mask] = total
-    return KForm(a.dim, degree, out)
+            else:
+                out.pop(mask, None)
+    return out
+
+
+def wedge(a: KForm, b: KForm) -> KForm:
+    """Exterior product; graded-commutative and associative."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
+    return KForm(a.dim, a.degree + b.degree, wedge_coeffs(a.coeffs, b.coeffs))
 
 
 def wedge_all(forms: Sequence[KForm]) -> KForm:

@@ -12,26 +12,30 @@ omega, the surrogate bilinear form h = omega(., K .).  Whenever lambda < 0,
 h = sqrt(-lambda) * omega(., J .) up to the orientation sign, so h has the
 same definiteness class as the metric omega(., J .) while staying inside the
 polynomial ring (no radicals).
+
+K and h have one ring-generic kernel each: k_matrix sums a fixed table of
+signed coefficient products of psi and checks K^2 = lambda * Id, and
+h_matrix forms h = W K from omega's antisymmetric matrix W.  Both read
+forms as mask -> coefficient dicts and take the ring's zero, so k_psi and
+h_form run them over Polynomial and the integer sampler (numeric) over int.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from operator import mul
+from typing import Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    KSquareNotScalar,
-    NonNumericEntries,
-)
-from .forms import KForm, VectorExpr, contract, form_value, top_coefficient, wedge
-from .linalg import det_fraction
+from .errors import DimensionMismatch, KSquareNotScalar
+from .forms import KForm, VectorExpr, contract, merge_sign, top_coefficient, wedge
 from .poly import Polynomial
+
+FULL6 = (1 << 6) - 1
 
 
 class Bilinear:
-    """n x n matrix of polynomial entries; symmetry is asserted, not assumed."""
+    """n x n matrix of polynomial entries."""
 
     __slots__ = ("dim", "entries")
 
@@ -43,30 +47,8 @@ class Bilinear:
         """1-based access."""
         return self.entries[i - 1][j - 1]
 
-    def is_symmetric(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
-                    return False
-        return True
-
-    def is_numeric(self) -> bool:
-        return all(c.is_constant() for row in self.entries for c in row)
-
-    def numeric(self) -> list:
-        if not self.is_numeric():
-            raise NonNumericEntries("bilinear form has symbolic entries")
-        return [[c.constant_value() for c in row] for row in self.entries]
-
     def __repr__(self):
         return f"Bilinear(dim={self.dim})"
-
-
-class Definiteness(enum.Enum):
-    POS_DEF = "PosDef"
-    NEG_DEF = "NegDef"
-    INDEFINITE = "Indefinite"
-    DEGENERATE = "Degenerate"
 
 
 def b_phi(phi: KForm) -> Bilinear:
@@ -90,23 +72,75 @@ def b_phi(phi: KForm) -> Bilinear:
     return Bilinear(7, entries)
 
 
-def is_definite(b: Bilinear) -> Definiteness:
-    """Sign classification of a fully numeric symmetric bilinear form.
+@cache
+def _k_products() -> tuple:
+    """(row, col, mask_a, mask_b, sign): K[row][col] is the sum of
+    sign * psi[mask_a] * psi[mask_b] over the 240 entries.
 
-    Exact leading-principal-minor test: positive definite iff all minors are
-    positive, negative definite iff the signs alternate starting negative,
-    degenerate iff det = 0.
+    Column i - 1 is iota_{e_i} psi ^ psi: mask_a contains e_i, the
+    contraction leaves mask_a ^ e_i, which is wedged with a disjoint mask_b
+    into a 5-form; its missing index j gives row j - 1, with the sign of
+    putting e^j in front (volume e^123456, 1-form-first pairing).
     """
-    matrix = b.numeric()
-    n = b.dim
-    minors = [det_fraction([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n)]
-    if minors[-1] == 0:
-        return Definiteness.DEGENERATE
-    if all(m > 0 for m in minors):
-        return Definiteness.POS_DEF
-    if all((m < 0) if (k % 2 == 0) else (m > 0) for k, m in enumerate(minors)):
-        return Definiteness.NEG_DEF
-    return Definiteness.INDEFINITE
+    triples = [m for m in range(1 << 6) if m.bit_count() == 3]
+    table = []
+    for i in range(1, 7):
+        low = 1 << (i - 1)
+        for mask_a in triples:
+            if not mask_a & low:
+                continue
+            rest = mask_a ^ low
+            contract_sign = -1 if (mask_a & (low - 1)).bit_count() & 1 else 1
+            for mask_b in triples:
+                if rest & mask_b:
+                    continue
+                five = rest | mask_b
+                j = (FULL6 ^ five).bit_length()
+                front_sign = -1 if (five & ((1 << (j - 1)) - 1)).bit_count() & 1 else 1
+                sign = contract_sign * merge_sign(rest, mask_b) * front_sign
+                table.append((j - 1, i - 1, mask_a, mask_b, sign))
+    return tuple(table)
+
+
+def k_matrix(psi: Mapping[int, object], zero) -> tuple:
+    """(K entries, tr(K^2)) of a 3-form on dimension 6 over any ring.
+
+    psi maps index masks to coefficients, and zero is the ring's zero
+    (Polynomial.zero() or 0).  entries[j - 1][i - 1] is
+    top(e^j ^ iota_{e_i}psi ^ psi): the pairing Lambda^5 = s x Lambda^6 is
+    taken with the 1-form in front, which reproduces the almost complex
+    structures printed in the source computations (the opposite order gives
+    -K, same lambda).
+
+    Asserts the Hitchin identity K^2 = lambda * Id with lambda = tr(K^2)/6:
+    every off-diagonal entry of K^2 vanishes and six times each diagonal
+    entry is the trace.  It holds for every 3-form; a violation signals a
+    convention bug, not bad input.
+    """
+    coeff = [zero] * (1 << 6)
+    for mask, value in psi.items():
+        coeff[mask] = value
+    entries = [[zero] * 6 for _ in range(6)]
+    for row, col, mask_a, mask_b, sign in _k_products():
+        a = coeff[mask_a]
+        if a:
+            b = coeff[mask_b]
+            if b:
+                entries[row][col] += a * b if sign > 0 else -a * b
+    columns = list(zip(*entries))
+    diagonal = []
+    for i, row in enumerate(entries):
+        for j, column in enumerate(columns):
+            s = sum(map(mul, row, column))
+            if i == j:
+                diagonal.append(s)
+            elif s:
+                raise KSquareNotScalar(f"K^2 entry ({i + 1},{j + 1}) differs from lambda*Id")
+    trace_sq = sum(diagonal)
+    for i, s in enumerate(diagonal):
+        if s * 6 != trace_sq:
+            raise KSquareNotScalar(f"K^2 entry ({i + 1},{i + 1}) differs from lambda*Id")
+    return entries, trace_sq
 
 
 class KOperator:
@@ -124,38 +158,25 @@ class KOperator:
 
 
 def k_psi(psi: KForm) -> KOperator:
-    """K of a 3-form on dimension 6: entries[j][i] = top(e^j ^ iota_{e_i}psi ^ psi).
-
-    The pairing Lambda^5 = s x Lambda^6 is taken with the 1-form in front;
-    this order reproduces the almost complex structures printed in the
-    source computations (the opposite order gives -K, same lambda).
-
-    Asserts the Hitchin identity K^2 = lambda * Id entrywise, which holds for
-    every 3-form; a violation signals a convention bug, not bad input.
-    """
+    """K of a 3-form on dimension 6 over Polynomial (see k_matrix)."""
     if psi.dim != 6 or psi.degree != 3:
         raise DimensionMismatch("k_psi needs a 3-form on dimension 6")
-    entries = [[Polynomial.zero()] * 6 for _ in range(6)]
-    for i in range(1, 7):
-        xi = wedge(contract(VectorExpr.basis(6, i), psi), psi)
-        for j in range(1, 7):
-            entries[j - 1][i - 1] = top_coefficient(wedge(KForm.basis(6, (j,)), xi))
-    trace_sq = Polynomial.zero()
-    square = [[Polynomial.zero()] * 6 for _ in range(6)]
-    for i in range(6):
-        for j in range(6):
-            acc = Polynomial.zero()
-            for l in range(6):
-                acc = acc + entries[i][l] * entries[l][j]
-            square[i][j] = acc
-        trace_sq = trace_sq + square[i][i]
-    lam = trace_sq * Fraction(1, 6)
-    for i in range(6):
-        for j in range(6):
-            expected = lam if i == j else Polynomial.zero()
-            if square[i][j] != expected:
-                raise KSquareNotScalar(f"K^2 entry ({i + 1},{j + 1}) differs from lambda*Id")
-    return KOperator(entries, lam)
+    entries, trace_sq = k_matrix(psi.coeffs, Polynomial.zero())
+    return KOperator(entries, trace_sq * Fraction(1, 6))
+
+
+def h_matrix(omega: Mapping[int, object], k: Sequence[Sequence], zero) -> list:
+    """h = W K over any ring, for a 2-form omega on dimension 6 given as
+    mask -> coefficient: W[i][l] = omega(e_{i+1}, e_{l+1}), so
+    h[i][j] = omega(e_{i+1}, K e_{j+1})."""
+    w = [[zero] * 6 for _ in range(6)]
+    for mask, value in omega.items():
+        i = (mask & -mask).bit_length() - 1
+        j = mask.bit_length() - 1
+        w[i][j] = value
+        w[j][i] = -value
+    columns = list(zip(*k))
+    return [[sum(map(mul, row, column)) for column in columns] for row in w]
 
 
 def h_form(omega: KForm, k: KOperator) -> Bilinear:
@@ -166,46 +187,4 @@ def h_form(omega: KForm, k: KOperator) -> Bilinear:
     """
     if omega.dim != 6 or omega.degree != 2:
         raise DimensionMismatch("h_form needs a 2-form on dimension 6")
-    entries = [[Polynomial.zero()] * 6 for _ in range(6)]
-    for i in range(1, 7):
-        for j in range(1, 7):
-            acc = Polynomial.zero()
-            col = k.column(j)
-            for l in range(1, 7):
-                if not col[l - 1].is_zero():
-                    acc = acc + form_value(omega, i, l) * col[l - 1]
-            entries[i - 1][j - 1] = acc
-    return Bilinear(6, entries)
-
-
-class SU3Verdict(enum.Enum):
-    PASSES = "Passes"
-    FAILS_NONDEGENERACY = "FailsNondegeneracy"
-    FAILS_STABILITY = "FailsStability"
-    FAILS_PRIMITIVITY = "FailsPrimitivity"
-    FAILS_POSITIVITY = "FailsPositivity"
-
-
-def su3_check(omega: KForm, psi: KForm) -> SU3Verdict:
-    """Decide whether a numeric pair (omega, psi) defines an SU(3)-structure.
-
-    Conditions, in order: omega^3 != 0; lambda(psi) < 0; omega ^ psi = 0;
-    h = omega(., K.) definite.  Either definite sign is accepted, since the
-    paper's orientation can always be flipped; this is the weaker reading and
-    hence safe for non-existence certification.
-    """
-    vol = top_coefficient(wedge(wedge(omega, omega), omega))
-    if vol.is_zero():
-        return SU3Verdict.FAILS_NONDEGENERACY
-    k = k_psi(psi)
-    lam = k.lam.constant_value()
-    if lam >= 0:
-        return SU3Verdict.FAILS_STABILITY
-    if not wedge(omega, psi).is_zero():
-        return SU3Verdict.FAILS_PRIMITIVITY
-    h = h_form(omega, k)
-    if not h.is_symmetric():
-        return SU3Verdict.FAILS_POSITIVITY
-    if is_definite(h) in (Definiteness.POS_DEF, Definiteness.NEG_DEF):
-        return SU3Verdict.PASSES
-    return SU3Verdict.FAILS_POSITIVITY
+    return Bilinear(6, h_matrix(omega.coeffs, k.entries, Polynomial.zero()))

@@ -1,15 +1,29 @@
 """Independent slow oracles used to freeze expected values.
 
-These deliberately avoid the package's bitmask machinery: forms are
-evaluated as alternating multilinear maps by summing over permutations, so
-they provide an independent route to the same numbers.
+Most of these avoid the package's bitmask machinery: forms are evaluated
+as alternating multilinear maps by summing over permutations, so they
+provide an independent route to the same numbers.  The SU(3) verdict
+oracle (su3_check) instead builds K by contraction and wedge, h entry by
+entry with form_value, and tests definiteness with det_fraction minors, so
+it shares neither the K table nor the h product with su3_passes_int.
 """
 
+import enum
 from fractions import Fraction
 from itertools import permutations
 
-from g2cert.forms import KForm, VectorExpr, indices_of
-from g2cert.linalg import rref
+from g2cert.errors import NonNumericEntries
+from g2cert.forms import (
+    KForm,
+    VectorExpr,
+    contract,
+    form_value,
+    indices_of,
+    top_coefficient,
+    wedge,
+)
+from g2cert.hitchin import Bilinear
+from g2cert.linalg import det_fraction, rref
 from g2cert.poly import Polynomial
 
 _PARITY_CACHE = {}
@@ -130,3 +144,95 @@ def rank_in_span(rows, vector) -> bool:
     before = rref([list(r) for r in rows], ncols)[1]
     after = rref([list(r) for r in rows] + [list(vector)], ncols)[1]
     return len(before) == len(after)
+
+
+# -- the SU(3) verdict by contraction ----------------------------------------
+
+
+class Definiteness(enum.Enum):
+    POS_DEF = "PosDef"
+    NEG_DEF = "NegDef"
+    INDEFINITE = "Indefinite"
+    DEGENERATE = "Degenerate"
+
+
+class SU3Verdict(enum.Enum):
+    PASSES = "Passes"
+    FAILS_NONDEGENERACY = "FailsNondegeneracy"
+    FAILS_STABILITY = "FailsStability"
+    FAILS_PRIMITIVITY = "FailsPrimitivity"
+    FAILS_POSITIVITY = "FailsPositivity"
+
+
+def is_symmetric(b: Bilinear) -> bool:
+    return all(
+        b.entries[i][j] == b.entries[j][i] for i in range(b.dim) for j in range(i + 1, b.dim)
+    )
+
+
+def numeric_entries(b: Bilinear) -> list:
+    """The Fraction matrix of a bilinear form with constant entries."""
+    if not all(c.is_constant() for row in b.entries for c in row):
+        raise NonNumericEntries("bilinear form has symbolic entries")
+    return [[c.constant_value() for c in row] for row in b.entries]
+
+
+def is_definite(b: Bilinear) -> Definiteness:
+    """Exact leading-principal-minor test of a numeric symmetric form:
+    positive definite iff all minors are positive, negative definite iff
+    their signs alternate starting negative, degenerate iff det = 0."""
+    matrix = numeric_entries(b)
+    minors = [det_fraction([row[: k + 1] for row in matrix[: k + 1]]) for k in range(b.dim)]
+    if minors[-1] == 0:
+        return Definiteness.DEGENERATE
+    if all(m > 0 for m in minors):
+        return Definiteness.POS_DEF
+    if all((m < 0) if (k % 2 == 0) else (m > 0) for k, m in enumerate(minors)):
+        return Definiteness.NEG_DEF
+    return Definiteness.INDEFINITE
+
+
+def contraction_k(psi: KForm) -> list:
+    """K[j-1][i-1] = top(e^j ^ iota_{e_i}psi ^ psi) by contraction and wedge."""
+    entries = [[Polynomial.zero()] * 6 for _ in range(6)]
+    for i in range(1, 7):
+        xi = wedge(contract(VectorExpr.basis(6, i), psi), psi)
+        for j in range(1, 7):
+            entries[j - 1][i - 1] = top_coefficient(wedge(KForm.basis(6, (j,)), xi))
+    return entries
+
+
+def contraction_h(omega: KForm, k: list) -> Bilinear:
+    """h(e_i, e_j) = sum over l of omega(e_i, e_l) K[l][j], via form_value."""
+    entries = [[Polynomial.zero()] * 6 for _ in range(6)]
+    for i in range(1, 7):
+        for j in range(1, 7):
+            acc = Polynomial.zero()
+            for l in range(1, 7):
+                acc = acc + form_value(omega, i, l) * k[l - 1][j - 1]
+            entries[i - 1][j - 1] = acc
+    return Bilinear(6, entries)
+
+
+def su3_check(omega: KForm, psi: KForm) -> SU3Verdict:
+    """The SU(3) verdict of a numeric pair (omega, psi).
+
+    Conditions, in order: omega^3 != 0; lambda(psi) = 1/6 tr(K^2) < 0;
+    omega ^ psi = 0; h = omega(., K.) symmetric and definite of either sign.
+    """
+    if top_coefficient(wedge(wedge(omega, omega), omega)).is_zero():
+        return SU3Verdict.FAILS_NONDEGENERACY
+    k = contraction_k(psi)
+    trace_sq = sum(
+        (k[i][l] * k[l][i] for i in range(6) for l in range(6)), Polynomial.zero()
+    )
+    if trace_sq.constant_value() >= 0:
+        return SU3Verdict.FAILS_STABILITY
+    if not wedge(omega, psi).is_zero():
+        return SU3Verdict.FAILS_PRIMITIVITY
+    h = contraction_h(omega, k)
+    if not is_symmetric(h):
+        return SU3Verdict.FAILS_POSITIVITY
+    if is_definite(h) in (Definiteness.POS_DEF, Definiteness.NEG_DEF):
+        return SU3Verdict.PASSES
+    return SU3Verdict.FAILS_POSITIVITY

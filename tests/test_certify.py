@@ -234,9 +234,9 @@ class TestSampling:
         assert negative_control(trials=25, seed=3) == 25
 
     def test_fast_path_matches_exact_su3_check(self):
-        # cross-validate the integer fast path against hitchin.su3_check
-        from g2cert.forms import KForm, pullback
-        from g2cert.hitchin import SU3Verdict, su3_check
+        # cross-validate the integer fast path against the contraction oracle
+        from g2cert.forms import pullback
+        from oracles import SU3Verdict, su3_check
 
         rng = random.Random(8)
         omega0, psi0 = standard_su3_pair()
@@ -414,6 +414,18 @@ class TestFullReport:
         entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
         node = json.loads(json.dumps(gauge_node(document, entry.name)))
         malform(node["data"])
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+
+    def test_negative_trials_do_not_recheck(self, full_report):
+        entries, document = full_report
+        name, node = next(
+            (r["name"], c) for r in document["results"] for c in r["certificates"]
+            if c["kind"] == "sampled_no_su3"
+        )
+        entry = next(e for e in entries if e.name == name)
+        node = json.loads(json.dumps(node))
+        assert recheck_certificate(entry, Certificate.from_json(node))
+        node["data"].update(trials=-3, attempts=0)
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
     @pytest.mark.parametrize("algebra, attempts", SAMPLER_ATTEMPTS_100_TRIALS.items())

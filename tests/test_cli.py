@@ -92,6 +92,18 @@ def test_run_all_zero_samples_skips_sampling(tmp_path):
     assert any("sampling skipped" in note for note in result["notes"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["su3", "g_{5,33}", "--samples", "-1"], ["run-all", "table1", "--samples", "-1"]],
+    ids=["su3", "run-all"],
+)
+def test_negative_samples_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--samples: must be >= 0" in capsys.readouterr().err
+
+
 def test_console_script_entry_point():
     # the child imports the same g2cert as this process, installed or not
     src = str(Path(g2cert.__file__).resolve().parents[1])

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P
 from g2cert.errors import DegreeMismatch, DegreeZero, DimensionMismatch
@@ -15,6 +17,7 @@ from g2cert.forms import (
     pullback,
     top_coefficient,
     wedge,
+    wedge_coeffs,
 )
 from g2cert.linalg import det_fraction
 from g2cert.poly import Polynomial
@@ -28,6 +31,55 @@ def random_form(rng, dim, degree, nterms=3):
         mask = sum(1 << (i - 1) for i in idx)
         coeffs[mask] = Polynomial.const(Fraction(rng.randint(-5, 5)))
     return KForm(dim, degree, coeffs)
+
+
+@st.composite
+def polynomial_forms(draw, degree, rational=True):
+    """A form of the given degree on dimension 6 whose coefficients are
+    polynomials in u and v of degree up to 2 (integer coefficients unless
+    rational)."""
+    masks = [m for m in range(1 << 6) if m.bit_count() == degree]
+    coeffs = {}
+    for mask in draw(st.lists(st.sampled_from(masks), max_size=4, unique=True)):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+            mono = tuple((name, e) for name, e in zip(("u", "v"), exps) if e)
+            den = draw(st.integers(1, 3)) if rational else 1
+            terms[mono] = Fraction(draw(st.integers(-3, 3)), den)
+        coeffs[mask] = Polynomial(terms)
+    return KForm(6, degree, coeffs)
+
+
+@st.composite
+def degrees_up_to_six(draw, count):
+    degrees = []
+    for _ in range(count):
+        degrees.append(draw(st.integers(0, 6 - sum(degrees))))
+    return degrees
+
+
+class TestWedgeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_associativity(self, data):
+        a, b, c = (data.draw(polynomial_forms(d)) for d in data.draw(degrees_up_to_six(3)))
+        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(-4, 4), st.integers(-4, 4))
+    def test_int_dicts_match_polynomial_wedge(self, data, u, v):
+        # the one exterior-product loop on int coefficients, as the sampler
+        # runs it, against the KForm wedge evaluated afterwards
+        degrees = data.draw(degrees_up_to_six(2))
+        a, b = (data.draw(polynomial_forms(d, rational=False)) for d in degrees)
+        point = {"u": u, "v": v}
+
+        def at_point(form):
+            return {m: int(c.evaluate(point)) for m, c in form.coeffs.items()}
+
+        expected = {m: int(c.constant_value()) for m, c in wedge(a, b).evaluate(point).coeffs.items()}
+        assert wedge_coeffs(at_point(a), at_point(b)) == expected
 
 
 class TestWedge:

@@ -1,4 +1,8 @@
-"""Hitchin invariants: b_phi, K_psi, lambda, h, and the SU(3) verdict."""
+"""Hitchin invariants: b_phi, K_psi, lambda, h, and the SU(3) verdict.
+
+The SU(3) verdict and definiteness cases run on the contraction oracle in
+oracles.py and, where the case is an integer pair, on su3_passes_int.
+"""
 
 import random
 from fractions import Fraction
@@ -8,19 +12,21 @@ import pytest
 from conftest import P, algebra_of
 from g2cert.errors import NonNumericEntries
 from g2cert.forms import KForm, generic_two_form, pullback, wedge
-from g2cert.hitchin import (
-    Bilinear,
+from g2cert.hitchin import Bilinear, b_phi, h_form, k_psi
+from g2cert.lie import ce_differential
+from g2cert.numeric import eval_form_int, su3_passes_int
+from g2cert.poly import Polynomial
+from oracles import (
     Definiteness,
     SU3Verdict,
-    b_phi,
-    h_form,
+    contraction_h,
+    contraction_k,
     is_definite,
-    k_psi,
+    is_symmetric,
+    oracle_b_entry,
+    oracle_k_entry,
     su3_check,
 )
-from g2cert.lie import ce_differential
-from g2cert.poly import Polynomial
-from oracles import oracle_b_entry, oracle_k_entry
 
 
 def random_three_form(rng, dim, span=4):
@@ -55,10 +61,18 @@ class TestBPhi:
         rng = random.Random(31)
         for _ in range(100):
             b = b_phi(random_three_form(rng, 7))
-            assert b.is_symmetric()
+            assert is_symmetric(b)
+
+
+def passes_int(omega: KForm, psi: KForm) -> bool:
+    return su3_passes_int(eval_form_int(omega, {}), eval_form_int(psi, {}))
 
 
 class TestDefiniteness:
+    """Each integer case is also run through su3_passes_int: with the
+    standard psi, omega = v1 e12 + v2 e34 + v3 e56 gives the pair whose h
+    is a nonzero multiple of diag(v1, v1, v2, v2, v3, v3)."""
+
     def _diag(self, values):
         n = len(values)
         return Bilinear(
@@ -69,17 +83,24 @@ class TestDefiniteness:
             ],
         )
 
-    def test_identity(self):
-        assert is_definite(self._diag([1, 1, 1])) == Definiteness.POS_DEF
+    def _check(self, values, expected, std_su3_pair):
+        assert is_definite(self._diag(values)) == expected
+        _, psi = std_su3_pair
+        omega = KForm.from_terms(6, 2, dict(zip([(1, 2), (3, 4), (5, 6)], values)))
+        definite = expected in (Definiteness.POS_DEF, Definiteness.NEG_DEF)
+        assert passes_int(omega, psi) == definite
 
-    def test_indefinite(self):
-        assert is_definite(self._diag([1, -1, 1])) == Definiteness.INDEFINITE
+    def test_identity(self, std_su3_pair):
+        self._check([1, 1, 1], Definiteness.POS_DEF, std_su3_pair)
 
-    def test_degenerate(self):
-        assert is_definite(self._diag([1, 1, 0])) == Definiteness.DEGENERATE
+    def test_indefinite(self, std_su3_pair):
+        self._check([1, -1, 1], Definiteness.INDEFINITE, std_su3_pair)
 
-    def test_negative(self):
-        assert is_definite(self._diag([-2, -1, -3])) == Definiteness.NEG_DEF
+    def test_degenerate(self, std_su3_pair):
+        self._check([1, 1, 0], Definiteness.DEGENERATE, std_su3_pair)
+
+    def test_negative(self, std_su3_pair):
+        self._check([-2, -1, -3], Definiteness.NEG_DEF, std_su3_pair)
 
     def test_symbolic_entries_rejected(self):
         b = Bilinear(2, [[P("x"), P("0")], [P("0"), P("1")]])
@@ -101,6 +122,15 @@ class TestKPsi:
         for i in range(1, 7):
             for j in range(1, 7):
                 assert oracle_k_entry(psi, i, j) == k.entries[j - 1][i - 1].constant_value()
+
+    def test_symbolic_k_and_h_match_contraction(self):
+        # the table kernels over Polynomial against contraction and form_value
+        L = algebra_of("(-e16 - e35, e26 - e45, -e36, e46, 0, 0)")
+        psi = ce_differential(L, generic_two_form(6, "alpha"))
+        omega = generic_two_form(6, "beta")
+        k = k_psi(psi)
+        assert k.entries == contraction_k(psi)
+        assert h_form(omega, k).entries == contraction_h(omega, k.entries).entries
 
     def test_g654_lambda_formula(self):
         L = algebra_of("(-e16 - e35, e26 - e45, -e36, e46, 0, 0)")
@@ -164,7 +194,7 @@ class TestHForm:
                 continue
             matrix = [[Polynomial.const(x) for x in row] for row in entries]
             omega, psi = pullback(matrix, omega0), pullback(matrix, psi0)
-            assert h_form(omega, k_psi(psi)).is_symmetric()
+            assert is_symmetric(h_form(omega, k_psi(psi)))
 
     def test_symmetry_can_fail_without_primitivity(self):
         # omega ^ psi != 0: the conditioned direction is the only claim
@@ -176,31 +206,37 @@ class TestHForm:
             - KForm.basis(6, (2, 4, 5))
         )
         assert not wedge(omega, psi).is_zero()
-        assert not h_form(omega, k_psi(psi)).is_symmetric()
+        assert not is_symmetric(h_form(omega, k_psi(psi)))
 
 
 class TestSU3Check:
+    def _verdict(self, omega, psi):
+        """The oracle's verdict, after checking su3_passes_int agrees."""
+        verdict = su3_check(omega, psi)
+        assert passes_int(omega, psi) == (verdict == SU3Verdict.PASSES)
+        return verdict
+
     def test_standard_pair_passes(self, std_su3_pair):
         omega, psi = std_su3_pair
-        assert su3_check(omega, psi) == SU3Verdict.PASSES
+        assert self._verdict(omega, psi) == SU3Verdict.PASSES
 
     def test_decomposable_psi_fails_stability(self, std_su3_pair):
         omega, _ = std_su3_pair
-        assert su3_check(omega, KForm.basis(6, (1, 2, 3))) == SU3Verdict.FAILS_STABILITY
+        assert self._verdict(omega, KForm.basis(6, (1, 2, 3))) == SU3Verdict.FAILS_STABILITY
 
     def test_degenerate_omega_fails_nondegeneracy(self, std_su3_pair):
         _, psi = std_su3_pair
         omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1})
-        assert su3_check(omega, psi) == SU3Verdict.FAILS_NONDEGENERACY
+        assert self._verdict(omega, psi) == SU3Verdict.FAILS_NONDEGENERACY
 
     def test_nonprimitive_pair_fails(self, std_su3_pair):
         _, psi = std_su3_pair
         omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): 1})
-        assert su3_check(omega, psi) in (
+        assert self._verdict(omega, psi) in (
             SU3Verdict.FAILS_PRIMITIVITY,
             SU3Verdict.FAILS_POSITIVITY,
         )
 
     def test_either_orientation_accepted(self, std_su3_pair):
         omega, psi = std_su3_pair
-        assert su3_check(-1 * omega, -1 * psi) == SU3Verdict.PASSES
+        assert self._verdict(-1 * omega, -1 * psi) == SU3Verdict.PASSES

@@ -1,5 +1,8 @@
-"""The integer kernels of the sampler against the exact Fraction/Polynomial
-code they replace on the per-draw path."""
+"""The integer sampler against independent references: its compiled form
+evaluation against Polynomial.evaluate, the shared K kernel over int
+against the permutation-expansion oracle, Bareiss minors against
+det_fraction, and su3_passes_int against the contraction-based SU(3)
+oracle in oracles.py."""
 
 from fractions import Fraction
 from math import lcm
@@ -9,16 +12,11 @@ from hypothesis import strategies as st
 
 from g2cert.certify import standard_su3_pair
 from g2cert.forms import KForm, pullback
-from g2cert.hitchin import SU3Verdict, k_psi, su3_check
+from g2cert.hitchin import k_matrix, k_psi
 from g2cert.linalg import det_fraction, leading_minors_int
-from g2cert.numeric import (
-    CompiledForm,
-    eval_form_int,
-    integer_point,
-    k_matrix_int,
-    su3_passes_int,
-)
+from g2cert.numeric import CompiledForm, eval_form_int, integer_point, su3_passes_int
 from g2cert.poly import Polynomial
+from oracles import SU3Verdict, oracle_k_entry, su3_check
 
 NAMES = ("u", "v", "w")
 SMALL = st.integers(-2, 2)
@@ -84,13 +82,19 @@ def integer_three_forms(draw):
 
 
 class TestKMatrix:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(integer_three_forms())
     def test_table_matches_k_psi(self, psi):
-        k = k_psi(KForm(6, 3, psi))
-        entries, trace_sq = k_matrix_int({m: c for m, c in psi.items() if c})
-        assert entries == [[int(e.constant_value()) for e in row] for row in k.entries]
-        assert trace_sq == 6 * k.lam.constant_value()
+        # the table over int and k_psi over Polynomial, each against the
+        # permutation expansion
+        form = KForm(6, 3, psi)
+        expected = [[oracle_k_entry(form, i, j) for i in range(1, 7)] for j in range(1, 7)]
+        entries, trace_sq = k_matrix(psi, 0)
+        assert entries == expected
+        assert trace_sq == sum(expected[i][l] * expected[l][i] for i in range(6) for l in range(6))
+        k = k_psi(form)
+        assert [[e.constant_value() for e in row] for row in k.entries] == expected
+        assert 6 * k.lam.constant_value() == trace_sq
 
 
 @st.composite

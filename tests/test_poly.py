@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import P
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
@@ -69,6 +71,71 @@ class TestRingOps:
             point = {n: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for n in names}
             assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
             assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+@st.composite
+def polynomials(draw, names=("x", "y", "z"), max_exp=2, max_terms=4):
+    """Small polynomials with rational coefficients, the zero one included."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, max_exp), min_size=len(names), max_size=len(names)))
+        mono = tuple((name, e) for name, e in zip(names, exps) if e)
+        terms[mono] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return Polynomial(terms)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+class TestRingLaws:
+    @settings(max_examples=150, deadline=None)
+    @given(polynomials(), polynomials(), polynomials())
+    def test_ring_axioms(self, p, q, r):
+        zero, one = Polynomial.zero(), Polynomial.const(1)
+        assert (p + q) + r == p + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+        assert (p + q) * r == p * r + q * r
+        assert p + q == q + p and p * q == q * p
+        assert p + zero == p and p * one == p and (p * zero).is_zero()
+        assert (p - p).is_zero() and p + (-p) == zero
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials())
+    def test_int_operands(self, p):
+        # the ring-generic kernels start sums at int 0 and scale by ints
+        assert 0 + p == p and p + 0 == p
+        assert sum([p, p, p]) == p * 3
+        assert p * 6 == 6 * p == p + p + p + p + p + p
+        assert bool(p) == (not p.is_zero())
+        assert bool(p - p) is False
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        polynomials(),
+        polynomials(names=("u", "z"), max_exp=1, max_terms=3),
+        polynomials(names=("u", "v"), max_exp=1, max_terms=3),
+        st.fixed_dictionaries({name: RATIONALS for name in ("u", "v", "z")}),
+    )
+    def test_substitute_then_evaluate_commute(self, p, image_x, image_y, point):
+        substituted = p.substitute({"x": image_x, "y": image_y})
+        direct = p.evaluate(
+            {"x": image_x.evaluate(point), "y": image_y.evaluate(point), "z": point["z"]}
+        )
+        assert substituted.evaluate(point) == direct
+
+
+@st.composite
+def cramer_systems(draw):
+    """(matrix, rhs, poly): a nonsingular n x n system, n in 1..3, with
+    entries linear in x and y, and a polynomial in s_1..s_n and y."""
+    n = draw(st.integers(1, 3))
+    entry = polynomials(names=("x", "y"), max_exp=1, max_terms=2)
+    matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(polynomials(names=("u", "x"), max_exp=1, max_terms=2)) for _ in range(n)]
+    names = tuple(f"s_{i}" for i in range(1, n + 1)) + ("y",)
+    poly = draw(polynomials(names=names, max_exp=2, max_terms=3))
+    return matrix, rhs, poly
 
 
 class TestEvaluate:
@@ -219,6 +286,18 @@ class TestSolveLinear:
         num, power = substitute_cramer(poly, ["s_1", "s_2"], solved.numerators, solved.determinant)
         direct = poly.substitute_rational(dict(zip(["s_1", "s_2"], solved.solutions)))
         assert RationalFunction(num, solved.determinant**power) == direct
+
+
+@settings(max_examples=60, deadline=None)
+@given(cramer_systems())
+def test_substitute_cramer_matches_rational_substitution_random(system):
+    matrix, rhs, poly = system
+    assume(not poly_matrix_det(matrix).is_zero())
+    solved = solve_linear(matrix, rhs)
+    svars = [f"s_{i}" for i in range(1, len(matrix) + 1)]
+    num, power = substitute_cramer(poly, svars, solved.numerators, solved.determinant)
+    direct = poly.substitute_rational(dict(zip(svars, solved.solutions)))
+    assert RationalFunction(num, solved.determinant**power) == direct
 
 
 def test_poly_matrix_det_matches_fraction_det():
