@@ -73,13 +73,13 @@ def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = 
     differentials = []
     for start, slot in slots:
         coeffs = {}
-        for mono, coeff in slot.terms.items():
-            basis = [(var, exp) for var, exp in mono if _BASIS_RE.fullmatch(var)]
-            if not basis:
+        basis = {v for v in slot.variables() if _BASIS_RE.fullmatch(v)}
+        for mono, coeff in slot.collect(basis).items():
+            if not mono:
                 raise DslSyntaxError(text, start, "a 2-form (scalar terms are not allowed)")
-            if len(basis) > 1 or basis[0][1] != 1:
+            if len(mono) > 1 or mono[0][1] != 1:
                 raise DslSyntaxError(text, start, "exactly one basis factor eIJ per term")
-            var = basis[0][0]
+            var = mono[0][0]
             i, j = int(var[1]), int(var[2])
             if i > n or j > n:
                 raise IndexOutOfRange(
@@ -87,9 +87,7 @@ def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = 
                 )
             if i >= j:
                 raise DslSyntaxError(text, start, "strictly increasing basis indices")
-            mask = (1 << (i - 1)) | (1 << (j - 1))
-            term = Polynomial({tuple(f for f in mono if f[0] != var): coeff})
-            coeffs[mask] = coeffs[mask] + term if mask in coeffs else term
+            coeffs[(1 << (i - 1)) | (1 << (j - 1))] = coeff
         differentials.append(KForm(n, 2, coeffs))
     algebra = LieAlgebra(n, differentials, name=name)
     validate(algebra)

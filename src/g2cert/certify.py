@@ -376,20 +376,14 @@ def _exp_nilpotent(matrix, dim: int):
 
 def _affine_system(form3: KForm, targets, svars):
     rows, rhs = [], []
-    zero_subs = {sv: 0 for sv in svars}
+    names = set(svars)
+    linear = {((sv, 1),) for sv in svars}
     for t in targets:
-        c = form3.coefficient(tuple(t))
-        const = c.substitute(zero_subs)
-        row = [
-            c.substitute({sv2: (1 if sv2 == sv else 0) for sv2 in svars}) - const
-            for sv in svars
-        ]
-        rebuilt = const
-        for sv, r in zip(svars, row):
-            rebuilt = rebuilt + r * Polynomial.var(sv)
-        if rebuilt != c:
+        parts = form3.coefficient(tuple(t)).collect(names)
+        const = parts.pop((), Polynomial.zero())
+        if not parts.keys() <= linear:
             raise IdentityFailure(f"target coefficient {t} is not affine in the gauge parameters")
-        rows.append(row)
+        rows.append([parts.get(((sv, 1),), Polynomial.zero()) for sv in svars])
         rhs.append(-const)
     return rows, rhs
 
@@ -527,23 +521,12 @@ def verify_gauge(
 def _constant_family_ratio(det: Polynomial, target: Polynomial):
     """det = r(fam) * target for a nonzero rational function r of the family
     parameters only; returns r as a RationalFunction, else None."""
-
-    def profile(poly):
-        prof = {}
-        for mono, c in poly.terms.items():
-            akey = tuple((v, e) for v, e in mono if not v.startswith("fam_"))
-            fkey = tuple((v, e) for v, e in mono if v.startswith("fam_"))
-            prof.setdefault(akey, {})[fkey] = c
-        return prof
-
-    pd, pt = profile(det), profile(target)
+    names = {v for v in det.variables() | target.variables() if not v.startswith("fam_")}
+    pd, pt = det.collect(names), target.collect(names)
     if set(pd) != set(pt):
         return None
-    key = sorted(pd)[0]
-    cd = Polynomial(dict(pd[key]))
-    ct = Polynomial(dict(pt[key]))
-    if cd.is_zero() or ct.is_zero():
-        return None
+    key = min(pd)
+    cd, ct = pd[key], pt[key]
     if det * ct != target * cd:
         return None
     return RationalFunction(cd, ct)
@@ -589,7 +572,10 @@ class PairSampler:
         self.psi_int = numeric.CompiledForm(psi_sym.coeffs, self.variables)
         self.omega_int = numeric.CompiledForm(omega_sym.coeffs, self.variables)
         if slice_name == "t2_zero":
-            parts = _coefficients_in(det_in_alpha14, "alpha_14")
+            parts = {
+                sum(e for _, e in mono): coeff
+                for mono, coeff in det_in_alpha14.collect({"alpha_14"}).items()
+            }
             if max(parts, default=0) > 2:
                 raise G2CertError("the gauge determinant is not quadratic in alpha_14")
             self.det_int = numeric.CompiledForm(parts, self.variables)
@@ -659,15 +645,6 @@ class PairSampler:
         return omega, psi, k
 
 
-def _coefficients_in(poly: Polynomial, name: str) -> dict:
-    """{e: coefficient of name^e} of a polynomial, each free of name."""
-    parts = {}
-    for mono, coeff in poly.terms.items():
-        exp = dict(mono).get(name, 0)
-        parts.setdefault(exp, {})[tuple((v, e) for v, e in mono if v != name)] = coeff
-    return {exp: Polynomial(terms) for exp, terms in parts.items()}
-
-
 def sample_falsify(
     entry_name: str,
     sampler: PairSampler,
@@ -723,18 +700,21 @@ def sample_falsify(
 
 
 def _solved_family_substitutions(family_equations):
-    """Solve each single-variable linear family equation (e.g. l + 1 -> l = -1)."""
+    """Solve each single-variable linear family equation (e.g. l + 1 -> l = -1).
+
+    An equation in a variable already solved stays unsolved, so that it is
+    kept as an assumption."""
     subs = {}
     unsolved = []
     for eq in family_equations:
-        variables = sorted(eq.variables())
-        if len(variables) == 1 and eq.degree_in(variables[0]) == 1:
-            v = variables[0]
-            const = eq.substitute({v: 0})
-            coeff = eq.substitute({v: 1}) - const
-            subs[v] = -const.constant_value() / coeff.constant_value()
-        else:
-            unsolved.append(eq)
+        parts = eq.collect(eq.variables())
+        const = parts.pop((), Polynomial.zero())
+        if len(parts) == 1:
+            ((mono, coeff),) = parts.items()
+            if len(mono) == 1 and mono[0][1] == 1 and mono[0][0] not in subs:
+                subs[mono[0][0]] = -const.constant_value() / coeff.constant_value()
+                continue
+        unsolved.append(eq)
     return subs, unsolved
 
 
@@ -1255,12 +1235,30 @@ def _reverify(entry: AlgebraEntry, cert: Certificate, context) -> Certificate:
     raise G2CertError(f"no verifier for certificate kind {kind.value!r}")
 
 
+def _is_result_node(node) -> bool:
+    return (
+        isinstance(node, dict)
+        and isinstance(node.get("name"), str)
+        and isinstance(node.get("certificates"), list)
+        and all(isinstance(cert, dict) for cert in node["certificates"])
+    )
+
+
 def recheck_report(report_json: dict, entries) -> dict:
     """Re-verify every certificate in a serialized report; returns a map
-    name -> list of booleans, in certificate order."""
+    name -> list of booleans, in certificate order.
+
+    A document that is not a report (another schema, or a result without a
+    name or a list of certificate objects) raises G2CertError."""
+    schema = report_json.get("schema") if isinstance(report_json, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise G2CertError(f"not a {REPORT_SCHEMA} report (schema {schema!r})")
+    results = report_json.get("results")
+    if not isinstance(results, list) or not all(map(_is_result_node, results)):
+        raise G2CertError("malformed report: each result needs a name and a list of certificates")
     by_name = {e.name: e for e in entries}
     verdicts = {}
-    for node in report_json["results"]:
+    for node in results:
         entry = by_name.get(node["name"])
         row = []
         for cert_node in node["certificates"]:

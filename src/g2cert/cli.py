@@ -79,12 +79,7 @@ def cmd_lambda(args) -> int:
 def cmd_derivations(args) -> int:
     entry = _find_entry(args.algebra)
     algebra = entry.build_algebra()
-    params = {}
-    if args.params:
-        for item in args.params.split(","):
-            key, _, value = item.partition("=")
-            name = key.strip()
-            params[name if name.startswith("fam_") else f"fam_{name}"] = Fraction(value)
+    params = args.params
     fam_vars = algebra.family_parameters()
     missing = fam_vars - set(params)
     if missing:
@@ -143,7 +138,10 @@ def cmd_run_all(args) -> int:
 
 def cmd_recheck(args) -> int:
     with open(args.report, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError as exc:
+            raise G2CertError(f"{args.report} is not a JSON document: {exc}") from None
     verdicts = recheck_report(document, cat.load_any(args.catalog))
     total = failed = 0
     for node in document["results"]:
@@ -162,6 +160,21 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _family_params(text: str) -> dict:
+    """An argparse type: k=v,... with rational values, keyed by fam_ names."""
+    params = {}
+    for item in filter(None, text.split(",")):
+        key, sep, value = item.partition("=")
+        name = key.strip()
+        try:
+            if not (name and sep):
+                raise ValueError
+            params[name if name.startswith("fam_") else f"fam_{name}"] = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected k=v with a rational v, got {item!r}") from None
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derivations", help="solve the derivation algebra at rational parameters")
     p.add_argument("algebra")
-    p.add_argument("--params", default="", metavar="k=v,...")
+    p.add_argument("--params", type=_family_params, default="", metavar="k=v,...")
     p.set_defaults(func=cmd_derivations)
 
     p = sub.add_parser("su3", help="run the SU(3) obstruction stage for one algebra")

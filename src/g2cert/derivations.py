@@ -291,41 +291,24 @@ def strongly_unimodular_constraints(ext: ExtensionSpec, nilradical: Subspace) ->
         {v for _, _, p in traces for v in p.variables() if v.startswith("a_")},
         key=lambda s: (len(s), s),
     )
+    names = set(dparams)
     for name, level, poly in traces:
-        vars_ = poly.variables()
-        if not vars_:
+        if poly.is_constant():
             constants.append(poly.constant_value())
             continue
-        if not any(v.startswith("a_") for v in vars_):
-            eq = normalize_eq(poly)
-            if all(existing != eq for existing in family_eqs):
-                family_eqs.append(eq)
-            continue
         # linear form in the derivation parameters (constant coefficients)
-        row = []
-        rest = poly
-        linear = True
-        for p in dparams:
-            coeff = Polynomial.zero()
-            for mono, c in poly.terms.items():
-                if mono == ((p, 1),):
-                    coeff = Polynomial.const(c)
-            if not coeff.is_constant():
-                linear = False
-                break
-            row.append(coeff.constant_value())
-            rest = rest - coeff * Polynomial.var(p)
-        if linear and rest.is_zero():
-            deriv_rows.append(row)
+        parts = poly.collect(names)
+        row = [parts.pop(((p, 1),), Polynomial.zero()) for p in dparams]
+        if not parts and all(c.is_constant() for c in row):
+            deriv_rows.append([c.constant_value() for c in row])
         else:
-            # nonlinear or mixed condition: keep as a raw equation
+            # a family condition, or a nonlinear or mixed one: keep as a raw equation
             eq = normalize_eq(poly)
             if all(existing != eq for existing in family_eqs):
                 family_eqs.append(eq)
     subs = {}
     if deriv_rows:
-        rows = [[Fraction(x) for x in row] for row in deriv_rows]
-        rows, pivots = linalg.rref(rows, len(dparams))
+        rows, pivots = linalg.rref(deriv_rows, len(dparams))
         for r, c in enumerate(pivots):
             expr = Polynomial.zero()
             for other in range(c + 1, len(dparams)):

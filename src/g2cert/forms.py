@@ -165,19 +165,10 @@ class KForm:
 
     __rmul__ = __mul__
 
-    # -- evaluation ---------------------------------------------------------
+    # -- substitution -------------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, Polynomial | Scalar]) -> "KForm":
         return KForm(self.dim, self.degree, {m: c.substitute(mapping) for m, c in self.coeffs.items()})
-
-    def evaluate(self, assignment: Mapping[str, Scalar]) -> "KForm":
-        """Numeric form (constant coefficients) at a rational assignment."""
-        out = {}
-        for mask, coeff in self.coeffs.items():
-            value = coeff.evaluate(assignment)
-            if value:
-                out[mask] = Polynomial.const(value)
-        return KForm(self.dim, self.degree, out)
 
 
 class VectorExpr:

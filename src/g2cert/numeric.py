@@ -113,11 +113,13 @@ def su3_passes_int(omega: dict, psi: dict, k=None) -> bool:
     """True when the integer pair passes all four SU(3) conditions.
 
     The conditions are omega^3 != 0, lambda(psi) < 0, omega ^ psi = 0, and
-    h = omega(., K.) symmetric and definite.  Either definite sign is
-    accepted, since the paper's orientation can always be flipped; this is
-    the weaker reading and hence safe for non-existence certification.  A
-    caller that has already checked the candidate conditions passes their K
-    as `k`.
+    h = omega(., K.) symmetric and definite.  Once lambda < 0, omega ^ psi = 0
+    says that omega is of type (1,1) for the complex structure of psi, and
+    then h is symmetric, so symmetry is not tested separately.  Either
+    definite sign is accepted, since the paper's orientation can always be
+    flipped; this is the weaker reading and hence safe for non-existence
+    certification.  A caller that has already checked the candidate
+    conditions passes their K as `k`.
     """
     if k is None:
         k = candidate_conditions_int(omega, psi)
@@ -125,12 +127,7 @@ def su3_passes_int(omega: dict, psi: dict, k=None) -> bool:
             return False
     if wedge_coeffs(omega, psi):
         return False
-    h = h_matrix(omega, k, 0)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if h[i][j] != h[j][i]:
-                return False
-    minors = leading_minors_int(h)
+    minors = leading_minors_int(h_matrix(omega, k, 0))
     if minors[-1] == 0:
         return False
     if all(m > 0 for m in minors):

@@ -14,6 +14,12 @@ parameter families never collide:
   s_*      gauge parameters
   fam_*    structure-constant family parameters
 
+`Polynomial.collect(names)` reads a polynomial as one in some of its
+variables (the derivation parameters of a trace condition, the gauge
+parameters of a pulled-back coefficient): it groups the terms by their
+monomial in those variables.  It is the one place that splits terms by
+variable.
+
 Term iteration is deterministic: graded lexicographic, variables ordered by
 name.  This keeps rendered reports byte-stable across runs.
 """
@@ -133,13 +139,16 @@ class Polynomial:
             return 0
         return max(_mono_degree(m) for m in self._terms)
 
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == name and e > deg:
-                    deg = e
-        return deg
+    def collect(self, names) -> dict:
+        """The polynomial read as a polynomial in `names`: a map from each
+        monomial in those variables to its coefficient, a nonzero polynomial
+        free of them, so that sum(monomial * coefficient) is self."""
+        groups = {}
+        for mono, coeff in self._terms.items():
+            key = tuple(f for f in mono if f[0] in names)
+            rest = tuple(f for f in mono if f[0] not in names)
+            groups.setdefault(key, {})[rest] = coeff
+        return {key: Polynomial(terms) for key, terms in groups.items()}
 
     def sorted_terms(self) -> list:
         return sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]))
@@ -661,30 +670,18 @@ def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):
     poly(sbar) = N / den^d and d the total degree of poly in the s variables.
 
     Works entirely in the polynomial ring, avoiding the denominator blowup
-    of repeated rational-function addition.
+    of repeated rational-function addition.  The terms of poly are grouped
+    by their monomial in the s variables and each group is substituted once.
     """
-    index = {name: i for i, name in enumerate(svars)}
-    degree = 0
-    for mono in poly.terms:
-        s_deg = sum(e for v, e in mono if v in index)
-        if s_deg > degree:
-            degree = s_deg
+    groups = poly.collect(set(svars))
+    degree = max(map(_mono_degree, groups), default=0)
     if degree == 0:
         return poly, 0
+    image = dict(zip(svars, numerators))
     total = Polynomial.zero()
-    for mono, coeff in poly.terms.items():
-        rest = []
-        s_deg = 0
-        term = Polynomial.const(coeff)
+    for mono, coeff in groups.items():
         for v, e in mono:
-            if v in index:
-                s_deg += e
-                term = term * numerators[index[v]] ** e
-            else:
-                rest.append((v, e))
-        if rest:
-            term = term * Polynomial({tuple(rest): Fraction(1)})
-        if degree - s_deg:
-            term = term * den ** (degree - s_deg)
-        total = total + term
+            coeff = coeff * image[v] ** e
+        gap = degree - _mono_degree(mono)
+        total = total + (coeff * den**gap if gap else coeff)
     return total, degree

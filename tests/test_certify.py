@@ -19,6 +19,7 @@ from g2cert.certify import (
     certify_null_direction,
     certify_sign_product,
     certify_zero_diagonal,
+    gauge_system,
     gauge_transport,
     generic_exact_g2,
     generic_su3_candidate,
@@ -29,9 +30,11 @@ from g2cert.certify import (
     run_pipeline,
     sample_falsify,
     standard_su3_pair,
+    _solved_family_substitutions,
 )
 from g2cert.derivations import DerivationFamily
 from g2cert.errors import (
+    IdentityFailure,
     IdentityMismatch,
     NotIdenticallyZero,
     SingularSymbolicSystem,
@@ -80,7 +83,7 @@ class TestGenericExactG2:
 
         for _ in range(50):
             point = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in names}
-            phi_num = phi.evaluate(point)
+            phi_num = phi.substitute(point)
             contraction = contract(VectorExpr.basis(7, 5), phi_num)
             value = top_coefficient(wedge(wedge(contraction, contraction), phi_num))
             assert value.is_zero() or value.constant_value() == 0
@@ -209,6 +212,18 @@ class TestGaugeTransport:
         with pytest.raises(SingularSymbolicSystem):
             gauge_transport(candidate, zero_s, [(1, 3, 6), (2, 3, 6), (3, 4, 6), (3, 5, 6)], (3, 6), entry.name)
 
+    def test_target_not_affine_in_the_gauge(self):
+        # S e_1 = s e_2, S e_2 = s e_3 on R^6: S^2 != 0, so exp(S) is quadratic in s
+        # and the coefficient of e^126 in F*psi is -s^2/2
+        algebra = algebra_of("(0, 0, 0, 0, 0, 0)")
+        matrix = [[Polynomial.zero()] * 6 for _ in range(6)]
+        matrix[1][0] = matrix[2][1] = P("s_1")
+        s_family = DerivationFamily(algebra, matrix, ("s_1",))
+        _, psi = standard_su3_pair()
+        assert gauge_system(psi, s_family, [(1, 2, 5)]).rows == [[P("1")]]
+        with pytest.raises(IdentityFailure, match=r"target coefficient \(1, 2, 6\) is not affine"):
+            gauge_system(psi, s_family, [(1, 2, 5), (1, 2, 6)])
+
 
 class TestSampling:
     def test_deterministic_replay(self):
@@ -252,6 +267,15 @@ class TestSampling:
             assert exact == fast
             agree += 1
         assert agree == 60
+
+
+def test_family_equations_solved_once_per_variable():
+    # a second equation in an already solved variable is kept as an
+    # assumption; dropping it would drop fam_l - 1 = 0 from the certificate
+    equations = [P("fam_l + 1"), P("fam_l^2 - fam_m"), P("2*fam_m - 1"), P("fam_l - 1")]
+    subs, unsolved = _solved_family_substitutions(equations)
+    assert subs == {"fam_l": -1, "fam_m": Fraction(1, 2)}
+    assert unsolved == [P("fam_l^2 - fam_m"), P("fam_l - 1")]
 
 
 class TestPipelines:

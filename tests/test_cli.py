@@ -153,3 +153,30 @@ def test_recheck_reports_malformed_certificate(tmp_path, capsys):
     assert "FAILED None: zero_diagonal" in out
     assert ": no_such_kind" in out
     assert "0 of 3 certificates recheck" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema": "g2cert-report/1"}',
+        '{"schema": "g2cert-report/1", "results": [{"certificates": []}]}',
+        '{"schema": "g2cert-report/1", "results": [{"name": "q_1", "certificates": [1]}]}',
+        '{"schema": "g2cert-report/0", "results": []}',
+        "[]",
+        "not json",
+    ],
+    ids=["no-results", "no-name", "certificate-not-object", "other-schema", "list", "not-json"],
+)
+def test_recheck_malformed_report_is_an_error(text, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert main(["recheck", str(report), "--catalog", "nonsolvable"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("params", ["l=foo", "l", "l=1/0", "=1"])
+def test_malformed_params_is_a_usage_error(params, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derivations", "g_{4,5}", "--params", params])
+    assert exc.value.code == 2
+    assert "--params: expected k=v with a rational v" in capsys.readouterr().err

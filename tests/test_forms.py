@@ -78,7 +78,7 @@ class TestWedgeProperties:
         def at_point(form):
             return {m: int(c.evaluate(point)) for m, c in form.coeffs.items()}
 
-        expected = {m: int(c.constant_value()) for m, c in wedge(a, b).evaluate(point).coeffs.items()}
+        expected = {m: int(c.constant_value()) for m, c in wedge(a, b).substitute(point).coeffs.items()}
         assert wedge_coeffs(at_point(a), at_point(b)) == expected
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from g2cert.certify import standard_su3_pair
 from g2cert.forms import KForm, pullback
-from g2cert.hitchin import k_matrix, k_psi
+from g2cert.hitchin import h_matrix, k_matrix, k_psi
 from g2cert.linalg import det_fraction, leading_minors_int
 from g2cert.numeric import CompiledForm, eval_form_int, integer_point, su3_passes_int
 from g2cert.poly import Polynomial
@@ -150,3 +150,17 @@ class TestSU3Predicate:
         omega, psi = pair
         exact = su3_check(omega, psi) == SU3Verdict.PASSES
         assert su3_passes_int(eval_form_int(omega, {}), eval_form_int(psi, {})) == exact
+
+    def test_primitivity_decides_an_alternating_non_symmetric_h(self):
+        # omega ^ psi != 0, so h is not symmetric, yet its leading minors
+        # -8, 64, -512, ... alternate: only the omega ^ psi test rejects it
+        omega0, psi0 = standard_su3_pair()
+        omega = eval_form_int(omega0 * 4 + KForm.basis(6, (1, 3)), {})
+        psi = eval_form_int(psi0, {})
+        k, trace_sq = k_matrix(psi, 0)
+        h = h_matrix(omega, k, 0)
+        assert trace_sq < 0 and any(h[i][j] != h[j][i] for i in range(6) for j in range(6))
+        minors = leading_minors_int(h)
+        assert minors[:3] == [-8, 64, -512]
+        assert all((m < 0) == (i % 2 == 0) for i, m in enumerate(minors))
+        assert not su3_passes_int(omega, psi)

@@ -125,6 +125,25 @@ class TestRingLaws:
         assert substituted.evaluate(point) == direct
 
 
+class TestCollect:
+    @settings(max_examples=150, deadline=None)
+    @given(polynomials(), st.sets(st.sampled_from(("x", "y", "z", "w"))))
+    def test_groups_recombine(self, p, names):
+        groups = p.collect(names)
+        total = Polynomial.zero()
+        for mono, coeff in groups.items():
+            assert all(v in names for v, _ in mono)
+            assert not coeff.is_zero() and not coeff.variables() & names
+            total = total + Polynomial({mono: 1}) * coeff
+        assert total == p
+
+    def test_edge_cases(self):
+        p = P("x^2*y - 3*y + 1/2")
+        assert p.collect(set()) == {(): p}
+        assert Polynomial.zero().collect({"x"}) == {}
+        assert p.collect({"x"}) == {(("x", 2),): P("y"), (): P("-3*y + 1/2")}
+
+
 @st.composite
 def cramer_systems(draw):
     """(matrix, rhs, poly): a nonsingular n x n system, n in 1..3, with
