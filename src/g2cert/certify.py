@@ -7,13 +7,19 @@ SampledNoSU3 certificates, which are explicitly non-proving: they back the
 case analyses the source carries out in prose and this artifact cites.
 
 Each certificate kind has one verifier, and discovery and recheck share it
-together with one context builder (`stage_context`).  Discovery searches
-for the inputs (the solved strong-unimodularity substitutions, the solved
-gauge) and then runs the verifier.  `recheck_certificate` rebuilds the
+together with one context builder (`stage_context`).  Every SU(3)-stage
+verifier takes `(context, inputs)`: the StageContext it proves on (which
+builds the generic candidate on first use and gives each certificate its
+name, assumptions and context fields) and a dict holding exactly the keys
+the certificate stores.  Discovery searches for the inputs (the solved
+strong-unimodularity substitutions, the solved gauge), builds them from
+the plan step and runs the verifier.  `recheck_certificate` rebuilds the
 context from the catalog and the substitutions stored in the certificate,
-runs the same verifier on the stored inputs, and compares the result with
-the stored certificate.  Recheck never repeats a discovery search: gauge
-certificates store the solved gauge, sampling certificates their seed.
+passes the stored data to the verifier that `SU3_VERIFIERS` gives for its
+kind, and compares the result with the stored certificate.  A new
+SU(3)-stage certificate kind is added to that table.  Recheck never
+repeats a discovery search: gauge certificates store the solved gauge,
+sampling certificates their seed.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Optional
 
@@ -53,7 +60,7 @@ from .forms import (
     generic_two_form,
     pullback,
 )
-from .hitchin import b_phi, h_form, k_matrix, k_psi
+from .hitchin import b_phi, h_form, k_psi
 from .lie import LieAlgebra, Subspace, ce_differential
 from .poly import (
     NonNegWitness,
@@ -189,13 +196,20 @@ def generic_su3_candidate(algebra: LieAlgebra, derivation: DerivationFamily) -> 
 # -- certificates ----------------------------------------------------------
 
 
-def certify_zero_diagonal(entry: AlgebraEntry, indices) -> Certificate:
-    algebra = entry.build_algebra()
-    _, b = generic_exact_g2(algebra)
+def _check_null_diagonal(form, indices) -> None:
+    """Raise unless `indices` is nonempty and form(e_i, e_i) = 0 identically
+    for each of them."""
+    if not indices:
+        raise G2CertError("a diagonal certificate needs at least one index")
     for i in indices:
-        residual = b.entry(i, i)
+        residual = form.entry(i, i)
         if not residual.is_zero():
             raise NotIdenticallyZero(residual)
+
+
+def certify_zero_diagonal(entry: AlgebraEntry, indices) -> Certificate:
+    _, b = generic_exact_g2(entry.build_algebra())
+    _check_null_diagonal(b, indices)
     return Certificate(
         CertKind.ZERO_DIAGONAL,
         entry.name,
@@ -211,42 +225,43 @@ def lambda_of(algebra: LieAlgebra) -> Polynomial:
 
 
 def certify_lambda(
-    lam: Polynomial, witness: Optional[NonNegWitness], entry_name: str,
-    assumptions=(), witness_json=None, fam_subs=None,
+    lam: Polynomial, witness, entry_name: str, assumptions=(), fam_subs=None
 ) -> Certificate:
     """LambdaIdenticallyZero when lambda vanishes identically, else
-    LambdaNonNegative checked against the witness; raises when neither holds."""
+    LambdaNonNegative checked against the witness (its JSON tree); raises
+    when neither holds."""
     data = {"fam_subs": dict(fam_subs or {})}
     if lam.is_zero():
         kind = CertKind.LAMBDA_ZERO
     elif witness is None:
         raise NotIdenticallyZero(lam)
     else:
+        tree = NonNegWitness.from_json(witness)
         try:
-            check_nonneg_witness(lam, witness)
+            check_nonneg_witness(lam, tree)
         except G2CertError as exc:
             raise WitnessMismatch(f"{entry_name}: {exc}") from exc
         kind = CertKind.LAMBDA_NONNEG
-        data["witness"] = witness_json
+        data["witness"] = witness
         data["lambda"] = str(lam)
     return Certificate(kind, entry_name, assumptions=list(assumptions), data=data, verified=True)
 
 
 def certify_lambda_sign(
     algebra: LieAlgebra,
-    witness: Optional[NonNegWitness],
+    witness,
     entry_name: str,
     atoms=(),
     assumptions=(),
     rng: Optional[random.Random] = None,
-    witness_json=None,
     fam_subs=None,
 ):
-    """LambdaIdenticallyZero / LambdaNonNegative certificate, or None plus a
-    sample with lambda < 0 when no obstruction exists at this stage."""
+    """LambdaIdenticallyZero / LambdaNonNegative certificate (the witness
+    given as its JSON tree), or None plus a sample with lambda < 0 when no
+    obstruction exists at this stage."""
     lam = lambda_of(algebra)
     if lam.is_zero() or witness is not None:
-        return certify_lambda(lam, witness, entry_name, assumptions, witness_json, fam_subs), None
+        return certify_lambda(lam, witness, entry_name, assumptions, fam_subs), None
     rng = rng or random.Random(0)
     sample = _lambda_negative_sample(lam, atoms, rng)
     if sample is None:
@@ -257,10 +272,14 @@ def certify_lambda_sign(
     return None, sample
 
 
-def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random, budget: int = 4000):
+# Draws tried for a sample with lambda < 0 before the lambda stage gives up.
+LAMBDA_SAMPLE_BUDGET = 4000
+
+
+def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random):
     variables = sorted(lam.variables())
     fam_vars = [v for v in variables if v.startswith("fam_")]
-    for _ in range(budget):
+    for _ in range(LAMBDA_SAMPLE_BUDGET):
         assignment = {}
         ok = True
         for v in fam_vars:
@@ -281,45 +300,33 @@ def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random, budget: 
     return None
 
 
-def certify_null_direction(
-    candidate: SU3Candidate, indices, entry_name: str, assumptions=(), context=None
-) -> Certificate:
-    for i in indices:
-        residual = candidate.h.entry(i, i)
-        if not residual.is_zero():
-            raise NotIdenticallyZero(residual)
-    data = {"indices": list(indices), "statement": "h(e_i, e_i) = 0 identically"}
-    data.update(context or {})
-    return Certificate(
+def certify_null_direction(context: "StageContext", inputs) -> Certificate:
+    """Verifies h(e_i, e_i) = 0 identically for each i in inputs["indices"]."""
+    indices = inputs["indices"]
+    _check_null_diagonal(context.candidate.h, indices)
+    return context.certificate(
         CertKind.NULL_DIRECTION,
-        entry_name,
-        assumptions=list(assumptions),
-        data=data,
-        verified=True,
+        {"indices": list(indices), "statement": "h(e_i, e_i) = 0 identically"},
     )
 
 
-def certify_sign_product(
-    candidate: SU3Candidate, i: int, j: int, witness: NonNegWitness, entry_name: str,
-    assumptions=(), witness_json=None, context=None,
-) -> Certificate:
-    """Verifies h_ii * h_jj + expansion(witness) = 0 identically.
+def certify_sign_product(context: "StageContext", inputs) -> Certificate:
+    """Verifies h_ii * h_jj + expansion(witness) = 0 identically for the
+    inputs' pair (i, j) and witness (its JSON tree).
 
     The product of the two diagonal entries is minus a nonnegative
     polynomial, so h (hence the metric, wherever lambda < 0) is never
     definite.
     """
-    residual = candidate.h.entry(i, i) * candidate.h.entry(j, j) + witness.expand()
+    i, j = inputs["pair"]
+    h = context.candidate.h
+    residual = h.entry(i, i) * h.entry(j, j) + NonNegWitness.from_json(inputs["witness"]).expand()
     if not residual.is_zero():
         raise IdentityMismatch(residual)
-    data = {"pair": [i, j], "witness": witness_json}
-    data.update(context or {})
-    return Certificate(
+    return context.certificate(
         CertKind.SIGN_PRODUCT,
-        entry_name,
-        assumptions=list(assumptions) + ["lambda < 0 on the candidate locus"],
-        data=data,
-        verified=True,
+        {"pair": [i, j], "witness": inputs["witness"]},
+        ["lambda < 0 on the candidate locus"],
     )
 
 
@@ -411,41 +418,67 @@ def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem
     return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
 
 
-def gauge_transport(
-    candidate: SU3Candidate, s_family: DerivationFamily, targets, pair, entry_name: str,
-    assumptions=(), expect_k: Optional[dict] = None,
-    expect_det_multiple_of: Optional[Polynomial] = None, context=None,
-) -> Certificate:
-    """Normalize (omega, psi) by F = exp(S) and certify the null pair.
-
-    Solves the linear system that kills the target coefficients of F*psi
-    (SingularSymbolicSystem when its determinant vanishes identically) and
-    runs verify_gauge on the solution.
-    """
-    system = gauge_system(candidate.psi, s_family, targets)
-    solved = solve_linear(system.rows, system.rhs)
-    return verify_gauge(
-        candidate, system, pair, solved.numerators, solved.determinant, entry_name,
-        assumptions, expect_k, expect_det_multiple_of, context,
+def _step_gauge_system(psi: KForm, algebra: LieAlgebra, step) -> GaugeSystem:
+    """The gauge system of psi for the gauge family S of a gauge plan step."""
+    s_family = DerivationFamily(
+        algebra,
+        [[parse_polynomial(c) for c in row] for row in step["s_matrix"]],
+        tuple(step["s_params"]),
     )
+    return gauge_system(psi, s_family, step["targets"])
 
 
-def verify_gauge(
-    candidate: SU3Candidate, system: GaugeSystem, pair, numerators, det: Polynomial,
-    entry_name: str, assumptions=(), expect_k: Optional[dict] = None,
-    expect_det_multiple_of: Optional[Polynomial] = None, context=None,
-) -> Certificate:
-    """Certify the null pair at the gauge s_k = numerators[k] / det.
+def gauge_transport(context: "StageContext", step) -> Certificate:
+    """Normalize (omega, psi) by F = exp(S) for a gauge plan step and
+    certify its null pair.
+
+    Solves the linear system that kills the step's target coefficients of
+    F*psi (SingularSymbolicSystem when its determinant vanishes
+    identically) and runs verify_gauge on the solution.
+    """
+    system = _step_gauge_system(context.candidate.psi, context.algebra, step)
+    solved = solve_linear(system.rows, system.rhs)
+    return verify_gauge(context, {
+        "targets": [list(t) for t in system.targets],
+        "pair": list(step["pair"]),
+        "solved_gauge": {
+            sv: str(num) for sv, num in zip(system.s_family.params, solved.numerators)
+        },
+        "branch_condition": str(solved.determinant),
+    })
+
+
+def _gauge_step(context: "StageContext", inputs) -> dict:
+    """The context's gauge plan step with the inputs' targets and pair."""
+    for step in context.steps:
+        if (
+            step.get("kind") == "gauge"
+            and [list(t) for t in step["targets"]] == inputs["targets"]
+            and list(step["pair"]) == inputs["pair"]
+        ):
+            return step
+    raise G2CertError(f"{context.name}: no gauge step has these targets and pair")
+
+
+def verify_gauge(context: "StageContext", inputs) -> Certificate:
+    """Certify the null pair of the gauge step with the inputs' targets and
+    pair at the gauge s_k = solved_gauge[s_k] / branch_condition.
 
     Verifies, as identities after clearing denominators: det != 0, the
     killed coefficients vanish, F*omega(pair) = 0, and K_{F*psi}(e_i) lies
-    in span(e_i, e_j).  det(exp S) = 1 for nilpotent S, so lambda is
-    preserved on the nose, which is also checked.
+    in span(e_i, e_j), with the K-column and the determinant the step
+    expects (`expect_k`, `expect_det_multiple_of`).  det(exp S) = 1 for
+    nilpotent S, so lambda is preserved on the nose, which is also checked.
     """
+    step = _gauge_step(context, inputs)
+    det = parse_polynomial(inputs["branch_condition"])
     if det.is_zero():
         raise SingularSymbolicSystem(det)
+    candidate = context.candidate
+    system = _step_gauge_system(candidate.psi, context.algebra, step)
     s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
+    numerators = [parse_polynomial(inputs["solved_gauge"][sv]) for sv in svars]
 
     # (0) the normalized 3-form is polynomial: killed coefficients vanish and
     # the surviving ones must not involve the gauge parameters
@@ -468,7 +501,7 @@ def verify_gauge(
     psi_bar = KForm(6, 3, psi_bar_coeffs)
 
     # (a) F*omega vanishes on the pair, identically after clearing denominators
-    i, j = pair
+    i, j = step["pair"]
     f_omega_pair = form_value(pullback(F, candidate.omega), i, j)
     pair_num, _ = substitute_cramer(f_omega_pair, svars, numerators, det)
     if not pair_num.is_zero():
@@ -482,11 +515,10 @@ def verify_gauge(
             continue
         if not column[l - 1].is_zero():
             raise IdentityFailure(f"K(e_{i}) leaves span(e_{i}, e_{j})")
-    if expect_k is not None:
-        for key, expr in expect_k.items():
-            expected = parse_polynomial(expr)
-            if column[int(key) - 1] != expected:
-                raise IdentityMismatch(column[int(key) - 1] - expected)
+    for key, expr in (step.get("expect_k") or {}).items():
+        expected = parse_polynomial(expr)
+        if column[int(key) - 1] != expected:
+            raise IdentityMismatch(column[int(key) - 1] - expected)
 
     # lambda is a gauge invariant here: det(exp S) = 1
     if k_bar.lam != candidate.lam:
@@ -503,18 +535,13 @@ def verify_gauge(
         "branch_condition": str(det),
         "k_column": {str(l): str(column[l - 1]) for l in (i, j)},
     }
-    if expect_det_multiple_of is not None:
-        ratio = _constant_family_ratio(det, expect_det_multiple_of)
+    if step.get("expect_det_multiple_of"):
+        ratio = _constant_family_ratio(det, parse_polynomial(step["expect_det_multiple_of"]))
         if ratio is None:
             raise IdentityMismatch(det)
         data["det_multiple"] = str(ratio)
-    data.update(context or {})
-    return Certificate(
-        CertKind.GAUGE_NULL,
-        entry_name,
-        assumptions=list(assumptions) + ["branch condition != 0 (stored determinant)"],
-        data=data,
-        verified=True,
+    return context.certificate(
+        CertKind.GAUGE_NULL, data, ["branch condition != 0 (stored determinant)"]
     )
 
 
@@ -542,8 +569,12 @@ def _sample_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_atoms(atoms, variables, rng: random.Random, budget: int = 2000):
-    for _ in range(budget):
+# Draws tried for family parameters that satisfy the domain atoms.
+ATOM_SAMPLE_BUDGET = 2000
+
+
+def _sample_atoms(atoms, variables, rng: random.Random):
+    for _ in range(ATOM_SAMPLE_BUDGET):
         assignment = {v: _sample_fraction(rng) for v in variables}
         if all(a.holds(assignment) for a in atoms):
             return assignment
@@ -626,38 +657,30 @@ class PairSampler:
         return True
 
     def draw(self):
-        """One trial (omega, psi, K of psi) in integers, or None (rejected).
-
-        psi is evaluated first and lambda < 0 tested on it: most rejected
-        draws fail there, and omega is only evaluated for the others.
-        """
+        """One trial (omega, psi, K of psi) in integers, or None (rejected
+        by the domain atoms, the slice or numeric.candidate_conditions_int)."""
         assignment = self._draw_assignment()
         if assignment is None:
             return None
         point = numeric.integer_point(self.variables, assignment)
-        psi = self.psi_int.evaluate(point)
-        k, trace_sq = k_matrix(psi, 0)
-        if trace_sq >= 0:
-            return None
         omega = self.omega_int.evaluate(point)
-        if not numeric.omega_cubed_int(omega):
-            return None
-        return omega, psi, k
+        psi = self.psi_int.evaluate(point)
+        k = numeric.candidate_conditions_int(omega, psi)
+        return None if k is None else (omega, psi, k)
+
+
+# Draw attempts allowed per requested trial (at least 1000 in all).
+REJECT_BUDGET_FACTOR = 200
 
 
 def sample_falsify(
-    entry_name: str,
-    sampler: PairSampler,
-    trials: int,
-    seed: int,
-    reason: str = "",
-    reject_budget_factor: int = 200,
+    entry_name: str, sampler: PairSampler, trials: int, seed: int, reason: str = ""
 ) -> Certificate:
     """Run su3_passes_int on `trials` exact candidates; record zero passes.
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
-    capped at reject_budget_factor * trials.  A negative count is an error,
+    capped at REJECT_BUDGET_FACTOR * trials.  A negative count is an error,
     so a certificate that stores one does not recheck.
     """
     if trials < 0:
@@ -666,7 +689,7 @@ def sample_falsify(
     passes = 0
     done = 0
     attempts = 0
-    budget = max(trials * reject_budget_factor, 1000)
+    budget = max(trials * REJECT_BUDGET_FACTOR, 1000)
     while done < trials:
         attempts += 1
         if attempts > budget:
@@ -774,11 +797,10 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
     rng = random.Random(options.seed_override if options.seed_override is not None else 7)
     cert, negative_sample = certify_lambda_sign(
         algebra,
-        entry.witness("lambda") if not _needs_su_first(entry) else None,
+        None if _needs_su_first(entry) else entry.witnesses.get("lambda"),
         entry.name,
         atoms=entry.atoms,
         rng=rng,
-        witness_json=entry.witnesses.get("lambda"),
     )
     if cert is not None:
         result.certificates.append(cert)
@@ -886,6 +908,23 @@ class StageContext:
             {**self.derivation_subs, **derivation_subs}, {**self.fam_subs, **fam_subs},
         )
 
+    @cached_property
+    def candidate(self) -> SU3Candidate:
+        """The generic pair (omega, psi) of the context, built on first use."""
+        return generic_su3_candidate(self.algebra, self.family)
+
+    def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
+        """A verified SU(3)-stage certificate on this context: its name, its
+        assumptions followed by `extra_assumptions`, and `data` followed by
+        the context fields."""
+        return Certificate(
+            kind,
+            self.name,
+            assumptions=self.assumptions + list(extra_assumptions),
+            data={**data, **self.certificate_data()},
+            verified=True,
+        )
+
     def certificate_data(self) -> dict:
         """The context fields every SU(3)-stage certificate stores."""
         return {
@@ -933,39 +972,27 @@ def _su_constraints(entry: AlgebraEntry, context: StageContext):
     return strongly_unimodular_constraints(ExtensionSpec(context.algebra, context.family), nil)
 
 
-def _gauge_family(algebra: LieAlgebra, node) -> DerivationFamily:
-    """The gauge family S of a gauge plan step."""
-    return DerivationFamily(
-        algebra,
-        [[parse_polynomial(c) for c in row] for row in node["s_matrix"]],
-        tuple(node["s_params"]),
-    )
-
-
-def _gauge_expectations(step) -> dict:
-    expect_det = step.get("expect_det_multiple_of")
-    return {
-        "expect_k": step.get("expect_k"),
-        "expect_det_multiple_of": parse_polynomial(expect_det) if expect_det else None,
-    }
-
-
 def _gauge_determinant_for_slice(context: StageContext) -> Polynomial:
     """The gauge determinant of the context's gauge step, as a polynomial
     (quadratic in alpha_14), used to parametrize the singular slice."""
     step = next(s for s in context.steps if s.get("kind") == "gauge")
     psi = ce_differential(context.algebra, generic_two_form(6, "alpha"))
-    system = gauge_system(psi, _gauge_family(context.algebra, step), step["targets"])
-    return poly_matrix_det(system.rows)
+    return poly_matrix_det(_step_gauge_system(psi, context.algebra, step).rows)
 
 
-def _sampling_certificate(context: StageContext, trials: int, seed: int, slice_name, reason: str):
+def _sampling_certificate(context: StageContext, inputs) -> Certificate:
+    """Replay sample_falsify on the context with the inputs' trials, seed,
+    slice and reason.  The certificate keeps its one NON-PROVING assumption
+    in place of the context's, and stores the context fields."""
+    slice_name = inputs["slice"]
     det_quad = _gauge_determinant_for_slice(context) if slice_name == "t2_zero" else None
     sampler = PairSampler(
-        context.algebra, context.family, context.atoms, random.Random(seed),
+        context.algebra, context.family, context.atoms, random.Random(inputs["seed"]),
         slice_name=slice_name, det_in_alpha14=det_quad,
     )
-    cert = sample_falsify(context.name, sampler, trials, seed, reason=reason)
+    cert = sample_falsify(
+        context.name, sampler, inputs["trials"], inputs["seed"], reason=inputs["reason"]
+    )
     cert.data.update(context.certificate_data())
     return cert
 
@@ -994,62 +1021,34 @@ def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryRe
     fam_solution, unsolved = _solved_family_substitutions(su.family_equations)
     context = base.constrained(su.derivation_subs, fam_solution)
     context.assumptions += [f"{e} = 0" for e in unsolved]
-    assumptions = context.assumptions
-    context_data = context.certificate_data()
     if fam_solution:
         # second lambda stage on the constrained structure
         cert, _ = certify_lambda_sign(
             context.algebra,
-            entry.witness("lambda"),
+            entry.witnesses.get("lambda"),
             name,
             atoms=context.atoms,
-            assumptions=assumptions,
+            assumptions=context.assumptions,
             rng=random.Random(11),
-            witness_json=entry.witnesses.get("lambda"),
-            fam_subs=context_data["fam_subs"],
+            fam_subs=context.certificate_data()["fam_subs"],
         )
         if cert is not None:
             result.certificates.append(cert)
             return Outcome.OBSTRUCTED
-
-    candidate = generic_su3_candidate(context.algebra, context.family)
 
     proved = False
     sampled = False
     for step in context.steps:
         kind = step.get("kind")
         if kind == "null_direction":
-            result.certificates.append(
-                certify_null_direction(candidate, step["indices"], name, assumptions, context_data)
-            )
+            result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
             proved = True
         elif kind == "sign_product":
-            result.certificates.append(
-                certify_sign_product(
-                    candidate,
-                    step["pair"][0],
-                    step["pair"][1],
-                    entry.witness(step["witness"]),
-                    name,
-                    assumptions,
-                    witness_json=entry.witnesses.get(step["witness"]),
-                    context=context_data,
-                )
-            )
+            inputs = {"pair": step["pair"], "witness": entry.witnesses[step["witness"]]}
+            result.certificates.append(certify_sign_product(context, inputs))
             proved = True
         elif kind == "gauge":
-            result.certificates.append(
-                gauge_transport(
-                    candidate,
-                    _gauge_family(context.algebra, step),
-                    [tuple(t) for t in step["targets"]],
-                    tuple(step["pair"]),
-                    name,
-                    assumptions,
-                    context=context_data,
-                    **_gauge_expectations(step),
-                )
-            )
+            result.certificates.append(gauge_transport(context, step))
             proved = True
         elif kind == "prose_sample":
             if options.trials_override == 0:
@@ -1062,9 +1061,11 @@ def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryRe
             seed = options.seed_override
             if seed is None:
                 seed = step.get("seed", 20260811)
-            cert = _sampling_certificate(
-                context, trials, seed, step.get("slice"), step.get("reason", "")
-            )
+            inputs = {
+                "trials": trials, "seed": seed,
+                "slice": step.get("slice"), "reason": step.get("reason", ""),
+            }
+            cert = _sampling_certificate(context, inputs)
             result.certificates.append(cert)
             result.notes.append(
                 f"{name}: {step.get('reason', 'case analysis cited from the source')}; "
@@ -1144,7 +1145,7 @@ def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
 
 # What stored data that lacks a field or holds a value of the wrong form
 # raises while it is parsed or verified.
-_MALFORMED = (G2CertError, KeyError, ValueError, TypeError)
+_MALFORMED = (G2CertError, KeyError, IndexError, ValueError, TypeError)
 
 
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
@@ -1180,6 +1181,17 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     )
 
 
+# The verifier of each SU(3)-stage certificate kind, called as
+# verifier(context, inputs).  Discovery passes inputs built from the plan
+# step, recheck the stored data.  A new SU(3)-stage kind is added here.
+SU3_VERIFIERS = {
+    CertKind.NULL_DIRECTION: certify_null_direction,
+    CertKind.SIGN_PRODUCT: certify_sign_product,
+    CertKind.GAUGE_NULL: verify_gauge,
+    CertKind.SAMPLED_NO_SU3: _sampling_certificate,
+}
+
+
 def _reverify(entry: AlgebraEntry, cert: Certificate, context) -> Certificate:
     """Run the verifier of the certificate's kind on its stored inputs.
 
@@ -1190,49 +1202,12 @@ def _reverify(entry: AlgebraEntry, cert: Certificate, context) -> Certificate:
     if kind == CertKind.ZERO_DIAGONAL:
         return certify_zero_diagonal(entry, data["indices"])
     if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
-        witness = NonNegWitness.from_json(data["witness"]) if "witness" in data else None
         return certify_lambda(
-            lambda_of(context), witness, cert.algebra,
-            witness_json=data.get("witness"), fam_subs=data.get("fam_subs"),
+            lambda_of(context), data.get("witness"), cert.algebra, fam_subs=data.get("fam_subs")
         )
     if kind == CertKind.TRACE_OBSTRUCTION:
         return certify_trace_obstruction(context, _su_constraints(entry, context))
-    if kind == CertKind.SAMPLED_NO_SU3:
-        return _sampling_certificate(
-            context, data["trials"], data["seed"], data.get("slice"), data.get("reason", "")
-        )
-    candidate = generic_su3_candidate(context.algebra, context.family)
-    context_data = context.certificate_data()
-    if kind == CertKind.NULL_DIRECTION:
-        return certify_null_direction(
-            candidate, data["indices"], context.name, context.assumptions, context_data
-        )
-    if kind == CertKind.SIGN_PRODUCT:
-        i, j = data["pair"]
-        return certify_sign_product(
-            candidate, i, j, NonNegWitness.from_json(data["witness"]), context.name,
-            context.assumptions, witness_json=data["witness"], context=context_data,
-        )
-    if kind == CertKind.GAUGE_NULL:
-        step = next(
-            (
-                s for s in context.steps
-                if s.get("kind") == "gauge"
-                and [list(t) for t in s["targets"]] == data["targets"]
-                and list(s["pair"]) == data["pair"]
-            ),
-            None,
-        )
-        if step is None:
-            raise G2CertError(f"{context.name}: no gauge step has these targets and pair")
-        system = gauge_system(candidate.psi, _gauge_family(context.algebra, step), step["targets"])
-        numerators = [parse_polynomial(data["solved_gauge"][sv]) for sv in system.s_family.params]
-        return verify_gauge(
-            candidate, system, step["pair"], numerators,
-            parse_polynomial(data["branch_condition"]), context.name, context.assumptions,
-            context=context_data, **_gauge_expectations(step),
-        )
-    raise G2CertError(f"no verifier for certificate kind {kind.value!r}")
+    return SU3_VERIFIERS[kind](context, data)
 
 
 def _is_result_node(node) -> bool:

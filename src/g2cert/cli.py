@@ -11,7 +11,10 @@
 'all', or a path to a catalog JSON file.  <algebra> is an entry name or an
 unambiguous substring of one.  Exit code 0 iff every attempted certificate
 verifies; for recheck, iff every certificate of the report rechecks against
-the catalog (the default catalog is 'all').
+the catalog (the default catalog is 'all').  Input errors exit with code 2:
+a malformed report, a catalog entry that fails validation and a path that
+is missing or a directory print `error: ...` on stderr, and a bad --params
+or --samples is a usage error.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except G2CertError as exc:
+    except (G2CertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,9 @@ class Bilinear:
         self.entries = [list(row) for row in entries]
 
     def entry(self, i: int, j: int) -> Polynomial:
-        """1-based access."""
+        """1-based access; an index outside 1..dim raises IndexError."""
+        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+            raise IndexError(f"entry ({i}, {j}) of a {self.dim} x {self.dim} matrix")
         return self.entries[i - 1][j - 1]
 
     def __repr__(self):

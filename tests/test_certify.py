@@ -22,13 +22,13 @@ from g2cert.certify import (
     gauge_system,
     gauge_transport,
     generic_exact_g2,
-    generic_su3_candidate,
     negative_control,
     recheck_certificate,
     recheck_report,
     run_all,
     run_pipeline,
     sample_falsify,
+    stage_context,
     standard_su3_pair,
     _solved_family_substitutions,
 )
@@ -40,7 +40,7 @@ from g2cert.errors import (
     SingularSymbolicSystem,
     WitnessMismatch,
 )
-from g2cert.poly import Polynomial, Square, Sum
+from g2cert.poly import Polynomial
 from g2cert import numeric
 
 
@@ -93,8 +93,7 @@ class TestLambdaStage:
     def test_witnessed_nonnegative(self, table1):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
         cert, sample = certify_lambda_sign(
-            entry.build_algebra(), entry.witness("lambda"), entry.name,
-            witness_json=entry.witnesses.get("lambda"),
+            entry.build_algebra(), entry.witnesses.get("lambda"), entry.name
         )
         assert cert.kind == CertKind.LAMBDA_NONNEG and sample is None
 
@@ -117,100 +116,71 @@ class TestLambdaStage:
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
         with pytest.raises(WitnessMismatch):
             certify_lambda_sign(
-                entry.build_algebra(), Square(P("alpha_14")), entry.name
+                entry.build_algebra(), ["square", "alpha_14"], entry.name
             )
-
-
-def su3_candidate_for(entry, subs=None, fam_subs=None):
-    algebra = entry.build_algebra()
-    family = entry.build_derivation_family()
-    if subs:
-        family = family.substitute(subs)
-    if fam_subs:
-        from g2cert.lie import LieAlgebra
-
-        algebra = LieAlgebra(6, [d.substitute(fam_subs) for d in algebra.differentials])
-        family = DerivationFamily(
-            algebra, [[e.substitute(fam_subs) for e in row] for row in family.matrix], family.params
-        )
-    return generic_su3_candidate(algebra, family)
 
 
 class TestNullDirectionAndSignProduct:
     def test_g530_null_directions(self):
         entry = by_name("table1", "g_{5,30}")
-        candidate = su3_candidate_for(entry, {"a_1": 0, "a_5": 0, "a_8": 0})
-        cert = certify_null_direction(candidate, [1, 2, 3], entry.name)
+        context = stage_context(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
+        cert = certify_null_direction(context, {"indices": [1, 2, 3]})
         assert cert.verified
 
     def test_g530_nonnull_index_rejected(self):
         entry = by_name("table1", "g_{5,30}")
-        candidate = su3_candidate_for(entry, {"a_1": 0, "a_5": 0, "a_8": 0})
+        context = stage_context(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
         with pytest.raises(NotIdenticallyZero):
-            certify_null_direction(candidate, [4], entry.name)
+            certify_null_direction(context, {"indices": [4]})
 
     def test_g654_null_directions(self):
         entry = by_name("indecomposable", "g_{6,54}")
-        candidate = su3_candidate_for(entry, fam_subs={"fam_l": Fraction(-1)})
-        cert = certify_null_direction(candidate, [1, 2, 3, 4], entry.name)
+        context = stage_context(entry, fam_subs={"fam_l": Fraction(-1)})
+        cert = certify_null_direction(context, {"indices": [1, 2, 3, 4]})
         assert cert.verified
 
     def test_g535_sign_product(self):
         entry = by_name("table1", "g_{5,35}")
-        candidate = su3_candidate_for(entry)
-        cert = certify_sign_product(
-            candidate, 1, 6, entry.witness("sign_product"), entry.name,
-            witness_json=entry.witnesses["sign_product"],
-        )
+        inputs = {"pair": [1, 6], "witness": entry.witnesses["sign_product"]}
+        cert = certify_sign_product(stage_context(entry), inputs)
         assert cert.verified
 
     def test_zero_witness_mismatch(self):
         entry = by_name("table1", "g_{5,35}")
-        candidate = su3_candidate_for(entry)
         with pytest.raises(IdentityMismatch):
-            certify_sign_product(candidate, 1, 6, Sum([]), entry.name)
+            certify_sign_product(stage_context(entry), {"pair": [1, 6], "witness": ["sum"]})
 
     def test_g6115_sign_product(self):
         entry = by_name("indecomposable", "g_{6,115}")
-        candidate = su3_candidate_for(entry, subs={"a_1": P("-a_3 - 2*a_6")})
-        cert = certify_sign_product(
-            candidate, 3, 4, entry.witness("sign_product"), entry.name,
-            witness_json=entry.witnesses["sign_product"],
-        )
+        context = stage_context(entry, derivation_subs={"a_1": P("-a_3 - 2*a_6")})
+        inputs = {"pair": [3, 4], "witness": entry.witnesses["sign_product"]}
+        cert = certify_sign_product(context, inputs)
         assert cert.verified
 
 
 class TestGaugeTransport:
     def test_double_g34_gauge(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
-        candidate = su3_candidate_for(entry)
-        step = entry.plan[0]
-        s_family = DerivationFamily(
-            entry.build_algebra(),
-            [[P(c) for c in row] for row in step["s_matrix"]],
-            tuple(step["s_params"]),
-        )
-        cert = gauge_transport(
-            candidate, s_family, [tuple(t) for t in step["targets"]], (3, 6), entry.name
-        )
+        context = stage_context(entry)
+        cert = gauge_transport(context, entry.plan[0])
         assert cert.verified
         delta = P("alpha_14*alpha_25 - alpha_15*alpha_24")
         assert P(cert.data["branch_condition"]) == delta * delta
         # lambda < 0 forces the branch condition nonzero:
         # lambda + 4 delta^2 = 4 (a14 a25 + a15 a24)^2
-        lam = candidate.lam
+        lam = context.candidate.lam
         assert lam + 4 * delta * delta == 4 * P("(alpha_14*alpha_25 + alpha_15*alpha_24)^2")
 
     def test_gauge_without_freedom_is_singular(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
-        candidate = su3_candidate_for(entry)
-        zero_s = DerivationFamily(
-            entry.build_algebra(),
-            [[Polynomial.zero()] * 6 for _ in range(6)],
-            ("s_1", "s_2", "s_3", "s_4"),
-        )
+        zero_step = {
+            "s_matrix": [["0"] * 6 for _ in range(6)],
+            "s_params": ["s_1", "s_2", "s_3", "s_4"],
+            "targets": [[1, 3, 6], [2, 3, 6], [3, 4, 6], [3, 5, 6]],
+            "pair": [3, 6],
+        }
         with pytest.raises(SingularSymbolicSystem):
-            gauge_transport(candidate, zero_s, [(1, 3, 6), (2, 3, 6), (3, 4, 6), (3, 5, 6)], (3, 6), entry.name)
+            gauge_transport(stage_context(entry), zero_step)
 
     def test_target_not_affine_in_the_gauge(self):
         # S e_1 = s e_2, S e_2 = s e_3 on R^6: S^2 != 0, so exp(S) is quadratic in s
@@ -385,10 +355,10 @@ def full_report():
     return entries, json.loads(json.dumps(report.to_json(include_timing=False)))
 
 
-def gauge_node(document, algebra):
+def certificate_node(document, kind, algebra):
     return next(
         c for r in document["results"] for c in r["certificates"]
-        if c["kind"] == "gauge_null" and c["algebra"] == algebra
+        if c["kind"] == kind and c["algebra"] == algebra
     )
 
 
@@ -399,7 +369,7 @@ class TestFullReport:
         assert sum(len(v) for v in verdicts.values()) == 48
         assert {name: v for name, v in verdicts.items() if not all(v)} == {}
         # the branch certificate whose family needs the branch substitution
-        assert gauge_node(document, "g_{6,101}^{a,b,-1-a,-1-b} [a = -1]")["verified"]
+        assert certificate_node(document, "gauge_null", "g_{6,101}^{a,b,-1-a,-1-b} [a = -1]")["verified"]
 
     def test_frozen_digest(self, full_report):
         _, document = full_report
@@ -418,9 +388,38 @@ class TestFullReport:
     def test_tampered_gauge_certificate_fails(self, full_report, field, tamper):
         entries, document = full_report
         entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        node = json.loads(json.dumps(gauge_node(document, entry.name)))
+        node = json.loads(json.dumps(certificate_node(document, "gauge_null", entry.name)))
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"][field] = tamper(node["data"])
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+
+    @pytest.mark.parametrize(
+        "kind, algebra, field, value",
+        [
+            ("null_direction", "g_{5,30}^{-4/3}+R", "indices", [4]),
+            ("null_direction", "g_{5,30}^{-4/3}+R", "indices", [1, 2, 3, 4]),
+            ("null_direction", "g_{5,30}^{-4/3}+R", "indices", []),
+            ("null_direction", "g_{6,135}^{0,-4}", "indices", [-4]),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "pair", [1, 2]),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "pair", [1, 0]),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "pair", [1, 99]),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "witness", ["sum"]),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "witness", []),
+            ("zero_diagonal", "q_1", "indices", [0]),
+        ],
+        ids=[
+            "non-null-index", "extra-index", "no-index", "negative-index",
+            "pair", "zero-index-pair", "pair-out-of-range", "witness", "empty-witness",
+            "zero-diagonal-index-0",
+        ],
+    )
+    def test_tampered_certificate_fails(self, full_report, kind, algebra, field, value):
+        # a reversed pair or a subset of the null indices still rechecks
+        entries, document = full_report
+        entry = next(e for e in entries if e.name == algebra)
+        node = json.loads(json.dumps(certificate_node(document, kind, algebra)))
+        assert recheck_certificate(entry, Certificate.from_json(node))
+        node["data"][field] = value
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
 
@@ -436,7 +435,7 @@ class TestFullReport:
     def test_malformed_gauge_certificate_fails(self, full_report, malform):
         entries, document = full_report
         entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        node = json.loads(json.dumps(gauge_node(document, entry.name)))
+        node = json.loads(json.dumps(certificate_node(document, "gauge_null", entry.name)))
         malform(node["data"])
         assert not recheck_certificate(entry, Certificate.from_json(node))
 

@@ -180,3 +180,11 @@ def test_malformed_params_is_a_usage_error(params, capsys):
         main(["derivations", "g_{4,5}", "--params", params])
     assert exc.value.code == 2
     assert "--params: expected k=v with a rational v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recheck", "validate", "run-all"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_path_is_an_error(command, kind, tmp_path, capsys):
+    path = tmp_path / "missing.json" if kind == "missing" else tmp_path
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

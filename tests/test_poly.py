@@ -41,6 +41,23 @@ class TestRingOps:
         assert (x + y) ** 2 == expanded
         assert (x + y) ** 2 == P("x^2 + 2*x*y + y^2")
 
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_power_squares_only_while_bits_remain(self, e, monkeypatch):
+        mul = Polynomial.__mul__
+        p = P("x + 2*y - 1")
+        expected = p
+        for _ in range(e - 1):
+            expected = mul(expected, p)
+        products = []
+
+        def counting_mul(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        assert p ** e == expected
+        assert len(products) <= e.bit_length() - 1 + bin(e).count("1")
+
     def test_rational_coefficients_are_exact(self):
         p = P("2/3*x") + P("1/3*x")
         assert p == P("x")
