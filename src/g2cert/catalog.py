@@ -38,6 +38,7 @@ from typing import Optional
 
 from .derivations import DerivationFamily, verify_derivation
 from .errors import (
+    MALFORMED,
     DslSyntaxError,
     G2CertError,
     IndexOutOfRange,
@@ -234,7 +235,7 @@ class AlgebraEntry:
                     )
             for key in self.witnesses:
                 self.witness(key)
-        except G2CertError as exc:
+        except MALFORMED as exc:
             raise ValidationFailure(self.name, exc) from exc
 
     @staticmethod
@@ -300,10 +301,25 @@ def _canonical_dump(document) -> str:
 
 
 def load_catalog_text(text: str) -> list:
-    document = json.loads(text) if text.strip() else {"schema": SCHEMA, "entries": []}
-    if document.get("schema") != SCHEMA:
-        raise ValidationFailure("<catalog>", f"unsupported schema {document.get('schema')!r}")
-    entries = [AlgebraEntry.from_json(node) for node in document.get("entries", [])]
+    """The validated entries of a catalog document.  A document that is not
+    a catalog, or an entry that lacks a field or holds a value of the wrong
+    form, raises ValidationFailure like an entry that fails validation."""
+    try:
+        document = json.loads(text) if text.strip() else {"schema": SCHEMA, "entries": []}
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure("<catalog>", f"not a JSON document: {exc}") from None
+    schema = document.get("schema") if isinstance(document, dict) else None
+    if schema != SCHEMA:
+        raise ValidationFailure("<catalog>", f"unsupported schema {schema!r}")
+    nodes = document.get("entries", [])
+    if not isinstance(nodes, list):
+        raise ValidationFailure("<catalog>", f"entries is not a list: {nodes!r}")
+    entries = []
+    for index, node in enumerate(nodes):
+        try:
+            entries.append(AlgebraEntry.from_json(node))
+        except MALFORMED as exc:
+            raise ValidationFailure(f"<entry {index}>", f"malformed entry: {exc!r}") from None
     for entry in entries:
         entry.validate_entry()
     return entries

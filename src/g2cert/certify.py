@@ -44,6 +44,7 @@ from .derivations import (
     verify_derivation,
 )
 from .errors import (
+    MALFORMED,
     AtomUnsatisfiableAfterBudget,
     G2CertError,
     IdentityFailure,
@@ -66,8 +67,8 @@ from .poly import (
     NonNegWitness,
     Polynomial,
     RationalFunction,
+    SolvedLinearSystem,
     check_nonneg_witness,
-    poly_matrix_det,
     solve_linear,
     substitute_cramer,
 )
@@ -183,11 +184,13 @@ class SU3Candidate:
     h: object
 
 
-def generic_su3_candidate(algebra: LieAlgebra, derivation: DerivationFamily) -> SU3Candidate:
-    """omega = d beta - D* alpha and psi = d alpha with symbolic coefficients."""
+def generic_su3_candidate(
+    algebra: LieAlgebra, derivation: DerivationFamily, psi: KForm
+) -> SU3Candidate:
+    """omega = d beta - D* alpha with symbolic coefficients, paired with the
+    generic psi = d alpha (`StageContext.psi`)."""
     alpha = generic_two_form(6, "alpha")
     beta = generic_one_form(6, "beta")
-    psi = ce_differential(algebra, alpha)
     omega = ce_differential(algebra, beta) - dstar_action(derivation, alpha)
     k = k_psi(psi)
     return SU3Candidate(algebra, derivation, omega, psi, k, k.lam, h_form(omega, k))
@@ -407,6 +410,12 @@ class GaugeSystem:
     rows: list
     rhs: list
 
+    @cached_property
+    def solved(self) -> SolvedLinearSystem:
+        """The Cramer solution (SingularSymbolicSystem when the determinant
+        vanishes identically)."""
+        return solve_linear(self.rows, self.rhs)
+
 
 def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem:
     """Check that S is a derivation, then pull psi back by exp(S) and set up
@@ -436,8 +445,8 @@ def gauge_transport(context: "StageContext", step) -> Certificate:
     F*psi (SingularSymbolicSystem when its determinant vanishes
     identically) and runs verify_gauge on the solution.
     """
-    system = _step_gauge_system(context.candidate.psi, context.algebra, step)
-    solved = solve_linear(system.rows, system.rhs)
+    system = context.gauge_system(step)
+    solved = system.solved
     return verify_gauge(context, {
         "targets": [list(t) for t in system.targets],
         "pair": list(step["pair"]),
@@ -475,7 +484,7 @@ def verify_gauge(context: "StageContext", inputs) -> Certificate:
     if det.is_zero():
         raise SingularSymbolicSystem(det)
     candidate = context.candidate
-    system = _step_gauge_system(candidate.psi, context.algebra, step)
+    system = context.gauge_system(step)
     s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
     numerators = [parse_polynomial(inputs["solved_gauge"][sv]) for sv in svars]
@@ -883,6 +892,7 @@ class StageContext:
     steps: list
     derivation_subs: dict = field(default_factory=dict)
     fam_subs: dict = field(default_factory=dict)
+    _gauge_systems: dict = field(default_factory=dict, init=False, repr=False)
 
     def constrained(self, derivation_subs, fam_subs) -> "StageContext":
         """Substitute solved derivation parameters into the family, and solved
@@ -909,9 +919,27 @@ class StageContext:
         )
 
     @cached_property
+    def psi(self) -> KForm:
+        """The generic exact 3-form psi = d alpha of the context, built on
+        first use."""
+        return ce_differential(self.algebra, generic_two_form(6, "alpha"))
+
+    @cached_property
     def candidate(self) -> SU3Candidate:
         """The generic pair (omega, psi) of the context, built on first use."""
-        return generic_su3_candidate(self.algebra, self.family)
+        return generic_su3_candidate(self.algebra, self.family, self.psi)
+
+    def gauge_system(self, step) -> GaugeSystem:
+        """The gauge system of psi for a gauge plan step, built once per gauge
+        family and targets."""
+        key = (
+            tuple(map(tuple, step["s_matrix"])),
+            tuple(step["s_params"]),
+            tuple(map(tuple, step["targets"])),
+        )
+        if key not in self._gauge_systems:
+            self._gauge_systems[key] = _step_gauge_system(self.psi, self.algebra, step)
+        return self._gauge_systems[key]
 
     def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
         """A verified SU(3)-stage certificate on this context: its name, its
@@ -976,8 +1004,7 @@ def _gauge_determinant_for_slice(context: StageContext) -> Polynomial:
     """The gauge determinant of the context's gauge step, as a polynomial
     (quadratic in alpha_14), used to parametrize the singular slice."""
     step = next(s for s in context.steps if s.get("kind") == "gauge")
-    psi = ce_differential(context.algebra, generic_two_form(6, "alpha"))
-    return poly_matrix_det(_step_gauge_system(psi, context.algebra, step).rows)
+    return context.gauge_system(step).solved.determinant
 
 
 def _sampling_certificate(context: StageContext, inputs) -> Certificate:
@@ -1143,11 +1170,6 @@ def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
     raise G2CertError(f"certificate for {cert_algebra!r} does not belong to {entry.name}")
 
 
-# What stored data that lacks a field or holds a value of the wrong form
-# raises while it is parsed or verified.
-_MALFORMED = (G2CertError, KeyError, IndexError, ValueError, TypeError)
-
-
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     """Re-verify a stored certificate against the catalog entry.
 
@@ -1165,7 +1187,7 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
         derivation_subs = {
             k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()
         }
-    except _MALFORMED:
+    except MALFORMED:
         return False
     context = None  # a zero-diagonal certificate lives on the entry as shipped
     if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
@@ -1174,7 +1196,7 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
         context = stage_context(entry, branch_name, derivation_subs, fam_subs)
     try:
         rebuilt = _reverify(entry, cert, context)
-    except _MALFORMED:
+    except MALFORMED:
         return False
     return (rebuilt.kind, rebuilt.algebra, rebuilt.data, rebuilt.verified) == (
         kind, cert.algebra, data, cert.verified

@@ -128,3 +128,8 @@ class ValidationFailure(G2CertError):
         self.entry_name = entry_name
         self.cause = cause
         super().__init__(f"catalog entry {entry_name!r}: {cause}")
+
+
+# What stored or catalog data that lacks a field or holds a value of the wrong
+# form raises while it is parsed or verified.
+MALFORMED = (G2CertError, KeyError, IndexError, ValueError, TypeError, AttributeError)

@@ -22,11 +22,25 @@ variable.
 
 Term iteration is deterministic: graded lexicographic, variables ordered by
 name.  This keeps rendered reports byte-stable across runs.
+
+The product kernel (`_product`) keeps that representation outside and works
+on integers inside (packed exponent vectors, after Monagan and Pearce, CASC
+2007).  A product with a one-term operand maps each term of the other
+operand, which cannot make like terms.  Every other product packs each
+exponent vector into one int over the sorted union of the operands'
+variables, one field per variable.  Each field is (deg a + deg b).bit_length()
+bits wide, so an exponent of the product fits its field and adding two
+packed vectors never carries into the next field: the sum is the packed
+product monomial.  Each operand's coefficients are scaled to ints by the lcm
+of its denominators, the integer products are accumulated per packed
+monomial, and the nonzero sums are divided by the two lcms on the way out.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
@@ -74,6 +88,61 @@ def _mono_key(m: Monomial):
     lexicographically largest (variables sorted by name) comes first.
     """
     return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+
+
+def _pack(terms: dict, shifts: dict) -> tuple:
+    """([(packed exponent vector, integer coefficient)], q): the terms
+    scaled to integers by q, the lcm of their denominators."""
+    q = lcm(*(c.denominator for c in terms.values()))
+    packed = []
+    for mono, coeff in terms.items():
+        key = 0
+        for v, e in mono:
+            key += e << shifts[v]
+        packed.append((key, coeff.numerator * (q // coeff.denominator)))
+    return packed, q
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The term map of the product of two polynomials, given their term maps."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        # distinct monomials times one monomial stay distinct
+        ((m1, c1),) = a.items()
+        return {_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+    names = sorted({v for m in a for v, _ in m} | {v for m in b for v, _ in m})
+    width = (max(map(_mono_degree, a)) + max(map(_mono_degree, b))).bit_length()
+    shifts = {v: i * width for i, v in enumerate(names)}
+    packed_a, qa = _pack(a, shifts)
+    packed_b, qb = _pack(b, shifts)
+    acc = defaultdict(int)
+    for ka, ca in packed_a:
+        for kb, cb in packed_b:
+            acc[ka + kb] += ca * cb
+    mask = (1 << width) - 1
+    fields = [(v, mask << s, s) for v, s in shifts.items()]
+    q = qa * qb
+    pairs = {}  # masked field -> its (name, exponent) pair, shared by the result
+    out = {}
+    for key, c in acc.items():
+        if not c:
+            continue
+        mono = []
+        for v, field, shift in fields:
+            f = key & field
+            if f:
+                pair = pairs.get(f)
+                if pair is None:
+                    pair = pairs[f] = (v, f >> shift)
+                mono.append(pair)
+                key ^= f
+                if not key:
+                    break
+        out[tuple(mono)] = Fraction(c, q)
+    return out
 
 
 class Polynomial:
@@ -188,11 +257,15 @@ class Polynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
+            old = out.get(mono)
+            if old is None:
+                out[mono] = coeff
+                continue
+            new = old + coeff
             if new:
                 out[mono] = new
             else:
-                out.pop(mono, None)
+                del out[mono]
         result = Polynomial.__new__(Polynomial)
         result._terms = out
         return result
@@ -223,17 +296,8 @@ class Polynomial:
             return result
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                new = out.get(mono, Fraction(0)) + c1 * c2
-                if new:
-                    out[mono] = new
-                else:
-                    out.pop(mono, None)
         result = Polynomial.__new__(Polynomial)
-        result._terms = out
+        result._terms = _product(self._terms, other._terms)
         return result
 
     __rmul__ = __mul__

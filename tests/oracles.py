@@ -41,6 +41,36 @@ def _parity(perm) -> int:
     return sign
 
 
+def oracle_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q by the schoolbook loop over term pairs: merge the two
+    name-sorted monomials adding exponents, and accumulate Fraction
+    coefficients, dropping a monomial whose coefficient cancels."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            merged = []
+            i = j = 0
+            while i < len(m1) and j < len(m2):
+                (v1, e1), (v2, e2) = m1[i], m2[j]
+                if v1 == v2:
+                    merged.append((v1, e1 + e2))
+                    i += 1
+                    j += 1
+                elif v1 < v2:
+                    merged.append(m1[i])
+                    i += 1
+                else:
+                    merged.append(m2[j])
+                    j += 1
+            mono = tuple(merged) + m1[i:] + m2[j:]
+            new = out.get(mono, Fraction(0)) + c1 * c2
+            if new:
+                out[mono] = new
+            else:
+                out.pop(mono, None)
+    return Polynomial(out)
+
+
 def eval_form(form: KForm, vectors) -> Polynomial:
     """f(v_1, ..., v_k) by full antisymmetrization over coordinate slots."""
     k = form.degree

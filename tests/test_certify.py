@@ -362,6 +362,19 @@ def certificate_node(document, kind, algebra):
     )
 
 
+G34_PAIR = "g_{3,4}^{-1}+g_{3,4}^{-1}"
+# its gauge checks multiply multi-term numerators and determinant powers
+# into products of thousands of terms that cancel; swapped numerators leave
+# a nonzero residual in the target coefficients
+G6101_GENERIC = "g_{6,101}^{a,b,-1-a,-1-b} [a != -1]"
+
+
+def swap_first_two(data):
+    """The solved gauge with the numerators of its first two parameters swapped."""
+    (s1, n1), (s2, n2), *rest = data["solved_gauge"].items()
+    return {s1: n2, s2: n1, **dict(rest)}
+
+
 class TestFullReport:
     def test_every_certificate_rechecks(self, full_report):
         entries, document = full_report
@@ -377,18 +390,23 @@ class TestFullReport:
         assert hashlib.sha256(blob).hexdigest() == FULL_REPORT_TRIALS2_SHA256
 
     @pytest.mark.parametrize(
-        "field, tamper",
+        "algebra, field, tamper",
         [
-            ("branch_condition", lambda data: "0"),
-            ("targets", lambda data: [[1, 2, 6]] + data["targets"][1:]),
-            ("k_column", lambda data: {**data["k_column"], "3": "0"}),
-            ("solved_gauge", lambda data: {sv: "0" for sv in data["solved_gauge"]}),
+            (G34_PAIR, "branch_condition", lambda data: "0"),
+            (G34_PAIR, "targets", lambda data: [[1, 2, 6]] + data["targets"][1:]),
+            (G34_PAIR, "k_column", lambda data: {**data["k_column"], "3": "0"}),
+            (G34_PAIR, "solved_gauge", lambda data: {sv: "0" for sv in data["solved_gauge"]}),
+            (G6101_GENERIC, "solved_gauge", swap_first_two),
+        ],
+        ids=[
+            "branch_condition-<lambda>", "targets-<lambda>", "k_column-<lambda>",
+            "solved_gauge-<lambda>", "g_{6,101}-swapped-solved_gauge",
         ],
     )
-    def test_tampered_gauge_certificate_fails(self, full_report, field, tamper):
+    def test_tampered_gauge_certificate_fails(self, full_report, algebra, field, tamper):
         entries, document = full_report
-        entry = next(e for e in entries if e.name == "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        node = json.loads(json.dumps(certificate_node(document, "gauge_null", entry.name)))
+        entry = next(e for e in entries if algebra == e.name or algebra.startswith(f"{e.name} ["))
+        node = json.loads(json.dumps(certificate_node(document, "gauge_null", algebra)))
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"][field] = tamper(node["data"])
         assert not recheck_certificate(entry, Certificate.from_json(node))

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import g2cert
-from g2cert.catalog import load_builtin, save_catalog
+from g2cert.catalog import load_builtin, load_catalog_text, save_catalog
 from g2cert.cli import main
+from g2cert.errors import ValidationFailure
 
 
 def test_validate_builtin(capsys):
@@ -188,3 +189,27 @@ def test_unreadable_path_is_an_error(command, kind, tmp_path, capsys):
     path = tmp_path / "missing.json" if kind == "missing" else tmp_path
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[]",
+        '{"schema": "g2cert-catalog/1", "entries": [{}]}',
+        '{"schema": "g2cert-catalog/1", "entries": 5}',
+        '{"schema": "g2cert-catalog/1", "entries": [{"name": "x", "dim": 3, '
+        '"structure": "(0, 0, 0)", "plan": [5]}]}',
+        '{"schema": "g2cert-catalog/1", "entries": [{"name": "x", "dim": 3, '
+        '"structure": "(0, 0, 0)", "witnesses": {"w": 5}}]}',
+    ],
+    ids=["not-json", "list", "entry-without-fields", "entries-not-list", "step-not-object",
+         "witness-not-tree"],
+)
+def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(text)
+    with pytest.raises(ValidationFailure):
+        load_catalog_text(text)
+    assert main(["validate", str(catalog)]) == 2
+    assert capsys.readouterr().err.startswith("error: catalog entry ")

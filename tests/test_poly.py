@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import P
+from oracles import oracle_mul
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
 from g2cert.poly import (
     NonNegWitness,
@@ -159,6 +160,62 @@ class TestCollect:
         assert p.collect(set()) == {(): p}
         assert Polynomial.zero().collect({"x"}) == {}
         assert p.collect({"x"}) == {(("x", 2),): P("y"), (): P("-3*y + 1/2")}
+
+
+@st.composite
+def kernel_operands(draw):
+    """Polynomials in a sorted pool of up to four names, exponents up to 9 so
+    that degree sums cross powers of two, and with unrelated denominators;
+    zero and one-term polynomials included."""
+    names = draw(st.sampled_from((("w", "x", "y", "z"), ("a", "b"), ("b", "x"), ("z",))))
+    return draw(polynomials(names=names, max_exp=9, max_terms=6))
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """No stored coefficient is 0, and each monomial is name-sorted with
+    positive integer exponents."""
+    for mono, coeff in p.terms.items():
+        assert isinstance(coeff, Fraction) and coeff != 0
+        assert [v for v, _ in mono] == sorted({v for v, _ in mono})
+        assert all(type(e) is int and e > 0 for _, e in mono)
+
+
+class TestProductKernel:
+    """The packed-exponent product against the schoolbook oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands(), kernel_operands())
+    def test_matches_oracle(self, p, q):
+        product, expected = p * q, oracle_mul(p, q)
+        assert product.terms == expected.terms
+        assert str(product) == str(expected)
+        assert_canonical(product)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_operands(), kernel_operands())
+    def test_cancellation(self, p, q):
+        # (p + q)(p - q): the cross terms cancel
+        product = (p + q) * (p - q)
+        assert product.terms == oracle_mul(p + q, p - q).terms
+        assert product == p * p - q * q
+        assert_canonical(product)
+
+    @pytest.mark.parametrize("a", [1, 3, 7, 8, 9, 15, 16])
+    @pytest.mark.parametrize("b", [1, 8, 9, 16, 17])
+    def test_degree_sums_at_field_width_edges(self, a, b):
+        p = Polynomial.var("x", a) * P("1/2") + P("y*z") * Polynomial.var("w", a)
+        q = Polynomial.var("x", b) - P("2/3*y") * Polynomial.var("z", b)
+        product = p * q
+        assert product.terms == oracle_mul(p, q).terms
+        assert product.terms[(("x", a + b),)] == Fraction(1, 2)
+        assert_canonical(product)
+
+    def test_one_term_zero_and_disjoint_operands(self):
+        p = P("3/4*x^2*y + 5*y^9 - 1")
+        for q in (P("0"), P("7/3"), P("-2*x*z^9"), P("a^9 + 1/5*b")):
+            assert (p * q).terms == oracle_mul(p, q).terms == (q * p).terms
+            assert_canonical(p * q)
+        assert P("x + y") * P("x - y") == P("x^2 - y^2")
 
 
 @st.composite
