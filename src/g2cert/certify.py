@@ -672,10 +672,12 @@ class PairSampler:
         if assignment is None:
             return None
         point = numeric.integer_point(self.variables, assignment)
-        omega = self.omega_int.evaluate(point)
         psi = self.psi_int.evaluate(point)
-        k = numeric.candidate_conditions_int(omega, psi)
-        return None if k is None else (omega, psi, k)
+        found = numeric.candidate_conditions_int(psi, lambda: self.omega_int.evaluate(point))
+        if found is None:
+            return None
+        omega, k = found
+        return omega, psi, k
 
 
 # Draw attempts allowed per requested trial (at least 1000 in all).

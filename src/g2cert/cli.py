@@ -12,9 +12,11 @@
 unambiguous substring of one.  Exit code 0 iff every attempted certificate
 verifies; for recheck, iff every certificate of the report rechecks against
 the catalog (the default catalog is 'all').  Input errors exit with code 2:
-a malformed report, a catalog entry that fails validation and a path that
-is missing or a directory print `error: ...` on stderr, and a bad --params
-or --samples is a usage error.
+a malformed report, a catalog entry that fails validation, a path that is
+missing or a directory, an algebra name that matches no entry or several,
+an entry of the wrong dimension for the command, and --params that miss a
+family parameter of the entry or name one it lacks print `error: ...` on
+stderr, and a malformed --params or --samples is a usage error.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ def _find_entry(name: str):
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise SystemExit(f"no catalog entry matches {name!r}")
-    raise SystemExit(f"ambiguous name {name!r}: " + ", ".join(e.name for e in matches))
+        raise G2CertError(f"no catalog entry matches {name!r}")
+    raise G2CertError(f"ambiguous name {name!r}: " + ", ".join(e.name for e in matches))
 
 
 def cmd_validate(args) -> int:
@@ -62,7 +64,7 @@ def cmd_validate(args) -> int:
 def cmd_lambda(args) -> int:
     entry = _find_entry(args.algebra)
     if entry.dim != 6:
-        raise SystemExit(f"{entry.name} has dimension {entry.dim}; lambda lives on dimension 6")
+        raise G2CertError(f"{entry.name} has dimension {entry.dim}; lambda lives on dimension 6")
     lam = lambda_of(entry.build_algebra())
     print(f"lambda(d alpha) on {entry.name}:")
     print(f"  {lam}")
@@ -86,9 +88,12 @@ def cmd_derivations(args) -> int:
     fam_vars = algebra.family_parameters()
     missing = fam_vars - set(params)
     if missing:
-        raise SystemExit(
+        raise G2CertError(
             f"{entry.name} depends on family parameters {sorted(missing)}; fix them with --params"
         )
+    unknown = set(params) - fam_vars
+    if unknown:
+        raise G2CertError(f"{entry.name} has no family parameters {sorted(unknown)}")
     if params:
         algebra = algebra.substitute(params)
     family = solve_derivations(algebra)
@@ -102,7 +107,7 @@ def cmd_derivations(args) -> int:
 def cmd_su3(args) -> int:
     entry = _find_entry(args.algebra)
     if entry.dim != 6:
-        raise SystemExit(f"{entry.name} has dimension {entry.dim}")
+        raise G2CertError(f"{entry.name} has dimension {entry.dim}; su3 runs on dimension 6")
     options = PipelineOptions(trials_override=args.samples, seed_override=args.seed)
     result = run_pipeline(entry, options)
     print(f"{entry.name}: {result.outcome.value}")

@@ -14,7 +14,9 @@ same definiteness class as the metric omega(., J .) while staying inside the
 polynomial ring (no radicals).
 
 K and h have one ring-generic kernel each: k_matrix sums a fixed table of
-signed coefficient products of psi and checks K^2 = lambda * Id, and
+150 signed coefficient products of psi (the symmetric pairs of the 240
+products of iota psi ^ psi merged into doubled entries) and checks
+K^2 = lambda * Id on every call, and
 h_matrix forms h = W K from omega's antisymmetric matrix W.  Both read
 forms as mask -> coefficient dicts and take the ring's zero, so k_psi and
 h_form run them over Polynomial and the integer sampler (numeric) over int.
@@ -76,16 +78,20 @@ def b_phi(phi: KForm) -> Bilinear:
 
 @cache
 def _k_products() -> tuple:
-    """(row, col, mask_a, mask_b, sign): K[row][col] is the sum of
-    sign * psi[mask_a] * psi[mask_b] over the 240 entries.
+    """(row, col, mask_a, mask_b, sign, twice): K[row][col] is the sum over
+    the 150 entries of sign * psi[mask_a] * psi[mask_b], doubled when twice.
 
     Column i - 1 is iota_{e_i} psi ^ psi: mask_a contains e_i, the
     contraction leaves mask_a ^ e_i, which is wedged with a disjoint mask_b
     into a 5-form; its missing index j gives row j - 1, with the sign of
-    putting e^j in front (volume e^123456, 1-form-first pairing).
+    putting e^j in front (volume e^123456, 1-form-first pairing).  That
+    gives 240 signed products.  When mask_b also contains e_i, (mask_b,
+    mask_a) is one of them too, with the same row, column and sign, so the
+    two are merged into one doubled entry: 60 entries are single and 90
+    doubled.
     """
     triples = [m for m in range(1 << 6) if m.bit_count() == 3]
-    table = []
+    merged = {}
     for i in range(1, 7):
         low = 1 << (i - 1)
         for mask_a in triples:
@@ -100,8 +106,9 @@ def _k_products() -> tuple:
                 j = (FULL6 ^ five).bit_length()
                 front_sign = -1 if (five & ((1 << (j - 1)) - 1)).bit_count() & 1 else 1
                 sign = contract_sign * merge_sign(rest, mask_b) * front_sign
-                table.append((j - 1, i - 1, mask_a, mask_b, sign))
-    return tuple(table)
+                key = (j - 1, i - 1, min(mask_a, mask_b), max(mask_a, mask_b))
+                merged[key] = merged.get(key, 0) + sign
+    return tuple(key + (1 if w > 0 else -1, abs(w) == 2) for key, w in merged.items())
 
 
 def k_matrix(psi: Mapping[int, object], zero) -> tuple:
@@ -123,12 +130,18 @@ def k_matrix(psi: Mapping[int, object], zero) -> tuple:
     for mask, value in psi.items():
         coeff[mask] = value
     entries = [[zero] * 6 for _ in range(6)]
-    for row, col, mask_a, mask_b, sign in _k_products():
+    for row, col, mask_a, mask_b, sign, twice in _k_products():
         a = coeff[mask_a]
         if a:
             b = coeff[mask_b]
             if b:
-                entries[row][col] += a * b if sign > 0 else -a * b
+                p = a * b
+                if twice:
+                    p = p + p
+                if sign > 0:
+                    entries[row][col] += p
+                else:
+                    entries[row][col] -= p
     columns = list(zip(*entries))
     diagonal = []
     for i, row in enumerate(entries):

@@ -10,15 +10,22 @@ bitmasks to Python ints.  The exterior product, K and h are the
 ring-generic kernels of forms and hitchin run over int, and su3_passes_int
 is the package's one SU(3) predicate; the tests check it against an
 independent contraction-based oracle.
+
+A sampled pair becomes a trial when it meets candidate_conditions_int.
+Those test lambda(psi) < 0 first, and evaluate omega only when it holds:
+most draws fail on lambda alone.  The top coefficient of omega^3 is read
+from a table of the 15 perfect matchings of 1..6, built once.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import MissingVariable
-from .forms import KForm, wedge_coeffs
+from .forms import KForm, merge_sign, wedge_coeffs
 from .hitchin import FULL6, h_matrix, k_matrix
 from .linalg import leading_minors_int
 
@@ -95,18 +102,45 @@ def eval_form_int(form: KForm, assignment) -> dict:
     return CompiledForm(form.coeffs, variables).evaluate(integer_point(variables, assignment))
 
 
-def omega_cubed_int(omega: dict) -> int:
+@cache
+def _cube_products() -> tuple:
+    """(m1, m2, m3, weight): the coefficient of e^123456 in omega^3 is the
+    sum over the 15 entries of weight * omega[m1] * omega[m2] * omega[m3].
+
+    The entries are the perfect matchings of 1..6 into three pairs; the 3!
+    orders of one matching give the same term, since 2-forms commute, so
+    weight is 6 times the sign of sorting the matching's indices.
+    """
+    table = []
+    for m1, m2, m3 in combinations([m for m in range(1 << 6) if m.bit_count() == 2], 3):
+        if m1 | m2 | m3 == FULL6:
+            table.append((m1, m2, m3, 6 * merge_sign(m1, m2) * merge_sign(m1 | m2, m3)))
+    return tuple(table)
+
+
+def omega_cubed_int(omega: Mapping[int, int]) -> int:
     """The coefficient of e^123456 in omega^3."""
-    return wedge_coeffs(wedge_coeffs(omega, omega), omega).get(FULL6, 0)
+    get = omega.get
+    return sum(
+        weight * get(m1, 0) * get(m2, 0) * get(m3, 0) for m1, m2, m3, weight in _cube_products()
+    )
 
 
-def candidate_conditions_int(omega: dict, psi: dict):
-    """K of psi (hitchin.k_matrix entries) when omega^3 != 0 and lambda < 0,
-    else None: the conditions a sampled pair must meet to be a trial."""
+def candidate_conditions_int(psi: dict, omega_of: Callable[[], dict]):
+    """(omega, K of psi) when lambda(psi) < 0 and omega^3 != 0, else None:
+    the conditions a sampled pair must meet to be a trial.
+
+    K is given as the hitchin.k_matrix entries.  lambda is tested first,
+    and only then is omega_of() called for omega, so a pair that fails on
+    lambda never evaluates its omega.
+    """
     k, trace_sq = k_matrix(psi, 0)
-    if trace_sq >= 0 or not omega_cubed_int(omega):
+    if trace_sq >= 0:
         return None
-    return k
+    omega = omega_of()
+    if not omega_cubed_int(omega):
+        return None
+    return omega, k
 
 
 def su3_passes_int(omega: dict, psi: dict, k=None) -> bool:
@@ -122,9 +156,10 @@ def su3_passes_int(omega: dict, psi: dict, k=None) -> bool:
     conditions passes their K as `k`.
     """
     if k is None:
-        k = candidate_conditions_int(omega, psi)
-        if k is None:
+        found = candidate_conditions_int(psi, lambda: omega)
+        if found is None:
             return False
+        k = found[1]
     if wedge_coeffs(omega, psi):
         return False
     minors = leading_minors_int(h_matrix(omega, k, 0))

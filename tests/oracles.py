@@ -21,6 +21,7 @@ from g2cert.forms import (
     indices_of,
     top_coefficient,
     wedge,
+    wedge_coeffs,
 )
 from g2cert.hitchin import Bilinear
 from g2cert.linalg import det_fraction, rref
@@ -165,6 +166,12 @@ def oracle_k_entry(psi: KForm, i: int, j: int) -> Fraction:
             continue
         total += _parity(tuple(p - 1 for p in perm)) * first * second
     return total / (2 * 6)
+
+
+def oracle_omega_cubed(omega: dict) -> int:
+    """The coefficient of e^123456 in omega^3 for an int 2-form given as
+    mask -> coefficient, by two full exterior products."""
+    return wedge_coeffs(wedge_coeffs(omega, omega), omega).get((1 << 6) - 1, 0)
 
 
 def rank_in_span(rows, vector) -> bool:

@@ -39,10 +39,26 @@ def test_derivations_command(capsys):
 
 
 def test_derivations_requires_params_for_families(capsys):
-    with pytest.raises(SystemExit):
-        main(["derivations", "g_{6,70}"])
+    assert main(["derivations", "g_{6,70}"]) == 2
+    assert capsys.readouterr().err.startswith("error: g_{6,70}")
     assert main(["derivations", "g_{6,70}", "--params", "p=0"]) == 0
     assert "dimension 9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derivations", "g_{4,5}", "--params", "p=0,zz=3"],
+        ["derivations", "g_{5,30}", "--params", "p=0"],
+    ],
+    ids=["extra-name", "no-family"],
+)
+def test_derivations_rejects_unknown_params(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "has no family parameters" in captured.err
 
 
 def test_su3_command(capsys):
@@ -57,9 +73,27 @@ def test_su3_gauge_details(capsys):
     assert "branch condition" in out
 
 
-def test_unknown_algebra():
-    with pytest.raises(SystemExit):
-        main(["lambda", "not-an-algebra"])
+def test_unknown_algebra(capsys):
+    assert main(["lambda", "not-an-algebra"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no catalog entry matches 'not-an-algebra'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lambda", "g_{5,"], "error: ambiguous name 'g_{5,'"),
+        (["lambda", "q_1"], "error: q_1 has dimension 7; lambda lives on dimension 6"),
+        (["su3", "q_1"], "error: q_1 has dimension 7; su3 runs on dimension 6"),
+    ],
+    ids=["ambiguous", "lambda-dimension", "su3-dimension"],
+)
+def test_ambiguous_name_or_wrong_dimension_is_an_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
 
 
 def test_run_all_writes_reports(tmp_path, capsys):

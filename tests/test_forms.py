@@ -14,6 +14,8 @@ from g2cert.forms import (
     VectorExpr,
     contract,
     generic_two_form,
+    indices_of,
+    merge_sign,
     pullback,
     top_coefficient,
     wedge,
@@ -227,6 +229,17 @@ class TestPullback:
             matrix = [[Polynomial.const(x) for x in row] for row in entries]
             pulled = pullback(matrix, vol)
             assert top_coefficient(pulled).constant_value() == det_fraction(entries)
+
+
+def test_merge_sign_matches_inversion_count():
+    # every ordered pair of disjoint masks on dimension up to 7
+    for mask_a in range(1 << 7):
+        for mask_b in range(1 << 7):
+            if mask_a & mask_b:
+                continue
+            order = indices_of(mask_a) + indices_of(mask_b)
+            inversions = sum(1 for i, x in enumerate(order) for y in order[i + 1 :] if x > y)
+            assert merge_sign(mask_a, mask_b) == (-1) ** inversions, (mask_a, mask_b)
 
 
 class TestTopCoefficient:

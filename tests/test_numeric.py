@@ -1,10 +1,11 @@
 """The integer sampler against independent references: its compiled form
 evaluation against Polynomial.evaluate, the shared K kernel over int
-against the permutation-expansion oracle, Bareiss minors against
-det_fraction, and su3_passes_int against the contraction-based SU(3)
-oracle in oracles.py."""
+against the permutation-expansion oracle, the omega^3 table against two
+full exterior products, Bareiss minors against det_fraction, and
+su3_passes_int against the contraction-based SU(3) oracle in oracles.py."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from hypothesis import given, settings
@@ -14,9 +15,16 @@ from g2cert.certify import standard_su3_pair
 from g2cert.forms import KForm, pullback
 from g2cert.hitchin import h_matrix, k_matrix, k_psi
 from g2cert.linalg import det_fraction, leading_minors_int
-from g2cert.numeric import CompiledForm, eval_form_int, integer_point, su3_passes_int
+from g2cert.numeric import (
+    CompiledForm,
+    candidate_conditions_int,
+    eval_form_int,
+    integer_point,
+    omega_cubed_int,
+    su3_passes_int,
+)
 from g2cert.poly import Polynomial
-from oracles import SU3Verdict, oracle_k_entry, su3_check
+from oracles import SU3Verdict, oracle_k_entry, oracle_omega_cubed, su3_check
 
 NAMES = ("u", "v", "w")
 SMALL = st.integers(-2, 2)
@@ -95,6 +103,44 @@ class TestKMatrix:
         k = k_psi(form)
         assert [[e.constant_value() for e in row] for row in k.entries] == expected
         assert 6 * k.lam.constant_value() == trace_sq
+
+    def test_table_exhaustive_on_unit_forms(self):
+        # K is quadratic in psi, so the 20 forms e^a and the 190 forms
+        # e^a + e^b fix every coefficient of the table
+        for count in (1, 2):
+            for masks in combinations(masks_of_degree(3), count):
+                psi = {mask: 1 for mask in masks}
+                form = KForm(6, 3, psi)
+                expected = [[oracle_k_entry(form, i, j) for i in range(1, 7)] for j in range(1, 7)]
+                assert k_matrix(psi, 0)[0] == expected, masks
+
+
+class TestOmegaCubed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(masks_of_degree(2)), st.integers(-3, 3), max_size=15))
+    def test_table_matches_double_wedge(self, omega):
+        # the dictionaries may hold zero coefficients
+        assert omega_cubed_int(omega) == oracle_omega_cubed(omega)
+
+    def test_standard_form(self):
+        assert omega_cubed_int({0b11: 1, 0b1100: 1, 0b110000: 1}) == 6
+        assert omega_cubed_int({0b11: 1, 0b1100: 1, 0b110000: 0}) == 0
+
+
+class TestCandidateConditions:
+    def test_omega_is_evaluated_only_when_lambda_is_negative(self):
+        omega0, psi0 = standard_su3_pair()
+        omega, psi = eval_form_int(omega0, {}), eval_form_int(psi0, {})
+
+        def unreachable():
+            raise AssertionError("omega evaluated although lambda >= 0")
+
+        # lambda(psi) = 0 for psi = 0 and for e^123
+        assert candidate_conditions_int({}, unreachable) is None
+        assert candidate_conditions_int({0b111: 1}, unreachable) is None
+        found = candidate_conditions_int(psi, lambda: omega)
+        assert found == (omega, k_matrix(psi, 0)[0])
+        assert candidate_conditions_int(psi, lambda: {0b11: 1}) is None
 
 
 @st.composite
