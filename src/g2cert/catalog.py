@@ -23,8 +23,16 @@ parameters and get the fam_ prefix; expressions elsewhere (witnesses,
 derivation matrices, constraints) use full variable names (alpha_14, a_1,
 fam_p, ...).
 
-The persistence format is a JSON document, schema "g2cert-catalog/1",
-with entries re-validated on load and a byte-stable canonical form.
+The persistence format is a JSON document, schema "g2cert-catalog/1".
+Loading a catalog is two steps: `parse_catalog_text` reads the document
+and builds each `AlgebraEntry` (JSON, schema and entry shape), and
+`AlgebraEntry.validate_entry` runs the mathematical checks (Jacobi,
+unimodularity, nilradical, Leibniz of every derivation and gauge family,
+witness parsing).  `load_catalog_text`, `load_catalog`, `load_builtin` and
+`load_any` do both, for every entry; the `validate`, `run-all` and
+`recheck` commands load catalogs this way.  The single-entry commands
+(`lambda`, `derivations`, `su3`) parse the built-ins and validate only the
+entry they name, so an invalid entry elsewhere does not stop them.
 """
 
 from __future__ import annotations
@@ -296,14 +304,10 @@ SCHEMA = "g2cert-catalog/1"
 BUILTIN_DATASETS = ("table1", "nonsolvable", "indecomposable")
 
 
-def _canonical_dump(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def load_catalog_text(text: str) -> list:
-    """The validated entries of a catalog document.  A document that is not
-    a catalog, or an entry that lacks a field or holds a value of the wrong
-    form, raises ValidationFailure like an entry that fails validation."""
+def parse_catalog_text(text: str) -> list:
+    """The entries of a catalog document, read but not yet validated.  A
+    document that is not a catalog, or an entry that lacks a field or holds
+    a value of the wrong form, raises ValidationFailure."""
     try:
         document = json.loads(text) if text.strip() else {"schema": SCHEMA, "entries": []}
     except json.JSONDecodeError as exc:
@@ -320,6 +324,14 @@ def load_catalog_text(text: str) -> list:
             entries.append(AlgebraEntry.from_json(node))
         except MALFORMED as exc:
             raise ValidationFailure(f"<entry {index}>", f"malformed entry: {exc!r}") from None
+    return entries
+
+
+def load_catalog_text(text: str) -> list:
+    """The entries of a catalog document, each fully validated; raises
+    ValidationFailure as parse_catalog_text does, or for the first entry
+    that fails validation."""
+    entries = parse_catalog_text(text)
     for entry in entries:
         entry.validate_entry()
     return entries
@@ -330,19 +342,15 @@ def load_catalog(path) -> list:
         return load_catalog_text(handle.read())
 
 
-def save_catalog(entries, path, name: str = "") -> None:
-    document = {"schema": SCHEMA, "entries": [e.to_json() for e in entries]}
-    if name:
-        document["name"] = name
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_canonical_dump(document))
+def builtin_text(name: str) -> str:
+    """The JSON text of a built-in dataset."""
+    if name not in BUILTIN_DATASETS:
+        raise ValidationFailure(name, f"unknown built-in dataset (have {BUILTIN_DATASETS})")
+    return resources.files("g2cert.data").joinpath(f"{name}.json").read_text(encoding="utf-8")
 
 
 def load_builtin(name: str) -> list:
-    if name not in BUILTIN_DATASETS:
-        raise ValidationFailure(name, f"unknown built-in dataset (have {BUILTIN_DATASETS})")
-    text = resources.files("g2cert.data").joinpath(f"{name}.json").read_text(encoding="utf-8")
-    return load_catalog_text(text)
+    return load_catalog_text(builtin_text(name))
 
 
 def load_any(spec: str) -> list:

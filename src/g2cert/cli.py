@@ -11,12 +11,21 @@
 'all', or a path to a catalog JSON file.  <algebra> is an entry name or an
 unambiguous substring of one.  Exit code 0 iff every attempted certificate
 verifies; for recheck, iff every certificate of the report rechecks against
-the catalog (the default catalog is 'all').  Input errors exit with code 2:
-a malformed report, a catalog entry that fails validation, a path that is
-missing or a directory, an algebra name that matches no entry or several,
-an entry of the wrong dimension for the command, and --params that miss a
-family parameter of the entry or name one it lacks print `error: ...` on
-stderr, and a malformed --params or --samples is a usage error.
+the catalog (the default catalog is 'all').
+
+validate, run-all and recheck validate every entry of their catalog.
+lambda, derivations and su3 look <algebra> up in the built-in catalogs,
+parsed but not validated, and validate only the entry they act on, so an
+invalid entry elsewhere in the built-ins does not stop them.
+
+Input errors exit with code 2: a malformed report or catalog, a catalog
+entry that fails validation (any entry of the catalog for validate,
+run-all and recheck; the named entry for lambda, derivations and su3), a
+path that is missing or a directory, an algebra name that matches no
+entry or several, an entry of the wrong dimension for the command, and
+--params that miss a family parameter of the entry or name one it lacks
+print `error: ...` on stderr, and a malformed --params or --samples is a
+usage error.
 """
 
 from __future__ import annotations
@@ -40,16 +49,19 @@ from .poly import check_nonneg_witness
 
 
 def _find_entry(name: str):
-    entries = cat.load_any("all")
+    """The built-in entry named `name` exactly, else the one whose name holds
+    `name`, validated; the other built-in entries are parsed, not validated."""
+    entries = [
+        e for d in cat.BUILTIN_DATASETS for e in cat.parse_catalog_text(cat.builtin_text(d))
+    ]
     exact = [e for e in entries if e.name == name]
-    if exact:
-        return exact[0]
-    matches = [e for e in entries if name in e.name]
-    if len(matches) == 1:
-        return matches[0]
+    matches = exact[:1] or [e for e in entries if name in e.name]
     if not matches:
         raise G2CertError(f"no catalog entry matches {name!r}")
-    raise G2CertError(f"ambiguous name {name!r}: " + ", ".join(e.name for e in matches))
+    if len(matches) > 1:
+        raise G2CertError(f"ambiguous name {name!r}: " + ", ".join(e.name for e in matches))
+    matches[0].validate_entry()
+    return matches[0]
 
 
 def cmd_validate(args) -> int:

@@ -185,9 +185,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(g) for g in other.generators)
 
-    def equals(self, other: "Subspace") -> bool:
-        return self.dim == other.dim and self.contains_subspace(other)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
 

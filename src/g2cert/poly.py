@@ -359,19 +359,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def substitute_rational(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
-        """Replace some variables by rational functions."""
-        out = RationalFunction.zero()
-        for mono, coeff in self._terms.items():
-            term = RationalFunction.from_scalar(coeff)
-            for var, exp in mono:
-                if var in mapping:
-                    term = term * mapping[var] ** exp
-                else:
-                    term = term * RationalFunction.from_polynomial(Polynomial.var(var, exp))
-            out = out + term
-        return out
-
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Quotient self/divisor when the division is exact, else None."""
         if divisor.is_zero():
@@ -470,18 +457,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
-    def as_polynomial(self) -> Polynomial:
-        """The underlying polynomial when the denominator is constant."""
-        if not self.is_polynomial():
-            quotient = self.num.divide_exact(self.den)
-            if quotient is None:
-                raise ValueError(f"not a polynomial: {self}")
-            return quotient
-        return self.num * (1 / self.den.constant_value())
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

@@ -6,12 +6,19 @@ provide an independent route to the same numbers.  The SU(3) verdict
 oracle (su3_check) instead builds K by contraction and wedge, h entry by
 entry with form_value, and tests definiteness with det_fraction minors, so
 it shares neither the K table nor the h product with su3_passes_int.
+
+The last few helpers are test-side references that no pipeline path
+needs: a catalog writer for the save/load round trip, plain substitution
+of rational functions to check substitute_cramer against, and readers
+for subspace equality and exact polynomial quotients.
 """
 
 import enum
+import json
 from fractions import Fraction
 from itertools import permutations
 
+from g2cert.catalog import SCHEMA
 from g2cert.errors import NonNumericEntries
 from g2cert.forms import (
     KForm,
@@ -24,8 +31,9 @@ from g2cert.forms import (
     wedge_coeffs,
 )
 from g2cert.hitchin import Bilinear
+from g2cert.lie import Subspace
 from g2cert.linalg import det_fraction, rref
-from g2cert.poly import Polynomial
+from g2cert.poly import Polynomial, RationalFunction
 
 _PARITY_CACHE = {}
 
@@ -273,3 +281,43 @@ def su3_check(omega: KForm, psi: KForm) -> SU3Verdict:
     if is_definite(h) in (Definiteness.POS_DEF, Definiteness.NEG_DEF):
         return SU3Verdict.PASSES
     return SU3Verdict.FAILS_POSITIVITY
+
+
+def save_catalog(entries, path, name: str = "") -> None:
+    """Write `entries` as a catalog document in canonical form (sorted
+    keys, two-space indent, final newline), so equal catalogs are equal
+    bytes."""
+    document = {"schema": SCHEMA, "entries": [e.to_json() for e in entries]}
+    if name:
+        document["name"] = name
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def substitute_rational(poly: Polynomial, mapping) -> RationalFunction:
+    """poly with some variables replaced by rational functions, term by
+    term in RationalFunction arithmetic."""
+    out = RationalFunction.zero()
+    for mono, coeff in poly.terms.items():
+        term = RationalFunction.from_scalar(coeff)
+        for var, exp in mono:
+            if var in mapping:
+                term = term * mapping[var] ** exp
+            else:
+                term = term * RationalFunction.from_polynomial(Polynomial.var(var, exp))
+        out = out + term
+    return out
+
+
+def subspace_equals(a: Subspace, b: Subspace) -> bool:
+    return a.dim == b.dim and a.contains_subspace(b)
+
+
+def as_polynomial(f: RationalFunction) -> Polynomial:
+    """The polynomial f equals; raises ValueError when f is not one."""
+    if f.den.is_constant():
+        return f.num * (1 / f.den.constant_value())
+    quotient = f.num.divide_exact(f.den)
+    if quotient is None:
+        raise ValueError(f"not a polynomial: {f}")
+    return quotient

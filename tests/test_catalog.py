@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, fam
+from oracles import save_catalog
 from g2cert.catalog import (
     BUILTIN_DATASETS,
+    builtin_text,
     load_any,
     load_builtin,
     load_catalog,
     load_catalog_text,
+    parse_catalog_text,
     parse_structure_equations,
-    save_catalog,
 )
 from g2cert.errors import (
     DslSyntaxError,
@@ -158,6 +160,12 @@ class TestBuiltins:
     def test_load_any_all(self):
         assert len(load_any("all")) == 45
 
+    def test_names_are_unique_across_builtins(self):
+        # the CLI looks an exact name up in the merged built-in entries
+        names = [e.name for d in BUILTIN_DATASETS for e in parse_catalog_text(builtin_text(d))]
+        assert len(names) == 45
+        assert len(set(names)) == len(names)
+
     def test_unknown_builtin(self):
         with pytest.raises(ValidationFailure):
             load_builtin("bogus")
@@ -190,6 +198,17 @@ class TestPersistence:
         with pytest.raises(ValidationFailure) as err:
             load_catalog_text(json.dumps(document))
         assert err.value.entry_name == "bad"
+
+    def test_parse_step_does_not_validate(self):
+        # (e12, 0) is not unimodular: the entry parses, and fails only validation
+        node = {"name": "bad", "dim": 2, "structure": "(e12, 0)"}
+        text = json.dumps({"schema": "g2cert-catalog/1", "entries": [node]})
+        (entry,) = parse_catalog_text(text)
+        assert entry.name == "bad" and entry.algebra is None
+        with pytest.raises(ValidationFailure):
+            entry.validate_entry()
+        with pytest.raises(ValidationFailure):
+            load_catalog_text(text)
 
     def test_undeclared_family_parameter_rejected(self):
         document = {

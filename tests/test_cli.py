@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import g2cert
-from g2cert.catalog import load_builtin, load_catalog_text, save_catalog
+from oracles import save_catalog
+from g2cert import catalog as cat
+from g2cert.catalog import AlgebraEntry, load_builtin, load_catalog_text
 from g2cert.cli import main
 from g2cert.errors import ValidationFailure
 
@@ -71,6 +73,73 @@ def test_su3_gauge_details(capsys):
     assert main(["su3", "g_{3,4}^{-1}+g_{3,4}^{-1}", "--gauge", "--samples", "0"]) == 0
     out = capsys.readouterr().out
     assert "branch condition" in out
+
+
+SINGLE_ENTRY_COMMANDS = [
+    (["lambda", "g_{5,14}"], "g_{5,14}^{0}+R"),
+    (["derivations", "g_{5,14}"], "g_{5,14}^{0}+R"),
+    (["su3", "g_{5,30}", "--samples", "0"], "g_{5,30}^{-4/3}+R"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name", SINGLE_ENTRY_COMMANDS, ids=[argv[0] for argv, _ in SINGLE_ENTRY_COMMANDS]
+)
+def test_single_entry_command_validates_only_its_entry(argv, name, monkeypatch, capsys):
+    validated = []
+    validate_entry = AlgebraEntry.validate_entry
+
+    def record(entry):
+        validated.append(entry.name)
+        return validate_entry(entry)
+
+    monkeypatch.setattr(AlgebraEntry, "validate_entry", record)
+    assert main(argv) == 0
+    assert validated == [name]
+
+
+# Parses, but fails validation: (e12, 0) is not unimodular.
+BROKEN = {"name": "broken_{2}", "dim": 2, "structure": "(e12, 0)"}
+
+
+@pytest.fixture
+def nonsolvable_with_broken_entry(monkeypatch):
+    """The built-in catalogs, with BROKEN appended to nonsolvable."""
+    read = cat.builtin_text
+
+    def builtin_text(name):
+        if name != "nonsolvable":
+            return read(name)
+        document = json.loads(read(name))
+        document["entries"].append(BROKEN)
+        return json.dumps(document)
+
+    monkeypatch.setattr(cat, "builtin_text", builtin_text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lambda", "broken_{2}"], ["derivations", "broken"], ["su3", "broken_{2}"]],
+    ids=["lambda", "derivations", "su3"],
+)
+def test_matched_entry_that_fails_validation_is_an_error(
+    argv, nonsolvable_with_broken_entry, capsys
+):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: catalog entry 'broken_{2}': ")
+
+
+def test_unmatched_broken_entry_blocks_only_whole_catalog_commands(
+    nonsolvable_with_broken_entry, capsys
+):
+    for argv, _ in SINGLE_ENTRY_COMMANDS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    for catalog in ("nonsolvable", "all"):
+        assert main(["validate", catalog]) == 2
+        assert capsys.readouterr().err.startswith("error: catalog entry 'broken_{2}': ")
 
 
 def test_unknown_algebra(capsys):
@@ -139,18 +208,26 @@ def test_negative_samples_is_a_usage_error(argv, capsys):
     assert "--samples: must be >= 0" in capsys.readouterr().err
 
 
-def test_console_script_entry_point():
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["validate", "nonsolvable"], "4 entries validated"),
+        (["lambda", "g_{5,14}"], "identically zero"),
+    ],
+    ids=["validate", "lambda"],
+)
+def test_console_script_entry_point(argv, expected):
     # the child imports the same g2cert as this process, installed or not
     src = str(Path(g2cert.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "g2cert.cli", "validate", "nonsolvable"],
+        [sys.executable, "-m", "g2cert.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
-    assert "4 entries validated" in proc.stdout
+    assert expected in proc.stdout
 
 
 def test_recheck_command(tmp_path, capsys):
