@@ -1,5 +1,5 @@
 """Machine-readable catalog of Lie algebras: DSL parsing, validation, and
-JSON persistence.
+JSON loading.
 
 Structure equations use the same notation as the source tables: a
 parenthesized n-tuple, one slot per de^k.  The tuple and each slot are read
@@ -23,14 +23,15 @@ parameters and get the fam_ prefix; expressions elsewhere (witnesses,
 derivation matrices, constraints) use full variable names (alpha_14, a_1,
 fam_p, ...).
 
-The persistence format is a JSON document, schema "g2cert-catalog/1".
-Loading a catalog is two steps: `parse_catalog_text` reads the document
-and builds each `AlgebraEntry` (JSON, schema and entry shape), and
-`AlgebraEntry.validate_entry` runs the mathematical checks (Jacobi,
-unimodularity, nilradical, Leibniz of every derivation and gauge family,
-witness parsing).  `load_catalog_text`, `load_catalog`, `load_builtin` and
-`load_any` do both, for every entry; the `validate`, `run-all` and
-`recheck` commands load catalogs this way.  The single-entry commands
+A catalog is a JSON document, schema "g2cert-catalog/1".  The package
+only reads catalogs; the writer that the round-trip tests use lives with
+the tests.  Loading a catalog is two steps: `parse_catalog_text` reads
+the document and builds each `AlgebraEntry` (JSON, schema and entry
+shape), and `AlgebraEntry.validate_entry` runs the mathematical checks
+(Jacobi, unimodularity, nilradical, Leibniz of every derivation and gauge
+family, witness parsing).  `load_catalog_text`, `load_catalog`,
+`load_builtin` and `load_any` do both, for every entry; the `validate`,
+`run-all` and `recheck` commands load catalogs this way.  The single-entry commands
 (`lambda`, `derivations`, `su3`) parse the built-ins and validate only the
 entry they name, so an invalid entry elsewhere does not stop them.
 """
@@ -122,9 +123,6 @@ class Atom:
             raise ValueError(f"unknown atom op {op!r}")
         return Atom(op, parse_polynomial(text))
 
-    def to_json(self):
-        return [self.op, str(self.poly)]
-
     def holds(self, assignment) -> bool:
         value = self.poly.evaluate(assignment)
         if self.op == "ne":
@@ -152,9 +150,6 @@ class FamilyParam:
     @staticmethod
     def from_json(node) -> "FamilyParam":
         return FamilyParam(node["name"], [Atom.from_json(a) for a in node.get("atoms", [])])
-
-    def to_json(self):
-        return {"name": self.name, "atoms": [a.to_json() for a in self.atoms]}
 
 
 def family_from_json(algebra: LieAlgebra, node, subs=None) -> DerivationFamily:
@@ -274,30 +269,6 @@ class AlgebraEntry:
             notes=node.get("notes", ""),
             stub=node.get("stub", False),
         )
-
-    def to_json(self):
-        node = {"name": self.name, "dim": self.dim}
-        if self.stub:
-            node["stub"] = True
-        if self.structure:
-            node["structure"] = self.structure
-        if self.family_params:
-            node["family_params"] = [p.to_json() for p in self.family_params]
-        if self.nilradical is not None:
-            node["nilradical"] = self.nilradical
-        if not self.expect_unimodular:
-            node["expect_unimodular"] = False
-        if self.derivation_family is not None:
-            node["derivation_family"] = self.derivation_family
-        if self.su_expected is not None:
-            node["su_expected"] = self.su_expected
-        if self.witnesses:
-            node["witnesses"] = self.witnesses
-        if self.plan:
-            node["plan"] = self.plan
-        if self.notes:
-            node["notes"] = self.notes
-        return node
 
 
 SCHEMA = "g2cert-catalog/1"

@@ -6,18 +6,20 @@ product, gauge normalization).  Randomized falsification is quarantined in
 SampledNoSU3 certificates, which are explicitly non-proving: they back the
 case analyses the source carries out in prose and this artifact cites.
 
-Each certificate kind has one verifier, and discovery and recheck share it
-together with one context builder (`stage_context`).  Every SU(3)-stage
-verifier takes `(context, inputs)`: the StageContext it proves on (which
-builds the generic candidate on first use and gives each certificate its
-name, assumptions and context fields) and a dict holding exactly the keys
-the certificate stores.  Discovery searches for the inputs (the solved
-strong-unimodularity substitutions, the solved gauge), builds them from
-the plan step and runs the verifier.  `recheck_certificate` rebuilds the
-context from the catalog and the substitutions stored in the certificate,
-passes the stored data to the verifier that `SU3_VERIFIERS` gives for its
-kind, and compares the result with the stored certificate.  A new
-SU(3)-stage certificate kind is added to that table.  Recheck never
+Every certificate is proved on a `StageContext`: a catalog entry, or one
+of its branches, after the strong-unimodularity substitutions of its
+stage.  The context builds each object a check reads (the algebra, the
+derivation family, psi = d alpha, omega = d beta - D* alpha, K, lambda, h
+and the trace conditions) on first use, and gives each certificate its
+name, assumptions and context fields.  Each certificate kind has one
+verifier, called as `verifier(context, inputs)` with a dict holding
+exactly the keys the certificate stores, and `VERIFIERS` maps every kind
+to it.  Discovery searches for the inputs (the solved strong-unimodularity
+substitutions, the solved gauge), builds them from the plan step and runs
+the verifier.  `recheck_certificate` builds the context that the stored
+algebra name and substitutions key, runs the verifier of the stored kind
+on the stored data, and compares the result with the stored certificate.
+A new certificate kind is one more entry of that table.  Recheck never
 repeats a discovery search: gauge certificates store the solved gauge,
 sampling certificates their seed.
 """
@@ -37,7 +39,7 @@ from . import numeric
 from .catalog import Atom, AlgebraEntry, family_from_json
 from .derivations import (
     DerivationFamily,
-    ExtensionSpec,
+    StrongUnimodularity,
     dstar_action,
     solve_derivations,
     strongly_unimodular_constraints,
@@ -61,7 +63,7 @@ from .forms import (
     generic_two_form,
     pullback,
 )
-from .hitchin import b_phi, h_form, k_psi
+from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
 from .lie import LieAlgebra, Subspace, ce_differential
 from .poly import (
     NonNegWitness,
@@ -161,39 +163,253 @@ class EntryResult:
         return node
 
 
-# -- generic candidates ---------------------------------------------------
+# -- stage contexts ----------------------------------------------------------
 
 
-def generic_exact_g2(algebra: LieAlgebra):
-    """(phi, b_phi(phi)) for the generic exact phi = d(sum alpha_ij e^ij)."""
+def _substitute_atoms(atoms, subs) -> list:
+    """The atoms after `subs`, dropping those that become constant."""
+    out = []
+    for atom in atoms:
+        poly = atom.poly.substitute(subs)
+        if not poly.is_constant():
+            out.append(Atom(atom.op, poly))
+    return out
+
+
+def generic_su3_candidate(algebra: LieAlgebra, family: DerivationFamily) -> KForm:
+    """The generic candidate 2-form omega = d beta - D* alpha of an extension
+    by the derivation family, with symbolic coefficients beta_i and
+    alpha_ij; it pairs with psi = d alpha (`StageContext.psi`)."""
     alpha = generic_two_form(algebra.dim, "alpha")
-    phi = ce_differential(algebra, alpha)
-    return phi, b_phi(phi)
+    beta = generic_one_form(algebra.dim, "beta")
+    return ce_differential(algebra, beta) - dstar_action(family, alpha)
 
 
 @dataclass
-class SU3Candidate:
-    """Generic pair (omega, psi) of an extension, with its invariants."""
+class StageContext:
+    """What a certificate is proved on: a catalog entry, or its named
+    branch, after solved strong-unimodularity substitutions.
 
-    algebra: LieAlgebra
-    derivation: DerivationFamily
-    omega: KForm
-    psi: KForm
-    k: object
-    lam: Polynomial
-    h: object
+    A context is keyed by (entry, branch_name, derivation_subs, fam_subs);
+    `unsolved` holds the family equations that no substitution solved,
+    which stay assumptions.  Every other attribute is built on first use,
+    so a stage builds only what it reads.  The lambda stage never builds a
+    derivation family, which an entry with free family parameters and no
+    shipped family cannot build (solve_derivations raises
+    NonNumericEntries), and an unknown branch name raises G2CertError when
+    the branch is first read.
+    """
+
+    entry: AlgebraEntry
+    branch_name: Optional[str] = None
+    derivation_subs: dict = field(default_factory=dict)
+    fam_subs: dict = field(default_factory=dict)
+    unsolved: tuple = ()
+    _gauge_systems: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def name(self) -> str:
+        if self.branch_name is None:
+            return self.entry.name
+        return f"{self.entry.name} [{self.branch_name}]"
+
+    @cached_property
+    def branch(self) -> Optional[dict]:
+        """The branch plan step, or None for the entry as shipped."""
+        if self.branch_name is None:
+            return None
+        for step in self.entry.plan:
+            if step.get("kind") == "branch" and step.get("name") == self.branch_name:
+                return step
+        raise G2CertError(f"{self.entry.name}: no branch named {self.branch_name!r}")
+
+    @cached_property
+    def steps(self) -> list:
+        """The plan steps of the entry (branches excepted) or of the branch."""
+        if self.branch is None:
+            return [s for s in self.entry.plan if s.get("kind") != "branch"]
+        return self.branch.get("steps", [])
+
+    @cached_property
+    def shipped_algebra(self) -> LieAlgebra:
+        """The algebra of the entry, or of the branch, before fam_subs."""
+        if self.branch is None:
+            return self.entry.build_algebra()
+        return self.entry.branch_algebra(self.branch)
+
+    @cached_property
+    def algebra(self) -> LieAlgebra:
+        if not self.fam_subs:
+            return self.shipped_algebra
+        return self.shipped_algebra.substitute(self.fam_subs)
+
+    @cached_property
+    def shipped_family(self) -> DerivationFamily:
+        """The derivation family before any substitution: the shipped one
+        (a branch family is branch-substituted before its Leibniz check),
+        else Der of the shipped algebra, solved."""
+        family = None
+        if self.branch is None:
+            family = self.entry.build_derivation_family()
+        elif self.branch.get("derivation_family"):
+            family = family_from_json(
+                self.shipped_algebra,
+                self.branch["derivation_family"],
+                self.entry.branch_subs(self.branch),
+            )
+        if family is None:
+            family = solve_derivations(self.shipped_algebra)
+        return family
+
+    @cached_property
+    def family(self) -> DerivationFamily:
+        """The derivation family after derivation_subs, then fam_subs."""
+        family = self.shipped_family.substitute(self.derivation_subs)
+        if not self.fam_subs:
+            return family
+        return DerivationFamily(
+            self.algebra,
+            [[e.substitute(self.fam_subs) for e in row] for row in family.matrix],
+            family.params,
+        )
+
+    @cached_property
+    def atoms(self) -> list:
+        """The domain atoms of the entry and the branch, after fam_subs."""
+        atoms = list(self.entry.atoms)
+        if self.branch is not None:
+            atoms = _substitute_atoms(atoms, self.entry.branch_subs(self.branch))
+            atoms += [Atom.from_json(a) for a in self.branch.get("atoms", [])]
+        return _substitute_atoms(atoms, self.fam_subs) if self.fam_subs else atoms
+
+    @cached_property
+    def assumptions(self) -> list:
+        """The entry's atoms, the branch's values and atoms, the
+        substitutions and the unsolved family equations, as text."""
+        out = [str(a) for a in self.entry.atoms]
+        if self.branch is not None:
+            out += [f"{k} = {v}" for k, v in self.branch.get("subs", {}).items()]
+            out += [str(Atom.from_json(a)) for a in self.branch.get("atoms", [])]
+        out += [f"{k} = {v}" for k, v in sorted(self.derivation_subs.items())]
+        out += [f"{k} = {v}" for k, v in sorted(self.fam_subs.items())]
+        return out + [f"{e} = 0" for e in self.unsolved]
+
+    @cached_property
+    def psi(self) -> KForm:
+        """The generic exact 3-form d alpha (the phi of a 7-dimensional
+        algebra)."""
+        return ce_differential(self.algebra, generic_two_form(self.algebra.dim, "alpha"))
+
+    @cached_property
+    def k(self) -> KOperator:
+        """K_psi of the generic psi."""
+        return k_psi(self.psi)
+
+    @property
+    def lam(self) -> Polynomial:
+        """The quartic invariant lambda(psi)."""
+        return self.k.lam
+
+    @cached_property
+    def omega(self) -> KForm:
+        """The generic candidate 2-form of the family (`generic_su3_candidate`)."""
+        return generic_su3_candidate(self.algebra, self.family)
+
+    @cached_property
+    def h(self) -> Bilinear:
+        """h = omega(., K .) of the generic pair."""
+        return h_form(self.omega, self.k)
+
+    @cached_property
+    def su(self) -> StrongUnimodularity:
+        """The strong-unimodularity trace conditions of the context."""
+        nilradical = Subspace.from_indices(self.algebra, self.entry.nilradical)
+        return strongly_unimodular_constraints(self.algebra, self.family, nilradical)
+
+    def constrained(self, derivation_subs, fam_subs, unsolved=()) -> "StageContext":
+        """This context after further substitutions.  The new context keeps
+        what this one has built that they leave unchanged: the branch and
+        the shipped algebra and family, and, when no family value is fixed,
+        the algebra, the atoms, psi and K."""
+        context = StageContext(
+            self.entry,
+            self.branch_name,
+            {**self.derivation_subs, **derivation_subs},
+            {**self.fam_subs, **fam_subs},
+            self.unsolved + tuple(unsolved),
+        )
+        shared = ("branch", "steps", "shipped_algebra", "shipped_family")
+        if not fam_subs:
+            shared += ("algebra", "atoms", "psi", "k")
+        for name in shared:
+            if name in self.__dict__:
+                context.__dict__[name] = self.__dict__[name]
+        return context
+
+    def gauge_system(self, step) -> GaugeSystem:
+        """The gauge system of psi for a gauge plan step, built once per gauge
+        family and targets."""
+        key = (
+            tuple(map(tuple, step["s_matrix"])),
+            tuple(step["s_params"]),
+            tuple(map(tuple, step["targets"])),
+        )
+        if key not in self._gauge_systems:
+            self._gauge_systems[key] = _step_gauge_system(self.psi, self.algebra, step)
+        return self._gauge_systems[key]
+
+    def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
+        """A verified SU(3)-stage certificate on this context: its name, its
+        assumptions followed by `extra_assumptions`, and `data` followed by
+        the context fields."""
+        return Certificate(
+            kind,
+            self.name,
+            assumptions=self.assumptions + list(extra_assumptions),
+            data={**data, **self.certificate_data()},
+            verified=True,
+        )
+
+    def certificate_data(self) -> dict:
+        """The context fields every SU(3)-stage certificate stores."""
+        return {
+            "branch": self.branch_name,
+            "fam_subs": {k: str(v) for k, v in sorted(self.fam_subs.items())},
+            "derivation_subs": {k: str(v) for k, v in sorted(self.derivation_subs.items())},
+        }
 
 
-def generic_su3_candidate(
-    algebra: LieAlgebra, derivation: DerivationFamily, psi: KForm
-) -> SU3Candidate:
-    """omega = d beta - D* alpha with symbolic coefficients, paired with the
-    generic psi = d alpha (`StageContext.psi`)."""
-    alpha = generic_two_form(6, "alpha")
-    beta = generic_one_form(6, "beta")
-    omega = ce_differential(algebra, beta) - dstar_action(derivation, alpha)
-    k = k_psi(psi)
-    return SU3Candidate(algebra, derivation, omega, psi, k, k.lam, h_form(omega, k))
+def _solved_family_substitutions(family_equations):
+    """Solve each single-variable linear family equation (e.g. l + 1 -> l = -1).
+
+    An equation in a variable already solved stays unsolved, so that it is
+    kept as an assumption."""
+    subs = {}
+    unsolved = []
+    for eq in family_equations:
+        parts = eq.collect(eq.variables())
+        const = parts.pop((), Polynomial.zero())
+        if len(parts) == 1:
+            ((mono, coeff),) = parts.items()
+            if len(mono) == 1 and mono[0][1] == 1 and mono[0][0] not in subs:
+                subs[mono[0][0]] = -const.constant_value() / coeff.constant_value()
+                continue
+        unsolved.append(eq)
+    return subs, unsolved
+
+
+def strongly_unimodular_context(base: StageContext) -> StageContext:
+    """`base` after its solved strong-unimodularity substitutions: the
+    context of the SU(3) stage and of the second lambda stage."""
+    fam_subs, unsolved = _solved_family_substitutions(base.su.family_equations)
+    return base.constrained(base.su.derivation_subs, fam_subs, unsolved)
+
+
+def needs_su_first(entry: AlgebraEntry) -> bool:
+    """True when the lambda witness only applies after the strong-unimodularity
+    family conditions are substituted (the witness is checked at stage two)."""
+    expected = entry.su_expected or {}
+    return bool(expected.get("family"))
 
 
 # -- certificates ----------------------------------------------------------
@@ -210,30 +426,33 @@ def _check_null_diagonal(form, indices) -> None:
             raise NotIdenticallyZero(residual)
 
 
-def certify_zero_diagonal(entry: AlgebraEntry, indices) -> Certificate:
-    _, b = generic_exact_g2(entry.build_algebra())
-    _check_null_diagonal(b, indices)
+def certify_zero_diagonal(context: StageContext, inputs) -> Certificate:
+    """Verifies b_phi(e_i, e_i) = 0 identically for the generic exact
+    phi = d alpha of a 7-dimensional context, for each i in
+    inputs["indices"]."""
+    indices = inputs["indices"]
+    _check_null_diagonal(b_phi(context.psi), indices)
     return Certificate(
         CertKind.ZERO_DIAGONAL,
-        entry.name,
-        assumptions=[str(a) for a in entry.atoms],
+        context.name,
+        assumptions=list(context.assumptions),
         data={"indices": list(indices)},
         verified=True,
     )
 
 
-def lambda_of(algebra: LieAlgebra) -> Polynomial:
-    """The quartic invariant lambda(d alpha) of the generic exact 3-form."""
-    return k_psi(ce_differential(algebra, generic_two_form(6, "alpha"))).lam
+def certify_lambda(context: StageContext, inputs) -> Certificate:
+    """LambdaIdenticallyZero when lambda of the context vanishes
+    identically, else LambdaNonNegative checked against inputs["witness"]
+    (its JSON tree); raises when neither holds.
 
-
-def certify_lambda(
-    lam: Polynomial, witness, entry_name: str, assumptions=(), fam_subs=None
-) -> Certificate:
-    """LambdaIdenticallyZero when lambda vanishes identically, else
-    LambdaNonNegative checked against the witness (its JSON tree); raises
-    when neither holds."""
-    data = {"fam_subs": dict(fam_subs or {})}
+    On the entry as shipped the identity holds for every parameter value,
+    so the certificate assumes nothing; after family substitutions (the
+    second lambda stage) it carries the context's assumptions.
+    """
+    lam = context.lam
+    witness = inputs.get("witness")
+    data = {"fam_subs": context.certificate_data()["fam_subs"]}
     if lam.is_zero():
         kind = CertKind.LAMBDA_ZERO
     elif witness is None:
@@ -243,33 +462,26 @@ def certify_lambda(
         try:
             check_nonneg_witness(lam, tree)
         except G2CertError as exc:
-            raise WitnessMismatch(f"{entry_name}: {exc}") from exc
+            raise WitnessMismatch(f"{context.name}: {exc}") from exc
         kind = CertKind.LAMBDA_NONNEG
         data["witness"] = witness
         data["lambda"] = str(lam)
-    return Certificate(kind, entry_name, assumptions=list(assumptions), data=data, verified=True)
+    assumptions = list(context.assumptions) if context.fam_subs else []
+    return Certificate(kind, context.name, assumptions=assumptions, data=data, verified=True)
 
 
-def certify_lambda_sign(
-    algebra: LieAlgebra,
-    witness,
-    entry_name: str,
-    atoms=(),
-    assumptions=(),
-    rng: Optional[random.Random] = None,
-    fam_subs=None,
-):
-    """LambdaIdenticallyZero / LambdaNonNegative certificate (the witness
+def certify_lambda_sign(context: StageContext, witness, rng: Optional[random.Random] = None):
+    """The lambda certificate of the context (`certify_lambda`, the witness
     given as its JSON tree), or None plus a sample with lambda < 0 when no
     obstruction exists at this stage."""
-    lam = lambda_of(algebra)
+    lam = context.lam
     if lam.is_zero() or witness is not None:
-        return certify_lambda(lam, witness, entry_name, assumptions, fam_subs), None
+        return certify_lambda(context, {"witness": witness}), None
     rng = rng or random.Random(0)
-    sample = _lambda_negative_sample(lam, atoms, rng)
+    sample = _lambda_negative_sample(lam, context.atoms, rng)
     if sample is None:
         raise G2CertError(
-            f"{entry_name}: lambda is not identically zero, no witness is shipped, "
+            f"{context.name}: lambda is not identically zero, no witness is shipped, "
             "and no negative sample was found"
         )
     return None, sample
@@ -303,17 +515,17 @@ def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random):
     return None
 
 
-def certify_null_direction(context: "StageContext", inputs) -> Certificate:
+def certify_null_direction(context: StageContext, inputs) -> Certificate:
     """Verifies h(e_i, e_i) = 0 identically for each i in inputs["indices"]."""
     indices = inputs["indices"]
-    _check_null_diagonal(context.candidate.h, indices)
+    _check_null_diagonal(context.h, indices)
     return context.certificate(
         CertKind.NULL_DIRECTION,
         {"indices": list(indices), "statement": "h(e_i, e_i) = 0 identically"},
     )
 
 
-def certify_sign_product(context: "StageContext", inputs) -> Certificate:
+def certify_sign_product(context: StageContext, inputs) -> Certificate:
     """Verifies h_ii * h_jj + expansion(witness) = 0 identically for the
     inputs' pair (i, j) and witness (its JSON tree).
 
@@ -322,7 +534,7 @@ def certify_sign_product(context: "StageContext", inputs) -> Certificate:
     definite.
     """
     i, j = inputs["pair"]
-    h = context.candidate.h
+    h = context.h
     residual = h.entry(i, i) * h.entry(j, j) + NonNegWitness.from_json(inputs["witness"]).expand()
     if not residual.is_zero():
         raise IdentityMismatch(residual)
@@ -333,9 +545,12 @@ def certify_sign_product(context: "StageContext", inputs) -> Certificate:
     )
 
 
-def certify_trace_obstruction(context: "StageContext", su) -> Certificate:
+def certify_trace_obstruction(context: StageContext, inputs) -> Certificate:
     """The strong-unimodularity trace conditions of the context contain a
-    nonzero constant, so no extension of it is strongly unimodular."""
+    nonzero constant, so no extension of it is strongly unimodular.  It
+    reads no inputs: the constants and traces are recomputed from the
+    context."""
+    su = context.su
     if not su.constant_obstructions:
         raise IdentityFailure(f"{context.name}: no trace condition is a nonzero constant")
     return Certificate(
@@ -437,7 +652,7 @@ def _step_gauge_system(psi: KForm, algebra: LieAlgebra, step) -> GaugeSystem:
     return gauge_system(psi, s_family, step["targets"])
 
 
-def gauge_transport(context: "StageContext", step) -> Certificate:
+def gauge_transport(context: StageContext, step) -> Certificate:
     """Normalize (omega, psi) by F = exp(S) for a gauge plan step and
     certify its null pair.
 
@@ -457,7 +672,7 @@ def gauge_transport(context: "StageContext", step) -> Certificate:
     })
 
 
-def _gauge_step(context: "StageContext", inputs) -> dict:
+def _gauge_step(context: StageContext, inputs) -> dict:
     """The context's gauge plan step with the inputs' targets and pair."""
     for step in context.steps:
         if (
@@ -469,7 +684,7 @@ def _gauge_step(context: "StageContext", inputs) -> dict:
     raise G2CertError(f"{context.name}: no gauge step has these targets and pair")
 
 
-def verify_gauge(context: "StageContext", inputs) -> Certificate:
+def verify_gauge(context: StageContext, inputs) -> Certificate:
     """Certify the null pair of the gauge step with the inputs' targets and
     pair at the gauge s_k = solved_gauge[s_k] / branch_condition.
 
@@ -483,7 +698,6 @@ def verify_gauge(context: "StageContext", inputs) -> Certificate:
     det = parse_polynomial(inputs["branch_condition"])
     if det.is_zero():
         raise SingularSymbolicSystem(det)
-    candidate = context.candidate
     system = context.gauge_system(step)
     s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
@@ -511,7 +725,7 @@ def verify_gauge(context: "StageContext", inputs) -> Certificate:
 
     # (a) F*omega vanishes on the pair, identically after clearing denominators
     i, j = step["pair"]
-    f_omega_pair = form_value(pullback(F, candidate.omega), i, j)
+    f_omega_pair = form_value(pullback(F, context.omega), i, j)
     pair_num, _ = substitute_cramer(f_omega_pair, svars, numerators, det)
     if not pair_num.is_zero():
         raise IdentityFailure(f"F*omega(e_{i}, e_{j}) does not vanish at the solved gauge")
@@ -530,7 +744,7 @@ def verify_gauge(context: "StageContext", inputs) -> Certificate:
             raise IdentityMismatch(column[int(key) - 1] - expected)
 
     # lambda is a gauge invariant here: det(exp S) = 1
-    if k_bar.lam != candidate.lam:
+    if k_bar.lam != context.lam:
         raise IdentityFailure("lambda changed under a unimodular gauge")
 
     data = {
@@ -591,30 +805,31 @@ def _sample_atoms(atoms, variables, rng: random.Random):
 
 
 class PairSampler:
-    """Draws exact candidate pairs (omega, psi) for one entry.
+    """Draws exact candidate pairs (omega, psi) on one stage context.
 
-    The symbolic forms (and, on the t2_zero slice, the coefficients of the
-    gauge determinant in alpha_14) are compiled once into integer
-    evaluators over one ordered variable list.
+    The context's psi and omega (and, on the t2_zero slice, the
+    coefficients in alpha_14 of the determinant of its gauge step) are
+    compiled once into integer evaluators over one ordered variable list.
     """
 
-    def __init__(self, algebra, derivation, atoms, rng, slice_name=None, det_in_alpha14=None):
-        self.atoms = list(atoms)
+    def __init__(self, context: StageContext, rng, slice_name=None):
+        self.atoms = list(context.atoms)
         self.rng = rng
         self.slice_name = slice_name
-        alpha = generic_two_form(6, "alpha")
-        beta = generic_one_form(6, "beta")
-        psi_sym = ce_differential(algebra, alpha)
-        omega_sym = ce_differential(algebra, beta) - dstar_action(derivation, alpha)
-        self.variables = sorted(psi_sym.variables() | omega_sym.variables())
+        psi, omega = context.psi, context.omega
+        self.variables = sorted(psi.variables() | omega.variables())
         self.fam_vars = [v for v in self.variables if v.startswith("fam_")]
         self.free_vars = [v for v in self.variables if not v.startswith("fam_")]
-        self.psi_int = numeric.CompiledForm(psi_sym.coeffs, self.variables)
-        self.omega_int = numeric.CompiledForm(omega_sym.coeffs, self.variables)
+        self.psi_int = numeric.CompiledForm(psi.coeffs, self.variables)
+        self.omega_int = numeric.CompiledForm(omega.coeffs, self.variables)
         if slice_name == "t2_zero":
+            step = next((s for s in context.steps if s.get("kind") == "gauge"), None)
+            if step is None:
+                raise G2CertError(f"{context.name}: the t2_zero slice needs a gauge step")
+            det = context.gauge_system(step).solved.determinant
             parts = {
                 sum(e for _, e in mono): coeff
-                for mono, coeff in det_in_alpha14.collect({"alpha_14"}).items()
+                for mono, coeff in det.collect({"alpha_14"}).items()
             }
             if max(parts, default=0) > 2:
                 raise G2CertError("the gauge determinant is not quadratic in alpha_14")
@@ -730,26 +945,19 @@ def sample_falsify(
     )
 
 
+def _sampling_certificate(context: StageContext, inputs) -> Certificate:
+    """Replay sample_falsify on the context with the inputs' trials, seed,
+    slice and reason.  The certificate keeps its one NON-PROVING assumption
+    in place of the context's, and stores the context fields."""
+    sampler = PairSampler(context, random.Random(inputs["seed"]), inputs["slice"])
+    cert = sample_falsify(
+        context.name, sampler, inputs["trials"], inputs["seed"], reason=inputs["reason"]
+    )
+    cert.data.update(context.certificate_data())
+    return cert
+
+
 # -- the per-entry pipeline --------------------------------------------------
-
-
-def _solved_family_substitutions(family_equations):
-    """Solve each single-variable linear family equation (e.g. l + 1 -> l = -1).
-
-    An equation in a variable already solved stays unsolved, so that it is
-    kept as an assumption."""
-    subs = {}
-    unsolved = []
-    for eq in family_equations:
-        parts = eq.collect(eq.variables())
-        const = parts.pop((), Polynomial.zero())
-        if len(parts) == 1:
-            ((mono, coeff),) = parts.items()
-            if len(mono) == 1 and mono[0][1] == 1 and mono[0][0] not in subs:
-                subs[mono[0][0]] = -const.constant_value() / coeff.constant_value()
-                continue
-        unsolved.append(eq)
-    return subs, unsolved
 
 
 def _check_su_expected(entry_name, su, expected):
@@ -790,12 +998,13 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
         result.notes.append(entry.notes or "structure equations not shipped")
         return result
 
-    algebra = entry.build_algebra()
+    context = StageContext(entry)
 
     if entry.dim == 7:
         for step in entry.plan:
             if step["kind"] == "zero_diagonal":
-                result.certificates.append(certify_zero_diagonal(entry, step["indices"]))
+                inputs = {"indices": step["indices"]}
+                result.certificates.append(certify_zero_diagonal(context, inputs))
                 result.outcome = Outcome.OBSTRUCTED
             elif step["kind"] == "lattice_out_of_scope":
                 result.outcome = Outcome.LATTICE_OUT_OF_SCOPE
@@ -807,11 +1016,7 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
     # dimension 6: lambda stage on the entry as shipped
     rng = random.Random(options.seed_override if options.seed_override is not None else 7)
     cert, negative_sample = certify_lambda_sign(
-        algebra,
-        None if _needs_su_first(entry) else entry.witnesses.get("lambda"),
-        entry.name,
-        atoms=entry.atoms,
-        rng=rng,
+        context, None if needs_su_first(entry) else entry.witnesses.get("lambda"), rng=rng
     )
     if cert is not None:
         result.certificates.append(cert)
@@ -823,19 +1028,12 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
     if branches:
         branch_results = []
         for branch in branches:
-            branch_results.append(_run_su3_stage(entry, branch["name"], options, result))
+            branch_context = StageContext(entry, branch["name"])
+            branch_results.append(_run_su3_stage(branch_context, options, result))
         result.outcome = _combine_outcomes(branch_results)
         return result
-    outcome = _run_su3_stage(entry, None, options, result)
-    result.outcome = outcome
+    result.outcome = _run_su3_stage(context, options, result)
     return result
-
-
-def _needs_su_first(entry: AlgebraEntry) -> bool:
-    """True when the lambda witness only applies after the strong-unimodularity
-    family conditions are substituted (the witness is checked at stage two)."""
-    expected = entry.su_expected or {}
-    return bool(expected.get("family"))
 
 
 def _combine_outcomes(outcomes) -> Outcome:
@@ -853,191 +1051,17 @@ def _combine_outcomes(outcomes) -> Outcome:
     return worst
 
 
-# -- stage contexts ----------------------------------------------------------
-
-
-def _find_branch(entry: AlgebraEntry, branch_name: Optional[str]) -> Optional[dict]:
-    if branch_name is None:
-        return None
-    for step in entry.plan:
-        if step.get("kind") == "branch" and step.get("name") == branch_name:
-            return step
-    raise G2CertError(f"{entry.name}: no branch named {branch_name!r}")
-
-
-def _branch_algebra(entry: AlgebraEntry, branch: Optional[dict]) -> LieAlgebra:
-    return entry.build_algebra() if branch is None else entry.branch_algebra(branch)
-
-
-def _substitute_atoms(atoms, subs) -> list:
-    """The atoms after `subs`, dropping those that become constant."""
-    out = []
-    for atom in atoms:
-        poly = atom.poly.substitute(subs)
-        if not poly.is_constant():
-            out.append(Atom(atom.op, poly))
-    return out
-
-
-@dataclass
-class StageContext:
-    """What an SU(3)-stage certificate is proved on: the algebra (branch
-    substitutions applied), its derivation family, the domain atoms and the
-    assumptions, after the solved strong-unimodularity substitutions."""
-
-    name: str
-    branch_name: Optional[str]
-    algebra: LieAlgebra
-    family: DerivationFamily
-    atoms: list
-    assumptions: list
-    steps: list
-    derivation_subs: dict = field(default_factory=dict)
-    fam_subs: dict = field(default_factory=dict)
-    _gauge_systems: dict = field(default_factory=dict, init=False, repr=False)
-
-    def constrained(self, derivation_subs, fam_subs) -> "StageContext":
-        """Substitute solved derivation parameters into the family, and solved
-        family parameters into the algebra, the family and the atoms."""
-        algebra = self.algebra
-        family = self.family.substitute(derivation_subs)
-        atoms = self.atoms
-        if fam_subs:
-            algebra = algebra.substitute(fam_subs)
-            family = DerivationFamily(
-                algebra,
-                [[e.substitute(fam_subs) for e in row] for row in family.matrix],
-                family.params,
-            )
-            atoms = _substitute_atoms(atoms, fam_subs)
-        assumptions = (
-            self.assumptions
-            + [f"{k} = {v}" for k, v in sorted(derivation_subs.items())]
-            + [f"{k} = {v}" for k, v in sorted(fam_subs.items())]
-        )
-        return StageContext(
-            self.name, self.branch_name, algebra, family, list(atoms), assumptions, self.steps,
-            {**self.derivation_subs, **derivation_subs}, {**self.fam_subs, **fam_subs},
-        )
-
-    @cached_property
-    def psi(self) -> KForm:
-        """The generic exact 3-form psi = d alpha of the context, built on
-        first use."""
-        return ce_differential(self.algebra, generic_two_form(6, "alpha"))
-
-    @cached_property
-    def candidate(self) -> SU3Candidate:
-        """The generic pair (omega, psi) of the context, built on first use."""
-        return generic_su3_candidate(self.algebra, self.family, self.psi)
-
-    def gauge_system(self, step) -> GaugeSystem:
-        """The gauge system of psi for a gauge plan step, built once per gauge
-        family and targets."""
-        key = (
-            tuple(map(tuple, step["s_matrix"])),
-            tuple(step["s_params"]),
-            tuple(map(tuple, step["targets"])),
-        )
-        if key not in self._gauge_systems:
-            self._gauge_systems[key] = _step_gauge_system(self.psi, self.algebra, step)
-        return self._gauge_systems[key]
-
-    def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
-        """A verified SU(3)-stage certificate on this context: its name, its
-        assumptions followed by `extra_assumptions`, and `data` followed by
-        the context fields."""
-        return Certificate(
-            kind,
-            self.name,
-            assumptions=self.assumptions + list(extra_assumptions),
-            data={**data, **self.certificate_data()},
-            verified=True,
-        )
-
-    def certificate_data(self) -> dict:
-        """The context fields every SU(3)-stage certificate stores."""
-        return {
-            "branch": self.branch_name,
-            "fam_subs": {k: str(v) for k, v in sorted(self.fam_subs.items())},
-            "derivation_subs": {k: str(v) for k, v in sorted(self.derivation_subs.items())},
-        }
-
-
-def stage_context(
-    entry: AlgebraEntry, branch_name: Optional[str] = None, derivation_subs=None, fam_subs=None
-) -> StageContext:
-    """The context of `entry` (or of its named branch) after the given
-    strong-unimodularity substitutions.
-
-    A branch algebra and its derivation family are both branch-substituted
-    before the Leibniz check.  Without a shipped family, Der is solved.
-    """
-    branch = _find_branch(entry, branch_name)
-    algebra = _branch_algebra(entry, branch)
-    assumptions = [str(a) for a in entry.atoms]
-    if branch is None:
-        name = entry.name
-        family = entry.build_derivation_family()
-        atoms = list(entry.atoms)
-        steps = [s for s in entry.plan if s.get("kind") != "branch"]
-    else:
-        name = f"{entry.name} [{branch_name}]"
-        subs = entry.branch_subs(branch)
-        node = branch.get("derivation_family")
-        family = family_from_json(algebra, node, subs) if node else None
-        branch_atoms = [Atom.from_json(a) for a in branch.get("atoms", [])]
-        atoms = _substitute_atoms(entry.atoms, subs) + branch_atoms
-        assumptions += [f"{k} = {v}" for k, v in branch.get("subs", {}).items()]
-        assumptions += [str(a) for a in branch_atoms]
-        steps = branch.get("steps", [])
-    if family is None:
-        family = solve_derivations(algebra)
-    base = StageContext(name, branch_name, algebra, family, atoms, assumptions, steps)
-    return base.constrained(derivation_subs or {}, fam_subs or {})
-
-
-def _su_constraints(entry: AlgebraEntry, context: StageContext):
-    nil = Subspace.from_indices(context.algebra, entry.nilradical)
-    return strongly_unimodular_constraints(ExtensionSpec(context.algebra, context.family), nil)
-
-
-def _gauge_determinant_for_slice(context: StageContext) -> Polynomial:
-    """The gauge determinant of the context's gauge step, as a polynomial
-    (quadratic in alpha_14), used to parametrize the singular slice."""
-    step = next(s for s in context.steps if s.get("kind") == "gauge")
-    return context.gauge_system(step).solved.determinant
-
-
-def _sampling_certificate(context: StageContext, inputs) -> Certificate:
-    """Replay sample_falsify on the context with the inputs' trials, seed,
-    slice and reason.  The certificate keeps its one NON-PROVING assumption
-    in place of the context's, and stores the context fields."""
-    slice_name = inputs["slice"]
-    det_quad = _gauge_determinant_for_slice(context) if slice_name == "t2_zero" else None
-    sampler = PairSampler(
-        context.algebra, context.family, context.atoms, random.Random(inputs["seed"]),
-        slice_name=slice_name, det_in_alpha14=det_quad,
-    )
-    cert = sample_falsify(
-        context.name, sampler, inputs["trials"], inputs["seed"], reason=inputs["reason"]
-    )
-    cert.data.update(context.certificate_data())
-    return cert
-
-
 # -- the SU(3) stage ---------------------------------------------------------
 
 
-def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryResult) -> Outcome:
-    base = stage_context(entry, branch_name)
+def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryResult) -> Outcome:
     name = base.name
-    su = _su_constraints(entry, base)
-    if branch_name is None:
-        _check_su_expected(entry.name, su, entry.su_expected)
+    su = base.su
+    if base.branch_name is None:
+        _check_su_expected(name, su, base.entry.su_expected)
 
     if su.constant_obstructions:
-        cert = certify_trace_obstruction(base, su)
+        cert = certify_trace_obstruction(base, {})
         result.certificates.append(cert)
         result.notes.append(
             f"{name}: the strong-unimodularity trace conditions contain nonzero "
@@ -1047,19 +1071,11 @@ def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryRe
         if any(s.get("kind") == "trace_obstruction" for s in base.steps):
             return Outcome.NO_SU_EXTENSION
 
-    fam_solution, unsolved = _solved_family_substitutions(su.family_equations)
-    context = base.constrained(su.derivation_subs, fam_solution)
-    context.assumptions += [f"{e} = 0" for e in unsolved]
-    if fam_solution:
+    context = strongly_unimodular_context(base)
+    if context.fam_subs:
         # second lambda stage on the constrained structure
         cert, _ = certify_lambda_sign(
-            context.algebra,
-            entry.witnesses.get("lambda"),
-            name,
-            atoms=context.atoms,
-            assumptions=context.assumptions,
-            rng=random.Random(11),
-            fam_subs=context.certificate_data()["fam_subs"],
+            context, base.entry.witnesses.get("lambda"), rng=random.Random(11)
         )
         if cert is not None:
             result.certificates.append(cert)
@@ -1073,7 +1089,7 @@ def _run_su3_stage(entry, branch_name, options: PipelineOptions, result: EntryRe
             result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
             proved = True
         elif kind == "sign_product":
-            inputs = {"pair": step["pair"], "witness": entry.witnesses[step["witness"]]}
+            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[step["witness"]]}
             result.certificates.append(certify_sign_product(context, inputs))
             proved = True
         elif kind == "gauge":
@@ -1175,63 +1191,42 @@ def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     """Re-verify a stored certificate against the catalog entry.
 
-    Rebuilds the context from the catalog and the substitutions the
-    certificate stores, runs the verifier of its kind on the stored inputs
-    (the solved gauge of a gauge certificate, the seed of a sampling one),
-    and compares kind, algebra, data and verdict with the stored ones.  An
-    error while building the context from the catalog propagates; stored
-    data that fails to parse or to verify means False.
+    Builds the context that the certificate's algebra name and stored
+    substitutions key, runs the verifier that VERIFIERS gives for its kind
+    on the stored data (the solved gauge of a gauge certificate, the seed of
+    a sampling one), and compares kind, algebra, data and verdict with the
+    stored ones.  Stored data that fails to parse, names a branch the entry
+    lacks, or fails to verify means False.
     """
-    kind, data = cert.kind, cert.data
+    data = cert.data
     try:
-        branch_name = _branch_name(entry, cert.algebra)
-        fam_subs = {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()}
-        derivation_subs = {
-            k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()
-        }
-    except MALFORMED:
-        return False
-    context = None  # a zero-diagonal certificate lives on the entry as shipped
-    if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
-        context = _branch_algebra(entry, _find_branch(entry, branch_name)).substitute(fam_subs)
-    elif kind != CertKind.ZERO_DIAGONAL:
-        context = stage_context(entry, branch_name, derivation_subs, fam_subs)
-    try:
-        rebuilt = _reverify(entry, cert, context)
+        context = StageContext(
+            entry,
+            _branch_name(entry, cert.algebra),
+            {k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()},
+            {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()},
+        )
+        rebuilt = VERIFIERS[cert.kind](context, data)
     except MALFORMED:
         return False
     return (rebuilt.kind, rebuilt.algebra, rebuilt.data, rebuilt.verified) == (
-        kind, cert.algebra, data, cert.verified
+        cert.kind, cert.algebra, data, cert.verified
     )
 
 
-# The verifier of each SU(3)-stage certificate kind, called as
-# verifier(context, inputs).  Discovery passes inputs built from the plan
-# step, recheck the stored data.  A new SU(3)-stage kind is added here.
-SU3_VERIFIERS = {
+# The verifier of each certificate kind, called as verifier(context, inputs).
+# Discovery passes inputs built from the plan step, recheck the stored data.
+# A new certificate kind is added here.
+VERIFIERS = {
+    CertKind.ZERO_DIAGONAL: certify_zero_diagonal,
+    CertKind.LAMBDA_ZERO: certify_lambda,
+    CertKind.LAMBDA_NONNEG: certify_lambda,
     CertKind.NULL_DIRECTION: certify_null_direction,
     CertKind.SIGN_PRODUCT: certify_sign_product,
     CertKind.GAUGE_NULL: verify_gauge,
     CertKind.SAMPLED_NO_SU3: _sampling_certificate,
+    CertKind.TRACE_OBSTRUCTION: certify_trace_obstruction,
 }
-
-
-def _reverify(entry: AlgebraEntry, cert: Certificate, context) -> Certificate:
-    """Run the verifier of the certificate's kind on its stored inputs.
-
-    `context` is the StageContext, the algebra for a lambda certificate, or
-    None for a zero-diagonal one.
-    """
-    kind, data = cert.kind, cert.data
-    if kind == CertKind.ZERO_DIAGONAL:
-        return certify_zero_diagonal(entry, data["indices"])
-    if kind in (CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG):
-        return certify_lambda(
-            lambda_of(context), data.get("witness"), cert.algebra, fam_subs=data.get("fam_subs")
-        )
-    if kind == CertKind.TRACE_OBSTRUCTION:
-        return certify_trace_obstruction(context, _su_constraints(entry, context))
-    return SU3_VERIFIERS[kind](context, data)
 
 
 def _is_result_node(node) -> bool:

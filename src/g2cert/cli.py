@@ -13,6 +13,11 @@ unambiguous substring of one.  Exit code 0 iff every attempted certificate
 verifies; for recheck, iff every certificate of the report rechecks against
 the catalog (the default catalog is 'all').
 
+lambda --witness checks the shipped witness where the pipeline does: on
+the entry as shipped, or, for an entry whose catalog lists
+strong-unimodularity family conditions, after their substitution, which
+it prints.
+
 validate, run-all and recheck validate every entry of their catalog.
 lambda, derivations and su3 look <algebra> up in the built-in catalogs,
 parsed but not validated, and validate only the entry they act on, so an
@@ -38,10 +43,12 @@ from fractions import Fraction
 from . import catalog as cat
 from .certify import (
     PipelineOptions,
-    lambda_of,
+    StageContext,
+    needs_su_first,
     recheck_report,
     run_all,
     run_pipeline,
+    strongly_unimodular_context,
 )
 from .derivations import solve_derivations
 from .errors import G2CertError
@@ -77,10 +84,10 @@ def cmd_lambda(args) -> int:
     entry = _find_entry(args.algebra)
     if entry.dim != 6:
         raise G2CertError(f"{entry.name} has dimension {entry.dim}; lambda lives on dimension 6")
-    lam = lambda_of(entry.build_algebra())
+    context = StageContext(entry)
     print(f"lambda(d alpha) on {entry.name}:")
-    print(f"  {lam}")
-    if lam.is_zero():
+    print(f"  {context.lam}")
+    if context.lam.is_zero():
         print("  identically zero")
         return 0
     if args.witness:
@@ -88,7 +95,14 @@ def cmd_lambda(args) -> int:
         if witness is None:
             print("  no nonnegativity witness shipped for this entry")
             return 1
-        check_nonneg_witness(lam, witness)
+        if needs_su_first(entry):
+            # the witness holds where the pipeline checks it: after the
+            # strong-unimodularity family conditions
+            context = strongly_unimodular_context(context)
+            subs = ", ".join(f"{k} = {v}" for k, v in sorted(context.fam_subs.items()))
+            print(f"  after the strong-unimodularity substitution {subs}:")
+            print(f"  {context.lam}")
+        check_nonneg_witness(context.lam, witness)
         print("  nonnegativity witness verifies: lambda >= 0 for all real coefficients")
     return 0
 

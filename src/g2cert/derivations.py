@@ -1,17 +1,19 @@
-"""Derivations, one-dimensional extensions, and strong unimodularity.
+"""Derivations and the strong unimodularity of one-dimensional extensions.
 
 A DerivationFamily is an n x n matrix whose entries are polynomials, affine
 in the derivation parameters a_1..a_m (and possibly involving structure
 family parameters).  The Leibniz identity D[x,y] = [Dx,y] + [x,Dy] is always
 verified identically in every symbol.
 
-The extension s x_D R adds a generator e_{n+1} acting on s by D; its
-structure equations restrict to those of s and d(e^{n+1}) = 0.
+The extension s x_D R adds a generator e_{n+1} acting on s by D.  It is a
+Lie algebra exactly when D satisfies the Leibniz identity, so no extension
+is built: its strong-unimodularity trace conditions are read from s, D and
+the nilradical of s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -22,7 +24,7 @@ from .errors import (
     NonNumericEntries,
 )
 from .forms import KForm, VectorExpr, wedge
-from .lie import LieAlgebra, Subspace, bracket, descending_central_series, validate
+from .lie import LieAlgebra, Subspace, bracket, descending_central_series
 from .poly import Polynomial, RationalFunction
 
 
@@ -173,33 +175,6 @@ def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
 
 
 @dataclass
-class ExtensionSpec:
-    """g = s x_D R with the extra generator e_{n+1}."""
-
-    base: LieAlgebra
-    derivation: DerivationFamily
-    result: LieAlgebra = field(init=False)
-
-    def __post_init__(self):
-        n = self.base.dim
-        differentials = []
-        for k in range(1, n + 1):
-            coeffs = dict(self.base.d_basis(k).coeffs)
-            lifted = {m: c for m, c in coeffs.items()}
-            for j in range(1, n + 1):
-                entry = self.derivation.matrix[k - 1][j - 1]
-                if entry.is_zero():
-                    continue
-                mask = (1 << (j - 1)) | (1 << n)
-                lifted[mask] = lifted.get(mask, Polynomial.zero()) + entry
-            differentials.append(KForm(n + 1, 2, {m: c for m, c in lifted.items()}))
-        differentials.append(KForm.zero(n + 1, 2))
-        name = f"{self.base.name} x R" if self.base.name else "extension"
-        self.result = LieAlgebra(n + 1, differentials, name=name)
-        validate(self.result)
-
-
-@dataclass
 class StrongUnimodularity:
     """Trace conditions of D and of every ad_{e_j} on the base-nilradical
     quotients n^i / n^(i+1).
@@ -252,17 +227,18 @@ def _quotient_trace(algebra: LieAlgebra, operator_cols, inner: Subspace, outer: 
     return trace
 
 
-def strongly_unimodular_constraints(ext: ExtensionSpec, nilradical: Subspace) -> StrongUnimodularity:
-    """Equate to zero the traces of D and of every ad_{e_j} on each quotient
-    of the descending central series of the base nilradical.
+def strongly_unimodular_constraints(
+    base: LieAlgebra, D: DerivationFamily, nilradical: Subspace
+) -> StrongUnimodularity:
+    """Equate to zero the traces of the derivation family D and of every
+    ad_{e_j} of the base on each quotient of the descending central series
+    of the base nilradical (the strong unimodularity of base x_D R).
 
     Linear conditions in the derivation parameters are returned solved in
     triangular form; conditions only involving family parameters are kept
     as equations; nonzero constants are reported separately (they mean the
     trace conditions cannot be satisfied at all).
     """
-    base = ext.base
-    D = ext.derivation
     for gen in nilradical.generators:
         if not nilradical.contains(D.apply(gen)):
             raise NilradicalNotInvariant("derivation does not preserve the nilradical")

@@ -546,9 +546,6 @@ class NonNegWitness:
     def expand(self) -> Polynomial:
         raise NotImplementedError
 
-    def to_json(self):
-        raise NotImplementedError
-
     @staticmethod
     def from_json(node) -> "NonNegWitness":
         kind = node[0]
@@ -573,9 +570,6 @@ class Square(NonNegWitness):
     def expand(self) -> Polynomial:
         return self.poly * self.poly
 
-    def to_json(self):
-        return ["square", str(self.poly)]
-
 
 class PositiveConst(NonNegWitness):
     def __init__(self, value: Scalar):
@@ -586,9 +580,6 @@ class PositiveConst(NonNegWitness):
 
     def expand(self) -> Polynomial:
         return Polynomial.const(self.value)
-
-    def to_json(self):
-        return ["const", str(self.value)]
 
 
 class Sum(NonNegWitness):
@@ -601,9 +592,6 @@ class Sum(NonNegWitness):
             total = total + child.expand()
         return total
 
-    def to_json(self):
-        return ["sum"] + [ch.to_json() for ch in self.children]
-
 
 class Product(NonNegWitness):
     def __init__(self, children: Iterable[NonNegWitness]):
@@ -614,9 +602,6 @@ class Product(NonNegWitness):
         for child in self.children:
             total = total * child.expand()
         return total
-
-    def to_json(self):
-        return ["product"] + [ch.to_json() for ch in self.children]
 
 
 def check_nonneg_witness(target: Polynomial, witness: NonNegWitness) -> bool:
@@ -667,18 +652,15 @@ def poly_matrix_det(matrix) -> Polynomial:
 
 
 class SolvedLinearSystem:
-    """Cramer solution of a square symbolic system.
-
-    `solutions[i]` is a RationalFunction; `determinant` is the shared
-    nondegeneracy condition (solutions are valid wherever it is nonzero).
-    `numerators[i]` is the raw replaced-column determinant, so that
-    solutions[i] = numerators[i] / determinant before normalization.
+    """Cramer solution of a square symbolic system: unknown i equals
+    numerators[i] / determinant, where `numerators[i]` is the
+    replaced-column determinant and `determinant` is the shared
+    nondegeneracy condition (the solution is valid wherever it is nonzero).
     """
 
-    def __init__(self, solutions, determinant, numerators=None):
-        self.solutions = solutions
+    def __init__(self, determinant, numerators):
         self.determinant = determinant
-        self.numerators = numerators or [s.num for s in solutions]
+        self.numerators = numerators
 
 
 def solve_linear(matrix, rhs) -> SolvedLinearSystem:
@@ -692,17 +674,14 @@ def solve_linear(matrix, rhs) -> SolvedLinearSystem:
     det = poly_matrix_det(matrix)
     if det.is_zero():
         raise SingularSymbolicSystem(det)
-    solutions = []
     numerators = []
     for col in range(n):
         replaced = [
             [rhs[i] if j == col else matrix[i][j] for j in range(n)]
             for i in range(n)
         ]
-        numerator = poly_matrix_det(replaced)
-        numerators.append(numerator)
-        solutions.append(RationalFunction(numerator, det))
-    return SolvedLinearSystem(solutions, det, numerators)
+        numerators.append(poly_matrix_det(replaced))
+    return SolvedLinearSystem(det, numerators)
 
 
 def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):

@@ -8,7 +8,8 @@ entry with form_value, and tests definiteness with det_fraction minors, so
 it shares neither the K table nor the h product with su3_passes_int.
 
 The last few helpers are test-side references that no pipeline path
-needs: a catalog writer for the save/load round trip, plain substitution
+needs: a catalog writer and a witness serializer for the save/load round
+trips, the extension s x_D R built as a Lie algebra, plain substitution
 of rational functions to check substitute_cramer against, and readers
 for subspace equality and exact polynomial quotients.
 """
@@ -18,7 +19,7 @@ import json
 from fractions import Fraction
 from itertools import permutations
 
-from g2cert.catalog import SCHEMA
+from g2cert.catalog import SCHEMA, AlgebraEntry
 from g2cert.errors import NonNumericEntries
 from g2cert.forms import (
     KForm,
@@ -31,9 +32,16 @@ from g2cert.forms import (
     wedge_coeffs,
 )
 from g2cert.hitchin import Bilinear
-from g2cert.lie import Subspace
+from g2cert.lie import LieAlgebra, Subspace, validate
 from g2cert.linalg import det_fraction, rref
-from g2cert.poly import Polynomial, RationalFunction
+from g2cert.poly import (
+    NonNegWitness,
+    PositiveConst,
+    Polynomial,
+    RationalFunction,
+    Square,
+    Sum,
+)
 
 _PARITY_CACHE = {}
 
@@ -283,11 +291,41 @@ def su3_check(omega: KForm, psi: KForm) -> SU3Verdict:
     return SU3Verdict.FAILS_POSITIVITY
 
 
+def entry_to_json(entry: AlgebraEntry) -> dict:
+    """The catalog node of an entry, the inverse of AlgebraEntry.from_json;
+    fields at their default value are left out."""
+    node = {"name": entry.name, "dim": entry.dim}
+    if entry.stub:
+        node["stub"] = True
+    if entry.structure:
+        node["structure"] = entry.structure
+    if entry.family_params:
+        node["family_params"] = [
+            {"name": p.name, "atoms": [[a.op, str(a.poly)] for a in p.atoms]}
+            for p in entry.family_params
+        ]
+    if entry.nilradical is not None:
+        node["nilradical"] = entry.nilradical
+    if not entry.expect_unimodular:
+        node["expect_unimodular"] = False
+    if entry.derivation_family is not None:
+        node["derivation_family"] = entry.derivation_family
+    if entry.su_expected is not None:
+        node["su_expected"] = entry.su_expected
+    if entry.witnesses:
+        node["witnesses"] = entry.witnesses
+    if entry.plan:
+        node["plan"] = entry.plan
+    if entry.notes:
+        node["notes"] = entry.notes
+    return node
+
+
 def save_catalog(entries, path, name: str = "") -> None:
     """Write `entries` as a catalog document in canonical form (sorted
     keys, two-space indent, final newline), so equal catalogs are equal
     bytes."""
-    document = {"schema": SCHEMA, "entries": [e.to_json() for e in entries]}
+    document = {"schema": SCHEMA, "entries": [entry_to_json(e) for e in entries]}
     if name:
         document["name"] = name
     with open(path, "w", encoding="utf-8") as handle:
@@ -321,3 +359,33 @@ def as_polynomial(f: RationalFunction) -> Polynomial:
     if quotient is None:
         raise ValueError(f"not a polynomial: {f}")
     return quotient
+
+
+def witness_to_json(witness: NonNegWitness):
+    """The JSON tree of a witness, the inverse of NonNegWitness.from_json."""
+    if isinstance(witness, Square):
+        return ["square", str(witness.poly)]
+    if isinstance(witness, PositiveConst):
+        return ["const", str(witness.value)]
+    kind = "sum" if isinstance(witness, Sum) else "product"
+    return [kind] + [witness_to_json(child) for child in witness.children]
+
+
+def extension_algebra(base: LieAlgebra, derivation) -> LieAlgebra:
+    """s x_D R with the extra generator e_{n+1}: d e^k gains the terms
+    D[k][j] e^j ^ e^{n+1} and d e^{n+1} = 0.  Validated, so it raises
+    JacobiFailure unless d^2 = 0."""
+    n = base.dim
+    differentials = []
+    for k in range(1, n + 1):
+        lifted = dict(base.d_basis(k).coeffs)
+        for j in range(1, n + 1):
+            entry = derivation.matrix[k - 1][j - 1]
+            if not entry.is_zero():
+                mask = (1 << (j - 1)) | (1 << n)
+                lifted[mask] = lifted.get(mask, Polynomial.zero()) + entry
+        differentials.append(KForm(n + 1, 2, lifted))
+    differentials.append(KForm.zero(n + 1, 2))
+    extension = LieAlgebra(n + 1, differentials, name=f"{base.name} x R")
+    validate(extension)
+    return extension

@@ -8,38 +8,40 @@ from fractions import Fraction
 import pytest
 
 from conftest import P, algebra_of
-from g2cert.catalog import BUILTIN_DATASETS, load_any, load_builtin
+from g2cert.catalog import BUILTIN_DATASETS, AlgebraEntry, load_any, load_builtin
 from g2cert.certify import (
+    VERIFIERS,
     Certificate,
     CertKind,
     Outcome,
     PairSampler,
     PipelineOptions,
+    StageContext,
     certify_lambda_sign,
     certify_null_direction,
     certify_sign_product,
     certify_zero_diagonal,
     gauge_system,
     gauge_transport,
-    generic_exact_g2,
     negative_control,
     recheck_certificate,
     recheck_report,
     run_all,
     run_pipeline,
     sample_falsify,
-    stage_context,
     standard_su3_pair,
     _solved_family_substitutions,
 )
 from g2cert.derivations import DerivationFamily
 from g2cert.errors import (
+    G2CertError,
     IdentityFailure,
     IdentityMismatch,
     NotIdenticallyZero,
     SingularSymbolicSystem,
     WitnessMismatch,
 )
+from g2cert.hitchin import b_phi
 from g2cert.poly import Polynomial
 from g2cert import numeric
 
@@ -61,19 +63,19 @@ def indecomposable():
 class TestGenericExactG2:
     def test_q1_zero_diagonal(self):
         q1 = by_name("nonsolvable", "q_1")
-        cert = certify_zero_diagonal(q1, [5, 6, 7])
+        cert = certify_zero_diagonal(StageContext(q1), {"indices": [5, 6, 7]})
         assert cert.verified and cert.kind == CertKind.ZERO_DIAGONAL
 
     def test_abelian_r7_gives_zero(self):
-        L = algebra_of("(0, 0, 0, 0, 0, 0, 0)")
-        phi, b = generic_exact_g2(L)
+        context = StageContext(AlgebraEntry("R^7", 7, "(0, 0, 0, 0, 0, 0, 0)"))
+        phi = context.psi
+        b = b_phi(phi)
         assert phi.is_zero()
         assert all(b.entry(i, j).is_zero() for i in range(1, 8) for j in range(1, 8))
 
     def test_q2_symbolic_mu_diagonal_zero_and_samples(self):
-        q2 = by_name("nonsolvable", "q_2")
-        algebra = q2.build_algebra()
-        phi, b = generic_exact_g2(algebra)
+        phi = StageContext(by_name("nonsolvable", "q_2")).psi
+        b = b_phi(phi)
         assert b.entry(5, 5).is_zero()
         # independent spot check: evaluate the full construction at random
         # rational points (Schwartz-Zippel style consistency)
@@ -92,21 +94,17 @@ class TestGenericExactG2:
 class TestLambdaStage:
     def test_witnessed_nonnegative(self, table1):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
-        cert, sample = certify_lambda_sign(
-            entry.build_algebra(), entry.witnesses.get("lambda"), entry.name
-        )
+        cert, sample = certify_lambda_sign(StageContext(entry), entry.witnesses.get("lambda"))
         assert cert.kind == CertKind.LAMBDA_NONNEG and sample is None
 
     def test_identically_zero(self):
         entry = by_name("table1", "g_{3,4}^{-1}+R^3")
-        cert, _ = certify_lambda_sign(entry.build_algebra(), None, entry.name)
+        cert, _ = certify_lambda_sign(StageContext(entry), None)
         assert cert.kind == CertKind.LAMBDA_ZERO
 
     def test_survivor_negative_sample(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        cert, sample = certify_lambda_sign(
-            entry.build_algebra(), None, entry.name, rng=random.Random(5)
-        )
+        cert, sample = certify_lambda_sign(StageContext(entry), None, rng=random.Random(5))
         assert cert is None
         values = {k: Fraction(v) for k, v in sample.items()}
         lam = 16 * values["alpha_14"] * values["alpha_15"] * values["alpha_24"] * values["alpha_25"]
@@ -115,44 +113,51 @@ class TestLambdaStage:
     def test_wrong_witness_raises(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
         with pytest.raises(WitnessMismatch):
-            certify_lambda_sign(
-                entry.build_algebra(), ["square", "alpha_14"], entry.name
-            )
+            certify_lambda_sign(StageContext(entry), ["square", "alpha_14"])
+
+    def test_family_is_not_built(self):
+        # g_{6,70} cannot solve Der before fam_p is fixed; its lambda stage
+        # never asks for the family
+        entry = by_name("indecomposable", "g_{6,70}")
+        context = StageContext(entry)
+        cert, sample = certify_lambda_sign(context, None, rng=random.Random(7))
+        assert cert is None and sample
+        assert "family" not in vars(context) and "shipped_family" not in vars(context)
 
 
 class TestNullDirectionAndSignProduct:
     def test_g530_null_directions(self):
         entry = by_name("table1", "g_{5,30}")
-        context = stage_context(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
+        context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
         cert = certify_null_direction(context, {"indices": [1, 2, 3]})
         assert cert.verified
 
     def test_g530_nonnull_index_rejected(self):
         entry = by_name("table1", "g_{5,30}")
-        context = stage_context(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
+        context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
         with pytest.raises(NotIdenticallyZero):
             certify_null_direction(context, {"indices": [4]})
 
     def test_g654_null_directions(self):
         entry = by_name("indecomposable", "g_{6,54}")
-        context = stage_context(entry, fam_subs={"fam_l": Fraction(-1)})
+        context = StageContext(entry, fam_subs={"fam_l": Fraction(-1)})
         cert = certify_null_direction(context, {"indices": [1, 2, 3, 4]})
         assert cert.verified
 
     def test_g535_sign_product(self):
         entry = by_name("table1", "g_{5,35}")
         inputs = {"pair": [1, 6], "witness": entry.witnesses["sign_product"]}
-        cert = certify_sign_product(stage_context(entry), inputs)
+        cert = certify_sign_product(StageContext(entry), inputs)
         assert cert.verified
 
     def test_zero_witness_mismatch(self):
         entry = by_name("table1", "g_{5,35}")
         with pytest.raises(IdentityMismatch):
-            certify_sign_product(stage_context(entry), {"pair": [1, 6], "witness": ["sum"]})
+            certify_sign_product(StageContext(entry), {"pair": [1, 6], "witness": ["sum"]})
 
     def test_g6115_sign_product(self):
         entry = by_name("indecomposable", "g_{6,115}")
-        context = stage_context(entry, derivation_subs={"a_1": P("-a_3 - 2*a_6")})
+        context = StageContext(entry, derivation_subs={"a_1": P("-a_3 - 2*a_6")})
         inputs = {"pair": [3, 4], "witness": entry.witnesses["sign_product"]}
         cert = certify_sign_product(context, inputs)
         assert cert.verified
@@ -161,14 +166,14 @@ class TestNullDirectionAndSignProduct:
 class TestGaugeTransport:
     def test_double_g34_gauge(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
-        context = stage_context(entry)
+        context = StageContext(entry)
         cert = gauge_transport(context, entry.plan[0])
         assert cert.verified
         delta = P("alpha_14*alpha_25 - alpha_15*alpha_24")
         assert P(cert.data["branch_condition"]) == delta * delta
         # lambda < 0 forces the branch condition nonzero:
         # lambda + 4 delta^2 = 4 (a14 a25 + a15 a24)^2
-        lam = context.candidate.lam
+        lam = context.lam
         assert lam + 4 * delta * delta == 4 * P("(alpha_14*alpha_25 + alpha_15*alpha_24)^2")
 
     def test_gauge_without_freedom_is_singular(self):
@@ -180,7 +185,7 @@ class TestGaugeTransport:
             "pair": [3, 6],
         }
         with pytest.raises(SingularSymbolicSystem):
-            gauge_transport(stage_context(entry), zero_step)
+            gauge_transport(StageContext(entry), zero_step)
 
     def test_target_not_affine_in_the_gauge(self):
         # S e_1 = s e_2, S e_2 = s e_3 on R^6: S^2 != 0, so exp(S) is quadratic in s
@@ -198,20 +203,17 @@ class TestGaugeTransport:
 class TestSampling:
     def test_deterministic_replay(self):
         entry = by_name("indecomposable", "g_{6,118}")
-        algebra = entry.build_algebra()
-        family = entry.build_derivation_family().substitute({"a_1": P("-a_3 - 2*a_7")})
-        sampler = PairSampler(algebra, family, entry.atoms, random.Random(0))
+        context = StageContext(entry, derivation_subs={"a_1": P("-a_3 - 2*a_7")})
+        sampler = PairSampler(context, random.Random(0))
         cert1 = sample_falsify(entry.name, sampler, 40, 123)
-        sampler2 = PairSampler(algebra, family, entry.atoms, random.Random(0))
+        sampler2 = PairSampler(context, random.Random(0))
         cert2 = sample_falsify(entry.name, sampler2, 40, 123)
         assert cert1.data == cert2.data
         assert cert1.verified and cert1.data["passes"] == 0
 
     def test_zero_trials_empty_certificate(self):
         entry = by_name("indecomposable", "g_{6,118}")
-        algebra = entry.build_algebra()
-        family = entry.build_derivation_family()
-        sampler = PairSampler(algebra, family, entry.atoms, random.Random(0))
+        sampler = PairSampler(StageContext(entry), random.Random(0))
         cert = sample_falsify(entry.name, sampler, 0, 7)
         assert cert.verified and cert.data["trials"] == 0 and cert.data["passes"] == 0
 
@@ -424,11 +426,19 @@ class TestFullReport:
             ("sign_product", "g_{5,35}^{-2,0}+R", "witness", ["sum"]),
             ("sign_product", "g_{5,35}^{-2,0}+R", "witness", []),
             ("zero_diagonal", "q_1", "indices", [0]),
+            ("zero_diagonal", "q_1", "indices", [1]),
+            ("lambda_nonnegative", "g_{3,4}^{-1}+g_{3,1}", "witness", ["square", "alpha_14"]),
+            ("lambda_nonnegative", "g_{6,70}^{4p,p}", "fam_subs", {"fam_p": "1"}),
+            ("lambda_nonnegative", "g_{6,70}^{4p,p}", "fam_subs", {}),
+            ("trace_obstruction", "g_{5,30}^{-4/3}+R", "constants", ["1"]),
+            ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", "t2_zero"),
         ],
         ids=[
             "non-null-index", "extra-index", "no-index", "negative-index",
             "pair", "zero-index-pair", "pair-out-of-range", "witness", "empty-witness",
-            "zero-diagonal-index-0",
+            "zero-diagonal-index-0", "zero-diagonal-index-1", "lambda-witness",
+            "second-stage-lambda-fam-subs", "second-stage-lambda-no-fam-subs",
+            "trace-constants", "slice-without-gauge-step",
         ],
     )
     def test_tampered_certificate_fails(self, full_report, kind, algebra, field, value):
@@ -440,6 +450,16 @@ class TestFullReport:
         node["data"][field] = value
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
+    def test_unknown_branch_does_not_recheck(self, full_report):
+        # the branch is resolved inside recheck's guarded region: a
+        # certificate naming a branch the entry lacks is False, not an error
+        entries, document = full_report
+        entry = next(e for e in entries if e.name.startswith("g_{6,101}"))
+        node = json.loads(json.dumps(certificate_node(document, "sampled_no_su3", G6101_GENERIC)))
+        node["algebra"] = f"{entry.name} [bogus]"
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+        with pytest.raises(G2CertError, match="no branch named 'bogus'"):
+            StageContext(entry, "bogus").algebra
 
     @pytest.mark.parametrize(
         "malform",
@@ -484,6 +504,10 @@ class TestFullReport:
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"]["attempts"] = attempts + 1
         assert not recheck_certificate(entry, Certificate.from_json(node))
+
+
+def test_every_kind_has_one_verifier():
+    assert set(VERIFIERS) == set(CertKind)
 
 
 class TestReportRendering:

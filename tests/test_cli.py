@@ -29,6 +29,14 @@ def test_lambda_command(capsys):
     assert "witness verifies" in out
 
 
+def test_lambda_witness_after_strong_unimodularity(capsys):
+    # the g_{6,70} witness holds where the pipeline checks it, after fam_p = 0
+    assert main(["lambda", "g_{6,70}", "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert "after the strong-unimodularity substitution fam_p = 0:" in out
+    assert "witness verifies" in out
+
+
 def test_lambda_zero_entry(capsys):
     assert main(["lambda", "g_{5,14}"]) == 0
     assert "identically zero" in capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import P
-from oracles import as_polynomial, oracle_mul, substitute_rational
+from oracles import as_polynomial, oracle_mul, substitute_rational, witness_to_json
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
 from g2cert.poly import (
     NonNegWitness,
@@ -322,16 +322,22 @@ class TestNonNegWitness:
 
     def test_json_round_trip(self):
         witness = Product([PositiveConst(16), Square(P("fam_p*alpha_14*alpha_16"))])
-        rebuilt = NonNegWitness.from_json(witness.to_json())
+        rebuilt = NonNegWitness.from_json(witness_to_json(witness))
         assert rebuilt.expand() == witness.expand()
+
+
+def cramer_solutions(solved) -> list:
+    """Unknown i of a solved system as numerators[i] / determinant."""
+    return [RationalFunction(num, solved.determinant) for num in solved.numerators]
 
 
 class TestSolveLinear:
     def test_identity_system(self):
         one, zero = Polynomial.const(1), Polynomial.zero()
         solved = solve_linear([[one, zero], [zero, one]], [P("p"), P("q")])
-        assert solved.solutions[0] == RationalFunction(P("p"), P("1"))
-        assert solved.solutions[1] == RationalFunction(P("q"), P("1"))
+        assert cramer_solutions(solved) == [
+            RationalFunction(P("p"), P("1")), RationalFunction(P("q"), P("1"))
+        ]
 
     def test_two_by_two_hand_cramer(self):
         # [[alpha_12, 0], [1, 1]] x = (u, v): hand Cramer gives
@@ -339,8 +345,9 @@ class TestSolveLinear:
         matrix = [[P("alpha_12"), Polynomial.zero()], [P("1"), P("1")]]
         solved = solve_linear(matrix, [P("u"), P("v")])
         assert solved.determinant == P("alpha_12")
-        assert solved.solutions[0] == RationalFunction(P("u"), P("alpha_12"))
-        assert solved.solutions[1] == RationalFunction(P("alpha_12*v - u"), P("alpha_12"))
+        x1, x2 = cramer_solutions(solved)
+        assert x1 == RationalFunction(P("u"), P("alpha_12"))
+        assert x2 == RationalFunction(P("alpha_12*v - u"), P("alpha_12"))
 
     def test_gauge_system_of_the_double_g34(self):
         # the 4x4 block system; determinant is (a14 a25 - a15 a24)^2
@@ -361,10 +368,11 @@ class TestSolveLinear:
         matrix = [[P("x"), P("1")], [P("1"), P("x")]]
         rhs = [P("u"), P("v")]
         solved = solve_linear(matrix, rhs)
+        solutions = cramer_solutions(solved)
         for i in range(2):
             acc = RationalFunction.zero()
             for j in range(2):
-                acc = acc + solved.solutions[j] * matrix[i][j]
+                acc = acc + solutions[j] * matrix[i][j]
             assert acc == RationalFunction.from_polynomial(rhs[i])
 
     def test_singular_system(self):
@@ -377,7 +385,7 @@ class TestSolveLinear:
         solved = solve_linear(matrix, [P("u"), P("v")])
         poly = P("3*s_1^2 + s_1*s_2*y - s_2 + 7")
         num, power = substitute_cramer(poly, ["s_1", "s_2"], solved.numerators, solved.determinant)
-        direct = substitute_rational(poly, dict(zip(["s_1", "s_2"], solved.solutions)))
+        direct = substitute_rational(poly, dict(zip(["s_1", "s_2"], cramer_solutions(solved))))
         assert RationalFunction(num, solved.determinant**power) == direct
 
 
@@ -389,7 +397,7 @@ def test_substitute_cramer_matches_rational_substitution_random(system):
     solved = solve_linear(matrix, rhs)
     svars = [f"s_{i}" for i in range(1, len(matrix) + 1)]
     num, power = substitute_cramer(poly, svars, solved.numerators, solved.determinant)
-    direct = substitute_rational(poly, dict(zip(svars, solved.solutions)))
+    direct = substitute_rational(poly, dict(zip(svars, cramer_solutions(solved))))
     assert RationalFunction(num, solved.determinant**power) == direct
 
 
