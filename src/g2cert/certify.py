@@ -108,13 +108,22 @@ class Certificate:
 
     @staticmethod
     def from_json(node) -> "Certificate":
-        return Certificate(
+        """The certificate of a report node; raises KeyError for a missing
+        kind or algebra and ValueError for an unknown kind or a field of
+        the wrong JSON type (1 is not a verdict, a list of pairs not data)."""
+        cert = Certificate(
             kind=CertKind(node["kind"]),
             algebra=node["algebra"],
-            assumptions=list(node.get("assumptions", [])),
-            data=dict(node.get("data", {})),
+            assumptions=node.get("assumptions", []),
+            data=node.get("data", {}),
             verified=node.get("verified", False),
         )
+        for name, json_type in (("algebra", str), ("assumptions", list), ("data", dict)):
+            if not isinstance(getattr(cert, name), json_type):
+                raise ValueError(f"certificate field {name!r} is not a JSON {json_type.__name__}")
+        if type(cert.verified) is not bool:
+            raise ValueError("certificate field 'verified' is not true or false")
+        return cert
 
 
 class Outcome(str, enum.Enum):
@@ -307,7 +316,7 @@ class StageContext:
 
     @property
     def lam(self) -> Polynomial:
-        """The quartic invariant lambda(psi)."""
+        """The quartic invariant lambda(psi) = tr(K^2) / 6."""
         return self.k.lam
 
     @cached_property
@@ -317,7 +326,8 @@ class StageContext:
 
     @cached_property
     def h(self) -> Bilinear:
-        """h = omega(., K .) of the generic pair."""
+        """h = omega(., K .) of the generic pair; an entry is computed when
+        a check first reads it."""
         return h_form(self.omega, self.k)
 
     @cached_property

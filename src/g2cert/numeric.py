@@ -13,8 +13,11 @@ independent contraction-based oracle.
 
 A sampled pair becomes a trial when it meets candidate_conditions_int.
 Those test lambda(psi) < 0 first, and evaluate omega only when it holds:
-most draws fail on lambda alone.  The top coefficient of omega^3 is read
-from a table of the 15 perfect matchings of 1..6, built once.
+most draws fail on lambda alone.  lambda comes from tr(K^2) alone; the
+identity K^2 = lambda * Id is not checked per draw, because hitchin proves
+it once for the generic 3-form, of which every integer psi is a
+specialization.  The top coefficient of omega^3 is read from a table of
+the 15 perfect matchings of 1..6, built once.
 """
 
 from __future__ import annotations
@@ -131,8 +134,10 @@ def candidate_conditions_int(psi: dict, omega_of: Callable[[], dict]):
     the conditions a sampled pair must meet to be a trial.
 
     K is given as the hitchin.k_matrix entries.  lambda is tested first,
-    and only then is omega_of() called for omega, so a pair that fails on
-    lambda never evaluates its omega.
+    by the sign of tr(K^2) (21 products once K is summed; K^2 = lambda * Id
+    was proved for the table, see hitchin), and only then is omega_of()
+    called for omega, so a pair that fails on lambda never evaluates its
+    omega.
     """
     k, trace_sq = k_matrix(psi, 0)
     if trace_sq >= 0:

@@ -217,17 +217,28 @@ class SU3Verdict(enum.Enum):
     FAILS_POSITIVITY = "FailsPositivity"
 
 
+def matrix_of(rows) -> Bilinear:
+    """A Bilinear holding a given matrix (a list of rows)."""
+    return Bilinear(len(rows), lambda i, j: rows[i - 1][j - 1])
+
+
+def rows_of(b: Bilinear) -> list:
+    """Every entry of a bilinear form, read through entry()."""
+    return [[b.entry(i, j) for j in range(1, b.dim + 1)] for i in range(1, b.dim + 1)]
+
+
 def is_symmetric(b: Bilinear) -> bool:
     return all(
-        b.entries[i][j] == b.entries[j][i] for i in range(b.dim) for j in range(i + 1, b.dim)
+        b.entry(i, j) == b.entry(j, i) for i in range(1, b.dim + 1) for j in range(i + 1, b.dim + 1)
     )
 
 
 def numeric_entries(b: Bilinear) -> list:
     """The Fraction matrix of a bilinear form with constant entries."""
-    if not all(c.is_constant() for row in b.entries for c in row):
+    rows = rows_of(b)
+    if not all(c.is_constant() for row in rows for c in row):
         raise NonNumericEntries("bilinear form has symbolic entries")
-    return [[c.constant_value() for c in row] for row in b.entries]
+    return [[c.constant_value() for c in row] for row in rows]
 
 
 def is_definite(b: Bilinear) -> Definiteness:
@@ -264,7 +275,7 @@ def contraction_h(omega: KForm, k: list) -> Bilinear:
             for l in range(1, 7):
                 acc = acc + form_value(omega, i, l) * k[l - 1][j - 1]
             entries[i - 1][j - 1] = acc
-    return Bilinear(6, entries)
+    return matrix_of(entries)
 
 
 def su3_check(omega: KForm, psi: KForm) -> SU3Verdict:

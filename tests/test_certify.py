@@ -43,7 +43,7 @@ from g2cert.errors import (
 )
 from g2cert.hitchin import b_phi
 from g2cert.poly import Polynomial
-from g2cert import numeric
+from g2cert import hitchin, numeric
 
 
 def by_name(dataset, name):
@@ -161,6 +161,49 @@ class TestNullDirectionAndSignProduct:
         inputs = {"pair": [3, 4], "witness": entry.witnesses["sign_product"]}
         cert = certify_sign_product(context, inputs)
         assert cert.verified
+
+
+class TestEntriesOnDemand:
+    """Each diagonal verifier computes exactly the entries it reads."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+        for name in ("b_entry", "h_entry"):
+            original = getattr(hitchin, name)
+
+            def counting(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(hitchin, name, counting)
+        return calls
+
+    def test_zero_diagonal(self, computed):
+        context = StageContext(by_name("nonsolvable", "q_1"))
+        certify_zero_diagonal(context, {"indices": [5, 6, 7]})
+        assert computed == ["b_entry"] * 3
+
+    def test_null_direction(self, computed):
+        entry = by_name("table1", "g_{5,30}")
+        context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
+        certify_null_direction(context, {"indices": [1, 2, 3]})
+        assert computed == ["h_entry"] * 3
+        # an entry read again is not computed again
+        certify_null_direction(context, {"indices": [3, 2]})
+        assert computed == ["h_entry"] * 3
+
+    def test_sign_product(self, computed):
+        entry = by_name("table1", "g_{5,35}")
+        inputs = {"pair": [1, 6], "witness": entry.witnesses["sign_product"]}
+        certify_sign_product(StageContext(entry), inputs)
+        assert computed == ["h_entry"] * 2
+
+    def test_index_out_of_range_computes_nothing(self, computed):
+        context = StageContext(by_name("nonsolvable", "q_1"))
+        with pytest.raises(IndexError):
+            certify_zero_diagonal(context, {"indices": [8]})
+        assert computed == []
 
 
 class TestGaugeTransport:

@@ -276,6 +276,27 @@ def test_recheck_reports_malformed_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("data", 5), ("data", [["indices", [5, 6, 7]]]), ("assumptions", 5), ("verified", 1)],
+    ids=["data-int", "data-pairs", "assumptions-int", "verified-int"],
+)
+def test_recheck_certificate_field_of_wrong_type_fails(field, value, tmp_path, capsys):
+    # a field of the wrong JSON type is a certificate that does not recheck,
+    # not a crash, and 1 is not the verdict true
+    report = tmp_path / "report.json"
+    assert main(["run-all", "nonsolvable", "--out", str(report)]) == 0
+    document = json.loads(report.read_text())
+    q1 = next(r for r in document["results"] if r["name"] == "q_1")
+    q1["certificates"][0][field] = value
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report), "--catalog", "nonsolvable"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED q_1: zero_diagonal" in out
+    assert "2 of 3 certificates recheck" in out
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"schema": "g2cert-report/1"}',

@@ -1,18 +1,23 @@
 """Hitchin invariants: b_phi, K_psi, lambda, h, and the SU(3) verdict.
 
 The SU(3) verdict and definiteness cases run on the contraction oracle in
-oracles.py and, where the case is an integer pair, on su3_passes_int.
+oracles.py and, where the case is an integer pair, on su3_passes_int.  The
+one-time proof of K^2 = lambda * Id is run on the real table and on broken
+copies of it.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import P, algebra_of
-from g2cert.errors import NonNumericEntries
+from g2cert.catalog import load_builtin
+from g2cert.certify import StageContext
+from g2cert.errors import KSquareNotScalar, NonNumericEntries
 from g2cert.forms import KForm, generic_two_form, pullback, wedge
-from g2cert.hitchin import Bilinear, b_phi, h_form, k_psi
+from g2cert.hitchin import _k_products, _prove_k_square, b_phi, h_form, h_matrix, k_psi
 from g2cert.lie import ce_differential
 from g2cert.numeric import eval_form_int, su3_passes_int
 from g2cert.poly import Polynomial
@@ -23,8 +28,10 @@ from oracles import (
     contraction_k,
     is_definite,
     is_symmetric,
+    matrix_of,
     oracle_b_entry,
     oracle_k_entry,
+    rows_of,
     su3_check,
 )
 
@@ -63,6 +70,17 @@ class TestBPhi:
             b = b_phi(random_three_form(rng, 7))
             assert is_symmetric(b)
 
+    def test_entries_on_demand_match_permutation_oracle(self):
+        # entries read in a random order, each computed on its first read
+        rng = random.Random(43)
+        pairs = [(i, j) for i in range(1, 8) for j in range(i, 8)]
+        for _ in range(2):
+            phi = random_three_form(rng, 7, span=3)
+            b = b_phi(phi)
+            rng.shuffle(pairs)
+            for i, j in pairs:
+                assert b.entry(i, j).constant_value() == oracle_b_entry(phi, i, j)
+
 
 def passes_int(omega: KForm, psi: KForm) -> bool:
     return su3_passes_int(eval_form_int(omega, {}), eval_form_int(psi, {}))
@@ -75,12 +93,8 @@ class TestDefiniteness:
 
     def _diag(self, values):
         n = len(values)
-        return Bilinear(
-            n,
-            [
-                [Polynomial.const(values[i] if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ],
+        return matrix_of(
+            [[Polynomial.const(values[i] if i == j else 0) for j in range(n)] for i in range(n)]
         )
 
     def _check(self, values, expected, std_su3_pair):
@@ -103,7 +117,7 @@ class TestDefiniteness:
         self._check([-2, -1, -3], Definiteness.NEG_DEF, std_su3_pair)
 
     def test_symbolic_entries_rejected(self):
-        b = Bilinear(2, [[P("x"), P("0")], [P("0"), P("1")]])
+        b = matrix_of([[P("x"), P("0")], [P("0"), P("1")]])
         with pytest.raises(NonNumericEntries):
             is_definite(b)
 
@@ -130,7 +144,7 @@ class TestKPsi:
         omega = generic_two_form(6, "beta")
         k = k_psi(psi)
         assert k.entries == contraction_k(psi)
-        assert h_form(omega, k).entries == contraction_h(omega, k.entries).entries
+        assert rows_of(h_form(omega, k)) == rows_of(contraction_h(omega, k.entries))
 
     def test_g654_lambda_formula(self):
         L = algebra_of("(-e16 - e35, e26 - e45, -e36, e46, 0, 0)")
@@ -138,11 +152,62 @@ class TestKPsi:
         assert lam == P("16*alpha_12^2*alpha_24*alpha_13")
 
     def test_k_square_identity_random(self):
+        # the proof's generic tr(K^2) specializes to 6 lambda, and K^2,
+        # multiplied out here, is lambda * Id on every sample
+        trace = _prove_k_square(_k_products())
+        assert len(trace) == 85
         rng = random.Random(13)
         for _ in range(200):
             psi = random_three_form(rng, 6)
-            k = k_psi(psi)  # raises KSquareNotScalar on violation
+            k = k_psi(psi)
             assert k.lam.total_degree() <= 4
+            values = {mask: c.constant_value() for mask, c in psi.coeffs.items()}
+            generic = sum(c * prod(values.get(m, 0) for m in mono) for mono, c in trace.items())
+            assert 6 * k.lam.constant_value() == generic
+            for i in range(6):
+                for j in range(6):
+                    square = sum(k.entries[i][l] * k.entries[l][j] for l in range(6))
+                    assert square == (k.lam if i == j else Polynomial.zero())
+
+    @pytest.mark.parametrize("field", ["sign", "twice"])
+    def test_proof_rejects_every_single_change_to_the_table(self, field):
+        table = _k_products()
+        for n, (row, col, mask_a, mask_b, sign, twice) in enumerate(table):
+            if field == "sign":
+                sign = -sign
+            else:
+                twice = not twice
+            broken = table[:n] + ((row, col, mask_a, mask_b, sign, twice),) + table[n + 1 :]
+            with pytest.raises(KSquareNotScalar):
+                _prove_k_square(broken)
+
+    @pytest.mark.parametrize(
+        "dataset, name",
+        [
+            ("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}"),
+            ("table1", "g_{5,35}"),
+            ("indecomposable", "g_{6,54}"),
+            ("indecomposable", "g_{6,115}"),
+        ],
+    )
+    def test_trace_lambda_matches_oracles_on_catalog_psi(self, dataset, name):
+        # lambda from the trace alone, against the trace of the contraction
+        # oracle's K over Polynomial and of the permutation oracle's K at
+        # random rational points
+        entry = next(e for e in load_builtin(dataset) if name in e.name)
+        context = StageContext(entry)
+        psi, lam = context.psi, context.lam
+        k = contraction_k(psi)
+        trace = sum((k[i][l] * k[l][i] for i in range(6) for l in range(6)), Polynomial.zero())
+        assert 6 * lam == trace
+        rng = random.Random(47)
+        names = sorted(psi.variables())
+        for _ in range(3):
+            point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for v in names}
+            at_point = psi.substitute(point)
+            oracle = [[oracle_k_entry(at_point, i, j) for i in range(1, 7)] for j in range(1, 7)]
+            expected = sum(oracle[i][l] * oracle[l][i] for i in range(6) for l in range(6))
+            assert 6 * lam.evaluate(point) == expected
 
     def test_orientation_flip_negates_k(self):
         rng = random.Random(19)
@@ -175,6 +240,24 @@ class TestKPsi:
 
 
 class TestHForm:
+    def test_entries_match_w_k_oracle(self):
+        # h_form's on-demand entries and the integer h_matrix share one W K
+        # product; both against contraction_h, which reads omega by form_value
+        rng = random.Random(53)
+        for _ in range(20):
+            psi = random_three_form(rng, 6)
+            omega = KForm.from_terms(
+                6, 2, {(i, j): rng.randint(-3, 3) for i in range(1, 7) for j in range(i + 1, 7)}
+            )
+            k = k_psi(psi)
+            expected = rows_of(contraction_h(omega, k.entries))
+            assert rows_of(h_form(omega, k)) == expected
+            int_k = [[e.constant_value() for e in row] for row in k.entries]
+            int_omega = {mask: c.constant_value() for mask, c in omega.coeffs.items()}
+            assert h_matrix(int_omega, int_k, 0) == [
+                [e.constant_value() for e in row] for row in expected
+            ]
+
     def test_zero_operator(self, std_su3_pair):
         omega, _ = std_su3_pair
         k = k_psi(KForm.basis(6, (1, 2, 3)))
