@@ -7,8 +7,12 @@ verified identically in every symbol.
 
 The extension s x_D R adds a generator e_{n+1} acting on s by D.  It is a
 Lie algebra exactly when D satisfies the Leibniz identity, so no extension
-is built: its strong-unimodularity trace conditions are read from s, D and
-the nilradical of s.
+is built.  Its two quantities come from s and D on the package's kernels.
+D* acts on forms through forms.antiderivation, the kernel behind
+lie.ce_differential too.  The strong-unimodularity trace conditions are
+differences of the traces of D and of each ad_{e_j} on consecutive terms
+of the descending central series of the nilradical; lie.Subspace.trace
+reads each at the pivots of the term's reduced basis.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     LeibnizViolation,
-    NilradicalNotInvariant,
     NonNumericEntries,
 )
-from .forms import KForm, VectorExpr, wedge
+from .forms import KForm, VectorExpr, antiderivation
 from .lie import LieAlgebra, Subspace, bracket, descending_central_series
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial
 
 
 @dataclass
@@ -122,7 +125,7 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
             "solve_derivations needs numeric structure constants; fix the family parameters"
         )
     rows = _leibniz_rows(algebra)
-    basis = linalg.nullspace(rows, n * n, Fraction(1), Fraction(0))
+    basis = linalg.nullspace(rows, n * n)
     matrix = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     params = []
     for m, vec in enumerate(basis, start=1):
@@ -142,36 +145,14 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
 def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
     """(D*f)(x_1..x_k) = sum_m f(x_1, .., D x_m, .., x_k).
 
-    Equivalently the derivation extension of D* e^j = sum_k D[j][k] e^k.
-    For D = c*Id on a k-form this returns k*c*f.
+    The antiderivation of degree 0 extending the 1-forms
+    D* e^j = sum_k D[j][k] e^k.  For D = c*Id on a k-form this returns k*c*f.
     """
     n = family.algebra.dim
     if f.dim != n:
         raise DimensionMismatch("form dimension differs from the algebra")
-    pulled_rows = [
-        KForm(n, 1, {1 << c: family.matrix[j][c] for c in range(n) if not family.matrix[j][c].is_zero()})
-        for j in range(n)
-    ]
-    out = KForm.zero(n, f.degree)
-    for mask, coeff in f.coeffs.items():
-        indices = []
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            indices.append(low.bit_length())
-        for m, i in enumerate(indices):
-            factors = []
-            for t, j in enumerate(indices):
-                if t == m:
-                    factors.append(pulled_rows[j - 1])
-                else:
-                    factors.append(KForm(n, 1, {1 << (j - 1): Polynomial.const(1)}))
-            term = factors[0]
-            for extra in factors[1:]:
-                term = wedge(term, extra)
-            out = out + term * coeff
-    return out
+    images = [{1 << k: entry for k, entry in enumerate(row) if entry} for row in family.matrix]
+    return KForm(n, f.degree, antiderivation(images, f.coeffs))
 
 
 @dataclass
@@ -194,39 +175,6 @@ class StrongUnimodularity:
     raw_traces: list
 
 
-def _quotient_trace(algebra: LieAlgebra, operator_cols, inner: Subspace, outer: Subspace):
-    """Trace of the induced endomorphism on outer/inner.
-
-    operator_cols(j) must return the image of e_j as a VectorExpr; images of
-    outer generators must stay in outer (checked by the caller).
-    """
-    inner_rows = inner.basis_rows()
-    # extend inner basis to a basis of outer
-    combined = [list(r) for r in inner_rows]
-    added = []
-    for gen in outer.generators:
-        row = [RationalFunction.from_polynomial(c) for c in gen.coords]
-        trial = [list(r) for r in combined] + [list(row)]
-        reduced, pivots = linalg.rref(trial, algebra.dim)
-        if len(pivots) > len(combined):
-            combined.append(row)
-            added.append(gen)
-    trace = RationalFunction.zero()
-    if not added:
-        return trace
-    basis_matrix = combined  # rows: inner basis then added representatives
-    for idx, gen in enumerate(added):
-        image = operator_cols(gen)
-        img_row = [RationalFunction.from_polynomial(c) for c in image.coords]
-        # solve x * basis_matrix = img_row  (coordinates in the combined basis)
-        cols = [[basis_matrix[r][c] for r in range(len(basis_matrix))] for c in range(algebra.dim)]
-        solution = linalg.solve_unique(cols, img_row)
-        if solution is None:
-            raise NilradicalNotInvariant("operator does not preserve a central-series term")
-        trace = trace + solution[len(inner_rows) + idx]
-    return trace
-
-
 def strongly_unimodular_constraints(
     base: LieAlgebra, D: DerivationFamily, nilradical: Subspace
 ) -> StrongUnimodularity:
@@ -239,27 +187,22 @@ def strongly_unimodular_constraints(
     as equations; nonzero constants are reported separately (they mean the
     trace conditions cannot be satisfied at all).
     """
-    for gen in nilradical.generators:
-        if not nilradical.contains(D.apply(gen)):
-            raise NilradicalNotInvariant("derivation does not preserve the nilradical")
+    n = base.dim
     series = descending_central_series(base, nilradical)
+    operators = [("D", [D.column(j).coords for j in range(1, n + 1)])]
+    for i in range(1, n + 1):
+        operators.append(
+            (f"ad_e{i}", [base.bracket_basis(i, j).coords for j in range(1, n + 1)])
+        )
+    # the trace on n^level / n^(level+1) is the difference of the traces on
+    # the two terms; the trace on each term checks that the term is preserved
+    term_traces = [[term.trace(images) for term in series] for _, images in operators]
     traces = []
-    operators = [("D", lambda v: D.apply(v))]
-    for j in range(1, base.dim + 1):
-        operators.append((f"ad_e{j}", lambda v, j=j: bracket(base, VectorExpr.basis(base.dim, j), v)))
     for level in range(len(series) - 1):
-        outer, inner = series[level], series[level + 1]
-        for name, op in operators:
-            tr = _quotient_trace(base, op, inner, outer)
+        for (name, _), per_term in zip(operators, term_traces):
+            tr = per_term[level] - per_term[level + 1]
             if not tr.is_zero():
                 traces.append((name, level, tr.num))
-    def normalize_eq(poly: Polynomial) -> Polynomial:
-        scale = poly.content()
-        _, lead = poly.leading()
-        if lead < 0:
-            scale = -scale
-        return poly * (1 / scale)
-
     deriv_rows = []
     family_eqs = []
     constants = []
@@ -279,7 +222,7 @@ def strongly_unimodular_constraints(
             deriv_rows.append([c.constant_value() for c in row])
         else:
             # a family condition, or a nonlinear or mixed one: keep as a raw equation
-            eq = normalize_eq(poly)
+            eq = poly * (1 / poly.normal_scale())
             if all(existing != eq for existing in family_eqs):
                 family_eqs.append(eq)
     subs = {}

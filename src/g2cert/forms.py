@@ -5,7 +5,10 @@ e^i), with sign bookkeeping by transposition counting.  Coefficients are
 Polynomials; purely numeric forms are just forms with constant coefficients.
 Forms are immutable and safe to share.  The exterior product works on the
 bare mask -> coefficient dicts (wedge_coeffs), so the integer sampler
-shares it; its sign per mask pair comes from the cached merge_sign.
+shares it; its sign per mask pair comes from the cached merge_sign.  The
+maps extended from the images of the e^i run on the same dicts:
+antiderivation (the Chevalley-Eilenberg differential and D*), which shares
+its contraction loop with contract, and the multiplicative pullback.
 """
 
 from __future__ import annotations
@@ -63,6 +66,17 @@ def _coerce_poly(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.const(value)
+
+
+def _accumulate(out: dict, terms: Mapping[int, object]) -> None:
+    """out += terms, on mask -> coefficient dicts; cancelled masks are dropped."""
+    for mask, term in terms.items():
+        prior = out.get(mask)
+        total = term if prior is None else prior + term
+        if total:
+            out[mask] = total
+        else:
+            out.pop(mask, None)
 
 
 class KForm:
@@ -152,12 +166,7 @@ class KForm:
     def __add__(self, other: "KForm") -> "KForm":
         self._check_compatible(other)
         out = dict(self.coeffs)
-        for mask, coeff in other.coeffs.items():
-            total = out.get(mask, Polynomial.zero()) + coeff
-            if total.is_zero():
-                out.pop(mask, None)
-            else:
-                out[mask] = total
+        _accumulate(out, other.coeffs)
         return KForm(self.dim, self.degree, out)
 
     def __sub__(self, other: "KForm") -> "KForm":
@@ -262,62 +271,74 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, wedge_coeffs(a.coeffs, b.coeffs))
 
 
-def wedge_all(forms: Sequence[KForm]) -> KForm:
-    result = forms[0]
-    for f in forms[1:]:
-        result = wedge(result, f)
-    return result
+def _contractions(f: Mapping[int, object], dim: int) -> list:
+    """iota_{e_i} f for i = 1..dim, as mask -> coefficient dicts: a term
+    c e^{i_1..i_k} (i_1 < .. < i_k) gives (-1)^(m-1) c e^{i_1..^i_m..i_k}
+    to iota_{e_{i_m}} f."""
+    out = [{} for _ in range(dim)]
+    for mask, coeff in f.items():
+        rem = mask
+        position = 0
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            out[low.bit_length() - 1][mask ^ low] = -coeff if position & 1 else coeff
+            position += 1
+    return out
+
+
+def antiderivation(images: Sequence[Mapping[int, object]], f: Mapping[int, object]) -> dict:
+    """The antiderivation that sends e^i to images[i - 1], applied to f:
+    sum_i images[i - 1] ^ iota_{e_i} f.
+
+    On a term c e^{i_1..i_k} this is
+    sum_m (-1)^(m-1) images[i_m - 1] ^ e^{i_1..^i_m..i_k} * c.  With 2-form
+    images de^i it is the Chevalley-Eilenberg differential; with 1-form
+    images D* e^i it is the derivation extension of D*.  Forms are
+    mask -> coefficient dicts, as for wedge_coeffs.
+    """
+    out = {}
+    for image, inner in zip(images, _contractions(f, len(images))):
+        if image and inner:
+            _accumulate(out, wedge_coeffs(image, inner))
+    return out
 
 
 def contract(v: VectorExpr, f: KForm) -> KForm:
-    """Interior product iota_v f; degree drops by one."""
+    """Interior product iota_v f = sum_i v_i iota_{e_i} f; degree drops by one."""
     if v.dim != f.dim:
         raise DimensionMismatch(f"dim {v.dim} vs {f.dim}")
     if f.degree == 0:
         raise DegreeZero("cannot contract a 0-form")
     out = {}
-    for mask, coeff in f.coeffs.items():
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            i = low.bit_length()  # 1-based index
-            vi = v.coords[i - 1]
-            if vi.is_zero():
-                continue
-            # sign: (-1)^(number of indices below i in mask)
-            below = (mask & (low - 1)).bit_count()
-            term = vi * coeff
-            if below & 1:
-                term = -term
-            new_mask = mask ^ low
-            total = out.get(new_mask, Polynomial.zero()) + term
-            if total.is_zero():
-                out.pop(new_mask, None)
-            else:
-                out[new_mask] = total
+    for vi, inner in zip(v.coords, _contractions(f.coeffs, f.dim)):
+        if vi:
+            _accumulate(out, {mask: vi * coeff for mask, coeff in inner.items()})
     return KForm(f.dim, f.degree - 1, out)
 
 
 def pullback(matrix: Sequence[Sequence], f: KForm) -> KForm:
     """Pullback F*f for the linear map F with matrix M (F e_j = sum_i M[i][j] e_i).
 
-    Satisfies (F*f)(v_1..v_k) = f(F v_1, .., F v_k), hence
-    pullback(M1*M2, f) = pullback(M2, pullback(M1, f)).
+    The multiplicative extension of F* e^i = sum_j M[i][j] e^j: each term
+    c e^{i_1..i_k} becomes c F*e^{i_1} ^ .. ^ F*e^{i_k}, one wedge_coeffs
+    product per factor.  Satisfies (F*f)(v_1..v_k) = f(F v_1, .., F v_k),
+    hence pullback(M1*M2, f) = pullback(M2, pullback(M1, f)).
     """
     n = f.dim
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise DimensionMismatch(f"matrix must be {n}x{n}")
     rows = [
-        KForm(n, 1, {1 << j: _coerce_poly(matrix[k][j]) for j in range(n)})
+        {1 << j: entry for j, entry in enumerate(map(_coerce_poly, matrix[k])) if entry}
         for k in range(n)
     ]
-    out = KForm.zero(n, f.degree)
+    out = {}
     for mask, coeff in f.coeffs.items():
-        pulled = [rows[i - 1] for i in indices_of(mask)]
-        term = wedge_all(pulled) if pulled else KForm(n, 0, {0: Polynomial.const(1)})
-        out = out + term * coeff
-    return out
+        term = {0: coeff}
+        for i in indices_of(mask):
+            term = wedge_coeffs(term, rows[i - 1])
+        _accumulate(out, term)
+    return KForm(n, f.degree, out)
 
 
 def top_coefficient(f: KForm) -> Polynomial:

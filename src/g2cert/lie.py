@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .errors import DimensionMismatch, JacobiFailure, NotAnIdeal
-from .forms import KForm, VectorExpr, wedge
+from .errors import DimensionMismatch, JacobiFailure, NilradicalNotInvariant, NotAnIdeal
+from .forms import KForm, VectorExpr, antiderivation
 from .poly import Polynomial, RationalFunction
 
 
@@ -85,21 +85,8 @@ def ce_differential(algebra: LieAlgebra, f: KForm) -> KForm:
     """
     if f.dim != algebra.dim:
         raise DimensionMismatch(f"form on dim {f.dim}, algebra dim {algebra.dim}")
-    out = KForm.zero(algebra.dim, f.degree + 1)
-    for mask, coeff in f.coeffs.items():
-        position = 0
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            i = low.bit_length()
-            rest = KForm(algebra.dim, f.degree - 1, {mask ^ low: Polynomial.const(1)})
-            term = wedge(algebra.d_basis(i), rest) * coeff
-            if position & 1:
-                term = -term
-            out = out + term
-            position += 1
-    return out
+    images = [d.coeffs for d in algebra.differentials]
+    return KForm(algebra.dim, f.degree + 1, antiderivation(images, f.coeffs))
 
 
 def bracket(algebra: LieAlgebra, x: VectorExpr, y: VectorExpr) -> VectorExpr:
@@ -175,12 +162,29 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def basis_rows(self) -> list:
-        return [list(row) for row in self._rref]
-
     def contains(self, v: VectorExpr) -> bool:
         row = [RationalFunction.from_polynomial(c) for c in v.coords]
         return linalg.in_span(self._rref, self._pivots, row)
+
+    def trace(self, images: Sequence[Sequence[Polynomial]]) -> RationalFunction:
+        """Trace of the restriction to this subspace of the linear map M
+        with M e_j = images[j - 1] (polynomial coordinates).
+
+        Each reduced row R has 1 at its pivot and 0 at the other pivots, so
+        the coordinate of M R along R is the entry of M R at R's pivot (the
+        fact linalg.in_span rests on) and the trace is the sum of those.
+        Raises NilradicalNotInvariant when some M R leaves the subspace.
+        """
+        trace = RationalFunction.zero()
+        for row, pivot in zip(self._rref, self._pivots):
+            image = [RationalFunction.zero()] * self.parent.dim
+            for entry, column in zip(row, images):
+                if entry:
+                    image = [acc + entry * c if c else acc for acc, c in zip(image, column)]
+            if not linalg.in_span(self._rref, self._pivots, image):
+                raise NilradicalNotInvariant("the map does not preserve a central-series term")
+            trace = trace + image[pivot]
+        return trace
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(g) for g in other.generators)

@@ -5,9 +5,12 @@ fractions.Fraction and poly.RationalFunction provide, so one elimination
 routine serves numeric and symbolic computations.  Pivoting is positional
 (first nonzero), which keeps results deterministic.
 
-Membership (in_span) takes a basis that rref has already reduced, with its
-pivot columns, and reduces the vector against it once instead of
-eliminating again.
+A basis that rref has reduced has 1 at each row's pivot column and 0 at
+every other pivot column.  So the only candidate coordinates of a vector in
+that basis are its entries at the pivot columns: membership (in_span)
+subtracts that one combination and tests the remainder for zero, with no
+second elimination, and lie.Subspace.trace reads the diagonal coordinates
+of a map on the span at the same pivots.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ def rref(rows: List[list], ncols: int) -> tuple:
     return rows, pivots
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int, one, zero) -> List[list]:
-    """Basis of the right nullspace, one vector per free column.
+def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> List[list]:
+    """Basis of the right nullspace over Q, one vector per free column.
 
     Free columns are enumerated in increasing order, which fixes the
     canonical parameter order used by solve_derivations.
@@ -56,29 +59,12 @@ def nullspace(matrix: Sequence[Sequence], ncols: int, one, zero) -> List[list]:
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][free]
         basis.append(vec)
     return basis
-
-
-def solve_unique(matrix: Sequence[Sequence], rhs: Sequence):
-    """Solution of a consistent square-ish system; None if rank-deficient
-    in the unknowns or inconsistent."""
-    n_cols = len(matrix[0]) if matrix else 0
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(rows, n_cols)
-    for row in rows:
-        if not any(row[:n_cols]) and row[n_cols]:
-            return None
-    if len(pivots) < n_cols:
-        return None
-    solution = [None] * n_cols
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][n_cols]
-    return solution
 
 
 def in_span(rows: Sequence[Sequence], pivots: Sequence[int], vector: Sequence) -> bool:

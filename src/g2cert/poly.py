@@ -242,6 +242,17 @@ class Polynomial:
             return Fraction(0)
         return Fraction(num, den)
 
+    def normal_scale(self) -> Fraction:
+        """The content, negated when the leading coefficient is negative.
+
+        Dividing by it gives the normal form of a nonzero polynomial up to a
+        rational factor: content 1 and a positive leading coefficient.  A
+        rational function's denominator and a trace equation = 0 are both
+        stored in this form."""
+        _, lead = self.leading()
+        scale = self.content()
+        return -scale if lead < 0 else scale
+
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
@@ -432,10 +443,7 @@ class RationalFunction:
         if num.is_zero():
             den = P_ONE
         else:
-            scale = den.content()
-            _, lead = den.leading()
-            if lead < 0:
-                scale = -scale
+            scale = den.normal_scale()
             if scale != 1:
                 inv = 1 / scale
                 num = num * inv

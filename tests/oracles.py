@@ -10,8 +10,9 @@ it shares neither the K table nor the h product with su3_passes_int.
 The last few helpers are test-side references that no pipeline path
 needs: a catalog writer and a witness serializer for the save/load round
 trips, the extension s x_D R built as a Lie algebra, plain substitution
-of rational functions to check substitute_cramer against, and readers
-for subspace equality and exact polynomial quotients.
+of rational functions to check substitute_cramer against, readers for
+subspace equality and exact polynomial quotients, and quotient traces by
+per-generator elimination to check Subspace.trace against.
 """
 
 import enum
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from g2cert.catalog import SCHEMA, AlgebraEntry
-from g2cert.errors import NonNumericEntries
+from g2cert.errors import NilradicalNotInvariant, NonNumericEntries
 from g2cert.forms import (
     KForm,
     VectorExpr,
@@ -400,3 +401,52 @@ def extension_algebra(base: LieAlgebra, derivation) -> LieAlgebra:
     extension = LieAlgebra(n + 1, differentials, name=f"{base.name} x R")
     validate(extension)
     return extension
+
+
+def solve_unique(matrix, rhs):
+    """Solution of a consistent square-ish system; None if rank-deficient
+    in the unknowns or inconsistent."""
+    n_cols = len(matrix[0]) if matrix else 0
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows, pivots = rref(rows, n_cols)
+    for row in rows:
+        if not any(row[:n_cols]) and row[n_cols]:
+            return None
+    if len(pivots) < n_cols:
+        return None
+    solution = [None] * n_cols
+    for r, c in enumerate(pivots):
+        solution[c] = rows[r][n_cols]
+    return solution
+
+
+def quotient_trace(algebra: LieAlgebra, operator, inner: Subspace, outer: Subspace) -> RationalFunction:
+    """Trace of the map induced on outer / inner by operator (VectorExpr ->
+    VectorExpr), by per-generator elimination: extend a reduced basis of
+    inner by the generators of outer that raise the rank (one rref each),
+    then solve for the coordinates of each added generator's image in that
+    basis (one more elimination each) and sum the diagonal ones.  Raises
+    NilradicalNotInvariant when an image has no coordinates, i.e. leaves
+    outer."""
+    combined, _ = rref([rf_row(g) for g in inner.generators], algebra.dim)
+    inner_dim = len(combined)
+    added = []
+    for gen in outer.generators:
+        row = rf_row(gen)
+        _, pivots = rref([list(r) for r in combined] + [list(row)], algebra.dim)
+        if len(pivots) > len(combined):
+            combined.append(row)
+            added.append(gen)
+    trace = RationalFunction.zero()
+    cols = [[r[c] for r in combined] for c in range(algebra.dim)]
+    for idx, gen in enumerate(added):
+        solution = solve_unique(cols, rf_row(operator(gen)))
+        if solution is None:
+            raise NilradicalNotInvariant("operator does not preserve a central-series term")
+        trace = trace + solution[inner_dim + idx]
+    return trace
+
+
+def rf_row(v: VectorExpr) -> list:
+    """The coordinates of v as RationalFunctions, a row for rref."""
+    return [RationalFunction.from_polynomial(c) for c in v.coords]

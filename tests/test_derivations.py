@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import P, algebra_of, fam
-from oracles import extension_algebra
+from oracles import extension_algebra, quotient_trace
 from g2cert import linalg
+from g2cert.catalog import BUILTIN_DATASETS, load_builtin
+from g2cert.certify import StageContext
 from g2cert.derivations import (
     DerivationFamily,
     dstar_action,
@@ -14,9 +16,9 @@ from g2cert.derivations import (
     strongly_unimodular_constraints,
     verify_derivation,
 )
-from g2cert.errors import LeibnizViolation, NonNumericEntries
-from g2cert.forms import KForm, generic_two_form
-from g2cert.lie import Subspace
+from g2cert.errors import LeibnizViolation, NilradicalNotInvariant, NonNumericEntries
+from g2cert.forms import KForm, VectorExpr, generic_two_form
+from g2cert.lie import Subspace, bracket, descending_central_series
 from g2cert.poly import Polynomial
 
 G530 = "(-e24 - 2/3*e15, -e34 + 1/3*e25, 4/3*e35, -e45, 0, 0)"
@@ -204,6 +206,74 @@ class TestStrongUnimodularity:
         su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 5]))
         assert su.derivation_subs == {}
         assert su.family_equations == [fam("l + 1")]
+
+    def test_derivation_moving_the_nilradical_raises(self):
+        # span(e1) is a nilpotent ideal of the abelian R^2, and the
+        # derivation e1 -> a_1 e2 moves it
+        L = algebra_of("(0, 0)")
+        D = family([[0, 0], ["a_1", 0]], ["a_1"], L)
+        with pytest.raises(NilradicalNotInvariant):
+            strongly_unimodular_constraints(L, D, Subspace.from_indices(L, [1]))
+
+    def test_one_rref_per_series_term_and_one_for_the_derivation_rows(self, monkeypatch):
+        L = algebra_of(G530)
+        printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
+        series = descending_central_series(L, Subspace.from_indices(L, [1, 2, 3, 4, 6]))
+        calls = []
+        rref = linalg.rref
+
+        def counting_rref(rows, ncols):
+            calls.append(ncols)
+            return rref(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 6]))
+        assert su.derivation_subs
+        # the nilradical and each later series term over the 6 coordinates,
+        # then the derivation rows over a_1, a_5 and a_8, the parameters the
+        # traces involve
+        assert calls == [6] * len(series) + [3]
+
+
+def su_contexts():
+    """Every shipped dimension-6 context with a derivation family: the
+    branches of an entry that has them, else the entry.  A parametrized
+    algebra with no shipped family has none; the lambda stage obstructs it."""
+    for dataset in BUILTIN_DATASETS:
+        for entry in load_builtin(dataset):
+            if entry.stub or entry.dim != 6:
+                continue
+            names = [s["name"] for s in entry.plan if s.get("kind") == "branch"] or [None]
+            for name in names:
+                context = StageContext(entry, name)
+                try:
+                    context.family
+                except NonNumericEntries:
+                    continue
+                yield context
+
+
+def test_raw_traces_match_per_generator_elimination_on_every_shipped_context():
+    checked = 0
+    for context in su_contexts():
+        base, D = context.algebra, context.family
+        n = base.dim
+        series = descending_central_series(
+            base, Subspace.from_indices(base, context.entry.nilradical)
+        )
+        operators = [("D", D.apply)] + [
+            (f"ad_e{i}", lambda v, i=i: bracket(base, VectorExpr.basis(n, i), v))
+            for i in range(1, n + 1)
+        ]
+        expected = []
+        for level in range(len(series) - 1):
+            for name, op in operators:
+                tr = quotient_trace(base, op, series[level + 1], series[level])
+                if not tr.is_zero():
+                    expected.append((name, level, tr.num))
+        assert context.su.raw_traces == expected, context.name
+        checked += 1
+    assert checked == 29
 
 
 class TestExtensionAndNilradical:

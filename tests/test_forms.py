@@ -12,6 +12,7 @@ from g2cert.errors import DegreeMismatch, DegreeZero, DimensionMismatch
 from g2cert.forms import (
     KForm,
     VectorExpr,
+    antiderivation,
     contract,
     generic_two_form,
     indices_of,
@@ -82,6 +83,35 @@ class TestWedgeProperties:
 
         expected = {m: int(c.constant_value()) for m, c in wedge(a, b).substitute(point).coeffs.items()}
         assert wedge_coeffs(at_point(a), at_point(b)) == expected
+
+
+class TestAntiderivation:
+    """The kernel behind d and D*: images of degree p give a map of degree
+    p - 1 with D(f ^ g) = Df ^ g + (-1)^((p - 1) deg f) f ^ Dg."""
+
+    @staticmethod
+    def apply(images, degree, f):
+        return KForm(6, f.degree + degree - 1, antiderivation(images, f.coeffs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([1, 2]))
+    def test_graded_leibniz_rule(self, data, degree):
+        images = [data.draw(polynomial_forms(degree)).coeffs for _ in range(6)]
+        df, dg = data.draw(degrees_up_to_six(2))
+        f, g = data.draw(polynomial_forms(df)), data.draw(polynomial_forms(dg))
+        lhs = self.apply(images, degree, wedge(f, g))
+        first = wedge(self.apply(images, degree, f), g)
+        second = wedge(f, self.apply(images, degree, g))
+        if (degree - 1) * df % 2:
+            second = -second
+        assert lhs == first + second
+
+    def test_images_of_the_basis_one_forms(self):
+        images = [KForm.basis(4, (i % 4 + 1,)).coeffs for i in range(4)]
+        for i in range(1, 5):
+            assert KForm(4, 1, antiderivation(images, KForm.basis(4, (i,)).coeffs)) == KForm(
+                4, 1, images[i - 1]
+            )
 
 
 class TestWedge:
@@ -220,6 +250,17 @@ class TestPullback:
                 for i in range(4)
             ]
             assert pullback(composed, f) == pullback(m2, pullback(m1, f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multiplicative(self, data):
+        # F*(f ^ g) = F*f ^ F*g for a polynomial matrix F
+        entries = st.integers(-2, 2).map(Polynomial.const) | st.sampled_from(
+            [P("u"), P("v"), P("u - 2*v"), P("u*v + 1")]
+        )
+        matrix = [[data.draw(entries) for _ in range(6)] for _ in range(6)]
+        f, g = (data.draw(polynomial_forms(d)) for d in data.draw(degrees_up_to_six(2)))
+        assert pullback(matrix, wedge(f, g)) == wedge(pullback(matrix, f), pullback(matrix, g))
 
     def test_determinant_scaling_of_volume(self):
         rng = random.Random(9)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, algebra_of
-from oracles import rank_in_span, subspace_equals
-from g2cert.errors import JacobiFailure, NotAnIdeal
+from oracles import quotient_trace, rank_in_span, rf_row, subspace_equals
+from g2cert.errors import JacobiFailure, NilradicalNotInvariant, NotAnIdeal
 from g2cert.forms import KForm, VectorExpr, generic_two_form
 from g2cert.lie import (
     LieAlgebra,
@@ -172,14 +172,10 @@ def _abelian(dim):
     return LieAlgebra(dim, [KForm.zero(dim, 2)] * dim)
 
 
-def _rf_row(v):
-    return [RationalFunction.from_polynomial(c) for c in v.coords]
-
-
 class TestSubspaceMembership:
     def check(self, dim, gens, vector):
         sub = Subspace(_abelian(dim), gens)
-        assert sub.contains(vector) == rank_in_span([_rf_row(g) for g in gens], _rf_row(vector))
+        assert sub.contains(vector) == rank_in_span([rf_row(g) for g in gens], rf_row(vector))
 
     @settings(max_examples=200, deadline=None)
     @given(basis_and_vector(symbolic=False))
@@ -190,6 +186,62 @@ class TestSubspaceMembership:
     @given(basis_and_vector(symbolic=True))
     def test_contains_matches_rank_with_family_parameter(self, case):
         self.check(*case)
+
+
+@st.composite
+def span_preserving_maps(draw):
+    """A subspace V from basis_and_vector(symbolic=True) and the images of
+    e_1..e_n under M = c Id + sum_g g (x) lambda_g over the generators g,
+    which maps V into V; c and the lambda_g(e_j) are drawn like the entries."""
+    dim, gens, _ = draw(basis_and_vector(symbolic=True))
+
+    def entry():
+        return Polynomial.const(Fraction(draw(SMALL), draw(st.integers(1, 3)))) + draw(
+            SMALL
+        ) * Polynomial.var("fam_p")
+
+    c = entry()
+    images = [[c if k == j else Polynomial.zero() for k in range(dim)] for j in range(dim)]
+    for g in gens:
+        for j in range(dim):
+            weight = entry()
+            images[j] = [acc + weight * x for acc, x in zip(images[j], g.coords)]
+    return dim, gens, images
+
+
+def _apply(images, v):
+    dim = len(images)
+    coords = [Polynomial.zero()] * dim
+    for x, column in zip(v.coords, images):
+        coords = [acc + x * c for acc, c in zip(coords, column)]
+    return VectorExpr(dim, coords)
+
+
+class TestSubspaceTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(span_preserving_maps())
+    def test_matches_per_generator_elimination(self, case):
+        dim, gens, images = case
+        algebra = _abelian(dim)
+        expected = quotient_trace(
+            algebra, lambda v: _apply(images, v), Subspace(algebra, []), Subspace(algebra, gens)
+        )
+        assert Subspace(algebra, gens).trace(images) == expected
+
+    def test_row_with_a_nonconstant_denominator(self):
+        # V = span(p e1 + e2) reduces to the row (1, 1/p); M = Id + g (x) e^1
+        # sends g to (1 + p) g
+        p = Polynomial.var("fam_p")
+        one, zero = Polynomial.const(1), Polynomial.zero()
+        images = [[one + p, one], [zero, one]]
+        sub = Subspace(_abelian(2), [VectorExpr(2, [p, one])])
+        assert sub.trace(images) == RationalFunction.from_polynomial(one + p)
+
+    def test_map_leaving_the_subspace_raises(self):
+        one, zero = Polynomial.const(1), Polynomial.zero()
+        sub = Subspace.from_indices(_abelian(2), [1])
+        with pytest.raises(NilradicalNotInvariant):
+            sub.trace([[zero, one], [zero, zero]])
 
 
 class TestUnimodularity:
