@@ -27,13 +27,16 @@ A catalog is a JSON document, schema "g2cert-catalog/1".  The package
 only reads catalogs; the writer that the round-trip tests use lives with
 the tests.  Loading a catalog is two steps: `parse_catalog_text` reads
 the document and builds each `AlgebraEntry` (JSON, schema and entry
-shape), and `AlgebraEntry.validate_entry` runs the mathematical checks
-(Jacobi, unimodularity, nilradical, Leibniz of every derivation and gauge
-family, witness parsing).  `load_catalog_text`, `load_catalog`,
-`load_builtin` and `load_any` do both, for every entry; the `validate`,
-`run-all` and `recheck` commands load catalogs this way.  The single-entry commands
-(`lambda`, `derivations`, `su3`) parse the built-ins and validate only the
-entry they name, so an invalid entry elsewhere does not stop them.
+shape), and `AlgebraEntry.validate_entry` builds every object the entry
+ships and so runs the mathematical checks (Jacobi, unimodularity, the
+nilradical, distinct branch names, Leibniz of every derivation and gauge
+family with its branch values, witness parsing).  The entry keeps what it
+built, and the pipeline and recheck read it without proving it again.
+`load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
+both, for every entry; the `validate`, `run-all` and `recheck` commands
+load catalogs this way.  The single-entry commands (`lambda`,
+`derivations`, `su3`) parse the built-ins and validate only the entry
+they name, so an invalid entry elsewhere does not stop them.
 """
 
 from __future__ import annotations
@@ -152,21 +155,13 @@ class FamilyParam:
         return FamilyParam(node["name"], [Atom.from_json(a) for a in node.get("atoms", [])])
 
 
-def family_from_json(algebra: LieAlgebra, node, subs=None) -> DerivationFamily:
-    """Parse a derivation family against `algebra`, substituting `subs` into
-    its entries first (a branch family satisfies Leibniz only on the
-    branch-substituted algebra), then check the Leibniz identity."""
-    matrix = [[parse_polynomial(cell) for cell in row] for row in node["matrix"]]
-    if subs:
-        matrix = [[cell.substitute(subs) for cell in row] for row in matrix]
-    family = DerivationFamily(algebra, matrix, tuple(node["params"]))
-    verify_derivation(algebra, family)
-    return family
-
-
 @dataclass
 class AlgebraEntry:
-    """One catalog row: an algebra plus everything its pipeline needs."""
+    """One catalog row: an algebra plus everything its pipeline needs.
+
+    The entry alone builds its shipped objects, as shipped (branch None) or
+    of a branch: the algebra, the derivation family and each gauge family
+    S.  Each is built and proved on first call and kept in a private cache."""
 
     name: str
     dim: int
@@ -180,21 +175,89 @@ class AlgebraEntry:
     plan: list = field(default_factory=list)
     notes: str = ""
     stub: bool = False
-    algebra: Optional[LieAlgebra] = None
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def atoms(self) -> list:
         return [a for p in self.family_params for a in p.atoms]
 
-    def build_algebra(self) -> LieAlgebra:
-        if self.algebra is None:
-            self.algebra = parse_structure_equations(self.structure, self.dim, name=self.name)
-        return self.algebra
+    def _once(self, key, build):
+        """build() on the first call with `key`; the kept result after."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
-    def build_derivation_family(self) -> Optional[DerivationFamily]:
-        if self.derivation_family is None:
-            return None
-        return family_from_json(self.build_algebra(), self.derivation_family)
+    def branch_names(self) -> list:
+        """The names of the branch plan steps, distinct strings once validated."""
+        return [s.get("name") for s in self.plan if s.get("kind") == "branch"]
+
+    def branch(self, branch_name: Optional[str]) -> dict:
+        """The branch plan step named `branch_name` (G2CertError if none), or
+        for None the entry as shipped in the same shape: its other steps and
+        its derivation family, with no values or atoms."""
+
+        def find():
+            if branch_name is None:
+                steps = [s for s in self.plan if s.get("kind") != "branch"]
+                return {"steps": steps, "derivation_family": self.derivation_family}
+            for step in self.plan:
+                if step.get("kind") == "branch" and step.get("name") == branch_name:
+                    return step
+            raise G2CertError(f"{self.name}: no branch named {branch_name!r}")
+
+        return self._once(("branch", branch_name), find)
+
+    def steps(self, branch_name: Optional[str] = None) -> list:
+        """The plan steps of the entry (branches excepted) or of the branch."""
+        return self.branch(branch_name).get("steps", [])
+
+    def branch_subs(self, branch_name: Optional[str]) -> dict:
+        """The family-parameter values of the branch, as Fractions."""
+        subs = self.branch(branch_name).get("subs", {})
+        return self._once(("subs", branch_name), lambda: {k: Fraction(v) for k, v in subs.items()})
+
+    def build_algebra(self, branch_name: Optional[str] = None) -> LieAlgebra:
+        """The validated algebra of the entry, or of the branch with its
+        values substituted: d^2 = 0 holds identically in the parameters, so
+        it holds after substitution."""
+
+        def build():
+            if branch_name is None:
+                return parse_structure_equations(self.structure, self.dim, name=self.name)
+            algebra = self.build_algebra().substitute(self.branch_subs(branch_name))
+            algebra.name = f"{self.name}[{branch_name}]"
+            return algebra
+
+        return self._once(("algebra", branch_name), build)
+
+    def _family(self, branch_name, matrix, params) -> DerivationFamily:
+        """The derivation family with these JSON entries and parameters on
+        the algebra of the entry or of the branch, Leibniz-checked.  The
+        branch values are substituted into its entries first, since a branch
+        family is a derivation only on the branch-substituted algebra."""
+        matrix, params = tuple(map(tuple, matrix)), tuple(params)
+
+        def build():
+            algebra, subs = self.build_algebra(branch_name), self.branch_subs(branch_name)
+            cells = [[parse_polynomial(cell) for cell in row] for row in matrix]
+            if subs:
+                cells = [[cell.substitute(subs) for cell in row] for row in cells]
+            family = DerivationFamily(algebra, cells, params)
+            verify_derivation(algebra, family)
+            return family
+
+        return self._once(("family", branch_name, matrix, params), build)
+
+    def build_family(self, branch_name: Optional[str] = None) -> Optional[DerivationFamily]:
+        """The shipped derivation family of the entry or of the branch;
+        None when none is shipped."""
+        node = self.branch(branch_name).get("derivation_family")
+        return self._family(branch_name, node["matrix"], node["params"]) if node else None
+
+    def build_gauge_family(self, branch_name: Optional[str], step) -> DerivationFamily:
+        """The gauge family S of a gauge plan step of the entry or of the
+        branch."""
+        return self._family(branch_name, step["s_matrix"], step["s_params"])
 
     def witness(self, key: str) -> Optional[NonNegWitness]:
         node = self.witnesses.get(key)
@@ -203,7 +266,8 @@ class AlgebraEntry:
         return NonNegWitness.from_json(node)
 
     def validate_entry(self) -> None:
-        """Full validation; raises ValidationFailure with the cause."""
+        """Full validation: build, and so prove, every shipped object;
+        raises ValidationFailure with the cause."""
         if self.stub:
             return
         try:
@@ -218,40 +282,19 @@ class AlgebraEntry:
                 )
             if self.nilradical is not None:
                 verify_nilradical(algebra, self.nilradical)
-            self.build_derivation_family()
-            for step in self.plan:
-                if step.get("kind") == "branch":
-                    branch_algebra = self.branch_algebra(step)
-                    subs = self.branch_subs(step)
-                    if step.get("derivation_family"):
-                        family_from_json(branch_algebra, step["derivation_family"], subs)
-                    for sub in step.get("steps", []):
-                        if sub.get("kind") == "gauge":
-                            family_from_json(
-                                branch_algebra,
-                                {"params": sub["s_params"], "matrix": sub["s_matrix"]},
-                                subs,
-                            )
-                elif step.get("kind") == "gauge":
-                    family_from_json(
-                        algebra, {"params": step["s_params"], "matrix": step["s_matrix"]}
-                    )
+            names = self.branch_names()
+            if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+                raise G2CertError(f"branch names must be distinct strings, got {names}")
+            for branch_name in [None, *names]:
+                self.build_algebra(branch_name)
+                self.build_family(branch_name)
+                for step in self.steps(branch_name):
+                    if step.get("kind") == "gauge":
+                        self.build_gauge_family(branch_name, step)
             for key in self.witnesses:
                 self.witness(key)
         except MALFORMED as exc:
             raise ValidationFailure(self.name, exc) from exc
-
-    @staticmethod
-    def branch_subs(branch_step) -> dict:
-        """The family-parameter values of a branch step, as Fractions."""
-        return {k: Fraction(v) for k, v in branch_step.get("subs", {}).items()}
-
-    def branch_algebra(self, branch_step) -> LieAlgebra:
-        """The validated algebra with the branch's values substituted; d^2 = 0
-        holds identically in the parameters, so it holds after substitution."""
-        algebra = self.build_algebra().substitute(self.branch_subs(branch_step))
-        algebra.name = f"{self.name}[{branch_step.get('name', 'branch')}]"
-        return algebra
 
     @staticmethod
     def from_json(node) -> "AlgebraEntry":

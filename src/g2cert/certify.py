@@ -8,10 +8,12 @@ case analyses the source carries out in prose and this artifact cites.
 
 Every certificate is proved on a `StageContext`: a catalog entry, or one
 of its branches, after the strong-unimodularity substitutions of its
-stage.  The context builds each object a check reads (the algebra, the
-derivation family, psi = d alpha, omega = d beta - D* alpha, K, lambda, h
-and the trace conditions) on first use, and gives each certificate its
-name, assumptions and context fields.  Each certificate kind has one
+stage.  The entry owns the algebra, the derivation family and the gauge
+families it ships, each built and proved once; the context substitutes
+into them, solves Der where no family is shipped, builds on first use the
+other objects a check reads (psi = d alpha, omega = d beta - D* alpha, K,
+lambda, h and the trace conditions), and gives each certificate its name,
+assumptions and context fields.  Each certificate kind has one
 verifier, called as `verifier(context, inputs)` with a dict holding
 exactly the keys the certificate stores, and `VERIFIERS` maps every kind
 to it.  Discovery searches for the inputs (the solved strong-unimodularity
@@ -36,14 +38,13 @@ from math import isqrt
 from typing import Optional
 
 from . import numeric
-from .catalog import Atom, AlgebraEntry, family_from_json
+from .catalog import Atom, AlgebraEntry
 from .derivations import (
     DerivationFamily,
     StrongUnimodularity,
     dstar_action,
     solve_derivations,
     strongly_unimodular_constraints,
-    verify_derivation,
 )
 from .errors import (
     MALFORMED,
@@ -201,12 +202,13 @@ class StageContext:
 
     A context is keyed by (entry, branch_name, derivation_subs, fam_subs);
     `unsolved` holds the family equations that no substitution solved,
-    which stay assumptions.  Every other attribute is built on first use,
-    so a stage builds only what it reads.  The lambda stage never builds a
-    derivation family, which an entry with free family parameters and no
-    shipped family cannot build (solve_derivations raises
-    NonNumericEntries), and an unknown branch name raises G2CertError when
-    the branch is first read.
+    which stay assumptions.  The algebra, the shipped family and the gauge
+    families are the entry's, after the context's substitutions; every
+    other attribute is built on first use, so a stage builds only what it
+    reads.  The lambda stage never builds a derivation family, which an
+    entry with free family parameters and no shipped family cannot build
+    (solve_derivations raises NonNumericEntries), and an unknown branch
+    name raises G2CertError when the branch is first read.
     """
 
     entry: AlgebraEntry
@@ -222,58 +224,33 @@ class StageContext:
             return self.entry.name
         return f"{self.entry.name} [{self.branch_name}]"
 
-    @cached_property
-    def branch(self) -> Optional[dict]:
-        """The branch plan step, or None for the entry as shipped."""
-        if self.branch_name is None:
-            return None
-        for step in self.entry.plan:
-            if step.get("kind") == "branch" and step.get("name") == self.branch_name:
-                return step
-        raise G2CertError(f"{self.entry.name}: no branch named {self.branch_name!r}")
-
-    @cached_property
+    @property
     def steps(self) -> list:
         """The plan steps of the entry (branches excepted) or of the branch."""
-        if self.branch is None:
-            return [s for s in self.entry.plan if s.get("kind") != "branch"]
-        return self.branch.get("steps", [])
-
-    @cached_property
-    def shipped_algebra(self) -> LieAlgebra:
-        """The algebra of the entry, or of the branch, before fam_subs."""
-        if self.branch is None:
-            return self.entry.build_algebra()
-        return self.entry.branch_algebra(self.branch)
+        return self.entry.steps(self.branch_name)
 
     @cached_property
     def algebra(self) -> LieAlgebra:
-        if not self.fam_subs:
-            return self.shipped_algebra
-        return self.shipped_algebra.substitute(self.fam_subs)
+        """The algebra of the entry or of the branch, after fam_subs."""
+        algebra = self.entry.build_algebra(self.branch_name)
+        return algebra.substitute(self.fam_subs) if self.fam_subs else algebra
 
     @cached_property
     def shipped_family(self) -> DerivationFamily:
-        """The derivation family before any substitution: the shipped one
-        (a branch family is branch-substituted before its Leibniz check),
-        else Der of the shipped algebra, solved."""
-        family = None
-        if self.branch is None:
-            family = self.entry.build_derivation_family()
-        elif self.branch.get("derivation_family"):
-            family = family_from_json(
-                self.shipped_algebra,
-                self.branch["derivation_family"],
-                self.entry.branch_subs(self.branch),
-            )
+        """The derivation family before any substitution: the entry's, else
+        Der of the algebra of the entry or of the branch, solved."""
+        family = self.entry.build_family(self.branch_name)
         if family is None:
-            family = solve_derivations(self.shipped_algebra)
+            family = solve_derivations(self.entry.build_algebra(self.branch_name))
         return family
 
     @cached_property
     def family(self) -> DerivationFamily:
         """The derivation family after derivation_subs, then fam_subs."""
-        family = self.shipped_family.substitute(self.derivation_subs)
+        return self._specialized(self.shipped_family.substitute(self.derivation_subs))
+
+    def _specialized(self, family: DerivationFamily) -> DerivationFamily:
+        """A family of the entry or of the branch, after fam_subs."""
         if not self.fam_subs:
             return family
         return DerivationFamily(
@@ -286,19 +263,20 @@ class StageContext:
     def atoms(self) -> list:
         """The domain atoms of the entry and the branch, after fam_subs."""
         atoms = list(self.entry.atoms)
-        if self.branch is not None:
-            atoms = _substitute_atoms(atoms, self.entry.branch_subs(self.branch))
-            atoms += [Atom.from_json(a) for a in self.branch.get("atoms", [])]
+        if self.branch_name is not None:
+            atoms = _substitute_atoms(atoms, self.entry.branch_subs(self.branch_name))
+            branch_atoms = self.entry.branch(self.branch_name).get("atoms", [])
+            atoms += [Atom.from_json(a) for a in branch_atoms]
         return _substitute_atoms(atoms, self.fam_subs) if self.fam_subs else atoms
 
     @cached_property
     def assumptions(self) -> list:
         """The entry's atoms, the branch's values and atoms, the
         substitutions and the unsolved family equations, as text."""
+        branch = self.entry.branch(self.branch_name)
         out = [str(a) for a in self.entry.atoms]
-        if self.branch is not None:
-            out += [f"{k} = {v}" for k, v in self.branch.get("subs", {}).items()]
-            out += [str(Atom.from_json(a)) for a in self.branch.get("atoms", [])]
+        out += [f"{k} = {v}" for k, v in branch.get("subs", {}).items()]
+        out += [str(Atom.from_json(a)) for a in branch.get("atoms", [])]
         out += [f"{k} = {v}" for k, v in sorted(self.derivation_subs.items())]
         out += [f"{k} = {v}" for k, v in sorted(self.fam_subs.items())]
         return out + [f"{e} = 0" for e in self.unsolved]
@@ -338,9 +316,9 @@ class StageContext:
 
     def constrained(self, derivation_subs, fam_subs, unsolved=()) -> "StageContext":
         """This context after further substitutions.  The new context keeps
-        what this one has built that they leave unchanged: the branch and
-        the shipped algebra and family, and, when no family value is fixed,
-        the algebra, the atoms, psi and K."""
+        what this one has built that they leave unchanged: the shipped
+        family, and, when no family value is fixed, the algebra, the atoms,
+        psi and K."""
         context = StageContext(
             self.entry,
             self.branch_name,
@@ -348,7 +326,7 @@ class StageContext:
             {**self.fam_subs, **fam_subs},
             self.unsolved + tuple(unsolved),
         )
-        shared = ("branch", "steps", "shipped_algebra", "shipped_family")
+        shared = ("shipped_family",)
         if not fam_subs:
             shared += ("algebra", "atoms", "psi", "k")
         for name in shared:
@@ -357,15 +335,16 @@ class StageContext:
         return context
 
     def gauge_system(self, step) -> GaugeSystem:
-        """The gauge system of psi for a gauge plan step, built once per gauge
-        family and targets."""
+        """The gauge system of psi for a gauge plan step: the entry's gauge
+        family S of the step, after fam_subs; built once per S and targets."""
         key = (
             tuple(map(tuple, step["s_matrix"])),
             tuple(step["s_params"]),
             tuple(map(tuple, step["targets"])),
         )
         if key not in self._gauge_systems:
-            self._gauge_systems[key] = _step_gauge_system(self.psi, self.algebra, step)
+            s_family = self._specialized(self.entry.build_gauge_family(self.branch_name, step))
+            self._gauge_systems[key] = gauge_system(self.psi, s_family, step["targets"])
         return self._gauge_systems[key]
 
     def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
@@ -643,23 +622,13 @@ class GaugeSystem:
 
 
 def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem:
-    """Check that S is a derivation, then pull psi back by exp(S) and set up
-    the system for the target coefficients."""
-    verify_derivation(s_family.algebra, s_family)
+    """Pull psi back by exp(S) for a derivation family S that is already
+    proved (`AlgebraEntry.build_gauge_family`) and set up the system for
+    the target coefficients."""
     F = _exp_nilpotent(s_family.matrix, s_family.algebra.dim)
     f_psi = pullback(F, psi)
     rows, rhs = _affine_system(f_psi, targets, list(s_family.params))
     return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
-
-
-def _step_gauge_system(psi: KForm, algebra: LieAlgebra, step) -> GaugeSystem:
-    """The gauge system of psi for the gauge family S of a gauge plan step."""
-    s_family = DerivationFamily(
-        algebra,
-        [[parse_polynomial(c) for c in row] for row in step["s_matrix"]],
-        tuple(step["s_params"]),
-    )
-    return gauge_system(psi, s_family, step["targets"])
 
 
 def gauge_transport(context: StageContext, step) -> Certificate:
@@ -1034,19 +1003,13 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
         return result
     result.samples["lambda_negative_sample"] = negative_sample
 
-    branches = [s for s in entry.plan if s.get("kind") == "branch"]
-    if branches:
-        branch_results = []
-        for branch in branches:
-            branch_context = StageContext(entry, branch["name"])
-            branch_results.append(_run_su3_stage(branch_context, options, result))
-        result.outcome = _combine_outcomes(branch_results)
-        return result
-    result.outcome = _run_su3_stage(context, options, result)
+    contexts = [StageContext(entry, name) for name in entry.branch_names()] or [context]
+    result.outcome = _combine_outcomes([_run_su3_stage(c, options, result) for c in contexts])
     return result
 
 
 def _combine_outcomes(outcomes) -> Outcome:
+    """The weakest of the outcomes of an entry's branches."""
     order = [
         Outcome.INCONCLUSIVE,
         Outcome.CITED_PROSE_SAMPLED,
@@ -1054,11 +1017,7 @@ def _combine_outcomes(outcomes) -> Outcome:
         Outcome.OBSTRUCTED_CITED,
         Outcome.OBSTRUCTED,
     ]
-    worst = Outcome.OBSTRUCTED
-    for o in outcomes:
-        if order.index(o) < order.index(worst):
-            worst = o
-    return worst
+    return min(outcomes, key=order.index)
 
 
 # -- the SU(3) stage ---------------------------------------------------------

@@ -186,6 +186,9 @@ def strongly_unimodular_constraints(
     triangular form; conditions only involving family parameters are kept
     as equations; nonzero constants are reported separately (they mean the
     trace conditions cannot be satisfied at all).
+
+    Subspace.trace checks that each operator preserves each series term (for
+    the ad_{e_j} on n, that n is an ideal) or raises NilradicalNotInvariant.
     """
     n = base.dim
     series = descending_central_series(base, nilradical)

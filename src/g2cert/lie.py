@@ -213,13 +213,10 @@ def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
 
 
 def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
-    """n^0 = n, n^(i+1) = [n, n^i]; stops at the first zero term.
-
-    The returned list always ends with the zero subspace when n is
-    nilpotent; raises NotAnIdeal when n is not an ideal of the algebra.
+    """n^0 = n, n^(i+1) = [n, n^i]; stops at the first zero term, or at the
+    first term whose dimension does not fall (n is then not nilpotent).
+    It does not prove n an ideal: verify_nilradical does, at catalog load.
     """
-    if not is_ideal(algebra, n):
-        raise NotAnIdeal("declared subspace is not an ideal")
     series = [n]
     current = n
     while True:
@@ -230,7 +227,7 @@ def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
                 if not b.is_zero():
                     gens.append(b)
         nxt = Subspace(algebra, gens)
-        if nxt.dim == current.dim:
+        if nxt.dim >= current.dim:
             # stabilized at a nonzero term: not nilpotent
             series.append(nxt)
             return series
@@ -240,23 +237,20 @@ def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
         current = nxt
 
 
-def is_nilpotent(algebra: LieAlgebra, n: Subspace) -> bool:
-    series = descending_central_series(algebra, n)
-    return series[-1].is_zero()
-
-
 def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> Subspace:
     """Accept a declared nilradical: a nilpotent ideal of the declared
     dimension containing the derived algebra.  Maximality is a
     classification fact and is not re-proved here.
 
-    The ideal property is checked once, by descending_central_series
-    inside is_nilpotent, which raises NotAnIdeal before building the
-    series."""
+    The ideal property is proved here, once per algebra, before the
+    series is built; descending_central_series and the strong-unimodularity
+    traces rely on it."""
     n = Subspace.from_indices(algebra, indices)
     if n.dim != len(indices):
         raise NotAnIdeal("declared nilradical generators are dependent")
-    if not is_nilpotent(algebra, n):
+    if not is_ideal(algebra, n):
+        raise NotAnIdeal("declared nilradical is not an ideal")
+    if not descending_central_series(algebra, n)[-1].is_zero():
         raise NotAnIdeal("declared nilradical is not nilpotent")
     if not n.contains_subspace(derived_algebra(algebra)):
         raise NotAnIdeal("declared nilradical does not contain the derived algebra")

@@ -204,7 +204,8 @@ class TestPersistence:
         node = {"name": "bad", "dim": 2, "structure": "(e12, 0)"}
         text = json.dumps({"schema": "g2cert-catalog/1", "entries": [node]})
         (entry,) = parse_catalog_text(text)
-        assert entry.name == "bad" and entry.algebra is None
+        # parsing builds no algebra, family or gauge family
+        assert entry.name == "bad" and entry._built == {}
         with pytest.raises(ValidationFailure):
             entry.validate_entry()
         with pytest.raises(ValidationFailure):

@@ -3,12 +3,21 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import P, algebra_of
-from g2cert.catalog import BUILTIN_DATASETS, AlgebraEntry, load_any, load_builtin
+from g2cert.catalog import (
+    BUILTIN_DATASETS,
+    AlgebraEntry,
+    builtin_text,
+    load_any,
+    load_builtin,
+    load_catalog_text,
+    parse_catalog_text,
+)
 from g2cert.certify import (
     VERIFIERS,
     Certificate,
@@ -43,7 +52,7 @@ from g2cert.errors import (
 )
 from g2cert.hitchin import b_phi
 from g2cert.poly import Polynomial
-from g2cert import hitchin, numeric
+from g2cert import derivations, hitchin, lie, numeric
 
 
 def by_name(dataset, name):
@@ -117,12 +126,17 @@ class TestLambdaStage:
 
     def test_family_is_not_built(self):
         # g_{6,70} cannot solve Der before fam_p is fixed; its lambda stage
-        # never asks for the family
-        entry = by_name("indecomposable", "g_{6,70}")
+        # never asks for the family, of the context or of the entry (parsed,
+        # not validated, so that validation builds nothing first)
+        (entry,) = [
+            e for e in parse_catalog_text(builtin_text("indecomposable"))
+            if e.name.startswith("g_{6,70}")
+        ]
         context = StageContext(entry)
         cert, sample = certify_lambda_sign(context, None, rng=random.Random(7))
         assert cert is None and sample
         assert "family" not in vars(context) and "shipped_family" not in vars(context)
+        assert not [key for key in entry._built if key[0] == "family"]
 
 
 class TestNullDirectionAndSignProduct:
@@ -547,6 +561,80 @@ class TestFullReport:
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"]["attempts"] = attempts + 1
         assert not recheck_certificate(entry, Certificate.from_json(node))
+
+
+def test_gauge_family_carries_the_branch_values():
+    # fam_a*fam_b*s_1 equals -fam_b*s_1 at a = -1: validation accepts it, so
+    # discovery and recheck must prove the same branch-substituted S
+    document = json.loads(builtin_text("indecomposable"))
+    node = next(e for e in document["entries"] if e["name"].startswith("g_{6,101}"))
+    branch = next(s for s in node["plan"] if s.get("name") == "a = -1")
+    (step,) = branch["steps"]
+    assert step["s_matrix"][0][5] == "-fam_b*s_1"
+    step["s_matrix"][0][5] = "fam_a*fam_b*s_1"
+    (entry,) = load_catalog_text(json.dumps({"schema": document["schema"], "entries": [node]}))
+    report = run_all([entry], PipelineOptions(trials_override=2))
+    assert report.verified_all()
+    document = json.loads(json.dumps(report.to_json(include_timing=False)))
+    gauge = certificate_node(document, "gauge_null", f"{entry.name} [a = -1]")
+    assert gauge["data"]["s_matrix"][0][5] == "-fam_b*s_1"
+    assert recheck_report(document, [entry]) == {
+        entry.name: [True] * len(report.results[0].certificates)
+    }
+
+
+class TestEachFactProvedOnce:
+    @staticmethod
+    def record_calls(monkeypatch, owner, name, calls, solving):
+        """Wrap `name` of module `owner` wherever the package binds it, so
+        each call appends (name, whether solve_derivations is running)."""
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(solving)))
+            if name == "solve_derivations":
+                solving.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if name == "solve_derivations":
+                    solving.pop()
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("g2cert") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    def test_after_load_only_solved_families_are_leibniz_checked(self, monkeypatch):
+        # catalog load proves every shipped family and gauge family and
+        # that each nilradical is an ideal; run_all and recheck read them
+        entries = load_any("all")
+        calls, solving = [], []
+        for owner, name in (
+            (derivations, "verify_derivation"),
+            (derivations, "solve_derivations"),
+            (lie, "is_ideal"),
+        ):
+            self.record_calls(monkeypatch, owner, name, calls, solving)
+        report = run_all(entries, PipelineOptions(trials_override=2))
+        in_run_all = list(calls)
+        calls.clear()
+        verdicts = recheck_report(json.loads(json.dumps(report.to_json())), entries)
+        assert sum(map(len, verdicts.values())) == 48 and all(map(all, verdicts.values()))
+        for phase in (in_run_all, calls):
+            solves = phase.count(("solve_derivations", False))
+            assert solves > 0
+            assert ("verify_derivation", False) not in phase
+            assert phase.count(("verify_derivation", True)) == solves
+            assert not any(name == "is_ideal" for name, _ in phase)
+
+    def test_contexts_on_one_branch_share_its_families(self):
+        entry = by_name("indecomposable", "g_{6,101}")
+        for name in entry.branch_names():
+            first, second = StageContext(entry, name), StageContext(entry, name)
+            assert first.shipped_family is second.shipped_family is entry.build_family(name)
+            step = next(s for s in first.steps if s["kind"] == "gauge")
+            assert first.gauge_system(step).s_family is second.gauge_system(step).s_family
+            assert first.gauge_system(step).s_family is entry.build_gauge_family(name, step)
 
 
 def test_every_kind_has_one_verifier():

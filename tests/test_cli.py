@@ -353,3 +353,24 @@ def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
         load_catalog_text(text)
     assert main(["validate", str(catalog)]) == 2
     assert capsys.readouterr().err.startswith("error: catalog entry ")
+
+
+@pytest.mark.parametrize(
+    "rename",
+    [lambda branches: branches[1].pop("name"),
+     lambda branches: branches[1].update(name=branches[0]["name"])],
+    ids=["unnamed", "repeated"],
+)
+def test_branch_names_must_be_distinct_strings(rename, tmp_path, capsys):
+    # an unnamed branch would end run-all in a KeyError, and a repeated name
+    # would run the first branch twice and the second never
+    document = json.loads(cat.builtin_text("indecomposable"))
+    entry = next(e for e in document["entries"] if e["name"].startswith("g_{6,101}"))
+    rename([s for s in entry["plan"] if s.get("kind") == "branch"])
+    text = json.dumps({"schema": document["schema"], "entries": [entry]})
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(text)
+    with pytest.raises(ValidationFailure, match="branch names must be distinct strings"):
+        load_catalog_text(text)
+    assert main(["validate", str(catalog)]) == 2
+    assert capsys.readouterr().err.startswith("error: catalog entry 'g_{6,101}")

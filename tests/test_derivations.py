@@ -215,6 +215,14 @@ class TestStrongUnimodularity:
         with pytest.raises(NilradicalNotInvariant):
             strongly_unimodular_constraints(L, D, Subspace.from_indices(L, [1]))
 
+    def test_subspace_that_is_not_an_ideal_raises(self):
+        # span(e1) of the Heisenberg algebra, [e1, e2] = e3, is not an ideal:
+        # the trace of ad_e2 on it meets [e2, e1] = -e3
+        L = algebra_of("(0, 0, -e12)")
+        D = family([[0, 0, 0]] * 3, [], L)
+        with pytest.raises(NilradicalNotInvariant):
+            strongly_unimodular_constraints(L, D, Subspace.from_indices(L, [1]))
+
     def test_one_rref_per_series_term_and_one_for_the_derivation_rows(self, monkeypatch):
         L = algebra_of(G530)
         printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
@@ -243,7 +251,7 @@ def su_contexts():
         for entry in load_builtin(dataset):
             if entry.stub or entry.dim != 6:
                 continue
-            names = [s["name"] for s in entry.plan if s.get("kind") == "branch"] or [None]
+            names = entry.branch_names() or [None]
             for name in names:
                 context = StageContext(entry, name)
                 try:
