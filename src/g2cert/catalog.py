@@ -127,7 +127,11 @@ class Atom:
         return Atom(op, parse_polynomial(text))
 
     def holds(self, assignment) -> bool:
-        value = self.poly.evaluate(assignment)
+        return self.admits(self.poly.evaluate(assignment))
+
+    def admits(self, value) -> bool:
+        """True when a value of poly meets `op` 0.  Only the sign of the
+        value is read, so a positive multiple of it gives the same answer."""
         if self.op == "ne":
             return value != 0
         if self.op == "eq":
@@ -161,7 +165,8 @@ class AlgebraEntry:
 
     The entry alone builds its shipped objects, as shipped (branch None) or
     of a branch: the algebra, the derivation family and each gauge family
-    S.  Each is built and proved on first call and kept in a private cache."""
+    S, and the parsed tree of each shipped witness.  Each is built (and
+    proved) on first call and kept in a private cache."""
 
     name: str
     dim: int
@@ -260,10 +265,15 @@ class AlgebraEntry:
         return self._family(branch_name, step["s_matrix"], step["s_params"])
 
     def witness(self, key: str) -> Optional[NonNegWitness]:
-        node = self.witnesses.get(key)
-        if node is None:
-            return None
-        return NonNegWitness.from_json(node)
+        """The parsed tree of the shipped witness `key` (None when none is
+        shipped); parsed on the first call, which validation makes, and
+        kept."""
+
+        def parse():
+            node = self.witnesses.get(key)
+            return None if node is None else NonNegWitness.from_json(node)
+
+        return self._once(("witness", key), parse)
 
     def validate_entry(self) -> None:
         """Full validation: build, and so prove, every shipped object;

@@ -430,10 +430,14 @@ def certify_zero_diagonal(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_lambda(context: StageContext, inputs) -> Certificate:
+def certify_lambda(
+    context: StageContext, inputs, tree: Optional[NonNegWitness] = None
+) -> Certificate:
     """LambdaIdenticallyZero when lambda of the context vanishes
     identically, else LambdaNonNegative checked against inputs["witness"]
-    (its JSON tree); raises when neither holds.
+    (its JSON tree); raises when neither holds.  `tree` is that witness
+    already parsed, which the pipeline takes from the catalog entry;
+    without it (recheck) the stored JSON is parsed.
 
     On the entry as shipped the identity holds for every parameter value,
     so the certificate assumes nothing; after family substitutions (the
@@ -447,7 +451,8 @@ def certify_lambda(context: StageContext, inputs) -> Certificate:
     elif witness is None:
         raise NotIdenticallyZero(lam)
     else:
-        tree = NonNegWitness.from_json(witness)
+        if tree is None:
+            tree = NonNegWitness.from_json(witness)
         try:
             check_nonneg_witness(lam, tree)
         except G2CertError as exc:
@@ -459,13 +464,19 @@ def certify_lambda(context: StageContext, inputs) -> Certificate:
     return Certificate(kind, context.name, assumptions=assumptions, data=data, verified=True)
 
 
-def certify_lambda_sign(context: StageContext, witness, rng: Optional[random.Random] = None):
+def certify_lambda_sign(
+    context: StageContext,
+    witness,
+    rng: Optional[random.Random] = None,
+    tree: Optional[NonNegWitness] = None,
+):
     """The lambda certificate of the context (`certify_lambda`, the witness
-    given as its JSON tree), or None plus a sample with lambda < 0 when no
-    obstruction exists at this stage."""
+    given as its JSON tree and, when parsed already, as `tree`), or None
+    plus a sample with lambda < 0 when no obstruction exists at this
+    stage."""
     lam = context.lam
     if lam.is_zero() or witness is not None:
-        return certify_lambda(context, {"witness": witness}), None
+        return certify_lambda(context, {"witness": witness}, tree), None
     rng = rng or random.Random(0)
     sample = _lambda_negative_sample(lam, context.atoms, rng)
     if sample is None:
@@ -514,9 +525,12 @@ def certify_null_direction(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_sign_product(context: StageContext, inputs) -> Certificate:
+def certify_sign_product(
+    context: StageContext, inputs, tree: Optional[NonNegWitness] = None
+) -> Certificate:
     """Verifies h_ii * h_jj + expansion(witness) = 0 identically for the
-    inputs' pair (i, j) and witness (its JSON tree).
+    inputs' pair (i, j) and witness (its JSON tree, or `tree` when the
+    caller holds it parsed, as `certify_lambda` takes it).
 
     The product of the two diagonal entries is minus a nonnegative
     polynomial, so h (hence the metric, wherever lambda < 0) is never
@@ -524,7 +538,9 @@ def certify_sign_product(context: StageContext, inputs) -> Certificate:
     """
     i, j = inputs["pair"]
     h = context.h
-    residual = h.entry(i, i) * h.entry(j, j) + NonNegWitness.from_json(inputs["witness"]).expand()
+    if tree is None:
+        tree = NonNegWitness.from_json(inputs["witness"])
+    residual = h.entry(i, i) * h.entry(j, j) + tree.expand()
     if not residual.is_zero():
         raise IdentityMismatch(residual)
     return context.certificate(
@@ -775,20 +791,24 @@ def _sample_fraction(rng: random.Random) -> Fraction:
 ATOM_SAMPLE_BUDGET = 2000
 
 
-def _sample_atoms(atoms, variables, rng: random.Random):
-    for _ in range(ATOM_SAMPLE_BUDGET):
-        assignment = {v: _sample_fraction(rng) for v in variables}
-        if all(a.holds(assignment) for a in atoms):
-            return assignment
-    raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in atoms]}")
-
-
 class PairSampler:
     """Draws exact candidate pairs (omega, psi) on one stage context.
 
-    The context's psi and omega (and, on the t2_zero slice, the
-    coefficients in alpha_14 of the determinant of its gauge step) are
-    compiled once into integer evaluators over one ordered variable list.
+    The polynomials a draw reads are compiled once into integer evaluators
+    (numeric.CompiledForm): the domain atoms over the family parameters,
+    and lambda, psi and omega (and, on the t2_zero slice, the coefficients
+    in alpha_14 of the determinant of its gauge step) over one ordered
+    variable list.  A draw does only the work its verdict reads, in this
+    order:
+
+    1. family values, redrawn until every domain atom holds, each atom
+       tested in integers by Atom.admits;
+    2. the other variables, then the t2_zero slice if the context has one;
+    3. the sign of lambda at the sample (lambda(c psi) = c^4 lambda(psi),
+       so the compiled value, a positive multiple of lambda, has its sign);
+    4. omega, evaluated only when lambda < 0, and omega^3 != 0
+       (numeric.candidate_conditions_int defines a trial);
+    5. psi, evaluated only for a trial.
     """
 
     def __init__(self, context: StageContext, rng, slice_name=None):
@@ -799,6 +819,10 @@ class PairSampler:
         self.variables = sorted(psi.variables() | omega.variables())
         self.fam_vars = [v for v in self.variables if v.startswith("fam_")]
         self.free_vars = [v for v in self.variables if not v.startswith("fam_")]
+        self.atoms_int = numeric.CompiledForm(
+            {i: atom.poly for i, atom in enumerate(self.atoms)}, self.fam_vars
+        )
+        self.lam_int = numeric.CompiledForm({0: context.lam}, self.variables)
         self.psi_int = numeric.CompiledForm(psi.coeffs, self.variables)
         self.omega_int = numeric.CompiledForm(omega.coeffs, self.variables)
         if slice_name == "t2_zero":
@@ -814,10 +838,20 @@ class PairSampler:
                 raise G2CertError("the gauge determinant is not quadratic in alpha_14")
             self.det_int = numeric.CompiledForm(parts, self.variables)
 
+    def _draw_family(self) -> dict:
+        """Family values that satisfy the domain atoms, drawn at most
+        ATOM_SAMPLE_BUDGET times."""
+        for _ in range(ATOM_SAMPLE_BUDGET):
+            assignment = {v: _sample_fraction(self.rng) for v in self.fam_vars}
+            values = self.atoms_int.evaluate(numeric.integer_point(self.fam_vars, assignment))
+            if all(atom.admits(values.get(i, 0)) for i, atom in enumerate(self.atoms)):
+                return assignment
+        raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in self.atoms]}")
+
     def _draw_assignment(self):
         assignment = {}
         if self.fam_vars or self.atoms:
-            assignment.update(_sample_atoms(self.atoms, self.fam_vars, self.rng))
+            assignment.update(self._draw_family())
         for v in self.free_vars:
             assignment[v] = self.rng.randint(-20, 20)
         if self.slice_name == "t2_zero":
@@ -860,18 +894,17 @@ class PairSampler:
         return True
 
     def draw(self):
-        """One trial (omega, psi, K of psi) in integers, or None (rejected
-        by the domain atoms, the slice or numeric.candidate_conditions_int)."""
+        """One trial (omega, psi) in integers, or None (rejected by the
+        domain atoms, the slice or numeric.candidate_conditions_int)."""
         assignment = self._draw_assignment()
         if assignment is None:
             return None
         point = numeric.integer_point(self.variables, assignment)
-        psi = self.psi_int.evaluate(point)
-        found = numeric.candidate_conditions_int(psi, lambda: self.omega_int.evaluate(point))
-        if found is None:
+        lam = self.lam_int.evaluate(point).get(0, 0)
+        omega = numeric.candidate_conditions_int(lam, lambda: self.omega_int.evaluate(point))
+        if omega is None:
             return None
-        omega, k = found
-        return omega, psi, k
+        return omega, self.psi_int.evaluate(point)
 
 
 # Draw attempts allowed per requested trial (at least 1000 in all).
@@ -904,9 +937,9 @@ def sample_falsify(
         drawn = sampler.draw()
         if drawn is None:
             continue
-        omega, psi, k = drawn
+        omega, psi = drawn
         done += 1
-        if numeric.su3_passes_int(omega, psi, k):
+        if numeric.su3_passes_int(omega, psi):
             passes += 1
     return Certificate(
         CertKind.SAMPLED_NO_SU3,
@@ -994,9 +1027,12 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
 
     # dimension 6: lambda stage on the entry as shipped
     rng = random.Random(options.seed_override if options.seed_override is not None else 7)
-    cert, negative_sample = certify_lambda_sign(
-        context, None if needs_su_first(entry) else entry.witnesses.get("lambda"), rng=rng
-    )
+    if needs_su_first(entry):
+        cert, negative_sample = certify_lambda_sign(context, None, rng=rng)
+    else:
+        cert, negative_sample = certify_lambda_sign(
+            context, entry.witnesses.get("lambda"), rng=rng, tree=entry.witness("lambda")
+        )
     if cert is not None:
         result.certificates.append(cert)
         result.outcome = Outcome.OBSTRUCTED
@@ -1044,7 +1080,10 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
     if context.fam_subs:
         # second lambda stage on the constrained structure
         cert, _ = certify_lambda_sign(
-            context, base.entry.witnesses.get("lambda"), rng=random.Random(11)
+            context,
+            base.entry.witnesses.get("lambda"),
+            rng=random.Random(11),
+            tree=base.entry.witness("lambda"),
         )
         if cert is not None:
             result.certificates.append(cert)
@@ -1058,8 +1097,10 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
             result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
             proved = True
         elif kind == "sign_product":
-            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[step["witness"]]}
-            result.certificates.append(certify_sign_product(context, inputs))
+            key = step["witness"]
+            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[key]}
+            tree = base.entry.witness(key)
+            result.certificates.append(certify_sign_product(context, inputs, tree))
             proved = True
         elif kind == "gauge":
             result.certificates.append(gauge_transport(context, step))

@@ -11,13 +11,19 @@ ring-generic kernels of forms and hitchin run over int, and su3_passes_int
 is the package's one SU(3) predicate; the tests check it against an
 independent contraction-based oracle.
 
-A sampled pair becomes a trial when it meets candidate_conditions_int.
-Those test lambda(psi) < 0 first, and evaluate omega only when it holds:
-most draws fail on lambda alone.  lambda comes from tr(K^2) alone; the
-identity K^2 = lambda * Id is not checked per draw, because hitchin proves
-it once for the generic 3-form, of which every integer psi is a
-specialization.  The top coefficient of omega^3 is read from a table of
-the 15 perfect matchings of 1..6, built once.
+Each check reads only what its verdict needs, in this order.  A sampled
+pair becomes a trial when it meets candidate_conditions_int: lambda < 0,
+tested first and given by its sign alone, then omega^3 != 0, so omega is
+evaluated only when lambda < 0 holds; most draws fail on lambda.  The
+sampler (certify.PairSampler) reads that sign from lambda compiled once,
+since lambda(c psi) = c^4 lambda(psi) for the positive scale c of a
+sample, and evaluates psi only for a trial.  su3_passes_int then tests
+omega ^ psi = 0 first, and builds K only for a primitive pair, whose
+lambda comes from tr(K^2) alone: the identity K^2 = lambda * Id is not
+checked per pair, because hitchin proves it once for the generic 3-form,
+of which every integer psi is a specialization.  The top coefficient of
+omega^3 is read from a table of the 15 perfect matchings of 1..6, built
+once.
 """
 
 from __future__ import annotations
@@ -129,43 +135,39 @@ def omega_cubed_int(omega: Mapping[int, int]) -> int:
     )
 
 
-def candidate_conditions_int(psi: dict, omega_of: Callable[[], dict]):
-    """(omega, K of psi) when lambda(psi) < 0 and omega^3 != 0, else None:
-    the conditions a sampled pair must meet to be a trial.
+def candidate_conditions_int(lam, omega_of: Callable[[], dict]):
+    """omega when lambda < 0 and omega^3 != 0, else None: the conditions a
+    sampled pair must meet to be a trial.
 
-    K is given as the hitchin.k_matrix entries.  lambda is tested first,
-    by the sign of tr(K^2) (21 products once K is summed; K^2 = lambda * Id
-    was proved for the table, see hitchin), and only then is omega_of()
-    called for omega, so a pair that fails on lambda never evaluates its
-    omega.
+    `lam` is lambda(psi) or any number of its sign: the sampler passes its
+    compiled lambda at a positively scaled point, su3_passes_int the trace
+    of K^2.  It is tested first, and only then is omega_of() called for
+    omega, so a pair that fails on lambda never evaluates its omega.
     """
-    k, trace_sq = k_matrix(psi, 0)
-    if trace_sq >= 0:
+    if lam >= 0:
         return None
     omega = omega_of()
     if not omega_cubed_int(omega):
         return None
-    return omega, k
+    return omega
 
 
-def su3_passes_int(omega: dict, psi: dict, k=None) -> bool:
+def su3_passes_int(omega: dict, psi: dict) -> bool:
     """True when the integer pair passes all four SU(3) conditions.
 
-    The conditions are omega^3 != 0, lambda(psi) < 0, omega ^ psi = 0, and
-    h = omega(., K.) symmetric and definite.  Once lambda < 0, omega ^ psi = 0
-    says that omega is of type (1,1) for the complex structure of psi, and
-    then h is symmetric, so symmetry is not tested separately.  Either
-    definite sign is accepted, since the paper's orientation can always be
-    flipped; this is the weaker reading and hence safe for non-existence
-    certification.  A caller that has already checked the candidate
-    conditions passes their K as `k`.
+    The conditions are omega ^ psi = 0, lambda(psi) < 0, omega^3 != 0, and
+    h = omega(., K.) symmetric and definite; they are tested in that
+    order, so K (150 products) and its trace (21 more) are built only for
+    a primitive pair.  Once lambda < 0, omega ^ psi = 0 says that omega is
+    of type (1,1) for the complex structure of psi, and then h is
+    symmetric, so symmetry is not tested separately.  Either definite sign
+    is accepted, since the paper's orientation can always be flipped; this
+    is the weaker reading and hence safe for non-existence certification.
     """
-    if k is None:
-        found = candidate_conditions_int(psi, lambda: omega)
-        if found is None:
-            return False
-        k = found[1]
     if wedge_coeffs(omega, psi):
+        return False
+    k, trace_sq = k_matrix(psi, 0)
+    if candidate_conditions_int(trace_sq, lambda: omega) is None:
         return False
     minors = leading_minors_int(h_matrix(omega, k, 0))
     if minors[-1] == 0:

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,7 @@ from g2cert.certify import (
     run_pipeline,
     sample_falsify,
     standard_su3_pair,
+    strongly_unimodular_context,
     _solved_family_substitutions,
 )
 from g2cert.derivations import DerivationFamily
@@ -51,7 +53,7 @@ from g2cert.errors import (
     WitnessMismatch,
 )
 from g2cert.hitchin import b_phi
-from g2cert.poly import Polynomial
+from g2cert.poly import NonNegWitness, Polynomial
 from g2cert import derivations, hitchin, lie, numeric
 
 
@@ -257,6 +259,21 @@ class TestGaugeTransport:
             gauge_system(psi, s_family, [(1, 2, 5), (1, 2, 6)])
 
 
+def sampling_contexts():
+    """(context, prose_sample step) of each sampling certificate of the
+    built-in catalogs: the context after the strong-unimodularity
+    substitutions of each entry or branch that samples, as the pipeline
+    builds it."""
+    found = []
+    for entry in load_any("all"):
+        for branch_name in entry.branch_names() or [None]:
+            base = StageContext(entry, branch_name)
+            for step in base.steps:
+                if step.get("kind") == "prose_sample":
+                    found.append((strongly_unimodular_context(base), step))
+    return found
+
+
 class TestSampling:
     def test_deterministic_replay(self):
         entry = by_name("indecomposable", "g_{6,118}")
@@ -276,6 +293,31 @@ class TestSampling:
 
     def test_negative_control_finds_passes(self):
         assert negative_control(trials=25, seed=3) == 25
+
+    def test_compiled_lambda_has_the_sign_of_the_k_trace(self):
+        # the draw's pre-filter: at a positively scaled integer point the
+        # compiled lambda has the sign of tr(K^2) of the integer psi
+        rng = random.Random(16)
+        contexts = sampling_contexts()
+        assert len(contexts) == 4
+        for context, step in contexts:
+            sampler = PairSampler(context, random.Random(0), step.get("slice"))
+            alphas = [v for v in sampler.free_vars if v.startswith("alpha_")]
+            signs = set()
+            for draw in range(120):
+                assignment = {v: Fraction(rng.randint(-3, 3)) for v in sampler.free_vars}
+                assignment.update(sampler._draw_family())
+                if draw % 10 == 0:
+                    assignment.update(dict.fromkeys(alphas, Fraction(0)))
+                elif draw % 10 == 1:
+                    for v in alphas:
+                        assignment[v] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                point = numeric.integer_point(sampler.variables, assignment)
+                lam = sampler.lam_int.evaluate(point).get(0, 0)
+                trace_sq = hitchin.k_matrix(sampler.psi_int.evaluate(point), 0)[1]
+                assert (lam > 0) - (lam < 0) == (trace_sq > 0) - (trace_sq < 0), context.name
+                signs.add((lam > 0) - (lam < 0))
+            assert {-1, 0} <= signs, context.name
 
     def test_fast_path_matches_exact_su3_check(self):
         # cross-validate the integer fast path against the contraction oracle
@@ -561,6 +603,87 @@ class TestFullReport:
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"]["attempts"] = attempts + 1
         assert not recheck_certificate(entry, Certificate.from_json(node))
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+@pytest.fixture(scope="module")
+def shipped_run():
+    """(serialized report, call counts) of run_all over the three
+    built-in catalogs with the default options, the shipped trials and
+    seeds.  After the catalogs load, pass-through wrappers count the calls
+    of the integer k_matrix (the ring zero is the int 0), su3_passes_int,
+    PairSampler.draw and NonNegWitness.from_json."""
+    entries = [e for name in BUILTIN_DATASETS for e in load_any(name)]
+    counts = dict.fromkeys(("k_matrix_int", "su3_passes_int", "draw", "from_json"), 0)
+
+    def counting(name, original, test=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            if test(*args):
+                counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        k_int = counting("k_matrix_int", hitchin.k_matrix, lambda psi, zero: type(zero) is int)
+        for module in (hitchin, numeric):
+            patch.setattr(module, "k_matrix", k_int)
+        patch.setattr(numeric, "su3_passes_int", counting("su3_passes_int", numeric.su3_passes_int))
+        patch.setattr(PairSampler, "draw", counting("draw", PairSampler.draw))
+        from_json = counting("from_json", NonNegWitness.from_json)
+        patch.setattr(NonNegWitness, "from_json", staticmethod(from_json))
+        report = run_all(entries, PipelineOptions())
+    return json.loads(json.dumps(report.to_json(include_timing=False))), counts
+
+
+def sampling_nodes(document):
+    return [
+        c for r in document["results"] for c in r["certificates"] if c["kind"] == "sampled_no_su3"
+    ]
+
+
+class TestShippedRun:
+    def test_digest_matches_the_benchmark_golden(self, shipped_run):
+        # the certify-all digest that bench/golden.json freezes
+        document, _ = shipped_run
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["certify-all"]["sha256"]
+        blob = json.dumps(document, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == golden
+
+    def test_sampler_builds_k_only_for_primitive_pairs(self, shipped_run):
+        # every trial fails on omega ^ psi != 0, so no integer K is built
+        document, counts = shipped_run
+        nodes = sampling_nodes(document)
+        assert len(nodes) == 4 and all(c["data"]["passes"] == 0 for c in nodes)
+        assert sum(c["data"]["attempts"] for c in nodes) == counts["draw"] == 5316
+        assert sum(c["data"]["trials"] for c in nodes) == counts["su3_passes_int"] == 2000
+        assert counts["k_matrix_int"] == 0
+
+    def test_pipeline_reads_the_parsed_witnesses(self, shipped_run):
+        # validation parsed every shipped witness; run_all parses none again
+        _, counts = shipped_run
+        assert counts["from_json"] == 0
+
+
+@pytest.mark.parametrize(
+    "kind, algebra",
+    [("lambda_nonnegative", "g_{3,4}^{-1}+g_{3,1}"), ("sign_product", "g_{5,35}^{-2,0}+R")],
+)
+def test_tampered_witness_fails_recheck(kind, algebra):
+    # an in-memory certificate stores the catalog's witness object; recheck
+    # must parse what is stored, not reuse the tree the entry keeps
+    (entry,) = [e for e in load_any("all") if e.name == algebra]
+    result = run_pipeline(entry, PipelineOptions(trials_override=0))
+    (cert,) = [c for c in result.certificates if c.kind.value == kind]
+    assert recheck_certificate(entry, cert)
+    tampered = ["sum", cert.data["witness"], ["const", "1"]]
+    forged = Certificate(
+        cert.kind, cert.algebra, cert.assumptions, {**cert.data, "witness": tampered}, True
+    )
+    assert not recheck_certificate(entry, forged)
+    assert recheck_certificate(entry, cert)
 
 
 def test_gauge_family_carries_the_branch_values():

@@ -135,12 +135,18 @@ class TestCandidateConditions:
         def unreachable():
             raise AssertionError("omega evaluated although lambda >= 0")
 
-        # lambda(psi) = 0 for psi = 0 and for e^123
-        assert candidate_conditions_int({}, unreachable) is None
-        assert candidate_conditions_int({0b111: 1}, unreachable) is None
-        found = candidate_conditions_int(psi, lambda: omega)
-        assert found == (omega, k_matrix(psi, 0)[0])
-        assert candidate_conditions_int(psi, lambda: {0b11: 1}) is None
+        # lambda(psi) = 0 for psi = 0 and for e^123, and lambda > 0 for the
+        # split form e^123 + e^456; the sign is all the conditions read
+        zero, single, split = ({}, {0b111: 1}, {0b111: 1, 0b111000: 1})
+        assert k_matrix(zero, 0)[1] == k_matrix(single, 0)[1] == 0 < k_matrix(split, 0)[1]
+        for lam_psi in (zero, single, split):
+            assert candidate_conditions_int(k_matrix(lam_psi, 0)[1], unreachable) is None
+        trace_sq = k_matrix(psi, 0)[1]
+        assert trace_sq < 0
+        assert candidate_conditions_int(trace_sq, lambda: omega) == omega
+        assert candidate_conditions_int(-1, lambda: omega) == omega
+        # omega^3 = 0 rejects
+        assert candidate_conditions_int(trace_sq, lambda: {0b11: 1}) is None
 
 
 @st.composite
