@@ -23,24 +23,35 @@ variable.
 Term iteration is deterministic: graded lexicographic, variables ordered by
 name.  This keeps rendered reports byte-stable across runs.
 
-The product kernel (`_product`) keeps that representation outside and works
-on integers inside (packed exponent vectors, after Monagan and Pearce, CASC
-2007).  A product with a one-term operand maps each term of the other
-operand, which cannot make like terms.  Every other product packs each
-exponent vector into one int over the sorted union of the operands'
-variables, one field per variable.  Each field is (deg a + deg b).bit_length()
-bits wide, so an exponent of the product fits its field and adding two
-packed vectors never carries into the next field: the sum is the packed
-product monomial.  Each operand's coefficients are scaled to ints by the lcm
-of its denominators, the integer products are accumulated per packed
-monomial, and the nonzero sums are divided by the two lcms on the way out.
+The product kernel keeps that representation outside and works on integers
+inside (packed exponent vectors, after Monagan and Pearce, CASC 2007).  Its
+helpers are shared by `Polynomial.__mul__` and `substitute_cramer`:
+
+  _layout      one field per variable, in name order, each deg.bit_length()
+               bits wide for a bound deg on the total degree of every term
+               the caller forms, so an exponent fits its field and adding
+               two packed vectors never carries: the sum is the packed
+               product monomial;
+  _pack        a term map as (packed vector, int) pairs, its coefficients
+               scaled to ints by the lcm of their denominators;
+  _mul_into    the one multiply loop: integer products accumulated per
+               packed monomial (`_packed_product` runs it into a fresh
+               accumulator and keeps the product packed);
+  _decode      the nonzero sums as a term map, each divided by the common
+               denominator on the way out.
+
+A product with a one-term operand maps each term of the other operand,
+which cannot make like terms.  Every other product lays out the union of
+the operands' variables with the bound deg a + deg b and decodes over the
+product of the two lcms.  `substitute_cramer` packs its inputs once, keeps
+its intermediate products packed, and decodes only its result.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping, Union
 
 from .errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
@@ -90,6 +101,14 @@ def _mono_key(m: Monomial):
     return (-_mono_degree(m), tuple((v, -e) for v, e in m))
 
 
+def _layout(names, degree: int) -> tuple:
+    """(shifts, width): one field per variable, in name order, each wide
+    enough for an exponent up to `degree`, the total degree of any term the
+    packed loop forms, so that adding packed vectors never carries."""
+    width = degree.bit_length()
+    return {v: i * width for i, v in enumerate(sorted(names))}, width
+
+
 def _pack(terms: dict, shifts: dict) -> tuple:
     """([(packed exponent vector, integer coefficient)], q): the terms
     scaled to integers by q, the lcm of their denominators."""
@@ -103,28 +122,26 @@ def _pack(terms: dict, shifts: dict) -> tuple:
     return packed, q
 
 
-def _product(a: dict, b: dict) -> dict:
-    """The term map of the product of two polynomials, given their term maps."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    if len(a) == 1:
-        # distinct monomials times one monomial stay distinct
-        ((m1, c1),) = a.items()
-        return {_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
-    names = sorted({v for m in a for v, _ in m} | {v for m in b for v, _ in m})
-    width = (max(map(_mono_degree, a)) + max(map(_mono_degree, b))).bit_length()
-    shifts = {v: i * width for i, v in enumerate(names)}
-    packed_a, qa = _pack(a, shifts)
-    packed_b, qb = _pack(b, shifts)
-    acc = defaultdict(int)
-    for ka, ca in packed_a:
-        for kb, cb in packed_b:
+def _mul_into(acc: defaultdict, a: list, b: list) -> None:
+    """Add the product of two packed polynomials into the accumulator `acc`
+    (packed monomial -> integer coefficient)."""
+    for ka, ca in a:
+        for kb, cb in b:
             acc[ka + kb] += ca * cb
+
+
+def _packed_product(a: list, b: list) -> list:
+    """The packed product of two packed polynomials, cancelled terms dropped."""
+    acc = defaultdict(int)
+    _mul_into(acc, a, b)
+    return [(key, c) for key, c in acc.items() if c]
+
+
+def _decode(acc: dict, shifts: dict, width: int, q: int) -> dict:
+    """The term map of the packed sums in `acc` over the denominator q: each
+    nonzero sum c becomes the term Fraction(c, q) of its unpacked monomial."""
     mask = (1 << width) - 1
     fields = [(v, mask << s, s) for v, s in shifts.items()]
-    q = qa * qb
     pairs = {}  # masked field -> its (name, exponent) pair, shared by the result
     out = {}
     for key, c in acc.items():
@@ -143,6 +160,25 @@ def _product(a: dict, b: dict) -> dict:
                     break
         out[tuple(mono)] = Fraction(c, q)
     return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The term map of the product of two polynomials, given their term maps."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        # distinct monomials times one monomial stay distinct
+        ((m1, c1),) = a.items()
+        return {_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+    names = {v for m in a for v, _ in m} | {v for m in b for v, _ in m}
+    shifts, width = _layout(names, max(map(_mono_degree, a)) + max(map(_mono_degree, b)))
+    packed_a, qa = _pack(a, shifts)
+    packed_b, qb = _pack(b, shifts)
+    acc = defaultdict(int)
+    _mul_into(acc, packed_a, packed_b)
+    return _decode(acc, shifts, width, qa * qb)
 
 
 class Polynomial:
@@ -697,18 +733,55 @@ def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):
     poly(sbar) = N / den^d and d the total degree of poly in the s variables.
 
     Works entirely in the polynomial ring, avoiding the denominator blowup
-    of repeated rational-function addition.  The terms of poly are grouped
-    by their monomial in the s variables and each group is substituted once.
+    of repeated rational-function addition.  With poly grouped by its
+    monomials m in the s variables, N = sum_m c_m * P_m, where c_m is the
+    s-free coefficient of m and P_m = prod_i N_i^(m_i) * den^(d - |m|), with
+    N_i = numerators[i].  N is formed in one
+    pass of the product kernel's helpers.  The coefficients, the numerators
+    that occur and den are packed once over one variable order, each field
+    (max deg c_m + d * max(deg N_i, deg den)).bit_length() bits wide, which
+    bounds the degree of every term of N, so no packed sum carries.  Each
+    power N_i^e and den^g is formed once per call, and each P_m once.  Every
+    c_m is scaled to the common denominator Q, the lcm of the groups'
+    scales, and multiplied by P_m straight into one integer accumulator, so
+    only the nonzero sums of the result are decoded, as Fraction(c, Q).
     """
     groups = poly.collect(set(svars))
     degree = max(map(_mono_degree, groups), default=0)
     if degree == 0:
         return poly, 0
     image = dict(zip(svars, numerators))
-    total = Polynomial.zero()
+    bases = {v: image[v] for mono in groups for v, _ in mono}
+    bases[None] = den  # den^g is the power of the key None
+    names = {v for p in (*bases.values(), *groups.values()) for m in p.terms for v, _ in m}
+    top = max(p.total_degree() for p in bases.values())
+    cdeg = max(c.total_degree() for c in groups.values())
+    shifts, width = _layout(names, cdeg + degree * top)
+    packed = {v: _pack(p.terms, shifts) for v, p in bases.items()}
+    powers = {}
+
+    def power(v, e: int) -> list:
+        """The packed bases[v]^e, formed once per call."""
+        if e == 1:
+            return packed[v][0]
+        if (v, e) not in powers:
+            powers[v, e] = _packed_product(power(v, e - 1), packed[v][0])
+        return powers[v, e]
+
+    plan = []
     for mono, coeff in groups.items():
-        for v, e in mono:
-            coeff = coeff * image[v] ** e
         gap = degree - _mono_degree(mono)
-        total = total + (coeff * den**gap if gap else coeff)
-    return total, degree
+        factors = list(mono) + ([(None, gap)] if gap else [])
+        packed_c, qc = _pack(coeff.terms, shifts)
+        plan.append((packed_c, factors, qc * prod(packed[v][1] ** e for v, e in factors)))
+    common = lcm(*(scale for _, _, scale in plan))
+    acc = defaultdict(int)
+    for packed_c, factors, scale in plan:
+        p_m = power(*factors[0])
+        for v, e in factors[1:]:
+            p_m = _packed_product(p_m, power(v, e))
+        k = common // scale
+        _mul_into(acc, [(key, c * k) for key, c in packed_c], p_m)
+    result = Polynomial.__new__(Polynomial)
+    result._terms = _decode(acc, shifts, width, common)
+    return result, degree

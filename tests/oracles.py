@@ -10,9 +10,10 @@ it shares neither the K table nor the h product with su3_passes_int.
 The last few helpers are test-side references that no pipeline path
 needs: a catalog writer and a witness serializer for the save/load round
 trips, the extension s x_D R built as a Lie algebra, plain substitution
-of rational functions to check substitute_cramer against, readers for
-subspace equality and exact polynomial quotients, and quotient traces by
-per-generator elimination to check Subspace.trace against.
+of rational functions and a schoolbook Cramer substitution to check
+substitute_cramer against, readers for subspace equality and exact
+polynomial quotients, and quotient traces by per-generator elimination to
+check Subspace.trace against.
 """
 
 import enum
@@ -357,6 +358,26 @@ def substitute_rational(poly: Polynomial, mapping) -> RationalFunction:
                 term = term * RationalFunction.from_polynomial(Polynomial.var(var, exp))
         out = out + term
     return out
+
+
+def oracle_substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):
+    """(N, d) with poly(s = numerators / den) = N / den^d, d the total degree
+    of poly in svars: each s-monomial group's coefficient times its
+    numerator powers and den^(d - its degree), multiplied by the schoolbook
+    oracle_mul in Fraction arithmetic and summed."""
+    groups = poly.collect(set(svars))
+    degree = max((sum(e for _, e in mono) for mono in groups), default=0)
+    if degree == 0:
+        return poly, 0
+    image = dict(zip(svars, numerators))
+    total = Polynomial.zero()
+    for mono, coeff in groups.items():
+        factors = [image[v] for v, e in mono for _ in range(e)]
+        factors += [den] * (degree - sum(e for _, e in mono))
+        for factor in factors:
+            coeff = oracle_mul(coeff, factor)
+        total = total + coeff
+    return total, degree
 
 
 def subspace_equals(a: Subspace, b: Subspace) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import P, algebra_of
+from oracles import oracle_substitute_cramer
 from g2cert.catalog import (
     BUILTIN_DATASETS,
     AlgebraEntry,
@@ -53,8 +54,8 @@ from g2cert.errors import (
     WitnessMismatch,
 )
 from g2cert.hitchin import b_phi
-from g2cert.poly import NonNegWitness, Polynomial
-from g2cert import derivations, hitchin, lie, numeric
+from g2cert.poly import NonNegWitness, Polynomial, substitute_cramer
+from g2cert import certify, derivations, hitchin, lie, numeric
 
 
 def by_name(dataset, name):
@@ -512,6 +513,35 @@ class TestFullReport:
         node["data"][field] = tamper(node["data"])
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
+    def test_g6101_pair_check_makes_no_polynomial_products(self, full_report, monkeypatch):
+        # F*omega(e_i, e_j) = 0 of the g_{6,101} gauge is the largest Cramer
+        # substitution: one packed pass, with no Polynomial product in it
+        entries, document = full_report
+        entry = next(e for e in entries if G6101_GENERIC.startswith(f"{e.name} ["))
+        node = certificate_node(document, "gauge_null", G6101_GENERIC)
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return substitute_cramer(*args)
+
+        monkeypatch.setattr(certify, "substitute_cramer", recording)
+        assert recheck_certificate(entry, Certificate.from_json(node))
+        poly, svars, numerators, den = calls[-1]  # the pair check comes last
+        assert [len(n.terms) for n in numerators] == [52, 28, 59, 59] and len(den.terms) == 21
+        products = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(Polynomial, "__rmul__", counting_mul)
+        num, degree = substitute_cramer(poly, svars, numerators, den)
+        assert num.is_zero() and degree == 2
+        assert products == []
+
     @pytest.mark.parametrize(
         "kind, algebra, field, value",
         [
@@ -614,9 +644,16 @@ def shipped_run():
     built-in catalogs with the default options, the shipped trials and
     seeds.  After the catalogs load, pass-through wrappers count the calls
     of the integer k_matrix (the ring zero is the int 0), su3_passes_int,
-    PairSampler.draw and NonNegWitness.from_json."""
+    PairSampler.draw and NonNegWitness.from_json, and record each
+    substitute_cramer call with its result under "substitute_cramer"."""
     entries = [e for name in BUILTIN_DATASETS for e in load_any(name)]
     counts = dict.fromkeys(("k_matrix_int", "su3_passes_int", "draw", "from_json"), 0)
+    counts["substitute_cramer"] = cramer_calls = []
+
+    def recording(*args):
+        result = substitute_cramer(*args)
+        cramer_calls.append((args, result))
+        return result
 
     def counting(name, original, test=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -634,6 +671,7 @@ def shipped_run():
         patch.setattr(PairSampler, "draw", counting("draw", PairSampler.draw))
         from_json = counting("from_json", NonNegWitness.from_json)
         patch.setattr(NonNegWitness, "from_json", staticmethod(from_json))
+        patch.setattr(certify, "substitute_cramer", recording)
         report = run_all(entries, PipelineOptions())
     return json.loads(json.dumps(report.to_json(include_timing=False))), counts
 
@@ -665,6 +703,16 @@ class TestShippedRun:
         # validation parsed every shipped witness; run_all parses none again
         _, counts = shipped_run
         assert counts["from_json"] == 0
+
+    def test_cramer_substitutions_match_the_oracle(self, shipped_run):
+        # every gauge identity of the shipped run, term for term
+        _, counts = shipped_run
+        calls = counts["substitute_cramer"]
+        assert len(calls) == 45
+        for args, (num, degree) in calls:
+            expected, expected_degree = oracle_substitute_cramer(*args)
+            assert degree == expected_degree
+            assert num.terms == expected.terms and str(num) == str(expected)
 
 
 @pytest.mark.parametrize(

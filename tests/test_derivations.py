@@ -17,8 +17,8 @@ from g2cert.derivations import (
     verify_derivation,
 )
 from g2cert.errors import LeibnizViolation, NilradicalNotInvariant, NonNumericEntries
-from g2cert.forms import KForm, VectorExpr, generic_two_form
-from g2cert.lie import Subspace, bracket, descending_central_series
+from g2cert.forms import KForm, VectorExpr, generic_one_form, generic_two_form, wedge
+from g2cert.lie import Subspace, bracket, ce_differential, descending_central_series
 from g2cert.poly import Polynomial
 
 G530 = "(-e24 - 2/3*e15, -e34 + 1/3*e25, 4/3*e35, -e45, 0, 0)"
@@ -280,6 +280,27 @@ def test_raw_traces_match_per_generator_elimination_on_every_shipped_context():
                 if not tr.is_zero():
                     expected.append((name, level, tr.num))
         assert context.su.raw_traces == expected, context.name
+        checked += 1
+    assert checked == 29
+
+
+def test_split_identity_on_every_shipped_context():
+    # on g = s x_D R with e^7 dual to the added generator,
+    # d(alpha + beta ^ e^7) = psi + omega ^ e^7 for the generic alpha and
+    # beta of s: the 6+1 split the SU(3)-stage certificates rest on.  10 of
+    # the contexts ship a family and 19 solve Der(s); 12 whose Der(s) has
+    # symbolic entries raise NonNumericEntries and are skipped
+    def lift(f):
+        return KForm(7, f.degree, f.coeffs)
+
+    e7 = KForm.basis(7, (7,))
+    alpha = lift(generic_two_form(6, "alpha"))
+    beta = lift(generic_one_form(6, "beta"))
+    checked = 0
+    for context in su_contexts():
+        g = extension_algebra(context.algebra, context.family)
+        expected = lift(context.psi) + wedge(lift(context.omega), e7)
+        assert ce_differential(g, alpha + wedge(beta, e7)) == expected, context.name
         checked += 1
     assert checked == 29
 

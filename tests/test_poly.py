@@ -9,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import P
-from oracles import as_polynomial, oracle_mul, substitute_rational, witness_to_json
+from oracles import (
+    as_polynomial,
+    oracle_mul,
+    oracle_substitute_cramer,
+    substitute_rational,
+    witness_to_json,
+)
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
 from g2cert.poly import (
     NonNegWitness,
@@ -216,6 +222,99 @@ class TestProductKernel:
             assert (p * q).terms == oracle_mul(p, q).terms == (q * p).terms
             assert_canonical(p * q)
         assert P("x + y") * P("x - y") == P("x^2 - y^2")
+
+
+NON_INTEGERS = st.builds(
+    Fraction, st.integers(-7, 7).filter(bool), st.sampled_from((2, 3, 5, 7))
+)
+
+
+@st.composite
+def cramer_inputs(draw):
+    """(poly, svars, numerators, den): poly of degree up to 3 in s_1..s_n
+    (n in 1..3) with coefficients in x and y, numerators in u, x and y and
+    a nonzero den in x and y, all with non-integer rational coefficients."""
+    n = draw(st.integers(1, 3))
+    svars = [f"s_{i}" for i in range(1, n + 1)]
+
+    def draw_poly(names, max_exp, max_terms, s_degree=0):
+        terms = {}
+        for _ in range(draw(st.integers(0, max_terms))):
+            exps = [draw(st.integers(0, max_exp)) for _ in names]
+            s_exps = [0] * n
+            for _ in range(draw(st.integers(0, s_degree))):
+                s_exps[draw(st.integers(0, n - 1))] += 1
+            mono = tuple(sorted(
+                [(v, e) for v, e in zip(names, exps) if e]
+                + [(v, e) for v, e in zip(svars, s_exps) if e]
+            ))
+            terms[mono] = draw(NON_INTEGERS)
+        return Polynomial(terms)
+
+    poly = draw_poly(("x", "y"), 2, 5, s_degree=3)
+    numerators = [draw_poly(("u", "x", "y"), 3, 4) for _ in svars]
+    den = draw_poly(("x", "y"), 2, 3)
+    assume(not den.is_zero())
+    return poly, svars, numerators, den
+
+
+def assert_matches_oracle(poly, svars, numerators, den) -> tuple:
+    """substitute_cramer against the schoolbook oracle, term for term; its
+    (N, d) is returned."""
+    num, degree = substitute_cramer(poly, svars, numerators, den)
+    expected, expected_degree = oracle_substitute_cramer(poly, svars, numerators, den)
+    assert degree == expected_degree
+    assert num.terms == expected.terms
+    assert str(num) == str(expected)
+    assert_canonical(num)
+    return num, degree
+
+
+class TestCramerPass:
+    """The packed Cramer substitution against the schoolbook oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cramer_inputs())
+    def test_matches_oracle(self, inputs):
+        assert_matches_oracle(*inputs)
+
+    def test_zero_numerator(self):
+        poly = P("s_1*s_2 + 2/3*x*s_1 + 1/2")
+        den = P("2*x - 1/5")
+        num, _ = assert_matches_oracle(poly, ["s_1", "s_2"], [P("0"), P("1/3*x + 1")], den)
+        assert num == P("1/2") * den * den
+
+    def test_no_gauge_variable_returns_poly_unchanged(self):
+        poly = P("3/4*x^2*y - 1/3")
+        num, degree = substitute_cramer(poly, ["s_1"], [P("x + 1/2")], P("y - 1/5"))
+        assert num is poly and degree == 0
+        assert substitute_cramer(P("0"), ["s_1"], [P("x")], P("y")) == (P("0"), 0)
+
+    @pytest.mark.parametrize(
+        "poly, numerators, degree",
+        [
+            # N_2 s_1 - N_1 s_2 at s = N / den
+            ("(1/3*y^2 - x)*s_1 - (x^2*y + 1/2)*s_2", ["x^2*y + 1/2", "1/3*y^2 - x"], 1),
+            # s_1^2 = s_2 s_3 when N_1^2 = N_2 N_3
+            ("2/5*s_1^2 - 2/5*s_2*s_3", ["1/2*x*y", "1/4*x^2", "y^2"], 2),
+        ],
+    )
+    def test_result_that_cancels(self, poly, numerators, degree):
+        svars = [f"s_{i}" for i in range(1, len(numerators) + 1)]
+        numerators = [P(n) for n in numerators]
+        num, d = assert_matches_oracle(P(poly), svars, numerators, P("x - 3/7*y"))
+        assert num.is_zero() and d == degree
+
+    @pytest.mark.parametrize(
+        "c, t", [(1, 3), (0, 4), (2, 3), (1, 4), (1, 7), (0, 8), (2, 7), (1, 8), (3, 7)]
+    )
+    def test_degrees_at_field_width_edges(self, c, t):
+        # the top term x^(c + 2t) has the bound cdeg + d * top as its degree
+        poly = P("1/2") * Polynomial.var("x", c) * P("s_1^2") + P("3/5*y*s_2")
+        numerators = [Polynomial.var("x", t) - P("1/3*y"), P("2/5") * Polynomial.var("y", t)]
+        den = Polynomial.var("x", t) + P("1/7")
+        num, _ = assert_matches_oracle(poly, ["s_1", "s_2"], numerators, den)
+        assert num.terms[(("x", c + 2 * t),)] == Fraction(1, 2)
 
 
 @st.composite
