@@ -30,7 +30,9 @@ the document and builds each `AlgebraEntry` (JSON, schema and entry
 shape), and `AlgebraEntry.validate_entry` builds every object the entry
 ships and so runs the mathematical checks (Jacobi, unimodularity, the
 nilradical, distinct branch names, Leibniz of every derivation and gauge
-family with its branch values, witness parsing).  The entry keeps what it
+family with its branch values, witness parsing).  Jacobi, Leibniz,
+unimodularity and the nilradical's ideal and derived-algebra conditions
+are read off the differential d; only nilpotency builds a series.  The entry keeps what it
 built, and the pipeline and recheck read it without proving it again.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands

@@ -3,7 +3,11 @@
 A DerivationFamily is an n x n matrix whose entries are polynomials, affine
 in the derivation parameters a_1..a_m (and possibly involving structure
 family parameters).  The Leibniz identity D[x,y] = [Dx,y] + [x,Dy] is always
-verified identically in every symbol.
+verified identically in every symbol, and it is read off d as Jacobi is:
+D is a derivation iff d(D* e^k) = D*(de^k) for every k (leibniz_residuals).
+verify_derivation reports the first nonzero residual coefficient, and
+solve_derivations takes its linear system from the residuals of the
+generic D.
 
 The extension s x_D R adds a generator e_{n+1} acting on s by D.  It is a
 Lie algebra exactly when D satisfies the Leibniz identity, so no extension
@@ -26,8 +30,8 @@ from .errors import (
     LeibnizViolation,
     NonNumericEntries,
 )
-from .forms import KForm, VectorExpr, antiderivation
-from .lie import LieAlgebra, Subspace, bracket, descending_central_series
+from .forms import KForm, VectorExpr, antiderivation, indices_of
+from .lie import LieAlgebra, Subspace, ce_differential, descending_central_series
 from .poly import Polynomial
 
 
@@ -39,17 +43,6 @@ class DerivationFamily:
     matrix: list  # n x n nested list of Polynomial
     params: tuple = ()
 
-    def apply(self, v: VectorExpr) -> VectorExpr:
-        n = self.algebra.dim
-        coords = []
-        for row in self.matrix:
-            acc = Polynomial.zero()
-            for entry, c in zip(row, v.coords):
-                if not entry.is_zero() and not c.is_zero():
-                    acc = acc + entry * c
-            coords.append(acc)
-        return VectorExpr(n, coords)
-
     def column(self, j: int) -> VectorExpr:
         """Image of e_j, 1-based."""
         return VectorExpr(self.algebra.dim, [row[j - 1] for row in self.matrix])
@@ -60,71 +53,61 @@ class DerivationFamily:
         return DerivationFamily(self.algebra, new, params)
 
 
+def leibniz_residuals(algebra: LieAlgebra, family: DerivationFamily) -> list:
+    """d(D* e^k) - D*(de^k) for every k; all zero iff D is a derivation.
+
+    Both terms are 2-forms, and on (e_i, e_j) they give -e^k(D[e_i, e_j])
+    and -e^k([De_i, e_j] + [e_i, De_j]).  So the coefficient of e^{ij} in
+    the k-th residual is minus the e_k-component of the Leibniz defect
+    D[e_i, e_j] - [De_i, e_j] - [e_i, De_j].
+    """
+    return [
+        ce_differential(algebra, KForm(algebra.dim, 1, image))
+        - dstar_action(family, algebra.d_basis(k))
+        for k, image in enumerate(_dual_images(family), start=1)
+    ]
+
+
 def verify_derivation(algebra: LieAlgebra, family: DerivationFamily) -> bool:
     """Leibniz identity, checked identically in derivation and family
-    parameters.  Raises LeibnizViolation with the offending (i, j, k)."""
-    n = algebra.dim
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = family.apply(algebra.bracket_basis(i, j))
-            rhs = bracket(algebra, family.column(i), VectorExpr.basis(n, j)) + bracket(
-                algebra, VectorExpr.basis(n, i), family.column(j)
-            )
-            for k in range(n):
-                residual = lhs.coords[k] - rhs.coords[k]
-                if not residual.is_zero():
-                    raise LeibnizViolation((i, j, k + 1), residual)
+    parameters.  Raises LeibnizViolation with the first offending (i, j, k),
+    i < j, in lexicographic order, and the e_k-component of the defect."""
+    defects = [
+        (indices_of(mask), k, -coeff)
+        for k, residual in enumerate(leibniz_residuals(algebra, family), start=1)
+        for mask, coeff in residual.coeffs.items()
+    ]
+    if defects:
+        (i, j), k, residual = min(defects, key=lambda defect: defect[:2])
+        raise LeibnizViolation((i, j, k), residual)
     return True
-
-
-def _leibniz_rows(algebra: LieAlgebra):
-    """Rows of the linear system in the n^2 unknowns D[l][k] (row-major),
-    over Q: the structure constants must be numeric."""
-    n = algebra.dim
-    zero = Fraction(0)
-    rows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            bij = algebra.bracket_basis(i, j)
-            # component k of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0
-            for k in range(1, n + 1):
-                row = [zero] * (n * n)
-
-                def unknown(l, c):
-                    return (l - 1) * n + (c - 1)
-
-                # D[e_i, e_j]: sum_l bij_l * D[k][l]
-                for l in range(1, n + 1):
-                    if not bij.coords[l - 1].is_zero():
-                        row[unknown(k, l)] = row[unknown(k, l)] + bij.coords[l - 1].constant_value()
-                # -[De_i, e_j] = -sum_l D[l][i] [e_l, e_j]_k
-                for l in range(1, n + 1):
-                    blj = algebra.bracket_basis(l, j).coords[k - 1]
-                    if not blj.is_zero():
-                        row[unknown(l, i)] = row[unknown(l, i)] - blj.constant_value()
-                # -[e_i, De_j] = -sum_l D[l][j] [e_i, e_l]_k
-                for l in range(1, n + 1):
-                    bil = algebra.bracket_basis(i, l).coords[k - 1]
-                    if not bil.is_zero():
-                        row[unknown(l, j)] = row[unknown(l, j)] - bil.constant_value()
-                if any(row):
-                    rows.append(row)
-    return rows
 
 
 def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
     """Basis of Der(s) as one affine family with parameters a_1, a_2, ...
 
-    Structure constants must be numeric; free parameters are named in
-    row-major pivot order of the (l, k) matrix entries, which makes the
-    parametrization canonical.
+    Structure constants must be numeric.  The Leibniz residuals of the
+    generic D, with one unknown per entry D[l][k] in row-major order, are
+    linear in the unknowns; their coefficients are the rows of the system.
+    Free parameters are named in row-major pivot order of the (l, k) matrix
+    entries, which makes the parametrization canonical.
     """
     n = algebra.dim
     if algebra.family_parameters():
         raise NonNumericEntries(
             "solve_derivations needs numeric structure constants; fix the family parameters"
         )
-    rows = _leibniz_rows(algebra)
+    column = {f"D_{l}_{c}": l * n + c for l in range(n) for c in range(n)}
+    generic = DerivationFamily(
+        algebra, [[Polynomial.var(f"D_{l}_{c}") for c in range(n)] for l in range(n)]
+    )
+    rows = []
+    for residual in leibniz_residuals(algebra, generic):
+        for coeff in residual.coeffs.values():
+            row = [Fraction(0)] * (n * n)
+            for ((name, _),), value in coeff.terms.items():
+                row[column[name]] = value
+            rows.append(row)
     basis = linalg.nullspace(rows, n * n)
     matrix = [[Polynomial.zero() for _ in range(n)] for _ in range(n)]
     params = []
@@ -142,6 +125,11 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
     return family
 
 
+def _dual_images(family: DerivationFamily) -> list:
+    """D* e^k = sum_l D[k][l] e^l for every k, as mask -> coefficient dicts."""
+    return [{1 << l: entry for l, entry in enumerate(row) if entry} for row in family.matrix]
+
+
 def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
     """(D*f)(x_1..x_k) = sum_m f(x_1, .., D x_m, .., x_k).
 
@@ -151,8 +139,7 @@ def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
     n = family.algebra.dim
     if f.dim != n:
         raise DimensionMismatch("form dimension differs from the algebra")
-    images = [{1 << k: entry for k, entry in enumerate(row) if entry} for row in family.matrix]
-    return KForm(n, f.degree, antiderivation(images, f.coeffs))
+    return KForm(n, f.degree, antiderivation(_dual_images(family), f.coeffs))
 
 
 @dataclass

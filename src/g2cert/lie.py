@@ -5,9 +5,14 @@ The sign convention is fixed once for the whole package:
 
     de^k(x, y) = -e^k([x, y])
 
-so de^1 = -e13 pairs with [e1, e3] = e1.  Jacobi is equivalent to d o d = 0
-on every e^k, and that is exactly what validate() checks, identically in any
-family parameters.
+so de^1 = -e13 pairs with [e1, e3] = e1.  The structural checks are read
+off d, identically in any family parameters: Jacobi is d o d = 0 on every
+e^k (validate), unimodularity is d = 0 on the (n-1)-forms
+(unimodular_check), and a nilradical's ideal and derived-algebra
+conditions are conditions on the terms of the de^k (verify_nilradical).
+Only its nilpotency builds the descending central series, as Subspaces over
+the rational-function field.  The derivations module reads the Leibniz
+identity off d too.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, JacobiFailure, NilradicalNotInvariant, NotAnIdeal
-from .forms import KForm, VectorExpr, antiderivation
+from .forms import KForm, VectorExpr, antiderivation, mask_of
 from .poly import Polynomial, RationalFunction
 
 
@@ -123,14 +128,15 @@ def validate(algebra: LieAlgebra) -> None:
 
 
 def unimodular_check(algebra: LieAlgebra) -> bool:
-    """tr(ad_{e_i}) = 0 for all i, as polynomial identities."""
-    for i in range(1, algebra.dim + 1):
-        trace = Polynomial.zero()
-        for j in range(1, algebra.dim + 1):
-            trace = trace + algebra.bracket_basis(i, j).coords[j - 1]
-        if not trace.is_zero():
-            return False
-    return True
+    """tr(ad_{e_i}) = 0 for all i, as polynomial identities, read off d on
+    the (n-1)-forms: d(iota_{e_i} vol) = -tr(ad_{e_i}) vol."""
+    n = algebra.dim
+    full = (1 << n) - 1
+    one = Polynomial.const(1)
+    return all(
+        ce_differential(algebra, KForm(n, n - 1, {full ^ (1 << i): one})).is_zero()
+        for i in range(n)
+    )
 
 
 # -- subspaces -----------------------------------------------------------
@@ -162,10 +168,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def contains(self, v: VectorExpr) -> bool:
-        row = [RationalFunction.from_polynomial(c) for c in v.coords]
-        return linalg.in_span(self._rref, self._pivots, row)
-
     def trace(self, images: Sequence[Sequence[Polynomial]]) -> RationalFunction:
         """Trace of the restriction to this subspace of the linear map M
         with M e_j = images[j - 1] (polynomial coordinates).
@@ -186,30 +188,8 @@ class Subspace:
             trace = trace + image[pivot]
         return trace
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
-
-
-def derived_algebra(algebra: LieAlgebra) -> Subspace:
-    """[g, g], spanned by all basis brackets."""
-    gens = [
-        algebra.bracket_basis(i, j)
-        for i in range(1, algebra.dim + 1)
-        for j in range(i + 1, algebra.dim + 1)
-    ]
-    return Subspace(algebra, [g for g in gens if not g.is_zero()])
-
-
-def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
-    basis = [VectorExpr.basis(algebra.dim, i) for i in range(1, algebra.dim + 1)]
-    for g in subspace.generators:
-        for b in basis:
-            if not subspace.contains(bracket(algebra, b, g)):
-                return False
-    return True
 
 
 def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
@@ -238,20 +218,28 @@ def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
 
 
 def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> Subspace:
-    """Accept a declared nilradical: a nilpotent ideal of the declared
-    dimension containing the derived algebra.  Maximality is a
-    classification fact and is not re-proved here.
+    """Accept a declared nilradical n = span(e_i : i in indices): a
+    nilpotent ideal of the declared dimension containing the derived
+    algebra.  Maximality is a classification fact and is not re-proved here.
 
-    The ideal property is proved here, once per algebra, before the
-    series is built; descending_central_series and the strong-unimodularity
-    traces rely on it."""
-    n = Subspace.from_indices(algebra, indices)
-    if n.dim != len(indices):
+    The ideal and derived-algebra conditions are read off d.  With J the
+    indices outside n, de^k(x, y) = -e^k([x, y]) for k in J, so n is an
+    ideal iff no term of such a de^k has an index in n, and [g, g] lies in
+    n iff every such de^k is zero.  The ideal property is proved here, once
+    per algebra, before the series is built; descending_central_series and
+    the strong-unimodularity traces rely on it."""
+    outside = [i for i in indices if not 1 <= i <= algebra.dim]
+    if outside:
+        raise NotAnIdeal(f"declared nilradical indices {outside} lie outside 1..{algebra.dim}")
+    if len(set(indices)) != len(indices):
         raise NotAnIdeal("declared nilradical generators are dependent")
-    if not is_ideal(algebra, n):
+    inside = mask_of(indices)
+    quotient = [d for k, d in enumerate(algebra.differentials) if not inside >> k & 1]
+    if any(mask & inside for d in quotient for mask in d.coeffs):
         raise NotAnIdeal("declared nilradical is not an ideal")
+    n = Subspace.from_indices(algebra, indices)
     if not descending_central_series(algebra, n)[-1].is_zero():
         raise NotAnIdeal("declared nilradical is not nilpotent")
-    if not n.contains_subspace(derived_algebra(algebra)):
+    if not all(d.is_zero() for d in quotient):
         raise NotAnIdeal("declared nilradical does not contain the derived algebra")
     return n

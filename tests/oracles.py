@@ -13,7 +13,9 @@ trips, the extension s x_D R built as a Lie algebra, plain substitution
 of rational functions and a schoolbook Cramer substitution to check
 substitute_cramer against, readers for subspace equality and exact
 polynomial quotients, and quotient traces by per-generator elimination to
-check Subspace.trace against.
+check Subspace.trace against.  The bracket-loop checks that the package
+now reads off d stay here as references: the Leibniz defect, the ideal
+and derived-algebra tests on Subspaces, and tr(ad e_i).
 """
 
 import enum
@@ -34,7 +36,7 @@ from g2cert.forms import (
     wedge_coeffs,
 )
 from g2cert.hitchin import Bilinear
-from g2cert.lie import LieAlgebra, Subspace, validate
+from g2cert.lie import LieAlgebra, Subspace, bracket, descending_central_series, validate
 from g2cert.linalg import det_fraction, rref
 from g2cert.poly import (
     NonNegWitness,
@@ -380,8 +382,92 @@ def oracle_substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomia
     return total, degree
 
 
+def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
+    """Every generator of inner lies in outer, each tested by rank."""
+    rows = [rf_row(g) for g in outer.generators]
+    return all(rank_in_span(rows, rf_row(g)) for g in inner.generators)
+
+
 def subspace_equals(a: Subspace, b: Subspace) -> bool:
-    return a.dim == b.dim and a.contains_subspace(b)
+    return a.dim == b.dim and subspace_contains(a, b)
+
+
+def derived_algebra(algebra: LieAlgebra) -> Subspace:
+    """[g, g], spanned by all basis brackets."""
+    gens = [
+        algebra.bracket_basis(i, j)
+        for i in range(1, algebra.dim + 1)
+        for j in range(i + 1, algebra.dim + 1)
+    ]
+    return Subspace(algebra, [g for g in gens if not g.is_zero()])
+
+
+def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
+    """[e_i, g] lies in the subspace for every basis vector e_i and every
+    generator g, each bracket by bilinear expansion and tested by rank."""
+    rows = [rf_row(g) for g in subspace.generators]
+    return all(
+        rank_in_span(rows, rf_row(bracket(algebra, b, g)))
+        for g in subspace.generators
+        for b in basis_vectors(algebra.dim)
+    )
+
+
+def nilradical_rejection(algebra: LieAlgebra, indices):
+    """The reason verify_nilradical gives for span(e_i : i in indices), by
+    the subspace checks in the order it makes them: "dependent", "not an
+    ideal", "not nilpotent" or "derived algebra"; None when it accepts."""
+    n = Subspace.from_indices(algebra, indices)
+    if n.dim != len(indices):
+        return "dependent"
+    if not is_ideal(algebra, n):
+        return "not an ideal"
+    if not descending_central_series(algebra, n)[-1].is_zero():
+        return "not nilpotent"
+    if not subspace_contains(n, derived_algebra(algebra)):
+        return "derived algebra"
+    return None
+
+
+def oracle_unimodular(algebra: LieAlgebra) -> bool:
+    """tr(ad_{e_i}) = 0 for every i, summing the diagonal of each ad_{e_i}
+    from bracket_basis."""
+    return all(
+        sum(
+            (algebra.bracket_basis(i, j).coords[j - 1] for j in range(1, algebra.dim + 1)),
+            Polynomial.zero(),
+        ).is_zero()
+        for i in range(1, algebra.dim + 1)
+    )
+
+
+def apply_matrix(matrix, v: VectorExpr) -> VectorExpr:
+    """M v for a matrix of Polynomials (a list of rows)."""
+    coords = [
+        sum((entry * c for entry, c in zip(row, v.coords)), Polynomial.zero()) for row in matrix
+    ]
+    return VectorExpr(len(matrix), coords)
+
+
+def oracle_leibniz(algebra: LieAlgebra, matrix):
+    """The first (i, j, k), i < j, in lexicographic order, at which the
+    e_k-component of D[e_i, e_j] - [De_i, e_j] - [e_i, De_j] is nonzero,
+    with that component; None when D is a derivation.  Brackets come from
+    bracket_basis and bilinear expansion, D from the matrix."""
+    n = algebra.dim
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            lhs = apply_matrix(matrix, algebra.bracket_basis(i, j))
+            column_i = apply_matrix(matrix, VectorExpr.basis(n, i))
+            column_j = apply_matrix(matrix, VectorExpr.basis(n, j))
+            rhs = bracket(algebra, column_i, VectorExpr.basis(n, j)) + bracket(
+                algebra, VectorExpr.basis(n, i), column_j
+            )
+            for k in range(n):
+                residual = lhs.coords[k] - rhs.coords[k]
+                if not residual.is_zero():
+                    return (i, j, k + 1), residual
+    return None
 
 
 def as_polynomial(f: RationalFunction) -> Polynomial:

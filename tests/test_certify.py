@@ -777,13 +777,13 @@ class TestEachFactProvedOnce:
 
     def test_after_load_only_solved_families_are_leibniz_checked(self, monkeypatch):
         # catalog load proves every shipped family and gauge family and
-        # that each nilradical is an ideal; run_all and recheck read them
+        # each nilradical; run_all and recheck read them
         entries = load_any("all")
         calls, solving = [], []
         for owner, name in (
             (derivations, "verify_derivation"),
             (derivations, "solve_derivations"),
-            (lie, "is_ideal"),
+            (lie, "verify_nilradical"),
         ):
             self.record_calls(monkeypatch, owner, name, calls, solving)
         report = run_all(entries, PipelineOptions(trials_override=2))
@@ -796,7 +796,7 @@ class TestEachFactProvedOnce:
             assert solves > 0
             assert ("verify_derivation", False) not in phase
             assert phase.count(("verify_derivation", True)) == solves
-            assert not any(name == "is_ideal" for name, _ in phase)
+            assert not any(name == "verify_nilradical" for name, _ in phase)
 
     def test_contexts_on_one_branch_share_its_families(self):
         entry = by_name("indecomposable", "g_{6,101}")

@@ -1,13 +1,16 @@
 """Derivation spaces, the D* action, extensions, strong unimodularity."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P, algebra_of, fam
-from oracles import extension_algebra, quotient_trace
+from oracles import apply_matrix, extension_algebra, oracle_leibniz, quotient_trace
 from g2cert import linalg
-from g2cert.catalog import BUILTIN_DATASETS, load_builtin
+from g2cert.catalog import BUILTIN_DATASETS, load_any, load_builtin
 from g2cert.certify import StageContext
 from g2cert.derivations import (
     DerivationFamily,
@@ -16,7 +19,12 @@ from g2cert.derivations import (
     strongly_unimodular_constraints,
     verify_derivation,
 )
-from g2cert.errors import LeibnizViolation, NilradicalNotInvariant, NonNumericEntries
+from g2cert.errors import (
+    JacobiFailure,
+    LeibnizViolation,
+    NilradicalNotInvariant,
+    NonNumericEntries,
+)
 from g2cert.forms import KForm, VectorExpr, generic_one_form, generic_two_form, wedge
 from g2cert.lie import Subspace, bracket, ce_differential, descending_central_series
 from g2cert.poly import Polynomial
@@ -269,7 +277,7 @@ def test_raw_traces_match_per_generator_elimination_on_every_shipped_context():
         series = descending_central_series(
             base, Subspace.from_indices(base, context.entry.nilradical)
         )
-        operators = [("D", D.apply)] + [
+        operators = [("D", lambda v: apply_matrix(D.matrix, v))] + [
             (f"ad_e{i}", lambda v, i=i: bracket(base, VectorExpr.basis(n, i), v))
             for i in range(1, n + 1)
         ]
@@ -303,6 +311,83 @@ def test_split_identity_on_every_shipped_context():
         assert ce_differential(g, alpha + wedge(beta, e7)) == expected, context.name
         checked += 1
     assert checked == 29
+
+
+@cache
+def numeric_six_dim_algebras():
+    """The shipped dimension-6 algebras, of entries and of branches, whose
+    structure constants are numeric, with Der(s) solved for each."""
+    out = []
+    for entry in load_any("all"):
+        if entry.stub or entry.dim != 6:
+            continue
+        for name in [None, *entry.branch_names()]:
+            algebra = entry.build_algebra(name)
+            if not algebra.family_parameters():
+                out.append((algebra, solve_derivations(algebra)))
+    return out
+
+
+def integer_point(data, family):
+    """Small integer values of the family's derivation parameters."""
+    return {p: data.draw(st.integers(-3, 3), label=p) for p in family.params}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_leibniz_read_off_d_matches_the_bracket_loop_and_jacobi(data):
+    # half the draws are integer points of the solved Der(s), which are
+    # derivations; the others are integer matrices, which rarely are, or
+    # such a point with one entry moved by one
+    algebras = numeric_six_dim_algebras()
+    algebra, solved = data.draw(st.sampled_from(algebras), label="algebra")
+    if data.draw(st.booleans(), label="solved"):
+        D = solved.substitute(integer_point(data, solved))
+    elif data.draw(st.booleans(), label="moved"):
+        D = solved.substitute(integer_point(data, solved))
+        l, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        D.matrix[l][c] = D.matrix[l][c] + data.draw(st.sampled_from([-1, 1]))
+    else:
+        cells = [[data.draw(st.integers(-2, 2)) for _ in range(6)] for _ in range(6)]
+        D = DerivationFamily(algebra, [[Polynomial.const(c) for c in row] for row in cells])
+    expected = oracle_leibniz(algebra, D.matrix)
+    if expected is None:
+        assert verify_derivation(algebra, D)
+        assert extension_algebra(algebra, D).dim == 7
+    else:
+        with pytest.raises(LeibnizViolation) as err:
+            verify_derivation(algebra, D)
+        assert (err.value.triple, err.value.residual) == expected
+        with pytest.raises(JacobiFailure):
+            extension_algebra(algebra, D)
+
+
+@cache
+def solving_contexts():
+    """The contexts of su_contexts whose family is the solved Der(s)."""
+    return [
+        context
+        for context in su_contexts()
+        if context.entry.build_family(context.branch_name) is None
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_identity_at_random_solved_derivations(data):
+    # the split of test_split_identity_on_every_shipped_context at an
+    # integer point of Der(s): the extension and omega are both taken at D
+    def lift(f):
+        return KForm(7, f.degree, f.coeffs)
+
+    context = data.draw(st.sampled_from(solving_contexts()), label="context")
+    point = integer_point(data, context.family)
+    g = extension_algebra(context.algebra, context.family.substitute(point))
+    e7 = KForm.basis(7, (7,))
+    alpha = lift(generic_two_form(6, "alpha"))
+    beta = lift(generic_one_form(6, "beta"))
+    expected = lift(context.psi) + wedge(lift(context.omega.substitute(point)), e7)
+    assert ce_differential(g, alpha + wedge(beta, e7)) == expected
 
 
 class TestExtensionAndNilradical:

@@ -1,24 +1,37 @@
 """Lie algebras: CE differential, brackets, series, unimodularity."""
 
+import json
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, algebra_of
-from oracles import quotient_trace, rank_in_span, rf_row, subspace_equals
-from g2cert.errors import JacobiFailure, NilradicalNotInvariant, NotAnIdeal
+from oracles import (
+    derived_algebra,
+    is_ideal,
+    nilradical_rejection,
+    oracle_unimodular,
+    quotient_trace,
+    rank_in_span,
+    rf_row,
+    subspace_contains,
+    subspace_equals,
+)
+from g2cert import linalg
+from g2cert.catalog import BUILTIN_DATASETS, SCHEMA, load_builtin, load_catalog_text
+from g2cert.errors import JacobiFailure, NilradicalNotInvariant, NotAnIdeal, ValidationFailure
 from g2cert.forms import KForm, VectorExpr, generic_two_form
 from g2cert.lie import (
     LieAlgebra,
     Subspace,
     bracket,
     ce_differential,
-    derived_algebra,
     descending_central_series,
-    is_ideal,
     unimodular_check,
     validate,
     verify_nilradical,
@@ -115,7 +128,7 @@ class TestSeriesAndIdeals:
         series = descending_central_series(L, n)
         for outer, inner in zip(series, series[1:]):
             assert inner.dim < outer.dim
-            assert outer.contains_subspace(inner)
+            assert subspace_contains(outer, inner)
             assert is_ideal(L, outer)
 
     def test_not_an_ideal_rejected(self):
@@ -139,6 +152,47 @@ class TestSeriesAndIdeals:
     def test_derived_algebra(self):
         L = algebra_of(G34_R3)
         assert subspace_equals(derived_algebra(L), Subspace.from_indices(L, [1, 2]))
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [7, 1, 2], [1, 2, -1]])
+    def test_indices_outside_the_algebra_rejected(self, indices):
+        # index 0 once read as e6 through coords[-1], and 7 raised IndexError
+        L = algebra_of(G34_R3)
+        outside = [i for i in indices if not 1 <= i <= 6]
+        with pytest.raises(NotAnIdeal, match=re.escape(f"indices {outside} lie outside 1..6")):
+            verify_nilradical(L, indices)
+
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [7, 1, 2]])
+    def test_indices_outside_the_algebra_fail_catalog_load(self, indices):
+        node = {"name": "bad", "dim": 6, "structure": G34_R3, "nilradical": indices}
+        with pytest.raises(ValidationFailure, match="outside"):
+            load_catalog_text(json.dumps({"schema": SCHEMA, "entries": [node]}))
+
+    @pytest.mark.parametrize("text", [G34_R3, G530])
+    def test_every_index_subset_matches_the_subspace_checks(self, text):
+        L = algebra_of(text)
+        checked = 0
+        for size in range(7):
+            for indices in combinations(range(1, 7), size):
+                reason = nilradical_rejection(L, list(indices))
+                if reason is None:
+                    assert verify_nilradical(L, list(indices)).dim == size
+                else:
+                    with pytest.raises(NotAnIdeal, match=reason):
+                        verify_nilradical(L, list(indices))
+                checked += 1
+        assert checked == 64
+
+    def test_every_shipped_nilradical_matches_the_subspace_checks(self):
+        checked = 0
+        for dataset in BUILTIN_DATASETS:
+            for entry in load_builtin(dataset):
+                if entry.stub or entry.nilradical is None:
+                    continue
+                algebra = entry.build_algebra()
+                assert nilradical_rejection(algebra, entry.nilradical) is None, entry.name
+                verify_nilradical(algebra, entry.nilradical)
+                checked += 1
+        assert checked == 39
 
 
 SMALL = st.integers(-2, 2)
@@ -174,8 +228,9 @@ def _abelian(dim):
 
 class TestSubspaceMembership:
     def check(self, dim, gens, vector):
-        sub = Subspace(_abelian(dim), gens)
-        assert sub.contains(vector) == rank_in_span([rf_row(g) for g in gens], rf_row(vector))
+        rows, pivots = linalg.rref([rf_row(g) for g in gens], dim)
+        expected = rank_in_span([rf_row(g) for g in gens], rf_row(vector))
+        assert linalg.in_span(rows, pivots, rf_row(vector)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(basis_and_vector(symbolic=False))
@@ -255,6 +310,18 @@ class TestUnimodularity:
 
     def test_g670_unimodular_in_p(self):
         assert unimodular_check(algebra_of(G670))
+
+    def test_matches_the_ad_trace_loop_on_every_builtin_algebra(self):
+        verdicts = []
+        for dataset in BUILTIN_DATASETS:
+            for entry in load_builtin(dataset):
+                if entry.stub:
+                    continue
+                for name in [None, *entry.branch_names()]:
+                    algebra = entry.build_algebra(name)
+                    verdicts.append(unimodular_check(algebra))
+                    assert verdicts[-1] == oracle_unimodular(algebra), algebra.name
+        assert True in verdicts and False in verdicts
 
 
 def test_jacobi_failure_reported_with_residual():
