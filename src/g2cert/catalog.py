@@ -161,6 +161,38 @@ class FamilyParam:
         return FamilyParam(node["name"], [Atom.from_json(a) for a in node.get("atoms", [])])
 
 
+def _ints(top: int, size: int = 0) -> tuple:
+    """The check of a list of `size` ints (one or more if 0) in 1..top, and what it expects."""
+    return (lambda v, e: isinstance(v, list) and (len(v) == size if size else v != [])
+            and all(type(i) is int and 1 <= i <= top for i in v),
+            f"a list of {size or 'one or more'} ints in 1..{top}")
+
+
+_LIST = (lambda v, e: isinstance(v, list), "a list")
+_TRIPLES = (lambda v, e: isinstance(v, list) and all(_ints(6, 3)[0](t, e) for t in v),
+            "a list of lists of 3 ints in 1..6")
+_NO_BRANCH = (lambda v, e: isinstance(v, list) and all(s.get("kind") != "branch" for s in v),
+              "a list of steps other than branches")
+
+# Each plan step kind: the dimension of the entries that run it (0 for the
+# step of a stub entry, which is not validated) and its fields, each with
+# check(value, entry) and what it expects; a field ending in "?" is optional.
+PLAN_STEPS = {
+    "zero_diagonal": (7, {"indices": _ints(7)}),
+    "lattice_out_of_scope": (7, {}),
+    "null_direction": (6, {"indices": _ints(6)}),
+    "sign_product": (6, {"pair": _ints(6, 2),
+                         "witness": (lambda v, e: v in e.witnesses, "a shipped witness")}),
+    "gauge": (6, {"pair": _ints(6, 2), "targets": _TRIPLES, "s_matrix": _LIST, "s_params": _LIST}),
+    "prose_sample": (6, {"trials?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
+                         "seed?": (lambda v, e: type(v) is int, "an int"),
+                         "slice?": (lambda v, e: v in (None, "t2_zero"), 'null or "t2_zero"')}),
+    "trace_obstruction": (6, {}),
+    "branch": (6, {"steps?": _NO_BRANCH}),
+    "stub": (0, {}),
+}
+
+
 @dataclass
 class AlgebraEntry:
     """One catalog row: an algebra plus everything its pipeline needs.
@@ -297,6 +329,8 @@ class AlgebraEntry:
             names = self.branch_names()
             if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
                 raise G2CertError(f"branch names must be distinct strings, got {names}")
+            for step in [*self.plan, *(s for name in names for s in self.steps(name))]:
+                self._check_step(step)
             for branch_name in [None, *names]:
                 self.build_algebra(branch_name)
                 self.build_family(branch_name)
@@ -307,6 +341,18 @@ class AlgebraEntry:
                 self.witness(key)
         except MALFORMED as exc:
             raise ValidationFailure(self.name, exc) from exc
+
+    def _check_step(self, step: dict) -> None:
+        """Raise G2CertError unless PLAN_STEPS has the step's kind for this
+        entry's dimension and the step's fields pass their checks."""
+        kind = step.get("kind")
+        dim, fields = PLAN_STEPS.get(kind, (0, {}))
+        if dim != self.dim:
+            raise G2CertError(f"no plan step {kind!r} in a dimension-{self.dim} entry")
+        for field, (check, expected) in fields.items():
+            name = field.rstrip("?")
+            if (name in step or name == field) and not (name in step and check(step[name], self)):
+                raise G2CertError(f"{kind} step needs {name}: {expected}, got {step.get(name)!r}")
 
     @staticmethod
     def from_json(node) -> "AlgebraEntry":

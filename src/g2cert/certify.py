@@ -65,7 +65,7 @@ from .forms import (
     pullback,
 )
 from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
-from .lie import LieAlgebra, Subspace, ce_differential
+from .lie import LieAlgebra, ce_differential
 from .poly import (
     NonNegWitness,
     Polynomial,
@@ -311,8 +311,7 @@ class StageContext:
     @cached_property
     def su(self) -> StrongUnimodularity:
         """The strong-unimodularity trace conditions of the context."""
-        nilradical = Subspace.from_indices(self.algebra, self.entry.nilradical)
-        return strongly_unimodular_constraints(self.algebra, self.family, nilradical)
+        return strongly_unimodular_constraints(self.algebra, self.family, self.entry.nilradical)
 
     def constrained(self, derivation_subs, fam_subs, unsolved=()) -> "StageContext":
         """This context after further substitutions.  The new context keeps

@@ -15,14 +15,16 @@ is built.  Its two quantities come from s and D on the package's kernels.
 D* acts on forms through forms.antiderivation, the kernel behind
 lie.ce_differential too.  The strong-unimodularity trace conditions are
 differences of the traces of D and of each ad_{e_j} on consecutive terms
-of the descending central series of the nilradical; lie.Subspace.trace
-reads each at the pivots of the term's reduced basis.
+of the descending central series of the nilradical, each read by
+lie.Subspace.trace from the operator's matrix (column j the image of e_j):
+D's own, and ad_{e_j}'s read off d by lie.adjoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -30,8 +32,8 @@ from .errors import (
     LeibnizViolation,
     NonNumericEntries,
 )
-from .forms import KForm, VectorExpr, antiderivation, indices_of
-from .lie import LieAlgebra, Subspace, ce_differential, descending_central_series
+from .forms import KForm, antiderivation, indices_of
+from .lie import LieAlgebra, adjoint, ce_differential, descending_central_series
 from .poly import Polynomial
 
 
@@ -40,12 +42,8 @@ class DerivationFamily:
     """Matrix family of derivations of a Lie algebra."""
 
     algebra: LieAlgebra
-    matrix: list  # n x n nested list of Polynomial
+    matrix: list  # n x n nested list of Polynomial; column j is the image of e_j
     params: tuple = ()
-
-    def column(self, j: int) -> VectorExpr:
-        """Image of e_j, 1-based."""
-        return VectorExpr(self.algebra.dim, [row[j - 1] for row in self.matrix])
 
     def substitute(self, mapping) -> "DerivationFamily":
         new = [[entry.substitute(mapping) for entry in row] for row in self.matrix]
@@ -163,11 +161,12 @@ class StrongUnimodularity:
 
 
 def strongly_unimodular_constraints(
-    base: LieAlgebra, D: DerivationFamily, nilradical: Subspace
+    base: LieAlgebra, D: DerivationFamily, nilradical: Sequence[int]
 ) -> StrongUnimodularity:
     """Equate to zero the traces of the derivation family D and of every
     ad_{e_j} of the base on each quotient of the descending central series
-    of the base nilradical (the strong unimodularity of base x_D R).
+    of the base nilradical, span(e_i : i in nilradical) (the strong
+    unimodularity of base x_D R).
 
     Linear conditions in the derivation parameters are returned solved in
     triangular form; conditions only involving family parameters are kept
@@ -177,16 +176,12 @@ def strongly_unimodular_constraints(
     Subspace.trace checks that each operator preserves each series term (for
     the ad_{e_j} on n, that n is an ideal) or raises NilradicalNotInvariant.
     """
-    n = base.dim
     series = descending_central_series(base, nilradical)
-    operators = [("D", [D.column(j).coords for j in range(1, n + 1)])]
-    for i in range(1, n + 1):
-        operators.append(
-            (f"ad_e{i}", [base.bracket_basis(i, j).coords for j in range(1, n + 1)])
-        )
+    operators = [("D", D.matrix)]
+    operators += [(f"ad_e{i}", ad) for i, ad in enumerate(adjoint(base), start=1)]
     # the trace on n^level / n^(level+1) is the difference of the traces on
     # the two terms; the trace on each term checks that the term is preserved
-    term_traces = [[term.trace(images) for term in series] for _, images in operators]
+    term_traces = [[term.trace(matrix) for term in series] for _, matrix in operators]
     traces = []
     for level in range(len(series) - 1):
         for (name, _), per_term in zip(operators, term_traces):

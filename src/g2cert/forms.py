@@ -5,10 +5,11 @@ e^i), with sign bookkeeping by transposition counting.  Coefficients are
 Polynomials; purely numeric forms are just forms with constant coefficients.
 Forms are immutable and safe to share.  The exterior product works on the
 bare mask -> coefficient dicts (wedge_coeffs), so the integer sampler
-shares it; its sign per mask pair comes from the cached merge_sign.  The
-maps extended from the images of the e^i run on the same dicts:
-antiderivation (the Chevalley-Eilenberg differential and D*), which shares
-its contraction loop with contract, and the multiplicative pullback.
+shares it; its sign per mask pair comes from the cached merge_sign.  One
+contraction loop gives every iota_{e_i} f at once: contractions returns
+them as forms (b_phi and lie.adjoint read them), and antiderivation (the
+Chevalley-Eilenberg differential and D*) wedges each with the image of
+e^i.  The multiplicative pullback runs on the same dicts.
 """
 
 from __future__ import annotations
@@ -187,56 +188,6 @@ class KForm:
         return KForm(self.dim, self.degree, {m: c.substitute(mapping) for m, c in self.coeffs.items()})
 
 
-class VectorExpr:
-    """Vector with polynomial coordinates in the fixed basis e_1..e_n."""
-
-    __slots__ = ("dim", "coords")
-
-    def __init__(self, dim: int, coords: Sequence):
-        if len(coords) != dim:
-            raise DimensionMismatch(f"expected {dim} coordinates, got {len(coords)}")
-        self.dim = dim
-        self.coords = tuple(_coerce_poly(c) for c in coords)
-
-    @staticmethod
-    def basis(dim: int, i: int) -> "VectorExpr":
-        coords = [Polynomial.zero()] * dim
-        coords[i - 1] = Polynomial.const(1)
-        return VectorExpr(dim, coords)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def __add__(self, other: "VectorExpr") -> "VectorExpr":
-        if self.dim != other.dim:
-            raise DimensionMismatch("vector dims differ")
-        return VectorExpr(self.dim, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return VectorExpr(self.dim, [-c for c in self.coords])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "VectorExpr":
-        scalar = _coerce_poly(scalar)
-        return VectorExpr(self.dim, [c * scalar for c in self.coords])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorExpr):
-            return NotImplemented
-        return self.dim == other.dim and all(a == b for a, b in zip(self.coords, other.coords))
-
-    def __str__(self):
-        parts = [f"({c})*e{i + 1}" for i, c in enumerate(self.coords) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"VectorExpr({self})"
-
-
 # -- operations -----------------------------------------------------------
 
 
@@ -304,17 +255,12 @@ def antiderivation(images: Sequence[Mapping[int, object]], f: Mapping[int, objec
     return out
 
 
-def contract(v: VectorExpr, f: KForm) -> KForm:
-    """Interior product iota_v f = sum_i v_i iota_{e_i} f; degree drops by one."""
-    if v.dim != f.dim:
-        raise DimensionMismatch(f"dim {v.dim} vs {f.dim}")
+def contractions(f: KForm) -> list:
+    """iota_{e_i} f for i = 1..n, from one pass over the terms of f; the
+    interior product by v is then sum_i v_i iota_{e_i} f."""
     if f.degree == 0:
         raise DegreeZero("cannot contract a 0-form")
-    out = {}
-    for vi, inner in zip(v.coords, _contractions(f.coeffs, f.dim)):
-        if vi:
-            _accumulate(out, {mask: vi * coeff for mask, coeff in inner.items()})
-    return KForm(f.dim, f.degree - 1, out)
+    return [KForm(f.dim, f.degree - 1, inner) for inner in _contractions(f.coeffs, f.dim)]
 
 
 def pullback(matrix: Sequence[Sequence], f: KForm) -> KForm:

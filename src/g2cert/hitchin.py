@@ -39,7 +39,7 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, KSquareNotScalar
-from .forms import KForm, VectorExpr, contract, merge_sign, top_coefficient, wedge
+from .forms import KForm, contractions, merge_sign, top_coefficient, wedge
 from .poly import Polynomial
 
 FULL6 = (1 << 6) - 1
@@ -74,19 +74,16 @@ def b_phi(phi: KForm) -> Bilinear:
     """The G2 bilinear map of a 3-form on a 7-dimensional space.
 
     entry(i, j) = 1/6 * top(iota_{e_i} phi ^ iota_{e_j} phi ^ phi), computed
-    when it is read, from the contractions of the indices read; symmetric
-    since the contracted factors have even degree.
+    when it is read, from the contractions of phi (all seven come from one
+    pass over its terms); symmetric since the contracted factors have even
+    degree.
     """
     if phi.dim != 7:
         raise DimensionMismatch("b_phi needs a 3-form on dimension 7")
     if phi.degree != 3:
         raise DimensionMismatch("b_phi needs a 3-form")
-
-    @cache
-    def contraction(i):
-        return contract(VectorExpr.basis(7, i), phi)
-
-    return Bilinear(7, lambda i, j: b_entry(phi, contraction(i), contraction(j)))
+    iota = contractions(phi)
+    return Bilinear(7, lambda i, j: b_entry(phi, iota[i - 1], iota[j - 1]))
 
 
 def b_entry(phi: KForm, iota_i: KForm, iota_j: KForm) -> Polynomial:

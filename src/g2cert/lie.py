@@ -1,5 +1,5 @@
-"""Lie algebras from structure equations, with the dual (Chevalley-Eilenberg)
-differential as the primary datum.
+"""Lie algebras from structure equations.  The dual (Chevalley-Eilenberg)
+differential d is the only datum: the brackets are read off it.
 
 The sign convention is fixed once for the whole package:
 
@@ -10,9 +10,10 @@ off d, identically in any family parameters: Jacobi is d o d = 0 on every
 e^k (validate), unimodularity is d = 0 on the (n-1)-forms
 (unimodular_check), and a nilradical's ideal and derived-algebra
 conditions are conditions on the terms of the de^k (verify_nilradical).
-Only its nilpotency builds the descending central series, as Subspaces over
-the rational-function field.  The derivations module reads the Leibniz
-identity off d too.
+Brackets enter only as ad: adjoint reads every ad_{e_i} off the
+contractions of the de^k, for the central series of a nilradical (its
+nilpotency) and the strong-unimodularity traces of the derivations module,
+which reads the Leibniz identity off d too.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from typing import Sequence
 
 from . import linalg
 from .errors import DimensionMismatch, JacobiFailure, NilradicalNotInvariant, NotAnIdeal
-from .forms import KForm, VectorExpr, antiderivation, mask_of
-from .poly import Polynomial, RationalFunction
+from .forms import KForm, antiderivation, contractions, mask_of
+from .poly import P_ONE, P_ZERO, Polynomial, RationalFunction
 
 
 class LieAlgebra:
     """Structure constants stored as the 2-forms de^1..de^n."""
 
-    __slots__ = ("dim", "differentials", "name", "_bracket_cache")
+    __slots__ = ("dim", "differentials", "name")
 
     def __init__(self, dim: int, differentials: Sequence[KForm], name: str = ""):
         if len(differentials) != dim:
@@ -39,7 +40,6 @@ class LieAlgebra:
         self.dim = dim
         self.differentials = tuple(differentials)
         self.name = name
-        self._bracket_cache = {}
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"
@@ -50,8 +50,6 @@ class LieAlgebra:
             self.dim, [d.substitute(mapping) for d in self.differentials], name=self.name
         )
 
-    # -- differential and bracket ------------------------------------------
-
     def d_basis(self, k: int) -> KForm:
         """de^k for a 1-based index k."""
         return self.differentials[k - 1]
@@ -61,26 +59,6 @@ class LieAlgebra:
         for d in self.differentials:
             out |= d.variables()
         return out
-
-    def bracket_basis(self, i: int, j: int) -> VectorExpr:
-        """[e_i, e_j] with polynomial coordinates."""
-        if i == j:
-            return VectorExpr(self.dim, [Polynomial.zero()] * self.dim)
-        key = (i, j)
-        cached = self._bracket_cache.get(key)
-        if cached is not None:
-            return cached
-        coords = []
-        for k in range(1, self.dim + 1):
-            dk = self.d_basis(k)
-            if i < j:
-                value = dk.coeffs.get((1 << (i - 1)) | (1 << (j - 1)), Polynomial.zero())
-            else:
-                value = -dk.coeffs.get((1 << (j - 1)) | (1 << (i - 1)), Polynomial.zero())
-            coords.append(-value)
-        result = VectorExpr(self.dim, coords)
-        self._bracket_cache[key] = result
-        return result
 
 
 def ce_differential(algebra: LieAlgebra, f: KForm) -> KForm:
@@ -94,35 +72,25 @@ def ce_differential(algebra: LieAlgebra, f: KForm) -> KForm:
     return KForm(algebra.dim, f.degree + 1, antiderivation(images, f.coeffs))
 
 
-def bracket(algebra: LieAlgebra, x: VectorExpr, y: VectorExpr) -> VectorExpr:
-    """[x, y] extended bilinearly from the basis brackets."""
-    if x.dim != algebra.dim or y.dim != algebra.dim:
-        raise DimensionMismatch("vector dimension differs from the algebra")
-    coords = [Polynomial.zero()] * algebra.dim
-    for i in range(1, algebra.dim + 1):
-        xi = x.coords[i - 1]
-        if xi.is_zero():
-            continue
-        for j in range(1, algebra.dim + 1):
-            yj = y.coords[j - 1]
-            if yj.is_zero() or i == j:
-                continue
-            b = algebra.bracket_basis(i, j)
-            scale = xi * yj
-            for k in range(algebra.dim):
-                if not b.coords[k].is_zero():
-                    coords[k] = coords[k] + scale * b.coords[k]
-    return VectorExpr(algebra.dim, coords)
-
-
-def jacobi_residuals(algebra: LieAlgebra) -> list:
-    """d(de^k) for every k; all zero iff Jacobi holds."""
-    return [ce_differential(algebra, algebra.d_basis(k)) for k in range(1, algebra.dim + 1)]
+def adjoint(algebra: LieAlgebra) -> list:
+    """The matrices ad_{e_1}..ad_{e_n}, column j the image of e_j (the
+    convention of DerivationFamily.matrix), read in one pass over the
+    contractions of the de^k: (iota_{e_i} de^k)(e_j) = -e^k([e_i, e_j]), so
+    entry [k][j] of ad_{e_i} is minus the e^j coefficient of iota_{e_i} de^k."""
+    n = algebra.dim
+    ad = [[[P_ZERO] * n for _ in range(n)] for _ in range(n)]
+    for k, dk in enumerate(algebra.differentials):
+        for ad_i, inner in zip(ad, contractions(dk)):
+            for mask, coeff in inner.coeffs.items():
+                ad_i[k][mask.bit_length() - 1] = -coeff
+    return ad
 
 
 def validate(algebra: LieAlgebra) -> None:
-    """Raise JacobiFailure when d^2 != 0 (identically in family parameters)."""
-    for k, residual in enumerate(jacobi_residuals(algebra), start=1):
+    """Raise JacobiFailure with the first k whose d(de^k) is not zero (d^2
+    != 0, identically in family parameters; zero for all k iff Jacobi holds)."""
+    for k, dk in enumerate(algebra.differentials, start=1):
+        residual = ce_differential(algebra, dk)
         if not residual.is_zero():
             raise JacobiFailure(k, residual)
 
@@ -132,9 +100,8 @@ def unimodular_check(algebra: LieAlgebra) -> bool:
     the (n-1)-forms: d(iota_{e_i} vol) = -tr(ad_{e_i}) vol."""
     n = algebra.dim
     full = (1 << n) - 1
-    one = Polynomial.const(1)
     return all(
-        ce_differential(algebra, KForm(n, n - 1, {full ^ (1 << i): one})).is_zero()
+        ce_differential(algebra, KForm(n, n - 1, {full ^ (1 << i): P_ONE})).is_zero()
         for i in range(n)
     )
 
@@ -142,24 +109,22 @@ def unimodular_check(algebra: LieAlgebra) -> bool:
 # -- subspaces -----------------------------------------------------------
 
 
-def _to_rf_rows(vectors: Sequence[VectorExpr]) -> list:
-    return [[RationalFunction.from_polynomial(c) for c in v.coords] for v in vectors]
-
-
 class Subspace:
-    """Span of generators, reduced over the rational-function field."""
+    """Span of generators (tuples of Polynomial coordinates), reduced over
+    the rational-function field."""
 
     __slots__ = ("parent", "generators", "_rref", "_pivots")
 
-    def __init__(self, parent: LieAlgebra, generators: Sequence[VectorExpr]):
+    def __init__(self, parent: LieAlgebra, generators: Sequence[Sequence[Polynomial]]):
         self.parent = parent
-        self.generators = tuple(generators)
-        rows = _to_rf_rows(self.generators)
+        self.generators = tuple(map(tuple, generators))
+        rows = [[RationalFunction.from_polynomial(c) for c in g] for g in self.generators]
         self._rref, self._pivots = linalg.rref(rows, parent.dim)
 
     @staticmethod
     def from_indices(parent: LieAlgebra, indices: Sequence[int]) -> "Subspace":
-        return Subspace(parent, [VectorExpr.basis(parent.dim, i) for i in indices])
+        basis = [[P_ONE if j == i else P_ZERO for j in range(1, parent.dim + 1)] for i in indices]
+        return Subspace(parent, basis)
 
     @property
     def dim(self) -> int:
@@ -168,19 +133,20 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def trace(self, images: Sequence[Sequence[Polynomial]]) -> RationalFunction:
-        """Trace of the restriction to this subspace of the linear map M
-        with M e_j = images[j - 1] (polynomial coordinates).
+    def trace(self, operator: Sequence[Sequence[Polynomial]]) -> RationalFunction:
+        """Trace of the restriction to this subspace of the linear map with
+        matrix `operator` (column j the image of e_j, polynomial entries).
 
         Each reduced row R has 1 at its pivot and 0 at the other pivots, so
         the coordinate of M R along R is the entry of M R at R's pivot (the
         fact linalg.in_span rests on) and the trace is the sum of those.
         Raises NilradicalNotInvariant when some M R leaves the subspace.
         """
+        columns = list(zip(*operator))
         trace = RationalFunction.zero()
         for row, pivot in zip(self._rref, self._pivots):
             image = [RationalFunction.zero()] * self.parent.dim
-            for entry, column in zip(row, images):
+            for entry, column in zip(row, columns):
                 if entry:
                     image = [acc + entry * c if c else acc for acc, c in zip(image, column)]
             if not linalg.in_span(self._rref, self._pivots, image):
@@ -192,32 +158,32 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
-def descending_central_series(algebra: LieAlgebra, n: Subspace) -> list:
-    """n^0 = n, n^(i+1) = [n, n^i]; stops at the first zero term, or at the
-    first term whose dimension does not fall (n is then not nilpotent).
-    It does not prove n an ideal: verify_nilradical does, at catalog load.
+def descending_central_series(algebra: LieAlgebra, indices: Sequence[int]) -> list:
+    """n^0 = n = span(e_i : i in indices), n^(i+1) = [n, n^i], generated by
+    ad_{e_i} y for i in indices and y a generator of n^i, in that order;
+    stops at the first zero term, or at the first term whose dimension does
+    not fall (n is then not nilpotent).  It does not prove n an ideal:
+    verify_nilradical does, at catalog load.
     """
-    series = [n]
-    current = n
+    ad = adjoint(algebra)
+    current = Subspace.from_indices(algebra, indices)
+    series = [current]
     while True:
         gens = []
-        for x in n.generators:
+        for i in indices:
             for y in current.generators:
-                b = bracket(algebra, x, y)
-                if not b.is_zero():
+                b = [sum((a * c for a, c in zip(row, y) if a and c), P_ZERO) for row in ad[i - 1]]
+                if any(b):
                     gens.append(b)
         nxt = Subspace(algebra, gens)
-        if nxt.dim >= current.dim:
-            # stabilized at a nonzero term: not nilpotent
-            series.append(nxt)
-            return series
         series.append(nxt)
-        if nxt.is_zero():
+        if nxt.is_zero() or nxt.dim >= current.dim:
+            # zero: n is nilpotent; stabilized at a nonzero term: it is not
             return series
         current = nxt
 
 
-def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> Subspace:
+def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> None:
     """Accept a declared nilradical n = span(e_i : i in indices): a
     nilpotent ideal of the declared dimension containing the derived
     algebra.  Maximality is a classification fact and is not re-proved here.
@@ -237,9 +203,7 @@ def verify_nilradical(algebra: LieAlgebra, indices: Sequence[int]) -> Subspace:
     quotient = [d for k, d in enumerate(algebra.differentials) if not inside >> k & 1]
     if any(mask & inside for d in quotient for mask in d.coeffs):
         raise NotAnIdeal("declared nilradical is not an ideal")
-    n = Subspace.from_indices(algebra, indices)
-    if not descending_central_series(algebra, n)[-1].is_zero():
+    if not descending_central_series(algebra, indices)[-1].is_zero():
         raise NotAnIdeal("declared nilradical is not nilpotent")
     if not all(d.is_zero() for d in quotient):
         raise NotAnIdeal("declared nilradical does not contain the derived algebra")
-    return n

@@ -10,7 +10,7 @@ every other pivot column.  So the only candidate coordinates of a vector in
 that basis are its entries at the pivot columns: membership (in_span)
 subtracts that one combination and tests the remainder for zero, with no
 second elimination, and lie.Subspace.trace reads the diagonal coordinates
-of a map on the span at the same pivots.
+of an operator matrix restricted to the span at the same pivots.
 """
 
 from __future__ import annotations

@@ -391,20 +391,12 @@ class Polynomial:
         return total
 
     def substitute(self, mapping: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
-        """Replace some variables by polynomials (or rationals)."""
-        out = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.const(coeff)
-            for var, exp in mono:
-                if var in mapping:
-                    image = mapping[var]
-                    if not isinstance(image, Polynomial):
-                        image = Polynomial.const(image)
-                    term = term * image**exp
-                else:
-                    term = term * Polynomial.var(var, exp)
-            out = out + term
-        return out
+        """Replace some variables by polynomials (or rationals): the packed
+        substitute_cramer pass over the denominator 1, on the names of the
+        mapping that occur in self."""
+        names = self.variables()
+        images = {v: self._coerce(image) for v, image in mapping.items() if v in names}
+        return substitute_cramer(self, list(images), list(images.values()), P_ONE)[0]
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Quotient self/divisor when the division is exact, else None."""

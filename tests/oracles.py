@@ -13,9 +13,14 @@ trips, the extension s x_D R built as a Lie algebra, plain substitution
 of rational functions and a schoolbook Cramer substitution to check
 substitute_cramer against, readers for subspace equality and exact
 polynomial quotients, and quotient traces by per-generator elimination to
-check Subspace.trace against.  The bracket-loop checks that the package
-now reads off d stay here as references: the Leibniz defect, the ideal
-and derived-algebra tests on Subspaces, and tr(ad e_i).
+check Subspace.trace against.
+
+The package reads every bracket off d (lie.adjoint).  The reference here is
+the bracket loop: [x, y] = sum_{i,j} x_i y_j [e_i, e_j] over the structure
+constants e^k([e_i, e_j]) = -de^k(e_i, e_j), with vectors as plain tuples
+of Polynomial coordinates.  The checks that the package reads off d are
+built on it: ad_{e_i}, the Leibniz defect, the ideal, nilpotency and
+derived-algebra tests on Subspaces, and tr(ad e_i).
 """
 
 import enum
@@ -27,8 +32,7 @@ from g2cert.catalog import SCHEMA, AlgebraEntry
 from g2cert.errors import NilradicalNotInvariant, NonNumericEntries
 from g2cert.forms import (
     KForm,
-    VectorExpr,
-    contract,
+    contractions,
     form_value,
     indices_of,
     top_coefficient,
@@ -36,7 +40,7 @@ from g2cert.forms import (
     wedge_coeffs,
 )
 from g2cert.hitchin import Bilinear
-from g2cert.lie import LieAlgebra, Subspace, bracket, descending_central_series, validate
+from g2cert.lie import LieAlgebra, Subspace, validate
 from g2cert.linalg import det_fraction, rref
 from g2cert.poly import (
     NonNegWitness,
@@ -102,7 +106,7 @@ def eval_form(form: KForm, vectors) -> Polynomial:
         for perm in permutations(range(k)):
             term = coeff * _parity(perm)
             for slot, which in enumerate(perm):
-                term = term * vectors[which].coords[idx[slot] - 1]
+                term = term * vectors[which][idx[slot] - 1]
                 if term.is_zero():
                     break
             total = total + term
@@ -135,7 +139,11 @@ def wedge_eval(forms, vectors) -> Polynomial:
 
 
 def basis_vectors(dim):
-    return [VectorExpr.basis(dim, i) for i in range(1, dim + 1)]
+    """e_1..e_dim as tuples of Polynomial coordinates."""
+    return [
+        tuple(Polynomial.const(1 if j == i else 0) for j in range(1, dim + 1))
+        for i in range(1, dim + 1)
+    ]
 
 
 def eval_on_basis(form: KForm, indices) -> Fraction:
@@ -263,8 +271,8 @@ def is_definite(b: Bilinear) -> Definiteness:
 def contraction_k(psi: KForm) -> list:
     """K[j-1][i-1] = top(e^j ^ iota_{e_i}psi ^ psi) by contraction and wedge."""
     entries = [[Polynomial.zero()] * 6 for _ in range(6)]
-    for i in range(1, 7):
-        xi = wedge(contract(VectorExpr.basis(6, i), psi), psi)
+    for i, iota in enumerate(contractions(psi), start=1):
+        xi = wedge(iota, psi)
         for j in range(1, 7):
             entries[j - 1][i - 1] = top_coefficient(wedge(KForm.basis(6, (j,)), xi))
     return entries
@@ -382,6 +390,32 @@ def oracle_substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomia
     return total, degree
 
 
+def basis_bracket(algebra: LieAlgebra, i: int, j: int) -> tuple:
+    """[e_i, e_j]: its e_k-coordinate is the structure constant
+    e^k([e_i, e_j]) = -de^k(e_i, e_j)."""
+    return tuple(-form_value(dk, i, j) for dk in algebra.differentials)
+
+
+def oracle_bracket(algebra: LieAlgebra, x, y) -> tuple:
+    """[x, y] = sum over i, j of x_i y_j [e_i, e_j], by the bilinear loop."""
+    out = [Polynomial.zero()] * algebra.dim
+    for i, xi in enumerate(x, start=1):
+        for j, yj in enumerate(y, start=1):
+            scale = xi * yj
+            if scale:
+                out = [acc + scale * c for acc, c in zip(out, basis_bracket(algebra, i, j))]
+    return tuple(out)
+
+
+def oracle_adjoint(algebra: LieAlgebra) -> list:
+    """The matrices of ad_{e_1}..ad_{e_n}, column j the bracket [e_i, e_j]."""
+    basis = basis_vectors(algebra.dim)
+    return [
+        [list(row) for row in zip(*(oracle_bracket(algebra, x, y) for y in basis))]
+        for x in basis
+    ]
+
+
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
     """Every generator of inner lies in outer, each tested by rank."""
     rows = [rf_row(g) for g in outer.generators]
@@ -395,22 +429,37 @@ def subspace_equals(a: Subspace, b: Subspace) -> bool:
 def derived_algebra(algebra: LieAlgebra) -> Subspace:
     """[g, g], spanned by all basis brackets."""
     gens = [
-        algebra.bracket_basis(i, j)
+        basis_bracket(algebra, i, j)
         for i in range(1, algebra.dim + 1)
         for j in range(i + 1, algebra.dim + 1)
     ]
-    return Subspace(algebra, [g for g in gens if not g.is_zero()])
+    return Subspace(algebra, [g for g in gens if any(g)])
 
 
 def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
     """[e_i, g] lies in the subspace for every basis vector e_i and every
-    generator g, each bracket by bilinear expansion and tested by rank."""
+    generator g, each bracket by the bilinear loop and tested by rank."""
     rows = [rf_row(g) for g in subspace.generators]
     return all(
-        rank_in_span(rows, rf_row(bracket(algebra, b, g)))
+        rank_in_span(rows, rf_row(oracle_bracket(algebra, b, g)))
         for g in subspace.generators
         for b in basis_vectors(algebra.dim)
     )
+
+
+def oracle_series(algebra: LieAlgebra, indices) -> list:
+    """The descending central series of span(e_i : i in indices): each next
+    term is spanned by the brackets, by the bilinear loop, of every e_i with
+    every generator of the last term.  It stops at the first zero term or
+    at the first whose dimension does not fall."""
+    basis = basis_vectors(algebra.dim)
+    n = [basis[i - 1] for i in indices]
+    series = [Subspace(algebra, n)]
+    while True:
+        gens = [oracle_bracket(algebra, x, y) for x in n for y in series[-1].generators]
+        series.append(Subspace(algebra, [g for g in gens if any(g)]))
+        if series[-1].is_zero() or series[-1].dim >= series[-2].dim:
+            return series
 
 
 def nilradical_rejection(algebra: LieAlgebra, indices):
@@ -422,7 +471,7 @@ def nilradical_rejection(algebra: LieAlgebra, indices):
         return "dependent"
     if not is_ideal(algebra, n):
         return "not an ideal"
-    if not descending_central_series(algebra, n)[-1].is_zero():
+    if not oracle_series(algebra, indices)[-1].is_zero():
         return "not nilpotent"
     if not subspace_contains(n, derived_algebra(algebra)):
         return "derived algebra"
@@ -430,41 +479,38 @@ def nilradical_rejection(algebra: LieAlgebra, indices):
 
 
 def oracle_unimodular(algebra: LieAlgebra) -> bool:
-    """tr(ad_{e_i}) = 0 for every i, summing the diagonal of each ad_{e_i}
-    from bracket_basis."""
+    """tr(ad_{e_i}) = 0 for every i, summing the e_j-coordinates of the
+    basis brackets [e_i, e_j]."""
     return all(
         sum(
-            (algebra.bracket_basis(i, j).coords[j - 1] for j in range(1, algebra.dim + 1)),
+            (basis_bracket(algebra, i, j)[j - 1] for j in range(1, algebra.dim + 1)),
             Polynomial.zero(),
         ).is_zero()
         for i in range(1, algebra.dim + 1)
     )
 
 
-def apply_matrix(matrix, v: VectorExpr) -> VectorExpr:
-    """M v for a matrix of Polynomials (a list of rows)."""
-    coords = [
-        sum((entry * c for entry, c in zip(row, v.coords)), Polynomial.zero()) for row in matrix
-    ]
-    return VectorExpr(len(matrix), coords)
+def apply_matrix(matrix, v) -> tuple:
+    """M v for a matrix of Polynomials (a list of rows) and a tuple v."""
+    return tuple(
+        sum((entry * c for entry, c in zip(row, v)), Polynomial.zero()) for row in matrix
+    )
 
 
 def oracle_leibniz(algebra: LieAlgebra, matrix):
     """The first (i, j, k), i < j, in lexicographic order, at which the
     e_k-component of D[e_i, e_j] - [De_i, e_j] - [e_i, De_j] is nonzero,
     with that component; None when D is a derivation.  Brackets come from
-    bracket_basis and bilinear expansion, D from the matrix."""
+    the bilinear loop, D from the matrix."""
     n = algebra.dim
+    basis = basis_vectors(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = apply_matrix(matrix, algebra.bracket_basis(i, j))
-            column_i = apply_matrix(matrix, VectorExpr.basis(n, i))
-            column_j = apply_matrix(matrix, VectorExpr.basis(n, j))
-            rhs = bracket(algebra, column_i, VectorExpr.basis(n, j)) + bracket(
-                algebra, VectorExpr.basis(n, i), column_j
-            )
+            lhs = apply_matrix(matrix, basis_bracket(algebra, i, j))
+            first = oracle_bracket(algebra, apply_matrix(matrix, basis[i - 1]), basis[j - 1])
+            second = oracle_bracket(algebra, basis[i - 1], apply_matrix(matrix, basis[j - 1]))
             for k in range(n):
-                residual = lhs.coords[k] - rhs.coords[k]
+                residual = lhs[k] - first[k] - second[k]
                 if not residual.is_zero():
                     return (i, j, k + 1), residual
     return None
@@ -528,8 +574,8 @@ def solve_unique(matrix, rhs):
 
 
 def quotient_trace(algebra: LieAlgebra, operator, inner: Subspace, outer: Subspace) -> RationalFunction:
-    """Trace of the map induced on outer / inner by operator (VectorExpr ->
-    VectorExpr), by per-generator elimination: extend a reduced basis of
+    """Trace of the map induced on outer / inner by operator (a function on
+    coordinate tuples), by per-generator elimination: extend a reduced basis of
     inner by the generators of outer that raise the rank (one rref each),
     then solve for the coordinates of each added generator's image in that
     basis (one more elimination each) and sum the diagonal ones.  Raises
@@ -554,6 +600,6 @@ def quotient_trace(algebra: LieAlgebra, operator, inner: Subspace, outer: Subspa
     return trace
 
 
-def rf_row(v: VectorExpr) -> list:
+def rf_row(v) -> list:
     """The coordinates of v as RationalFunctions, a row for rref."""
-    return [RationalFunction.from_polynomial(c) for c in v.coords]
+    return [RationalFunction.from_polynomial(c) for c in v]

@@ -93,12 +93,12 @@ class TestGenericExactG2:
         # rational points (Schwartz-Zippel style consistency)
         rng = random.Random(41)
         names = sorted(phi.variables() | {"fam_mu"})
-        from g2cert.forms import VectorExpr, contract, top_coefficient, wedge
+        from g2cert.forms import contractions, top_coefficient, wedge
 
         for _ in range(50):
             point = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in names}
             phi_num = phi.substitute(point)
-            contraction = contract(VectorExpr.basis(7, 5), phi_num)
+            contraction = contractions(phi_num)[4]
             value = top_coefficient(wedge(wedge(contraction, contraction), phi_num))
             assert value.is_zero() or value.constant_value() == 0
 

@@ -355,6 +355,47 @@ def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: catalog entry ")
 
 
+def _set_first_indices(value):
+    return lambda plan: plan[0].update(indices=value)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda plan: plan[0].pop("indices"),
+        _set_first_indices([9]),
+        _set_first_indices([0]),
+        _set_first_indices("12"),
+        _set_first_indices([]),
+        lambda plan: plan.append({"kind": "sign_product", "pair": [1, 2], "witness": "w"}),
+        lambda plan: plan.append({"kind": "prose_sample", "trials": "many"}),
+        lambda plan: plan.append({"kind": "prose_sample", "slice": "t3"}),
+        lambda plan: plan.append({"kind": "zero_diagonal", "indices": [1]}),
+        lambda plan: plan.append({"kind": "no_such_kind"}),
+        lambda plan: plan.append(
+            {"kind": "branch", "name": "b", "steps": [{"kind": "branch", "name": "c"}]}
+        ),
+    ],
+    ids=["no-indices", "index-9", "index-0", "indices-string", "no-index", "unshipped-witness",
+         "trials-not-int", "unknown-slice", "kind-of-dimension-7", "unknown-kind", "nested-branch"],
+)
+def test_validate_malformed_plan_step_is_an_error(change, tmp_path, capsys):
+    # before plan steps were checked, `validate` accepted each of these; then
+    # run-all crashed (KeyError, IndexError, TypeError), stopped at an
+    # unknown or misplaced step kind, or, for the unknown slice, stored
+    # "slice": "t3" in a certificate with no slice applied
+    document = json.loads(cat.builtin_text("table1"))
+    entry = next(e for e in document["entries"] if e["name"].startswith("g_{5,30}"))
+    change(entry["plan"])
+    text = json.dumps({"schema": document["schema"], "entries": [entry]})
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(text)
+    with pytest.raises(ValidationFailure):
+        load_catalog_text(text)
+    assert main(["validate", str(catalog)]) == 2
+    assert capsys.readouterr().err.startswith("error: catalog entry 'g_{5,30}")
+
+
 @pytest.mark.parametrize(
     "rename",
     [lambda branches: branches[1].pop("name"),

@@ -1,5 +1,6 @@
 """Derivation spaces, the D* action, extensions, strong unimodularity."""
 
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, algebra_of, fam
-from oracles import apply_matrix, extension_algebra, oracle_leibniz, quotient_trace
+from oracles import (
+    apply_matrix,
+    basis_vectors,
+    extension_algebra,
+    oracle_bracket,
+    oracle_leibniz,
+    quotient_trace,
+)
 from g2cert import linalg
 from g2cert.catalog import BUILTIN_DATASETS, load_any, load_builtin
 from g2cert.certify import StageContext
@@ -25,8 +33,8 @@ from g2cert.errors import (
     NilradicalNotInvariant,
     NonNumericEntries,
 )
-from g2cert.forms import KForm, VectorExpr, generic_one_form, generic_two_form, wedge
-from g2cert.lie import Subspace, bracket, ce_differential, descending_central_series
+from g2cert.forms import KForm, generic_one_form, generic_two_form, wedge
+from g2cert.lie import adjoint, ce_differential, descending_central_series
 from g2cert.poly import Polynomial
 
 G530 = "(-e24 - 2/3*e15, -e34 + 1/3*e25, 4/3*e35, -e45, 0, 0)"
@@ -106,10 +114,7 @@ class TestVerifyDerivation:
         )
         assert verify_derivation(r3, D)
         radical = algebra_of("(e14, e24, -2*e34, 0)")
-        ad4 = DerivationFamily(
-            radical,
-            [[radical.bracket_basis(4, j).coords[k] for j in range(1, 5)] for k in range(4)],
-        )
+        ad4 = DerivationFamily(radical, adjoint(radical)[3])
         assert verify_derivation(radical, ad4)
 
     def test_identity_violates_leibniz_on_nonabelian(self):
@@ -163,7 +168,7 @@ class TestStrongUnimodularity:
     def test_g530_constraints(self):
         L = algebra_of(G530)
         printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
-        su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 6]))
+        su = strongly_unimodular_constraints(L, printed, [1, 2, 3, 4, 6])
         assert {k: str(v) for k, v in su.derivation_subs.items()} == {
             "a_1": "0",
             "a_5": "0",
@@ -190,7 +195,7 @@ class TestStrongUnimodularity:
             [f"a_{i}" for i in range(1, 9)],
             L,
         )
-        su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 5]))
+        su = strongly_unimodular_constraints(L, printed, [1, 2, 3, 4, 5])
         assert {k: str(v) for k, v in su.derivation_subs.items()} == {"a_1": "0", "a_8": "0"}
         # the family condition is 2p = 0, stored content-normalized
         assert len(su.family_equations) == 1
@@ -211,7 +216,7 @@ class TestStrongUnimodularity:
             ["a_1", "a_2", "a_3", "a_4", "a_6", "a_7"],
             L,
         )
-        su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 5]))
+        su = strongly_unimodular_constraints(L, printed, [1, 2, 3, 4, 5])
         assert su.derivation_subs == {}
         assert su.family_equations == [fam("l + 1")]
 
@@ -221,7 +226,7 @@ class TestStrongUnimodularity:
         L = algebra_of("(0, 0)")
         D = family([[0, 0], ["a_1", 0]], ["a_1"], L)
         with pytest.raises(NilradicalNotInvariant):
-            strongly_unimodular_constraints(L, D, Subspace.from_indices(L, [1]))
+            strongly_unimodular_constraints(L, D, [1])
 
     def test_subspace_that_is_not_an_ideal_raises(self):
         # span(e1) of the Heisenberg algebra, [e1, e2] = e3, is not an ideal:
@@ -229,12 +234,12 @@ class TestStrongUnimodularity:
         L = algebra_of("(0, 0, -e12)")
         D = family([[0, 0, 0]] * 3, [], L)
         with pytest.raises(NilradicalNotInvariant):
-            strongly_unimodular_constraints(L, D, Subspace.from_indices(L, [1]))
+            strongly_unimodular_constraints(L, D, [1])
 
     def test_one_rref_per_series_term_and_one_for_the_derivation_rows(self, monkeypatch):
         L = algebra_of(G530)
         printed = family(PRINTED_G530, [f"a_{i}" for i in range(1, 9)], L)
-        series = descending_central_series(L, Subspace.from_indices(L, [1, 2, 3, 4, 6]))
+        series = descending_central_series(L, [1, 2, 3, 4, 6])
         calls = []
         rref = linalg.rref
 
@@ -243,7 +248,7 @@ class TestStrongUnimodularity:
             return rref(rows, ncols)
 
         monkeypatch.setattr(linalg, "rref", counting_rref)
-        su = strongly_unimodular_constraints(L, printed, Subspace.from_indices(L, [1, 2, 3, 4, 6]))
+        su = strongly_unimodular_constraints(L, printed, [1, 2, 3, 4, 6])
         assert su.derivation_subs
         # the nilradical and each later series term over the 6 coordinates,
         # then the derivation rows over a_1, a_5 and a_8, the parameters the
@@ -274,12 +279,10 @@ def test_raw_traces_match_per_generator_elimination_on_every_shipped_context():
     for context in su_contexts():
         base, D = context.algebra, context.family
         n = base.dim
-        series = descending_central_series(
-            base, Subspace.from_indices(base, context.entry.nilradical)
-        )
+        series = descending_central_series(base, context.entry.nilradical)
         operators = [("D", lambda v: apply_matrix(D.matrix, v))] + [
-            (f"ad_e{i}", lambda v, i=i: bracket(base, VectorExpr.basis(n, i), v))
-            for i in range(1, n + 1)
+            (f"ad_e{i}", lambda v, x=x: oracle_bracket(base, x, v))
+            for i, x in enumerate(basis_vectors(n), start=1)
         ]
         expected = []
         for level in range(len(series) - 1):
@@ -397,3 +400,71 @@ class TestExtensionAndNilradical:
         ext = extension_algebra(L, printed)  # validates d^2 = 0 on construction
         assert ext.dim == 7
         assert ext.d_basis(7).is_zero()
+
+
+# -- ROADMAP 4(b): does F + ad(s) contain Der(s) ∩ ker tr? -----------------
+
+
+def parameter_matrices(family, values):
+    """The matrix of each parameter of the family at the family values
+    `values`, with that parameter 1 and the others 0, as Fractions."""
+    def at(point):
+        subs = {**values, **point}
+        return [[e.substitute(subs).constant_value() for e in row] for row in family.matrix]
+
+    assert not any(map(any, at({p: 0 for p in family.params}))), "family is not linear"
+    return [at({q: int(q == p) for q in family.params}) for p in family.params]
+
+
+def span_dim(matrices):
+    rows = [[x for row in m for x in row] for m in matrices]
+    return len(linalg.rref(rows, len(rows[0]))[1]) if rows else 0
+
+
+def coverage(context, values):
+    """(dim Der(s), dim Der(s) ∩ ker tr, dim F + ad(s), whether F + ad(s)
+    contains Der(s) ∩ ker tr) for the context's algebra s and shipped
+    family F at the family values `values`."""
+    s = context.algebra.substitute(values)
+    der = parameter_matrices(solve_derivations(s), {})
+    traces = [[sum(m[i][i] for i in range(s.dim)) for m in der]]
+    traceless = [
+        [[sum(c * m[i][j] for c, m in zip(vec, der)) for j in range(s.dim)] for i in range(s.dim)]
+        for vec in linalg.nullspace(traces, len(der))
+    ]
+    ad = [[[e.constant_value() for e in row] for row in m] for m in adjoint(s)]
+    f_ad = parameter_matrices(context.shipped_family, values) + ad
+    return (
+        span_dim(der), span_dim(traceless), span_dim(f_ad),
+        span_dim(f_ad + traceless) == span_dim(f_ad),
+    )
+
+
+def atom_point(context, rng):
+    """A rational value of each free family parameter, drawn until the
+    context's atoms hold."""
+    names = sorted(context.algebra.family_parameters())
+    while True:
+        point = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for v in names}
+        if all(atom.holds(point) for atom in context.atoms):
+            return point
+
+
+def test_family_and_ad_cover_the_traceless_derivations_where_a_family_is_shipped():
+    rng = random.Random(4)
+    checked = 0
+    for context in su_contexts():
+        if context.entry.build_family(context.branch_name) is None:
+            continue
+        *_, covered = coverage(context, atom_point(context, rng))
+        assert covered, context.name
+        checked += 1
+    assert checked == 10
+
+
+def test_g654_at_l_minus_one_family_and_ad_miss_a_traceless_derivation():
+    # strong unimodularity forces l = -1, where Der(s) grows from 8 to 9
+    # dimensions and ad(s) lies in the shipped F: F + ad(s) misses two
+    # dimensions of Der(s) ∩ ker tr.  Closing this gap is ROADMAP item 4(b)
+    entry = next(e for e in load_any("all") if e.name.startswith("g_{6,54}"))
+    assert coverage(StageContext(entry), {"fam_l": -1}) == (9, 8, 6, False)

@@ -1,9 +1,10 @@
-"""Lie algebras: CE differential, brackets, series, unimodularity."""
+"""Lie algebras: CE differential, ad read off d, series, unimodularity."""
 
 import json
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -12,9 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import P, algebra_of
 from oracles import (
+    apply_matrix,
     derived_algebra,
     is_ideal,
     nilradical_rejection,
+    oracle_adjoint,
+    oracle_series,
     oracle_unimodular,
     quotient_trace,
     rank_in_span,
@@ -24,12 +28,19 @@ from oracles import (
 )
 from g2cert import linalg
 from g2cert.catalog import BUILTIN_DATASETS, SCHEMA, load_builtin, load_catalog_text
-from g2cert.errors import JacobiFailure, NilradicalNotInvariant, NotAnIdeal, ValidationFailure
-from g2cert.forms import KForm, VectorExpr, generic_two_form
+from g2cert.derivations import DerivationFamily, verify_derivation
+from g2cert.errors import (
+    JacobiFailure,
+    LeibnizViolation,
+    NilradicalNotInvariant,
+    NotAnIdeal,
+    ValidationFailure,
+)
+from g2cert.forms import KForm, form_value, generic_two_form
 from g2cert.lie import (
     LieAlgebra,
     Subspace,
-    bracket,
+    adjoint,
     ce_differential,
     descending_central_series,
     unimodular_check,
@@ -72,60 +83,96 @@ class TestDifferential:
             assert ce_differential(L, ce_differential(L, f)).is_zero()
 
 
+def builtin_algebras():
+    """Every built-in algebra, of entries and of branches."""
+    for dataset in BUILTIN_DATASETS:
+        for entry in load_builtin(dataset):
+            if not entry.stub:
+                for name in [None, *entry.branch_names()]:
+                    yield entry.build_algebra(name)
+
+
+def column(matrix, j):
+    """Column j (1-based) of a matrix, the image of e_j."""
+    return [row[j - 1] for row in matrix]
+
+
 class TestBracket:
     def test_abelian(self):
         L = algebra_of("(0, 0, 0)")
-        x = VectorExpr(3, [1, 2, 3])
-        y = VectorExpr(3, [4, 5, 6])
-        assert bracket(L, x, y).is_zero()
+        assert not any(entry for ad in adjoint(L) for row in ad for entry in row)
 
     def test_sign_convention(self):
-        # de1 = -e13 pairs with [e1, e3] = e1
+        # de1 = -e13 pairs with [e1, e3] = e1: column 3 of ad_e1 is e1
         L = algebra_of(G34_R3)
-        assert L.bracket_basis(1, 3) == VectorExpr.basis(6, 1)
+        assert column(adjoint(L)[0], 3) == [P(1)] + [P(0)] * 5
 
     def test_q4_bracket(self):
+        # [e6, e7] = -2 e6
         q4 = algebra_of(Q4)
-        assert q4.bracket_basis(6, 7) == -2 * VectorExpr.basis(7, 6)
+        assert column(adjoint(q4)[5], 7) == [P(0)] * 5 + [P(-2), P(0)]
 
     def test_bracket_differential_consistency(self):
-        # de^k(e_i, e_j) = -e^k([e_i, e_j]) on a family-parametric entry
+        # de^k(e_i, e_j) = -e^k([e_i, e_j]) on a family-parametric entry, for
+        # every ordered pair
         L = algebra_of(G670)
+        ad = adjoint(L)
         for i in range(1, 7):
-            for j in range(i + 1, 7):
-                b = L.bracket_basis(i, j)
+            for j in range(1, 7):
                 for k in range(1, 7):
-                    dk = L.d_basis(k)
-                    mask = (1 << (i - 1)) | (1 << (j - 1))
-                    assert dk.coeffs.get(mask, Polynomial.zero()) == -b.coords[k - 1]
+                    assert form_value(L.d_basis(k), i, j) == -ad[i - 1][k - 1][j - 1]
+
+    def test_matches_the_bracket_loop_and_is_a_derivation_on_every_builtin_algebra(self):
+        # Jacobi holds iff every ad_{e_i} satisfies the Leibniz identity
+        checked = 0
+        for algebra in builtin_algebras():
+            ad = adjoint(algebra)
+            assert ad == oracle_adjoint(algebra), algebra.name
+            for matrix in ad:
+                assert verify_derivation(algebra, DerivationFamily(algebra, matrix))
+            checked += 1
+        assert checked == 46
+
+    def test_a_non_derivation_ad_means_jacobi_fails(self):
+        # de^1 = e12 + e34 breaks Jacobi: d(de^1) = e234; so some ad_{e_i}
+        # is not a derivation
+        de1 = KForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1})
+        L = LieAlgebra(4, [de1] + [KForm.zero(4, 2)] * 3)
+        with pytest.raises(JacobiFailure):
+            validate(L)
+        failures = 0
+        for matrix in adjoint(L):
+            try:
+                verify_derivation(L, DerivationFamily(L, matrix))
+            except LeibnizViolation:
+                failures += 1
+        assert failures
 
 
 class TestSeriesAndIdeals:
     def test_g530_nilradical_series(self):
         L = algebra_of(G530)
-        n = verify_nilradical(L, [1, 2, 3, 4, 6])
-        series = descending_central_series(L, n)
+        verify_nilradical(L, [1, 2, 3, 4, 6])
+        series = descending_central_series(L, [1, 2, 3, 4, 6])
         assert [s.dim for s in series] == [5, 2, 1, 0]
         assert subspace_equals(series[1], Subspace.from_indices(L, [1, 2]))
         assert subspace_equals(series[2], Subspace.from_indices(L, [1]))
 
     def test_abelian_series_stops_immediately(self):
         L = algebra_of("(0, 0, 0, 0, 0, 0)")
-        n = Subspace.from_indices(L, [1, 2, 3])
-        series = descending_central_series(L, n)
+        series = descending_central_series(L, [1, 2, 3])
         assert [s.dim for s in series] == [3, 0]
 
     def test_g670_series(self):
         L = algebra_of(G670)
-        n = verify_nilradical(L, [1, 2, 3, 4, 5])
-        series = descending_central_series(L, n)
+        verify_nilradical(L, [1, 2, 3, 4, 5])
+        series = descending_central_series(L, [1, 2, 3, 4, 5])
         assert [s.dim for s in series] == [5, 2, 0]
         assert subspace_equals(series[1], Subspace.from_indices(L, [1, 2]))
 
     def test_series_terms_are_ideals_and_decreasing(self):
         L = algebra_of(G530)
-        n = Subspace.from_indices(L, [1, 2, 3, 4, 6])
-        series = descending_central_series(L, n)
+        series = descending_central_series(L, [1, 2, 3, 4, 6])
         for outer, inner in zip(series, series[1:]):
             assert inner.dim < outer.dim
             assert subspace_contains(outer, inner)
@@ -175,7 +222,7 @@ class TestSeriesAndIdeals:
             for indices in combinations(range(1, 7), size):
                 reason = nilradical_rejection(L, list(indices))
                 if reason is None:
-                    assert verify_nilradical(L, list(indices)).dim == size
+                    verify_nilradical(L, list(indices))
                 else:
                     with pytest.raises(NotAnIdeal, match=reason):
                         verify_nilradical(L, list(indices))
@@ -191,6 +238,10 @@ class TestSeriesAndIdeals:
                 algebra = entry.build_algebra()
                 assert nilradical_rejection(algebra, entry.nilradical) is None, entry.name
                 verify_nilradical(algebra, entry.nilradical)
+                series = descending_central_series(algebra, entry.nilradical)
+                expected = oracle_series(algebra, entry.nilradical)
+                assert len(series) == len(expected), entry.name
+                assert all(map(subspace_equals, series, expected)), entry.name
                 checked += 1
         assert checked == 39
 
@@ -211,14 +262,14 @@ def basis_and_vector(draw, symbolic):
             value = value + draw(SMALL) * Polynomial.var("fam_p")
         return value
 
-    gens = [VectorExpr(dim, [entry() for _ in range(dim)]) for _ in range(draw(st.integers(0, 4)))]
+    gens = [tuple(entry() for _ in range(dim)) for _ in range(draw(st.integers(0, 4)))]
     if gens and draw(st.booleans()):
-        vector = VectorExpr(dim, [Polynomial.zero()] * dim)
+        vector = (Polynomial.zero(),) * dim
         for g in gens:
             scale = entry()
-            vector = vector + VectorExpr(dim, [scale * c for c in g.coords])
+            vector = tuple(a + scale * c for a, c in zip(vector, g))
     else:
-        vector = VectorExpr(dim, [entry() for _ in range(dim)])
+        vector = tuple(entry() for _ in range(dim))
     return dim, gens, vector
 
 
@@ -245,9 +296,9 @@ class TestSubspaceMembership:
 
 @st.composite
 def span_preserving_maps(draw):
-    """A subspace V from basis_and_vector(symbolic=True) and the images of
-    e_1..e_n under M = c Id + sum_g g (x) lambda_g over the generators g,
-    which maps V into V; c and the lambda_g(e_j) are drawn like the entries."""
+    """A subspace V from basis_and_vector(symbolic=True) and the matrix of
+    M = c Id + sum_g g (x) lambda_g over the generators g, which maps V into
+    V; c and the lambda_g(e_j) are drawn like the entries."""
     dim, gens, _ = draw(basis_and_vector(symbolic=True))
 
     def entry():
@@ -260,43 +311,35 @@ def span_preserving_maps(draw):
     for g in gens:
         for j in range(dim):
             weight = entry()
-            images[j] = [acc + weight * x for acc, x in zip(images[j], g.coords)]
-    return dim, gens, images
-
-
-def _apply(images, v):
-    dim = len(images)
-    coords = [Polynomial.zero()] * dim
-    for x, column in zip(v.coords, images):
-        coords = [acc + x * c for acc, c in zip(coords, column)]
-    return VectorExpr(dim, coords)
+            images[j] = [acc + weight * x for acc, x in zip(images[j], g)]
+    return dim, gens, [list(row) for row in zip(*images)]
 
 
 class TestSubspaceTrace:
     @settings(max_examples=60, deadline=None)
     @given(span_preserving_maps())
     def test_matches_per_generator_elimination(self, case):
-        dim, gens, images = case
+        dim, gens, matrix = case
         algebra = _abelian(dim)
         expected = quotient_trace(
-            algebra, lambda v: _apply(images, v), Subspace(algebra, []), Subspace(algebra, gens)
+            algebra, partial(apply_matrix, matrix), Subspace(algebra, []), Subspace(algebra, gens)
         )
-        assert Subspace(algebra, gens).trace(images) == expected
+        assert Subspace(algebra, gens).trace(matrix) == expected
 
     def test_row_with_a_nonconstant_denominator(self):
         # V = span(p e1 + e2) reduces to the row (1, 1/p); M = Id + g (x) e^1
         # sends g to (1 + p) g
         p = Polynomial.var("fam_p")
         one, zero = Polynomial.const(1), Polynomial.zero()
-        images = [[one + p, one], [zero, one]]
-        sub = Subspace(_abelian(2), [VectorExpr(2, [p, one])])
-        assert sub.trace(images) == RationalFunction.from_polynomial(one + p)
+        matrix = [[one + p, zero], [one, one]]
+        sub = Subspace(_abelian(2), [(p, one)])
+        assert sub.trace(matrix) == RationalFunction.from_polynomial(one + p)
 
     def test_map_leaving_the_subspace_raises(self):
         one, zero = Polynomial.const(1), Polynomial.zero()
         sub = Subspace.from_indices(_abelian(2), [1])
         with pytest.raises(NilradicalNotInvariant):
-            sub.trace([[zero, one], [zero, zero]])
+            sub.trace([[zero, zero], [one, zero]])  # e1 -> e2
 
 
 class TestUnimodularity:
@@ -313,14 +356,9 @@ class TestUnimodularity:
 
     def test_matches_the_ad_trace_loop_on_every_builtin_algebra(self):
         verdicts = []
-        for dataset in BUILTIN_DATASETS:
-            for entry in load_builtin(dataset):
-                if entry.stub:
-                    continue
-                for name in [None, *entry.branch_names()]:
-                    algebra = entry.build_algebra(name)
-                    verdicts.append(unimodular_check(algebra))
-                    assert verdicts[-1] == oracle_unimodular(algebra), algebra.name
+        for algebra in builtin_algebras():
+            verdicts.append(unimodular_check(algebra))
+            assert verdicts[-1] == oracle_unimodular(algebra), algebra.name
         assert True in verdicts and False in verdicts
 
 

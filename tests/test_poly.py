@@ -148,6 +148,25 @@ class TestRingLaws:
         )
         assert substituted.evaluate(point) == direct
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        polynomials(),
+        st.one_of(RATIONALS, st.integers(-2, 2)),
+        st.one_of(RATIONALS, st.integers(-2, 2)),
+        RATIONALS,
+    )
+    def test_substitute_constant_images(self, p, x, y, z):
+        # int and Fraction images, zero included, are constant bases of the
+        # Cramer pass
+        substituted = p.substitute({"x": x, "y": y})
+        assert substituted.variables() <= {"z"}
+        assert substituted.evaluate({"z": z}) == p.evaluate({"x": x, "y": y, "z": z})
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(), polynomials(names=("u", "v")))
+    def test_substitute_absent_names_returns_the_polynomial(self, p, image):
+        assert p.substitute({"w": image, "t": Fraction(2), "u": 0}) == p
+
 
 class TestCollect:
     @settings(max_examples=150, deadline=None)
