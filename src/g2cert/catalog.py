@@ -25,15 +25,18 @@ fam_p, ...).
 
 A catalog is a JSON document, schema "g2cert-catalog/1".  The package
 only reads catalogs; the writer that the round-trip tests use lives with
-the tests.  Loading a catalog is two steps: `parse_catalog_text` reads
-the document and builds each `AlgebraEntry` (JSON, schema and entry
-shape), and `AlgebraEntry.validate_entry` builds every object the entry
-ships and so runs the mathematical checks (Jacobi, unimodularity, the
+the tests.  This module is its one reader.  Loading a catalog is two
+steps: `parse_catalog_text` reads the document and builds each
+`AlgebraEntry` (JSON, schema and entry shape), and
+`AlgebraEntry.validate_entry` parses every field the pipeline reads (plan
+steps, branch values and atoms, gauge expectations, `su_expected`, and
+witness trees, expanded to polynomials) and builds every object the entry
+ships, and so runs the mathematical checks (Jacobi, unimodularity, the
 nilradical, distinct branch names, Leibniz of every derivation and gauge
-family with its branch values, witness parsing).  Jacobi, Leibniz,
-unimodularity and the nilradical's ideal and derived-algebra conditions
-are read off the differential d; only nilpotency builds a series.  The entry keeps what it
-built, and the pipeline and recheck read it without proving it again.
+family with its branch values).  Jacobi, Leibniz, unimodularity and the
+nilradical's ideal and derived-algebra conditions are read off the
+differential d; only nilpotency builds a series.  The entry keeps what it
+parsed and built, and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
 load catalogs this way.  The single-entry commands (`lambda`,
@@ -48,6 +51,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from math import prod
 from typing import Optional
 
 from .derivations import DerivationFamily, verify_derivation
@@ -61,7 +65,7 @@ from .errors import (
 from .exprs import parse_polynomial, parse_tuple
 from .forms import KForm
 from .lie import LieAlgebra, unimodular_check, validate, verify_nilradical
-from .poly import NonNegWitness, Polynomial
+from .poly import Polynomial
 
 _BASIS_RE = re.compile(r"e([1-9])([1-9])")
 
@@ -147,6 +151,27 @@ class Atom:
         return f"{self.poly} {sym} 0"
 
 
+def expand_witness(node) -> Polynomial:
+    """The polynomial of a nonnegativity witness tree: ["square", p] is p*p,
+    ["const", c] is c > 0, ["sum", ...] and ["product", ...] combine their
+    children, so it is nonnegative at every real point.  Raises ValueError
+    on an unknown kind, a wrong arity or a constant <= 0."""
+    kind, args = (node[0], node[1:]) if isinstance(node, list) and node else (None, ())
+    if kind == "square" and len(args) == 1:
+        base = parse_polynomial(args[0])
+        return base * base
+    if kind == "const" and len(args) == 1:
+        value = Fraction(args[0])
+        if value <= 0:
+            raise ValueError(f"witness constant {value} is not positive")
+        return Polynomial.const(value)
+    if kind == "sum":
+        return sum(map(expand_witness, args), Polynomial.zero())
+    if kind == "product":
+        return prod(map(expand_witness, args), start=Polynomial.const(1))
+    raise ValueError(f"not a witness node: {node!r}")
+
+
 @dataclass
 class FamilyParam:
     name: str  # bare name; the variable is fam_<name>
@@ -183,7 +208,9 @@ PLAN_STEPS = {
     "null_direction": (6, {"indices": _ints(6)}),
     "sign_product": (6, {"pair": _ints(6, 2),
                          "witness": (lambda v, e: v in e.witnesses, "a shipped witness")}),
-    "gauge": (6, {"pair": _ints(6, 2), "targets": _TRIPLES, "s_matrix": _LIST, "s_params": _LIST}),
+    "gauge": (6, {"pair": _ints(6, 2), "targets": _TRIPLES, "s_matrix": _LIST, "s_params": _LIST,
+                  "expect_k?": (lambda v, e: isinstance(v, dict) and set(v) <= set("123456"),
+                                "a map from indices 1..6 to expressions")}),
     "prose_sample": (6, {"trials?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
                          "seed?": (lambda v, e: type(v) is int, "an int"),
                          "slice?": (lambda v, e: v in (None, "t2_zero"), 'null or "t2_zero"')}),
@@ -199,8 +226,9 @@ class AlgebraEntry:
 
     The entry alone builds its shipped objects, as shipped (branch None) or
     of a branch: the algebra, the derivation family and each gauge family
-    S, and the parsed tree of each shipped witness.  Each is built (and
-    proved) on first call and kept in a private cache."""
+    S, and the parsed atoms, gauge expectations, `su_expected` and witness
+    expansions.  Each is built (and proved) on first call and kept in a
+    private cache."""
 
     name: str
     dim: int
@@ -298,20 +326,41 @@ class AlgebraEntry:
         branch."""
         return self._family(branch_name, step["s_matrix"], step["s_params"])
 
-    def witness(self, key: str) -> Optional[NonNegWitness]:
-        """The parsed tree of the shipped witness `key` (None when none is
-        shipped); parsed on the first call, which validation makes, and
-        kept."""
+    def branch_atoms(self, branch_name: Optional[str]) -> list:
+        """The atoms of the branch (none for the entry as shipped), parsed."""
+        atoms = self.branch(branch_name).get("atoms", [])
+        return self._once(("atoms", branch_name), lambda: [Atom.from_json(a) for a in atoms])
 
-        def parse():
-            node = self.witnesses.get(key)
-            return None if node is None else NonNegWitness.from_json(node)
+    def witness(self, node) -> Polynomial:
+        """The expansion of a witness tree, kept per tree: a stored tree equal
+        to a shipped one reads the expansion that validation made."""
+        key = ("witness", json.dumps(node, sort_keys=True))
+        return self._once(key, lambda: expand_witness(node))
 
-        return self._once(("witness", key), parse)
+    def gauge_expectations(self, step) -> tuple:
+        """The parsed `expect_k` ({index: polynomial}) and
+        `expect_det_multiple_of` (a polynomial, or None) of a gauge step."""
+        k, det = step.get("expect_k", {}), step.get("expect_det_multiple_of")
+        key = ("expect", json.dumps([k, det], sort_keys=True))
+        return self._once(key, lambda: (
+            {int(i): parse_polynomial(text) for i, text in k.items()},
+            parse_polynomial(det) if det else None,
+        ))
+
+    def su_expectations(self) -> Optional[tuple]:
+        """The parsed `su_expected` (None when not shipped): the derivation
+        substitutions {name: polynomial}, the family conditions as
+        polynomials and the constant obstructions as sorted Fractions."""
+        node = self.su_expected
+        return None if node is None else self._once(("su_expected",), lambda: (
+            {k: parse_polynomial(v) for k, v in node.get("subs", {}).items()},
+            [parse_polynomial(e) for e in node.get("family", [])],
+            sorted(map(Fraction, node.get("constants", []))),
+        ))
 
     def validate_entry(self) -> None:
-        """Full validation: build, and so prove, every shipped object;
-        raises ValidationFailure with the cause."""
+        """Full validation: parse every field the pipeline reads and build,
+        and so prove, every shipped object; raises ValidationFailure."""
         if self.stub:
             return
         try:
@@ -334,11 +383,17 @@ class AlgebraEntry:
             for branch_name in [None, *names]:
                 self.build_algebra(branch_name)
                 self.build_family(branch_name)
-                for step in self.steps(branch_name):
-                    if step.get("kind") == "gauge":
-                        self.build_gauge_family(branch_name, step)
-            for key in self.witnesses:
-                self.witness(key)
+                self.branch_atoms(branch_name)
+                steps = self.steps(branch_name)
+                gauges = [step for step in steps if step.get("kind") == "gauge"]
+                for step in gauges:
+                    self.build_gauge_family(branch_name, step)
+                    self.gauge_expectations(step)
+                if not gauges and any(step.get("slice") == "t2_zero" for step in steps):
+                    raise G2CertError("the t2_zero slice needs a gauge step")
+            self.su_expectations()
+            for node in self.witnesses.values():
+                self.witness(node)
         except MALFORMED as exc:
             raise ValidationFailure(self.name, exc) from exc
 

@@ -24,6 +24,9 @@ on the stored data, and compares the result with the stored certificate.
 A new certificate kind is one more entry of that table.  Recheck never
 repeats a discovery search: gauge certificates store the solved gauge,
 sampling certificates their seed.
+Verifiers read the catalog values that entry validation parsed; the
+only text parsed here is what a report stores (the solved gauge, its
+determinant, the derivation substitutions).
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ from .forms import (
 from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
 from .lie import LieAlgebra, ce_differential
 from .poly import (
-    NonNegWitness,
     Polynomial,
     RationalFunction,
     SolvedLinearSystem,
@@ -265,18 +267,16 @@ class StageContext:
         atoms = list(self.entry.atoms)
         if self.branch_name is not None:
             atoms = _substitute_atoms(atoms, self.entry.branch_subs(self.branch_name))
-            branch_atoms = self.entry.branch(self.branch_name).get("atoms", [])
-            atoms += [Atom.from_json(a) for a in branch_atoms]
+            atoms += self.entry.branch_atoms(self.branch_name)
         return _substitute_atoms(atoms, self.fam_subs) if self.fam_subs else atoms
 
     @cached_property
     def assumptions(self) -> list:
         """The entry's atoms, the branch's values and atoms, the
         substitutions and the unsolved family equations, as text."""
-        branch = self.entry.branch(self.branch_name)
         out = [str(a) for a in self.entry.atoms]
-        out += [f"{k} = {v}" for k, v in branch.get("subs", {}).items()]
-        out += [str(Atom.from_json(a)) for a in branch.get("atoms", [])]
+        out += [f"{k} = {v}" for k, v in self.entry.branch_subs(self.branch_name).items()]
+        out += [str(a) for a in self.entry.branch_atoms(self.branch_name)]
         out += [f"{k} = {v}" for k, v in sorted(self.derivation_subs.items())]
         out += [f"{k} = {v}" for k, v in sorted(self.fam_subs.items())]
         return out + [f"{e} = 0" for e in self.unsolved]
@@ -396,8 +396,8 @@ def strongly_unimodular_context(base: StageContext) -> StageContext:
 def needs_su_first(entry: AlgebraEntry) -> bool:
     """True when the lambda witness only applies after the strong-unimodularity
     family conditions are substituted (the witness is checked at stage two)."""
-    expected = entry.su_expected or {}
-    return bool(expected.get("family"))
+    _, family, _ = entry.su_expectations() or ({}, [], [])
+    return bool(family)
 
 
 # -- certificates ----------------------------------------------------------
@@ -429,14 +429,11 @@ def certify_zero_diagonal(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_lambda(
-    context: StageContext, inputs, tree: Optional[NonNegWitness] = None
-) -> Certificate:
+def certify_lambda(context: StageContext, inputs) -> Certificate:
     """LambdaIdenticallyZero when lambda of the context vanishes
-    identically, else LambdaNonNegative checked against inputs["witness"]
-    (its JSON tree); raises when neither holds.  `tree` is that witness
-    already parsed, which the pipeline takes from the catalog entry;
-    without it (recheck) the stored JSON is parsed.
+    identically, else LambdaNonNegative checked against the expansion of
+    inputs["witness"] (its JSON tree, `AlgebraEntry.witness`); raises when
+    neither holds.
 
     On the entry as shipped the identity holds for every parameter value,
     so the certificate assumes nothing; after family substitutions (the
@@ -450,10 +447,9 @@ def certify_lambda(
     elif witness is None:
         raise NotIdenticallyZero(lam)
     else:
-        if tree is None:
-            tree = NonNegWitness.from_json(witness)
+        expansion = context.entry.witness(witness)
         try:
-            check_nonneg_witness(lam, tree)
+            check_nonneg_witness(lam, expansion)
         except G2CertError as exc:
             raise WitnessMismatch(f"{context.name}: {exc}") from exc
         kind = CertKind.LAMBDA_NONNEG
@@ -463,20 +459,13 @@ def certify_lambda(
     return Certificate(kind, context.name, assumptions=assumptions, data=data, verified=True)
 
 
-def certify_lambda_sign(
-    context: StageContext,
-    witness,
-    rng: Optional[random.Random] = None,
-    tree: Optional[NonNegWitness] = None,
-):
+def certify_lambda_sign(context: StageContext, witness, rng: random.Random):
     """The lambda certificate of the context (`certify_lambda`, the witness
-    given as its JSON tree and, when parsed already, as `tree`), or None
-    plus a sample with lambda < 0 when no obstruction exists at this
-    stage."""
+    given as its JSON tree), or None plus a sample with lambda < 0, drawn
+    from `rng`, when no obstruction exists at this stage."""
     lam = context.lam
     if lam.is_zero() or witness is not None:
-        return certify_lambda(context, {"witness": witness}, tree), None
-    rng = rng or random.Random(0)
+        return certify_lambda(context, {"witness": witness}), None
     sample = _lambda_negative_sample(lam, context.atoms, rng)
     if sample is None:
         raise G2CertError(
@@ -524,12 +513,10 @@ def certify_null_direction(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_sign_product(
-    context: StageContext, inputs, tree: Optional[NonNegWitness] = None
-) -> Certificate:
+def certify_sign_product(context: StageContext, inputs) -> Certificate:
     """Verifies h_ii * h_jj + expansion(witness) = 0 identically for the
-    inputs' pair (i, j) and witness (its JSON tree, or `tree` when the
-    caller holds it parsed, as `certify_lambda` takes it).
+    inputs' pair (i, j) and witness (its JSON tree, expanded by
+    `AlgebraEntry.witness`).
 
     The product of the two diagonal entries is minus a nonnegative
     polynomial, so h (hence the metric, wherever lambda < 0) is never
@@ -537,9 +524,7 @@ def certify_sign_product(
     """
     i, j = inputs["pair"]
     h = context.h
-    if tree is None:
-        tree = NonNegWitness.from_json(inputs["witness"])
-    residual = h.entry(i, i) * h.entry(j, j) + tree.expand()
+    residual = h.entry(i, i) * h.entry(j, j) + context.entry.witness(inputs["witness"])
     if not residual.is_zero():
         raise IdentityMismatch(residual)
     return context.certificate(
@@ -689,6 +674,7 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
     nilpotent S, so lambda is preserved on the nose, which is also checked.
     """
     step = _gauge_step(context, inputs)
+    expect_k, expect_det = context.entry.gauge_expectations(step)
     det = parse_polynomial(inputs["branch_condition"])
     if det.is_zero():
         raise SingularSymbolicSystem(det)
@@ -732,10 +718,9 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
             continue
         if not column[l - 1].is_zero():
             raise IdentityFailure(f"K(e_{i}) leaves span(e_{i}, e_{j})")
-    for key, expr in (step.get("expect_k") or {}).items():
-        expected = parse_polynomial(expr)
-        if column[int(key) - 1] != expected:
-            raise IdentityMismatch(column[int(key) - 1] - expected)
+    for l, expected in expect_k.items():
+        if column[l - 1] != expected:
+            raise IdentityMismatch(column[l - 1] - expected)
 
     # lambda is a gauge invariant here: det(exp S) = 1
     if k_bar.lam != context.lam:
@@ -752,8 +737,8 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
         "branch_condition": str(det),
         "k_column": {str(l): str(column[l - 1]) for l in (i, j)},
     }
-    if step.get("expect_det_multiple_of"):
-        ratio = _constant_family_ratio(det, parse_polynomial(step["expect_det_multiple_of"]))
+    if expect_det is not None:
+        ratio = _constant_family_ratio(det, expect_det)
         if ratio is None:
             raise IdentityMismatch(det)
         data["det_multiple"] = str(ratio)
@@ -972,20 +957,14 @@ def _sampling_certificate(context: StageContext, inputs) -> Certificate:
 
 
 def _check_su_expected(entry_name, su, expected):
+    """Raise unless the trace conditions are the entry's parsed `su_expected`
+    (`AlgebraEntry.su_expectations`); None expects nothing."""
     if expected is None:
         return
-    got_subs = {k: str(v) for k, v in su.derivation_subs.items()}
-    want_subs = {k: str(parse_polynomial(v)) for k, v in expected.get("subs", {}).items()}
-    if got_subs != want_subs:
-        raise G2CertError(f"{entry_name}: strong-unimodularity substitutions drifted: {got_subs}")
-    got_family = sorted(str(e) for e in su.family_equations)
-    want_family = sorted(str(parse_polynomial(e)) for e in expected.get("family", []))
-    if got_family != want_family:
-        raise G2CertError(f"{entry_name}: family trace conditions drifted: {got_family}")
-    got_constants = [str(c) for c in su.constant_obstructions]
-    want_constants = sorted(expected.get("constants", []), key=Fraction)
-    if got_constants != [str(Fraction(c)) for c in want_constants]:
-        raise G2CertError(f"{entry_name}: constant trace obstructions drifted: {got_constants}")
+    subs, family, constants = expected
+    got = (su.derivation_subs, sorted(map(str, su.family_equations)), su.constant_obstructions)
+    if got != (subs, sorted(map(str, family)), constants):
+        raise G2CertError(f"{entry_name}: the trace conditions drifted from su_expected: {got}")
 
 
 @dataclass
@@ -1026,12 +1005,8 @@ def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryR
 
     # dimension 6: lambda stage on the entry as shipped
     rng = random.Random(options.seed_override if options.seed_override is not None else 7)
-    if needs_su_first(entry):
-        cert, negative_sample = certify_lambda_sign(context, None, rng=rng)
-    else:
-        cert, negative_sample = certify_lambda_sign(
-            context, entry.witnesses.get("lambda"), rng=rng, tree=entry.witness("lambda")
-        )
+    witness = None if needs_su_first(entry) else entry.witnesses.get("lambda")
+    cert, negative_sample = certify_lambda_sign(context, witness, rng)
     if cert is not None:
         result.certificates.append(cert)
         result.outcome = Outcome.OBSTRUCTED
@@ -1062,7 +1037,7 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
     name = base.name
     su = base.su
     if base.branch_name is None:
-        _check_su_expected(name, su, base.entry.su_expected)
+        _check_su_expected(name, su, base.entry.su_expectations())
 
     if su.constant_obstructions:
         cert = certify_trace_obstruction(base, {})
@@ -1079,10 +1054,7 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
     if context.fam_subs:
         # second lambda stage on the constrained structure
         cert, _ = certify_lambda_sign(
-            context,
-            base.entry.witnesses.get("lambda"),
-            rng=random.Random(11),
-            tree=base.entry.witness("lambda"),
+            context, base.entry.witnesses.get("lambda"), random.Random(11)
         )
         if cert is not None:
             result.certificates.append(cert)
@@ -1096,10 +1068,8 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
             result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
             proved = True
         elif kind == "sign_product":
-            key = step["witness"]
-            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[key]}
-            tree = base.entry.witness(key)
-            result.certificates.append(certify_sign_product(context, inputs, tree))
+            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[step["witness"]]}
+            result.certificates.append(certify_sign_product(context, inputs))
             proved = True
         elif kind == "gauge":
             result.certificates.append(gauge_transport(context, step))

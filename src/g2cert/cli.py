@@ -91,8 +91,8 @@ def cmd_lambda(args) -> int:
         print("  identically zero")
         return 0
     if args.witness:
-        witness = entry.witness("lambda")
-        if witness is None:
+        node = entry.witnesses.get("lambda")
+        if node is None:
             print("  no nonnegativity witness shipped for this entry")
             return 1
         if needs_su_first(entry):
@@ -102,7 +102,7 @@ def cmd_lambda(args) -> int:
             subs = ", ".join(f"{k} = {v}" for k, v in sorted(context.fam_subs.items()))
             print(f"  after the strong-unimodularity substitution {subs}:")
             print(f"  {context.lam}")
-        check_nonneg_witness(context.lam, witness)
+        check_nonneg_witness(context.lam, entry.witness(node))
         print("  nonnegativity witness verifies: lambda >= 0 for all real coefficients")
     return 0
 

@@ -20,6 +20,10 @@ parameters of a pulled-back coefficient): it groups the terms by their
 monomial in those variables.  It is the one place that splits terms by
 variable.
 
+A nonnegativity witness has no tree type here: `catalog.expand_witness`
+reads the catalog's JSON tree straight into its Polynomial, and
+`check_nonneg_witness` compares that expansion with its target.
+
 Term iteration is deterministic: graded lexicographic, variables ordered by
 name.  This keeps rendered reports byte-stable across runs.
 
@@ -51,8 +55,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm, prod
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm, prod
+from typing import Mapping, Union
 
 from .errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
 
@@ -267,8 +271,6 @@ class Polynomial:
 
     def content(self) -> Fraction:
         """Positive rational gcd of the coefficients (0 for the zero poly)."""
-        from math import gcd
-
         num = 0
         den = 1
         for c in self._terms.values():
@@ -571,81 +573,12 @@ class RationalFunction:
 # -- nonnegativity witnesses -------------------------------------------
 
 
-class NonNegWitness:
-    """Tree certifying that a polynomial takes only nonnegative real values.
-
-    Node kinds: Square(p), PositiveConst(c > 0), Sum(children),
-    Product(children).  A verified witness (expansion identical to the
-    target) proves target(x) >= 0 for every real x.
-    """
-
-    def expand(self) -> Polynomial:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json(node) -> "NonNegWitness":
-        kind = node[0]
-        if kind == "square":
-            from .exprs import parse_polynomial
-
-            return Square(parse_polynomial(node[1]))
-        if kind == "const":
-            value = Fraction(node[1])
-            return PositiveConst(value)
-        if kind == "sum":
-            return Sum([NonNegWitness.from_json(ch) for ch in node[1:]])
-        if kind == "product":
-            return Product([NonNegWitness.from_json(ch) for ch in node[1:]])
-        raise ValueError(f"unknown witness node kind {kind!r}")
-
-
-class Square(NonNegWitness):
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-
-    def expand(self) -> Polynomial:
-        return self.poly * self.poly
-
-
-class PositiveConst(NonNegWitness):
-    def __init__(self, value: Scalar):
-        value = Fraction(value)
-        if value <= 0:
-            raise ValueError("PositiveConst must be strictly positive")
-        self.value = value
-
-    def expand(self) -> Polynomial:
-        return Polynomial.const(self.value)
-
-
-class Sum(NonNegWitness):
-    def __init__(self, children: Iterable[NonNegWitness]):
-        self.children = list(children)
-
-    def expand(self) -> Polynomial:
-        total = Polynomial.zero()
-        for child in self.children:
-            total = total + child.expand()
-        return total
-
-
-class Product(NonNegWitness):
-    def __init__(self, children: Iterable[NonNegWitness]):
-        self.children = list(children)
-
-    def expand(self) -> Polynomial:
-        total = Polynomial.const(1)
-        for child in self.children:
-            total = total * child.expand()
-        return total
-
-
-def check_nonneg_witness(target: Polynomial, witness: NonNegWitness) -> bool:
-    """True when expansion(witness) is term-identical to target.
-
-    Raises ExpansionMismatch carrying the nonzero difference otherwise.
-    """
-    difference = witness.expand() - target
+def check_nonneg_witness(target: Polynomial, expansion: Polynomial) -> bool:
+    """True when the expansion of a witness tree (`catalog.expand_witness`)
+    is term-identical to target, which then takes only nonnegative real
+    values.  Raises ExpansionMismatch carrying the nonzero difference
+    otherwise."""
+    difference = expansion - target
     if not difference.is_zero():
         raise ExpansionMismatch(difference)
     return True

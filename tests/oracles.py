@@ -8,10 +8,10 @@ entry with form_value, and tests definiteness with det_fraction minors, so
 it shares neither the K table nor the h product with su3_passes_int.
 
 The last few helpers are test-side references that no pipeline path
-needs: a catalog writer and a witness serializer for the save/load round
-trips, the extension s x_D R built as a Lie algebra, plain substitution
-of rational functions and a schoolbook Cramer substitution to check
-substitute_cramer against, readers for subspace equality and exact
+needs: a catalog writer for the save/load round trips, witness expansion
+by schoolbook products, the extension s x_D R built as a Lie algebra,
+plain substitution of rational functions and a schoolbook Cramer
+substitution to check substitute_cramer against, readers for subspace equality and exact
 polynomial quotients, and quotient traces by per-generator elimination to
 check Subspace.trace against.
 
@@ -42,14 +42,8 @@ from g2cert.forms import (
 from g2cert.hitchin import Bilinear
 from g2cert.lie import LieAlgebra, Subspace, validate
 from g2cert.linalg import det_fraction, rref
-from g2cert.poly import (
-    NonNegWitness,
-    PositiveConst,
-    Polynomial,
-    RationalFunction,
-    Square,
-    Sum,
-)
+from g2cert.exprs import parse_polynomial
+from g2cert.poly import Polynomial, RationalFunction
 
 _PARITY_CACHE = {}
 
@@ -526,14 +520,23 @@ def as_polynomial(f: RationalFunction) -> Polynomial:
     return quotient
 
 
-def witness_to_json(witness: NonNegWitness):
-    """The JSON tree of a witness, the inverse of NonNegWitness.from_json."""
-    if isinstance(witness, Square):
-        return ["square", str(witness.poly)]
-    if isinstance(witness, PositiveConst):
-        return ["const", str(witness.value)]
-    kind = "sum" if isinstance(witness, Sum) else "product"
-    return [kind] + [witness_to_json(child) for child in witness.children]
+def oracle_expand_witness(node) -> Polynomial:
+    """The polynomial of a witness tree (catalog.expand_witness), with each
+    square and product formed by the schoolbook oracle_mul."""
+    kind, *args = node
+    if kind == "square":
+        (text,) = args
+        return oracle_mul(parse_polynomial(text), parse_polynomial(text))
+    if kind == "const":
+        (text,) = args
+        return Polynomial.const(Fraction(text))
+    parts = [oracle_expand_witness(child) for child in args]
+    if kind == "sum":
+        return sum(parts, Polynomial.zero())
+    total = Polynomial.const(1)
+    for part in parts:
+        total = oracle_mul(total, part)
+    return total
 
 
 def extension_algebra(base: LieAlgebra, derivation) -> LieAlgebra:

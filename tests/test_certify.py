@@ -54,8 +54,8 @@ from g2cert.errors import (
     WitnessMismatch,
 )
 from g2cert.hitchin import b_phi
-from g2cert.poly import NonNegWitness, Polynomial, substitute_cramer
-from g2cert import certify, derivations, hitchin, lie, numeric
+from g2cert.poly import Polynomial, substitute_cramer
+from g2cert import catalog, certify, derivations, hitchin, lie, numeric
 
 
 def by_name(dataset, name):
@@ -106,17 +106,19 @@ class TestGenericExactG2:
 class TestLambdaStage:
     def test_witnessed_nonnegative(self, table1):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
-        cert, sample = certify_lambda_sign(StageContext(entry), entry.witnesses.get("lambda"))
+        cert, sample = certify_lambda_sign(
+            StageContext(entry), entry.witnesses.get("lambda"), random.Random(0)
+        )
         assert cert.kind == CertKind.LAMBDA_NONNEG and sample is None
 
     def test_identically_zero(self):
         entry = by_name("table1", "g_{3,4}^{-1}+R^3")
-        cert, _ = certify_lambda_sign(StageContext(entry), None)
+        cert, _ = certify_lambda_sign(StageContext(entry), None, random.Random(0))
         assert cert.kind == CertKind.LAMBDA_ZERO
 
     def test_survivor_negative_sample(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        cert, sample = certify_lambda_sign(StageContext(entry), None, rng=random.Random(5))
+        cert, sample = certify_lambda_sign(StageContext(entry), None, random.Random(5))
         assert cert is None
         values = {k: Fraction(v) for k, v in sample.items()}
         lam = 16 * values["alpha_14"] * values["alpha_15"] * values["alpha_24"] * values["alpha_25"]
@@ -125,7 +127,7 @@ class TestLambdaStage:
     def test_wrong_witness_raises(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
         with pytest.raises(WitnessMismatch):
-            certify_lambda_sign(StageContext(entry), ["square", "alpha_14"])
+            certify_lambda_sign(StageContext(entry), ["square", "alpha_14"], random.Random(0))
 
     def test_family_is_not_built(self):
         # g_{6,70} cannot solve Der before fam_p is fixed; its lambda stage
@@ -136,7 +138,7 @@ class TestLambdaStage:
             if e.name.startswith("g_{6,70}")
         ]
         context = StageContext(entry)
-        cert, sample = certify_lambda_sign(context, None, rng=random.Random(7))
+        cert, sample = certify_lambda_sign(context, None, random.Random(7))
         assert cert is None and sample
         assert "family" not in vars(context) and "shipped_family" not in vars(context)
         assert not [key for key in entry._built if key[0] == "family"]
@@ -639,15 +641,23 @@ GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
 @pytest.fixture(scope="module")
-def shipped_run():
+def shipped_entries():
+    """The entries of the three built-in catalogs, loaded and validated."""
+    return [e for name in BUILTIN_DATASETS for e in load_any(name)]
+
+
+@pytest.fixture(scope="module")
+def shipped_run(shipped_entries):
     """(serialized report, call counts) of run_all over the three
     built-in catalogs with the default options, the shipped trials and
     seeds.  After the catalogs load, pass-through wrappers count the calls
     of the integer k_matrix (the ring zero is the int 0), su3_passes_int,
-    PairSampler.draw and NonNegWitness.from_json, and record each
-    substitute_cramer call with its result under "substitute_cramer"."""
-    entries = [e for name in BUILTIN_DATASETS for e in load_any(name)]
-    counts = dict.fromkeys(("k_matrix_int", "su3_passes_int", "draw", "from_json"), 0)
+    PairSampler.draw and catalog.expand_witness, and record each
+    substitute_cramer call with its result under "substitute_cramer".
+    Then the report is rechecked: "rechecks" holds the verdicts and
+    "expand_witness_recheck" the expand_witness calls of the recheck."""
+    keys = ("k_matrix_int", "su3_passes_int", "draw", "expand_witness", "expand_witness_recheck")
+    counts = dict.fromkeys(keys, 0)
     counts["substitute_cramer"] = cramer_calls = []
 
     def recording(*args):
@@ -669,11 +679,15 @@ def shipped_run():
             patch.setattr(module, "k_matrix", k_int)
         patch.setattr(numeric, "su3_passes_int", counting("su3_passes_int", numeric.su3_passes_int))
         patch.setattr(PairSampler, "draw", counting("draw", PairSampler.draw))
-        from_json = counting("from_json", NonNegWitness.from_json)
-        patch.setattr(NonNegWitness, "from_json", staticmethod(from_json))
+        patch.setattr(catalog, "expand_witness", counting("expand_witness", catalog.expand_witness))
         patch.setattr(certify, "substitute_cramer", recording)
-        report = run_all(entries, PipelineOptions())
-    return json.loads(json.dumps(report.to_json(include_timing=False))), counts
+        report = run_all(shipped_entries, PipelineOptions())
+    document = json.loads(json.dumps(report.to_json(include_timing=False)))
+    with pytest.MonkeyPatch.context() as patch:
+        expand = counting("expand_witness_recheck", catalog.expand_witness)
+        patch.setattr(catalog, "expand_witness", expand)
+        counts["rechecks"] = recheck_report(document, shipped_entries)
+    return document, counts
 
 
 def sampling_nodes(document):
@@ -700,9 +714,34 @@ class TestShippedRun:
         assert counts["k_matrix_int"] == 0
 
     def test_pipeline_reads_the_parsed_witnesses(self, shipped_run):
-        # validation parsed every shipped witness; run_all parses none again
+        # validation expanded every shipped witness; neither run_all nor a
+        # recheck of its report expands one again
         _, counts = shipped_run
-        assert counts["from_json"] == 0
+        assert counts["expand_witness"] == 0
+        assert sum(map(len, counts["rechecks"].values())) == 48
+        assert all(map(all, counts["rechecks"].values()))
+        assert counts["expand_witness_recheck"] == 0
+
+    def test_witness_certificates_recheck_only_with_their_shipped_tree(
+        self, shipped_run, shipped_entries
+    ):
+        # each witness tree stored in the report is expanded afresh when it
+        # differs from the shipped one: a constant 0 is not a witness, and
+        # twice the shipped tree expands to twice the target
+        document, _ = shipped_run
+        by_name = {e.name: e for e in shipped_entries}
+        nodes = [
+            (r["name"], c) for r in document["results"] for c in r["certificates"]
+            if c["kind"] in ("lambda_nonnegative", "sign_product")
+        ]
+        assert len(nodes) == 13
+        for name, node in nodes:
+            entry, shipped = by_name[name], node["data"]["witness"]
+            assert recheck_certificate(entry, Certificate.from_json(node))
+            for tampered in (["const", "0"], ["product", ["const", "2"], shipped]):
+                forged = json.loads(json.dumps(node))
+                forged["data"]["witness"] = tampered
+                assert not recheck_certificate(entry, Certificate.from_json(forged)), name
 
     def test_cramer_substitutions_match_the_oracle(self, shipped_run):
         # every gauge identity of the shipped run, term for term
@@ -721,7 +760,7 @@ class TestShippedRun:
 )
 def test_tampered_witness_fails_recheck(kind, algebra):
     # an in-memory certificate stores the catalog's witness object; recheck
-    # must parse what is stored, not reuse the tree the entry keeps
+    # must expand what is stored, not reuse the shipped tree's expansion
     (entry,) = [e for e in load_any("all") if e.name == algebra]
     result = run_pipeline(entry, PipelineOptions(trials_override=0))
     (cert,) = [c for c in result.certificates if c.kind.value == kind]
@@ -732,6 +771,35 @@ def test_tampered_witness_fails_recheck(kind, algebra):
     )
     assert not recheck_certificate(entry, forged)
     assert recheck_certificate(entry, cert)
+
+
+def g530_with_su_expected(**fields):
+    """The g_{5,30} entry alone, its su_expected fields replaced."""
+    document = json.loads(builtin_text("table1"))
+    node = next(e for e in document["entries"] if e["name"].startswith("g_{5,30}"))
+    node["su_expected"].update(fields)
+    (entry,) = load_catalog_text(json.dumps({"schema": document["schema"], "entries": [node]}))
+    return entry
+
+
+def test_su_expected_is_compared_after_parsing():
+    # unreduced, reordered and rewritten text parses to the shipped values
+    entry = g530_with_su_expected(
+        subs={"a_8": "0", "a_5": "2*0", "a_1": "a_1 - a_1"}, constants=["2/6", "-4/6"]
+    )
+    assert run_pipeline(entry, PipelineOptions(trials_override=0)).ok()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"subs": {"a_1": "a_5", "a_5": "0", "a_8": "0"}}, {"family": ["fam_p"]},
+     {"constants": ["-2/3"]}],
+    ids=["subs", "family", "constants"],
+)
+def test_su_expected_drift_stops_the_pipeline(fields):
+    entry = g530_with_su_expected(**fields)
+    with pytest.raises(G2CertError, match="drifted from su_expected"):
+        run_pipeline(entry, PipelineOptions(trials_override=0))
 
 
 def test_gauge_family_carries_the_branch_values():

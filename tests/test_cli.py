@@ -355,6 +355,22 @@ def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: catalog entry ")
 
 
+def assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=None):
+    """Write the built-in entry of `dataset` whose name starts with `prefix`,
+    after change(node), as a catalog of its own; loading it must raise
+    ValidationFailure and `g2cert validate` must exit 2 naming the entry."""
+    document = json.loads(cat.builtin_text(dataset))
+    node = next(e for e in document["entries"] if e["name"].startswith(prefix))
+    change(node)
+    text = json.dumps({"schema": document["schema"], "entries": [node]})
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(text)
+    with pytest.raises(ValidationFailure, match=match):
+        load_catalog_text(text)
+    assert main(["validate", str(catalog)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: catalog entry '{prefix}")
+
+
 def _set_first_indices(value):
     return lambda plan: plan[0].update(indices=value)
 
@@ -384,16 +400,68 @@ def test_validate_malformed_plan_step_is_an_error(change, tmp_path, capsys):
     # run-all crashed (KeyError, IndexError, TypeError), stopped at an
     # unknown or misplaced step kind, or, for the unknown slice, stored
     # "slice": "t3" in a certificate with no slice applied
-    document = json.loads(cat.builtin_text("table1"))
-    entry = next(e for e in document["entries"] if e["name"].startswith("g_{5,30}"))
-    change(entry["plan"])
-    text = json.dumps({"schema": document["schema"], "entries": [entry]})
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(text)
-    with pytest.raises(ValidationFailure):
-        load_catalog_text(text)
-    assert main(["validate", str(catalog)]) == 2
-    assert capsys.readouterr().err.startswith("error: catalog entry 'g_{5,30}")
+    assert_validate_rejects_entry(
+        "table1", "g_{5,30}", lambda node: change(node["plan"]), tmp_path, capsys
+    )
+
+
+def _branches(node):
+    return [s for s in node["plan"] if s.get("kind") == "branch"]
+
+
+def _gauge_steps(node):
+    return [t for b in _branches(node) for t in b["steps"] if t["kind"] == "gauge"]
+
+
+def _gauge_step(index, **fields):
+    return lambda node: _gauge_steps(node)[index].update(fields)
+
+
+def _prose_sample(**fields):
+    return lambda node: next(s for s in node["plan"] if s["kind"] == "prose_sample").update(fields)
+
+
+G6101 = ("indecomposable", "g_{6,101}")
+
+
+@pytest.mark.parametrize(
+    "dataset, prefix, change",
+    [
+        (*G6101, lambda node: _branches(node)[0].update(atoms=[["lt", "fam_b"]])),
+        (*G6101, _gauge_step(0, expect_k="3")),
+        (*G6101, _gauge_step(0, expect_k={"0": "0"})),
+        (*G6101, _gauge_step(1, expect_det_multiple_of="fam_a +")),
+        ("table1", "g_{5,30}", lambda node: node.update(su_expected={"subs": "a_1"})),
+        ("indecomposable", "g_{6,70}",
+         lambda node: node.update(su_expected={"subs": {"a_1": "0 +"}, "family": ["fam_p"]})),
+        ("table1", "g_{5,33}", _prose_sample(slice="t2_zero")),
+    ],
+    ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
+         "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step"],
+)
+def test_validate_parses_every_field_the_pipeline_reads(dataset, prefix, change, tmp_path, capsys):
+    # before validation parsed these fields, `validate` accepted each of
+    # these entries; run-all then raised ValueError (the atom op "lt") or
+    # AttributeError (expect_k and su_expected subs that are not maps),
+    # compared K(e_i) at index 0 with its last entry, or exited 2 on the
+    # syntax errors and the t2_zero slice with no gauge step
+    assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [["const", "0"], ["const", "-1"], ["cube", "alpha_14"], ["square"],
+     ["square", "alpha_14", "junk"]],
+    ids=["const-0", "const-negative", "unknown-kind", "square-no-argument",
+         "square-extra-argument"],
+)
+def test_validate_malformed_witness_is_an_error(tree, tmp_path, capsys):
+    # the extra argument of a square was ignored before witness trees were
+    # expanded by one function that checks each node's arity
+    assert_validate_rejects_entry(
+        "table1", "g_{3,4}^{-1}+g_{3,1}",
+        lambda node: node["witnesses"].update({"lambda": tree}), tmp_path, capsys,
+    )
 
 
 @pytest.mark.parametrize(
@@ -405,13 +473,7 @@ def test_validate_malformed_plan_step_is_an_error(change, tmp_path, capsys):
 def test_branch_names_must_be_distinct_strings(rename, tmp_path, capsys):
     # an unnamed branch would end run-all in a KeyError, and a repeated name
     # would run the first branch twice and the second never
-    document = json.loads(cat.builtin_text("indecomposable"))
-    entry = next(e for e in document["entries"] if e["name"].startswith("g_{6,101}"))
-    rename([s for s in entry["plan"] if s.get("kind") == "branch"])
-    text = json.dumps({"schema": document["schema"], "entries": [entry]})
-    catalog = tmp_path / "catalog.json"
-    catalog.write_text(text)
-    with pytest.raises(ValidationFailure, match="branch names must be distinct strings"):
-        load_catalog_text(text)
-    assert main(["validate", str(catalog)]) == 2
-    assert capsys.readouterr().err.startswith("error: catalog entry 'g_{6,101}")
+    assert_validate_rejects_entry(
+        "indecomposable", "g_{6,101}", lambda node: rename(_branches(node)), tmp_path, capsys,
+        match="branch names must be distinct strings",
+    )

@@ -1,10 +1,12 @@
-"""Every module-level import in the package and in the tests is used."""
+"""Every module-level import in the package and in the tests is used, and
+the package imports only at module level."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "g2cert").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "g2cert").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -16,6 +18,15 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def nested_imports(tree):
+    """The line of every import statement that is not in the module body."""
+    top = set(map(id, tree.body))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
 
 
 def used_names(tree):
@@ -51,3 +62,17 @@ def test_no_unused_module_level_imports():
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional\n\ndef f(x: 'Optional[int]'):\n    return x\n")
     assert [n for n, _ in imported_names(tree) if n not in used_names(tree)] == ["os"]
+
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function hides an import cycle from the module graph
+    nested = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        nested += [f"{path.relative_to(ROOT)}:{line}" for line in nested_imports(tree)]
+    assert not nested, "imports below module level:\n" + "\n".join(nested)
+
+
+def test_detects_an_import_inside_a_function():
+    tree = ast.parse("import os\n\ndef f():\n    from math import gcd\n    return gcd\n")
+    assert nested_imports(tree) == [4]

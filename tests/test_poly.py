@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: polynomials, rational functions, witnesses,
 symbolic linear systems."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,20 +12,16 @@ from hypothesis import strategies as st
 from conftest import P
 from oracles import (
     as_polynomial,
+    oracle_expand_witness,
     oracle_mul,
     oracle_substitute_cramer,
     substitute_rational,
-    witness_to_json,
 )
+from g2cert.catalog import expand_witness
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
 from g2cert.poly import (
-    NonNegWitness,
     Polynomial,
-    PositiveConst,
-    Product,
     RationalFunction,
-    Square,
-    Sum,
     check_nonneg_witness,
     poly_matrix_det,
     solve_linear,
@@ -403,35 +400,51 @@ class TestRationalFunction:
             RationalFunction(P("1"), Polynomial.zero())
 
 
+@st.composite
+def witness_trees(draw, depth=2):
+    """Witness JSON trees of small polynomials, at most `depth` levels of
+    sums and products above the squares and constants."""
+    leaf = st.one_of(
+        polynomials().map(lambda p: ["square", str(p)]),
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)).map(lambda c: ["const", str(c)]),
+    )
+    if depth == 0 or draw(st.booleans()):
+        return draw(leaf)
+    kind = draw(st.sampled_from(("sum", "product")))
+    return [kind, *draw(st.lists(witness_trees(depth - 1), max_size=3))]
+
+
 class TestNonNegWitness:
+    """Witness JSON trees expanded by catalog.expand_witness and checked
+    against their targets by poly.check_nonneg_witness."""
+
     def test_monomial_square_witness(self):
         target = P("4*a_14^2*a_24^2")
-        witness = Product([PositiveConst(4), Square(P("a_14*a_24"))])
+        witness = expand_witness(["product", ["const", "4"], ["square", "a_14*a_24"]])
         assert check_nonneg_witness(target, witness)
 
     def test_sum_of_squares_square(self):
         target = P("(a_14^2 + a_24^2)^2")
-        assert check_nonneg_witness(target, Square(P("a_14^2 + a_24^2")))
+        assert check_nonneg_witness(target, expand_witness(["square", "a_14^2 + a_24^2"]))
 
     def test_negative_values_unprovable(self):
         with pytest.raises(ExpansionMismatch) as err:
-            check_nonneg_witness(P("x^2 - 1"), Square(P("x")))
+            check_nonneg_witness(P("x^2 - 1"), expand_witness(["square", "x"]))
         assert err.value.difference == P("1")
 
     def test_positive_const_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            PositiveConst(0)
+        for value in ("0", "-1", "-2/3"):
+            with pytest.raises(ValueError):
+                expand_witness(["const", value])
 
     def test_verified_witness_nonnegative_on_samples(self):
         # a verified witness evaluates >= 0 everywhere; 10^4 exact samples
-        witness = Product(
-            [
-                PositiveConst(4),
-                Sum([Square(P("a_14")), Square(P("a_15"))]),
-                Sum([Square(P("a_24")), Square(P("a_25"))]),
-            ]
-        )
-        target = witness.expand()
+        target = expand_witness([
+            "product",
+            ["const", "4"],
+            ["sum", ["square", "a_14"], ["square", "a_15"]],
+            ["sum", ["square", "a_24"], ["square", "a_25"]],
+        ])
         rng = random.Random(3)
         names = sorted(target.variables())
         for _ in range(10_000):
@@ -439,9 +452,25 @@ class TestNonNegWitness:
             assert target.evaluate(point) >= 0
 
     def test_json_round_trip(self):
-        witness = Product([PositiveConst(16), Square(P("fam_p*alpha_14*alpha_16"))])
-        rebuilt = NonNegWitness.from_json(witness_to_json(witness))
-        assert rebuilt.expand() == witness.expand()
+        # the tree of a catalog witness, read from its JSON text
+        tree = json.loads('["product", ["const", "16"], ["square", "fam_p*alpha_14*alpha_16"]]')
+        assert expand_witness(tree) == P("16*fam_p^2*alpha_14^2*alpha_16^2")
+
+    @settings(max_examples=150, deadline=None)
+    @given(witness_trees())
+    def test_expansion_matches_the_schoolbook_oracle(self, tree):
+        assert expand_witness(tree) == oracle_expand_witness(tree)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [["const", "0"], ["const", "-1"], ["cube", "x"], ["square"], ["square", "x", "junk"],
+         ["const"], [], "square", ["sum", ["const", "1"], ["product", ["const", "0"]]]],
+        ids=["const-0", "const-negative", "unknown-kind", "square-no-argument",
+             "square-extra-argument", "const-no-argument", "empty", "not-a-list", "nested-const-0"],
+    )
+    def test_malformed_tree_is_a_value_error(self, tree):
+        with pytest.raises(ValueError):
+            expand_witness(tree)
 
 
 def cramer_solutions(solved) -> list:
