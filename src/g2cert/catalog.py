@@ -35,8 +35,12 @@ ships, and so runs the mathematical checks (Jacobi, unimodularity, the
 nilradical, distinct branch names, Leibniz of every derivation and gauge
 family with its branch values).  Jacobi, Leibniz, unimodularity and the
 nilradical's ideal and derived-algebra conditions are read off the
-differential d; only nilpotency builds a series.  The entry keeps what it
-parsed and built, and the pipeline and recheck read it again for free.
+differential d; only nilpotency builds a series, over Q, so a nilradical
+whose brackets involve a family parameter is refused.  Plan steps are
+checked against one table (PLAN_STEPS), and `su_expected` and a branch's
+`subs` and `atoms` are read by another (FIELDS); either way an error names
+the field and what it expects.  The entry keeps what it parsed and built,
+and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
 load catalogs this way.  The single-entry commands (`lambda`,
@@ -196,6 +200,10 @@ def _ints(top: int, size: int = 0) -> tuple:
 _LIST = (lambda v, e: isinstance(v, list), "a list")
 _TRIPLES = (lambda v, e: isinstance(v, list) and all(_ints(6, 3)[0](t, e) for t in v),
             "a list of lists of 3 ints in 1..6")
+# the t2_zero slice reads the family parameters a and b by name
+_SLICE = (lambda v, e: v is None or v == "t2_zero"
+          and {"a", "b"} <= {p.name for p in e.family_params},
+          'null, or "t2_zero" in an entry with family parameters a and b')
 _NO_BRANCH = (lambda v, e: isinstance(v, list) and all(s.get("kind") != "branch" for s in v),
               "a list of steps other than branches")
 
@@ -213,11 +221,61 @@ PLAN_STEPS = {
                                 "a map from indices 1..6 to expressions")}),
     "prose_sample": (6, {"trials?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
                          "seed?": (lambda v, e: type(v) is int, "an int"),
-                         "slice?": (lambda v, e: v in (None, "t2_zero"), 'null or "t2_zero"')}),
+                         "slice?": _SLICE}),
     "trace_obstruction": (6, {}),
     "branch": (6, {"steps?": _NO_BRANCH}),
     "stub": (0, {}),
 }
+
+
+def _typed(kind, node):
+    if not isinstance(node, kind):
+        raise TypeError(f"not a {kind.__name__}: {node!r}")
+    return node
+
+
+def _rational(node) -> Fraction:
+    """A rational as a string or an int; not a float, which JSON rounds."""
+    return Fraction(node if type(node) is int else _typed(str, node))
+
+
+def _expression(node) -> Polynomial:
+    return parse_polynomial(_typed(str, node))
+
+
+def _su_expected(node) -> tuple:
+    """The derivation substitutions {name: polynomial}, the family
+    conditions as polynomials and the constant obstructions, sorted."""
+    unknown = set(_typed(dict, node)) - {"subs", "family", "constants"}
+    if unknown:
+        raise KeyError(f"unknown keys {sorted(unknown)}")
+    return (
+        {k: _expression(v) for k, v in _typed(dict, node.get("subs", {})).items()},
+        [_expression(e) for e in _typed(list, node.get("family", []))],
+        sorted(map(_rational, _typed(list, node.get("constants", [])))),
+    )
+
+
+# The fields outside plan steps that a parser of their own reads, with what
+# each expects: `su_expected` of the entry, and a branch's `subs` and `atoms`.
+FIELDS = {
+    "subs": (lambda v: {k: _rational(x) for k, x in _typed(dict, v).items()},
+             "a map from family variables to rationals"),
+    "atoms": (lambda v: [Atom.from_json(a) for a in _typed(list, v)],
+              f"a list of [op, expression], op one of {', '.join(ATOM_OPS)}"),
+    "su_expected": (_su_expected, "a map with optional subs (names to expressions), "
+                    "family (a list of expressions) and constants (a list of rationals)"),
+}
+
+
+def _parse_field(name: str, node, owner: str = ""):
+    """The field `name` of FIELDS read by its parser; G2CertError naming the
+    field, its owner and what it expects when the parser rejects it."""
+    parse, expected = FIELDS[name]
+    try:
+        return parse(node)
+    except MALFORMED as exc:
+        raise G2CertError(f"{owner}{name} needs {expected}, got {node!r} ({exc})") from None
 
 
 @dataclass
@@ -281,7 +339,9 @@ class AlgebraEntry:
     def branch_subs(self, branch_name: Optional[str]) -> dict:
         """The family-parameter values of the branch, as Fractions."""
         subs = self.branch(branch_name).get("subs", {})
-        return self._once(("subs", branch_name), lambda: {k: Fraction(v) for k, v in subs.items()})
+        return self._once(
+            ("subs", branch_name), lambda: _parse_field("subs", subs, f"branch {branch_name!r} ")
+        )
 
     def build_algebra(self, branch_name: Optional[str] = None) -> LieAlgebra:
         """The validated algebra of the entry, or of the branch with its
@@ -329,7 +389,9 @@ class AlgebraEntry:
     def branch_atoms(self, branch_name: Optional[str]) -> list:
         """The atoms of the branch (none for the entry as shipped), parsed."""
         atoms = self.branch(branch_name).get("atoms", [])
-        return self._once(("atoms", branch_name), lambda: [Atom.from_json(a) for a in atoms])
+        return self._once(
+            ("atoms", branch_name), lambda: _parse_field("atoms", atoms, f"branch {branch_name!r} ")
+        )
 
     def witness(self, node) -> Polynomial:
         """The expansion of a witness tree, kept per tree: a stored tree equal
@@ -352,11 +414,9 @@ class AlgebraEntry:
         substitutions {name: polynomial}, the family conditions as
         polynomials and the constant obstructions as sorted Fractions."""
         node = self.su_expected
-        return None if node is None else self._once(("su_expected",), lambda: (
-            {k: parse_polynomial(v) for k, v in node.get("subs", {}).items()},
-            [parse_polynomial(e) for e in node.get("family", [])],
-            sorted(map(Fraction, node.get("constants", []))),
-        ))
+        return None if node is None else self._once(
+            ("su_expected",), lambda: _parse_field("su_expected", node)
+        )
 
     def validate_entry(self) -> None:
         """Full validation: parse every field the pipeline reads and build,

@@ -71,7 +71,6 @@ from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
 from .lie import LieAlgebra, ce_differential
 from .poly import (
     Polynomial,
-    RationalFunction,
     SolvedLinearSystem,
     check_nonneg_witness,
     solve_linear,
@@ -741,7 +740,7 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
         ratio = _constant_family_ratio(det, expect_det)
         if ratio is None:
             raise IdentityMismatch(det)
-        data["det_multiple"] = str(ratio)
+        data["det_multiple"] = ratio
     return context.certificate(
         CertKind.GAUGE_NULL, data, ["branch condition != 0 (stored determinant)"]
     )
@@ -749,7 +748,8 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
 
 def _constant_family_ratio(det: Polynomial, target: Polynomial):
     """det = r(fam) * target for a nonzero rational function r of the family
-    parameters only; returns r as a RationalFunction, else None."""
+    parameters only; returns r rendered as "(num) / (den)", or as num alone
+    when den is 1, with den scaled by its normal_scale; else None."""
     names = {v for v in det.variables() | target.variables() if not v.startswith("fam_")}
     pd, pt = det.collect(names), target.collect(names)
     if set(pd) != set(pt):
@@ -758,7 +758,9 @@ def _constant_family_ratio(det: Polynomial, target: Polynomial):
     cd, ct = pd[key], pt[key]
     if det * ct != target * cd:
         return None
-    return RationalFunction(cd, ct)
+    scale = 1 / ct.normal_scale()
+    num, den = cd * scale, ct * scale
+    return str(num) if den == 1 else f"({num}) / ({den})"
 
 
 # -- randomized falsification ----------------------------------------------

@@ -17,7 +17,10 @@ lie.ce_differential too.  The strong-unimodularity trace conditions are
 differences of the traces of D and of each ad_{e_j} on consecutive terms
 of the descending central series of the nilradical, each read by
 lie.Subspace.trace from the operator's matrix (column j the image of e_j):
-D's own, and ad_{e_j}'s read off d by lie.adjoint.
+D's own, and ad_{e_j}'s read off d by lie.adjoint.  The series terms are
+subspaces over Q, so each trace is a polynomial in the parameters of the
+operator, and every solve here (Der(s) and the linear trace conditions) is
+over Q.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ def strongly_unimodular_constraints(
         for (name, _), per_term in zip(operators, term_traces):
             tr = per_term[level] - per_term[level + 1]
             if not tr.is_zero():
-                traces.append((name, level, tr.num))
+                traces.append((name, level, tr))
     deriv_rows = []
     family_eqs = []
     constants = []

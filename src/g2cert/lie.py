@@ -13,17 +13,26 @@ conditions are conditions on the terms of the de^k (verify_nilradical).
 Brackets enter only as ad: adjoint reads every ad_{e_i} off the
 contractions of the de^k, for the central series of a nilradical (its
 nilpotency) and the strong-unimodularity traces of the derivations module,
-which reads the Leibniz identity off d too.
+which reads the Leibniz identity off d too.  The series terms are
+subspaces over Q: a bracket coordinate of the nilradical that involves a
+family parameter raises NonNumericEntries.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import DimensionMismatch, JacobiFailure, NilradicalNotInvariant, NotAnIdeal
+from .errors import (
+    DimensionMismatch,
+    JacobiFailure,
+    NilradicalNotInvariant,
+    NonNumericEntries,
+    NotAnIdeal,
+)
 from .forms import KForm, antiderivation, contractions, mask_of
-from .poly import P_ONE, P_ZERO, Polynomial, RationalFunction
+from .poly import P_ONE, P_ZERO, Polynomial
 
 
 class LieAlgebra:
@@ -110,21 +119,20 @@ def unimodular_check(algebra: LieAlgebra) -> bool:
 
 
 class Subspace:
-    """Span of generators (tuples of Polynomial coordinates), reduced over
-    the rational-function field."""
+    """Span over Q of generators, tuples of rational coordinates.  A
+    coordinate may be given as a Polynomial, which must be constant: a
+    nonconstant one raises NonNumericEntries."""
 
     __slots__ = ("parent", "generators", "_rref", "_pivots")
 
-    def __init__(self, parent: LieAlgebra, generators: Sequence[Sequence[Polynomial]]):
+    def __init__(self, parent: LieAlgebra, generators: Sequence[Sequence]):
         self.parent = parent
-        self.generators = tuple(map(tuple, generators))
-        rows = [[RationalFunction.from_polynomial(c) for c in g] for g in self.generators]
-        self._rref, self._pivots = linalg.rref(rows, parent.dim)
+        self.generators = tuple(tuple(map(_rational, g)) for g in generators)
+        self._rref, self._pivots = linalg.rref(list(map(list, self.generators)), parent.dim)
 
     @staticmethod
     def from_indices(parent: LieAlgebra, indices: Sequence[int]) -> "Subspace":
-        basis = [[P_ONE if j == i else P_ZERO for j in range(1, parent.dim + 1)] for i in indices]
-        return Subspace(parent, basis)
+        return Subspace(parent, [[int(j == i) for j in range(1, parent.dim + 1)] for i in indices])
 
     @property
     def dim(self) -> int:
@@ -133,9 +141,10 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def trace(self, operator: Sequence[Sequence[Polynomial]]) -> RationalFunction:
-        """Trace of the restriction to this subspace of the linear map with
-        matrix `operator` (column j the image of e_j, polynomial entries).
+    def trace(self, operator: Sequence[Sequence[Polynomial]]) -> Polynomial:
+        """Trace, a polynomial, of the restriction to this subspace of the
+        linear map with matrix `operator` (column j the image of e_j,
+        polynomial entries).
 
         Each reduced row R has 1 at its pivot and 0 at the other pivots, so
         the coordinate of M R along R is the entry of M R at R's pivot (the
@@ -143,12 +152,12 @@ class Subspace:
         Raises NilradicalNotInvariant when some M R leaves the subspace.
         """
         columns = list(zip(*operator))
-        trace = RationalFunction.zero()
+        trace = P_ZERO
         for row, pivot in zip(self._rref, self._pivots):
-            image = [RationalFunction.zero()] * self.parent.dim
+            image = [P_ZERO] * self.parent.dim
             for entry, column in zip(row, columns):
                 if entry:
-                    image = [acc + entry * c if c else acc for acc, c in zip(image, column)]
+                    image = [acc + c * entry if c else acc for acc, c in zip(image, column)]
             if not linalg.in_span(self._rref, self._pivots, image):
                 raise NilradicalNotInvariant("the map does not preserve a central-series term")
             trace = trace + image[pivot]
@@ -156,6 +165,17 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim})"
+
+
+def _rational(coordinate) -> Fraction:
+    """A subspace coordinate as a Fraction; a Polynomial must be constant."""
+    if not isinstance(coordinate, Polynomial):
+        return Fraction(coordinate)
+    if not coordinate.is_constant():
+        raise NonNumericEntries(
+            f"subspace coordinate {coordinate} depends on a family parameter; fix its value"
+        )
+    return coordinate.constant_value()
 
 
 def descending_central_series(algebra: LieAlgebra, indices: Sequence[int]) -> list:

@@ -1,8 +1,9 @@
-"""Exact linear algebra over Q or over the rational-function field.
+"""Exact linear algebra over Q.
 
-Entries only need +, -, *, / and truthiness (nonzero test), which both
-fractions.Fraction and poly.RationalFunction provide, so one elimination
-routine serves numeric and symbolic computations.  Pivoting is positional
+Subspaces (lie.Subspace), Der(s) (derivations.solve_derivations) and the
+strong-unimodularity solve are all reduced over fractions.Fraction; the
+symbolic gauge solve is poly.solve_linear's Cramer rule.  rref needs only
++, -, * and / of its entries and a nonzero test.  Pivoting is positional
 (first nonzero), which keeps results deterministic.
 
 A basis that rref has reduced has 1 at each row's pivot column and 0 at
@@ -10,7 +11,9 @@ every other pivot column.  So the only candidate coordinates of a vector in
 that basis are its entries at the pivot columns: membership (in_span)
 subtracts that one combination and tests the remainder for zero, with no
 second elimination, and lie.Subspace.trace reads the diagonal coordinates
-of an operator matrix restricted to the span at the same pivots.
+of an operator matrix restricted to the span at the same pivots.  The
+vector may have polynomial entries: it then lies in the span for every
+value of its parameters exactly when the remainder is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def in_span(rows: Sequence[Sequence], pivots: Sequence[int], vector: Sequence) -
     c zeroes the pivot columns and leaves vector minus its only candidate
     combination of the rows.  The vector is in the span exactly when that
     remainder is zero.  Every step is exact ring arithmetic, so the test is
-    exact over Fraction and over RationalFunction alike.
+    exact for Fraction vectors and, against Fraction rows, for Polynomial
+    ones.
     """
     remainder = list(vector)
     for row, c in zip(rows, pivots):

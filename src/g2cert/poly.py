@@ -1,4 +1,10 @@
-"""Exact sparse multivariate polynomials and rational functions over Q.
+"""Exact sparse multivariate polynomials over Q, and the symbolic gauge solve.
+
+There is no rational-function type: subspaces and the linear solves of
+linalg are over Q, and the one solve with polynomial entries
+(`solve_linear`, Cramer's rule by `poly_matrix_det`) returns polynomial
+numerators over one determinant, which `substitute_cramer` substitutes
+without forming a quotient.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable name,
 every exponent positive; the empty tuple is the constant monomial.  A
@@ -285,8 +291,8 @@ class Polynomial:
 
         Dividing by it gives the normal form of a nonzero polynomial up to a
         rational factor: content 1 and a positive leading coefficient.  A
-        rational function's denominator and a trace equation = 0 are both
-        stored in this form."""
+        trace equation = 0 is stored in this form, and so is the
+        denominator of a gauge certificate's rendered det_multiple."""
         _, lead = self.leading()
         scale = self.content()
         return -scale if lead < 0 else scale
@@ -455,119 +461,6 @@ class Polynomial:
 
 P_ZERO = Polynomial.zero()
 P_ONE = Polynomial.const(1)
-
-
-class RationalFunction:
-    """Quotient of two polynomials, reduced by rational content only.
-
-    The denominator is normalized to have content 1 and a positive leading
-    coefficient; no polynomial gcd is computed.  Equality is decided by
-    cross-multiplication, which is exact.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = P_ONE
-        else:
-            scale = den.normal_scale()
-            if scale != 1:
-                inv = 1 / scale
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def zero() -> "RationalFunction":
-        return RationalFunction(P_ZERO, P_ONE)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p, P_ONE)
-
-    @staticmethod
-    def from_scalar(value: Scalar) -> "RationalFunction":
-        return RationalFunction(Polynomial.const(value), P_ONE)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_polynomial(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return RationalFunction(self.den, self.num) ** (-exponent)
-        return RationalFunction(self.num**exponent, self.den**exponent)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __bool__(self):
-        return not self.num.is_zero()
-
-    def __str__(self):
-        if self.den == P_ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RationalFunction({self})"
 
 
 # -- nonnegativity witnesses -------------------------------------------

@@ -6,7 +6,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 from g2cert.catalog import parse_structure_equations
+from g2cert.certify import standard_su3_pair
 from g2cert.exprs import parse_polynomial
+from g2cert.forms import KForm
 from g2cert.poly import Polynomial
 
 
@@ -24,8 +26,6 @@ def fam(text):
 
 @pytest.fixture(scope="session")
 def std_phi0():
-    from g2cert.forms import KForm
-
     return (
         KForm.basis(7, (1, 2, 3))
         + KForm.basis(7, (1, 4, 5))
@@ -39,8 +39,6 @@ def std_phi0():
 
 @pytest.fixture(scope="session")
 def std_su3_pair():
-    from g2cert.certify import standard_su3_pair
-
     return standard_su3_pair()
 
 

@@ -15,6 +15,11 @@ substitution to check substitute_cramer against, readers for subspace equality a
 polynomial quotients, and quotient traces by per-generator elimination to
 check Subspace.trace against.
 
+The package does its linear algebra over Q only.  RationalFunction, the
+field Q(params), lives here: the references that eliminate in full
+(rank_in_span, quotient_trace, solve_unique) and substitute_rational work
+over it, so they take symbolic rows that lie.Subspace rejects.
+
 The package reads every bracket off d (lie.adjoint).  The reference here is
 the bracket loop: [x, y] = sum_{i,j} x_i y_j [e_i, e_j] over the structure
 constants e^k([e_i, e_j]) = -de^k(e_i, e_j), with vectors as plain tuples
@@ -43,7 +48,122 @@ from g2cert.hitchin import Bilinear
 from g2cert.lie import LieAlgebra, Subspace, validate
 from g2cert.linalg import det_fraction, rref
 from g2cert.exprs import parse_polynomial
-from g2cert.poly import Polynomial, RationalFunction
+from g2cert.poly import P_ONE, P_ZERO, Polynomial
+
+
+class RationalFunction:
+    """Quotient of two polynomials, reduced by rational content only: the
+    field Q(params) that the reference eliminations here work over.
+
+    The denominator is normalized to have content 1 and a positive leading
+    coefficient; no polynomial gcd is computed.  Equality is decided by
+    cross-multiplication, which is exact.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Polynomial, den: Polynomial):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num.is_zero():
+            den = P_ONE
+        else:
+            scale = den.normal_scale()
+            if scale != 1:
+                inv = 1 / scale
+                num = num * inv
+                den = den * inv
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def zero() -> "RationalFunction":
+        return RationalFunction(P_ZERO, P_ONE)
+
+    @staticmethod
+    def from_polynomial(p: Polynomial) -> "RationalFunction":
+        return RationalFunction(p, P_ONE)
+
+    @staticmethod
+    def from_scalar(value) -> "RationalFunction":
+        return RationalFunction(Polynomial.const(value), P_ONE)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, RationalFunction):
+            return other
+        if isinstance(other, Polynomial):
+            return RationalFunction.from_polynomial(other)
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction.from_scalar(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RationalFunction(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunction(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return RationalFunction(self.den, self.num) ** (-exponent)
+        return RationalFunction(self.num**exponent, self.den**exponent)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    def __bool__(self):
+        return not self.num.is_zero()
+
+    def __str__(self):
+        if self.den == P_ONE:
+            return str(self.num)
+        return f"({self.num}) / ({self.den})"
+
+    def __repr__(self):
+        return f"RationalFunction({self})"
+
 
 _PARITY_CACHE = {}
 
@@ -410,24 +530,35 @@ def oracle_adjoint(algebra: LieAlgebra) -> list:
     ]
 
 
-def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
-    """Every generator of inner lies in outer, each tested by rank."""
+def spans(outer: Subspace, vectors) -> bool:
+    """Every vector lies in outer, each tested by rank over Q(params)."""
     rows = [rf_row(g) for g in outer.generators]
-    return all(rank_in_span(rows, rf_row(g)) for g in inner.generators)
+    return all(rank_in_span(rows, rf_row(v)) for v in vectors)
+
+
+def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
+    """Every generator of inner lies in outer."""
+    return spans(outer, inner.generators)
 
 
 def subspace_equals(a: Subspace, b: Subspace) -> bool:
     return a.dim == b.dim and subspace_contains(a, b)
 
 
-def derived_algebra(algebra: LieAlgebra) -> Subspace:
-    """[g, g], spanned by all basis brackets."""
+def basis_brackets(algebra: LieAlgebra) -> list:
+    """The nonzero [e_i, e_j], i < j, which span [g, g]; their coordinates
+    may hold family parameters."""
     gens = [
         basis_bracket(algebra, i, j)
         for i in range(1, algebra.dim + 1)
         for j in range(i + 1, algebra.dim + 1)
     ]
-    return Subspace(algebra, [g for g in gens if any(g)])
+    return [g for g in gens if any(g)]
+
+
+def derived_algebra(algebra: LieAlgebra) -> Subspace:
+    """[g, g] as a Subspace, for an algebra whose brackets are numeric."""
+    return Subspace(algebra, basis_brackets(algebra))
 
 
 def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
@@ -467,7 +598,7 @@ def nilradical_rejection(algebra: LieAlgebra, indices):
         return "not an ideal"
     if not oracle_series(algebra, indices)[-1].is_zero():
         return "not nilpotent"
-    if not subspace_contains(n, derived_algebra(algebra)):
+    if not spans(n, basis_brackets(algebra)):
         return "derived algebra"
     return None
 
@@ -604,5 +735,10 @@ def quotient_trace(algebra: LieAlgebra, operator, inner: Subspace, outer: Subspa
 
 
 def rf_row(v) -> list:
-    """The coordinates of v as RationalFunctions, a row for rref."""
-    return [RationalFunction.from_polynomial(c) for c in v]
+    """The coordinates of v (Polynomials or rationals) as RationalFunctions,
+    a row for rref."""
+    return [
+        RationalFunction.from_polynomial(c) if isinstance(c, Polynomial)
+        else RationalFunction.from_scalar(c)
+        for c in v
+    ]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import P, algebra_of
-from oracles import oracle_substitute_cramer
+from oracles import SU3Verdict, oracle_substitute_cramer, su3_check
 from g2cert.catalog import (
     BUILTIN_DATASETS,
     AlgebraEntry,
@@ -53,6 +53,7 @@ from g2cert.errors import (
     SingularSymbolicSystem,
     WitnessMismatch,
 )
+from g2cert.forms import contractions, pullback, top_coefficient, wedge
 from g2cert.hitchin import b_phi
 from g2cert.poly import Polynomial, substitute_cramer
 from g2cert import catalog, certify, derivations, hitchin, lie, numeric
@@ -93,8 +94,6 @@ class TestGenericExactG2:
         # rational points (Schwartz-Zippel style consistency)
         rng = random.Random(41)
         names = sorted(phi.variables() | {"fam_mu"})
-        from g2cert.forms import contractions, top_coefficient, wedge
-
         for _ in range(50):
             point = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in names}
             phi_num = phi.substitute(point)
@@ -324,9 +323,6 @@ class TestSampling:
 
     def test_fast_path_matches_exact_su3_check(self):
         # cross-validate the integer fast path against the contraction oracle
-        from g2cert.forms import pullback
-        from oracles import SU3Verdict, su3_check
-
         rng = random.Random(8)
         omega0, psi0 = standard_su3_pair()
         agree = 0

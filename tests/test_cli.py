@@ -425,27 +425,67 @@ G6101 = ("indecomposable", "g_{6,101}")
 
 
 @pytest.mark.parametrize(
-    "dataset, prefix, change",
+    "dataset, prefix, change, match",
     [
-        (*G6101, lambda node: _branches(node)[0].update(atoms=[["lt", "fam_b"]])),
-        (*G6101, _gauge_step(0, expect_k="3")),
-        (*G6101, _gauge_step(0, expect_k={"0": "0"})),
-        (*G6101, _gauge_step(1, expect_det_multiple_of="fam_a +")),
-        ("table1", "g_{5,30}", lambda node: node.update(su_expected={"subs": "a_1"})),
+        (*G6101, lambda node: _branches(node)[0].update(atoms=[["lt", "fam_b"]]),
+         "branch 'a = -1' atoms needs a list of"),
+        (*G6101, _gauge_step(0, expect_k="3"), None),
+        (*G6101, _gauge_step(0, expect_k={"0": "0"}), None),
+        (*G6101, _gauge_step(1, expect_det_multiple_of="fam_a +"), None),
+        ("table1", "g_{5,30}", lambda node: node.update(su_expected={"subs": "a_1"}),
+         "su_expected needs a map"),
         ("indecomposable", "g_{6,70}",
-         lambda node: node.update(su_expected={"subs": {"a_1": "0 +"}, "family": ["fam_p"]})),
-        ("table1", "g_{5,33}", _prose_sample(slice="t2_zero")),
+         lambda node: node.update(su_expected={"subs": {"a_1": "0 +"}, "family": ["fam_p"]}),
+         None),
+        ("table1", "g_{5,33}", _prose_sample(slice="t2_zero"), None),
+        ("indecomposable", "g_{6,70}",
+         lambda node: node["su_expected"].update(families=node["su_expected"].pop("family")),
+         r"su_expected needs .*unknown keys \['families'\]"),
+        (*G6101, lambda node: _branches(node)[0].update(subs=["fam_a", "-1"]),
+         "branch 'a = -1' subs needs a map from family variables to rationals"),
+        (*G6101, lambda node: _branches(node)[0].update(atoms="fam_b"),
+         "branch 'a = -1' atoms needs a list of"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
-         "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step"],
+         "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
+         "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list"],
 )
-def test_validate_parses_every_field_the_pipeline_reads(dataset, prefix, change, tmp_path, capsys):
+def test_validate_parses_every_field_the_pipeline_reads(
+    dataset, prefix, change, match, tmp_path, capsys
+):
     # before validation parsed these fields, `validate` accepted each of
     # these entries; run-all then raised ValueError (the atom op "lt") or
     # AttributeError (expect_k and su_expected subs that are not maps),
     # compared K(e_i) at index 0 with its last entry, or exited 2 on the
-    # syntax errors and the t2_zero slice with no gauge step
-    assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys)
+    # syntax errors and the t2_zero slice with no gauge step.  su_expected
+    # and a branch's subs and atoms are read by catalog.FIELDS, whose errors
+    # name the field; an unknown su_expected key was once ignored, so a
+    # misspelt "family" compared nothing
+    assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
+
+
+def test_t2_zero_slice_needs_family_parameters_a_and_b(tmp_path, capsys):
+    # the slice reads fam_a and fam_b by name: on an entry without them,
+    # validate passed and run-all ended in KeyError: 'fam_a'
+    step = {"kind": "prose_sample", "slice": "t2_zero", "trials": 5}
+    assert_validate_rejects_entry(
+        "table1", "g_{3,4}^{-1}+g_{3,4}^{-1}", lambda node: node["plan"].append(step),
+        tmp_path, capsys, match="slice: null, or \"t2_zero\" in an entry with family parameters a",
+    )
+    assert main(["run-all", str(tmp_path / "catalog.json"), "--out", str(tmp_path / "r.json")]) == 2
+    assert "t2_zero" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_nilradical_bracket_with_a_family_parameter(tmp_path, capsys):
+    # [e2, e3] = p e1: span(p e1) has dimension 1 for p != 0 and 0 at p = 0,
+    # and the central series is reduced over Q, so the entry is refused
+    node = {"name": "heisenberg_p", "dim": 3, "structure": "(-p*e23, 0, 0)",
+            "family_params": [{"name": "p"}], "nilradical": [1, 2, 3]}
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"schema": cat.SCHEMA, "entries": [node]}))
+    assert main(["validate", str(catalog)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: catalog entry 'heisenberg_p'") and "fam_p" in err
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from g2cert.errors import KSquareNotScalar, NonNumericEntries
 from g2cert.forms import KForm, generic_two_form, pullback, wedge
 from g2cert.hitchin import _k_products, _prove_k_square, b_phi, h_form, h_matrix, k_psi
 from g2cert.lie import ce_differential
+from g2cert.linalg import det_fraction
 from g2cert.numeric import eval_form_int, su3_passes_int
 from g2cert.poly import Polynomial
 from oracles import (
@@ -233,8 +234,6 @@ class TestKPsi:
             psi = random_three_form(rng, 6)
             entries = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
             matrix = [[Polynomial.const(x) for x in row] for row in entries]
-            from g2cert.linalg import det_fraction
-
             d = det_fraction(entries)
             assert k_psi(pullback(matrix, psi)).lam == d * d * k_psi(psi).lam
 
@@ -271,8 +270,6 @@ class TestHForm:
         omega0, psi0 = std_su3_pair
         for _ in range(30):
             entries = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(6)]
-            from g2cert.linalg import det_fraction
-
             if det_fraction(entries) == 0:
                 continue
             matrix = [[Polynomial.const(x) for x in row] for row in entries]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import P, algebra_of
 from oracles import (
     apply_matrix,
+    as_polynomial,
     derived_algebra,
     is_ideal,
     nilradical_rejection,
@@ -33,6 +34,7 @@ from g2cert.errors import (
     JacobiFailure,
     LeibnizViolation,
     NilradicalNotInvariant,
+    NonNumericEntries,
     NotAnIdeal,
     ValidationFailure,
 )
@@ -47,7 +49,7 @@ from g2cert.lie import (
     validate,
     verify_nilradical,
 )
-from g2cert.poly import Polynomial, RationalFunction
+from g2cert.poly import Polynomial
 
 G34_R3 = "(-e13, e23, 0, 0, 0, 0)"
 Q4 = "(-e23, -2*e12, 2*e13, -e14 - e25 - e47, e15 - e34 - e57, 2*e67, 0)"
@@ -170,6 +172,15 @@ class TestSeriesAndIdeals:
         assert [s.dim for s in series] == [5, 2, 0]
         assert subspace_equals(series[1], Subspace.from_indices(L, [1, 2]))
 
+    def test_a_nilradical_bracket_with_a_family_parameter_is_not_numeric(self):
+        # [e2, e3] = p e1: the first series term is span(p e1), of dimension 1
+        # for p != 0 and 0 at p = 0
+        L = algebra_of("(-p*e23, 0, 0)")
+        with pytest.raises(NonNumericEntries, match="fam_p"):
+            descending_central_series(L, [1, 2, 3])
+        with pytest.raises(NonNumericEntries):
+            verify_nilradical(L, [1, 2, 3])
+
     def test_series_terms_are_ideals_and_decreasing(self):
         L = algebra_of(G530)
         series = descending_central_series(L, [1, 2, 3, 4, 6])
@@ -250,19 +261,23 @@ SMALL = st.integers(-2, 2)
 
 
 @st.composite
-def basis_and_vector(draw, symbolic):
+def basis_and_vector(draw, symbolic, rational_generators=False):
     """Up to four generators in dimension up to four, and a vector that is
     either random or a combination of the generators.  Entries are small
-    rationals, plus a multiple of fam_p when symbolic."""
+    rationals, plus a multiple of fam_p when symbolic, except that the
+    generators' entries stay rational with rational_generators."""
     dim = draw(st.integers(1, 4))
 
-    def entry():
+    def entry(symbolic=symbolic):
         value = Polynomial.const(Fraction(draw(SMALL), draw(st.integers(1, 3))))
         if symbolic:
             value = value + draw(SMALL) * Polynomial.var("fam_p")
         return value
 
-    gens = [tuple(entry() for _ in range(dim)) for _ in range(draw(st.integers(0, 4)))]
+    gens = [
+        tuple(entry(symbolic and not rational_generators) for _ in range(dim))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
     if gens and draw(st.booleans()):
         vector = (Polynomial.zero(),) * dim
         for g in gens:
@@ -293,13 +308,22 @@ class TestSubspaceMembership:
     def test_contains_matches_rank_with_family_parameter(self, case):
         self.check(*case)
 
+    @settings(max_examples=100, deadline=None)
+    @given(basis_and_vector(symbolic=True, rational_generators=True))
+    def test_polynomial_vector_against_fraction_rows_matches_rank(self, case):
+        # the path of Subspace.trace: rows over Q, an image with fam_p in it
+        dim, gens, vector = case
+        rows, pivots = linalg.rref([[c.constant_value() for c in g] for g in gens], dim)
+        expected = rank_in_span([rf_row(g) for g in gens], rf_row(vector))
+        assert linalg.in_span(rows, pivots, vector) == expected
+
 
 @st.composite
 def span_preserving_maps(draw):
-    """A subspace V from basis_and_vector(symbolic=True) and the matrix of
+    """A subspace V over Q from basis_and_vector and the matrix of
     M = c Id + sum_g g (x) lambda_g over the generators g, which maps V into
-    V; c and the lambda_g(e_j) are drawn like the entries."""
-    dim, gens, _ = draw(basis_and_vector(symbolic=True))
+    V; c and the lambda_g(e_j) are small rationals plus multiples of fam_p."""
+    dim, gens, _ = draw(basis_and_vector(symbolic=False))
 
     def entry():
         return Polynomial.const(Fraction(draw(SMALL), draw(st.integers(1, 3)))) + draw(
@@ -324,16 +348,14 @@ class TestSubspaceTrace:
         expected = quotient_trace(
             algebra, partial(apply_matrix, matrix), Subspace(algebra, []), Subspace(algebra, gens)
         )
-        assert Subspace(algebra, gens).trace(matrix) == expected
+        assert Subspace(algebra, gens).trace(matrix) == as_polynomial(expected)
 
-    def test_row_with_a_nonconstant_denominator(self):
-        # V = span(p e1 + e2) reduces to the row (1, 1/p); M = Id + g (x) e^1
-        # sends g to (1 + p) g
+    def test_a_nonconstant_coordinate_is_not_numeric(self):
+        # span(p e1 + e2) has the row (1, 1/p) over Q(p), which is wrong at
+        # p = 0; a subspace is over Q, so it is refused
         p = Polynomial.var("fam_p")
-        one, zero = Polynomial.const(1), Polynomial.zero()
-        matrix = [[one + p, zero], [one, one]]
-        sub = Subspace(_abelian(2), [(p, one)])
-        assert sub.trace(matrix) == RationalFunction.from_polynomial(one + p)
+        with pytest.raises(NonNumericEntries, match="fam_p"):
+            Subspace(_abelian(2), [(p, Polynomial.const(1))])
 
     def test_map_leaving_the_subspace_raises(self):
         one, zero = Polynomial.const(1), Polynomial.zero()

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: polynomials, rational functions, witnesses,
-symbolic linear systems."""
+"""Exact scalar arithmetic: polynomials, witnesses, symbolic linear
+systems, and the rational functions of the test oracles."""
 
 import json
 import random
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import P
 from oracles import (
+    RationalFunction,
     as_polynomial,
     oracle_expand_witness,
     oracle_mul,
@@ -19,9 +20,9 @@ from oracles import (
 )
 from g2cert.catalog import expand_witness
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
+from g2cert.linalg import det_fraction
 from g2cert.poly import (
     Polynomial,
-    RationalFunction,
     check_nonneg_witness,
     poly_matrix_det,
     solve_linear,
@@ -379,6 +380,7 @@ class TestSubstitution:
 
 
 class TestRationalFunction:
+    # the field Q(params) that the reference eliminations of the oracles use
     def test_normalization_sign_and_content(self):
         r = RationalFunction(P("2*x"), P("-4*y"))
         assert r.den == P("y") and r.num == P("-1/2*x")
@@ -550,8 +552,6 @@ def test_substitute_cramer_matches_rational_substitution_random(system):
 
 def test_poly_matrix_det_matches_fraction_det():
     rng = random.Random(5)
-    from g2cert.linalg import det_fraction
-
     for _ in range(25):
         n = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
