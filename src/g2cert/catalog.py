@@ -29,18 +29,19 @@ the tests.  This module is its one reader.  Loading a catalog is two
 steps: `parse_catalog_text` reads the document and builds each
 `AlgebraEntry` (JSON, schema and entry shape), and
 `AlgebraEntry.validate_entry` parses every field the pipeline reads (plan
-steps, branch values and atoms, gauge expectations, `su_expected`, and
-witness trees, expanded to polynomials) and builds every object the entry
-ships, and so runs the mathematical checks (Jacobi, unimodularity, the
-nilradical, distinct branch names, Leibniz of every derivation and gauge
-family with its branch values).  Jacobi, Leibniz, unimodularity and the
-nilradical's ideal and derived-algebra conditions are read off the
-differential d; only nilpotency builds a series, over Q, so a nilradical
-whose brackets involve a family parameter is refused.  Plan steps are
-checked against one table (PLAN_STEPS), and `su_expected` and a branch's
-`subs` and `atoms` are read by another (FIELDS); either way an error names
-the field and what it expects.  The entry keeps what it parsed and built,
-and the pipeline and recheck read it again for free.
+steps, branch values and atoms, the atoms of each family parameter, gauge
+expectations, `su_expected`, and witness trees, expanded to polynomials)
+and builds every object the entry ships, and so runs the mathematical
+checks (Jacobi, unimodularity, the nilradical, distinct branch names,
+Leibniz of every derivation and gauge family with its branch values).
+Jacobi, Leibniz, unimodularity and the nilradical's ideal and
+derived-algebra conditions are read off the differential d; only
+nilpotency builds a series, over Q, so a nilradical whose brackets
+involve a family parameter is refused.  Plan steps are checked against
+one table (PLAN_STEPS), and `su_expected`, a branch's `subs` and `atoms`
+and a family parameter's `atoms` are read by another (FIELDS); either
+way an error names the field and what it expects.  The entry keeps what
+it parsed and built, and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
 load catalogs this way.  The single-entry commands (`lambda`,
@@ -179,7 +180,7 @@ def expand_witness(node) -> Polynomial:
 @dataclass
 class FamilyParam:
     name: str  # bare name; the variable is fam_<name>
-    atoms: list = field(default_factory=list)
+    atoms: list = field(default_factory=list)  # raw JSON; parsed by AlgebraEntry.atoms
 
     @property
     def var(self) -> str:
@@ -187,7 +188,7 @@ class FamilyParam:
 
     @staticmethod
     def from_json(node) -> "FamilyParam":
-        return FamilyParam(node["name"], [Atom.from_json(a) for a in node.get("atoms", [])])
+        return FamilyParam(node["name"], node.get("atoms", []))
 
 
 def _ints(top: int, size: int = 0) -> tuple:
@@ -257,7 +258,8 @@ def _su_expected(node) -> tuple:
 
 
 # The fields outside plan steps that a parser of their own reads, with what
-# each expects: `su_expected` of the entry, and a branch's `subs` and `atoms`.
+# each expects: `su_expected` of the entry, a branch's `subs` and `atoms`,
+# and the `atoms` of a family parameter.
 FIELDS = {
     "subs": (lambda v: {k: _rational(x) for k, x in _typed(dict, v).items()},
              "a map from family variables to rationals"),
@@ -304,7 +306,11 @@ class AlgebraEntry:
 
     @property
     def atoms(self) -> list:
-        return [a for p in self.family_params for a in p.atoms]
+        """The atoms of every family parameter, parsed."""
+        return self._once(("atoms",), lambda: [
+            atom for p in self.family_params
+            for atom in _parse_field("atoms", p.atoms, f"family parameter {p.name!r} ")
+        ])
 
     def _once(self, key, build):
         """build() on the first call with `key`; the kept result after."""
@@ -425,6 +431,7 @@ class AlgebraEntry:
             return
         try:
             algebra = self.build_algebra()
+            self.atoms  # parses the atoms of every family parameter
             declared_fam = {p.var for p in self.family_params}
             used_fam = algebra.family_parameters()
             if not used_fam <= declared_fam:

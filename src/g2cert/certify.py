@@ -24,6 +24,9 @@ on the stored data, and compares the result with the stored certificate.
 A new certificate kind is one more entry of that table.  Recheck never
 repeats a discovery search: gauge certificates store the solved gauge,
 sampling certificates their seed.
+One rule, `derive_outcome`, reads an entry's outcome off its plan and
+certificates, in discovery and in recheck, which compares it with the
+stored outcome.
 Verifiers read the catalog values that entry validation parsed; the
 only text parsed here is what a report stores (the solved gauge, its
 determinant, the derivation substitutions).
@@ -129,23 +132,14 @@ class Certificate:
 
 
 class Outcome(str, enum.Enum):
+    # an entry's outcome is the last in this order of its branches' outcomes
     OBSTRUCTED = "obstructed"
     OBSTRUCTED_CITED = "obstructed-modulo-cited-prose"
-    CITED_PROSE_SAMPLED = "cited-prose-sampled"
     NO_SU_EXTENSION = "no-strongly-unimodular-extension"
+    CITED_PROSE_SAMPLED = "cited-prose-sampled"
     LATTICE_OUT_OF_SCOPE = "lattice-out-of-scope"
     DATA_NOT_SHIPPED = "data-not-shipped"
     INCONCLUSIVE = "inconclusive"
-
-
-TERMINAL_OK = {
-    Outcome.OBSTRUCTED,
-    Outcome.OBSTRUCTED_CITED,
-    Outcome.CITED_PROSE_SAMPLED,
-    Outcome.NO_SU_EXTENSION,
-    Outcome.LATTICE_OUT_OF_SCOPE,
-    Outcome.DATA_NOT_SHIPPED,
-}
 
 
 @dataclass
@@ -158,7 +152,9 @@ class EntryResult:
     samples: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
-        return self.outcome in TERMINAL_OK and all(c.verified for c in self.certificates)
+        return self.outcome is not Outcome.INCONCLUSIVE and all(
+            c.verified for c in self.certificates
+        )
 
     def to_json(self, include_timing: bool = True):
         node = {
@@ -482,17 +478,8 @@ def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random):
     variables = sorted(lam.variables())
     fam_vars = [v for v in variables if v.startswith("fam_")]
     for _ in range(LAMBDA_SAMPLE_BUDGET):
-        assignment = {}
-        ok = True
-        for v in fam_vars:
-            assignment[v] = _sample_fraction(rng)
-        for atom in atoms:
-            if not set(atom.poly.variables()) <= set(assignment):
-                continue
-            if not atom.holds(assignment):
-                ok = False
-                break
-        if not ok:
+        assignment = {v: _sample_fraction(rng) for v in fam_vars}
+        if not all(a.holds(assignment) for a in atoms if a.poly.variables() <= set(fam_vars)):
             continue
         for v in variables:
             if v not in assignment:
@@ -897,19 +884,20 @@ class PairSampler:
 REJECT_BUDGET_FACTOR = 200
 
 
-def sample_falsify(
-    entry_name: str, sampler: PairSampler, trials: int, seed: int, reason: str = ""
-) -> Certificate:
-    """Run su3_passes_int on `trials` exact candidates; record zero passes.
+def sample_falsify(context: StageContext, inputs) -> Certificate:
+    """Run su3_passes_int on inputs["trials"] exact candidates drawn on the
+    context and inputs["slice"] from inputs["seed"]; record zero passes.
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
     capped at REJECT_BUDGET_FACTOR * trials.  A negative count is an error,
-    so a certificate that stores one does not recheck.
+    so a certificate that stores one does not recheck.  Its one assumption
+    says that it is NON-PROVING.
     """
+    trials = inputs["trials"]
     if trials < 0:
-        raise G2CertError(f"{entry_name}: the number of trials must be nonnegative, got {trials}")
-    sampler.rng.seed(seed)
+        raise G2CertError(f"{context.name}: the number of trials must be nonnegative, got {trials}")
+    sampler = PairSampler(context, random.Random(inputs["seed"]), inputs["slice"])
     passes = 0
     done = 0
     attempts = 0
@@ -918,7 +906,7 @@ def sample_falsify(
         attempts += 1
         if attempts > budget:
             raise AtomUnsatisfiableAfterBudget(
-                f"{entry_name}: only {done}/{trials} candidates found in {budget} attempts"
+                f"{context.name}: only {done}/{trials} candidates found in {budget} attempts"
             )
         drawn = sampler.draw()
         if drawn is None:
@@ -929,30 +917,19 @@ def sample_falsify(
             passes += 1
     return Certificate(
         CertKind.SAMPLED_NO_SU3,
-        entry_name,
+        context.name,
         assumptions=["NON-PROVING: randomized falsification only"],
         data={
             "trials": trials,
-            "seed": seed,
+            "seed": inputs["seed"],
             "passes": passes,
             "attempts": attempts,
-            "slice": sampler.slice_name,
-            "reason": reason,
+            "slice": inputs["slice"],
+            "reason": inputs["reason"],
+            **context.certificate_data(),
         },
         verified=(passes == 0),
     )
-
-
-def _sampling_certificate(context: StageContext, inputs) -> Certificate:
-    """Replay sample_falsify on the context with the inputs' trials, seed,
-    slice and reason.  The certificate keeps its one NON-PROVING assumption
-    in place of the context's, and stores the context fields."""
-    sampler = PairSampler(context, random.Random(inputs["seed"]), inputs["slice"])
-    cert = sample_falsify(
-        context.name, sampler, inputs["trials"], inputs["seed"], reason=inputs["reason"]
-    )
-    cert.data.update(context.certificate_data())
-    return cert
 
 
 # -- the per-entry pipeline --------------------------------------------------
@@ -976,66 +953,43 @@ class PipelineOptions:
 
 
 def run_pipeline(entry: AlgebraEntry, options: Optional[PipelineOptions] = None) -> EntryResult:
+    """The certificates and notes of the entry's plan, and their outcome."""
     options = options or PipelineOptions()
     start = time.monotonic()
-    result = _run_pipeline_inner(entry, options)
-    result.seconds = time.monotonic() - start
-    return result
-
-
-def _run_pipeline_inner(entry: AlgebraEntry, options: PipelineOptions) -> EntryResult:
     result = EntryResult(entry.name, Outcome.INCONCLUSIVE)
-    if entry.stub:
-        result.outcome = Outcome.DATA_NOT_SHIPPED
-        result.notes.append(entry.notes or "structure equations not shipped")
-        return result
-
     context = StageContext(entry)
-
-    if entry.dim == 7:
+    if entry.stub:
+        result.notes.append(entry.notes or "structure equations not shipped")
+    elif entry.dim == 7:
         for step in entry.plan:
             if step["kind"] == "zero_diagonal":
                 inputs = {"indices": step["indices"]}
                 result.certificates.append(certify_zero_diagonal(context, inputs))
-                result.outcome = Outcome.OBSTRUCTED
             elif step["kind"] == "lattice_out_of_scope":
-                result.outcome = Outcome.LATTICE_OUT_OF_SCOPE
                 result.notes.append(
                     "lattice obstruction - out of scope, see the cited source argument"
                 )
-        return result
-
-    # dimension 6: lambda stage on the entry as shipped
-    rng = random.Random(options.seed_override if options.seed_override is not None else 7)
-    witness = None if needs_su_first(entry) else entry.witnesses.get("lambda")
-    cert, negative_sample = certify_lambda_sign(context, witness, rng)
-    if cert is not None:
-        result.certificates.append(cert)
-        result.outcome = Outcome.OBSTRUCTED
-        return result
-    result.samples["lambda_negative_sample"] = negative_sample
-
-    contexts = [StageContext(entry, name) for name in entry.branch_names()] or [context]
-    result.outcome = _combine_outcomes([_run_su3_stage(c, options, result) for c in contexts])
+    else:
+        # dimension 6: the lambda stage on the entry as shipped, then the
+        # SU(3) stage on each branch, or on the entry when it has none
+        rng = random.Random(options.seed_override if options.seed_override is not None else 7)
+        witness = None if needs_su_first(entry) else entry.witnesses.get("lambda")
+        cert, negative_sample = certify_lambda_sign(context, witness, rng)
+        if cert is not None:
+            result.certificates.append(cert)
+        else:
+            result.samples["lambda_negative_sample"] = negative_sample
+            for base in [StageContext(entry, name) for name in entry.branch_names()] or [context]:
+                _run_su3_stage(base, options, result)
+    result.outcome = derive_outcome(entry, result.certificates)
+    result.seconds = time.monotonic() - start
     return result
-
-
-def _combine_outcomes(outcomes) -> Outcome:
-    """The weakest of the outcomes of an entry's branches."""
-    order = [
-        Outcome.INCONCLUSIVE,
-        Outcome.CITED_PROSE_SAMPLED,
-        Outcome.NO_SU_EXTENSION,
-        Outcome.OBSTRUCTED_CITED,
-        Outcome.OBSTRUCTED,
-    ]
-    return min(outcomes, key=order.index)
 
 
 # -- the SU(3) stage ---------------------------------------------------------
 
 
-def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryResult) -> Outcome:
+def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryResult) -> None:
     name = base.name
     su = base.su
     if base.branch_name is None:
@@ -1050,7 +1004,7 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
             "strongly unimodular (conclusion outside the source's certificate forms)"
         )
         if any(s.get("kind") == "trace_obstruction" for s in base.steps):
-            return Outcome.NO_SU_EXTENSION
+            return
 
     context = strongly_unimodular_context(base)
     if context.fam_subs:
@@ -1060,56 +1014,66 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
         )
         if cert is not None:
             result.certificates.append(cert)
-            return Outcome.OBSTRUCTED
+            return
 
-    proved = False
-    sampled = False
     for step in context.steps:
         kind = step.get("kind")
         if kind == "null_direction":
             result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
-            proved = True
         elif kind == "sign_product":
             inputs = {"pair": step["pair"], "witness": base.entry.witnesses[step["witness"]]}
             result.certificates.append(certify_sign_product(context, inputs))
-            proved = True
         elif kind == "gauge":
             result.certificates.append(gauge_transport(context, step))
-            proved = True
+        elif kind == "prose_sample" and options.trials_override == 0:
+            result.notes.append(f"{name}: sampling skipped by options")
         elif kind == "prose_sample":
-            if options.trials_override == 0:
-                result.notes.append(f"{name}: sampling skipped by options")
-                sampled = True
-                continue
-            trials = options.trials_override
-            if trials is None:
-                trials = step.get("trials", 500)
-            seed = options.seed_override
-            if seed is None:
-                seed = step.get("seed", 20260811)
-            inputs = {
-                "trials": trials, "seed": seed,
+            trials, seed = options.trials_override, options.seed_override
+            cert = sample_falsify(context, {
+                "trials": step.get("trials", 500) if trials is None else trials,
+                "seed": step.get("seed", 20260811) if seed is None else seed,
                 "slice": step.get("slice"), "reason": step.get("reason", ""),
-            }
-            cert = _sampling_certificate(context, inputs)
+            })
             result.certificates.append(cert)
             result.notes.append(
                 f"{name}: {step.get('reason', 'case analysis cited from the source')}; "
                 f"{cert.data['trials']} exact samples, {cert.data['passes']} SU(3) passes"
             )
-            sampled = True
-        elif kind == "trace_obstruction":
-            pass  # handled above
-        else:
-            raise G2CertError(f"{name}: unknown plan step {kind!r}")
 
-    if proved and sampled:
-        return Outcome.OBSTRUCTED_CITED
-    if proved:
+
+# -- outcomes -----------------------------------------------------------------
+
+
+def _branch_outcome(kinds, steps) -> Outcome:
+    """The outcome of an entry or a branch with these certificate kinds and
+    plan step kinds."""
+    if CertKind.TRACE_OBSTRUCTION in kinds and "trace_obstruction" in steps:
+        return Outcome.NO_SU_EXTENSION
+    if kinds & {CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG}:
         return Outcome.OBSTRUCTED
-    if sampled:
-        return Outcome.CITED_PROSE_SAMPLED
-    return Outcome.INCONCLUSIVE
+    cited = "prose_sample" in steps
+    if kinds & {CertKind.NULL_DIRECTION, CertKind.SIGN_PRODUCT, CertKind.GAUGE_NULL}:
+        return Outcome.OBSTRUCTED_CITED if cited else Outcome.OBSTRUCTED
+    return Outcome.CITED_PROSE_SAMPLED if cited else Outcome.INCONCLUSIVE
+
+
+def derive_outcome(entry: AlgebraEntry, certificates) -> Outcome:
+    """The outcome that the entry's plan and these certificates support.
+    A prose_sample step counts from the plan: a run with no trials stores
+    no sampling certificate."""
+    if entry.stub:
+        return Outcome.DATA_NOT_SHIPPED
+    if any(step.get("kind") == "lattice_out_of_scope" for step in entry.plan):
+        return Outcome.LATTICE_OUT_OF_SCOPE
+    have = {(cert.algebra, cert.kind) for cert in certificates}
+    shipped = {CertKind.ZERO_DIAGONAL, CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG}
+    if any((entry.name, kind) in have for kind in shipped):
+        return Outcome.OBSTRUCTED
+    outcomes = []
+    for context in [StageContext(entry, n) for n in entry.branch_names()] or [StageContext(entry)]:
+        kinds = {kind for algebra, kind in have if algebra == context.name}
+        outcomes.append(_branch_outcome(kinds, {step.get("kind") for step in context.steps}))
+    return max(outcomes, key=list(Outcome).index)
 
 
 # -- reports ------------------------------------------------------------------
@@ -1205,7 +1169,7 @@ VERIFIERS = {
     CertKind.NULL_DIRECTION: certify_null_direction,
     CertKind.SIGN_PRODUCT: certify_sign_product,
     CertKind.GAUGE_NULL: verify_gauge,
-    CertKind.SAMPLED_NO_SU3: _sampling_certificate,
+    CertKind.SAMPLED_NO_SU3: sample_falsify,
     CertKind.TRACE_OBSTRUCTION: certify_trace_obstruction,
 }
 
@@ -1219,9 +1183,10 @@ def _is_result_node(node) -> bool:
     )
 
 
-def recheck_report(report_json: dict, entries) -> dict:
-    """Re-verify every certificate in a serialized report; returns a map
-    name -> list of booleans, in certificate order.
+def recheck_report(report_json: dict, entries) -> list:
+    """Re-verify every certificate in a serialized report; returns, per
+    result, a list of booleans in certificate order and the outcome that
+    its certificates that recheck support, or None if it is the stored one.
 
     A document that is not a report (another schema, or a result without a
     name or a list of certificate objects) raises G2CertError."""
@@ -1232,10 +1197,10 @@ def recheck_report(report_json: dict, entries) -> dict:
     if not isinstance(results, list) or not all(map(_is_result_node, results)):
         raise G2CertError("malformed report: each result needs a name and a list of certificates")
     by_name = {e.name: e for e in entries}
-    verdicts = {}
+    verdicts = []
     for node in results:
         entry = by_name.get(node["name"])
-        row = []
+        row, rechecked = [], []
         for cert_node in node["certificates"]:
             try:
                 cert = Certificate.from_json(cert_node)
@@ -1243,7 +1208,10 @@ def recheck_report(report_json: dict, entries) -> dict:
                 row.append(False)
                 continue
             row.append(bool(entry) and recheck_certificate(entry, cert))
-        verdicts[node["name"]] = row
+            if row[-1]:
+                rechecked.append(cert)
+        derived = derive_outcome(entry, rechecked) if entry else Outcome.INCONCLUSIVE
+        verdicts.append((row, None if node.get("outcome") == derived.value else derived))
     return verdicts
 
 

@@ -11,7 +11,8 @@
 'all', or a path to a catalog JSON file.  <algebra> is an entry name or an
 unambiguous substring of one.  Exit code 0 iff every attempted certificate
 verifies; for recheck, iff every certificate of the report rechecks against
-the catalog (the default catalog is 'all').
+the catalog (the default catalog is 'all') and the certificates of each
+result that recheck support its stored outcome (certify.derive_outcome).
 
 lambda --witness checks the shipped witness where the pipeline does: on
 the entry as shipped, or, for an entry whose catalog lists
@@ -177,15 +178,21 @@ def cmd_recheck(args) -> int:
         except ValueError as exc:
             raise G2CertError(f"{args.report} is not a JSON document: {exc}") from None
     verdicts = recheck_report(document, cat.load_any(args.catalog))
-    total = failed = 0
-    for node in document["results"]:
-        for cert, ok in zip(node["certificates"], verdicts[node["name"]]):
+    total = failed = unsupported = 0
+    for node, (row, derived) in zip(document["results"], verdicts):
+        for cert, ok in zip(node["certificates"], row):
             total += 1
             if not ok:
                 failed += 1
                 print(f"FAILED {cert.get('algebra')}: {cert.get('kind')}")
+        if derived is not None:
+            unsupported += 1
+            print(
+                f"FAILED {node['name']}: outcome {node.get('outcome')} is not supported "
+                f"by its certificates ({derived.value})"
+            )
     print(f"{total - failed} of {total} certificates recheck")
-    return 0 if failed == 0 else 1
+    return 0 if failed == unsupported == 0 else 1
 
 
 def _nonnegative_int(text: str) -> int:

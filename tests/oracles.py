@@ -438,7 +438,7 @@ def entry_to_json(entry: AlgebraEntry) -> dict:
         node["structure"] = entry.structure
     if entry.family_params:
         node["family_params"] = [
-            {"name": p.name, "atoms": [[a.op, str(a.poly)] for a in p.atoms]}
+            {"name": p.name, "atoms": p.atoms}
             for p in entry.family_params
         ]
     if entry.nilradical is not None:

@@ -280,17 +280,16 @@ class TestSampling:
     def test_deterministic_replay(self):
         entry = by_name("indecomposable", "g_{6,118}")
         context = StageContext(entry, derivation_subs={"a_1": P("-a_3 - 2*a_7")})
-        sampler = PairSampler(context, random.Random(0))
-        cert1 = sample_falsify(entry.name, sampler, 40, 123)
-        sampler2 = PairSampler(context, random.Random(0))
-        cert2 = sample_falsify(entry.name, sampler2, 40, 123)
+        inputs = {"trials": 40, "seed": 123, "slice": None, "reason": ""}
+        cert1 = sample_falsify(context, inputs)
+        cert2 = sample_falsify(context, inputs)
         assert cert1.data == cert2.data
         assert cert1.verified and cert1.data["passes"] == 0
 
     def test_zero_trials_empty_certificate(self):
         entry = by_name("indecomposable", "g_{6,118}")
-        sampler = PairSampler(StageContext(entry), random.Random(0))
-        cert = sample_falsify(entry.name, sampler, 0, 7)
+        inputs = {"trials": 0, "seed": 7, "slice": None, "reason": ""}
+        cert = sample_falsify(StageContext(entry), inputs)
         assert cert.verified and cert.data["trials"] == 0 and cert.data["passes"] == 0
 
     def test_negative_control_finds_passes(self):
@@ -395,6 +394,12 @@ class TestPipelines:
         assert result.outcome == Outcome.DATA_NOT_SHIPPED
 
 
+def all_recheck(verdicts) -> bool:
+    """True when, in these `recheck_report` verdicts, every certificate
+    rechecks and every stored outcome is the one its certificates support."""
+    return all(all(row) and derived is None for row, derived in verdicts)
+
+
 class TestRecheckDeterminism:
     def test_report_certificates_recheck_and_are_stable(self):
         entries = load_builtin("nonsolvable") + [
@@ -407,8 +412,7 @@ class TestRecheckDeterminism:
         report = run_all(entries, options)
         assert report.verified_all()
         blob = json.dumps(report.to_json(include_timing=False), sort_keys=True)
-        verdicts = recheck_report(json.loads(blob), entries)
-        assert all(all(v) for v in verdicts.values())
+        assert all_recheck(recheck_report(json.loads(blob), entries))
         # bit-identical re-serialization of the certificate content
         report2 = run_all(entries, options)
         blob2 = json.dumps(report2.to_json(include_timing=False), sort_keys=True)
@@ -479,8 +483,11 @@ class TestFullReport:
     def test_every_certificate_rechecks(self, full_report):
         entries, document = full_report
         verdicts = recheck_report(document, entries)
-        assert sum(len(v) for v in verdicts.values()) == 48
-        assert {name: v for name, v in verdicts.items() if not all(v)} == {}
+        assert sum(len(row) for row, _ in verdicts) == 48
+        assert [
+            (r["name"], verdict) for r, verdict in zip(document["results"], verdicts)
+            if not all_recheck([verdict])
+        ] == []
         # the branch certificate whose family needs the branch substitution
         assert certificate_node(document, "gauge_null", "g_{6,101}^{a,b,-1-a,-1-b} [a = -1]")["verified"]
 
@@ -714,8 +721,8 @@ class TestShippedRun:
         # recheck of its report expands one again
         _, counts = shipped_run
         assert counts["expand_witness"] == 0
-        assert sum(map(len, counts["rechecks"].values())) == 48
-        assert all(map(all, counts["rechecks"].values()))
+        assert sum(len(row) for row, _ in counts["rechecks"]) == 48
+        assert all_recheck(counts["rechecks"])
         assert counts["expand_witness_recheck"] == 0
 
     def test_witness_certificates_recheck_only_with_their_shipped_tree(
@@ -813,9 +820,9 @@ def test_gauge_family_carries_the_branch_values():
     document = json.loads(json.dumps(report.to_json(include_timing=False)))
     gauge = certificate_node(document, "gauge_null", f"{entry.name} [a = -1]")
     assert gauge["data"]["s_matrix"][0][5] == "-fam_b*s_1"
-    assert recheck_report(document, [entry]) == {
-        entry.name: [True] * len(report.results[0].certificates)
-    }
+    assert recheck_report(document, [entry]) == [
+        ([True] * len(report.results[0].certificates), None)
+    ]
 
 
 class TestEachFactProvedOnce:
@@ -854,7 +861,7 @@ class TestEachFactProvedOnce:
         in_run_all = list(calls)
         calls.clear()
         verdicts = recheck_report(json.loads(json.dumps(report.to_json())), entries)
-        assert sum(map(len, verdicts.values())) == 48 and all(map(all, verdicts.values()))
+        assert sum(len(row) for row, _ in verdicts) == 48 and all_recheck(verdicts)
         for phase in (in_run_all, calls):
             solves = phase.count(("solve_derivations", False))
             assert solves > 0

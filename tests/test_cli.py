@@ -315,6 +315,103 @@ def test_recheck_malformed_report_is_an_error(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.fixture(scope="module")
+def all_report(tmp_path_factory):
+    """The `run-all all --samples 2` report, as a document."""
+    path = tmp_path_factory.mktemp("all") / "report.json"
+    assert main(["run-all", "all", "--samples", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _result(document, prefix):
+    return next(r for r in document["results"] if r["name"].startswith(prefix))
+
+
+def _drop_certificates(prefix, algebra_suffix=""):
+    """A change that deletes, from the result whose name starts with
+    `prefix`, the certificates whose algebra ends with `algebra_suffix`."""
+    def change(document):
+        result = _result(document, prefix)
+        result["certificates"] = [
+            c for c in result["certificates"] if not c["algebra"].endswith(algebra_suffix)
+        ]
+    return change
+
+
+@pytest.mark.parametrize(
+    "prefix, change, outcome, derived",
+    [
+        ("g_{6,101}", _drop_certificates("g_{6,101}", "[a != -1]"), "obstructed",
+         "cited-prose-sampled"),
+        ("g_{5,33}", _drop_certificates("g_{5,33}"), "obstructed", "cited-prose-sampled"),
+        ("g_{5,30}", lambda document: None, "obstructed-modulo-cited-prose", "obstructed"),
+        ("q_4", lambda document: None, "proved", "lattice-out-of-scope"),
+        ("g_{6,55}", lambda document: None, None, "no-strongly-unimodular-extension"),
+    ],
+    ids=["g6101-branch-deleted", "g533-sample-deleted", "g530-outcome-only", "unknown-outcome",
+         "missing-outcome"],
+)
+def test_recheck_fails_an_outcome_its_certificates_do_not_support(
+    prefix, change, outcome, derived, all_report, tmp_path, capsys
+):
+    # before recheck derived outcomes, each of these forged reports read
+    # "N of N certificates recheck" and exited 0: every certificate left in
+    # it still rechecks
+    document = json.loads(json.dumps(all_report))
+    change(document)
+    result = _result(document, prefix)
+    if outcome is None:
+        del result["outcome"]
+    else:
+        result["outcome"] = outcome
+    report = tmp_path / "forged.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAILED") == 1
+    assert (
+        f"FAILED {result['name']}: outcome {outcome} is not supported by its certificates "
+        f"({derived})" in out
+    )
+    total = sum(len(r["certificates"]) for r in document["results"])
+    assert f"{total} of {total} certificates recheck" in out
+
+
+def test_recheck_checks_each_result_of_a_repeated_name(all_report, tmp_path, capsys):
+    # verdicts were once keyed by name, so a tampered result followed by an
+    # untampered copy of it read as rechecked, and recheck exited 0
+    document = json.loads(json.dumps(all_report))
+    results = document["results"]
+    index = next(i for i, r in enumerate(results) if r["name"] == "q_1")
+    forged = json.loads(json.dumps(results[index]))
+    forged["certificates"][0]["data"]["indices"] = [1]
+    results.insert(index, forged)
+    report = tmp_path / "repeated.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED q_1: zero_diagonal" in out
+    assert "FAILED q_1: outcome obstructed is not supported by its certificates (inconclusive)" in out
+    total = sum(len(r["certificates"]) for r in results)
+    assert f"{total - 1} of {total} certificates recheck" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "2"])
+def test_recheck_of_a_run_all_report_exits_0(samples, tmp_path, capsys):
+    # with --samples 0 no sampling certificate is stored, and the outcomes
+    # that cite prose still hold: a prose_sample step counts from the plan
+    report = tmp_path / "report.json"
+    assert main(["run-all", "all", "--samples", samples, "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    expected = {"0": 44, "2": 48}[samples]
+    assert f"{expected} of {expected} certificates recheck" in out
+
+
 @pytest.mark.parametrize("params", ["l=foo", "l", "l=1/0", "=1"])
 def test_malformed_params_is_a_usage_error(params, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -445,10 +542,15 @@ G6101 = ("indecomposable", "g_{6,101}")
          "branch 'a = -1' subs needs a map from family variables to rationals"),
         (*G6101, lambda node: _branches(node)[0].update(atoms="fam_b"),
          "branch 'a = -1' atoms needs a list of"),
+        (*G6101, lambda node: node["family_params"][0].update(atoms="fam_a"),
+         "family parameter 'a' atoms needs a list of"),
+        (*G6101, lambda node: node["family_params"][0].update(atoms=[["lt", "fam_a"]]),
+         "family parameter 'a' atoms needs a list of .*unknown atom op 'lt'"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
-         "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list"],
+         "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
+         "family-atoms-not-a-list", "family-atom-op"],
 )
 def test_validate_parses_every_field_the_pipeline_reads(
     dataset, prefix, change, match, tmp_path, capsys
@@ -460,7 +562,9 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # syntax errors and the t2_zero slice with no gauge step.  su_expected
     # and a branch's subs and atoms are read by catalog.FIELDS, whose errors
     # name the field; an unknown su_expected key was once ignored, so a
-    # misspelt "family" compared nothing
+    # misspelt "family" compared nothing.  A family parameter's atoms were
+    # parsed with the catalog document, and the error named '<entry 0>'
+    # and neither the parameter nor the field
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 
