@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
 from typing import Optional
 
 from . import numeric
@@ -72,6 +71,7 @@ from .forms import (
 )
 from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
 from .lie import LieAlgebra, ce_differential
+from .numeric import PairSampler
 from .poly import (
     Polynomial,
     SolvedLinearSystem,
@@ -477,13 +477,14 @@ LAMBDA_SAMPLE_BUDGET = 4000
 def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random):
     variables = sorted(lam.variables())
     fam_vars = [v for v in variables if v.startswith("fam_")]
+    getrandbits = rng.getrandbits
     for _ in range(LAMBDA_SAMPLE_BUDGET):
-        assignment = {v: _sample_fraction(rng) for v in fam_vars}
+        assignment = {v: Fraction(*numeric.sample_fraction(getrandbits)) for v in fam_vars}
         if not all(a.holds(assignment) for a in atoms if a.poly.variables() <= set(fam_vars)):
             continue
         for v in variables:
             if v not in assignment:
-                assignment[v] = Fraction(rng.randint(-9, 9))
+                assignment[v] = Fraction(numeric.uniform_int(getrandbits, -9, 9))
         if lam.evaluate(assignment) < 0:
             return {k: str(v) for k, v in sorted(assignment.items())}
     return None
@@ -751,134 +752,6 @@ def _constant_family_ratio(det: Polynomial, target: Polynomial):
 
 
 # -- randomized falsification ----------------------------------------------
-
-
-def _sample_fraction(rng: random.Random) -> Fraction:
-    """A rational with numerator and denominator bounded by 1000."""
-    num = rng.randint(-1000, 1000)
-    den = rng.randint(1, 12)
-    return Fraction(num, den)
-
-
-# Draws tried for family parameters that satisfy the domain atoms.
-ATOM_SAMPLE_BUDGET = 2000
-
-
-class PairSampler:
-    """Draws exact candidate pairs (omega, psi) on one stage context.
-
-    The polynomials a draw reads are compiled once into integer evaluators
-    (numeric.CompiledForm): the domain atoms over the family parameters,
-    and lambda, psi and omega (and, on the t2_zero slice, the coefficients
-    in alpha_14 of the determinant of its gauge step) over one ordered
-    variable list.  A draw does only the work its verdict reads, in this
-    order:
-
-    1. family values, redrawn until every domain atom holds, each atom
-       tested in integers by Atom.admits;
-    2. the other variables, then the t2_zero slice if the context has one;
-    3. the sign of lambda at the sample (lambda(c psi) = c^4 lambda(psi),
-       so the compiled value, a positive multiple of lambda, has its sign);
-    4. omega, evaluated only when lambda < 0, and omega^3 != 0
-       (numeric.candidate_conditions_int defines a trial);
-    5. psi, evaluated only for a trial.
-    """
-
-    def __init__(self, context: StageContext, rng, slice_name=None):
-        self.atoms = list(context.atoms)
-        self.rng = rng
-        self.slice_name = slice_name
-        psi, omega = context.psi, context.omega
-        self.variables = sorted(psi.variables() | omega.variables())
-        self.fam_vars = [v for v in self.variables if v.startswith("fam_")]
-        self.free_vars = [v for v in self.variables if not v.startswith("fam_")]
-        self.atoms_int = numeric.CompiledForm(
-            {i: atom.poly for i, atom in enumerate(self.atoms)}, self.fam_vars
-        )
-        self.lam_int = numeric.CompiledForm({0: context.lam}, self.variables)
-        self.psi_int = numeric.CompiledForm(psi.coeffs, self.variables)
-        self.omega_int = numeric.CompiledForm(omega.coeffs, self.variables)
-        if slice_name == "t2_zero":
-            step = next((s for s in context.steps if s.get("kind") == "gauge"), None)
-            if step is None:
-                raise G2CertError(f"{context.name}: the t2_zero slice needs a gauge step")
-            det = context.gauge_system(step).solved.determinant
-            parts = {
-                sum(e for _, e in mono): coeff
-                for mono, coeff in det.collect({"alpha_14"}).items()
-            }
-            if max(parts, default=0) > 2:
-                raise G2CertError("the gauge determinant is not quadratic in alpha_14")
-            self.det_int = numeric.CompiledForm(parts, self.variables)
-
-    def _draw_family(self) -> dict:
-        """Family values that satisfy the domain atoms, drawn at most
-        ATOM_SAMPLE_BUDGET times."""
-        for _ in range(ATOM_SAMPLE_BUDGET):
-            assignment = {v: _sample_fraction(self.rng) for v in self.fam_vars}
-            values = self.atoms_int.evaluate(numeric.integer_point(self.fam_vars, assignment))
-            if all(atom.admits(values.get(i, 0)) for i, atom in enumerate(self.atoms)):
-                return assignment
-        raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in self.atoms]}")
-
-    def _draw_assignment(self):
-        assignment = {}
-        if self.fam_vars or self.atoms:
-            assignment.update(self._draw_family())
-        for v in self.free_vars:
-            assignment[v] = self.rng.randint(-20, 20)
-        if self.slice_name == "t2_zero":
-            if not self._apply_t2_slice(assignment):
-                return None
-        return assignment
-
-    def _apply_t2_slice(self, assignment) -> bool:
-        """Move the sample onto the zero locus of the gauge determinant.
-
-        The determinant is quadratic in alpha_14; rejection sampling cannot
-        hit its zero set, so alpha_34 is chosen to make the discriminant a
-        perfect square and alpha_14 is set to a rational root.  The
-        coefficients A, B, C of alpha_14^2, alpha_14, 1 are evaluated with
-        one common positive scale, which leaves the root unchanged.
-        """
-        a = assignment["fam_a"]
-        b = assignment["fam_b"]
-        a12 = assignment["alpha_12"]
-        a13 = assignment["alpha_13"]
-        a24 = assignment["alpha_24"]
-        if a == b or a12 == 0 or a13 == 0 or a24 == 0 or assignment["alpha_23"] == 0:
-            return False
-        k = Fraction(self.rng.randint(1, 5))
-        p_val = a * (b + 1) * a13 * a24
-        if p_val == 0:
-            return False
-        assignment["alpha_34"] = k * k * p_val / ((a - b) * a12)
-        coeffs = self.det_int.evaluate(numeric.integer_point(self.variables, assignment))
-        A, B, C = (coeffs.get(exp, 0) for exp in (2, 1, 0))
-        if A == 0:
-            return False
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            return False
-        root = isqrt(disc)
-        if root * root != disc:
-            return False
-        assignment["alpha_14"] = Fraction(root - B, 2 * A)
-        return True
-
-    def draw(self):
-        """One trial (omega, psi) in integers, or None (rejected by the
-        domain atoms, the slice or numeric.candidate_conditions_int)."""
-        assignment = self._draw_assignment()
-        if assignment is None:
-            return None
-        point = numeric.integer_point(self.variables, assignment)
-        lam = self.lam_int.evaluate(point).get(0, 0)
-        omega = numeric.candidate_conditions_int(lam, lambda: self.omega_int.evaluate(point))
-        if omega is None:
-            return None
-        return omega, self.psi_int.evaluate(point)
-
 
 # Draw attempts allowed per requested trial (at least 1000 in all).
 REJECT_BUDGET_FACTOR = 200

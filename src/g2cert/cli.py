@@ -30,8 +30,9 @@ run-all and recheck; the named entry for lambda, derivations and su3), a
 path that is missing or a directory, an algebra name that matches no
 entry or several, an entry of the wrong dimension for the command, and
 --params that miss a family parameter of the entry or name one it lacks
-print `error: ...` on stderr, and a malformed --params or --samples is a
-usage error.
+print `error: ...` on stderr, and a malformed --params, --samples or --seed
+is a usage error.  --samples and --seed take integers >= 0: a negative
+seed would draw the samples of its absolute value.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_recheck(args) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """An argparse type: an integer N >= 0 (0 skips sampling)."""
+    """An argparse type: an integer N >= 0 (--samples 0 skips sampling)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--gauge", action="store_true", help="print gauge certificate details")
     p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, metavar="S")
     p.set_defaults(func=cmd_su3)
 
     p = sub.add_parser("run-all", help="run every pipeline and write the report")
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="", metavar="report.json")
     p.add_argument("--md", default="", metavar="report.md")
     p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
-    p.add_argument("--seed", type=int, default=None, metavar="S")
+    p.add_argument("--seed", type=_nonnegative_int, default=None, metavar="S")
     p.set_defaults(func=cmd_run_all)
 
     p = sub.add_parser("recheck", help="recheck every certificate of a report")

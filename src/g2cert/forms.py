@@ -4,12 +4,13 @@ Index tuples are stored as bitmasks over the basis 1..n (bit i-1 stands for
 e^i), with sign bookkeeping by transposition counting.  Coefficients are
 Polynomials; purely numeric forms are just forms with constant coefficients.
 Forms are immutable and safe to share.  The exterior product works on the
-bare mask -> coefficient dicts (wedge_coeffs), so the integer sampler
-shares it; its sign per mask pair comes from the cached merge_sign.  One
-contraction loop gives every iota_{e_i} f at once: contractions returns
-them as forms (b_phi and lie.adjoint read them), and antiderivation (the
-Chevalley-Eilenberg differential and D*) wedges each with the image of
-e^i.  The multiplicative pullback runs on the same dicts.
+bare mask -> coefficient dicts (wedge_coeffs), over any coefficient ring;
+its sign per mask pair comes from the cached merge_sign, which the integer
+sampler's tables in numeric read too.  One contraction loop gives every
+iota_{e_i} f at once: contractions returns them as forms (b_phi and
+lie.adjoint read them), and antiderivation (the Chevalley-Eilenberg
+differential and D*) wedges each with the image of e^i.  The
+multiplicative pullback runs on the same dicts.
 """
 
 from __future__ import annotations

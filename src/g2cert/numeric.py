@@ -1,40 +1,47 @@
-"""Integer fast path for the randomized SU(3) falsifier.
+"""Integer fast path for the randomized SU(3) falsifier, and its sampler.
 
 A symbolic form is compiled once, against an ordered list of variables,
-into integer term lists (CompiledForm).  Each sample is then put over one
-common denominator and the form is evaluated in integers: the result is the
-form's value scaled by a positive rational, reduced so that it equals the
-value with its denominators cleared (the SU(3) verdict is invariant under
-scaling omega and psi by positive rationals).  Forms are dicts mapping index
-bitmasks to Python ints.  The exterior product, K and h are the
-ring-generic kernels of forms and hitchin run over int, and su3_passes_int
-is the package's one SU(3) predicate; the tests check it against an
-independent contraction-based oracle.
+into a straight-line Python function (CompiledForm.kernel), generated
+from its terms and passed through compile() once.  The generated source
+holds only integer literals and list indices; row keys and variable names
+stay in Python data.  Each sample is one integer point: numerators over
+one common denominator L, and the form is evaluated there in integers:
+the result is the form's value scaled by a positive rational, reduced so
+that it equals the value with its denominators cleared (the SU(3) verdict
+is invariant under scaling omega and psi by positive rationals).  Forms
+are dicts mapping index bitmasks to Python ints.  The exterior product, K
+and h are the ring-generic kernels of forms and hitchin run over int, and
+su3_passes_int is the package's one SU(3) predicate; the tests check it
+against an independent contraction-based oracle.
 
-Each check reads only what its verdict needs, in this order.  A sampled
-pair becomes a trial when it meets candidate_conditions_int: lambda < 0,
-tested first and given by its sign alone, then omega^3 != 0, so omega is
-evaluated only when lambda < 0 holds; most draws fail on lambda.  The
-sampler (certify.PairSampler) reads that sign from lambda compiled once,
-since lambda(c psi) = c^4 lambda(psi) for the positive scale c of a
-sample, and evaluates psi only for a trial.  su3_passes_int then tests
-omega ^ psi = 0 first, and builds K only for a primitive pair, whose
-lambda comes from tr(K^2) alone: the identity K^2 = lambda * Id is not
-checked per pair, because hitchin proves it once for the generic 3-form,
-of which every integer psi is a specialization.  The top coefficient of
-omega^3 is read from a table of the 15 perfect matchings of 1..6, built
-once.
+PairSampler draws each sample straight into one integer point, the family
+values first and then the free integers, in the order its docstring
+gives, with every number drawn by uniform_int, the rejection loop of
+CPython 3.11's randint over getrandbits.  Each check reads only what its
+verdict needs, in this order.  A sampled pair becomes a trial when it
+meets candidate_conditions_int: lambda < 0, tested first and given by its
+sign alone, then omega^3 != 0, so omega is evaluated only when lambda < 0
+holds; most draws fail on lambda.  The sampler reads that sign from the
+kernel of lambda, since lambda(c psi) = c^4 lambda(psi) for the positive
+scale c of a sample, and evaluates psi only for a trial.  su3_passes_int
+then tests omega ^ psi = 0 first, from a table of the 60 disjoint pairs
+of a 2-mask and a 3-mask grouped by their 5-form, and builds K only for a
+primitive pair, whose lambda comes from tr(K^2) alone: the identity
+K^2 = lambda * Id is not checked per pair, because hitchin proves it once
+for the generic 3-form, of which every integer psi is a specialization.
+The top coefficient of omega^3 is read from a table of the 15 perfect
+matchings of 1..6.  Both tables are built once.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable, Mapping, Sequence
 
-from .errors import MissingVariable
-from .forms import KForm, merge_sign, wedge_coeffs
+from .errors import AtomUnsatisfiableAfterBudget, G2CertError, MissingVariable
+from .forms import KForm, merge_sign
 from .hitchin import FULL6, h_matrix, k_matrix
 from .linalg import leading_minors_int
 
@@ -42,11 +49,14 @@ from .linalg import leading_minors_int
 class CompiledForm:
     """A form (or any map key -> Polynomial) compiled for integer evaluation.
 
-    Each coefficient becomes a list of terms (integer coefficient, degree
-    gap, variable positions with repetition).  Coefficients are scaled by
-    the lcm q of their denominators, and each monomial is raised to the top
-    degree d of the form by the gap power of the common denominator L of a
-    sample, so every coefficient's value times q * L^d is an integer.
+    Coefficients are scaled by the lcm q of their denominators, and each
+    monomial is raised to the top degree d of the form by a power of the
+    common denominator L of a sample, so every coefficient's value times
+    q * L^d is an integer.  `kernel(numerators, L)` returns those integers
+    as a list, in row order: it is one straight-line function generated from
+    the term lists and compiled once.  Its source holds only integer
+    literals and list indices; the row keys (`keys`) and the variable names
+    stay in Python data.
     """
 
     def __init__(self, coeffs: Mapping, variables: Sequence[str]):
@@ -62,36 +72,38 @@ class CompiledForm:
                         raise MissingVariable(name)
         self.scale = scale
         self.degree = degree
-        self.rows = []
-        for key, poly in coeffs.items():
-            terms = []
+        self.keys = list(coeffs)
+        read = set()
+        rows = []
+        for poly in coeffs.values():
+            row = ""
             for mono, coeff in poly.terms.items():
-                factors = tuple(position[name] for name, exp in mono for _ in range(exp))
-                terms.append((int(coeff * scale), degree - len(factors), factors))
-            self.rows.append((key, terms))
+                factors = [position[name] for name, exp in mono for _ in range(exp)]
+                read.update(factors)
+                product = [f"x{i}" for i in factors]
+                gap = degree - len(factors)
+                if gap:
+                    product.append(f"p{gap}")
+                value = int(coeff * scale)
+                if abs(value) != 1 or not product:
+                    product.insert(0, str(abs(value)))
+                row += (" - " if value < 0 else " + ") + "*".join(product)
+            rows.append(row[3:] if row.startswith(" + ") else row or "0")
+        lines = [f"x{i} = n[{i}]" for i in sorted(read)] + ["p1 = L"]
+        lines += [f"p{gap} = p{gap - 1} * L" for gap in range(2, degree + 1)]
+        lines.append(f"return [{', '.join(rows)}]")
+        source = "def kernel(n, L):\n" + "".join(f"    {line}\n" for line in lines)
+        namespace = {}
+        exec(compile(source, "<CompiledForm>", "exec"), namespace)
+        self.kernel = namespace["kernel"]
 
     def evaluate(self, point) -> dict:
         """Nonzero values at an integer_point, divided by the gcd of them and
         scale * L^degree: exactly the values with denominators cleared."""
         numerators, common = point
-        powers = [1]
-        for _ in range(self.degree):
-            powers.append(powers[-1] * common)
-        divisor = self.scale * powers[-1]
-        out = {}
-        for key, terms in self.rows:
-            total = 0
-            for coeff, gap, factors in terms:
-                value = coeff * powers[gap]
-                for i in factors:
-                    value *= numerators[i]
-                total += value
-            if total:
-                out[key] = total
-                divisor = gcd(divisor, total)
-        if divisor != 1:
-            out = {key: value // divisor for key, value in out.items()}
-        return out
+        values = self.kernel(numerators, common)
+        divisor = gcd(self.scale * common**self.degree, *values)
+        return {key: value // divisor for key, value in zip(self.keys, values) if value}
 
 
 def integer_point(variables: Sequence[str], assignment) -> tuple:
@@ -152,6 +164,29 @@ def candidate_conditions_int(lam, omega_of: Callable[[], dict]):
     return omega
 
 
+@cache
+def _primitivity_table() -> tuple:
+    """One group per basis 5-form e^target: the coefficient of e^target in
+    omega ^ psi is the sum of sign * omega[m2] * psi[m3] over the group's
+    (m2, m3, sign).  The groups hold the 60 disjoint pairs of a 2-mask and
+    a 3-mask, 10 per target, each with the sign of merging the two."""
+    groups = {}
+    for m2 in range(1 << 6):
+        for m3 in range(1 << 6):
+            if m2.bit_count() == 2 and m3.bit_count() == 3 and not m2 & m3:
+                groups.setdefault(m2 | m3, []).append((m2, m3, merge_sign(m2, m3)))
+    return tuple(tuple(pairs) for _, pairs in sorted(groups.items()))
+
+
+def is_primitive_int(omega: Mapping[int, int], psi: Mapping[int, int]) -> bool:
+    """True when omega ^ psi = 0; stops at the first nonzero coefficient."""
+    om, ps = omega.get, psi.get
+    for pairs in _primitivity_table():
+        if sum(sign * om(m2, 0) * ps(m3, 0) for m2, m3, sign in pairs):
+            return False
+    return True
+
+
 def su3_passes_int(omega: dict, psi: dict) -> bool:
     """True when the integer pair passes all four SU(3) conditions.
 
@@ -164,7 +199,7 @@ def su3_passes_int(omega: dict, psi: dict) -> bool:
     is accepted, since the paper's orientation can always be flipped; this
     is the weaker reading and hence safe for non-existence certification.
     """
-    if wedge_coeffs(omega, psi):
+    if not is_primitive_int(omega, psi):
         return False
     k, trace_sq = k_matrix(psi, 0)
     if candidate_conditions_int(trace_sq, lambda: omega) is None:
@@ -175,3 +210,170 @@ def su3_passes_int(omega: dict, psi: dict) -> bool:
     if all(m > 0 for m in minors):
         return True
     return all((m < 0) if (idx % 2 == 0) else (m > 0) for idx, m in enumerate(minors))
+
+
+def uniform_int(getrandbits, low: int, high: int) -> int:
+    """A uniform integer in [low, high], drawn as CPython 3.11's
+    Random.randint draws it: getrandbits(k) for k the bit length of the
+    width, redrawn until it falls below the width.  It gives the values
+    randint gives on that version, and the stream rests on getrandbits
+    alone."""
+    width = high - low + 1
+    bits = width.bit_length()
+    value = getrandbits(bits)
+    while value >= width:
+        value = getrandbits(bits)
+    return low + value
+
+
+def sample_fraction(getrandbits) -> tuple:
+    """(numerator, denominator) of a random rational: the numerator drawn
+    in [-1000, 1000], then the denominator in [1, 12]."""
+    return uniform_int(getrandbits, -1000, 1000), uniform_int(getrandbits, 1, 12)
+
+
+# Draws tried for family parameters that satisfy the domain atoms.
+ATOM_SAMPLE_BUDGET = 2000
+
+# The variables the t2_zero slice reads or writes, by name.
+_T2_SLICE_VARIABLES = (
+    "fam_a", "fam_b", "alpha_12", "alpha_13", "alpha_23", "alpha_24", "alpha_34", "alpha_14"
+)
+
+
+def _write_rational(values: list, common: int, i: int, num: int, den: int) -> int:
+    """Set the value at position i of the point (values, common) to
+    num / den, den != 0, and return the point's new common denominator,
+    to which the other numerators are rescaled in place."""
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    grow = den // gcd(common, den)
+    if grow != 1:
+        values[:] = [value * grow for value in values]
+        common *= grow
+    values[i] = num * (common // den)
+    return common
+
+
+class PairSampler:
+    """Draws exact candidate pairs (omega, psi) on one stage context.
+
+    The variables are the free ones (alpha, beta, derivation parameters),
+    then the family parameters, each part sorted by name.  A draw is one
+    integer point: a list of numerators in that order over one common
+    denominator L.  The domain atoms, lambda, psi and omega (and, on the
+    t2_zero slice, the coefficients in alpha_14 of the determinant of its
+    gauge step) are compiled once into CompiledForm kernels over that list.
+    A draw does only the work its verdict reads, in this order:
+
+    1. family values, each a numerator in [-1000, 1000] then a denominator
+       in [1, 12], in name order, redrawn until every domain atom holds,
+       each atom tested by Atom.admits on its kernel value;
+    2. the free variables, integers in [-20, 20] in name order, then the
+       t2_zero slice if the context has one (a k in [1, 5], and alpha_34
+       and alpha_14 written into the point);
+    3. the sign of lambda at the point (lambda(c psi) = c^4 lambda(psi),
+       so the kernel value, a positive multiple of lambda, has its sign);
+    4. omega, evaluated only when lambda < 0, and omega^3 != 0
+       (candidate_conditions_int defines a trial);
+    5. psi, evaluated only for a trial.
+
+    Every number is drawn by uniform_int from the generator `rng`.
+    """
+
+    def __init__(self, context, rng, slice_name=None):
+        self.atoms = list(context.atoms)
+        self.rng = rng
+        self.slice_name = slice_name
+        psi, omega = context.psi, context.omega
+        names = psi.variables() | omega.variables()
+        self.fam_vars = sorted(v for v in names if v.startswith("fam_"))
+        self.free_vars = sorted(v for v in names if not v.startswith("fam_"))
+        self.variables = self.free_vars + self.fam_vars
+        self.atoms_int = CompiledForm(
+            {i: atom.poly for i, atom in enumerate(self.atoms)}, self.fam_vars
+        )
+        self.lam_int = CompiledForm({0: context.lam}, self.variables)
+        self.psi_int = CompiledForm(psi.coeffs, self.variables)
+        self.omega_int = CompiledForm(omega.coeffs, self.variables)
+        if slice_name == "t2_zero":
+            step = next((s for s in context.steps if s.get("kind") == "gauge"), None)
+            if step is None:
+                raise G2CertError(f"{context.name}: the t2_zero slice needs a gauge step")
+            det = context.gauge_system(step).solved.determinant
+            parts = {
+                sum(e for _, e in mono): coeff
+                for mono, coeff in det.collect({"alpha_14"}).items()
+            }
+            if max(parts, default=0) > 2:
+                raise G2CertError("the gauge determinant is not quadratic in alpha_14")
+            self.det_int = CompiledForm(parts, self.variables)
+            self.slice_at = [self.variables.index(name) for name in _T2_SLICE_VARIABLES]
+
+    def _draw_family(self) -> tuple:
+        """(numerators, L): family values over their common denominator L,
+        in fam_vars order, that satisfy the domain atoms, drawn at most
+        ATOM_SAMPLE_BUDGET times."""
+        getrandbits = self.rng.getrandbits
+        for _ in range(ATOM_SAMPLE_BUDGET):
+            drawn = [sample_fraction(getrandbits) for _ in self.fam_vars]
+            common = lcm(*(den for _, den in drawn))
+            values = [num * (common // den) for num, den in drawn]
+            atom_values = self.atoms_int.kernel(values, common)
+            if all(atom.admits(value) for atom, value in zip(self.atoms, atom_values)):
+                return values, common
+        raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in self.atoms]}")
+
+    def _apply_t2_slice(self, values: list, common: int):
+        """Move the point onto the zero locus of the gauge determinant, and
+        return its new common denominator, or None when the draw misses.
+
+        The determinant is quadratic in alpha_14; rejection sampling cannot
+        hit its zero set, so alpha_34 is chosen to make the discriminant a
+        perfect square and alpha_14 is set to a rational root.  With
+        a = n_a / L and so on, alpha_34 = k^2 a (b + 1) alpha_13 alpha_24 /
+        ((a - b) alpha_12).  The coefficients A, B, C of alpha_14^2,
+        alpha_14, 1 are evaluated with one common positive scale, which
+        leaves the root unchanged.
+        """
+        a, b, a12, a13, a23, a24, at34, at14 = self.slice_at
+        na, nb, n12, n13, n24 = (values[i] for i in (a, b, a12, a13, a24))
+        if na == nb or n12 == 0 or n13 == 0 or n24 == 0 or values[a23] == 0:
+            return None
+        k = uniform_int(self.rng.getrandbits, 1, 5)
+        p_num = na * (nb + common) * n13 * n24
+        if p_num == 0:
+            return None
+        common = _write_rational(
+            values, common, at34, k * k * p_num, common * common * (na - nb) * n12
+        )
+        coeffs = self.det_int.evaluate((values, common))
+        A, B, C = (coeffs.get(exp, 0) for exp in (2, 1, 0))
+        if A == 0:
+            return None
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return None
+        root = isqrt(disc)
+        if root * root != disc:
+            return None
+        return _write_rational(values, common, at14, root - B, 2 * A)
+
+    def draw(self):
+        """One trial (omega, psi) in integers, or None (rejected by the
+        domain atoms, the slice or candidate_conditions_int)."""
+        family, common = self._draw_family() if self.fam_vars or self.atoms else ([], 1)
+        getrandbits = self.rng.getrandbits
+        values = [common * uniform_int(getrandbits, -20, 20) for _ in self.free_vars] + family
+        if self.slice_name == "t2_zero":
+            common = self._apply_t2_slice(values, common)
+            if common is None:
+                return None
+        point = (values, common)
+        lam = self.lam_int.kernel(values, common)[0]
+        omega = candidate_conditions_int(lam, lambda: self.omega_int.evaluate(point))
+        if omega is None:
+            return None
+        return omega, self.psi_int.evaluate(point)

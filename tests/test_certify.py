@@ -307,7 +307,10 @@ class TestSampling:
             signs = set()
             for draw in range(120):
                 assignment = {v: Fraction(rng.randint(-3, 3)) for v in sampler.free_vars}
-                assignment.update(sampler._draw_family())
+                family, common = sampler._draw_family()
+                assignment.update(
+                    {v: Fraction(num, common) for v, num in zip(sampler.fam_vars, family)}
+                )
                 if draw % 10 == 0:
                     assignment.update(dict.fromkeys(alphas, Fraction(0)))
                 elif draw % 10 == 1:

@@ -206,14 +206,21 @@ def test_run_all_zero_samples_skips_sampling(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["su3", "g_{5,33}", "--samples", "-1"], ["run-all", "table1", "--samples", "-1"]],
-    ids=["su3", "run-all"],
+    [
+        ["su3", "g_{5,33}", "--samples", "-1"],
+        ["run-all", "table1", "--samples", "-1"],
+        ["su3", "g_{5,33}", "--seed", "-1"],
+        ["run-all", "table1", "--seed", "-1"],
+    ],
+    ids=["su3", "run-all", "su3-seed", "run-all-seed"],
 )
 def test_negative_samples_is_a_usage_error(argv, capsys):
+    # a negative seed would draw the samples of its absolute value
+    flag = argv[-2]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--samples: must be >= 0" in capsys.readouterr().err
+    assert f"{flag}: must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

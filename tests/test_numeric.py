@@ -1,18 +1,22 @@
 """The integer sampler against independent references: its compiled form
 evaluation against Polynomial.evaluate, the shared K kernel over int
 against the permutation-expansion oracle, the omega^3 table against two
-full exterior products, Bareiss minors against det_fraction, and
-su3_passes_int against the contraction-based SU(3) oracle in oracles.py."""
+full exterior products, the primitivity table against wedge_coeffs,
+Bareiss minors against det_fraction, su3_passes_int against the
+contraction-based SU(3) oracle in oracles.py, and uniform_int against
+Random.randint."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2cert.certify import standard_su3_pair
-from g2cert.forms import KForm, pullback
+from g2cert.forms import KForm, pullback, wedge_coeffs
 from g2cert.hitchin import h_matrix, k_matrix, k_psi
 from g2cert.linalg import det_fraction, leading_minors_int
 from g2cert.numeric import (
@@ -20,8 +24,10 @@ from g2cert.numeric import (
     candidate_conditions_int,
     eval_form_int,
     integer_point,
+    is_primitive_int,
     omega_cubed_int,
     su3_passes_int,
+    uniform_int,
 )
 from g2cert.poly import Polynomial
 from oracles import SU3Verdict, oracle_k_entry, oracle_omega_cubed, su3_check
@@ -64,16 +70,32 @@ def rational_forms(draw):
     return KForm(6, degree, coeffs)
 
 
+U, V, W = (Polynomial.var(name) for name in NAMES)
+AT_THIRDS = {"u": Fraction(1, 3), "v": Fraction(-2, 3), "w": Fraction(5, 6)}
+
+
 class TestCompiledForm:
     @settings(max_examples=300, deadline=None)
     @given(rational_forms(), st.fixed_dictionaries({name: RATIONALS for name in NAMES}))
+    # a constant (degree-0) form
+    @example(KForm(6, 2, {0b11: Polynomial.const(Fraction(-3, 4)), 0b101: 2}), AT_THIRDS)
+    # a variable repeated in a monomial, and terms of every gap up to the
+    # degree 4 at a common denominator L = 6
+    @example(
+        KForm(6, 1, {0b1: U**4 - U * U * V * Fraction(1, 2) + U, 0b10: V * V * W + 7, 0b100: W * W}),
+        AT_THIRDS,
+    )
+    # a form in one variable of the three
+    @example(KForm(6, 3, {0b111: W * W * Fraction(1, 3) - W, 0b1011: W + Fraction(1, 2)}), AT_THIRDS)
     def test_matches_fraction_evaluation(self, form, assignment):
         expected = reference_eval(form, assignment)
         assert eval_form_int(form, assignment) == expected
-        # compiled against a longer variable list, as the sampler does
+        # compiled against a longer variable list, as the sampler does, and
+        # with one more row that is the zero polynomial
         variables = ["a_1", *NAMES, "z"]
         point = integer_point(variables, {**assignment, "a_1": Fraction(1, 7), "z": 3})
-        assert CompiledForm(form.coeffs, variables).evaluate(point) == expected
+        coeffs = {**form.coeffs, "zero": Polynomial.zero()}
+        assert CompiledForm(coeffs, variables).evaluate(point) == expected
 
     def test_zero_form_and_zero_values(self):
         assert eval_form_int(KForm.zero(6, 2), {}) == {}
@@ -150,6 +172,41 @@ class TestCandidateConditions:
 
 
 @st.composite
+def wedge_pairs(draw):
+    """(omega, psi) as int dicts that may hold zero entries: two random
+    forms, or the standard SU(3) pair pulled back by one integer matrix
+    (a primitive pair), with one coefficient of psi then maybe changed."""
+    if draw(st.booleans()):
+        omega = draw(st.dictionaries(st.sampled_from(masks_of_degree(2)), SMALL, max_size=15))
+        psi = draw(st.dictionaries(st.sampled_from(masks_of_degree(3)), SMALL, max_size=20))
+        return omega, psi
+    omega0, psi0 = standard_su3_pair()
+    matrix = [[Polynomial.const(draw(SMALL)) for _ in range(6)] for _ in range(6)]
+    omega = dict.fromkeys(masks_of_degree(2), 0) | eval_form_int(pullback(matrix, omega0), {})
+    psi = eval_form_int(pullback(matrix, psi0), {})
+    if draw(st.booleans()):
+        psi[draw(st.sampled_from(masks_of_degree(3)))] = draw(SMALL)
+    return omega, psi
+
+
+def standard_pair_int(extra=None):
+    """The standard SU(3) pair as int dicts, with omega plus `extra`."""
+    omega0, psi0 = standard_su3_pair()
+    return eval_form_int(omega0, {}) | (extra or {}), eval_form_int(psi0, {})
+
+
+class TestPrimitivity:
+    @settings(max_examples=300, deadline=None)
+    @given(wedge_pairs())
+    @example(standard_pair_int())
+    # e13 wedges with the -e245 of psi to a nonzero 5-form
+    @example(standard_pair_int({0b101: 1}))
+    def test_table_matches_wedge_coeffs(self, pair):
+        omega, psi = pair
+        assert is_primitive_int(omega, psi) == (wedge_coeffs(omega, psi) == {})
+
+
+@st.composite
 def symmetric_matrices(draw):
     """Symmetric integer matrices; zero corner entries and a repeated
     leading row make singular leading blocks common."""
@@ -216,3 +273,18 @@ class TestSU3Predicate:
         assert minors[:3] == [-8, 64, -512]
         assert all((m < 0) == (i % 2 == 0) for i, m in enumerate(minors))
         assert not su3_passes_int(omega, psi)
+
+
+# every range the package draws from: the sampler's free variables, the two
+# parts of a family value, the t2_zero slice's k, and the lambda stage; and
+# a width of 8, a power of two, where the bit count of width - 1 falls short
+DRAW_RANGES = [(-20, 20), (-1000, 1000), (1, 12), (1, 5), (-9, 9), (-4, 3)]
+
+
+@pytest.mark.parametrize("low, high", DRAW_RANGES)
+def test_uniform_int_draws_what_randint_draws(low, high):
+    for seed in range(50):
+        ours, twin = random.Random(seed), random.Random(seed)
+        draws = [uniform_int(ours.getrandbits, low, high) for _ in range(200)]
+        assert draws == [twin.randint(low, high) for _ in range(200)], seed
+        assert ours.getstate() == twin.getstate()
