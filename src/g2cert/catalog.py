@@ -40,7 +40,9 @@ nilpotency builds a series, over Q, so a nilradical whose brackets
 involve a family parameter is refused.  Plan steps are checked against
 one table (PLAN_STEPS), and `su_expected`, a branch's `subs` and `atoms`
 and a family parameter's `atoms` are read by another (FIELDS); either
-way an error names the field and what it expects.  The entry keeps what
+way an error names the field and what it expects.  A key the format
+does not define, in an entry, a family parameter, a derivation family,
+`su_expected` or a plan step, is refused by name.  The entry keeps what
 it parsed and built, and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from math import prod
@@ -188,7 +190,16 @@ class FamilyParam:
 
     @staticmethod
     def from_json(node) -> "FamilyParam":
+        _known_keys(node, ("name", "atoms"), "family parameter ")
         return FamilyParam(node["name"], node.get("atoms", []))
+
+
+def _known_keys(node, keys, owner: str = "") -> None:
+    """Raise G2CertError naming the keys of the JSON object `node` that are
+    not in `keys`; the catalog format defines no other."""
+    unknown = set(_typed(dict, node)) - set(keys)
+    if unknown:
+        raise G2CertError(f"{owner}has unknown keys {sorted(unknown)}")
 
 
 def _ints(top: int, size: int = 0) -> tuple:
@@ -199,6 +210,9 @@ def _ints(top: int, size: int = 0) -> tuple:
 
 
 _LIST = (lambda v, e: isinstance(v, list), "a list")
+_TEXT = (lambda v, e: isinstance(v, str), "a string")
+# a field whose own parser (FIELDS, or a derivation family's) checks it later
+_PARSED = (lambda v, e: True, "")
 _TRIPLES = (lambda v, e: isinstance(v, list) and all(_ints(6, 3)[0](t, e) for t in v),
             "a list of lists of 3 ints in 1..6")
 # the t2_zero slice reads the family parameters a and b by name
@@ -210,7 +224,8 @@ _NO_BRANCH = (lambda v, e: isinstance(v, list) and all(s.get("kind") != "branch"
 
 # Each plan step kind: the dimension of the entries that run it (0 for the
 # step of a stub entry, which is not validated) and its fields, each with
-# check(value, entry) and what it expects; a field ending in "?" is optional.
+# check(value, entry) and what it expects; a field ending in "?" is optional,
+# and a step holds no key but its kind and its fields.
 PLAN_STEPS = {
     "zero_diagonal": (7, {"indices": _ints(7)}),
     "lattice_out_of_scope": (7, {}),
@@ -219,12 +234,14 @@ PLAN_STEPS = {
                          "witness": (lambda v, e: v in e.witnesses, "a shipped witness")}),
     "gauge": (6, {"pair": _ints(6, 2), "targets": _TRIPLES, "s_matrix": _LIST, "s_params": _LIST,
                   "expect_k?": (lambda v, e: isinstance(v, dict) and set(v) <= set("123456"),
-                                "a map from indices 1..6 to expressions")}),
+                                "a map from indices 1..6 to expressions"),
+                  "expect_det_multiple_of?": _TEXT}),
     "prose_sample": (6, {"trials?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
                          "seed?": (lambda v, e: type(v) is int, "an int"),
-                         "slice?": _SLICE}),
+                         "slice?": _SLICE, "reason?": _TEXT}),
     "trace_obstruction": (6, {}),
-    "branch": (6, {"steps?": _NO_BRANCH}),
+    "branch": (6, {"name": _TEXT, "subs?": _PARSED, "atoms?": _PARSED,
+                   "derivation_family?": _PARSED, "steps?": _NO_BRANCH}),
     "stub": (0, {}),
 }
 
@@ -247,9 +264,7 @@ def _expression(node) -> Polynomial:
 def _su_expected(node) -> tuple:
     """The derivation substitutions {name: polynomial}, the family
     conditions as polynomials and the constant obstructions, sorted."""
-    unknown = set(_typed(dict, node)) - {"subs", "family", "constants"}
-    if unknown:
-        raise KeyError(f"unknown keys {sorted(unknown)}")
+    _known_keys(node, ("subs", "family", "constants"))
     return (
         {k: _expression(v) for k, v in _typed(dict, node.get("subs", {})).items()},
         [_expression(e) for e in _typed(list, node.get("family", []))],
@@ -385,7 +400,10 @@ class AlgebraEntry:
         """The shipped derivation family of the entry or of the branch;
         None when none is shipped."""
         node = self.branch(branch_name).get("derivation_family")
-        return self._family(branch_name, node["matrix"], node["params"]) if node else None
+        if not node:
+            return None
+        _known_keys(node, ("matrix", "params"), "derivation_family ")
+        return self._family(branch_name, node["matrix"], node["params"])
 
     def build_gauge_family(self, branch_name: Optional[str], step) -> DerivationFamily:
         """The gauge family S of a gauge plan step of the entry or of the
@@ -468,16 +486,19 @@ class AlgebraEntry:
         """Raise G2CertError unless PLAN_STEPS has the step's kind for this
         entry's dimension and the step's fields pass their checks."""
         kind = step.get("kind")
-        dim, fields = PLAN_STEPS.get(kind, (0, {}))
+        dim, checks = PLAN_STEPS.get(kind, (0, {}))
         if dim != self.dim:
             raise G2CertError(f"no plan step {kind!r} in a dimension-{self.dim} entry")
-        for field, (check, expected) in fields.items():
+        _known_keys(step, {"kind", *(field.rstrip("?") for field in checks)}, f"{kind} step ")
+        for field, (check, expected) in checks.items():
             name = field.rstrip("?")
             if (name in step or name == field) and not (name in step and check(step[name], self)):
                 raise G2CertError(f"{kind} step needs {name}: {expected}, got {step.get(name)!r}")
 
     @staticmethod
     def from_json(node) -> "AlgebraEntry":
+        # the keys of an entry are the fields its constructor takes
+        _known_keys(node, [f.name for f in fields(AlgebraEntry) if f.init], "entry ")
         return AlgebraEntry(
             name=node["name"],
             dim=node["dim"],
@@ -504,7 +525,7 @@ def parse_catalog_text(text: str) -> list:
     a value of the wrong form, raises ValidationFailure."""
     try:
         document = json.loads(text) if text.strip() else {"schema": SCHEMA, "entries": []}
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationFailure("<catalog>", f"not a JSON document: {exc}") from None
     schema = document.get("schema") if isinstance(document, dict) else None
     if schema != SCHEMA:
@@ -517,7 +538,9 @@ def parse_catalog_text(text: str) -> list:
         try:
             entries.append(AlgebraEntry.from_json(node))
         except MALFORMED as exc:
-            raise ValidationFailure(f"<entry {index}>", f"malformed entry: {exc!r}") from None
+            name = node.get("name") if isinstance(node, dict) else None
+            label = name if isinstance(name, str) else f"<entry {index}>"
+            raise ValidationFailure(label, f"malformed entry: {exc!r}") from None
     return entries
 
 

@@ -16,20 +16,18 @@ lambda, h and the trace conditions), and gives each certificate its name,
 assumptions and context fields.  Each certificate kind has one
 verifier, called as `verifier(context, inputs)` with a dict holding
 exactly the keys the certificate stores, and `VERIFIERS` maps every kind
-to it.  Discovery searches for the inputs (the solved strong-unimodularity
-substitutions, the solved gauge), builds them from the plan step and runs
-the verifier.  `recheck_certificate` builds the context that the stored
-algebra name and substitutions key, runs the verifier of the stored kind
-on the stored data, and compares the result with the stored certificate.
-A new certificate kind is one more entry of that table.  Recheck never
-repeats a discovery search: gauge certificates store the solved gauge,
-sampling certificates their seed.
-One rule, `derive_outcome`, reads an entry's outcome off its plan and
-certificates, in discovery and in recheck, which compares it with the
-stored outcome.
-Verifiers read the catalog values that entry validation parsed; the
-only text parsed here is what a report stores (the solved gauge, its
-determinant, the derivation substitutions).
+to it.  Discovery and `recheck_certificate` take each context from the
+plan in one way: the entry or branch as shipped for a zero diagonal, a
+trace obstruction or a first-stage lambda certificate, else after its
+strong-unimodularity substitutions.  Discovery builds the inputs from
+the plan step; recheck runs the verifier on the stored data and compares
+the whole certificate, assumptions included.  The only stored answers
+are a gauge certificate's solved gauge and determinant, the only report
+text parsed here, and a sampling certificate's seed.  A new certificate
+kind is one more entry of that table.  One rule, `derive_outcome`, reads an entry's
+outcome off its plan and certificates, in discovery and in recheck,
+which compares it with the stored outcome.  Verifiers read the catalog
+values that entry validation parsed.
 """
 
 from __future__ import annotations
@@ -902,15 +900,15 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
             result.notes.append(f"{name}: sampling skipped by options")
         elif kind == "prose_sample":
             trials, seed = options.trials_override, options.seed_override
+            reason = step.get("reason", "case analysis cited from the source")
             cert = sample_falsify(context, {
                 "trials": step.get("trials", 500) if trials is None else trials,
                 "seed": step.get("seed", 20260811) if seed is None else seed,
-                "slice": step.get("slice"), "reason": step.get("reason", ""),
+                "slice": step.get("slice"), "reason": reason,
             })
             result.certificates.append(cert)
             result.notes.append(
-                f"{name}: {step.get('reason', 'case analysis cited from the source')}; "
-                f"{cert.data['trials']} exact samples, {cert.data['passes']} SU(3) passes"
+                f"{name}: {reason}; {cert.data['trials']} exact samples, {cert.data['passes']} SU(3) passes"
             )
 
 
@@ -1006,30 +1004,32 @@ def _branch_name(entry: AlgebraEntry, cert_algebra: str) -> Optional[str]:
     raise G2CertError(f"certificate for {cert_algebra!r} does not belong to {entry.name}")
 
 
+# Proved on the entry or branch as shipped, as is a lambda certificate with
+# no fam_subs; other kinds after the strong-unimodularity substitutions.
+_SHIPPED_STAGE = {CertKind.ZERO_DIAGONAL, CertKind.TRACE_OBSTRUCTION}
+_LAMBDA_KINDS = {CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG}
+
+
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     """Re-verify a stored certificate against the catalog entry.
 
-    Builds the context that the certificate's algebra name and stored
-    substitutions key, runs the verifier that VERIFIERS gives for its kind
-    on the stored data (the solved gauge of a gauge certificate, the seed of
-    a sampling one), and compares kind, algebra, data and verdict with the
-    stored ones.  Stored data that fails to parse, names a branch the entry
-    lacks, or fails to verify means False.
+    Takes the context from the plan as `run_pipeline` does, runs the
+    verifier of the stored kind (VERIFIERS) on the stored data, whose only
+    stored answers are a solved gauge and a sampling seed, and compares the
+    whole certificate with the stored one: stored substitutions and
+    assumptions are checked, never trusted.  Stored data that fails to
+    parse, names a branch the entry lacks, or fails to verify means False.
     """
     data = cert.data
     try:
-        context = StageContext(
-            entry,
-            _branch_name(entry, cert.algebra),
-            {k: parse_polynomial(v) for k, v in data.get("derivation_subs", {}).items()},
-            {k: Fraction(v) for k, v in data.get("fam_subs", {}).items()},
-        )
+        context = StageContext(entry, _branch_name(entry, cert.algebra))
+        lambda_stage_one = cert.kind in _LAMBDA_KINDS and not data.get("fam_subs")
+        if cert.kind not in _SHIPPED_STAGE and not lambda_stage_one:
+            context = strongly_unimodular_context(context)
         rebuilt = VERIFIERS[cert.kind](context, data)
     except MALFORMED:
         return False
-    return (rebuilt.kind, rebuilt.algebra, rebuilt.data, rebuilt.verified) == (
-        cert.kind, cert.algebra, data, cert.verified
-    )
+    return rebuilt.to_json() == cert.to_json()
 
 
 # The verifier of each certificate kind, called as verifier(context, inputs).

@@ -176,7 +176,7 @@ def cmd_recheck(args) -> int:
     with open(args.report, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise G2CertError(f"{args.report} is not a JSON document: {exc}") from None
     verdicts = recheck_report(document, cat.load_any(args.catalog))
     total = failed = unsupported = 0

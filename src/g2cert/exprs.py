@@ -13,6 +13,8 @@ Division is only allowed by subexpressions that evaluate to a nonzero
 rational constant, so "2/3*e15" and "-a/2" parse while "1/x" is rejected.
 A `name_map` decides what polynomial a bare NAME stands for; the catalog's
 structure equations are tuples whose names include the basis symbols eIJ.
+Parentheses and unary minus signs nest at most MAX_DEPTH deep, so text
+from a catalog or a report fails with DslSyntaxError, not RecursionError.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from .errors import DslSyntaxError
 from .poly import Polynomial
 
 _TOKEN_CHARS = set("+-*/^(),")
+
+# How deep parentheses and unary minus signs may nest: well inside Python's
+# recursion limit, since each level is a few frames of the parser.
+MAX_DEPTH = 50
 
 
 def tokenize(text: str):
@@ -63,6 +69,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.name_map = name_map or (lambda name: Polynomial.var(name))
 
     def peek(self):
@@ -72,6 +79,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nested(self, parse, pos):
+        """parse() one nesting level deeper; DslSyntaxError past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise DslSyntaxError(self.text, pos, f"at most {MAX_DEPTH} nested parentheses or signs")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def expect_punct(self, ch):
         kind, value, pos = self.peek()
@@ -107,10 +123,10 @@ class _Parser:
                 return value
 
     def parse_unary(self) -> Polynomial:
-        kind, tok, _ = self.peek()
+        kind, tok, pos = self.peek()
         if kind == "punct" and tok == "-":
             self.advance()
-            return -self.parse_unary()
+            return -self.nested(self.parse_unary, pos)
         return self.parse_primary()
 
     def parse_primary(self) -> Polynomial:
@@ -132,7 +148,7 @@ class _Parser:
         if kind == "name":
             return self.name_map(tok)
         if kind == "punct" and tok == "(":
-            value = self.parse_expr()
+            value = self.nested(self.parse_expr, pos)
             self.expect_punct(")")
             return value
         raise DslSyntaxError(self.text, pos, "a number, name, or '('")

@@ -105,10 +105,6 @@ class KForm:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(dim: int, degree: int) -> "KForm":
-        return KForm(dim, degree)
-
-    @staticmethod
     def basis(dim: int, indices: Sequence[int]) -> "KForm":
         """The basis form e^{i1...ik} for strictly increasing indices."""
         idx = tuple(indices)

@@ -684,7 +684,7 @@ def extension_algebra(base: LieAlgebra, derivation) -> LieAlgebra:
                 mask = (1 << (j - 1)) | (1 << n)
                 lifted[mask] = lifted.get(mask, Polynomial.zero()) + entry
         differentials.append(KForm(n + 1, 2, lifted))
-    differentials.append(KForm.zero(n + 1, 2))
+    differentials.append(KForm(n + 1, 2))
     extension = LieAlgebra(n + 1, differentials, name=f"{base.name} x R")
     validate(extension)
     return extension

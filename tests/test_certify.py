@@ -587,6 +587,22 @@ class TestFullReport:
         node["data"][field] = value
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
+    def test_gauge_certificate_with_emptied_assumptions_fails(self, full_report):
+        # recheck once compared no assumptions, so each of these read True;
+        # it now rebuilds them on the context its plan step runs on
+        entries, document = full_report
+        nodes = [
+            (r["name"], c) for r in document["results"] for c in r["certificates"]
+            if c["kind"] == "gauge_null"
+        ]
+        assert len(nodes) == 3
+        for name, node in nodes:
+            entry = next(e for e in entries if e.name == name)
+            node = json.loads(json.dumps(node))
+            assert node["assumptions"] and recheck_certificate(entry, Certificate.from_json(node))
+            node["assumptions"] = []
+            assert not recheck_certificate(entry, Certificate.from_json(node)), node["algebra"]
+
     def test_unknown_branch_does_not_recheck(self, full_report):
         # the branch is resolved inside recheck's guarded region: a
         # certificate naming a branch the entry lacks is False, not an error
@@ -777,6 +793,21 @@ def test_tampered_witness_fails_recheck(kind, algebra):
     )
     assert not recheck_certificate(entry, forged)
     assert recheck_certificate(entry, cert)
+
+
+def test_a_prose_sample_step_without_a_reason_stores_the_reason_it_notes():
+    # the certificate once stored "" while the note cited the source
+    document = json.loads(builtin_text("table1"))
+    node = next(e for e in document["entries"] if e["name"].startswith("g_{5,33}"))
+    (step,) = node["plan"]
+    del step["reason"]
+    (entry,) = load_catalog_text(json.dumps({"schema": document["schema"], "entries": [node]}))
+    result = run_pipeline(entry, PipelineOptions(trials_override=1))
+    (cert,) = result.certificates
+    assert cert.data["reason"] == "case analysis cited from the source"
+    assert f"{entry.name}: case analysis cited from the source; 1 exact samples, 0 SU(3) passes" in (
+        result.notes
+    )
 
 
 def g530_with_su_expected(**fields):

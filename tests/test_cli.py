@@ -12,8 +12,18 @@ import g2cert
 from oracles import save_catalog
 from g2cert import catalog as cat
 from g2cert.catalog import AlgebraEntry, load_builtin, load_catalog_text
+from g2cert.certify import StageContext, certify_null_direction
 from g2cert.cli import main
 from g2cert.errors import ValidationFailure
+from g2cert.poly import Polynomial
+
+# 100000 nested JSON arrays, deeper than the JSON decoder recurses
+NESTED_ARRAYS = "[" * 100000 + "]" * 100000
+
+
+def _deep(text):
+    """`text` inside 300 nested parentheses."""
+    return "(" * 300 + text + ")" * 300
 
 
 def test_validate_builtin(capsys):
@@ -312,8 +322,10 @@ def test_recheck_certificate_field_of_wrong_type_fails(field, value, tmp_path, c
         '{"schema": "g2cert-report/0", "results": []}',
         "[]",
         "not json",
+        NESTED_ARRAYS,
     ],
-    ids=["no-results", "no-name", "certificate-not-object", "other-schema", "list", "not-json"],
+    ids=["no-results", "no-name", "certificate-not-object", "other-schema", "list", "not-json",
+         "nested-arrays"],
 )
 def test_recheck_malformed_report_is_an_error(text, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -405,6 +417,59 @@ def test_recheck_checks_each_result_of_a_repeated_name(all_report, tmp_path, cap
     assert f"{total - 1} of {total} certificates recheck" in out
 
 
+def test_recheck_fails_a_certificate_proved_off_its_plan_context(all_report, tmp_path, capsys):
+    # recheck once built the context from the substitutions a certificate
+    # stores: this null direction, proved with every derivation parameter
+    # set to 0 (D = 0), read "49 of 49 certificates recheck", exit 0, and
+    # lifted g_{5,33} to obstructed-modulo-cited-prose
+    (entry,) = [e for e in load_builtin("table1") if e.name.startswith("g_{5,33}")]
+    params = StageContext(entry).shipped_family.params
+    context = StageContext(entry, None, {p: Polynomial.zero() for p in params})
+    forged = certify_null_direction(context, {"indices": [1, 2, 3, 6]})
+    assert forged.verified and forged.data["derivation_subs"]
+    document = json.loads(json.dumps(all_report))
+    result = _result(document, "g_{5,33}")
+    result["certificates"].append(json.loads(json.dumps(forged.to_json())))
+    result["outcome"] = "obstructed-modulo-cited-prose"
+    report = tmp_path / "forged.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAILED") == 2
+    assert f"FAILED {entry.name}: null_direction" in out
+    assert (
+        f"FAILED {entry.name}: outcome obstructed-modulo-cited-prose is not supported by its "
+        "certificates (cited-prose-sampled)" in out
+    )
+    total = sum(len(r["certificates"]) for r in document["results"])
+    assert f"{total - 1} of {total} certificates recheck" in out
+
+
+def test_recheck_a_deeply_nested_stored_expression_fails_its_certificate(
+    all_report, tmp_path, capsys
+):
+    # the stored determinant once ended recheck in a RecursionError traceback
+    document = json.loads(json.dumps(all_report))
+    name = "g_{3,4}^{-1}+g_{3,4}^{-1}"
+    (cert,) = [c for c in _result(document, name)["certificates"] if c["kind"] == "gauge_null"]
+    cert["data"]["branch_condition"] = _deep("1")
+    report = tmp_path / "deep.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    assert f"FAILED {name}: gauge_null" in capsys.readouterr().out
+
+
+def test_validate_a_deeply_nested_structure_slot_is_an_error(tmp_path, capsys):
+    # 300 nested parentheses once ended validate in a RecursionError traceback
+    assert_validate_rejects_entry(
+        "table1", "g_{5,30}",
+        lambda node: node.update(structure=node["structure"].replace("-e45", _deep("-e45"))),
+        tmp_path, capsys, match="at most 50 nested parentheses",
+    )
+
+
 @pytest.mark.parametrize("samples", ["0", "2"])
 def test_recheck_of_a_run_all_report_exits_0(samples, tmp_path, capsys):
     # with --samples 0 no sampling certificate is stored, and the outcomes
@@ -446,16 +511,22 @@ def test_unreadable_path_is_an_error(command, kind, tmp_path, capsys):
         '"structure": "(0, 0, 0)", "plan": [5]}]}',
         '{"schema": "g2cert-catalog/1", "entries": [{"name": "x", "dim": 3, '
         '"structure": "(0, 0, 0)", "witnesses": {"w": 5}}]}',
+        NESTED_ARRAYS,
     ],
     ids=["not-json", "list", "entry-without-fields", "entries-not-list", "step-not-object",
-         "witness-not-tree"],
+         "witness-not-tree", "nested-arrays"],
 )
 def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
+    # the nested arrays once ended both commands in a RecursionError traceback
     catalog = tmp_path / "catalog.json"
     catalog.write_text(text)
     with pytest.raises(ValidationFailure):
         load_catalog_text(text)
     assert main(["validate", str(catalog)]) == 2
+    assert capsys.readouterr().err.startswith("error: catalog entry ")
+    report = tmp_path / "report.json"
+    report.write_text('{"schema": "g2cert-report/1", "results": []}')
+    assert main(["recheck", str(report), "--catalog", str(catalog)]) == 2
     assert capsys.readouterr().err.startswith("error: catalog entry ")
 
 
@@ -495,15 +566,19 @@ def _set_first_indices(value):
         lambda plan: plan.append(
             {"kind": "branch", "name": "b", "steps": [{"kind": "branch", "name": "c"}]}
         ),
+        lambda plan: plan.append({"kind": "prose_sample", "trails": 5}),
+        lambda plan: plan.append({"kind": "null_direction", "indices": [1], "index": 2}),
     ],
     ids=["no-indices", "index-9", "index-0", "indices-string", "no-index", "unshipped-witness",
-         "trials-not-int", "unknown-slice", "kind-of-dimension-7", "unknown-kind", "nested-branch"],
+         "trials-not-int", "unknown-slice", "kind-of-dimension-7", "unknown-kind", "nested-branch",
+         "misspelt-trials", "null-direction-extra-key"],
 )
 def test_validate_malformed_plan_step_is_an_error(change, tmp_path, capsys):
     # before plan steps were checked, `validate` accepted each of these; then
     # run-all crashed (KeyError, IndexError, TypeError), stopped at an
     # unknown or misplaced step kind, or, for the unknown slice, stored
-    # "slice": "t3" in a certificate with no slice applied
+    # "slice": "t3" in a certificate with no slice applied; a misspelt or
+    # stray key was ignored, so "trails" ran the default 500 trials
     assert_validate_rejects_entry(
         "table1", "g_{5,30}", lambda node: change(node["plan"]), tmp_path, capsys
     )
@@ -553,11 +628,22 @@ G6101 = ("indecomposable", "g_{6,101}")
          "family parameter 'a' atoms needs a list of"),
         (*G6101, lambda node: node["family_params"][0].update(atoms=[["lt", "fam_a"]]),
          "family parameter 'a' atoms needs a list of .*unknown atom op 'lt'"),
+        ("table1", "g_{5,30}", lambda node: node.update(witness={}),
+         r"entry has unknown keys \['witness'\]"),
+        (*G6101, lambda node: node["family_params"][0].update(atom=[]),
+         r"family parameter has unknown keys \['atom'\]"),
+        ("indecomposable", "g_{6,70}", lambda node: node["derivation_family"].update(param=[]),
+         r"derivation_family has unknown keys \['param'\]"),
+        (*G6101, lambda node: _branches(node)[0].update(sub={}),
+         r"branch step has unknown keys \['sub'\]"),
+        (*G6101, _gauge_step(1, expect_det_multiple_of=5), "expect_det_multiple_of: a string"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
-         "family-atoms-not-a-list", "family-atom-op"],
+         "family-atoms-not-a-list", "family-atom-op", "entry-stray-witness",
+         "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
+         "expect-det-not-text"],
 )
 def test_validate_parses_every_field_the_pipeline_reads(
     dataset, prefix, change, match, tmp_path, capsys
@@ -571,7 +657,9 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # name the field; an unknown su_expected key was once ignored, so a
     # misspelt "family" compared nothing.  A family parameter's atoms were
     # parsed with the catalog document, and the error named '<entry 0>'
-    # and neither the parameter nor the field
+    # and neither the parameter nor the field.  A key the format does not
+    # define, in an entry, a family parameter, a derivation family or a
+    # branch, was ignored
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 

@@ -157,7 +157,7 @@ class TestWedge:
 
 def interior(v, f):
     """iota_v f = sum_i v_i iota_{e_i} f."""
-    return sum((c * iota for c, iota in zip(v, contractions(f))), KForm.zero(f.dim, f.degree - 1))
+    return sum((c * iota for c, iota in zip(v, contractions(f))), KForm(f.dim, f.degree - 1))
 
 
 class TestContract:

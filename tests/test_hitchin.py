@@ -55,7 +55,7 @@ class TestBPhi:
                 assert oracle_b_entry(std_phi0, i, j) == b.entry(i, j).constant_value()
 
     def test_zero_form(self):
-        b = b_phi(KForm.zero(7, 3))
+        b = b_phi(KForm(7, 3))
         assert all(b.entry(i, j).is_zero() for i in range(1, 8) for j in range(1, 8))
 
     def test_generic_exact_on_q1_has_zero_diagonal(self):

@@ -139,7 +139,7 @@ class TestBracket:
         # de^1 = e12 + e34 breaks Jacobi: d(de^1) = e234; so some ad_{e_i}
         # is not a derivation
         de1 = KForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1})
-        L = LieAlgebra(4, [de1] + [KForm.zero(4, 2)] * 3)
+        L = LieAlgebra(4, [de1] + [KForm(4, 2)] * 3)
         with pytest.raises(JacobiFailure):
             validate(L)
         failures = 0
@@ -289,7 +289,7 @@ def basis_and_vector(draw, symbolic, rational_generators=False):
 
 
 def _abelian(dim):
-    return LieAlgebra(dim, [KForm.zero(dim, 2)] * dim)
+    return LieAlgebra(dim, [KForm(dim, 2)] * dim)
 
 
 class TestSubspaceMembership:
@@ -387,9 +387,9 @@ class TestUnimodularity:
 def test_jacobi_failure_reported_with_residual():
     bad = [
         KForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1}),
-        KForm.zero(4, 2),
-        KForm.zero(4, 2),
-        KForm.zero(4, 2),
+        KForm(4, 2),
+        KForm(4, 2),
+        KForm(4, 2),
     ]
     with pytest.raises(JacobiFailure) as err:
         validate(LieAlgebra(4, bad))

@@ -98,7 +98,7 @@ class TestCompiledForm:
         assert CompiledForm(coeffs, variables).evaluate(point) == expected
 
     def test_zero_form_and_zero_values(self):
-        assert eval_form_int(KForm.zero(6, 2), {}) == {}
+        assert eval_form_int(KForm(6, 2), {}) == {}
         u = Polynomial.var("u")
         form = KForm(6, 2, {0b11: u * Fraction(1, 2), 0b101: u - 1})
         assert eval_form_int(form, {"u": Fraction(0)}) == {0b101: -1}
