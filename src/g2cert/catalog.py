@@ -40,7 +40,9 @@ nilpotency builds a series, over Q, so a nilradical whose brackets
 involve a family parameter is refused.  Plan steps are checked against
 one table (PLAN_STEPS), and `su_expected`, a branch's `subs` and `atoms`
 and a family parameter's `atoms` are read by another (FIELDS); either
-way an error names the field and what it expects.  A key the format
+way an error names the field and what it expects.  A context (the entry
+as shipped, or a branch) lists at most one step of each kind, which its
+verifier reads (`StageContext.step`).  A key the format
 does not define, in an entry, a family parameter, a derivation family,
 `su_expected` or a plan step, is refused by name.  The entry keeps what
 it parsed and built, and the pipeline and recheck read it again for free.
@@ -69,7 +71,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationFailure,
 )
-from .exprs import parse_polynomial, parse_tuple
+from .exprs import MAX_DEPTH, parse_polynomial, parse_tuple
 from .forms import KForm
 from .lie import LieAlgebra, unimodular_check, validate, verify_nilradical
 from .poly import Polynomial
@@ -158,11 +160,14 @@ class Atom:
         return f"{self.poly} {sym} 0"
 
 
-def expand_witness(node) -> Polynomial:
+def expand_witness(node, depth: int = 0) -> Polynomial:
     """The polynomial of a nonnegativity witness tree: ["square", p] is p*p,
     ["const", c] is c > 0, ["sum", ...] and ["product", ...] combine their
     children, so it is nonnegative at every real point.  Raises ValueError
-    on an unknown kind, a wrong arity or a constant <= 0."""
+    on an unknown kind, a wrong arity, a constant <= 0 or a node nested
+    deeper than MAX_DEPTH."""
+    if depth > MAX_DEPTH:
+        raise ValueError(f"a witness tree nests at most {MAX_DEPTH} deep")
     kind, args = (node[0], node[1:]) if isinstance(node, list) and node else (None, ())
     if kind == "square" and len(args) == 1:
         base = parse_polynomial(args[0])
@@ -172,10 +177,11 @@ def expand_witness(node) -> Polynomial:
         if value <= 0:
             raise ValueError(f"witness constant {value} is not positive")
         return Polynomial.const(value)
-    if kind == "sum":
-        return sum(map(expand_witness, args), Polynomial.zero())
-    if kind == "product":
-        return prod(map(expand_witness, args), start=Polynomial.const(1))
+    if kind in ("sum", "product"):
+        children = [expand_witness(arg, depth + 1) for arg in args]
+        if kind == "sum":
+            return sum(children, Polynomial.zero())
+        return prod(children, start=Polynomial.const(1))
     raise ValueError(f"not a witness node: {node!r}")
 
 
@@ -417,11 +423,9 @@ class AlgebraEntry:
             ("atoms", branch_name), lambda: _parse_field("atoms", atoms, f"branch {branch_name!r} ")
         )
 
-    def witness(self, node) -> Polynomial:
-        """The expansion of a witness tree, kept per tree: a stored tree equal
-        to a shipped one reads the expansion that validation made."""
-        key = ("witness", json.dumps(node, sort_keys=True))
-        return self._once(key, lambda: expand_witness(node))
+    def witness(self, name: str) -> Polynomial:
+        """The expansion of the shipped witness tree `name`, made once."""
+        return self._once(("witness", name), lambda: expand_witness(self.witnesses[name]))
 
     def gauge_expectations(self, step) -> tuple:
         """The parsed `expect_k` ({index: polynomial}) and
@@ -470,6 +474,9 @@ class AlgebraEntry:
                 self.build_family(branch_name)
                 self.branch_atoms(branch_name)
                 steps = self.steps(branch_name)
+                kinds = [step.get("kind") for step in steps]
+                if len(set(kinds)) != len(kinds):
+                    raise G2CertError(f"a context lists a step kind more than once: {kinds}")
                 gauges = [step for step in steps if step.get("kind") == "gauge"]
                 for step in gauges:
                     self.build_gauge_family(branch_name, step)
@@ -477,8 +484,8 @@ class AlgebraEntry:
                 if not gauges and any(step.get("slice") == "t2_zero" for step in steps):
                     raise G2CertError("the t2_zero slice needs a gauge step")
             self.su_expectations()
-            for node in self.witnesses.values():
-                self.witness(node)
+            for name in self.witnesses:
+                self.witness(name)
         except MALFORMED as exc:
             raise ValidationFailure(self.name, exc) from exc
 

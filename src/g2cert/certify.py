@@ -13,21 +13,22 @@ families it ships, each built and proved once; the context substitutes
 into them, solves Der where no family is shipped, builds on first use the
 other objects a check reads (psi = d alpha, omega = d beta - D* alpha, K,
 lambda, h and the trace conditions), and gives each certificate its name,
-assumptions and context fields.  Each certificate kind has one
-verifier, called as `verifier(context, inputs)` with a dict holding
-exactly the keys the certificate stores, and `VERIFIERS` maps every kind
-to it.  Discovery and `recheck_certificate` take each context from the
-plan in one way: the entry or branch as shipped for a zero diagonal, a
-trace obstruction or a first-stage lambda certificate, else after its
-strong-unimodularity substitutions.  Discovery builds the inputs from
-the plan step; recheck runs the verifier on the stored data and compares
-the whole certificate, assumptions included.  The only stored answers
-are a gauge certificate's solved gauge and determinant, the only report
-text parsed here, and a sampling certificate's seed.  A new certificate
-kind is one more entry of that table.  One rule, `derive_outcome`, reads an entry's
-outcome off its plan and certificates, in discovery and in recheck,
-which compares it with the stored outcome.  Verifiers read the catalog
-values that entry validation parsed.
+assumptions and context fields.  Each certificate kind has one verifier,
+called as `verifier(context, inputs)`, and `VERIFIERS` maps every kind to
+it; a new kind is one more entry of that table.  Discovery and
+`recheck_certificate` take each context from the plan in one way: the
+entry or branch as shipped for a zero diagonal, a trace obstruction or a
+first-stage lambda certificate, else after its strong-unimodularity
+substitutions.  A verifier reads its plan step from the context
+(`StageContext.step`) and witnesses from the entry.  The inputs supply
+only what a plan cannot: a gauge certificate's solved gauge and
+determinant, the only report text parsed here, and a sampling
+certificate's trials and seed, which --samples and --seed set.  Recheck
+runs the verifier on the stored data and compares the whole certificate,
+assumptions included, so every other stored field can only match the
+plan.  One rule, `derive_outcome`, reads an entry's outcome off its plan
+and certificates, in discovery and in recheck, which compares it with
+the stored outcome.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ class StageContext:
     derivation_subs: dict = field(default_factory=dict)
     fam_subs: dict = field(default_factory=dict)
     unsolved: tuple = ()
-    _gauge_systems: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -223,6 +223,14 @@ class StageContext:
     def steps(self) -> list:
         """The plan steps of the entry (branches excepted) or of the branch."""
         return self.entry.steps(self.branch_name)
+
+    def step(self, kind: str) -> dict:
+        """The plan step of `kind` of the context: validation allows at most
+        one per context.  G2CertError when it has none."""
+        for step in self.steps:
+            if step.get("kind") == kind:
+                return step
+        raise G2CertError(f"{self.name}: no {kind} step in the plan")
 
     @cached_property
     def algebra(self) -> LieAlgebra:
@@ -326,18 +334,13 @@ class StageContext:
                 context.__dict__[name] = self.__dict__[name]
         return context
 
-    def gauge_system(self, step) -> GaugeSystem:
-        """The gauge system of psi for a gauge plan step: the entry's gauge
-        family S of the step, after fam_subs; built once per S and targets."""
-        key = (
-            tuple(map(tuple, step["s_matrix"])),
-            tuple(step["s_params"]),
-            tuple(map(tuple, step["targets"])),
-        )
-        if key not in self._gauge_systems:
-            s_family = self._specialized(self.entry.build_gauge_family(self.branch_name, step))
-            self._gauge_systems[key] = gauge_system(self.psi, s_family, step["targets"])
-        return self._gauge_systems[key]
+    @cached_property
+    def gauge_system(self) -> GaugeSystem:
+        """The gauge system of psi for the gauge step of the context: the
+        entry's gauge family S of the step, after fam_subs."""
+        step = self.step("gauge")
+        s_family = self._specialized(self.entry.build_gauge_family(self.branch_name, step))
+        return gauge_system(self.psi, s_family, step["targets"])
 
     def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
         """A verified SU(3)-stage certificate on this context: its name, its
@@ -386,11 +389,15 @@ def strongly_unimodular_context(base: StageContext) -> StageContext:
     return base.constrained(base.su.derivation_subs, fam_subs, unsolved)
 
 
-def needs_su_first(entry: AlgebraEntry) -> bool:
-    """True when the lambda witness only applies after the strong-unimodularity
-    family conditions are substituted (the witness is checked at stage two)."""
-    _, family, _ = entry.su_expectations() or ({}, [], [])
-    return bool(family)
+def lambda_witness(context: StageContext) -> Optional[list]:
+    """The shipped lambda witness tree where it applies, else None.  An
+    entry whose `su_expected` lists family conditions ships a witness that
+    holds only after their substitution, so not on a context without
+    fam_subs (the entry as shipped: the first lambda stage)."""
+    _, family, _ = context.entry.su_expectations() or ({}, [], [])
+    if family and not context.fam_subs:
+        return None
+    return context.entry.witnesses.get("lambda")
 
 
 # -- certificates ----------------------------------------------------------
@@ -407,11 +414,11 @@ def _check_null_diagonal(form, indices) -> None:
             raise NotIdenticallyZero(residual)
 
 
-def certify_zero_diagonal(context: StageContext, inputs) -> Certificate:
+def certify_zero_diagonal(context: StageContext, inputs=None) -> Certificate:
     """Verifies b_phi(e_i, e_i) = 0 identically for the generic exact
-    phi = d alpha of a 7-dimensional context, for each i in
-    inputs["indices"]."""
-    indices = inputs["indices"]
+    phi = d alpha of a 7-dimensional context, for each index of its
+    zero_diagonal step."""
+    indices = context.step("zero_diagonal")["indices"]
     _check_null_diagonal(b_phi(context.psi), indices)
     return Certificate(
         CertKind.ZERO_DIAGONAL,
@@ -422,10 +429,10 @@ def certify_zero_diagonal(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_lambda(context: StageContext, inputs) -> Certificate:
+def certify_lambda(context: StageContext, inputs=None) -> Certificate:
     """LambdaIdenticallyZero when lambda of the context vanishes
     identically, else LambdaNonNegative checked against the expansion of
-    inputs["witness"] (its JSON tree, `AlgebraEntry.witness`); raises when
+    the shipped witness where it applies (`lambda_witness`); raises when
     neither holds.
 
     On the entry as shipped the identity holds for every parameter value,
@@ -433,16 +440,15 @@ def certify_lambda(context: StageContext, inputs) -> Certificate:
     second lambda stage) it carries the context's assumptions.
     """
     lam = context.lam
-    witness = inputs.get("witness")
+    witness = lambda_witness(context)
     data = {"fam_subs": context.certificate_data()["fam_subs"]}
     if lam.is_zero():
         kind = CertKind.LAMBDA_ZERO
     elif witness is None:
         raise NotIdenticallyZero(lam)
     else:
-        expansion = context.entry.witness(witness)
         try:
-            check_nonneg_witness(lam, expansion)
+            check_nonneg_witness(lam, context.entry.witness("lambda"))
         except G2CertError as exc:
             raise WitnessMismatch(f"{context.name}: {exc}") from exc
         kind = CertKind.LAMBDA_NONNEG
@@ -452,13 +458,13 @@ def certify_lambda(context: StageContext, inputs) -> Certificate:
     return Certificate(kind, context.name, assumptions=assumptions, data=data, verified=True)
 
 
-def certify_lambda_sign(context: StageContext, witness, rng: random.Random):
-    """The lambda certificate of the context (`certify_lambda`, the witness
-    given as its JSON tree), or None plus a sample with lambda < 0, drawn
-    from `rng`, when no obstruction exists at this stage."""
+def certify_lambda_sign(context: StageContext, rng: random.Random):
+    """The lambda certificate of the context (`certify_lambda`), or None
+    plus a sample with lambda < 0, drawn from `rng`, when no obstruction
+    exists at this stage: lambda is not zero and no witness applies."""
     lam = context.lam
-    if lam.is_zero() or witness is not None:
-        return certify_lambda(context, {"witness": witness}), None
+    if lam.is_zero() or lambda_witness(context) is not None:
+        return certify_lambda(context), None
     sample = _lambda_negative_sample(lam, context.atoms, rng)
     if sample is None:
         raise G2CertError(
@@ -488,9 +494,10 @@ def _lambda_negative_sample(lam: Polynomial, atoms, rng: random.Random):
     return None
 
 
-def certify_null_direction(context: StageContext, inputs) -> Certificate:
-    """Verifies h(e_i, e_i) = 0 identically for each i in inputs["indices"]."""
-    indices = inputs["indices"]
+def certify_null_direction(context: StageContext, inputs=None) -> Certificate:
+    """Verifies h(e_i, e_i) = 0 identically for each index of the
+    null_direction step of the context."""
+    indices = context.step("null_direction")["indices"]
     _check_null_diagonal(context.h, indices)
     return context.certificate(
         CertKind.NULL_DIRECTION,
@@ -498,28 +505,29 @@ def certify_null_direction(context: StageContext, inputs) -> Certificate:
     )
 
 
-def certify_sign_product(context: StageContext, inputs) -> Certificate:
+def certify_sign_product(context: StageContext, inputs=None) -> Certificate:
     """Verifies h_ii * h_jj + expansion(witness) = 0 identically for the
-    inputs' pair (i, j) and witness (its JSON tree, expanded by
-    `AlgebraEntry.witness`).
+    pair (i, j) and the shipped witness that the sign_product step of the
+    context names.
 
     The product of the two diagonal entries is minus a nonnegative
     polynomial, so h (hence the metric, wherever lambda < 0) is never
     definite.
     """
-    i, j = inputs["pair"]
+    step = context.step("sign_product")
+    i, j = step["pair"]
     h = context.h
-    residual = h.entry(i, i) * h.entry(j, j) + context.entry.witness(inputs["witness"])
+    residual = h.entry(i, i) * h.entry(j, j) + context.entry.witness(step["witness"])
     if not residual.is_zero():
         raise IdentityMismatch(residual)
     return context.certificate(
         CertKind.SIGN_PRODUCT,
-        {"pair": [i, j], "witness": inputs["witness"]},
+        {"pair": [i, j], "witness": context.entry.witnesses[step["witness"]]},
         ["lambda < 0 on the candidate locus"],
     )
 
 
-def certify_trace_obstruction(context: StageContext, inputs) -> Certificate:
+def certify_trace_obstruction(context: StageContext, inputs=None) -> Certificate:
     """The strong-unimodularity trace conditions of the context contain a
     nonzero constant, so no extension of it is strongly unimodular.  It
     reads no inputs: the constants and traces are recomputed from the
@@ -616,19 +624,17 @@ def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem
     return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
 
 
-def gauge_transport(context: StageContext, step) -> Certificate:
-    """Normalize (omega, psi) by F = exp(S) for a gauge plan step and
-    certify its null pair.
+def gauge_transport(context: StageContext) -> Certificate:
+    """Normalize (omega, psi) by F = exp(S) for the gauge step of the
+    context and certify its null pair.
 
     Solves the linear system that kills the step's target coefficients of
     F*psi (SingularSymbolicSystem when its determinant vanishes
     identically) and runs verify_gauge on the solution.
     """
-    system = context.gauge_system(step)
+    system = context.gauge_system
     solved = system.solved
     return verify_gauge(context, {
-        "targets": [list(t) for t in system.targets],
-        "pair": list(step["pair"]),
         "solved_gauge": {
             sv: str(num) for sv, num in zip(system.s_family.params, solved.numerators)
         },
@@ -636,21 +642,9 @@ def gauge_transport(context: StageContext, step) -> Certificate:
     })
 
 
-def _gauge_step(context: StageContext, inputs) -> dict:
-    """The context's gauge plan step with the inputs' targets and pair."""
-    for step in context.steps:
-        if (
-            step.get("kind") == "gauge"
-            and [list(t) for t in step["targets"]] == inputs["targets"]
-            and list(step["pair"]) == inputs["pair"]
-        ):
-            return step
-    raise G2CertError(f"{context.name}: no gauge step has these targets and pair")
-
-
 def verify_gauge(context: StageContext, inputs) -> Certificate:
-    """Certify the null pair of the gauge step with the inputs' targets and
-    pair at the gauge s_k = solved_gauge[s_k] / branch_condition.
+    """Certify the null pair of the gauge step of the context at the gauge
+    s_k = solved_gauge[s_k] / branch_condition, the only inputs it reads.
 
     Verifies, as identities after clearing denominators: det != 0, the
     killed coefficients vanish, F*omega(pair) = 0, and K_{F*psi}(e_i) lies
@@ -658,12 +652,12 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
     expects (`expect_k`, `expect_det_multiple_of`).  det(exp S) = 1 for
     nilpotent S, so lambda is preserved on the nose, which is also checked.
     """
-    step = _gauge_step(context, inputs)
+    step = context.step("gauge")
     expect_k, expect_det = context.entry.gauge_expectations(step)
     det = parse_polynomial(inputs["branch_condition"])
     if det.is_zero():
         raise SingularSymbolicSystem(det)
-    system = context.gauge_system(step)
+    system = context.gauge_system
     s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
     numerators = [parse_polynomial(inputs["solved_gauge"][sv]) for sv in svars]
@@ -756,8 +750,9 @@ REJECT_BUDGET_FACTOR = 200
 
 
 def sample_falsify(context: StageContext, inputs) -> Certificate:
-    """Run su3_passes_int on inputs["trials"] exact candidates drawn on the
-    context and inputs["slice"] from inputs["seed"]; record zero passes.
+    """Run su3_passes_int on inputs["trials"] exact candidates drawn from
+    inputs["seed"] on the context and the slice of its prose_sample step,
+    which also gives the reason; record zero passes.
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
@@ -765,10 +760,11 @@ def sample_falsify(context: StageContext, inputs) -> Certificate:
     so a certificate that stores one does not recheck.  Its one assumption
     says that it is NON-PROVING.
     """
+    step = context.step("prose_sample")
     trials = inputs["trials"]
     if trials < 0:
         raise G2CertError(f"{context.name}: the number of trials must be nonnegative, got {trials}")
-    sampler = PairSampler(context, random.Random(inputs["seed"]), inputs["slice"])
+    sampler = PairSampler(context, random.Random(inputs["seed"]))
     passes = 0
     done = 0
     attempts = 0
@@ -795,8 +791,8 @@ def sample_falsify(context: StageContext, inputs) -> Certificate:
             "seed": inputs["seed"],
             "passes": passes,
             "attempts": attempts,
-            "slice": inputs["slice"],
-            "reason": inputs["reason"],
+            "slice": step.get("slice"),
+            "reason": step.get("reason", "case analysis cited from the source"),
             **context.certificate_data(),
         },
         verified=(passes == 0),
@@ -834,8 +830,7 @@ def run_pipeline(entry: AlgebraEntry, options: Optional[PipelineOptions] = None)
     elif entry.dim == 7:
         for step in entry.plan:
             if step["kind"] == "zero_diagonal":
-                inputs = {"indices": step["indices"]}
-                result.certificates.append(certify_zero_diagonal(context, inputs))
+                result.certificates.append(certify_zero_diagonal(context))
             elif step["kind"] == "lattice_out_of_scope":
                 result.notes.append(
                     "lattice obstruction - out of scope, see the cited source argument"
@@ -844,8 +839,7 @@ def run_pipeline(entry: AlgebraEntry, options: Optional[PipelineOptions] = None)
         # dimension 6: the lambda stage on the entry as shipped, then the
         # SU(3) stage on each branch, or on the entry when it has none
         rng = random.Random(options.seed_override if options.seed_override is not None else 7)
-        witness = None if needs_su_first(entry) else entry.witnesses.get("lambda")
-        cert, negative_sample = certify_lambda_sign(context, witness, rng)
+        cert, negative_sample = certify_lambda_sign(context, rng)
         if cert is not None:
             result.certificates.append(cert)
         else:
@@ -880,9 +874,7 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
     context = strongly_unimodular_context(base)
     if context.fam_subs:
         # second lambda stage on the constrained structure
-        cert, _ = certify_lambda_sign(
-            context, base.entry.witnesses.get("lambda"), random.Random(11)
-        )
+        cert, _ = certify_lambda_sign(context, random.Random(11))
         if cert is not None:
             result.certificates.append(cert)
             return
@@ -890,25 +882,23 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
     for step in context.steps:
         kind = step.get("kind")
         if kind == "null_direction":
-            result.certificates.append(certify_null_direction(context, {"indices": step["indices"]}))
+            result.certificates.append(certify_null_direction(context))
         elif kind == "sign_product":
-            inputs = {"pair": step["pair"], "witness": base.entry.witnesses[step["witness"]]}
-            result.certificates.append(certify_sign_product(context, inputs))
+            result.certificates.append(certify_sign_product(context))
         elif kind == "gauge":
-            result.certificates.append(gauge_transport(context, step))
+            result.certificates.append(gauge_transport(context))
         elif kind == "prose_sample" and options.trials_override == 0:
             result.notes.append(f"{name}: sampling skipped by options")
         elif kind == "prose_sample":
             trials, seed = options.trials_override, options.seed_override
-            reason = step.get("reason", "case analysis cited from the source")
             cert = sample_falsify(context, {
                 "trials": step.get("trials", 500) if trials is None else trials,
                 "seed": step.get("seed", 20260811) if seed is None else seed,
-                "slice": step.get("slice"), "reason": reason,
             })
             result.certificates.append(cert)
+            data = cert.data
             result.notes.append(
-                f"{name}: {reason}; {cert.data['trials']} exact samples, {cert.data['passes']} SU(3) passes"
+                f"{name}: {data['reason']}; {data['trials']} exact samples, {data['passes']} SU(3) passes"
             )
 
 
@@ -1011,13 +1001,10 @@ _LAMBDA_KINDS = {CertKind.LAMBDA_ZERO, CertKind.LAMBDA_NONNEG}
 
 
 def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
-    """Re-verify a stored certificate against the catalog entry.
-
-    Takes the context from the plan as `run_pipeline` does, runs the
-    verifier of the stored kind (VERIFIERS) on the stored data, whose only
-    stored answers are a solved gauge and a sampling seed, and compares the
-    whole certificate with the stored one: stored substitutions and
-    assumptions are checked, never trusted.  Stored data that fails to
+    """Re-verify a stored certificate against the catalog entry: the
+    verifier of its kind (VERIFIERS) runs on the stored data and on the
+    context the plan gives, as in `run_pipeline`, and the rebuilt
+    certificate must equal the stored one.  Stored data that fails to
     parse, names a branch the entry lacks, or fails to verify means False.
     """
     data = cert.data
@@ -1032,9 +1019,8 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
     return rebuilt.to_json() == cert.to_json()
 
 
-# The verifier of each certificate kind, called as verifier(context, inputs).
-# Discovery passes inputs built from the plan step, recheck the stored data.
-# A new certificate kind is added here.
+# The verifier of each certificate kind, called as verifier(context, inputs):
+# discovery passes the answers and options it has, recheck the stored data.
 VERIFIERS = {
     CertKind.ZERO_DIAGONAL: certify_zero_diagonal,
     CertKind.LAMBDA_ZERO: certify_lambda,

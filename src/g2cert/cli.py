@@ -14,10 +14,10 @@ verifies; for recheck, iff every certificate of the report rechecks against
 the catalog (the default catalog is 'all') and the certificates of each
 result that recheck support its stored outcome (certify.derive_outcome).
 
-lambda --witness checks the shipped witness where the pipeline does: on
-the entry as shipped, or, for an entry whose catalog lists
-strong-unimodularity family conditions, after their substitution, which
-it prints.
+lambda --witness checks the shipped witness with the pipeline's verifier
+where the pipeline does: on the entry as shipped, or, for an entry whose
+catalog lists strong-unimodularity family conditions, after their
+substitution, which it prints.
 
 validate, run-all and recheck validate every entry of their catalog.
 lambda, derivations and su3 look <algebra> up in the built-in catalogs,
@@ -46,7 +46,8 @@ from . import catalog as cat
 from .certify import (
     PipelineOptions,
     StageContext,
-    needs_su_first,
+    certify_lambda,
+    lambda_witness,
     recheck_report,
     run_all,
     run_pipeline,
@@ -54,7 +55,6 @@ from .certify import (
 )
 from .derivations import solve_derivations
 from .errors import G2CertError
-from .poly import check_nonneg_witness
 
 
 def _find_entry(name: str):
@@ -93,18 +93,17 @@ def cmd_lambda(args) -> int:
         print("  identically zero")
         return 0
     if args.witness:
-        node = entry.witnesses.get("lambda")
-        if node is None:
+        if "lambda" not in entry.witnesses:
             print("  no nonnegativity witness shipped for this entry")
             return 1
-        if needs_su_first(entry):
+        if lambda_witness(context) is None:
             # the witness holds where the pipeline checks it: after the
             # strong-unimodularity family conditions
             context = strongly_unimodular_context(context)
             subs = ", ".join(f"{k} = {v}" for k, v in sorted(context.fam_subs.items()))
             print(f"  after the strong-unimodularity substitution {subs}:")
             print(f"  {context.lam}")
-        check_nonneg_witness(context.lam, entry.witness(node))
+        certify_lambda(context)
         print("  nonnegativity witness verifies: lambda >= 0 for all real coefficients")
     return 0
 

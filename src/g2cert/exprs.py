@@ -13,8 +13,10 @@ Division is only allowed by subexpressions that evaluate to a nonzero
 rational constant, so "2/3*e15" and "-a/2" parse while "1/x" is rejected.
 A `name_map` decides what polynomial a bare NAME stands for; the catalog's
 structure equations are tuples whose names include the basis symbols eIJ.
-Parentheses and unary minus signs nest at most MAX_DEPTH deep, so text
-from a catalog or a report fails with DslSyntaxError, not RecursionError.
+Parentheses and unary minus signs nest at most MAX_DEPTH deep, and a power
+p^n has degree n * deg(p) (n for a constant p) at most MAX_EXPONENT, so text
+from a catalog or a report fails with DslSyntaxError, not RecursionError or
+an expansion of ever growing size.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ _TOKEN_CHARS = set("+-*/^(),")
 # How deep parentheses and unary minus signs may nest: well inside Python's
 # recursion limit, since each level is a few frames of the parser.
 MAX_DEPTH = 50
+
+# The largest degree of a power: the shipped catalogs and reports use at
+# most 5, and expanding (a + b + c + d)^40 takes most of a second.
+MAX_EXPONENT = 16
 
 
 def tokenize(text: str):
@@ -137,6 +143,8 @@ class _Parser:
             kind, tok, pos = self.peek()
             if kind != "int":
                 raise DslSyntaxError(self.text, pos, "an integer exponent")
+            if int(tok) * max(1, value.total_degree()) > MAX_EXPONENT:
+                raise DslSyntaxError(self.text, pos, f"a power of degree at most {MAX_EXPONENT}")
             self.advance()
             value = value ** int(tok)
         return value

@@ -266,6 +266,7 @@ class PairSampler:
     denominator L.  The domain atoms, lambda, psi and omega (and, on the
     t2_zero slice, the coefficients in alpha_14 of the determinant of its
     gauge step) are compiled once into CompiledForm kernels over that list.
+    The slice is the one the prose_sample step of the context names.
     A draw does only the work its verdict reads, in this order:
 
     1. family values, each a numerator in [-1000, 1000] then a denominator
@@ -283,10 +284,10 @@ class PairSampler:
     Every number is drawn by uniform_int from the generator `rng`.
     """
 
-    def __init__(self, context, rng, slice_name=None):
+    def __init__(self, context, rng):
         self.atoms = list(context.atoms)
         self.rng = rng
-        self.slice_name = slice_name
+        self.t2_slice = context.step("prose_sample").get("slice") == "t2_zero"
         psi, omega = context.psi, context.omega
         names = psi.variables() | omega.variables()
         self.fam_vars = sorted(v for v in names if v.startswith("fam_"))
@@ -298,11 +299,8 @@ class PairSampler:
         self.lam_int = CompiledForm({0: context.lam}, self.variables)
         self.psi_int = CompiledForm(psi.coeffs, self.variables)
         self.omega_int = CompiledForm(omega.coeffs, self.variables)
-        if slice_name == "t2_zero":
-            step = next((s for s in context.steps if s.get("kind") == "gauge"), None)
-            if step is None:
-                raise G2CertError(f"{context.name}: the t2_zero slice needs a gauge step")
-            det = context.gauge_system(step).solved.determinant
+        if self.t2_slice:
+            det = context.gauge_system.solved.determinant
             parts = {
                 sum(e for _, e in mono): coeff
                 for mono, coeff in det.collect({"alpha_14"}).items()
@@ -367,7 +365,7 @@ class PairSampler:
         family, common = self._draw_family() if self.fam_vars or self.atoms else ([], 1)
         getrandbits = self.rng.getrandbits
         values = [common * uniform_int(getrandbits, -20, 20) for _ in self.free_vars] + family
-        if self.slice_name == "t2_zero":
+        if self.t2_slice:
             common = self._apply_t2_slice(values, common)
             if common is None:
                 return None

@@ -25,6 +25,7 @@ from g2cert.errors import (
     JacobiFailure,
     ValidationFailure,
 )
+from g2cert.exprs import MAX_EXPONENT, parse_polynomial
 from g2cert.forms import KForm
 from g2cert.lie import unimodular_check
 from g2cert.poly import Polynomial
@@ -72,6 +73,14 @@ class TestDsl:
     def test_scalar_term_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse_structure_equations("(1 + e12, 0, 0)")
+
+    def test_a_power_of_large_degree_is_refused_before_it_is_expanded(self):
+        # expanding (a+b+c+d)^40 once took 0.64 s; a power of a power counts
+        # the product of the exponents
+        assert parse_polynomial("(a+b+c+d)^16").total_degree() == MAX_EXPONENT == 16
+        for text in ("(a+b+c+d)^40", "(a*b)^9", "((a+b)^8)^3", "a^17"):
+            with pytest.raises(DslSyntaxError, match=f"a power of degree at most {MAX_EXPONENT}"):
+                parse_polynomial(text)
 
     @pytest.mark.parametrize(
         "text, slot",

@@ -63,6 +63,18 @@ def by_name(dataset, name):
     return next(e for e in load_builtin(dataset) if name in e.name)
 
 
+def changed_entry(dataset, prefix, change, validate=True):
+    """The built-in entry of `dataset` whose name starts with `prefix`, in
+    a catalog of its own after change(node): loaded, or only parsed when
+    not `validate`."""
+    document = json.loads(builtin_text(dataset))
+    node = next(e for e in document["entries"] if e["name"].startswith(prefix))
+    change(node)
+    text = json.dumps({"schema": document["schema"], "entries": [node]})
+    (entry,) = (load_catalog_text if validate else parse_catalog_text)(text)
+    return entry
+
+
 @pytest.fixture(scope="module")
 def table1():
     return load_builtin("table1")
@@ -105,28 +117,29 @@ class TestGenericExactG2:
 class TestLambdaStage:
     def test_witnessed_nonnegative(self, table1):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
-        cert, sample = certify_lambda_sign(
-            StageContext(entry), entry.witnesses.get("lambda"), random.Random(0)
-        )
+        cert, sample = certify_lambda_sign(StageContext(entry), random.Random(0))
         assert cert.kind == CertKind.LAMBDA_NONNEG and sample is None
 
     def test_identically_zero(self):
         entry = by_name("table1", "g_{3,4}^{-1}+R^3")
-        cert, _ = certify_lambda_sign(StageContext(entry), None, random.Random(0))
+        cert, _ = certify_lambda_sign(StageContext(entry), random.Random(0))
         assert cert.kind == CertKind.LAMBDA_ZERO
 
     def test_survivor_negative_sample(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}")
-        cert, sample = certify_lambda_sign(StageContext(entry), None, random.Random(5))
+        cert, sample = certify_lambda_sign(StageContext(entry), random.Random(5))
         assert cert is None
         values = {k: Fraction(v) for k, v in sample.items()}
         lam = 16 * values["alpha_14"] * values["alpha_15"] * values["alpha_24"] * values["alpha_25"]
         assert lam < 0
 
     def test_wrong_witness_raises(self):
-        entry = by_name("table1", "g_{3,4}^{-1}+g_{3,1}")
+        entry = changed_entry(
+            "table1", "g_{3,4}^{-1}+g_{3,1}",
+            lambda node: node["witnesses"].update({"lambda": ["square", "alpha_14"]}),
+        )
         with pytest.raises(WitnessMismatch):
-            certify_lambda_sign(StageContext(entry), ["square", "alpha_14"], random.Random(0))
+            certify_lambda_sign(StageContext(entry), random.Random(0))
 
     def test_family_is_not_built(self):
         # g_{6,70} cannot solve Der before fam_p is fixed; its lambda stage
@@ -137,7 +150,7 @@ class TestLambdaStage:
             if e.name.startswith("g_{6,70}")
         ]
         context = StageContext(entry)
-        cert, sample = certify_lambda_sign(context, None, random.Random(7))
+        cert, sample = certify_lambda_sign(context, random.Random(7))
         assert cert is None and sample
         assert "family" not in vars(context) and "shipped_family" not in vars(context)
         assert not [key for key in entry._built if key[0] == "family"]
@@ -147,38 +160,39 @@ class TestNullDirectionAndSignProduct:
     def test_g530_null_directions(self):
         entry = by_name("table1", "g_{5,30}")
         context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
-        cert = certify_null_direction(context, {"indices": [1, 2, 3]})
-        assert cert.verified
+        cert = certify_null_direction(context)
+        assert cert.verified and cert.data["indices"] == [1, 2, 3]
 
     def test_g530_nonnull_index_rejected(self):
-        entry = by_name("table1", "g_{5,30}")
+        entry = changed_entry("table1", "g_{5,30}", lambda node: node["plan"][0].update(indices=[4]))
         context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
         with pytest.raises(NotIdenticallyZero):
-            certify_null_direction(context, {"indices": [4]})
+            certify_null_direction(context)
 
     def test_g654_null_directions(self):
         entry = by_name("indecomposable", "g_{6,54}")
         context = StageContext(entry, fam_subs={"fam_l": Fraction(-1)})
-        cert = certify_null_direction(context, {"indices": [1, 2, 3, 4]})
-        assert cert.verified
+        cert = certify_null_direction(context)
+        assert cert.verified and cert.data["indices"] == [1, 2, 3, 4]
 
     def test_g535_sign_product(self):
         entry = by_name("table1", "g_{5,35}")
-        inputs = {"pair": [1, 6], "witness": entry.witnesses["sign_product"]}
-        cert = certify_sign_product(StageContext(entry), inputs)
-        assert cert.verified
+        cert = certify_sign_product(StageContext(entry))
+        assert cert.verified and cert.data["pair"] == [1, 6]
+        assert cert.data["witness"] == entry.witnesses["sign_product"]
 
     def test_zero_witness_mismatch(self):
-        entry = by_name("table1", "g_{5,35}")
+        entry = changed_entry(
+            "table1", "g_{5,35}", lambda node: node["witnesses"].update(sign_product=["sum"])
+        )
         with pytest.raises(IdentityMismatch):
-            certify_sign_product(StageContext(entry), {"pair": [1, 6], "witness": ["sum"]})
+            certify_sign_product(StageContext(entry))
 
     def test_g6115_sign_product(self):
         entry = by_name("indecomposable", "g_{6,115}")
         context = StageContext(entry, derivation_subs={"a_1": P("-a_3 - 2*a_6")})
-        inputs = {"pair": [3, 4], "witness": entry.witnesses["sign_product"]}
-        cert = certify_sign_product(context, inputs)
-        assert cert.verified
+        cert = certify_sign_product(context)
+        assert cert.verified and cert.data["pair"] == [3, 4]
 
 
 class TestEntriesOnDemand:
@@ -199,28 +213,29 @@ class TestEntriesOnDemand:
 
     def test_zero_diagonal(self, computed):
         context = StageContext(by_name("nonsolvable", "q_1"))
-        certify_zero_diagonal(context, {"indices": [5, 6, 7]})
+        certify_zero_diagonal(context)
         assert computed == ["b_entry"] * 3
 
     def test_null_direction(self, computed):
         entry = by_name("table1", "g_{5,30}")
         context = StageContext(entry, derivation_subs={"a_1": 0, "a_5": 0, "a_8": 0})
-        certify_null_direction(context, {"indices": [1, 2, 3]})
+        certify_null_direction(context)
         assert computed == ["h_entry"] * 3
         # an entry read again is not computed again
-        certify_null_direction(context, {"indices": [3, 2]})
+        certify_null_direction(context)
         assert computed == ["h_entry"] * 3
 
     def test_sign_product(self, computed):
-        entry = by_name("table1", "g_{5,35}")
-        inputs = {"pair": [1, 6], "witness": entry.witnesses["sign_product"]}
-        certify_sign_product(StageContext(entry), inputs)
+        certify_sign_product(StageContext(by_name("table1", "g_{5,35}")))
         assert computed == ["h_entry"] * 2
 
     def test_index_out_of_range_computes_nothing(self, computed):
-        context = StageContext(by_name("nonsolvable", "q_1"))
+        # parsed, not validated: validation refuses the index 8
+        entry = changed_entry(
+            "nonsolvable", "q_1", lambda node: node["plan"][0].update(indices=[8]), validate=False
+        )
         with pytest.raises(IndexError):
-            certify_zero_diagonal(context, {"indices": [8]})
+            certify_zero_diagonal(StageContext(entry))
         assert computed == []
 
 
@@ -228,7 +243,7 @@ class TestGaugeTransport:
     def test_double_g34_gauge(self):
         entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
         context = StageContext(entry)
-        cert = gauge_transport(context, entry.plan[0])
+        cert = gauge_transport(context)
         assert cert.verified
         delta = P("alpha_14*alpha_25 - alpha_15*alpha_24")
         assert P(cert.data["branch_condition"]) == delta * delta
@@ -238,15 +253,12 @@ class TestGaugeTransport:
         assert lam + 4 * delta * delta == 4 * P("(alpha_14*alpha_25 + alpha_15*alpha_24)^2")
 
     def test_gauge_without_freedom_is_singular(self):
-        entry = by_name("table1", "g_{3,4}^{-1}+g_{3,4}")
-        zero_step = {
-            "s_matrix": [["0"] * 6 for _ in range(6)],
-            "s_params": ["s_1", "s_2", "s_3", "s_4"],
-            "targets": [[1, 3, 6], [2, 3, 6], [3, 4, 6], [3, 5, 6]],
-            "pair": [3, 6],
-        }
+        entry = changed_entry(
+            "table1", "g_{3,4}^{-1}+g_{3,4}^{-1}",
+            lambda node: node["plan"][0].update(s_matrix=[["0"] * 6 for _ in range(6)]),
+        )
         with pytest.raises(SingularSymbolicSystem):
-            gauge_transport(StageContext(entry), zero_step)
+            gauge_transport(StageContext(entry))
 
     def test_target_not_affine_in_the_gauge(self):
         # S e_1 = s e_2, S e_2 = s e_3 on R^6: S^2 != 0, so exp(S) is quadratic in s
@@ -262,17 +274,15 @@ class TestGaugeTransport:
 
 
 def sampling_contexts():
-    """(context, prose_sample step) of each sampling certificate of the
-    built-in catalogs: the context after the strong-unimodularity
-    substitutions of each entry or branch that samples, as the pipeline
-    builds it."""
+    """The context of each sampling certificate of the built-in catalogs:
+    each entry or branch that samples, after its strong-unimodularity
+    substitutions, as the pipeline builds it."""
     found = []
     for entry in load_any("all"):
         for branch_name in entry.branch_names() or [None]:
             base = StageContext(entry, branch_name)
-            for step in base.steps:
-                if step.get("kind") == "prose_sample":
-                    found.append((strongly_unimodular_context(base), step))
+            if any(step.get("kind") == "prose_sample" for step in base.steps):
+                found.append(strongly_unimodular_context(base))
     return found
 
 
@@ -280,7 +290,7 @@ class TestSampling:
     def test_deterministic_replay(self):
         entry = by_name("indecomposable", "g_{6,118}")
         context = StageContext(entry, derivation_subs={"a_1": P("-a_3 - 2*a_7")})
-        inputs = {"trials": 40, "seed": 123, "slice": None, "reason": ""}
+        inputs = {"trials": 40, "seed": 123}
         cert1 = sample_falsify(context, inputs)
         cert2 = sample_falsify(context, inputs)
         assert cert1.data == cert2.data
@@ -288,7 +298,7 @@ class TestSampling:
 
     def test_zero_trials_empty_certificate(self):
         entry = by_name("indecomposable", "g_{6,118}")
-        inputs = {"trials": 0, "seed": 7, "slice": None, "reason": ""}
+        inputs = {"trials": 0, "seed": 7}
         cert = sample_falsify(StageContext(entry), inputs)
         assert cert.verified and cert.data["trials"] == 0 and cert.data["passes"] == 0
 
@@ -301,8 +311,8 @@ class TestSampling:
         rng = random.Random(16)
         contexts = sampling_contexts()
         assert len(contexts) == 4
-        for context, step in contexts:
-            sampler = PairSampler(context, random.Random(0), step.get("slice"))
+        for context in contexts:
+            sampler = PairSampler(context, random.Random(0))
             alphas = [v for v in sampler.free_vars if v.startswith("alpha_")]
             signs = set()
             for draw in range(120):
@@ -569,17 +579,27 @@ class TestFullReport:
             ("lambda_nonnegative", "g_{6,70}^{4p,p}", "fam_subs", {}),
             ("trace_obstruction", "g_{5,30}^{-4/3}+R", "constants", ["1"]),
             ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", "t2_zero"),
+            ("sign_product", "g_{5,35}^{-2,0}+R", "pair", [6, 1]),
+            ("null_direction", "g_{5,30}^{-4/3}+R", "indices", [1, 2]),
+            ("null_direction", "g_{5,30}^{-4/3}+R", "indices", [1, 2, 3, 3]),
+            ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", "t3"),
+            ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", ""),
+            ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "reason", "another case analysis"),
         ],
         ids=[
             "non-null-index", "extra-index", "no-index", "negative-index",
             "pair", "zero-index-pair", "pair-out-of-range", "witness", "empty-witness",
             "zero-diagonal-index-0", "zero-diagonal-index-1", "lambda-witness",
             "second-stage-lambda-fam-subs", "second-stage-lambda-no-fam-subs",
-            "trace-constants", "slice-without-gauge-step",
+            "trace-constants", "slice-without-gauge-step", "reversed-pair", "index-subset",
+            "repeated-index", "slice-t3", "slice-empty", "other-reason",
         ],
     )
     def test_tampered_certificate_fails(self, full_report, kind, algebra, field, value):
-        # a reversed pair or a subset of the null indices still rechecks
+        # each stored field must be the one the plan step gives: the
+        # reversed pair, the subset and the repeat of the null indices, and
+        # any slice or reason once rechecked, since the verifiers read them
+        # from the report
         entries, document = full_report
         entry = next(e for e in entries if e.name == algebra)
         node = json.loads(json.dumps(certificate_node(document, kind, algebra)))
@@ -657,6 +677,101 @@ class TestFullReport:
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"]["attempts"] = attempts + 1
         assert not recheck_certificate(entry, Certificate.from_json(node))
+
+
+def json_mutations(value):
+    """(label, mutated value) of each mutation of a JSON value: an int
+    moved by one, a string extended or emptied, a list cut, reversed,
+    repeated (its first item appended, or "0" when it is empty) or
+    emptied, a key dropped or added, a bool flipped and a null replaced by
+    text."""
+    if isinstance(value, bool):
+        yield "flipped", not value
+    elif isinstance(value, int):
+        yield "plus-one", value + 1
+        yield "minus-one", value - 1
+    elif isinstance(value, str):
+        yield "extended", value + " + 1"
+        yield "emptied", ""
+    elif value is None:
+        yield "text", "t2_zero"
+    elif isinstance(value, list):
+        yield "cut", value[:-1]
+        yield "reversed", value[::-1]
+        yield "repeated", value + (value[:1] or ["0"])
+        yield "emptied", []
+    else:
+        for key in value:
+            yield f"dropped {key}", {k: v for k, v in value.items() if k != key}
+        yield "added", {**value, "extra": "0"}
+
+
+def json_paths(value, path=()):
+    """(path, value) of every value inside a JSON value, itself excepted."""
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from json_paths(child, path + (key,))
+
+
+def with_value(node, path, value):
+    """A copy of the JSON `node` with `value` at `path`."""
+    node = json.loads(json.dumps(node))
+    owner = node
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return node
+
+
+# The fields whose mutations may still recheck: the options a run sets
+# (--samples, --seed).  Every other field is the one the plan gives.
+SWEEP_ALLOWED = {("sampled_no_su3", ("data", "seed")), ("sampled_no_su3", ("data", "trials"))}
+
+
+def test_mutation_sweep_rechecks_only_the_allowed_fields(full_report):
+    # every field of every certificate kind: each mutation of the field
+    # itself on one certificate drawn from the seed, and one more anywhere
+    # inside it; a mutation that leaves the JSON unchanged is skipped
+    entries, document = full_report
+    by_name = {e.name: e for e in entries}
+    rng = random.Random(26)
+    nodes = {}
+    for result in document["results"]:
+        for node in result["certificates"]:
+            nodes.setdefault(node["kind"], []).append((result["name"], node))
+    assert set(nodes) == {kind.value for kind in CertKind}
+    survivors, tried = [], 0
+    for kind, found in sorted(nodes.items()):
+        fields = {}
+        for name, node in found:
+            for path, value in json_paths(node):
+                field = path[:2] if path[0] == "data" else path[:1]
+                for label, mutated in json_mutations(value):
+                    if mutated != value:
+                        fields.setdefault(field, {}).setdefault(name, []).append((path, label, mutated))
+        assert {f for f in fields if len(f) == 1} == {("kind",), ("algebra",), ("assumptions",),
+                                                       ("data",), ("verified",)}, kind
+        assert {f[1] for f in fields if len(f) == 2} == {k for _, n in found for k in n["data"]}, kind
+        for field, by_entry in sorted(fields.items()):
+            if (kind, field) in SWEEP_ALLOWED:
+                continue
+            name = rng.choice(sorted(by_entry))
+            chosen = [m for m in by_entry[name] if m[0] == field]
+            chosen.append(rng.choice(by_entry[name]))
+            node = next(node for n, node in found if n == name)
+            for path, label, mutated in chosen:
+                tried += 1
+                forged = {"name": name, "certificates": [with_value(node, path, mutated)]}
+                report = {"schema": document["schema"], "results": [forged]}
+                [([ok], _)] = recheck_report(report, [by_name[name]])
+                if ok:
+                    survivors.append((kind, name, path, label))
+    assert tried > 200
+    assert survivors == []
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
@@ -747,9 +862,10 @@ class TestShippedRun:
     def test_witness_certificates_recheck_only_with_their_shipped_tree(
         self, shipped_run, shipped_entries
     ):
-        # each witness tree stored in the report is expanded afresh when it
-        # differs from the shipped one: a constant 0 is not a witness, and
-        # twice the shipped tree expands to twice the target
+        # the verifiers expand the shipped tree, and recheck compares the
+        # stored one with it: a constant 0 is not a witness, twice the
+        # shipped tree expands to twice the target, and the shipped tree
+        # inside a sum of one, which expands to the target, once rechecked
         document, _ = shipped_run
         by_name = {e.name: e for e in shipped_entries}
         nodes = [
@@ -760,7 +876,7 @@ class TestShippedRun:
         for name, node in nodes:
             entry, shipped = by_name[name], node["data"]["witness"]
             assert recheck_certificate(entry, Certificate.from_json(node))
-            for tampered in (["const", "0"], ["product", ["const", "2"], shipped]):
+            for tampered in (["const", "0"], ["product", ["const", "2"], shipped], ["sum", shipped]):
                 forged = json.loads(json.dumps(node))
                 forged["data"]["witness"] = tampered
                 assert not recheck_certificate(entry, Certificate.from_json(forged)), name
@@ -781,8 +897,8 @@ class TestShippedRun:
     [("lambda_nonnegative", "g_{3,4}^{-1}+g_{3,1}"), ("sign_product", "g_{5,35}^{-2,0}+R")],
 )
 def test_tampered_witness_fails_recheck(kind, algebra):
-    # an in-memory certificate stores the catalog's witness object; recheck
-    # must expand what is stored, not reuse the shipped tree's expansion
+    # an in-memory certificate stores the catalog's witness object; a stored
+    # tree other than the shipped one must not recheck
     (entry,) = [e for e in load_any("all") if e.name == algebra]
     result = run_pipeline(entry, PipelineOptions(trials_override=0))
     (cert,) = [c for c in result.certificates if c.kind.value == kind]
@@ -812,11 +928,7 @@ def test_a_prose_sample_step_without_a_reason_stores_the_reason_it_notes():
 
 def g530_with_su_expected(**fields):
     """The g_{5,30} entry alone, its su_expected fields replaced."""
-    document = json.loads(builtin_text("table1"))
-    node = next(e for e in document["entries"] if e["name"].startswith("g_{5,30}"))
-    node["su_expected"].update(fields)
-    (entry,) = load_catalog_text(json.dumps({"schema": document["schema"], "entries": [node]}))
-    return entry
+    return changed_entry("table1", "g_{5,30}", lambda node: node["su_expected"].update(fields))
 
 
 def test_su_expected_is_compared_after_parsing():
@@ -908,9 +1020,8 @@ class TestEachFactProvedOnce:
         for name in entry.branch_names():
             first, second = StageContext(entry, name), StageContext(entry, name)
             assert first.shipped_family is second.shipped_family is entry.build_family(name)
-            step = next(s for s in first.steps if s["kind"] == "gauge")
-            assert first.gauge_system(step).s_family is second.gauge_system(step).s_family
-            assert first.gauge_system(step).s_family is entry.build_gauge_family(name, step)
+            assert first.gauge_system.s_family is second.gauge_system.s_family
+            assert first.gauge_system.s_family is entry.build_gauge_family(name, first.step("gauge"))
 
 
 def test_every_kind_has_one_verifier():

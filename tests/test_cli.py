@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import g2cert
 from oracles import save_catalog
 from g2cert import catalog as cat
 from g2cert.catalog import AlgebraEntry, load_builtin, load_catalog_text
-from g2cert.certify import StageContext, certify_null_direction
+from g2cert.certify import Certificate, StageContext, certify_null_direction, recheck_certificate
 from g2cert.cli import main
 from g2cert.errors import ValidationFailure
 from g2cert.poly import Polynomial
@@ -24,6 +25,19 @@ NESTED_ARRAYS = "[" * 100000 + "]" * 100000
 def _deep(text):
     """`text` inside 300 nested parentheses."""
     return "(" * 300 + text + ")" * 300
+
+
+# A power that took 10 s to expand before the degree of a power was bounded
+# (the 40th power took 0.6 s).
+BIG_POWER = "(alpha_14 + alpha_15 + alpha_24 + alpha_25)^60"
+
+
+def _nested_witness(depth):
+    """A witness tree of `depth` sums around a square."""
+    tree = ["square", "alpha_14"]
+    for _ in range(depth):
+        tree = ["sum", tree]
+    return tree
 
 
 def test_validate_builtin(capsys):
@@ -420,12 +434,16 @@ def test_recheck_checks_each_result_of_a_repeated_name(all_report, tmp_path, cap
 def test_recheck_fails_a_certificate_proved_off_its_plan_context(all_report, tmp_path, capsys):
     # recheck once built the context from the substitutions a certificate
     # stores: this null direction, proved with every derivation parameter
-    # set to 0 (D = 0), read "49 of 49 certificates recheck", exit 0, and
-    # lifted g_{5,33} to obstructed-modulo-cited-prose
-    (entry,) = [e for e in load_builtin("table1") if e.name.startswith("g_{5,33}")]
+    # set to 0 (D = 0) on a plan with the step added, read "49 of 49
+    # certificates recheck", exit 0, and lifted g_{5,33} to
+    # obstructed-modulo-cited-prose
+    document = json.loads(cat.builtin_text("table1"))
+    node = next(e for e in document["entries"] if e["name"].startswith("g_{5,33}"))
+    node["plan"].append({"kind": "null_direction", "indices": [1, 2, 3, 6]})
+    (entry,) = load_catalog_text(json.dumps({"schema": cat.SCHEMA, "entries": [node]}))
     params = StageContext(entry).shipped_family.params
     context = StageContext(entry, None, {p: Polynomial.zero() for p in params})
-    forged = certify_null_direction(context, {"indices": [1, 2, 3, 6]})
+    forged = certify_null_direction(context)
     assert forged.verified and forged.data["derivation_subs"]
     document = json.loads(json.dumps(all_report))
     result = _result(document, "g_{5,33}")
@@ -455,6 +473,25 @@ def test_recheck_a_deeply_nested_stored_expression_fails_its_certificate(
     (cert,) = [c for c in _result(document, name)["certificates"] if c["kind"] == "gauge_null"]
     cert["data"]["branch_condition"] = _deep("1")
     report = tmp_path / "deep.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    assert f"FAILED {name}: gauge_null" in capsys.readouterr().out
+
+
+def test_recheck_a_stored_power_of_large_degree_fails_its_certificate_quickly(
+    all_report, tmp_path, capsys
+):
+    # the stored determinant was once expanded, then substituted into
+    document = json.loads(json.dumps(all_report))
+    name = "g_{3,4}^{-1}+g_{3,4}^{-1}"
+    (cert,) = [c for c in _result(document, name)["certificates"] if c["kind"] == "gauge_null"]
+    cert["data"]["branch_condition"] = BIG_POWER
+    (entry,) = [e for e in load_builtin("table1") if e.name == name]
+    start = time.perf_counter()
+    assert not recheck_certificate(entry, Certificate.from_json(cert))
+    assert time.perf_counter() - start < 0.5
+    report = tmp_path / "power.json"
     report.write_text(json.dumps(document))
     capsys.readouterr()
     assert main(["recheck", str(report)]) == 1
@@ -568,17 +605,19 @@ def _set_first_indices(value):
         ),
         lambda plan: plan.append({"kind": "prose_sample", "trails": 5}),
         lambda plan: plan.append({"kind": "null_direction", "indices": [1], "index": 2}),
+        lambda plan: plan.append({"kind": "null_direction", "indices": [1, 2]}),
     ],
     ids=["no-indices", "index-9", "index-0", "indices-string", "no-index", "unshipped-witness",
          "trials-not-int", "unknown-slice", "kind-of-dimension-7", "unknown-kind", "nested-branch",
-         "misspelt-trials", "null-direction-extra-key"],
+         "misspelt-trials", "null-direction-extra-key", "two-null-direction-steps"],
 )
 def test_validate_malformed_plan_step_is_an_error(change, tmp_path, capsys):
     # before plan steps were checked, `validate` accepted each of these; then
     # run-all crashed (KeyError, IndexError, TypeError), stopped at an
     # unknown or misplaced step kind, or, for the unknown slice, stored
     # "slice": "t3" in a certificate with no slice applied; a misspelt or
-    # stray key was ignored, so "trails" ran the default 500 trials
+    # stray key was ignored, so "trails" ran the default 500 trials; each
+    # verifier reads the one step of its kind, and a second was accepted
     assert_validate_rejects_entry(
         "table1", "g_{5,30}", lambda node: change(node["plan"]), tmp_path, capsys
     )
@@ -637,13 +676,16 @@ G6101 = ("indecomposable", "g_{6,101}")
         (*G6101, lambda node: _branches(node)[0].update(sub={}),
          r"branch step has unknown keys \['sub'\]"),
         (*G6101, _gauge_step(1, expect_det_multiple_of=5), "expect_det_multiple_of: a string"),
+        (*G6101, lambda node: _branches(node)[0]["steps"].append(_gauge_steps(node)[0].copy()),
+         "a context lists a step kind more than once"),
+        (*G6101, _gauge_step(1, expect_det_multiple_of=BIG_POWER), "a power of degree at most 16"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
          "family-atoms-not-a-list", "family-atom-op", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
-         "expect-det-not-text"],
+         "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60"],
 )
 def test_validate_parses_every_field_the_pipeline_reads(
     dataset, prefix, change, match, tmp_path, capsys
@@ -690,13 +732,15 @@ def test_validate_rejects_a_nilradical_bracket_with_a_family_parameter(tmp_path,
 @pytest.mark.parametrize(
     "tree",
     [["const", "0"], ["const", "-1"], ["cube", "alpha_14"], ["square"],
-     ["square", "alpha_14", "junk"]],
+     ["square", "alpha_14", "junk"], _nested_witness(700)],
     ids=["const-0", "const-negative", "unknown-kind", "square-no-argument",
-         "square-extra-argument"],
+         "square-extra-argument", "nested-700-deep"],
 )
 def test_validate_malformed_witness_is_an_error(tree, tmp_path, capsys):
     # the extra argument of a square was ignored before witness trees were
-    # expanded by one function that checks each node's arity
+    # expanded by one function that checks each node's arity; a tree about
+    # 975 deep ended in a RecursionError traceback (700 keeps the test's
+    # own JSON coding inside the stack)
     assert_validate_rejects_entry(
         "table1", "g_{3,4}^{-1}+g_{3,1}",
         lambda node: node["witnesses"].update({"lambda": tree}), tmp_path, capsys,

@@ -20,6 +20,7 @@ from oracles import (
 )
 from g2cert.catalog import expand_witness
 from g2cert.errors import ExpansionMismatch, MissingVariable, SingularSymbolicSystem
+from g2cert.exprs import MAX_DEPTH
 from g2cert.linalg import det_fraction
 from g2cert.poly import (
     Polynomial,
@@ -416,6 +417,14 @@ def witness_trees(draw, depth=2):
     return [kind, *draw(st.lists(witness_trees(depth - 1), max_size=3))]
 
 
+def nested_sums(depth):
+    """The witness tree ["square", "x"] inside `depth` sums of one child."""
+    tree = ["square", "x"]
+    for _ in range(depth):
+        tree = ["sum", tree]
+    return tree
+
+
 class TestNonNegWitness:
     """Witness JSON trees expanded by catalog.expand_witness and checked
     against their targets by poly.check_nonneg_witness."""
@@ -466,13 +475,19 @@ class TestNonNegWitness:
     @pytest.mark.parametrize(
         "tree",
         [["const", "0"], ["const", "-1"], ["cube", "x"], ["square"], ["square", "x", "junk"],
-         ["const"], [], "square", ["sum", ["const", "1"], ["product", ["const", "0"]]]],
+         ["const"], [], "square", ["sum", ["const", "1"], ["product", ["const", "0"]]],
+         nested_sums(MAX_DEPTH + 1), nested_sums(5000)],
         ids=["const-0", "const-negative", "unknown-kind", "square-no-argument",
-             "square-extra-argument", "const-no-argument", "empty", "not-a-list", "nested-const-0"],
+             "square-extra-argument", "const-no-argument", "empty", "not-a-list", "nested-const-0",
+             "nested-past-max-depth", "nested-5000-deep"],
     )
     def test_malformed_tree_is_a_value_error(self, tree):
+        # a tree about 975 deep once raised RecursionError
         with pytest.raises(ValueError):
             expand_witness(tree)
+
+    def test_a_tree_nested_max_depth_deep_expands(self):
+        assert expand_witness(nested_sums(MAX_DEPTH)) == P("x^2")
 
 
 def cramer_solutions(solved) -> list:
