@@ -60,7 +60,6 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
-from math import prod
 from typing import Optional
 
 from .derivations import DerivationFamily, verify_derivation
@@ -173,15 +172,13 @@ def expand_witness(node, depth: int = 0) -> Polynomial:
         base = parse_polynomial(args[0])
         return base * base
     if kind == "const" and len(args) == 1:
-        value = Fraction(args[0])
+        value = _rational(args[0])
         if value <= 0:
             raise ValueError(f"witness constant {value} is not positive")
         return Polynomial.const(value)
     if kind in ("sum", "product"):
         children = [expand_witness(arg, depth + 1) for arg in args]
-        if kind == "sum":
-            return sum(children, Polynomial.zero())
-        return prod(children, start=Polynomial.const(1))
+        return Polynomial.sum(children) if kind == "sum" else Polynomial.product(children)
     raise ValueError(f"not a witness node: {node!r}")
 
 

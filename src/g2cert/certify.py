@@ -748,6 +748,12 @@ def _constant_family_ratio(det: Polynomial, target: Polynomial):
 # Draw attempts allowed per requested trial (at least 1000 in all).
 REJECT_BUDGET_FACTOR = 200
 
+# The most trials a sampling certificate may ask for, so that a stored
+# count cannot make recheck run for as long as it likes.  The shipped plans
+# ask for at most 800; a trial takes 0.03 to 0.12 ms on a 2-core x86 host,
+# so this many take at most about 1.2 s.
+MAX_TRIALS = 10_000
+
 
 def sample_falsify(context: StageContext, inputs) -> Certificate:
     """Run su3_passes_int on inputs["trials"] exact candidates drawn from
@@ -756,14 +762,17 @@ def sample_falsify(context: StageContext, inputs) -> Certificate:
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
-    capped at REJECT_BUDGET_FACTOR * trials.  A negative count is an error,
-    so a certificate that stores one does not recheck.  Its one assumption
-    says that it is NON-PROVING.
+    capped at REJECT_BUDGET_FACTOR * trials.  A count below 0 or above
+    MAX_TRIALS is an error raised before any draw, so a certificate that
+    stores one does not recheck.  Its one assumption says that it is
+    NON-PROVING.
     """
     step = context.step("prose_sample")
     trials = inputs["trials"]
-    if trials < 0:
-        raise G2CertError(f"{context.name}: the number of trials must be nonnegative, got {trials}")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise G2CertError(
+            f"{context.name}: the number of trials must lie in 0..{MAX_TRIALS}, got {trials}"
+        )
     sampler = PairSampler(context, random.Random(inputs["seed"]))
     passes = 0
     done = 0

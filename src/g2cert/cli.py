@@ -32,7 +32,8 @@ entry or several, an entry of the wrong dimension for the command, and
 --params that miss a family parameter of the entry or name one it lacks
 print `error: ...` on stderr, and a malformed --params, --samples or --seed
 is a usage error.  --samples and --seed take integers >= 0: a negative
-seed would draw the samples of its absolute value.
+seed would draw the samples of its absolute value.  --samples takes at most
+certify.MAX_TRIALS, the most a sampling certificate may store.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from .certify import (
+    MAX_TRIALS,
     PipelineOptions,
     StageContext,
     certify_lambda,
@@ -196,10 +198,19 @@ def cmd_recheck(args) -> int:
 
 
 def _nonnegative_int(text: str) -> int:
-    """An argparse type: an integer N >= 0 (--samples 0 skips sampling)."""
+    """An argparse type: an integer N >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _trials(text: str) -> int:
+    """An argparse type: a number of trials in 0..MAX_TRIALS (--samples 0
+    skips sampling)."""
+    value = _nonnegative_int(text)
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_TRIALS}, got {value}")
     return value
 
 
@@ -243,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("su3", help="run the SU(3) obstruction stage for one algebra")
     p.add_argument("algebra")
     p.add_argument("--gauge", action="store_true", help="print gauge certificate details")
-    p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
+    p.add_argument("--samples", type=_trials, default=None, metavar="N")
     p.add_argument("--seed", type=_nonnegative_int, default=None, metavar="S")
     p.set_defaults(func=cmd_su3)
 
@@ -251,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("catalog")
     p.add_argument("--out", default="", metavar="report.json")
     p.add_argument("--md", default="", metavar="report.md")
-    p.add_argument("--samples", type=_nonnegative_int, default=None, metavar="N")
+    p.add_argument("--samples", type=_trials, default=None, metavar="N")
     p.add_argument("--seed", type=_nonnegative_int, default=None, metavar="S")
     p.set_defaults(func=cmd_run_all)
 

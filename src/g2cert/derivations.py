@@ -26,7 +26,6 @@ over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -105,7 +104,7 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
     rows = []
     for residual in leibniz_residuals(algebra, generic):
         for coeff in residual.coeffs.values():
-            row = [Fraction(0)] * (n * n)
+            row = [0] * (n * n)
             for ((name, _),), value in coeff.terms.items():
                 row[column[name]] = value
             rows.append(row)

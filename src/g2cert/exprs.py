@@ -13,15 +13,20 @@ Division is only allowed by subexpressions that evaluate to a nonzero
 rational constant, so "2/3*e15" and "-a/2" parse while "1/x" is rejected.
 A `name_map` decides what polynomial a bare NAME stands for; the catalog's
 structure equations are tuples whose names include the basis symbols eIJ.
-Parentheses and unary minus signs nest at most MAX_DEPTH deep, and a power
-p^n has degree n * deg(p) (n for a constant p) at most MAX_EXPONENT, so text
-from a catalog or a report fails with DslSyntaxError, not RecursionError or
-an expansion of ever growing size.
+Parentheses and unary minus signs nest at most MAX_DEPTH deep.  A power
+p^n has degree n * deg(p) (n for a constant p) at most MAX_EXPONENT, and so
+does a product, whose degree is the sum of its factors' degrees; so every
+parsed polynomial has degree at most MAX_EXPONENT, and text from a catalog
+or a report fails with DslSyntaxError, not RecursionError or an expansion
+of ever growing size.
+
+An expression's terms are summed into one term map (`Polynomial.sum`), and
+a term's factors are multiplied in one `Polynomial.product`, which merges
+the names, integers and powers of names into one monomial before it meets
+any factor of several terms.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DslSyntaxError
 from .poly import Polynomial
@@ -32,8 +37,9 @@ _TOKEN_CHARS = set("+-*/^(),")
 # recursion limit, since each level is a few frames of the parser.
 MAX_DEPTH = 50
 
-# The largest degree of a power: the shipped catalogs and reports use at
-# most 5, and expanding (a + b + c + d)^40 takes most of a second.
+# The largest degree of a power or a product: the shipped catalogs and
+# reports use powers of degree at most 5 and products of degree at most 8,
+# and expanding (a + b + c + d)^40 takes most of a second.
 MAX_EXPONENT = 16
 
 
@@ -102,31 +108,36 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Polynomial:
-        value = self.parse_term()
+        return Polynomial.sum(self.signed_terms())
+
+    def signed_terms(self):
+        """Yield the terms of an expression, each negated after a '-'."""
+        yield self.parse_term()
         while True:
             kind, tok, _ = self.peek()
-            if kind == "punct" and tok in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                value = value + rhs if tok == "+" else value - rhs
-            else:
-                return value
+            if kind != "punct" or tok not in "+-":
+                return
+            self.advance()
+            term = self.parse_term()
+            yield term if tok == "+" else -term
 
     def parse_term(self) -> Polynomial:
-        value = self.parse_unary()
+        factors = [self.parse_unary()]
+        degree = factors[0].total_degree()
         while True:
             kind, tok, pos = self.peek()
-            if kind == "punct" and tok in "*/":
-                self.advance()
-                rhs = self.parse_unary()
-                if tok == "*":
-                    value = value * rhs
-                else:
-                    if not rhs.is_constant() or rhs.is_zero():
-                        raise DslSyntaxError(self.text, pos, "division by a nonzero rational constant")
-                    value = value * (1 / rhs.constant_value())
-            else:
-                return value
+            if kind != "punct" or tok not in "*/":
+                return Polynomial.product(factors)
+            self.advance()
+            rhs = self.parse_unary()
+            if tok == "/":
+                if not rhs.is_constant() or rhs.is_zero():
+                    raise DslSyntaxError(self.text, pos, "division by a nonzero rational constant")
+                rhs = Polynomial.const(1 / rhs.constant_value())
+            degree += rhs.total_degree()
+            if degree > MAX_EXPONENT:
+                raise DslSyntaxError(self.text, pos, f"a product of degree at most {MAX_EXPONENT}")
+            factors.append(rhs)
 
     def parse_unary(self) -> Polynomial:
         kind, tok, pos = self.peek()
@@ -152,7 +163,7 @@ class _Parser:
     def parse_atom(self) -> Polynomial:
         kind, tok, pos = self.advance()
         if kind == "int":
-            return Polynomial.const(Fraction(int(tok)))
+            return Polynomial.const(int(tok))
         if kind == "name":
             return self.name_map(tok)
         if kind == "punct" and tok == "(":

@@ -20,7 +20,6 @@ family parameter raises NonNumericEntries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
@@ -32,7 +31,7 @@ from .errors import (
     NotAnIdeal,
 )
 from .forms import KForm, antiderivation, contractions, mask_of
-from .poly import P_ONE, P_ZERO, Polynomial
+from .poly import ONE_MONOMIAL, P_ONE, P_ZERO, Polynomial, Scalar, scalar
 
 
 class LieAlgebra:
@@ -128,7 +127,7 @@ class Subspace:
     def __init__(self, parent: LieAlgebra, generators: Sequence[Sequence]):
         self.parent = parent
         self.generators = tuple(tuple(map(_rational, g)) for g in generators)
-        self._rref, self._pivots = linalg.rref(list(map(list, self.generators)), parent.dim)
+        self._rref, self._pivots = linalg.rref(self.generators, parent.dim)
 
     @staticmethod
     def from_indices(parent: LieAlgebra, indices: Sequence[int]) -> "Subspace":
@@ -167,15 +166,16 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
-def _rational(coordinate) -> Fraction:
-    """A subspace coordinate as a Fraction; a Polynomial must be constant."""
+def _rational(coordinate) -> Scalar:
+    """A subspace coordinate as a rational in a Polynomial's stored form
+    (poly.scalar); a Polynomial must be constant."""
     if not isinstance(coordinate, Polynomial):
-        return Fraction(coordinate)
+        return scalar(coordinate)
     if not coordinate.is_constant():
         raise NonNumericEntries(
             f"subspace coordinate {coordinate} depends on a family parameter; fix its value"
         )
-    return coordinate.constant_value()
+    return coordinate.terms.get(ONE_MONOMIAL, 0)
 
 
 def descending_central_series(algebra: LieAlgebra, indices: Sequence[int]) -> list:
@@ -192,7 +192,7 @@ def descending_central_series(algebra: LieAlgebra, indices: Sequence[int]) -> li
         gens = []
         for i in indices:
             for y in current.generators:
-                b = [sum((a * c for a, c in zip(row, y) if a and c), P_ZERO) for row in ad[i - 1]]
+                b = [Polynomial.sum(a * c for a, c in zip(row, y) if a and c) for row in ad[i - 1]]
                 if any(b):
                     gens.append(b)
         nxt = Subspace(algebra, gens)

@@ -1,10 +1,14 @@
 """Exact linear algebra over Q.
 
 Subspaces (lie.Subspace), Der(s) (derivations.solve_derivations) and the
-strong-unimodularity solve are all reduced over fractions.Fraction; the
-symbolic gauge solve is poly.solve_linear's Cramer rule.  rref needs only
-+, -, * and / of its entries and a nonzero test.  Pivoting is positional
-(first nonzero), which keeps results deterministic.
+strong-unimodularity solve are all reduced by rref, over Q; the symbolic
+gauge solve is poly.solve_linear's Cramer rule.  rref takes rows of ints
+and Fractions and eliminates fraction-free: each row is scaled to
+primitive integers, each elimination step cross-multiplies two integer
+rows and divides the result by its gcd, and each row is divided by its
+pivot once, at the end.  Pivoting is positional (first nonzero), and the
+reduced row echelon form is unique, so the rows and pivots are those of an
+elimination over Fractions.
 
 A basis that rref has reduced has 1 at each row's pivot column and 0 at
 every other pivot column.  So the only candidate coordinates of a vector in
@@ -19,51 +23,64 @@ value of its parameters exactly when the remainder is the zero polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence
 
+from .poly import scalar
 
-def rref(rows: List[list], ncols: int) -> tuple:
-    """Reduced row echelon form in place; returns (rows, pivot_columns)."""
+
+def _primitive(row: list) -> list:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple:
+    """(rows, pivot_columns): the reduced row echelon form of rows of ints
+    and Fractions, its zero rows dropped.  Each entry of the result is an
+    int when integral, else a Fraction, as in a Polynomial's terms."""
+    work = []
+    for row in rows:
+        q = lcm(*(x.denominator for x in row))
+        work.append(_primitive([x.numerator * (q // x.denominator) for x in row]))
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
+        for i in range(r, len(work)):
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                work[i] = _primitive([p * a - f * b for a, b in zip(row, top)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(work):
             break
-    del rows[r:]
-    return rows, pivots
+    return [[scalar(x, row[c]) for x in row] for row, c in zip(work, pivots)], pivots
 
 
-def nullspace(matrix: Sequence[Sequence[Fraction]], ncols: int) -> List[list]:
+def nullspace(matrix: Sequence[Sequence], ncols: int) -> List[list]:
     """Basis of the right nullspace over Q, one vector per free column.
 
     Free columns are enumerated in increasing order, which fixes the
     canonical parameter order used by solve_derivations.
     """
-    rows = [list(row) for row in matrix]
-    rows, pivots = rref(rows, ncols)
+    rows, pivots = rref(matrix, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        vec = [0] * ncols
+        vec[free] = 1
         for r, pc in enumerate(pivots):
             vec[pc] = -rows[r][free]
         basis.append(vec)
@@ -79,7 +96,7 @@ def in_span(rows: Sequence[Sequence], pivots: Sequence[int], vector: Sequence) -
     c zeroes the pivot columns and leaves vector minus its only candidate
     combination of the rows.  The vector is in the span exactly when that
     remainder is zero.  Every step is exact ring arithmetic, so the test is
-    exact for Fraction vectors and, against Fraction rows, for Polynomial
+    exact for rational vectors and, against rational rows, for Polynomial
     ones.
     """
     remainder = list(vector)

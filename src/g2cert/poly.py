@@ -8,8 +8,14 @@ without forming a quotient.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable name,
 every exponent positive; the empty tuple is the constant monomial.  A
-polynomial maps monomials to nonzero Fraction coefficients, so zero is the
-empty map and equality is dict equality.  No floating point anywhere.
+polynomial maps monomials to nonzero rational coefficients, so zero is the
+empty map and equality is dict equality.  A stored coefficient is an int
+when it is integral and otherwise a Fraction with denominator > 1, so each
+value has one representation and integer arithmetic needs no Fraction;
+`scalar` owns that rule and every constructor and operation applies it.
+`constant_value`, `leading` and `content` return Fractions, so a caller
+that divides stays exact.  No floating point anywhere: a float or a bool
+coefficient or scalar raises TypeError.
 
 Variable names use one flat namespace with reserved prefixes so the different
 parameter families never collide:
@@ -43,12 +49,13 @@ helpers are shared by `Polynomial.__mul__` and `substitute_cramer`:
                two packed vectors never carries: the sum is the packed
                product monomial;
   _pack        a term map as (packed vector, int) pairs, its coefficients
-               scaled to ints by the lcm of their denominators;
+               scaled to ints by the lcm of their denominators (1 when
+               every coefficient is an int);
   _mul_into    the one multiply loop: integer products accumulated per
                packed monomial (`_packed_product` runs it into a fresh
                accumulator and keeps the product packed);
   _decode      the nonzero sums as a term map, each divided by the common
-               denominator on the way out.
+               denominator on the way out (an int wherever it divides).
 
 A product with a one-term operand maps each term of the other operand,
 which cannot make like terms.  Every other product lays out the union of
@@ -70,6 +77,20 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
 ONE_MONOMIAL: Monomial = ()
+
+
+def scalar(value, den: int = 1) -> Scalar:
+    """value / den as a stored coefficient: an int when it is integral, else
+    a Fraction with denominator > 1.  value is an int over a nonzero int
+    den, or a Fraction (den 1); a float, a bool or any other type raises
+    TypeError."""
+    if type(value) is int:
+        if den == 1:
+            return value
+        return value // den if value % den == 0 else Fraction(value, den)
+    if type(value) is Fraction and den == 1:
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(value).__name__}")
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -128,7 +149,7 @@ def _pack(terms: dict, shifts: dict) -> tuple:
         key = 0
         for v, e in mono:
             key += e << shifts[v]
-        packed.append((key, coeff.numerator * (q // coeff.denominator)))
+        packed.append((key, coeff if q == 1 else coeff.numerator * (q // coeff.denominator)))
     return packed, q
 
 
@@ -149,7 +170,7 @@ def _packed_product(a: list, b: list) -> list:
 
 def _decode(acc: dict, shifts: dict, width: int, q: int) -> dict:
     """The term map of the packed sums in `acc` over the denominator q: each
-    nonzero sum c becomes the term Fraction(c, q) of its unpacked monomial."""
+    nonzero sum c becomes the term c / q of its unpacked monomial."""
     mask = (1 << width) - 1
     fields = [(v, mask << s, s) for v, s in shifts.items()]
     pairs = {}  # masked field -> its (name, exponent) pair, shared by the result
@@ -168,7 +189,7 @@ def _decode(acc: dict, shifts: dict, width: int, q: int) -> dict:
                 key ^= f
                 if not key:
                     break
-        out[tuple(mono)] = Fraction(c, q)
+        out[tuple(mono)] = c if q == 1 else scalar(c, q)
     return out
 
 
@@ -181,7 +202,11 @@ def _product(a: dict, b: dict) -> dict:
     if len(a) == 1:
         # distinct monomials times one monomial stay distinct
         ((m1, c1),) = a.items()
-        return {_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+        out = {}
+        for m2, c2 in b.items():
+            c = c1 * c2
+            out[_mono_mul(m1, m2)] = c if type(c) is int else scalar(c)
+        return out
     names = {v for m in a for v, _ in m} | {v for m in b for v, _ in m}
     shifts, width = _layout(names, max(map(_mono_degree, a)) + max(map(_mono_degree, b)))
     packed_a, qa = _pack(a, shifts)
@@ -191,8 +216,32 @@ def _product(a: dict, b: dict) -> dict:
     return _decode(acc, shifts, width, qa * qb)
 
 
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the term map `terms` into the term map `out`, in place."""
+    for mono, coeff in terms.items():
+        old = out.get(mono)
+        if old is None:
+            out[mono] = coeff
+            continue
+        new = old + coeff
+        if type(new) is not int:
+            new = scalar(new)
+        if new:
+            out[mono] = new
+        else:
+            del out[mono]
+
+
+def _wrap(terms: dict) -> "Polynomial":
+    """A Polynomial around a term map already in stored form (no copy)."""
+    result = Polynomial.__new__(Polynomial)
+    result._terms = terms
+    return result
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with rational coefficients, each an int
+    when integral and otherwise a Fraction (see `scalar`)."""
 
     __slots__ = ("_terms",)
 
@@ -200,8 +249,8 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
+                coeff = scalar(coeff)
+                if coeff:
                     clean[mono] = coeff
         self._terms = clean
 
@@ -213,10 +262,8 @@ class Polynomial:
 
     @staticmethod
     def const(value: Scalar) -> "Polynomial":
-        value = Fraction(value)
-        if value == 0:
-            return Polynomial()
-        return Polynomial({ONE_MONOMIAL: value})
+        value = scalar(value)
+        return _wrap({ONE_MONOMIAL: value} if value else {})
 
     @staticmethod
     def var(name: str, exponent: int = 1) -> "Polynomial":
@@ -224,7 +271,39 @@ class Polynomial:
             raise ValueError("negative exponent")
         if exponent == 0:
             return Polynomial.const(1)
-        return Polynomial({((name, exponent),): Fraction(1)})
+        return _wrap({((name, exponent),): 1})
+
+    @staticmethod
+    def sum(parts) -> "Polynomial":
+        """The sum of an iterable of polynomials, accumulated in one term
+        map rather than one copy per addition."""
+        out = {}
+        for part in parts:
+            _add_into(out, part._terms)
+        return _wrap(out)
+
+    @staticmethod
+    def product(factors) -> "Polynomial":
+        """The product of an iterable of polynomials.  The one-term factors
+        (names, constants, powers of names) merge into one term first: one
+        coefficient product and one exponent map.  That term then meets
+        each factor of several terms through the product kernel."""
+        coeff, exps, rest = 1, {}, []
+        for factor in factors:
+            terms = factor._terms
+            if len(terms) != 1:
+                if not terms:
+                    return P_ZERO
+                rest.append(terms)
+                continue
+            ((mono, c),) = terms.items()
+            coeff *= c
+            for v, e in mono:
+                exps[v] = exps.get(v, 0) + e
+        out = {tuple(sorted(exps.items())): scalar(coeff)}
+        for terms in rest:
+            out = _product(out, terms)
+        return _wrap(out)
 
     # -- inspection ---------------------------------------------------
 
@@ -244,7 +323,7 @@ class Polynomial:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms[ONE_MONOMIAL]
+        return Fraction(self._terms[ONE_MONOMIAL])
 
     def variables(self) -> frozenset:
         return frozenset(v for mono in self._terms for v, _ in mono)
@@ -273,7 +352,7 @@ class Polynomial:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         mono = min(self._terms, key=_mono_key)
-        return mono, self._terms[mono]
+        return mono, Fraction(self._terms[mono])
 
     def content(self) -> Fraction:
         """Positive rational gcd of the coefficients (0 for the zero poly)."""
@@ -311,26 +390,13 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            old = out.get(mono)
-            if old is None:
-                out[mono] = coeff
-                continue
-            new = old + coeff
-            if new:
-                out[mono] = new
-            else:
-                del out[mono]
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
+        _add_into(out, other._terms)
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = Polynomial.__new__(Polynomial)
-        result._terms = {m: -c for m, c in self._terms.items()}
-        return result
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -343,23 +409,20 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return Polynomial()
-            result = Polynomial.__new__(Polynomial)
-            result._terms = {m: c * other for m, c in self._terms.items()}
-            return result
+            other = scalar(other)
+            return _wrap(_product(self._terms, {ONE_MONOMIAL: other} if other else {}))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        result = Polynomial.__new__(Polynomial)
-        result._terms = _product(self._terms, other._terms)
-        return result
+        return _wrap(_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self._terms) == 1 and exponent:
+            ((mono, c),) = self._terms.items()
+            return _wrap({tuple((v, e * exponent) for v, e in mono): scalar(c**exponent)})
         result = Polynomial.const(1)
         base = self
         e = exponent
@@ -373,7 +436,7 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.const(other)
+            return self._terms == ({ONE_MONOMIAL: other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
@@ -394,7 +457,7 @@ class Polynomial:
             for var, exp in mono:
                 if var not in assignment:
                     raise MissingVariable(var)
-                value *= Fraction(assignment[var]) ** exp
+                value *= scalar(assignment[var]) ** exp
             total += value
         return total
 
@@ -403,7 +466,11 @@ class Polynomial:
         substitute_cramer pass over the denominator 1, on the names of the
         mapping that occur in self."""
         names = self.variables()
-        images = {v: self._coerce(image) for v, image in mapping.items() if v in names}
+        images = {
+            v: image if isinstance(image, Polynomial) else Polynomial.const(image)
+            for v, image in mapping.items()
+            if v in names
+        }
         return substitute_cramer(self, list(images), list(images.values()), P_ONE)[0]
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
@@ -562,7 +629,7 @@ def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):
     power N_i^e and den^g is formed once per call, and each P_m once.  Every
     c_m is scaled to the common denominator Q, the lcm of the groups'
     scales, and multiplied by P_m straight into one integer accumulator, so
-    only the nonzero sums of the result are decoded, as Fraction(c, Q).
+    only the nonzero sums of the result are decoded, as c / Q in stored form.
     """
     groups = poly.collect(set(svars))
     degree = max(map(_mono_degree, groups), default=0)
@@ -600,6 +667,4 @@ def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):
             p_m = _packed_product(p_m, power(v, e))
         k = common // scale
         _mul_into(acc, [(key, c * k) for key, c in packed_c], p_m)
-    result = Polynomial.__new__(Polynomial)
-    result._terms = _decode(acc, shifts, width, common)
-    return result, degree
+    return _wrap(_decode(acc, shifts, width, common)), degree

@@ -46,7 +46,7 @@ from g2cert.forms import (
 )
 from g2cert.hitchin import Bilinear
 from g2cert.lie import LieAlgebra, Subspace, validate
-from g2cert.linalg import det_fraction, rref
+from g2cert.linalg import det_fraction
 from g2cert.exprs import parse_polynomial
 from g2cert.poly import P_ONE, P_ZERO, Polynomial
 
@@ -314,6 +314,37 @@ def oracle_omega_cubed(omega: dict) -> int:
     """The coefficient of e^123456 in omega^3 for an int 2-form given as
     mask -> coefficient, by two full exterior products."""
     return wedge_coeffs(wedge_coeffs(omega, omega), omega).get((1 << 6) - 1, 0)
+
+
+def rref(rows, ncols: int) -> tuple:
+    """Reduced row echelon form in place by Gauss-Jordan elimination with
+    field division; returns (rows, pivot_columns).  The reference for the
+    fraction-free linalg.rref, and the elimination over Q(params) for rows
+    of RationalFunctions: it needs only +, -, * and / of its entries and a
+    nonzero test.  Pivoting is positional (first nonzero)."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    del rows[r:]
+    return rows, pivots
 
 
 def rank_in_span(rows, vector) -> bool:

@@ -13,7 +13,13 @@ import g2cert
 from oracles import save_catalog
 from g2cert import catalog as cat
 from g2cert.catalog import AlgebraEntry, load_builtin, load_catalog_text
-from g2cert.certify import Certificate, StageContext, certify_null_direction, recheck_certificate
+from g2cert.certify import (
+    MAX_TRIALS,
+    Certificate,
+    StageContext,
+    certify_null_direction,
+    recheck_certificate,
+)
 from g2cert.cli import main
 from g2cert.errors import ValidationFailure
 from g2cert.poly import Polynomial
@@ -30,6 +36,8 @@ def _deep(text):
 # A power that took 10 s to expand before the degree of a power was bounded
 # (the 40th power took 0.6 s).
 BIG_POWER = "(alpha_14 + alpha_15 + alpha_24 + alpha_25)^60"
+# The same polynomial written as a product of 60 factors.
+BIG_PRODUCT = "*".join(["(alpha_14 + alpha_15 + alpha_24 + alpha_25)"] * 60)
 
 
 def _nested_witness(depth):
@@ -479,6 +487,21 @@ def test_recheck_a_deeply_nested_stored_expression_fails_its_certificate(
     assert f"FAILED {name}: gauge_null" in capsys.readouterr().out
 
 
+def _recheck_fails_quickly(document, name, cert, tmp_path, capsys):
+    """The forged certificate `cert` of entry `name` rechecks False within
+    0.5 s, and `g2cert recheck` of the forged report names it."""
+    (entry,) = [e for dataset in ("table1", "indecomposable") for e in load_builtin(dataset)
+                if e.name == name]
+    start = time.perf_counter()
+    assert not recheck_certificate(entry, Certificate.from_json(cert))
+    assert time.perf_counter() - start < 0.5
+    report = tmp_path / "forged.json"
+    report.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["recheck", str(report)]) == 1
+    assert f"FAILED {name}: {cert['kind']}" in capsys.readouterr().out
+
+
 def test_recheck_a_stored_power_of_large_degree_fails_its_certificate_quickly(
     all_report, tmp_path, capsys
 ):
@@ -487,15 +510,36 @@ def test_recheck_a_stored_power_of_large_degree_fails_its_certificate_quickly(
     name = "g_{3,4}^{-1}+g_{3,4}^{-1}"
     (cert,) = [c for c in _result(document, name)["certificates"] if c["kind"] == "gauge_null"]
     cert["data"]["branch_condition"] = BIG_POWER
-    (entry,) = [e for e in load_builtin("table1") if e.name == name]
-    start = time.perf_counter()
-    assert not recheck_certificate(entry, Certificate.from_json(cert))
-    assert time.perf_counter() - start < 0.5
-    report = tmp_path / "power.json"
-    report.write_text(json.dumps(document))
-    capsys.readouterr()
-    assert main(["recheck", str(report)]) == 1
-    assert f"FAILED {name}: gauge_null" in capsys.readouterr().out
+    _recheck_fails_quickly(document, name, cert, tmp_path, capsys)
+
+
+def test_recheck_a_stored_product_of_large_degree_fails_its_certificate_quickly(
+    all_report, tmp_path, capsys
+):
+    # each solved gauge numerator is parsed, then substituted
+    document = json.loads(json.dumps(all_report))
+    name = "g_{3,4}^{-1}+g_{3,4}^{-1}"
+    (cert,) = [c for c in _result(document, name)["certificates"] if c["kind"] == "gauge_null"]
+    gauge = cert["data"]["solved_gauge"]
+    gauge[min(gauge)] = BIG_PRODUCT
+    _recheck_fails_quickly(document, name, cert, tmp_path, capsys)
+
+
+def test_recheck_a_stored_trials_above_the_bound_fails_quickly(all_report, tmp_path, capsys):
+    # recheck once ran every trial that a sampling certificate asked for
+    document = json.loads(json.dumps(all_report))
+    result = _result(document, "g_{5,33}")
+    (cert,) = [c for c in result["certificates"] if c["kind"] == "sampled_no_su3"]
+    cert["data"]["trials"] = 10**9
+    _recheck_fails_quickly(document, result["name"], cert, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", [["su3", "g_{5,33}"], ["run-all", "table1"]], ids=["su3", "run-all"])
+def test_samples_above_max_trials_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--samples", str(MAX_TRIALS + 1)])
+    assert exc.value.code == 2
+    assert f"--samples: must be <= {MAX_TRIALS}" in capsys.readouterr().err
 
 
 def test_validate_a_deeply_nested_structure_slot_is_an_error(tmp_path, capsys):

@@ -24,6 +24,7 @@ from oracles import (
     quotient_trace,
     rank_in_span,
     rf_row,
+    rref,
     subspace_contains,
     subspace_equals,
 )
@@ -294,7 +295,7 @@ def _abelian(dim):
 
 class TestSubspaceMembership:
     def check(self, dim, gens, vector):
-        rows, pivots = linalg.rref([rf_row(g) for g in gens], dim)
+        rows, pivots = rref([rf_row(g) for g in gens], dim)
         expected = rank_in_span([rf_row(g) for g in gens], rf_row(vector))
         assert linalg.in_span(rows, pivots, rf_row(vector)) == expected
 
@@ -316,6 +317,66 @@ class TestSubspaceMembership:
         rows, pivots = linalg.rref([[c.constant_value() for c in g] for g in gens], dim)
         expected = rank_in_span([rf_row(g) for g in gens], rf_row(vector))
         assert linalg.in_span(rows, pivots, vector) == expected
+
+
+RATIONAL_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols): small int and Fraction matrices, wide or tall, with
+    zero rows, repeated rows and combinations of rows mixed in."""
+    ncols = draw(st.integers(0, 6))
+    row = st.lists(RATIONAL_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    for kind in draw(st.lists(st.sampled_from(("zero", "repeat", "combination")), max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(RATIONAL_ENTRIES)
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), ncols
+
+
+def assert_stored_form(values) -> None:
+    """Each value is an int, or a Fraction with denominator > 1."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), x
+
+
+class TestRref:
+    """The fraction-free linalg.rref against Gauss-Jordan over Fraction
+    (oracles.rref)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_rref_matches_the_fraction_elimination(self, case):
+        rows, ncols = case
+        before = [list(r) for r in rows]
+        got_rows, got_pivots = linalg.rref(rows, ncols)
+        want_rows, want_pivots = rref([[Fraction(x) for x in r] for r in rows], ncols)
+        assert rows == before
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
+        for r in got_rows:
+            assert_stored_form(r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rational_matrices())
+    def test_nullspace_has_one_vector_per_free_column(self, case):
+        rows, ncols = case
+        _, pivots = rref([[Fraction(x) for x in r] for r in rows], ncols)
+        free = [c for c in range(ncols) if c not in pivots]
+        basis = linalg.nullspace(rows, ncols)
+        assert len(basis) == len(free)
+        for vec, column in zip(basis, free):
+            assert_stored_form(vec)
+            assert [vec[c] for c in free] == [int(c == column) for c in free]
+            assert all(sum(a * b for a, b in zip(r, vec)) == 0 for r in rows)
 
 
 @st.composite

@@ -196,10 +196,13 @@ def kernel_operands(draw):
 
 
 def assert_canonical(p: Polynomial) -> None:
-    """No stored coefficient is 0, and each monomial is name-sorted with
-    positive integer exponents."""
+    """Each stored coefficient has its one representation: an int, or a
+    Fraction with denominator > 1; never 0, a bool or a float.  Each
+    monomial is name-sorted with positive integer exponents."""
     for mono, coeff in p.terms.items():
-        assert isinstance(coeff, Fraction) and coeff != 0
+        assert (type(coeff) is int and coeff != 0) or (
+            type(coeff) is Fraction and coeff.denominator > 1
+        )
         assert [v for v, _ in mono] == sorted({v for v, _ in mono})
         assert all(type(e) is int and e > 0 for _, e in mono)
 
@@ -240,6 +243,74 @@ class TestProductKernel:
             assert (p * q).terms == oracle_mul(p, q).terms == (q * p).terms
             assert_canonical(p * q)
         assert P("x + y") * P("x - y") == P("x^2 - y^2")
+
+
+class TestStoredScalars:
+    """A coefficient is stored as an int where it is integral and as a
+    Fraction otherwise, whichever operation formed it; floats and bools are
+    refused."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(polynomials(), polynomials(), st.one_of(RATIONALS, st.integers(-3, 3)))
+    def test_every_operation_stores_one_form(self, p, q, c):
+        for r in (
+            p + q, p - q, -p, p * q, p * c, c * p, Polynomial.const(c), p**2,
+            p.substitute({"x": q, "y": c}), Polynomial.sum([p, q, -p]),
+            Polynomial.product([p, Polynomial.const(c), q]),
+        ):
+            assert_canonical(r)
+
+    def test_integral_results_are_ints(self):
+        half = P("1/2*x + 1/2")
+        assert (half + half).terms == {(("x", 1),): 1, (): 1}
+        for r in (half + half, half * 2, half * P("2*x - 2"), P("2/3*y") * Fraction(3, 2),
+                  P("1/2*x") ** 2 * 4, Polynomial.const(Fraction(4, 2)),
+                  Polynomial({(("x", 1),): Fraction(6, 3)})):
+            assert r.terms and all(type(c) is int for c in r.terms.values()), r
+
+    def test_readers_that_divide_return_fractions(self):
+        p = P("4*x + 2")
+        assert type(p.leading()[1]) is Fraction
+        assert type(p.content()) is Fraction and p.content() == 2
+        assert type(P("3").constant_value()) is Fraction
+        assert P("3").constant_value() / 2 == Fraction(3, 2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Polynomial({(): 0.5}),
+            lambda: Polynomial.const(0.1),
+            lambda: Polynomial.const(True),
+            lambda: Polynomial({(("x", 1),): False}),
+            lambda: P("x") * True,
+            lambda: P("x") + True,
+            lambda: P("x") - False,
+            lambda: P("x").substitute({"x": 0.5}),
+            lambda: P("x") * 0.5,
+            lambda: P("x").evaluate({"x": 0.1}),
+            lambda: expand_witness(["const", 0.5]),
+        ],
+        ids=["init-float", "const-float", "const-bool", "init-bool", "mul-bool", "add-bool",
+             "sub-bool", "substitute-float", "mul-float", "evaluate-float", "witness-const-float"],
+    )
+    def test_a_float_or_bool_is_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(polynomials(max_terms=3), max_size=5))
+    def test_sum_and_product_match_repeated_operations(self, parts):
+        total, product = Polynomial.zero(), Polynomial.const(1)
+        for part in parts:
+            total = total + part
+            product = oracle_mul(product, part)
+        assert Polynomial.sum(parts).terms == total.terms
+        assert Polynomial.product(parts).terms == product.terms
+
+    def test_one_term_factors_merge_into_one_monomial(self, monkeypatch):
+        factors = [P("2*x"), P("y^2"), P("1/4"), P("x*z"), P("2")]
+        monkeypatch.setattr(Polynomial, "__mul__", None)
+        assert Polynomial.product(factors).terms == {(("x", 2), ("y", 2), ("z", 1)): 1}
 
 
 NON_INTEGERS = st.builds(
