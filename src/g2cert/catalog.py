@@ -35,15 +35,17 @@ and builds every object the entry ships, and so runs the mathematical
 checks (Jacobi, unimodularity, the nilradical, distinct branch names,
 Leibniz of every derivation and gauge family with its branch values).
 Jacobi, Leibniz, unimodularity and the nilradical's ideal and
-derived-algebra conditions are read off the differential d; only
-nilpotency builds a series, over Q, so a nilradical whose brackets
-involve a family parameter is refused.  Plan steps are checked against
-one table (PLAN_STEPS), and `su_expected`, a branch's `subs` and `atoms`
-and a family parameter's `atoms` are read by another (FIELDS); either
-way an error names the field and what it expects.  A context (the entry
-as shipped, or a branch) lists at most one step of each kind, which its
-verifier reads (`StageContext.step`).  A key the format
-does not define, in an entry, a family parameter, a derivation family,
+derived-algebra conditions are read off the differential d; nilpotency
+builds the descending central series over Q from the brackets inside the
+nilradical, read as rationals off d too, so a nilradical whose brackets
+involve a family parameter is refused.  A nilradical is a list of ints,
+and a dimension-6 entry with a plan must ship one.  Plan steps are
+checked against one table (PLAN_STEPS), and `su_expected`, a branch's
+`subs` and `atoms` and a family parameter's `atoms` are read by another
+(FIELDS); either way an error names the field and what it expects.  A
+context (the entry as shipped, or a branch) lists at most one step of
+each kind, which its verifier reads (`StageContext.step`).  A key the
+format does not define, in an entry, a family parameter, a derivation family,
 `su_expected` or a plan step, is refused by name.  The entry keeps what
 it parsed and built, and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
@@ -459,8 +461,14 @@ class AlgebraEntry:
                 raise G2CertError(
                     "unimodularity check does not match the declared expectation"
                 )
-            if self.nilradical is not None:
-                verify_nilradical(algebra, self.nilradical)
+            nilradical = self.nilradical
+            if nilradical is not None:
+                if not (isinstance(nilradical, list) and all(type(i) is int for i in nilradical)):
+                    raise G2CertError(f"nilradical needs a list of ints, got {nilradical!r}")
+                verify_nilradical(algebra, nilradical)
+            elif self.dim == 6 and self.plan:
+                # its SU(3) stage reads the strong-unimodularity traces on the nilradical
+                raise G2CertError("a dimension-6 entry with a plan needs a nilradical")
             names = self.branch_names()
             if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
                 raise G2CertError(f"branch names must be distinct strings, got {names}")

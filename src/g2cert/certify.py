@@ -311,7 +311,11 @@ class StageContext:
 
     @cached_property
     def su(self) -> StrongUnimodularity:
-        """The strong-unimodularity trace conditions of the context."""
+        """The strong-unimodularity trace conditions of the context;
+        G2CertError for an entry that ships no nilradical (validation allows
+        that only with an empty plan)."""
+        if self.entry.nilradical is None:
+            raise G2CertError(f"{self.name}: no nilradical shipped for the trace conditions")
         return strongly_unimodular_constraints(self.algebra, self.family, self.entry.nilradical)
 
     def constrained(self, derivation_subs, fam_subs, unsolved=()) -> "StageContext":

@@ -28,7 +28,8 @@ Input errors exit with code 2: a malformed report or catalog, a catalog
 entry that fails validation (any entry of the catalog for validate,
 run-all and recheck; the named entry for lambda, derivations and su3), a
 path that is missing or a directory, an algebra name that matches no
-entry or several, an entry of the wrong dimension for the command, and
+entry or several, an entry of the wrong dimension for the command, a stub
+entry (its structure equations not shipped) for lambda and derivations, and
 --params that miss a family parameter of the entry or name one it lacks
 print `error: ...` on stderr, and a malformed --params, --samples or --seed
 is a usage error.  --samples and --seed take integers >= 0: a negative
@@ -75,6 +76,14 @@ def _find_entry(name: str):
     return matches[0]
 
 
+def _shipped_entry(name: str):
+    """The entry _find_entry finds, which must ship its structure equations."""
+    entry = _find_entry(name)
+    if entry.stub:
+        raise G2CertError(f"{entry.name}: its structure equations are not shipped")
+    return entry
+
+
 def cmd_validate(args) -> int:
     entries = cat.load_any(args.catalog)
     for entry in entries:
@@ -85,7 +94,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    entry = _find_entry(args.algebra)
+    entry = _shipped_entry(args.algebra)
     if entry.dim != 6:
         raise G2CertError(f"{entry.name} has dimension {entry.dim}; lambda lives on dimension 6")
     context = StageContext(entry)
@@ -111,7 +120,7 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    entry = _find_entry(args.algebra)
+    entry = _shipped_entry(args.algebra)
     algebra = entry.build_algebra()
     params = args.params
     fam_vars = algebra.family_parameters()

@@ -15,12 +15,13 @@ is built.  Its two quantities come from s and D on the package's kernels.
 D* acts on forms through forms.antiderivation, the kernel behind
 lie.ce_differential too.  The strong-unimodularity trace conditions are
 differences of the traces of D and of each ad_{e_j} on consecutive terms
-of the descending central series of the nilradical, each read by
-lie.Subspace.trace from the operator's matrix (column j the image of e_j):
-D's own, and ad_{e_j}'s read off d by lie.adjoint.  The series terms are
-subspaces over Q, so each trace is a polynomial in the parameters of the
-operator, and every solve here (Der(s) and the linear trace conditions) is
-over Q.
+of the descending central series of the nilradical.
+lie.descending_central_series builds those terms over Q from the brackets
+inside the nilradical, read once as rationals off d.  lie.Subspace.trace
+reads each trace from the operator's matrix (column j the image of e_j):
+D's own, and ad_{e_j}'s read off d by lie.adjoint.  So each trace is a
+polynomial in the parameters of the operator, and every solve here (Der(s)
+and the linear trace conditions) is over Q.
 """
 
 from __future__ import annotations

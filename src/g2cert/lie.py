@@ -10,12 +10,12 @@ off d, identically in any family parameters: Jacobi is d o d = 0 on every
 e^k (validate), unimodularity is d = 0 on the (n-1)-forms
 (unimodular_check), and a nilradical's ideal and derived-algebra
 conditions are conditions on the terms of the de^k (verify_nilradical).
-Brackets enter only as ad: adjoint reads every ad_{e_i} off the
-contractions of the de^k, for the central series of a nilradical (its
-nilpotency) and the strong-unimodularity traces of the derivations module,
-which reads the Leibniz identity off d too.  The series terms are
-subspaces over Q: a bracket coordinate of the nilradical that involves a
-family parameter raises NonNumericEntries.
+The descending central series of a nilradical (its nilpotency) reads the
+brackets inside the nilradical once, as rationals, from the terms of d:
+its terms are subspaces over Q, so a bracket coordinate that involves a
+family parameter raises NonNumericEntries.  adjoint reads every ad_{e_i}
+off the contractions of the de^k, for the strong-unimodularity traces of
+the derivations module, which reads the Leibniz identity off d too.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotAnIdeal,
 )
 from .forms import KForm, antiderivation, contractions, mask_of
-from .poly import ONE_MONOMIAL, P_ONE, P_ZERO, Polynomial, Scalar, scalar
+from .poly import ONE_MONOMIAL, P_ONE, P_ZERO, Polynomial
 
 
 class LieAlgebra:
@@ -118,16 +118,13 @@ def unimodular_check(algebra: LieAlgebra) -> bool:
 
 
 class Subspace:
-    """Span over Q of generators, tuples of rational coordinates.  A
-    coordinate may be given as a Polynomial, which must be constant: a
-    nonconstant one raises NonNumericEntries."""
+    """Span over Q of rows of ints and Fractions, stored as linalg.rref's rows and pivots."""
 
-    __slots__ = ("parent", "generators", "_rref", "_pivots")
+    __slots__ = ("parent", "rows", "pivots")
 
-    def __init__(self, parent: LieAlgebra, generators: Sequence[Sequence]):
+    def __init__(self, parent: LieAlgebra, rows: Sequence[Sequence]):
         self.parent = parent
-        self.generators = tuple(tuple(map(_rational, g)) for g in generators)
-        self._rref, self._pivots = linalg.rref(self.generators, parent.dim)
+        self.rows, self.pivots = linalg.rref(rows, parent.dim)
 
     @staticmethod
     def from_indices(parent: LieAlgebra, indices: Sequence[int]) -> "Subspace":
@@ -135,7 +132,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -152,12 +149,12 @@ class Subspace:
         """
         columns = list(zip(*operator))
         trace = P_ZERO
-        for row, pivot in zip(self._rref, self._pivots):
+        for row, pivot in zip(self.rows, self.pivots):
             image = [P_ZERO] * self.parent.dim
             for entry, column in zip(row, columns):
                 if entry:
                     image = [acc + c * entry if c else acc for acc, c in zip(image, column)]
-            if not linalg.in_span(self._rref, self._pivots, image):
+            if not linalg.in_span(self.rows, self.pivots, image):
                 raise NilradicalNotInvariant("the map does not preserve a central-series term")
             trace = trace + image[pivot]
         return trace
@@ -166,36 +163,38 @@ class Subspace:
         return f"Subspace(dim={self.dim})"
 
 
-def _rational(coordinate) -> Scalar:
-    """A subspace coordinate as a rational in a Polynomial's stored form
-    (poly.scalar); a Polynomial must be constant."""
-    if not isinstance(coordinate, Polynomial):
-        return scalar(coordinate)
-    if not coordinate.is_constant():
-        raise NonNumericEntries(
-            f"subspace coordinate {coordinate} depends on a family parameter; fix its value"
-        )
-    return coordinate.terms.get(ONE_MONOMIAL, 0)
-
-
 def descending_central_series(algebra: LieAlgebra, indices: Sequence[int]) -> list:
-    """n^0 = n = span(e_i : i in indices), n^(i+1) = [n, n^i], generated by
-    ad_{e_i} y for i in indices and y a generator of n^i, in that order;
-    stops at the first zero term, or at the first term whose dimension does
-    not fall (n is then not nilpotent).  It does not prove n an ideal:
-    verify_nilradical does, at catalog load.
-    """
-    ad = adjoint(algebra)
+    """n^0 = n = span(e_i : i in indices), n^(k+1) = [n, n^k], spanned by
+    [e_i, r] for i in indices and r a reduced row of n^k, in that order; it
+    stops at the first zero term, or at the first whose dimension does not
+    fall (n is then not nilpotent).  The brackets inside n are read once, as
+    rationals, off the terms of d inside n: c e^{ij} (i < j) in de^k is the
+    e_k-coordinate -c of [e_i, e_j]; one that involves a family parameter
+    raises NonNumericEntries.  This needs n to be an ideal, so that every
+    term lies in n: verify_nilradical proves it before it builds the series."""
+    n = algebra.dim
+    bracket = [[[0] * n for _ in range(n)] for _ in range(n)]  # [e_i, e_j], 0-based
+    inside = mask_of(indices)
+    for k, dk in enumerate(algebra.differentials):
+        for mask, coeff in dk.coeffs.items():
+            if mask & inside == mask:
+                if not coeff.is_constant():
+                    raise NonNumericEntries(f"nilradical bracket coordinate {-coeff} depends on a family parameter")
+                i, j = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+                bracket[j][i][k] = coeff.terms.get(ONE_MONOMIAL, 0)
+                bracket[i][j][k] = -bracket[j][i][k]
     current = Subspace.from_indices(algebra, indices)
     series = [current]
     while True:
-        gens = []
+        images = []
         for i in indices:
-            for y in current.generators:
-                b = [Polynomial.sum(a * c for a, c in zip(row, y) if a and c) for row in ad[i - 1]]
-                if any(b):
-                    gens.append(b)
-        nxt = Subspace(algebra, gens)
+            for row in current.rows:
+                image = [0] * n
+                for x, column in zip(row, bracket[i - 1]):
+                    if x:
+                        image = [a + x * b for a, b in zip(image, column)]
+                images.append(image)
+        nxt = Subspace(algebra, images)
         series.append(nxt)
         if nxt.is_zero() or nxt.dim >= current.dim:
             # zero: n is nilpotent; stabilized at a nonzero term: it is not

@@ -18,7 +18,7 @@ check Subspace.trace against.
 The package does its linear algebra over Q only.  RationalFunction, the
 field Q(params), lives here: the references that eliminate in full
 (rank_in_span, quotient_trace, solve_unique) and substitute_rational work
-over it, so they take symbolic rows that lie.Subspace rejects.
+over it, so they take symbolic rows, which a lie.Subspace does not hold.
 
 The package reads every bracket off d (lie.adjoint).  The reference here is
 the bracket loop: [x, y] = sum_{i,j} x_i y_j [e_i, e_j] over the structure
@@ -561,15 +561,21 @@ def oracle_adjoint(algebra: LieAlgebra) -> list:
     ]
 
 
+def rational_subspace(algebra: LieAlgebra, vectors) -> Subspace:
+    """The Subspace spanned by vectors of constant Polynomials, each
+    coordinate read by constant_value (a Subspace holds rationals only)."""
+    return Subspace(algebra, [[c.constant_value() for c in v] for v in vectors])
+
+
 def spans(outer: Subspace, vectors) -> bool:
     """Every vector lies in outer, each tested by rank over Q(params)."""
-    rows = [rf_row(g) for g in outer.generators]
+    rows = [rf_row(g) for g in outer.rows]
     return all(rank_in_span(rows, rf_row(v)) for v in vectors)
 
 
 def subspace_contains(outer: Subspace, inner: Subspace) -> bool:
-    """Every generator of inner lies in outer."""
-    return spans(outer, inner.generators)
+    """Every row of inner lies in outer."""
+    return spans(outer, inner.rows)
 
 
 def subspace_equals(a: Subspace, b: Subspace) -> bool:
@@ -589,31 +595,32 @@ def basis_brackets(algebra: LieAlgebra) -> list:
 
 def derived_algebra(algebra: LieAlgebra) -> Subspace:
     """[g, g] as a Subspace, for an algebra whose brackets are numeric."""
-    return Subspace(algebra, basis_brackets(algebra))
+    return rational_subspace(algebra, basis_brackets(algebra))
 
 
 def is_ideal(algebra: LieAlgebra, subspace: Subspace) -> bool:
     """[e_i, g] lies in the subspace for every basis vector e_i and every
-    generator g, each bracket by the bilinear loop and tested by rank."""
-    rows = [rf_row(g) for g in subspace.generators]
+    row g, each bracket by the bilinear loop and tested by rank."""
+    rows = [rf_row(g) for g in subspace.rows]
     return all(
         rank_in_span(rows, rf_row(oracle_bracket(algebra, b, g)))
-        for g in subspace.generators
+        for g in subspace.rows
         for b in basis_vectors(algebra.dim)
     )
 
 
 def oracle_series(algebra: LieAlgebra, indices) -> list:
     """The descending central series of span(e_i : i in indices): each next
-    term is spanned by the brackets, by the bilinear loop, of every e_i with
-    every generator of the last term.  It stops at the first zero term or
-    at the first whose dimension does not fall."""
+    term is spanned by the brackets, by the bilinear loop and over every
+    structure constant, of every e_i with every row of the last term.  It
+    stops at the first zero term or at the first whose dimension does not
+    fall."""
     basis = basis_vectors(algebra.dim)
     n = [basis[i - 1] for i in indices]
-    series = [Subspace(algebra, n)]
+    series = [rational_subspace(algebra, n)]
     while True:
-        gens = [oracle_bracket(algebra, x, y) for x in n for y in series[-1].generators]
-        series.append(Subspace(algebra, [g for g in gens if any(g)]))
+        gens = [oracle_bracket(algebra, x, y) for x in n for y in series[-1].rows]
+        series.append(rational_subspace(algebra, gens))
         if series[-1].is_zero() or series[-1].dim >= series[-2].dim:
             return series
 
@@ -741,15 +748,15 @@ def solve_unique(matrix, rhs):
 def quotient_trace(algebra: LieAlgebra, operator, inner: Subspace, outer: Subspace) -> RationalFunction:
     """Trace of the map induced on outer / inner by operator (a function on
     coordinate tuples), by per-generator elimination: extend a reduced basis of
-    inner by the generators of outer that raise the rank (one rref each),
-    then solve for the coordinates of each added generator's image in that
-    basis (one more elimination each) and sum the diagonal ones.  Raises
+    inner by the rows of outer that raise the rank (one rref each), then
+    solve for the coordinates of each added row's image in that basis (one
+    more elimination each) and sum the diagonal ones.  Raises
     NilradicalNotInvariant when an image has no coordinates, i.e. leaves
     outer."""
-    combined, _ = rref([rf_row(g) for g in inner.generators], algebra.dim)
+    combined, _ = rref([rf_row(g) for g in inner.rows], algebra.dim)
     inner_dim = len(combined)
     added = []
-    for gen in outer.generators:
+    for gen in outer.rows:
         row = rf_row(gen)
         _, pivots = rref([list(r) for r in combined] + [list(row)], algebra.dim)
         if len(pivots) > len(combined):

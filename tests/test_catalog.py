@@ -257,6 +257,38 @@ class TestPersistence:
             load_catalog_text(json.dumps({"schema": "other/9", "entries": []}))
 
 
+def builtin_node(dataset, prefix):
+    """The JSON node of the built-in entry of `dataset` whose name starts
+    with `prefix`."""
+    document = json.loads(builtin_text(dataset))
+    return next(e for e in document["entries"] if e["name"].startswith(prefix))
+
+
+def catalog_of(*nodes) -> str:
+    return json.dumps({"schema": "g2cert-catalog/1", "entries": list(nodes)})
+
+
+class TestNilradicalField:
+    def test_a_dimension_6_entry_with_a_plan_needs_a_nilradical(self):
+        # g_{5,30} without its nilradical once validated, and run-all then
+        # ended in a TypeError traceback at its SU(3) stage
+        node = builtin_node("table1", "g_{5,30}")
+        del node["nilradical"]
+        with pytest.raises(ValidationFailure, match="needs a nilradical"):
+            load_catalog_text(catalog_of(node))
+        node["plan"] = []
+        (entry,) = load_catalog_text(catalog_of(node))
+        assert entry.nilradical is None
+
+    @pytest.mark.parametrize("value", [True, 1, "12345", [1, 2, True], [1.0, 2, 3, 4, 5]])
+    def test_a_nilradical_that_is_not_a_list_of_ints_is_refused(self, value):
+        # a JSON true once passed as the index 1
+        node = builtin_node("table1", "g_{5,30}")
+        node["nilradical"] = value
+        with pytest.raises(ValidationFailure, match="nilradical needs a list of ints"):
+            load_catalog_text(catalog_of(node))
+
+
 def test_conformance_corpus():
     """Grammar conformance: valid inputs parse, invalid inputs raise."""
     valid = [

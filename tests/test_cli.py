@@ -761,6 +761,41 @@ def test_t2_zero_slice_needs_family_parameters_a_and_b(tmp_path, capsys):
     assert "t2_zero" in capsys.readouterr().err
 
 
+def test_run_all_on_an_entry_without_a_nilradical_is_an_error(tmp_path, capsys):
+    # g_{5,30} without its nilradical once validated, and run-all then ended
+    # in a TypeError traceback (exit 1); with its plan it is now refused at
+    # validate, and with an empty plan its SU(3) stage is an input error
+    document = json.loads(cat.builtin_text("table1"))
+    node = next(e for e in document["entries"] if e["name"].startswith("g_{5,30}"))
+    del node["nilradical"]
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"schema": cat.SCHEMA, "entries": [node]}))
+    assert main(["validate", str(catalog)]) == 2
+    assert "needs a nilradical" in capsys.readouterr().err
+    node["plan"] = []
+    catalog.write_text(json.dumps({"schema": cat.SCHEMA, "entries": [node]}))
+    assert main(["validate", str(catalog)]) == 0
+    capsys.readouterr()
+    assert main(["run-all", str(catalog), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: g_{5,30}") and "no nilradical" in err
+
+
+@pytest.mark.parametrize("command", ["lambda", "derivations"])
+def test_a_stub_entry_has_no_structure_to_act_on(command, capsys):
+    # both once failed with a syntax error at position 0 on the empty
+    # structure, and lambda printed its header first
+    assert main([command, "table-A.17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table-A.17-remaining: its structure equations are not shipped\n"
+
+
+def test_su3_on_a_stub_entry_reports_data_not_shipped(capsys):
+    assert main(["su3", "table-A.17"]) == 0
+    assert capsys.readouterr().out.startswith("table-A.17-remaining: data-not-shipped\n")
+
+
 def test_validate_rejects_a_nilradical_bracket_with_a_family_parameter(tmp_path, capsys):
     # [e2, e3] = p e1: span(p e1) has dimension 1 for p != 0 and 0 at p = 0,
     # and the central series is reduced over Q, so the entry is refused

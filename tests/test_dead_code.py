@@ -1,5 +1,6 @@
 """Every function, class and method in the package has a caller outside
-the tests: in the package itself or in the benchmark harness."""
+the tests, in the package itself or in the benchmark harness, and every
+`__slots__` field of a package class is read there."""
 
 import ast
 from pathlib import Path
@@ -99,6 +100,38 @@ def unreferenced(sources, callers):
     )
 
 
+def slot_fields(tree, module):
+    """(qualified name, field) of each `__slots__` name of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__slots__"
+                    for target in item.targets
+                ):
+                    slots = ast.literal_eval(item.value)
+                    for name in [slots] if isinstance(slots, str) else slots:
+                        yield f"{module}.{node.name}.{name}", name
+
+
+def unread_slots(sources, callers):
+    """Qualified `__slots__` fields of `sources` ({module: tree}) that no tree
+    in `callers` reads as an attribute, on any receiver; a field that is
+    only stored counts as unread."""
+    read = {
+        node.attr
+        for tree in callers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        qualified
+        for module, tree in sources.items()
+        for qualified, name in slot_fields(tree, module)
+        if name not in read
+    )
+
+
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -107,6 +140,24 @@ def test_every_definition_has_a_caller_outside_the_tests():
     sources = {path.stem: parse(path) for path in PACKAGE}
     callers = [parse(path) for path in CALLERS]
     assert unreferenced(sources, callers) == sorted(TEST_REFERENCES)
+
+
+def test_every_slot_is_read_outside_the_tests():
+    sources = {path.stem: parse(path) for path in PACKAGE}
+    callers = [parse(path) for path in CALLERS]
+    assert unread_slots(sources, callers) == []
+
+
+def test_detects_a_planted_unread_slot():
+    module = ast.parse(
+        "class A:\n"
+        "    __slots__ = ('used', 'stored')\n"
+        "    def __init__(self, x):\n        self.used = self.stored = x\n"
+        "    def get(self):\n        return self.used\n"
+        "class B:\n"
+        "    __slots__ = 'only'\n"
+    )
+    assert unread_slots({"m": module}, [module]) == ["m.A.stored", "m.B.only"]
 
 
 def test_detects_a_planted_unreferenced_function():

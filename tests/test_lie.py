@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -23,6 +24,7 @@ from oracles import (
     oracle_unimodular,
     quotient_trace,
     rank_in_span,
+    rational_subspace,
     rf_row,
     rref,
     subspace_contains,
@@ -182,6 +184,14 @@ class TestSeriesAndIdeals:
         with pytest.raises(NonNumericEntries):
             verify_nilradical(L, [1, 2, 3])
 
+    def test_a_nonconstant_coordinate_is_not_numeric(self):
+        # [e3, e4] = p e1 + e2: the first series term, span(p e1 + e2), has
+        # the row (1, 1/p) over Q(p), which is wrong at p = 0; the series is
+        # over Q, so it is refused
+        L = algebra_of("(-p*e34, -e34, 0, 0)")
+        with pytest.raises(NonNumericEntries, match="fam_p"):
+            descending_central_series(L, [1, 2, 3, 4])
+
     def test_series_terms_are_ideals_and_decreasing(self):
         L = algebra_of(G530)
         series = descending_central_series(L, [1, 2, 3, 4, 6])
@@ -242,20 +252,43 @@ class TestSeriesAndIdeals:
         assert checked == 64
 
     def test_every_shipped_nilradical_matches_the_subspace_checks(self):
-        checked = 0
-        for dataset in BUILTIN_DATASETS:
-            for entry in load_builtin(dataset):
-                if entry.stub or entry.nilradical is None:
-                    continue
-                algebra = entry.build_algebra()
-                assert nilradical_rejection(algebra, entry.nilradical) is None, entry.name
-                verify_nilradical(algebra, entry.nilradical)
-                series = descending_central_series(algebra, entry.nilradical)
-                expected = oracle_series(algebra, entry.nilradical)
-                assert len(series) == len(expected), entry.name
-                assert all(map(subspace_equals, series, expected)), entry.name
-                checked += 1
-        assert checked == 39
+        shipped = shipped_nilradicals()
+        for name, algebra, indices in shipped:
+            assert nilradical_rejection(algebra, indices) is None, name
+            verify_nilradical(algebra, indices)
+            series = descending_central_series(algebra, indices)
+            expected = oracle_series(algebra, indices)
+            assert len(series) == len(expected), name
+            assert all(map(subspace_equals, series, expected)), name
+        assert len(shipped) == 39
+
+    def test_shipped_series_do_no_polynomial_arithmetic(self, monkeypatch):
+        # the brackets inside n are read once, as rationals: building the
+        # series sums and multiplies no Polynomial
+        shipped = shipped_nilradicals()
+        calls = Counter()
+
+        def counted(name, method):
+            def count(*args):
+                calls[name] += 1
+                return method(*args)
+            return count
+
+        monkeypatch.setattr(Polynomial, "sum", staticmethod(counted("sum", Polynomial.sum)))
+        monkeypatch.setattr(Polynomial, "__mul__", counted("__mul__", Polynomial.__mul__))
+        for _, algebra, indices in shipped:
+            descending_central_series(algebra, indices)
+        assert calls == {}
+
+
+def shipped_nilradicals() -> list:
+    """(name, algebra, nilradical) of every built-in entry that ships one."""
+    return [
+        (entry.name, entry.build_algebra(), entry.nilradical)
+        for dataset in BUILTIN_DATASETS
+        for entry in load_builtin(dataset)
+        if not entry.stub and entry.nilradical is not None
+    ]
 
 
 SMALL = st.integers(-2, 2)
@@ -406,17 +439,11 @@ class TestSubspaceTrace:
     def test_matches_per_generator_elimination(self, case):
         dim, gens, matrix = case
         algebra = _abelian(dim)
+        span = rational_subspace(algebra, gens)
         expected = quotient_trace(
-            algebra, partial(apply_matrix, matrix), Subspace(algebra, []), Subspace(algebra, gens)
+            algebra, partial(apply_matrix, matrix), Subspace(algebra, []), span
         )
-        assert Subspace(algebra, gens).trace(matrix) == as_polynomial(expected)
-
-    def test_a_nonconstant_coordinate_is_not_numeric(self):
-        # span(p e1 + e2) has the row (1, 1/p) over Q(p), which is wrong at
-        # p = 0; a subspace is over Q, so it is refused
-        p = Polynomial.var("fam_p")
-        with pytest.raises(NonNumericEntries, match="fam_p"):
-            Subspace(_abelian(2), [(p, Polynomial.const(1))])
+        assert span.trace(matrix) == as_polynomial(expected)
 
     def test_map_leaving_the_subspace_raises(self):
         one, zero = Polynomial.const(1), Polynomial.zero()
