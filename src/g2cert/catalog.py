@@ -44,7 +44,8 @@ checked against one table (PLAN_STEPS), and `su_expected`, a branch's
 `subs` and `atoms` and a family parameter's `atoms` are read by another
 (FIELDS); either way an error names the field and what it expects.  A
 context (the entry as shipped, or a branch) lists at most one step of
-each kind, which its verifier reads (`StageContext.step`).  A key the
+each kind, which its verifier reads (`AlgebraEntry.step`), and a gauge
+step lists one target per gauge parameter.  A key the
 format does not define, in an entry, a family parameter, a derivation family,
 `su_expected` or a plan step, is refused by name.  The entry keeps what
 it parsed and built, and the pipeline and recheck read it again for free.
@@ -362,6 +363,16 @@ class AlgebraEntry:
         """The plan steps of the entry (branches excepted) or of the branch."""
         return self.branch(branch_name).get("steps", [])
 
+    def step(self, kind: str, branch_name: Optional[str] = None) -> dict:
+        """The plan step of `kind` of the entry (branches excepted) or of the
+        branch: validation allows at most one per context.  G2CertError
+        when it has none."""
+        for step in self.steps(branch_name):
+            if step.get("kind") == kind:
+                return step
+        where = self.name if branch_name is None else f"{self.name} [{branch_name}]"
+        raise G2CertError(f"{where}: no {kind} step in the plan")
+
     def branch_subs(self, branch_name: Optional[str]) -> dict:
         """The family-parameter values of the branch, as Fractions."""
         subs = self.branch(branch_name).get("subs", {})
@@ -383,23 +394,23 @@ class AlgebraEntry:
 
         return self._once(("algebra", branch_name), build)
 
-    def _family(self, branch_name, matrix, params) -> DerivationFamily:
-        """The derivation family with these JSON entries and parameters on
-        the algebra of the entry or of the branch, Leibniz-checked.  The
-        branch values are substituted into its entries first, since a branch
-        family is a derivation only on the branch-substituted algebra."""
-        matrix, params = tuple(map(tuple, matrix)), tuple(params)
+    def _family(self, kind: str, branch_name, matrix, params) -> DerivationFamily:
+        """The derivation family (kind "family") or gauge family (kind
+        "gauge") of the entry or of the branch, with these JSON entries and
+        parameters, Leibniz-checked on its algebra.  The branch values are
+        substituted into its entries first, since a branch family is a
+        derivation only on the branch-substituted algebra."""
 
         def build():
             algebra, subs = self.build_algebra(branch_name), self.branch_subs(branch_name)
             cells = [[parse_polynomial(cell) for cell in row] for row in matrix]
             if subs:
                 cells = [[cell.substitute(subs) for cell in row] for row in cells]
-            family = DerivationFamily(algebra, cells, params)
+            family = DerivationFamily(algebra, cells, tuple(params))
             verify_derivation(algebra, family)
             return family
 
-        return self._once(("family", branch_name, matrix, params), build)
+        return self._once((kind, branch_name), build)
 
     def build_family(self, branch_name: Optional[str] = None) -> Optional[DerivationFamily]:
         """The shipped derivation family of the entry or of the branch;
@@ -408,12 +419,12 @@ class AlgebraEntry:
         if not node:
             return None
         _known_keys(node, ("matrix", "params"), "derivation_family ")
-        return self._family(branch_name, node["matrix"], node["params"])
+        return self._family("family", branch_name, node["matrix"], node["params"])
 
-    def build_gauge_family(self, branch_name: Optional[str], step) -> DerivationFamily:
-        """The gauge family S of a gauge plan step of the entry or of the
-        branch."""
-        return self._family(branch_name, step["s_matrix"], step["s_params"])
+    def build_gauge_family(self, branch_name: Optional[str] = None) -> DerivationFamily:
+        """The gauge family S of the gauge step of the entry or of the branch."""
+        step = self.step("gauge", branch_name)
+        return self._family("gauge", branch_name, step["s_matrix"], step["s_params"])
 
     def branch_atoms(self, branch_name: Optional[str]) -> list:
         """The atoms of the branch (none for the entry as shipped), parsed."""
@@ -426,12 +437,13 @@ class AlgebraEntry:
         """The expansion of the shipped witness tree `name`, made once."""
         return self._once(("witness", name), lambda: expand_witness(self.witnesses[name]))
 
-    def gauge_expectations(self, step) -> tuple:
+    def gauge_expectations(self, branch_name: Optional[str] = None) -> tuple:
         """The parsed `expect_k` ({index: polynomial}) and
-        `expect_det_multiple_of` (a polynomial, or None) of a gauge step."""
+        `expect_det_multiple_of` (a polynomial, or None) of the gauge step
+        of the entry or of the branch."""
+        step = self.step("gauge", branch_name)
         k, det = step.get("expect_k", {}), step.get("expect_det_multiple_of")
-        key = ("expect", json.dumps([k, det], sort_keys=True))
-        return self._once(key, lambda: (
+        return self._once(("expect", branch_name), lambda: (
             {int(i): parse_polynomial(text) for i, text in k.items()},
             parse_polynomial(det) if det else None,
         ))
@@ -482,11 +494,15 @@ class AlgebraEntry:
                 kinds = [step.get("kind") for step in steps]
                 if len(set(kinds)) != len(kinds):
                     raise G2CertError(f"a context lists a step kind more than once: {kinds}")
-                gauges = [step for step in steps if step.get("kind") == "gauge"]
-                for step in gauges:
-                    self.build_gauge_family(branch_name, step)
-                    self.gauge_expectations(step)
-                if not gauges and any(step.get("slice") == "t2_zero" for step in steps):
+                if "gauge" in kinds:
+                    step = self.step("gauge", branch_name)
+                    targets, params = len(step["targets"]), len(step["s_params"])
+                    if targets != params:
+                        raise G2CertError(f"gauge step needs one target per s_param, "
+                                          f"got {targets} targets and {params} s_params")
+                    self.build_gauge_family(branch_name)
+                    self.gauge_expectations(branch_name)
+                elif any(step.get("slice") == "t2_zero" for step in steps):
                     raise G2CertError("the t2_zero slice needs a gauge step")
             self.su_expectations()
             for name in self.witnesses:

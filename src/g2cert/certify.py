@@ -20,15 +20,15 @@ it; a new kind is one more entry of that table.  Discovery and
 entry or branch as shipped for a zero diagonal, a trace obstruction or a
 first-stage lambda certificate, else after its strong-unimodularity
 substitutions.  A verifier reads its plan step from the context
-(`StageContext.step`) and witnesses from the entry.  The inputs supply
-only what a plan cannot: a gauge certificate's solved gauge and
-determinant, the only report text parsed here, and a sampling
-certificate's trials and seed, which --samples and --seed set.  Recheck
-runs the verifier on the stored data and compares the whole certificate,
-assumptions included, so every other stored field can only match the
-plan.  One rule, `derive_outcome`, reads an entry's outcome off its plan
-and certificates, in discovery and in recheck, which compares it with
-the stored outcome.
+(`StageContext.step`) and witnesses from the entry, and the gauge verifier
+solves its own linear system.  The only stored inputs left are a sampling
+certificate's trials and seed, which --samples and --seed set; no report
+text is parsed.  Recheck runs the verifier on the stored data and
+compares the whole certificate, assumptions included, so every other
+stored field, a gauge certificate's solved gauge and determinant among
+them, can only match the plan.  One rule, `derive_outcome`, reads an
+entry's outcome off its plan and certificates, in discovery and in
+recheck, which compares it with the stored outcome.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ from .errors import (
     IdentityFailure,
     IdentityMismatch,
     NotIdenticallyZero,
-    SingularSymbolicSystem,
     WitnessMismatch,
 )
-from .exprs import parse_polynomial
 from .forms import (
     KForm,
     form_value,
@@ -71,13 +69,7 @@ from .forms import (
 from .hitchin import Bilinear, KOperator, b_phi, h_form, k_psi
 from .lie import LieAlgebra, ce_differential
 from .numeric import PairSampler
-from .poly import (
-    Polynomial,
-    SolvedLinearSystem,
-    check_nonneg_witness,
-    solve_linear,
-    substitute_cramer,
-)
+from .poly import Polynomial, check_nonneg_witness, solve_linear, substitute_cramer
 
 
 class CertKind(str, enum.Enum):
@@ -225,12 +217,8 @@ class StageContext:
         return self.entry.steps(self.branch_name)
 
     def step(self, kind: str) -> dict:
-        """The plan step of `kind` of the context: validation allows at most
-        one per context.  G2CertError when it has none."""
-        for step in self.steps:
-            if step.get("kind") == kind:
-                return step
-        raise G2CertError(f"{self.name}: no {kind} step in the plan")
+        """The plan step of `kind` of the context (`AlgebraEntry.step`)."""
+        return self.entry.step(kind, self.branch_name)
 
     @cached_property
     def algebra(self) -> LieAlgebra:
@@ -342,9 +330,8 @@ class StageContext:
     def gauge_system(self) -> GaugeSystem:
         """The gauge system of psi for the gauge step of the context: the
         entry's gauge family S of the step, after fam_subs."""
-        step = self.step("gauge")
-        s_family = self._specialized(self.entry.build_gauge_family(self.branch_name, step))
-        return gauge_system(self.psi, s_family, step["targets"])
+        s_family = self._specialized(self.entry.build_gauge_family(self.branch_name))
+        return gauge_system(self.psi, s_family, self.step("gauge")["targets"])
 
     def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
         """A verified SU(3)-stage certificate on this context: its name, its
@@ -559,29 +546,19 @@ def certify_trace_obstruction(context: StageContext, inputs=None) -> Certificate
 
 
 def _exp_nilpotent(matrix, dim: int):
-    """exp(S) for a nilpotent polynomial matrix (finite sum)."""
-    result = [
-        [Polynomial.const(1 if i == j else 0) for j in range(dim)] for i in range(dim)
-    ]
-    power = [
-        [Polynomial.const(1 if i == j else 0) for j in range(dim)] for i in range(dim)
-    ]
-    factorial = 1
+    """exp(S) for a nilpotent polynomial matrix S: the partial sum of the
+    terms S^k / k! before the first that vanishes (k <= dim)."""
+    term = [[Polynomial.const(int(i == j)) for j in range(dim)] for i in range(dim)]
+    terms = [term]
     for k in range(1, dim + 1):
-        power = [
-            [
-                sum((power[i][l] * matrix[l][j] for l in range(dim)), Polynomial.zero())
-                for j in range(dim)
-            ]
+        term = [
+            [Polynomial.sum(term[i][l] * matrix[l][j] for l in range(dim)) * Fraction(1, k)
+             for j in range(dim)]
             for i in range(dim)
         ]
-        if all(e.is_zero() for row in power for e in row):
-            return result
-        factorial *= k
-        inv = Fraction(1, factorial)
-        for i in range(dim):
-            for j in range(dim):
-                result[i][j] = result[i][j] + power[i][j] * inv
+        if not any(e for row in term for e in row):
+            return [[Polynomial.sum(t[i][j] for t in terms) for j in range(dim)] for i in range(dim)]
+        terms.append(term)
     raise IdentityFailure("gauge matrix is not nilpotent")
 
 
@@ -612,9 +589,10 @@ class GaugeSystem:
     rhs: list
 
     @cached_property
-    def solved(self) -> SolvedLinearSystem:
-        """The Cramer solution (SingularSymbolicSystem when the determinant
-        vanishes identically)."""
+    def solved(self) -> tuple:
+        """(det, numerators), the Cramer solution s_k = numerators[k] / det
+        (`solve_linear`; SingularSymbolicSystem when det vanishes
+        identically)."""
         return solve_linear(self.rows, self.rhs)
 
 
@@ -628,43 +606,25 @@ def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem
     return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
 
 
-def gauge_transport(context: StageContext) -> Certificate:
+def gauge_transport(context: StageContext, inputs=None) -> Certificate:
     """Normalize (omega, psi) by F = exp(S) for the gauge step of the
-    context and certify its null pair.
+    context and certify its null pair at the gauge s_k = N_k / det that
+    kills the step's target coefficients of F*psi (`GaugeSystem.solved`).
 
-    Solves the linear system that kills the step's target coefficients of
-    F*psi (SingularSymbolicSystem when its determinant vanishes
-    identically) and runs verify_gauge on the solution.
-    """
-    system = context.gauge_system
-    solved = system.solved
-    return verify_gauge(context, {
-        "solved_gauge": {
-            sv: str(num) for sv, num in zip(system.s_family.params, solved.numerators)
-        },
-        "branch_condition": str(solved.determinant),
-    })
-
-
-def verify_gauge(context: StageContext, inputs) -> Certificate:
-    """Certify the null pair of the gauge step of the context at the gauge
-    s_k = solved_gauge[s_k] / branch_condition, the only inputs it reads.
-
-    Verifies, as identities after clearing denominators: det != 0, the
-    killed coefficients vanish, F*omega(pair) = 0, and K_{F*psi}(e_i) lies
-    in span(e_i, e_j), with the K-column and the determinant the step
-    expects (`expect_k`, `expect_det_multiple_of`).  det(exp S) = 1 for
-    nilpotent S, so lambda is preserved on the nose, which is also checked.
+    Verifies, as identities after clearing denominators: the killed
+    coefficients vanish, the surviving ones are polynomial, F*omega(pair)
+    = 0, and K_{F*psi}(e_i) lies in span(e_i, e_j), with the K-column and
+    the determinant the step expects (`expect_k`, `expect_det_multiple_of`).
+    det(exp S) = 1 for nilpotent S, so lambda is preserved on the nose,
+    which is also checked.  It reads no inputs: the solved gauge and det
+    that a certificate stores are outputs, which recheck compares.
     """
     step = context.step("gauge")
-    expect_k, expect_det = context.entry.gauge_expectations(step)
-    det = parse_polynomial(inputs["branch_condition"])
-    if det.is_zero():
-        raise SingularSymbolicSystem(det)
+    expect_k, expect_det = context.entry.gauge_expectations(context.branch_name)
     system = context.gauge_system
     s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
     svars = list(s_family.params)
-    numerators = [parse_polynomial(inputs["solved_gauge"][sv]) for sv in svars]
+    det, numerators = system.solved
 
     # (0) the normalized 3-form is polynomial: killed coefficients vanish and
     # the surviving ones must not involve the gauge parameters
@@ -714,9 +674,7 @@ def verify_gauge(context: StageContext, inputs) -> Certificate:
         "pair": [i, j],
         "s_params": svars,
         "s_matrix": [[str(e) for e in row] for row in s_family.matrix],
-        "solved_gauge": {
-            sv: str(num) for sv, num in zip(svars, numerators)
-        },
+        "solved_gauge": dict(zip(svars, map(str, numerators))),
         "branch_condition": str(det),
         "k_column": {str(l): str(column[l - 1]) for l in (i, j)},
     }
@@ -1033,14 +991,15 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
 
 
 # The verifier of each certificate kind, called as verifier(context, inputs):
-# discovery passes the answers and options it has, recheck the stored data.
+# discovery passes the options it has, recheck the stored data, of which
+# only a sampling certificate's trials and seed are read.
 VERIFIERS = {
     CertKind.ZERO_DIAGONAL: certify_zero_diagonal,
     CertKind.LAMBDA_ZERO: certify_lambda,
     CertKind.LAMBDA_NONNEG: certify_lambda,
     CertKind.NULL_DIRECTION: certify_null_direction,
     CertKind.SIGN_PRODUCT: certify_sign_product,
-    CertKind.GAUGE_NULL: verify_gauge,
+    CertKind.GAUGE_NULL: gauge_transport,
     CertKind.SAMPLED_NO_SU3: sample_falsify,
     CertKind.TRACE_OBSTRUCTION: certify_trace_obstruction,
 }

@@ -16,9 +16,11 @@ structure equations are tuples whose names include the basis symbols eIJ.
 Parentheses and unary minus signs nest at most MAX_DEPTH deep.  A power
 p^n has degree n * deg(p) (n for a constant p) at most MAX_EXPONENT, and so
 does a product, whose degree is the sum of its factors' degrees; so every
-parsed polynomial has degree at most MAX_EXPONENT, and text from a catalog
-or a report fails with DslSyntaxError, not RecursionError or an expansion
-of ever growing size.
+parsed polynomial has degree at most MAX_EXPONENT, and catalog text that
+breaks a bound fails with DslSyntaxError, not RecursionError or an
+expansion of ever growing size.  Only catalog text reaches the parser:
+recheck rebuilds every certificate from the plan and parses no report
+text.
 
 An expression's terms are summed into one term map (`Polynomial.sum`), and
 a term's factors are multiplied in one `Polynomial.product`, which merges
@@ -37,9 +39,9 @@ _TOKEN_CHARS = set("+-*/^(),")
 # recursion limit, since each level is a few frames of the parser.
 MAX_DEPTH = 50
 
-# The largest degree of a power or a product: the shipped catalogs and
-# reports use powers of degree at most 5 and products of degree at most 8,
-# and expanding (a + b + c + d)^40 takes most of a second.
+# The largest degree of a power or a product: the shipped catalogs use
+# powers of degree at most 3 and products of degree at most 8, and
+# expanding (a + b + c + d)^40 takes most of a second.
 MAX_EXPONENT = 16
 
 

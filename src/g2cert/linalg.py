@@ -2,11 +2,12 @@
 
 Subspaces (lie.Subspace), Der(s) (derivations.solve_derivations) and the
 strong-unimodularity solve are all reduced by rref, over Q; the symbolic
-gauge solve is poly.solve_linear's Cramer rule.  rref takes rows of ints
-and Fractions and eliminates fraction-free: each row is scaled to
-primitive integers, each elimination step cross-multiplies two integer
-rows and divides the result by its gcd, and each row is divided by its
-pivot once, at the end.  Pivoting is positional (first nonzero), and the
+gauge solve is poly.solve_linear's Cramer rule, whose determinant and
+numerators are the maximal minors of the augmented matrix, from one
+memoized expansion.  rref takes rows of ints and Fractions and eliminates
+fraction-free: each row is scaled to primitive integers, each elimination
+step cross-multiplies two integer rows and divides the result by its gcd,
+and each row is divided by its pivot once, at the end.  Pivoting is positional (first nonzero), and the
 reduced row echelon form is unique, so the rows and pivots are those of an
 elimination over Fractions.
 

@@ -2,9 +2,10 @@
 
 There is no rational-function type: subspaces and the linear solves of
 linalg are over Q, and the one solve with polynomial entries
-(`solve_linear`, Cramer's rule by `poly_matrix_det`) returns polynomial
-numerators over one determinant, which `substitute_cramer` substitutes
-without forming a quotient.
+(`solve_linear`, Cramer's rule read off the maximal minors of the
+augmented matrix in one memoized expansion) returns polynomial numerators
+over one determinant, which `substitute_cramer` substitutes without
+forming a quotient.
 
 A monomial is a tuple of (variable, exponent) pairs, sorted by variable name,
 every exponent positive; the empty tuple is the constant monomial.  A
@@ -547,70 +548,41 @@ def check_nonneg_witness(target: Polynomial, expansion: Polynomial) -> bool:
 # -- symbolic linear systems -------------------------------------------
 
 
-def poly_matrix_det(matrix) -> Polynomial:
-    """Determinant of a square matrix of polynomials.
+def solve_linear(matrix, rhs) -> tuple:
+    """(det, numerators): Cramer's rule for a square system of Polynomial
+    equations, so that unknown i is numerators[i] / det wherever det != 0.
 
-    Cofactor expansion with memoization over column subsets; fine for the
-    small (n <= 7) systems this package solves.
-    """
-    n = len(matrix)
-    if n == 0:
-        return P_ONE
-    cache = {}
-
-    def minor(row: int, cols: int) -> Polynomial:
-        if row == n:
-            return P_ONE
-        key = cols
-        if key in cache:
-            return cache[key]
-        total = Polynomial.zero()
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not cols & bit:
-                continue
-            entry = matrix[row][j]
-            if not entry.is_zero():
-                total = total + sign * entry * minor(row + 1, cols & ~bit)
-            sign = -sign
-        cache[key] = total
-        return total
-
-    return minor(0, (1 << n) - 1)
-
-
-class SolvedLinearSystem:
-    """Cramer solution of a square symbolic system: unknown i equals
-    numerators[i] / determinant, where `numerators[i]` is the
-    replaced-column determinant and `determinant` is the shared
-    nondegeneracy condition (the solution is valid wherever it is nonzero).
-    """
-
-    def __init__(self, determinant, numerators):
-        self.determinant = determinant
-        self.numerators = numerators
-
-
-def solve_linear(matrix, rhs) -> SolvedLinearSystem:
-    """Solve a square system of Polynomial equations by Cramer's rule.
-
-    Raises SingularSymbolicSystem when the determinant is identically zero.
+    Each is a maximal minor of the augmented matrix [matrix | rhs]: det
+    omits the rhs column, and numerator i is (-1)^(n-1-i) times the minor
+    that omits column i.  One row expansion, memoized over column sets,
+    gives all n + 1 of them (30 minors for a 4x4 system).  Raises
+    SingularSymbolicSystem when det is identically zero.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear requires a square system")
-    det = poly_matrix_det(matrix)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    minors = {0: P_ONE}
+
+    def minor(cols: int) -> Polynomial:
+        """The minor of the last popcount(cols) rows on the columns in cols."""
+        if cols not in minors:
+            row, terms, sign = rows[n - cols.bit_count()], [], 1
+            for j in range(n + 1):
+                if (cols >> j) & 1:
+                    if row[j]:
+                        term = row[j] * minor(cols ^ (1 << j))
+                        terms.append(term if sign > 0 else -term)
+                    sign = -sign
+            minors[cols] = Polynomial.sum(terms)
+        return minors[cols]
+
+    full = (1 << (n + 1)) - 1
+    det = minor(full ^ (1 << n))
     if det.is_zero():
         raise SingularSymbolicSystem(det)
-    numerators = []
-    for col in range(n):
-        replaced = [
-            [rhs[i] if j == col else matrix[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        numerators.append(poly_matrix_det(replaced))
-    return SolvedLinearSystem(det, numerators)
+    numerators = [minor(full ^ (1 << i)) for i in range(n)]
+    return det, [num if (n - 1 - i) % 2 == 0 else -num for i, num in enumerate(numerators)]
 
 
 def substitute_cramer(poly: Polynomial, svars, numerators, den: Polynomial):

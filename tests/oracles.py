@@ -210,6 +210,18 @@ def oracle_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
+def oracle_det(matrix) -> Polynomial:
+    """The determinant of a square matrix of polynomials as the sum over
+    permutations p of sign(p) * prod_i matrix[i][p(i)]."""
+    total = P_ZERO
+    for perm in permutations(range(len(matrix))):
+        term = Polynomial.const(_parity(perm))
+        for i, j in enumerate(perm):
+            term = oracle_mul(term, matrix[i][j])
+        total = total + term
+    return total
+
+
 def eval_form(form: KForm, vectors) -> Polynomial:
     """f(v_1, ..., v_k) by full antisymmetrization over coordinate slots."""
     k = form.degree

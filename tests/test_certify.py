@@ -56,7 +56,7 @@ from g2cert.errors import (
 from g2cert.forms import contractions, pullback, top_coefficient, wedge
 from g2cert.hitchin import b_phi
 from g2cert.poly import Polynomial, substitute_cramer
-from g2cert import catalog, certify, derivations, hitchin, lie, numeric
+from g2cert import catalog, certify, derivations, exprs, hitchin, lie, numeric
 
 
 def by_name(dataset, name):
@@ -484,12 +484,31 @@ G34_PAIR = "g_{3,4}^{-1}+g_{3,4}^{-1}"
 # into products of thousands of terms that cancel; swapped numerators leave
 # a nonzero residual in the target coefficients
 G6101_GENERIC = "g_{6,101}^{a,b,-1-a,-1-b} [a != -1]"
+G6101_A_MINUS_1 = "g_{6,101}^{a,b,-1-a,-1-b} [a = -1]"
+GAUGE_ALGEBRAS = {"g34": G34_PAIR, "g6101-generic": G6101_GENERIC, "g6101-a=-1": G6101_A_MINUS_1}
 
 
 def swap_first_two(data):
     """The solved gauge with the numerators of its first two parameters swapped."""
     (s1, n1), (s2, n2), *rest = data["solved_gauge"].items()
     return {s1: n2, s2: n1, **dict(rest)}
+
+
+def rescaled(factor):
+    """Multiply the stored solved gauge and branch condition by `factor`,
+    rendered as the verifier renders them: the gauge s_k = N_k / det is
+    the same, but det, the condition the certificate holds under, is not."""
+
+    def tamper(data):
+        data["solved_gauge"] = {sv: str(P(n) * P(factor)) for sv, n in data["solved_gauge"].items()}
+        data["branch_condition"] = str(P(data["branch_condition"]) * P(factor))
+
+    return tamper
+
+
+def entry_of(entries, algebra):
+    """The entry of a certificate's algebra, the entry or one of its branches."""
+    return next(e for e in entries if algebra == e.name or algebra.startswith(f"{e.name} ["))
 
 
 class TestFullReport:
@@ -525,7 +544,7 @@ class TestFullReport:
     )
     def test_tampered_gauge_certificate_fails(self, full_report, algebra, field, tamper):
         entries, document = full_report
-        entry = next(e for e in entries if algebra == e.name or algebra.startswith(f"{e.name} ["))
+        entry = entry_of(entries, algebra)
         node = json.loads(json.dumps(certificate_node(document, "gauge_null", algebra)))
         assert recheck_certificate(entry, Certificate.from_json(node))
         node["data"][field] = tamper(node["data"])
@@ -585,6 +604,8 @@ class TestFullReport:
             ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", "t3"),
             ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "slice", ""),
             ("sampled_no_su3", "g_{5,33}^{-1,-1}+R", "reason", "another case analysis"),
+            *(("gauge_null", algebra, None, rescaled(factor))
+              for factor in ("2", "alpha_12") for algebra in GAUGE_ALGEBRAS.values()),
         ],
         ids=[
             "non-null-index", "extra-index", "no-index", "negative-index",
@@ -593,19 +614,52 @@ class TestFullReport:
             "second-stage-lambda-fam-subs", "second-stage-lambda-no-fam-subs",
             "trace-constants", "slice-without-gauge-step", "reversed-pair", "index-subset",
             "repeated-index", "slice-t3", "slice-empty", "other-reason",
+            *(f"{label}-gauge-times-{factor}"
+              for factor in ("2", "alpha_12") for label in GAUGE_ALGEBRAS),
         ],
     )
     def test_tampered_certificate_fails(self, full_report, kind, algebra, field, value):
         # each stored field must be the one the plan step gives: the
         # reversed pair, the subset and the repeat of the null indices, and
         # any slice or reason once rechecked, since the verifiers read them
-        # from the report
+        # from the report.  A gauge certificate's solved gauge and branch
+        # condition, rescaled together (field None: value changes the data),
+        # once rechecked on two of the three, since the verifier read them
+        # from the report too; the factor alpha_12 shrinks the domain
+        # "branch condition != 0"
         entries, document = full_report
-        entry = next(e for e in entries if e.name == algebra)
+        entry = entry_of(entries, algebra)
         node = json.loads(json.dumps(certificate_node(document, kind, algebra)))
         assert recheck_certificate(entry, Certificate.from_json(node))
-        node["data"][field] = value
+        if field is None:
+            value(node["data"])
+        else:
+            node["data"][field] = value
         assert not recheck_certificate(entry, Certificate.from_json(node))
+
+    def test_gauge_recheck_parses_no_report_text(self, full_report, monkeypatch):
+        # recheck once parsed each stored numerator and determinant, 15
+        # calls for the three shipped gauge certificates; the verifier now
+        # solves its own system, and the catalog text was parsed at load
+        entries, document = full_report
+        original, calls = exprs.parse_polynomial, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("g2cert") and getattr(module, "parse_polynomial", None) is original:
+                monkeypatch.setattr(module, "parse_polynomial", counting)
+        nodes = [
+            (r["name"], c) for r in document["results"] for c in r["certificates"]
+            if c["kind"] == "gauge_null"
+        ]
+        assert sorted(node["algebra"] for _, node in nodes) == sorted(GAUGE_ALGEBRAS.values())
+        for name, node in nodes:
+            entry = next(e for e in entries if e.name == name)
+            assert recheck_certificate(entry, Certificate.from_json(node))
+        assert calls == []
 
     def test_gauge_certificate_with_emptied_assumptions_fails(self, full_report):
         # recheck once compared no assumptions, so each of these read True;
@@ -1021,7 +1075,7 @@ class TestEachFactProvedOnce:
             first, second = StageContext(entry, name), StageContext(entry, name)
             assert first.shipped_family is second.shipped_family is entry.build_family(name)
             assert first.gauge_system.s_family is second.gauge_system.s_family
-            assert first.gauge_system.s_family is entry.build_gauge_family(name, first.step("gauge"))
+            assert first.gauge_system.s_family is entry.build_gauge_family(name)
 
 
 def test_every_kind_has_one_verifier():

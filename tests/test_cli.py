@@ -723,13 +723,17 @@ G6101 = ("indecomposable", "g_{6,101}")
         (*G6101, lambda node: _branches(node)[0]["steps"].append(_gauge_steps(node)[0].copy()),
          "a context lists a step kind more than once"),
         (*G6101, _gauge_step(1, expect_det_multiple_of=BIG_POWER), "a power of degree at most 16"),
+        ("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}",
+         lambda node: node["plan"][0].update(targets=node["plan"][0]["targets"][:3]),
+         "gauge step needs one target per s_param, got 3 targets and 4 s_params"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
          "family-atoms-not-a-list", "family-atom-op", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
-         "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60"],
+         "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60",
+         "gauge-three-targets-four-params"],
 )
 def test_validate_parses_every_field_the_pipeline_reads(
     dataset, prefix, change, match, tmp_path, capsys
@@ -745,7 +749,9 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # parsed with the catalog document, and the error named '<entry 0>'
     # and neither the parameter nor the field.  A key the format does not
     # define, in an entry, a family parameter, a derivation family or a
-    # branch, was ignored
+    # branch, was ignored.  A gauge step with fewer targets than gauge
+    # parameters validated, and run-all ended in a ValueError traceback at
+    # the non-square solve
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 

@@ -14,6 +14,7 @@ from oracles import (
     RationalFunction,
     as_polynomial,
     oracle_expand_witness,
+    oracle_det,
     oracle_mul,
     oracle_substitute_cramer,
     substitute_rational,
@@ -25,7 +26,6 @@ from g2cert.linalg import det_fraction
 from g2cert.poly import (
     Polynomial,
     check_nonneg_witness,
-    poly_matrix_det,
     solve_linear,
     substitute_cramer,
 )
@@ -408,8 +408,9 @@ class TestCramerPass:
 
 @st.composite
 def cramer_systems(draw):
-    """(matrix, rhs, poly): a nonsingular n x n system, n in 1..3, with
-    entries linear in x and y, and a polynomial in s_1..s_n and y."""
+    """(matrix, rhs, poly): an n x n system, n in 1..3, with entries linear
+    in x and y (singular on some draws), and a polynomial in s_1..s_n and
+    y."""
     n = draw(st.integers(1, 3))
     entry = polynomials(names=("x", "y"), max_exp=1, max_terms=2)
     matrix = [[draw(entry) for _ in range(n)] for _ in range(n)]
@@ -562,8 +563,15 @@ class TestNonNegWitness:
 
 
 def cramer_solutions(solved) -> list:
-    """Unknown i of a solved system as numerators[i] / determinant."""
-    return [RationalFunction(num, solved.determinant) for num in solved.numerators]
+    """Unknown i of a solved system (det, numerators) as numerators[i] / det."""
+    det, numerators = solved
+    return [RationalFunction(num, det) for num in numerators]
+
+
+def assert_solves(matrix, rhs, det, numerators) -> None:
+    """sum_j A_ij N_j == det * b_i identically, for every row i."""
+    for row, b in zip(matrix, rhs):
+        assert Polynomial.sum(a * num for a, num in zip(row, numerators)) == det * b
 
 
 class TestSolveLinear:
@@ -578,8 +586,8 @@ class TestSolveLinear:
         # [[alpha_12, 0], [1, 1]] x = (u, v): hand Cramer gives
         # x1 = u/alpha_12, x2 = (alpha_12 v - u)/alpha_12
         matrix = [[P("alpha_12"), Polynomial.zero()], [P("1"), P("1")]]
-        solved = solve_linear(matrix, [P("u"), P("v")])
-        assert solved.determinant == P("alpha_12")
+        det, _ = solved = solve_linear(matrix, [P("u"), P("v")])
+        assert det == P("alpha_12")
         x1, x2 = cramer_solutions(solved)
         assert x1 == RationalFunction(P("u"), P("alpha_12"))
         assert x2 == RationalFunction(P("alpha_12*v - u"), P("alpha_12"))
@@ -595,9 +603,10 @@ class TestSolveLinear:
             [a15, a25, z, z],
         ]
         rhs = [-P("alpha_16"), -P("alpha_26"), -P("alpha_34"), -P("alpha_35")]
-        solved = solve_linear(matrix, rhs)
+        det, numerators = solve_linear(matrix, rhs)
         delta = P("alpha_14*alpha_25 - alpha_15*alpha_24")
-        assert solved.determinant == delta * delta or solved.determinant == -(delta * delta)
+        assert det == delta * delta or det == -(delta * delta)
+        assert_solves(matrix, rhs, det, numerators)
 
     def test_substituted_solution_satisfies_system(self):
         matrix = [[P("x"), P("1")], [P("1"), P("x")]]
@@ -617,29 +626,52 @@ class TestSolveLinear:
 
     def test_substitute_cramer_matches_rational_substitution(self):
         matrix = [[P("x"), P("1")], [P("1"), P("x")]]
-        solved = solve_linear(matrix, [P("u"), P("v")])
+        det, numerators = solved = solve_linear(matrix, [P("u"), P("v")])
         poly = P("3*s_1^2 + s_1*s_2*y - s_2 + 7")
-        num, power = substitute_cramer(poly, ["s_1", "s_2"], solved.numerators, solved.determinant)
+        num, power = substitute_cramer(poly, ["s_1", "s_2"], numerators, det)
         direct = substitute_rational(poly, dict(zip(["s_1", "s_2"], cramer_solutions(solved))))
-        assert RationalFunction(num, solved.determinant**power) == direct
+        assert RationalFunction(num, det**power) == direct
 
 
 @settings(max_examples=60, deadline=None)
 @given(cramer_systems())
 def test_substitute_cramer_matches_rational_substitution_random(system):
     matrix, rhs, poly = system
-    assume(not poly_matrix_det(matrix).is_zero())
-    solved = solve_linear(matrix, rhs)
+    assume(not oracle_det(matrix).is_zero())
+    det, numerators = solved = solve_linear(matrix, rhs)
     svars = [f"s_{i}" for i in range(1, len(matrix) + 1)]
-    num, power = substitute_cramer(poly, svars, solved.numerators, solved.determinant)
+    num, power = substitute_cramer(poly, svars, numerators, det)
     direct = substitute_rational(poly, dict(zip(svars, cramer_solutions(solved))))
-    assert RationalFunction(num, solved.determinant**power) == direct
+    assert RationalFunction(num, det**power) == direct
 
 
-def test_poly_matrix_det_matches_fraction_det():
+@settings(max_examples=80, deadline=None)
+@given(cramer_systems())
+def test_solve_linear_matches_the_permutation_det_random(system):
+    # every minor comes from one memoized expansion of [matrix | rhs]; det
+    # is the permutation sum, and the numerators solve the system over it
+    matrix, rhs, _ = system
+    expected = oracle_det(matrix)
+    if expected.is_zero():
+        with pytest.raises(SingularSymbolicSystem):
+            solve_linear(matrix, rhs)
+        return
+    det, numerators = solve_linear(matrix, rhs)
+    assert det == expected
+    assert_solves(matrix, rhs, det, numerators)
+
+
+def test_solve_linear_matches_fraction_det():
     rng = random.Random(5)
     for _ in range(25):
         n = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        poly_rows = [[Polynomial.const(x) for x in row] for row in rows]
-        assert poly_matrix_det(poly_rows).constant_value() == det_fraction(rows)
+        matrix = [[Polynomial.const(x) for x in row] for row in rows]
+        rhs = [Polynomial.const(rng.randint(-4, 4)) for _ in range(n)]
+        if det_fraction(rows) == 0:
+            with pytest.raises(SingularSymbolicSystem):
+                solve_linear(matrix, rhs)
+            continue
+        det, numerators = solve_linear(matrix, rhs)
+        assert det.constant_value() == det_fraction(rows)
+        assert_solves(matrix, rhs, det, numerators)
