@@ -47,7 +47,10 @@ context (the entry as shipped, or a branch) lists at most one step of
 each kind, which its verifier reads (`AlgebraEntry.step`), and a gauge
 step lists one target per gauge parameter.  A key the
 format does not define, in an entry, a family parameter, a derivation family,
-`su_expected` or a plan step, is refused by name.  The entry keeps what
+`su_expected` or a plan step, is refused by name; the keys of an entry
+(`ENTRY_KEYS`) are the keyword parameters of the `AlgebraEntry`
+constructor, and a null `plan` or `witnesses` is refused, not read as
+empty.  The entry keeps what
 it parsed and built, and the pipeline and recheck read it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
@@ -60,7 +63,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -129,12 +131,14 @@ def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = 
 ATOM_OPS = ("ne", "eq", "gt", "ge")
 
 
-@dataclass
 class Atom:
     """A domain assumption on family parameters: poly `op` 0."""
 
-    op: str
-    poly: Polynomial
+    __slots__ = ("op", "poly")
+
+    def __init__(self, op: str, poly: Polynomial):
+        self.op = op
+        self.poly = poly
 
     @staticmethod
     def from_json(node) -> "Atom":
@@ -185,10 +189,12 @@ def expand_witness(node, depth: int = 0) -> Polynomial:
     raise ValueError(f"not a witness node: {node!r}")
 
 
-@dataclass
 class FamilyParam:
-    name: str  # bare name; the variable is fam_<name>
-    atoms: list = field(default_factory=list)  # raw JSON; parsed by AlgebraEntry.atoms
+    __slots__ = ("name", "atoms")
+
+    def __init__(self, name: str, atoms: list):
+        self.name = name  # bare name; the variable is fam_<name>
+        self.atoms = atoms  # raw JSON; parsed by AlgebraEntry.atoms
 
     @property
     def var(self) -> str:
@@ -301,7 +307,6 @@ def _parse_field(name: str, node, owner: str = ""):
         raise G2CertError(f"{owner}{name} needs {expected}, got {node!r} ({exc})") from None
 
 
-@dataclass
 class AlgebraEntry:
     """One catalog row: an algebra plus everything its pipeline needs.
 
@@ -311,19 +316,40 @@ class AlgebraEntry:
     expansions.  Each is built (and proved) on first call and kept in a
     private cache."""
 
-    name: str
-    dim: int
-    structure: str
-    family_params: list = field(default_factory=list)
-    nilradical: Optional[list] = None
-    expect_unimodular: bool = True
-    derivation_family: Optional[dict] = None  # raw JSON; parsed on demand
-    su_expected: Optional[dict] = None
-    witnesses: dict = field(default_factory=dict)
-    plan: list = field(default_factory=list)
-    notes: str = ""
-    stub: bool = False
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the public slots are the keys of a catalog entry (ENTRY_KEYS) and the
+    # keyword parameters of the constructor
+    __slots__ = ("name", "dim", "structure", "family_params", "nilradical", "expect_unimodular",
+                 "derivation_family", "su_expected", "witnesses", "plan", "notes", "stub",
+                 "_built")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        structure: str,
+        family_params: Optional[list] = None,
+        nilradical: Optional[list] = None,
+        expect_unimodular: bool = True,
+        derivation_family: Optional[dict] = None,  # raw JSON; parsed on demand
+        su_expected: Optional[dict] = None,
+        witnesses: Optional[dict] = None,
+        plan: Optional[list] = None,
+        notes: str = "",
+        stub: bool = False,
+    ):
+        self.name = name
+        self.dim = dim
+        self.structure = structure
+        self.family_params = [] if family_params is None else family_params
+        self.nilradical = nilradical
+        self.expect_unimodular = expect_unimodular
+        self.derivation_family = derivation_family
+        self.su_expected = su_expected
+        self.witnesses = {} if witnesses is None else witnesses
+        self.plan = [] if plan is None else plan
+        self.notes = notes
+        self.stub = stub
+        self._built = {}
 
     @property
     def atoms(self) -> list:
@@ -525,23 +551,15 @@ class AlgebraEntry:
 
     @staticmethod
     def from_json(node) -> "AlgebraEntry":
-        # the keys of an entry are the fields its constructor takes
-        _known_keys(node, [f.name for f in fields(AlgebraEntry) if f.init], "entry ")
-        return AlgebraEntry(
-            name=node["name"],
-            dim=node["dim"],
-            structure=node.get("structure", ""),
-            family_params=[FamilyParam.from_json(p) for p in node.get("family_params", [])],
-            nilradical=node.get("nilradical"),
-            expect_unimodular=node.get("expect_unimodular", True),
-            derivation_family=node.get("derivation_family"),
-            su_expected=node.get("su_expected"),
-            witnesses=node.get("witnesses", {}),
-            plan=node.get("plan", []),
-            notes=node.get("notes", ""),
-            stub=node.get("stub", False),
-        )
+        _known_keys(node, ENTRY_KEYS, "entry ")
+        for key, kind in (("witnesses", dict), ("plan", list)):
+            _typed(kind, node.get(key, kind()))  # null is not an empty default
+        values = {"structure": "", **node}  # a stub ships no structure
+        values["family_params"] = [FamilyParam.from_json(p) for p in node.get("family_params", [])]
+        return AlgebraEntry(**values)
 
+
+ENTRY_KEYS = tuple(key for key in AlgebraEntry.__slots__ if not key.startswith("_"))
 
 SCHEMA = "g2cert-catalog/1"
 BUILTIN_DATASETS = ("table1", "nonsolvable", "indecomposable")

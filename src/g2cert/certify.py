@@ -3,8 +3,8 @@
 The proving mechanism is always an exact polynomial identity (zero diagonal,
 vanishing or witnessed-nonnegative quartic invariant, null direction, sign
 product, gauge normalization).  Randomized falsification is quarantined in
-SampledNoSU3 certificates, which are explicitly non-proving: they back the
-case analyses the source carries out in prose and this artifact cites.
+`sampled_no_su3` certificates, which are explicitly non-proving: they back
+the case analyses the source carries out in prose and this artifact cites.
 
 Every certificate is proved on a `StageContext`: a catalog entry, or one
 of its branches, after the strong-unimodularity substitutions of its
@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -85,13 +84,16 @@ class CertKind(str, enum.Enum):
     TRACE_OBSTRUCTION = "trace_obstruction"
 
 
-@dataclass
 class Certificate:
-    kind: CertKind
-    algebra: str
-    assumptions: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    verified: bool = False
+    __slots__ = ("kind", "algebra", "assumptions", "data", "verified")
+
+    def __init__(self, kind: CertKind, algebra: str, assumptions: Optional[list] = None,
+                 data: Optional[dict] = None, verified: bool = False):
+        self.kind = kind
+        self.algebra = algebra
+        self.assumptions = [] if assumptions is None else assumptions
+        self.data = {} if data is None else data
+        self.verified = verified
 
     def to_json(self):
         return {
@@ -133,14 +135,18 @@ class Outcome(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class EntryResult:
-    name: str
-    outcome: Outcome
-    certificates: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    seconds: float = 0.0
-    samples: dict = field(default_factory=dict)
+    __slots__ = ("name", "outcome", "certificates", "notes", "seconds", "samples")
+
+    def __init__(self, name: str, outcome: Outcome, certificates: Optional[list] = None,
+                 notes: Optional[list] = None, seconds: float = 0.0,
+                 samples: Optional[dict] = None):
+        self.name = name
+        self.outcome = outcome
+        self.certificates = [] if certificates is None else certificates
+        self.notes = [] if notes is None else notes
+        self.seconds = seconds
+        self.samples = {} if samples is None else samples
 
     def ok(self) -> bool:
         return self.outcome is not Outcome.INCONCLUSIVE and all(
@@ -183,7 +189,6 @@ def generic_su3_candidate(algebra: LieAlgebra, family: DerivationFamily) -> KFor
     return ce_differential(algebra, beta) - dstar_action(family, alpha)
 
 
-@dataclass
 class StageContext:
     """What a certificate is proved on: a catalog entry, or its named
     branch, after solved strong-unimodularity substitutions.
@@ -199,11 +204,14 @@ class StageContext:
     name raises G2CertError when the branch is first read.
     """
 
-    entry: AlgebraEntry
-    branch_name: Optional[str] = None
-    derivation_subs: dict = field(default_factory=dict)
-    fam_subs: dict = field(default_factory=dict)
-    unsolved: tuple = ()
+    def __init__(self, entry: AlgebraEntry, branch_name: Optional[str] = None,
+                 derivation_subs: Optional[dict] = None, fam_subs: Optional[dict] = None,
+                 unsolved: tuple = ()):
+        self.entry = entry
+        self.branch_name = branch_name
+        self.derivation_subs = {} if derivation_subs is None else derivation_subs
+        self.fam_subs = {} if fam_subs is None else fam_subs
+        self.unsolved = unsolved
 
     @property
     def name(self) -> str:
@@ -421,10 +429,10 @@ def certify_zero_diagonal(context: StageContext, inputs=None) -> Certificate:
 
 
 def certify_lambda(context: StageContext, inputs=None) -> Certificate:
-    """LambdaIdenticallyZero when lambda of the context vanishes
-    identically, else LambdaNonNegative checked against the expansion of
-    the shipped witness where it applies (`lambda_witness`); raises when
-    neither holds.
+    """A `lambda_identically_zero` certificate when lambda of the context
+    vanishes identically, else a `lambda_nonnegative` one checked against
+    the expansion of the shipped witness where it applies
+    (`lambda_witness`); raises when neither holds.
 
     On the entry as shipped the identity holds for every parameter value,
     so the certificate assumes nothing; after family substitutions (the
@@ -576,17 +584,18 @@ def _affine_system(form3: KForm, targets, svars):
     return rows, rhs
 
 
-@dataclass
 class GaugeSystem:
     """The affine system in the gauge parameters of a derivation family S
     whose solution kills the target coefficients of F*psi, F = exp(S)."""
 
-    s_family: DerivationFamily
-    targets: list
-    F: list
-    f_psi: KForm
-    rows: list
-    rhs: list
+    def __init__(self, s_family: DerivationFamily, targets: list, F: list, f_psi: KForm,
+                 rows: list, rhs: list):
+        self.s_family = s_family
+        self.targets = targets
+        self.F = F
+        self.f_psi = f_psi
+        self.rows = rows
+        self.rhs = rhs
 
     @cached_property
     def solved(self) -> tuple:
@@ -784,10 +793,13 @@ def _check_su_expected(entry_name, su, expected):
         raise G2CertError(f"{entry_name}: the trace conditions drifted from su_expected: {got}")
 
 
-@dataclass
 class PipelineOptions:
-    trials_override: Optional[int] = None
-    seed_override: Optional[int] = None
+    __slots__ = ("trials_override", "seed_override")
+
+    def __init__(self, trials_override: Optional[int] = None,
+                 seed_override: Optional[int] = None):
+        self.trials_override = trials_override
+        self.seed_override = seed_override
 
 
 def run_pipeline(entry: AlgebraEntry, options: Optional[PipelineOptions] = None) -> EntryResult:
@@ -913,9 +925,11 @@ def derive_outcome(entry: AlgebraEntry, certificates) -> Outcome:
 REPORT_SCHEMA = "g2cert-report/1"
 
 
-@dataclass
 class Report:
-    results: list
+    __slots__ = ("results",)
+
+    def __init__(self, results: list):
+        self.results = results
 
     def verified_all(self) -> bool:
         return all(r.ok() for r in self.results)

@@ -224,7 +224,8 @@ def _trials(text: str) -> int:
 
 
 def _family_params(text: str) -> dict:
-    """An argparse type: k=v,... with rational values, keyed by fam_ names."""
+    """An argparse type: k=v,... with rational values, keyed by fam_ names;
+    each parameter at most once (p and fam_p name the same one)."""
     params = {}
     for item in filter(None, text.split(",")):
         key, sep, value = item.partition("=")
@@ -232,9 +233,13 @@ def _family_params(text: str) -> dict:
         try:
             if not (name and sep):
                 raise ValueError
-            params[name if name.startswith("fam_") else f"fam_{name}"] = Fraction(value)
+            var = name if name.startswith("fam_") else f"fam_{name}"
+            number = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"expected k=v with a rational v, got {item!r}") from None
+        if var in params:
+            raise argparse.ArgumentTypeError(f"family parameter {var} is given more than once")
+        params[var] = number
     return params
 
 

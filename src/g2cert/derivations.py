@@ -26,7 +26,6 @@ and the linear trace conditions) is over Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -40,13 +39,15 @@ from .lie import LieAlgebra, adjoint, ce_differential, descending_central_series
 from .poly import Polynomial
 
 
-@dataclass
 class DerivationFamily:
     """Matrix family of derivations of a Lie algebra."""
 
-    algebra: LieAlgebra
-    matrix: list  # n x n nested list of Polynomial; column j is the image of e_j
-    params: tuple = ()
+    __slots__ = ("algebra", "matrix", "params")
+
+    def __init__(self, algebra: LieAlgebra, matrix: list, params: tuple = ()):
+        self.algebra = algebra
+        self.matrix = matrix  # n x n nested list of Polynomial; column j is the image of e_j
+        self.params = params
 
     def substitute(self, mapping) -> "DerivationFamily":
         new = [[entry.substitute(mapping) for entry in row] for row in self.matrix]
@@ -143,7 +144,6 @@ def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
     return KForm(n, f.degree, antiderivation(_dual_images(family), f.coeffs))
 
 
-@dataclass
 class StrongUnimodularity:
     """Trace conditions of D and of every ad_{e_j} on the base-nilradical
     quotients n^i / n^(i+1).
@@ -157,10 +157,14 @@ class StrongUnimodularity:
     sense, whatever the parameters.
     """
 
-    derivation_subs: dict
-    family_equations: list
-    constant_obstructions: list
-    raw_traces: list
+    __slots__ = ("derivation_subs", "family_equations", "constant_obstructions", "raw_traces")
+
+    def __init__(self, derivation_subs: dict, family_equations: list,
+                 constant_obstructions: list, raw_traces: list):
+        self.derivation_subs = derivation_subs
+        self.family_equations = family_equations
+        self.constant_obstructions = constant_obstructions
+        self.raw_traces = raw_traces
 
 
 def strongly_unimodular_constraints(

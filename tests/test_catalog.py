@@ -1,5 +1,6 @@
 """Catalog parsing, validation, and persistence."""
 
+import inspect
 import json
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from conftest import P, fam
 from oracles import save_catalog
 from g2cert.catalog import (
     BUILTIN_DATASETS,
+    ENTRY_KEYS,
+    AlgebraEntry,
     builtin_text,
     load_any,
     load_builtin,
@@ -255,6 +258,9 @@ class TestPersistence:
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValidationFailure):
             load_catalog_text(json.dumps({"schema": "other/9", "entries": []}))
+
+    def test_the_keys_of_an_entry_are_the_constructor_keywords(self):
+        assert set(ENTRY_KEYS) == set(inspect.signature(AlgebraEntry).parameters)
 
 
 def builtin_node(dataset, prefix):

@@ -24,6 +24,7 @@ from g2cert.certify import (
     VERIFIERS,
     Certificate,
     CertKind,
+    EntryResult,
     Outcome,
     PairSampler,
     PipelineOptions,
@@ -112,6 +113,22 @@ class TestGenericExactG2:
             contraction = contractions(phi_num)[4]
             value = top_coefficient(wedge(wedge(contraction, contraction), phi_num))
             assert value.is_zero() or value.constant_value() == 0
+
+
+def test_no_two_instances_share_a_mutable_default():
+    certs = Certificate(CertKind.ZERO_DIAGONAL, "x"), Certificate(CertKind.ZERO_DIAGONAL, "y")
+    results = EntryResult("x", Outcome.OBSTRUCTED), EntryResult("y", Outcome.OBSTRUCTED)
+    entries = AlgebraEntry("R^3", 3, "(0, 0, 0)"), AlgebraEntry("R^3", 3, "(0, 0, 0)")
+    contexts = StageContext(entries[0]), StageContext(entries[0])
+    for pair, names in [
+        (entries, ("family_params", "witnesses", "plan", "_built")),
+        (certs, ("assumptions", "data")),
+        (results, ("certificates", "notes", "samples")),
+        (contexts, ("derivation_subs", "fam_subs")),
+    ]:
+        for name in names:
+            first, second = (getattr(obj, name) for obj in pair)
+            assert first == type(first)() and first is not second, name
 
 
 class TestLambdaStage:

@@ -573,6 +573,15 @@ def test_malformed_params_is_a_usage_error(params, capsys):
     assert "--params: expected k=v with a rational v" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", ["p=0,p=1", "p=0,fam_p=1", "fam_p=1,p=1"])
+def test_a_repeated_family_parameter_is_a_usage_error(params, capsys):
+    # the last value once won silently, and the command exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["derivations", "g_{4,5}", "--params", params])
+    assert exc.value.code == 2
+    assert "--params: family parameter fam_p is given more than once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["recheck", "validate", "run-all"])
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_path_is_an_error(command, kind, tmp_path, capsys):
@@ -711,6 +720,11 @@ G6101 = ("indecomposable", "g_{6,101}")
          "family parameter 'a' atoms needs a list of"),
         (*G6101, lambda node: node["family_params"][0].update(atoms=[["lt", "fam_a"]]),
          "family parameter 'a' atoms needs a list of .*unknown atom op 'lt'"),
+        (*G6101, lambda node: node["family_params"][0].update(atoms=None),
+         "family parameter 'a' atoms needs a list of"),
+        # null is refused, not read as the default of an absent key
+        ("table1", "g_{5,30}", lambda node: node.update(plan=None), "not a list: None"),
+        ("table1", "g_{5,30}", lambda node: node.update(witnesses=None), "not a dict: None"),
         ("table1", "g_{5,30}", lambda node: node.update(witness={}),
          r"entry has unknown keys \['witness'\]"),
         (*G6101, lambda node: node["family_params"][0].update(atom=[]),
@@ -730,7 +744,8 @@ G6101 = ("indecomposable", "g_{6,101}")
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
-         "family-atoms-not-a-list", "family-atom-op", "entry-stray-witness",
+         "family-atoms-not-a-list", "family-atom-op", "family-atoms-null", "entry-plan-null",
+         "entry-witnesses-null", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
          "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60",
          "gauge-three-targets-four-params"],

@@ -1,7 +1,11 @@
 """Every module-level import in the package and in the tests is used, and
-both import only at module level."""
+both import only at module level.  The command line loads none of the
+standard library's introspection modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +81,15 @@ def test_package_imports_only_at_module_level():
 def test_detects_an_import_inside_a_function():
     tree = ast.parse("import os\n\ndef f():\n    from math import gcd\n    return gcd\n")
     assert nested_imports(tree) == [4]
+
+
+def test_the_cli_loads_no_introspection_modules():
+    # dataclasses loads inspect, ast, dis and tokenize and execs the methods
+    # it generates, which every cold command paid for at import
+    code = "import sys, g2cert.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "g2cert.cli" in loaded
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"}.isdisjoint(loaded)
