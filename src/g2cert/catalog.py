@@ -49,9 +49,11 @@ step lists one target per gauge parameter.  A key the
 format does not define, in an entry, a family parameter, a derivation family,
 `su_expected` or a plan step, is refused by name; the keys of an entry
 (`ENTRY_KEYS`) are the keyword parameters of the `AlgebraEntry`
-constructor, and a null `plan` or `witnesses` is refused, not read as
-empty.  The entry keeps what
-it parsed and built, and the pipeline and recheck read it again for free.
+constructor.  `plan`, `witnesses`, `notes` and the flags `stub` and
+`expect_unimodular` must have their JSON types (`_ENTRY_TYPES`), so a
+null `plan` is not read as empty, nor a `stub` of "false" as true.  The
+entry keeps what it parsed and built, and the pipeline and recheck read
+it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
 both, for every entry; the `validate`, `run-all` and `recheck` commands
 load catalogs this way.  The single-entry commands (`lambda`,
@@ -234,10 +236,9 @@ _SLICE = (lambda v, e: v is None or v == "t2_zero"
 _NO_BRANCH = (lambda v, e: isinstance(v, list) and all(s.get("kind") != "branch" for s in v),
               "a list of steps other than branches")
 
-# Each plan step kind: the dimension of the entries that run it (0 for the
-# step of a stub entry, which is not validated) and its fields, each with
-# check(value, entry) and what it expects; a field ending in "?" is optional,
-# and a step holds no key but its kind and its fields.
+# Each plan step kind: the dimension of the entries that run it and its
+# fields, each with check(value, entry) and what it expects; a field ending
+# in "?" is optional, and a step holds no key but its kind and its fields.
 PLAN_STEPS = {
     "zero_diagonal": (7, {"indices": _ints(7)}),
     "lattice_out_of_scope": (7, {}),
@@ -254,7 +255,6 @@ PLAN_STEPS = {
     "trace_obstruction": (6, {}),
     "branch": (6, {"name": _TEXT, "subs?": _PARSED, "atoms?": _PARSED,
                    "derivation_family?": _PARSED, "steps?": _NO_BRANCH}),
-    "stub": (0, {}),
 }
 
 
@@ -552,14 +552,19 @@ class AlgebraEntry:
     @staticmethod
     def from_json(node) -> "AlgebraEntry":
         _known_keys(node, ENTRY_KEYS, "entry ")
-        for key, kind in (("witnesses", dict), ("plan", list)):
-            _typed(kind, node.get(key, kind()))  # null is not an empty default
+        for key, kind in _ENTRY_TYPES:
+            if key in node and not isinstance(node[key], kind):  # null is not a default
+                raise TypeError(f"{key} is not a {kind.__name__}: {node[key]!r}")
         values = {"structure": "", **node}  # a stub ships no structure
         values["family_params"] = [FamilyParam.from_json(p) for p in node.get("family_params", [])]
         return AlgebraEntry(**values)
 
 
 ENTRY_KEYS = tuple(key for key in AlgebraEntry.__slots__ if not key.startswith("_"))
+# The JSON type of each entry key that is read as it is, not by a parser of
+# its own: a "stub" of "false" or 0 is refused, not read by truth.
+_ENTRY_TYPES = (("witnesses", dict), ("plan", list), ("stub", bool), ("expect_unimodular", bool),
+                ("notes", str))
 
 SCHEMA = "g2cert-catalog/1"
 BUILTIN_DATASETS = ("table1", "nonsolvable", "indecomposable")

@@ -12,23 +12,26 @@ stage.  The entry owns the algebra, the derivation family and the gauge
 families it ships, each built and proved once; the context substitutes
 into them, solves Der where no family is shipped, builds on first use the
 other objects a check reads (psi = d alpha, omega = d beta - D* alpha, K,
-lambda, h and the trace conditions), and gives each certificate its name,
-assumptions and context fields.  Each certificate kind has one verifier,
-called as `verifier(context, inputs)`, and `VERIFIERS` maps every kind to
-it; a new kind is one more entry of that table.  Discovery and
-`recheck_certificate` take each context from the plan in one way: the
-entry or branch as shipped for a zero diagonal, a trace obstruction or a
-first-stage lambda certificate, else after its strong-unimodularity
-substitutions.  A verifier reads its plan step from the context
-(`StageContext.step`) and witnesses from the entry, and the gauge verifier
-solves its own linear system.  The only stored inputs left are a sampling
+lambda, h, the trace conditions, the context after its
+strong-unimodularity substitutions, `su_context`, and the solved gauge
+system, `gauge`), and gives each certificate its name, assumptions and
+context fields.  Each certificate kind has one verifier, called as
+`verifier(context, inputs)`, and `VERIFIERS` maps every kind to it; a new
+kind is one more entry of that table.  Discovery and `recheck_certificate`
+take each context from the plan in one way: the entry or branch as shipped
+for a zero diagonal, a trace obstruction or a first-stage lambda
+certificate, else its `su_context`, which `g2cert lambda --witness` reads
+too.  A verifier reads its plan step from the context
+(`StageContext.step`) and witnesses from the entry; the gauge verifier and
+the t2_zero slice of the sampler read the gauge system, solved once, from
+`StageContext.gauge`.  The only stored inputs left are a sampling
 certificate's trials and seed, which --samples and --seed set; no report
-text is parsed.  Recheck runs the verifier on the stored data and
-compares the whole certificate, assumptions included, so every other
-stored field, a gauge certificate's solved gauge and determinant among
-them, can only match the plan.  One rule, `derive_outcome`, reads an
-entry's outcome off its plan and certificates, in discovery and in
-recheck, which compares it with the stored outcome.
+text is parsed.  Recheck runs the verifier on the stored data and compares
+the whole certificate, assumptions included, so every other stored field,
+a gauge certificate's solved gauge and determinant among them, can only
+match the plan.  One rule, `derive_outcome`, reads an entry's outcome off
+its plan and certificates, in discovery and in recheck, which compares it
+with the stored outcome.
 """
 
 from __future__ import annotations
@@ -194,14 +197,17 @@ class StageContext:
     branch, after solved strong-unimodularity substitutions.
 
     A context is keyed by (entry, branch_name, derivation_subs, fam_subs);
-    `unsolved` holds the family equations that no substitution solved,
-    which stay assumptions.  The algebra, the shipped family and the gauge
-    families are the entry's, after the context's substitutions; every
-    other attribute is built on first use, so a stage builds only what it
-    reads.  The lambda stage never builds a derivation family, which an
-    entry with free family parameters and no shipped family cannot build
-    (solve_derivations raises NonNumericEntries), and an unknown branch
-    name raises G2CertError when the branch is first read.
+    `unsolved` holds the family equations that no substitution solved, which
+    stay assumptions.  The algebra, the shipped family and the gauge families
+    are the entry's, after the context's substitutions; every other attribute
+    is built on first use, so a stage builds only what it reads.  Two of them
+    are the objects of later stages: `su_context`, the context after its
+    strong-unimodularity substitutions, on which the SU(3) stage and the
+    second lambda stage run, and `gauge`, the solved gauge system of the gauge
+    step.  The lambda stage never builds a derivation family, which an entry
+    with free family parameters and no shipped family cannot build
+    (solve_derivations raises NonNumericEntries), and an unknown branch name
+    raises G2CertError when the branch is first read.
     """
 
     def __init__(self, entry: AlgebraEntry, branch_name: Optional[str] = None,
@@ -314,15 +320,18 @@ class StageContext:
             raise G2CertError(f"{self.name}: no nilradical shipped for the trace conditions")
         return strongly_unimodular_constraints(self.algebra, self.family, self.entry.nilradical)
 
-    def constrained(self, derivation_subs, fam_subs, unsolved=()) -> "StageContext":
-        """This context after further substitutions.  The new context keeps
-        what this one has built that they leave unchanged: the shipped
-        family, and, when no family value is fixed, the algebra, the atoms,
-        psi and K."""
+    @cached_property
+    def su_context(self) -> "StageContext":
+        """This context after its solved strong-unimodularity substitutions:
+        the context of the SU(3) stage and of the second lambda stage.  It
+        keeps what this one has built that they leave unchanged: the
+        shipped family, and, when no family value is fixed, the algebra,
+        the atoms, psi and K."""
+        fam_subs, unsolved = _solved_family_substitutions(self.su.family_equations)
         context = StageContext(
             self.entry,
             self.branch_name,
-            {**self.derivation_subs, **derivation_subs},
+            {**self.derivation_subs, **self.su.derivation_subs},
             {**self.fam_subs, **fam_subs},
             self.unsolved + tuple(unsolved),
         )
@@ -335,11 +344,19 @@ class StageContext:
         return context
 
     @cached_property
-    def gauge_system(self) -> GaugeSystem:
-        """The gauge system of psi for the gauge step of the context: the
-        entry's gauge family S of the step, after fam_subs."""
+    def gauge(self) -> tuple:
+        """(S, targets, F, F*psi, det, numerators) of the gauge step of the
+        context: S is the entry's gauge family of the step after fam_subs,
+        F = exp(S), and s_k = numerators[k] / det is the Cramer solution
+        (`solve_linear`; SingularSymbolicSystem when det vanishes
+        identically) of the affine system in the gauge parameters that
+        kills the step's target coefficients of F*psi."""
         s_family = self._specialized(self.entry.build_gauge_family(self.branch_name))
-        return gauge_system(self.psi, s_family, self.step("gauge")["targets"])
+        targets = [tuple(t) for t in self.step("gauge")["targets"]]
+        F = _exp_nilpotent(s_family.matrix, s_family.algebra.dim)
+        f_psi = pullback(F, self.psi)
+        det, numerators = solve_linear(*_affine_system(f_psi, targets, list(s_family.params)))
+        return s_family, targets, F, f_psi, det, numerators
 
     def certificate(self, kind: CertKind, data: dict, extra_assumptions=()) -> Certificate:
         """A verified SU(3)-stage certificate on this context: its name, its
@@ -379,13 +396,6 @@ def _solved_family_substitutions(family_equations):
                 continue
         unsolved.append(eq)
     return subs, unsolved
-
-
-def strongly_unimodular_context(base: StageContext) -> StageContext:
-    """`base` after its solved strong-unimodularity substitutions: the
-    context of the SU(3) stage and of the second lambda stage."""
-    fam_subs, unsolved = _solved_family_substitutions(base.su.family_equations)
-    return base.constrained(base.su.derivation_subs, fam_subs, unsolved)
 
 
 def lambda_witness(context: StageContext) -> Optional[list]:
@@ -457,14 +467,19 @@ def certify_lambda(context: StageContext, inputs=None) -> Certificate:
     return Certificate(kind, context.name, assumptions=assumptions, data=data, verified=True)
 
 
+def lambda_obstructs(context: StageContext) -> bool:
+    """Whether the lambda stage certifies the context: lambda vanishes
+    identically or a shipped witness applies (`lambda_witness`)."""
+    return context.lam.is_zero() or lambda_witness(context) is not None
+
+
 def certify_lambda_sign(context: StageContext, rng: random.Random):
     """The lambda certificate of the context (`certify_lambda`), or None
     plus a sample with lambda < 0, drawn from `rng`, when no obstruction
-    exists at this stage: lambda is not zero and no witness applies."""
-    lam = context.lam
-    if lam.is_zero() or lambda_witness(context) is not None:
+    exists at this stage (`lambda_obstructs`)."""
+    if lambda_obstructs(context):
         return certify_lambda(context), None
-    sample = _lambda_negative_sample(lam, context.atoms, rng)
+    sample = _lambda_negative_sample(context.lam, context.atoms, rng)
     if sample is None:
         raise G2CertError(
             f"{context.name}: lambda is not identically zero, no witness is shipped, "
@@ -584,41 +599,10 @@ def _affine_system(form3: KForm, targets, svars):
     return rows, rhs
 
 
-class GaugeSystem:
-    """The affine system in the gauge parameters of a derivation family S
-    whose solution kills the target coefficients of F*psi, F = exp(S)."""
-
-    def __init__(self, s_family: DerivationFamily, targets: list, F: list, f_psi: KForm,
-                 rows: list, rhs: list):
-        self.s_family = s_family
-        self.targets = targets
-        self.F = F
-        self.f_psi = f_psi
-        self.rows = rows
-        self.rhs = rhs
-
-    @cached_property
-    def solved(self) -> tuple:
-        """(det, numerators), the Cramer solution s_k = numerators[k] / det
-        (`solve_linear`; SingularSymbolicSystem when det vanishes
-        identically)."""
-        return solve_linear(self.rows, self.rhs)
-
-
-def gauge_system(psi: KForm, s_family: DerivationFamily, targets) -> GaugeSystem:
-    """Pull psi back by exp(S) for a derivation family S that is already
-    proved (`AlgebraEntry.build_gauge_family`) and set up the system for
-    the target coefficients."""
-    F = _exp_nilpotent(s_family.matrix, s_family.algebra.dim)
-    f_psi = pullback(F, psi)
-    rows, rhs = _affine_system(f_psi, targets, list(s_family.params))
-    return GaugeSystem(s_family, [tuple(t) for t in targets], F, f_psi, rows, rhs)
-
-
 def gauge_transport(context: StageContext, inputs=None) -> Certificate:
     """Normalize (omega, psi) by F = exp(S) for the gauge step of the
     context and certify its null pair at the gauge s_k = N_k / det that
-    kills the step's target coefficients of F*psi (`GaugeSystem.solved`).
+    kills the step's target coefficients of F*psi (`StageContext.gauge`).
 
     Verifies, as identities after clearing denominators: the killed
     coefficients vanish, the surviving ones are polynomial, F*omega(pair)
@@ -630,10 +614,8 @@ def gauge_transport(context: StageContext, inputs=None) -> Certificate:
     """
     step = context.step("gauge")
     expect_k, expect_det = context.entry.gauge_expectations(context.branch_name)
-    system = context.gauge_system
-    s_family, targets, F, f_psi = system.s_family, system.targets, system.F, system.f_psi
+    s_family, targets, F, f_psi, det, numerators = context.gauge
     svars = list(s_family.params)
-    det, numerators = system.solved
 
     # (0) the normalized 3-form is polynomial: killed coefficients vanish and
     # the surviving ones must not involve the gauge parameters
@@ -854,13 +836,11 @@ def _run_su3_stage(base: StageContext, options: PipelineOptions, result: EntryRe
         if any(s.get("kind") == "trace_obstruction" for s in base.steps):
             return
 
-    context = strongly_unimodular_context(base)
-    if context.fam_subs:
-        # second lambda stage on the constrained structure
-        cert, _ = certify_lambda_sign(context, random.Random(11))
-        if cert is not None:
-            result.certificates.append(cert)
-            return
+    context = base.su_context
+    if context.fam_subs and lambda_obstructs(context):
+        # second lambda stage, on the constrained structure
+        result.certificates.append(certify_lambda(context))
+        return
 
     for step in context.steps:
         kind = step.get("kind")
@@ -997,7 +977,7 @@ def recheck_certificate(entry: AlgebraEntry, cert: Certificate) -> bool:
         context = StageContext(entry, _branch_name(entry, cert.algebra))
         lambda_stage_one = cert.kind in _LAMBDA_KINDS and not data.get("fam_subs")
         if cert.kind not in _SHIPPED_STAGE and not lambda_stage_one:
-            context = strongly_unimodular_context(context)
+            context = context.su_context
         rebuilt = VERIFIERS[cert.kind](context, data)
     except MALFORMED:
         return False

@@ -16,8 +16,9 @@ result that recheck support its stored outcome (certify.derive_outcome).
 
 lambda --witness checks the shipped witness with the pipeline's verifier
 where the pipeline does: on the entry as shipped, or, for an entry whose
-catalog lists strong-unimodularity family conditions, after their
-substitution, which it prints.
+catalog lists strong-unimodularity family conditions, on the context after
+their substitution (`StageContext.su_context`, as in the second lambda
+stage), whose substitutions it prints.
 
 validate, run-all and recheck validate every entry of their catalog.
 lambda, derivations and su3 look <algebra> up in the built-in catalogs,
@@ -54,7 +55,6 @@ from .certify import (
     recheck_report,
     run_all,
     run_pipeline,
-    strongly_unimodular_context,
 )
 from .derivations import solve_derivations
 from .errors import G2CertError
@@ -110,7 +110,7 @@ def cmd_lambda(args) -> int:
         if lambda_witness(context) is None:
             # the witness holds where the pipeline checks it: after the
             # strong-unimodularity family conditions
-            context = strongly_unimodular_context(context)
+            context = context.su_context
             subs = ", ".join(f"{k} = {v}" for k, v in sorted(context.fam_subs.items()))
             print(f"  after the strong-unimodularity substitution {subs}:")
             print(f"  {context.lam}")

@@ -300,7 +300,7 @@ class PairSampler:
         self.psi_int = CompiledForm(psi.coeffs, self.variables)
         self.omega_int = CompiledForm(omega.coeffs, self.variables)
         if self.t2_slice:
-            det, _ = context.gauge_system.solved
+            *_, det, _ = context.gauge
             parts = {
                 sum(e for _, e in mono): coeff
                 for mono, coeff in det.collect({"alpha_14"}).items()

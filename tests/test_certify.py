@@ -33,7 +33,6 @@ from g2cert.certify import (
     certify_null_direction,
     certify_sign_product,
     certify_zero_diagonal,
-    gauge_system,
     gauge_transport,
     negative_control,
     recheck_certificate,
@@ -42,7 +41,8 @@ from g2cert.certify import (
     run_pipeline,
     sample_falsify,
     standard_su3_pair,
-    strongly_unimodular_context,
+    _affine_system,
+    _exp_nilpotent,
     _solved_family_substitutions,
 )
 from g2cert.derivations import DerivationFamily
@@ -285,9 +285,10 @@ class TestGaugeTransport:
         matrix[1][0] = matrix[2][1] = P("s_1")
         s_family = DerivationFamily(algebra, matrix, ("s_1",))
         _, psi = standard_su3_pair()
-        assert gauge_system(psi, s_family, [(1, 2, 5)]).rows == [[P("1")]]
+        f_psi = pullback(_exp_nilpotent(s_family.matrix, 6), psi)
+        assert _affine_system(f_psi, [(1, 2, 5)], ["s_1"]) == ([[P("1")]], [P("0")])
         with pytest.raises(IdentityFailure, match=r"target coefficient \(1, 2, 6\) is not affine"):
-            gauge_system(psi, s_family, [(1, 2, 5), (1, 2, 6)])
+            _affine_system(f_psi, [(1, 2, 5), (1, 2, 6)], ["s_1"])
 
 
 def sampling_contexts():
@@ -299,7 +300,7 @@ def sampling_contexts():
         for branch_name in entry.branch_names() or [None]:
             base = StageContext(entry, branch_name)
             if any(step.get("kind") == "prose_sample" for step in base.steps):
-                found.append(strongly_unimodular_context(base))
+                found.append(base.su_context)
     return found
 
 
@@ -860,11 +861,12 @@ def shipped_run(shipped_entries):
     built-in catalogs with the default options, the shipped trials and
     seeds.  After the catalogs load, pass-through wrappers count the calls
     of the integer k_matrix (the ring zero is the int 0), su3_passes_int,
-    PairSampler.draw and catalog.expand_witness, and record each
+    PairSampler.draw, catalog.expand_witness and k_psi, and record each
     substitute_cramer call with its result under "substitute_cramer".
     Then the report is rechecked: "rechecks" holds the verdicts and
     "expand_witness_recheck" the expand_witness calls of the recheck."""
-    keys = ("k_matrix_int", "su3_passes_int", "draw", "expand_witness", "expand_witness_recheck")
+    keys = ("k_matrix_int", "su3_passes_int", "draw", "expand_witness", "expand_witness_recheck",
+            "k_psi")
     counts = dict.fromkeys(keys, 0)
     counts["substitute_cramer"] = cramer_calls = []
 
@@ -889,6 +891,7 @@ def shipped_run(shipped_entries):
         patch.setattr(PairSampler, "draw", counting("draw", PairSampler.draw))
         patch.setattr(catalog, "expand_witness", counting("expand_witness", catalog.expand_witness))
         patch.setattr(certify, "substitute_cramer", recording)
+        patch.setattr(certify, "k_psi", counting("k_psi", certify.k_psi))
         report = run_all(shipped_entries, PipelineOptions())
     document = json.loads(json.dumps(report.to_json(include_timing=False)))
     with pytest.MonkeyPatch.context() as patch:
@@ -920,6 +923,28 @@ class TestShippedRun:
         assert sum(c["data"]["attempts"] for c in nodes) == counts["draw"] == 5316
         assert sum(c["data"]["trials"] for c in nodes) == counts["su3_passes_int"] == 2000
         assert counts["k_matrix_int"] == 0
+
+    def test_each_context_builds_k_once(self, shipped_run, shipped_entries):
+        # K is built once on the entry as shipped (the lambda stage), once on
+        # each other (context, fam_subs) that a certificate is proved on, and
+        # once per gauge certificate for the normalized psi: the SU(3) stage
+        # of an entry without branches shares the lambda stage's K while it
+        # fixes no family value
+        document, counts = shipped_run
+        by_name = {e.name: e for e in shipped_entries}
+        expected = 0
+        for result in document["results"]:
+            entry = by_name[result["name"]]
+            if entry.dim != 6 or entry.stub:
+                continue
+            contexts = {(entry.name, "{}")}
+            for cert in result["certificates"]:
+                if cert["kind"] != "trace_obstruction":
+                    fam_subs = json.dumps(cert["data"]["fam_subs"], sort_keys=True)
+                    contexts.add((cert["algebra"], fam_subs))
+                expected += cert["kind"] == "gauge_null"
+            expected += len(contexts)
+        assert counts["k_psi"] == expected == 47
 
     def test_pipeline_reads_the_parsed_witnesses(self, shipped_run):
         # validation expanded every shipped witness; neither run_all nor a
@@ -1091,8 +1116,7 @@ class TestEachFactProvedOnce:
         for name in entry.branch_names():
             first, second = StageContext(entry, name), StageContext(entry, name)
             assert first.shipped_family is second.shipped_family is entry.build_family(name)
-            assert first.gauge_system.s_family is second.gauge_system.s_family
-            assert first.gauge_system.s_family is entry.build_gauge_family(name)
+            assert first.gauge[0] is second.gauge[0] is entry.build_gauge_family(name)
 
 
 def test_every_kind_has_one_verifier():

@@ -725,6 +725,10 @@ G6101 = ("indecomposable", "g_{6,101}")
         # null is refused, not read as the default of an absent key
         ("table1", "g_{5,30}", lambda node: node.update(plan=None), "not a list: None"),
         ("table1", "g_{5,30}", lambda node: node.update(witnesses=None), "not a dict: None"),
+        ("table1", "g_{5,30}", lambda node: node.update(stub="false"), "stub is not a bool"),
+        ("table1", "g_{5,30}", lambda node: node.update(expect_unimodular=1),
+         "expect_unimodular is not a bool"),
+        ("table1", "g_{5,30}", lambda node: node.update(notes=5), "notes is not a str"),
         ("table1", "g_{5,30}", lambda node: node.update(witness={}),
          r"entry has unknown keys \['witness'\]"),
         (*G6101, lambda node: node["family_params"][0].update(atom=[]),
@@ -745,7 +749,8 @@ G6101 = ("indecomposable", "g_{6,101}")
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
          "family-atoms-not-a-list", "family-atom-op", "family-atoms-null", "entry-plan-null",
-         "entry-witnesses-null", "entry-stray-witness",
+         "entry-witnesses-null", "entry-stub-not-a-bool", "entry-expect-unimodular-not-a-bool",
+         "entry-notes-not-a-string", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
          "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60",
          "gauge-three-targets-four-params"],
@@ -766,7 +771,9 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # define, in an entry, a family parameter, a derivation family or a
     # branch, was ignored.  A gauge step with fewer targets than gauge
     # parameters validated, and run-all ended in a ValueError traceback at
-    # the non-square solve
+    # the non-square solve.  A "stub" of "false" was read by truth: validate
+    # printed "validated ...: stub (data not shipped)" and exited 0, and
+    # run-all reported the entry data-not-shipped
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 
