@@ -49,9 +49,10 @@ step lists one target per gauge parameter.  A key the
 format does not define, in an entry, a family parameter, a derivation family,
 `su_expected` or a plan step, is refused by name; the keys of an entry
 (`ENTRY_KEYS`) are the keyword parameters of the `AlgebraEntry`
-constructor.  `plan`, `witnesses`, `notes` and the flags `stub` and
-`expect_unimodular` must have their JSON types (`_ENTRY_TYPES`), so a
-null `plan` is not read as empty, nor a `stub` of "false" as true.  The
+constructor.  `name`, `dim`, `plan`, `witnesses`, `notes` and the flags
+`stub` and `expect_unimodular` must have their JSON types
+(`_ENTRY_TYPES`), so a null `plan` is not read as empty, a `stub` of
+"false" as true, nor a `dim` of true as 1.  The
 entry keeps what it parsed and built, and the pipeline and recheck read
 it again for free.
 `load_catalog_text`, `load_catalog`, `load_builtin` and `load_any` do
@@ -553,8 +554,9 @@ class AlgebraEntry:
     def from_json(node) -> "AlgebraEntry":
         _known_keys(node, ENTRY_KEYS, "entry ")
         for key, kind in _ENTRY_TYPES:
-            if key in node and not isinstance(node[key], kind):  # null is not a default
-                raise TypeError(f"{key} is not a {kind.__name__}: {node[key]!r}")
+            if key in node and type(node[key]) is not kind:  # null is no default, True no int
+                article = "an" if kind is int else "a"
+                raise TypeError(f"{key} is not {article} {kind.__name__}: {node[key]!r}")
         values = {"structure": "", **node}  # a stub ships no structure
         values["family_params"] = [FamilyParam.from_json(p) for p in node.get("family_params", [])]
         return AlgebraEntry(**values)
@@ -563,8 +565,8 @@ class AlgebraEntry:
 ENTRY_KEYS = tuple(key for key in AlgebraEntry.__slots__ if not key.startswith("_"))
 # The JSON type of each entry key that is read as it is, not by a parser of
 # its own: a "stub" of "false" or 0 is refused, not read by truth.
-_ENTRY_TYPES = (("witnesses", dict), ("plan", list), ("stub", bool), ("expect_unimodular", bool),
-                ("notes", str))
+_ENTRY_TYPES = (("name", str), ("dim", int), ("witnesses", dict), ("plan", list), ("stub", bool),
+                ("expect_unimodular", bool), ("notes", str))
 
 SCHEMA = "g2cert-catalog/1"
 BUILTIN_DATASETS = ("table1", "nonsolvable", "indecomposable")

@@ -703,8 +703,8 @@ REJECT_BUDGET_FACTOR = 200
 
 # The most trials a sampling certificate may ask for, so that a stored
 # count cannot make recheck run for as long as it likes.  The shipped plans
-# ask for at most 800; a trial takes 0.03 to 0.12 ms on a 2-core x86 host,
-# so this many take at most about 1.2 s.
+# ask for at most 800; a trial takes 0.02 to 0.10 ms on a 2-core x86 host,
+# so this many take at most about 1 s.
 MAX_TRIALS = 10_000
 
 
@@ -1038,35 +1038,3 @@ def recheck_report(report_json: dict, entries) -> list:
         derived = derive_outcome(entry, rechecked) if entry else Outcome.INCONCLUSIVE
         verdicts.append((row, None if node.get("outcome") == derived.value else derived))
     return verdicts
-
-
-# -- negative control ----------------------------------------------------------
-
-
-def standard_su3_pair():
-    """The reference pair omega = e12 + e34 + e56, psi = Re((e1+ie2)^(e3+ie4)^(e5+ie6))."""
-    omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
-    psi = (
-        KForm.basis(6, (1, 3, 5))
-        - KForm.basis(6, (1, 4, 6))
-        - KForm.basis(6, (2, 3, 6))
-        - KForm.basis(6, (2, 4, 5))
-    )
-    return omega, psi
-
-
-def negative_control(trials: int = 50, seed: int = 1) -> int:
-    """Feed the falsifier's SU(3) predicate pairs pulled back from the
-    standard SU(3) pair; it must find passes, proving it is not vacuously
-    rejecting."""
-    rng = random.Random(seed)
-    omega0, psi0 = standard_su3_pair()
-    passes = 0
-    for _ in range(trials):
-        diag = [Fraction(rng.choice([x for x in range(-5, 6) if x != 0])) for _ in range(6)]
-        matrix = [[Polynomial.const(diag[i] if i == j else 0) for j in range(6)] for i in range(6)]
-        omega = numeric.eval_form_int(pullback(matrix, omega0), {})
-        psi = numeric.eval_form_int(pullback(matrix, psi0), {})
-        if numeric.su3_passes_int(omega, psi):
-            passes += 1
-    return passes

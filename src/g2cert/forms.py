@@ -102,22 +102,6 @@ class KForm:
                 clean[mask] = coeff
         self.coeffs = clean
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def basis(dim: int, indices: Sequence[int]) -> "KForm":
-        """The basis form e^{i1...ik} for strictly increasing indices."""
-        idx = tuple(indices)
-        if any(i < 1 or i > dim for i in idx):
-            raise ValueError(f"indices {idx} out of range for dim {dim}")
-        if list(idx) != sorted(set(idx)):
-            raise ValueError(f"indices {idx} must be strictly increasing")
-        return KForm(dim, len(idx), {mask_of(idx): Polynomial.const(1)})
-
-    @staticmethod
-    def from_terms(dim: int, degree: int, terms: Mapping[Sequence[int], object]) -> "KForm":
-        return KForm(dim, degree, {mask_of(idx): _coerce_poly(c) for idx, c in terms.items()})
-
     # -- inspection -------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,49 +1,141 @@
 """Integer fast path for the randomized SU(3) falsifier, and its sampler.
 
 A symbolic form is compiled once, against an ordered list of variables,
-into a straight-line Python function (CompiledForm.kernel), generated
-from its terms and passed through compile() once.  The generated source
-holds only integer literals and list indices; row keys and variable names
-stay in Python data.  Each sample is one integer point: numerators over
-one common denominator L, and the form is evaluated there in integers:
-the result is the form's value scaled by a positive rational, reduced so
-that it equals the value with its denominators cleared (the SU(3) verdict
-is invariant under scaling omega and psi by positive rationals).  Forms
-are dicts mapping index bitmasks to Python ints.  The exterior product, K
-and h are the ring-generic kernels of forms and hitchin run over int, and
-su3_passes_int is the package's one SU(3) predicate; the tests check it
-against an independent contraction-based oracle.
+into a straight-line Python function (CompiledForm.kernel) generated from
+its terms.  Each sample is one integer point, numerators x0, x1, ... over
+one common denominator L, and a row's value there is the form's value
+times q * L^d, a positive rational: the SU(3) verdict is invariant under
+scaling omega and psi by positive rationals.  Rows of a form of degree
+HORNER_DEGREE or more are in Horner form, the same integers from fewer
+products.  Generated source holds only integer literals, positional
+locals and this module's names; row keys and variable names stay in
+Python data.  Forms are dicts mapping index bitmasks to Python ints.  The
+exterior product, K and h are the ring-generic kernels of forms and
+hitchin run over int, and su3_passes_int is the package's one SU(3)
+predicate; the tests check it against an independent contraction-based
+oracle.
 
-PairSampler draws each sample straight into one integer point, the family
-values first and then the free integers, in the order its docstring
-gives, with every number drawn by uniform_int, the rejection loop of
-CPython 3.11's randint over getrandbits.  Each check reads only what its
-verdict needs, in this order.  A sampled pair becomes a trial when it
-meets candidate_conditions_int: lambda < 0, tested first and given by its
-sign alone, then omega^3 != 0, so omega is evaluated only when lambda < 0
-holds; most draws fail on lambda.  The sampler reads that sign from the
-kernel of lambda, since lambda(c psi) = c^4 lambda(psi) for the positive
-scale c of a sample, and evaluates psi only for a trial.  su3_passes_int
-then tests omega ^ psi = 0 first, from a table of the 60 disjoint pairs
-of a 2-mask and a 3-mask grouped by their 5-form, and builds K only for a
-primitive pair, whose lambda comes from tr(K^2) alone: the identity
-K^2 = lambda * Id is not checked per pair, because hitchin proves it once
-for the generic 3-form, of which every integer psi is a specialization.
-The top coefficient of omega^3 is read from a table of the 15 perfect
-matchings of 1..6.  Both tables are built once.
+PairSampler generates a context's whole draw as one such function: the
+getrandbits calls of drawing every number by uniform_int (the rejection
+loop of CPython 3.11's randint), in the same order, and the domain atoms,
+lambda, omega and psi inlined as rows.  A draw becomes a trial when it
+meets candidate_conditions_int: lambda < 0, read from the sign of its
+row, then omega^3 != 0; omega is evaluated only when lambda < 0 and psi
+only for a trial, and a trial's omega and psi are their raw row values.
+su3_passes_int then tests omega ^ psi = 0 first, from a table of the 60
+disjoint pairs of a 2-mask and a 3-mask grouped by their 5-form, and
+builds K only for a primitive pair, whose lambda comes from tr(K^2)
+alone: the identity K^2 = lambda * Id is not checked per pair, because
+hitchin proves it once for the generic 3-form, of which every integer psi
+is a specialization.  The top coefficient of omega^3 is read from a table
+of the 15 perfect matchings of 1..6.  Both tables are built once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby, repeat
 from math import gcd, isqrt, lcm
+from operator import itemgetter
+from types import FunctionType
 from typing import Callable, Mapping, Sequence
 
 from .errors import AtomUnsatisfiableAfterBudget, G2CertError, MissingVariable
 from .forms import KForm, merge_sign
 from .hitchin import FULL6, h_matrix, k_matrix
 from .linalg import leading_minors_int
+
+
+# Rows of forms of at least this degree are written in Horner form.
+HORNER_DEGREE = 6
+
+
+def _sum(parts) -> str:
+    """Source of the sum of coeff * body over the (coeff, body) parts, an
+    empty body standing for 1."""
+    pieces = []
+    for coeff, body in parts:
+        pieces.append(" - " if coeff < 0 else " + ")
+        coeff = abs(coeff)
+        pieces.append(body if coeff == 1 and body else f"{coeff}*{body}" if body else str(coeff))
+    text = "".join(pieces)
+    return ("-" if text.startswith(" - ") else "") + text[3:] if text else "0"
+
+
+def _factored(power: str, parts: list) -> tuple:
+    """The (coeff, body) part that is power times the sum of the parts."""
+    if len(parts) == 1:
+        coeff, body = parts[0]
+        return coeff, f"{power}*{body}" if body else power
+    return 1, f"{power}*({_sum(parts)})"
+
+
+def _nest(terms, order, k=0) -> list:
+    """(coeff, body) parts summing to the terms (exponents, coeff), each the
+    product of coeff and the factors of `order` to its exponents, sorted by
+    exponents and agreeing before position k.  The terms are grouped by
+    their power of order[k], which is pulled out of each group, and each
+    group by the next factor, recursively."""
+    first, last = terms[0][0], terms[-1][0]
+    power = []
+    while k < len(order) and first[k] == last[k]:  # a power all the terms share
+        power += [order[k]] * first[k]
+        k += 1
+    if k == len(order):  # one term: the monomials are distinct
+        parts = [(terms[0][1], "")]
+    else:
+        parts = []
+        for exp, group in groupby(terms, key=lambda term: term[0][k]):
+            sub = _nest(list(group), order, k + 1)
+            parts += [_factored("*".join([order[k]] * exp), sub)] if exp else sub
+    return [_factored("*".join(power), parts)] if power else parts
+
+
+def _rows(coeffs: Mapping, position: Mapping) -> tuple:
+    """(scale, degree, rows): each value of `coeffs` as the source of an
+    integer expression over x{i}, the numerator of the variable at
+    `position` i, and L, their common denominator, whose value is the
+    polynomial's value times scale * L^degree.  Each monomial is raised to
+    the form's degree by a power of L.  A row of a form of degree
+    HORNER_DEGREE or more is in Horner form over its factors, L included,
+    ranked by the number of terms they occur in (the greedy scheme of
+    Ceberio and Kreinovich, with one ranking per row)."""
+    label = {name: f"x{i}" for name, i in position.items()}
+    pairs = {pair for poly in coeffs.values() for mono in poly.terms for pair in mono}
+    try:
+        power = {(name, exp): "*".join([label[name]] * exp) for name, exp in pairs}
+    except KeyError as exc:
+        raise MissingVariable(exc.args[0]) from None
+    scale = lcm(*(coeff.denominator for poly in coeffs.values() for coeff in poly.terms.values()))
+    monos = [mono for poly in coeffs.values() for mono in poly.terms]
+    degree = max((sum(map(itemgetter(1), mono)) for mono in monos), default=0)
+    rows = []
+    for poly in coeffs.values():
+        terms = [
+            (int(coeff * scale), mono, degree - sum(map(itemgetter(1), mono)))
+            for mono, coeff in poly.terms.items()
+        ]
+        if degree < HORNER_DEGREE or not terms:
+            rows.append(_sum([
+                (coeff, "*".join([*map(power.__getitem__, mono), *["L"] * gap]))
+                for coeff, mono, gap in terms
+            ]))
+            continue
+        factors = [{label[n]: e for n, e in mono} | {"L": gap} for _, mono, gap in terms]
+        counts = Counter(f for fs in factors for f in fs if fs[f])
+        order = sorted(counts, key=counts.__getitem__, reverse=True)
+        keyed = [(tuple(map(fs.get, order, repeat(0))), t[0]) for t, fs in zip(terms, factors)]
+        rows.append(_sum(_nest(sorted(keyed, key=itemgetter(0), reverse=True), order)))
+    return scale, degree, rows
+
+
+def _compile(lines: list, defaults: tuple = ()) -> Callable:
+    """The function whose source is `lines`, a def and its indented body,
+    compiled once.  Its globals are this module's, so it reads its helpers
+    as the module binds them; `defaults` are those of its last parameters."""
+    code = compile("\n    ".join(lines) + "\n", "<g2cert.numeric>", "exec").co_consts[0]
+    return FunctionType(code, globals(), None, defaults)
 
 
 class CompiledForm:
@@ -54,56 +146,18 @@ class CompiledForm:
     common denominator L of a sample, so every coefficient's value times
     q * L^d is an integer.  `kernel(numerators, L)` returns those integers
     as a list, in row order: it is one straight-line function generated from
-    the term lists and compiled once.  Its source holds only integer
-    literals and list indices; the row keys (`keys`) and the variable names
-    stay in Python data.
+    the term lists and compiled once, with each row in Horner form when d
+    is HORNER_DEGREE or more (exact in integers, so the values are those of
+    the flat rows).  Its source holds only integer literals and positional
+    locals; the row keys (`keys`) and the variable names stay in Python data.
     """
 
     def __init__(self, coeffs: Mapping, variables: Sequence[str]):
         position = {name: i for i, name in enumerate(variables)}
-        scale = 1
-        degree = 0
-        for poly in coeffs.values():
-            for mono, coeff in poly.terms.items():
-                scale = lcm(scale, coeff.denominator)
-                degree = max(degree, sum(exp for _, exp in mono))
-                for name, _ in mono:
-                    if name not in position:
-                        raise MissingVariable(name)
-        self.scale = scale
-        self.degree = degree
+        self.scale, self.degree, rows = _rows(coeffs, position)
         self.keys = list(coeffs)
-        read = set()
-        rows = []
-        for poly in coeffs.values():
-            row = ""
-            for mono, coeff in poly.terms.items():
-                factors = [position[name] for name, exp in mono for _ in range(exp)]
-                read.update(factors)
-                product = [f"x{i}" for i in factors]
-                gap = degree - len(factors)
-                if gap:
-                    product.append(f"p{gap}")
-                value = int(coeff * scale)
-                if abs(value) != 1 or not product:
-                    product.insert(0, str(abs(value)))
-                row += (" - " if value < 0 else " + ") + "*".join(product)
-            rows.append(row[3:] if row.startswith(" + ") else row or "0")
-        lines = [f"x{i} = n[{i}]" for i in sorted(read)] + ["p1 = L"]
-        lines += [f"p{gap} = p{gap - 1} * L" for gap in range(2, degree + 1)]
-        lines.append(f"return [{', '.join(rows)}]")
-        source = "def kernel(n, L):\n" + "".join(f"    {line}\n" for line in lines)
-        namespace = {}
-        exec(compile(source, "<CompiledForm>", "exec"), namespace)
-        self.kernel = namespace["kernel"]
-
-    def evaluate(self, point) -> dict:
-        """Nonzero values at an integer_point, divided by the gcd of them and
-        scale * L^degree: exactly the values with denominators cleared."""
-        numerators, common = point
-        values = self.kernel(numerators, common)
-        divisor = gcd(self.scale * common**self.degree, *values)
-        return {key: value // divisor for key, value in zip(self.keys, values) if value}
+        unpack = [f"{''.join(f'x{i}, ' for i in range(len(variables)))}= n"] if variables else []
+        self.kernel = _compile(["def kernel(n, L):", *unpack, f"return [{', '.join(rows)}]"])
 
 
 def integer_point(variables: Sequence[str], assignment) -> tuple:
@@ -118,9 +172,14 @@ def integer_point(variables: Sequence[str], assignment) -> tuple:
 
 
 def eval_form_int(form: KForm, assignment) -> dict:
-    """Evaluate coefficients and clear denominators (positive scaling)."""
+    """Evaluate coefficients and clear denominators (positive scaling): the
+    nonzero values, divided by the gcd of them and scale * L^degree."""
     variables = sorted(form.variables())
-    return CompiledForm(form.coeffs, variables).evaluate(integer_point(variables, assignment))
+    compiled = CompiledForm(form.coeffs, variables)
+    numerators, common = integer_point(variables, assignment)
+    values = compiled.kernel(numerators, common)
+    divisor = gcd(compiled.scale * common**compiled.degree, *values)
+    return {key: value // divisor for key, value in zip(compiled.keys, values) if value}
 
 
 @cache
@@ -261,27 +320,28 @@ class PairSampler:
     """Draws exact candidate pairs (omega, psi) on one stage context.
 
     The variables are the free ones (alpha, beta, derivation parameters),
-    then the family parameters, each part sorted by name.  A draw is one
-    integer point: a list of numerators in that order over one common
-    denominator L.  The domain atoms, lambda, psi and omega (and, on the
-    t2_zero slice, the coefficients in alpha_14 of the determinant of its
-    gauge step) are compiled once into CompiledForm kernels over that list.
-    The slice is the one the prose_sample step of the context names.
-    A draw does only the work its verdict reads, in this order:
+    then the family parameters, each part sorted by name, and a draw is one
+    integer point over them.  The whole draw is generated at construction
+    as one function of getrandbits (_source), which `draw` calls once per
+    attempt.  It does only the work its verdict reads, in this order:
 
     1. family values, each a numerator in [-1000, 1000] then a denominator
        in [1, 12], in name order, redrawn until every domain atom holds,
-       each atom tested by Atom.admits on its kernel value;
+       each atom tested by Atom.admits on its row's value;
     2. the free variables, integers in [-20, 20] in name order, then the
-       t2_zero slice if the context has one (a k in [1, 5], and alpha_34
-       and alpha_14 written into the point);
+       t2_zero slice if the prose_sample step names it (a k in [1, 5], and
+       alpha_34 and alpha_14 written into the point; det_int holds the
+       coefficients in alpha_14 of the determinant of its gauge step);
     3. the sign of lambda at the point (lambda(c psi) = c^4 lambda(psi),
-       so the kernel value, a positive multiple of lambda, has its sign);
+       so its row, a positive multiple of lambda, has its sign);
     4. omega, evaluated only when lambda < 0, and omega^3 != 0
        (candidate_conditions_int defines a trial);
     5. psi, evaluated only for a trial.
 
-    Every number is drawn by uniform_int from the generator `rng`.
+    Every number is drawn with the getrandbits calls of uniform_int, in this
+    order, so the stream is that of drawing each by uniform_int.  A trial's
+    omega and psi are raw row values: the form's value times one positive
+    rational, which leaves the verdict of su3_passes_int unchanged.
     """
 
     def __init__(self, context, rng):
@@ -293,36 +353,66 @@ class PairSampler:
         self.fam_vars = sorted(v for v in names if v.startswith("fam_"))
         self.free_vars = sorted(v for v in names if not v.startswith("fam_"))
         self.variables = self.free_vars + self.fam_vars
-        self.atoms_int = CompiledForm(
-            {i: atom.poly for i, atom in enumerate(self.atoms)}, self.fam_vars
-        )
-        self.lam_int = CompiledForm({0: context.lam}, self.variables)
-        self.psi_int = CompiledForm(psi.coeffs, self.variables)
-        self.omega_int = CompiledForm(omega.coeffs, self.variables)
         if self.t2_slice:
             *_, det, _ = context.gauge
-            parts = {
-                sum(e for _, e in mono): coeff
-                for mono, coeff in det.collect({"alpha_14"}).items()
-            }
+            parts = {sum(e for _, e in m): c for m, c in det.collect({"alpha_14"}).items()}
             if max(parts, default=0) > 2:
                 raise G2CertError("the gauge determinant is not quadratic in alpha_14")
             self.det_int = CompiledForm(parts, self.variables)
             self.slice_at = [self.variables.index(name) for name in _T2_SLICE_VARIABLES]
+        defaults = (
+            list(omega.coeffs), list(psi.coeffs), self._apply_t2_slice,
+            lambda: AtomUnsatisfiableAfterBudget(f"no sample satisfied {[*map(str, self.atoms)]}"),
+            *(atom.admits for atom in self.atoms),
+        )
+        self._draw = _compile(self._source(context.lam, omega, psi), defaults)
 
-    def _draw_family(self) -> tuple:
-        """(numerators, L): family values over their common denominator L,
-        in fam_vars order, that satisfy the domain atoms, drawn at most
-        ATOM_SAMPLE_BUDGET times."""
-        getrandbits = self.rng.getrandbits
-        for _ in range(ATOM_SAMPLE_BUDGET):
-            drawn = [sample_fraction(getrandbits) for _ in self.fam_vars]
-            common = lcm(*(den for _, den in drawn))
-            values = [num * (common // den) for num, den in drawn]
-            atom_values = self.atoms_int.kernel(values, common)
-            if all(atom.admits(value) for atom, value in zip(self.atoms, atom_values)):
-                return values, common
-        raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in self.atoms]}")
+    def _source(self, lam, omega, psi) -> list:
+        """The lines of the generated draw: steps 1 to 5 of the class
+        docstring, each uniform_int inlined as its getrandbits loop, and a
+        lambda >= 0 rejected before omega is evaluated, as
+        candidate_conditions_int would reject it."""
+        free, size = len(self.free_vars), len(self.variables)
+        position = {name: i for i, name in enumerate(self.variables)}
+        fam = range(free, size)
+        family = [line for i in fam for line in (
+            "r = getrandbits(11)", "while r >= 2001:", "    r = getrandbits(11)",
+            "d = getrandbits(4)", "while d >= 12:", "    d = getrandbits(4)",
+            f"x{i} = r - 1000", f"d{i} = d + 1",
+        )]
+        family.append(f"L = lcm({', '.join(f'd{i}' for i in fam)})")
+        family += [f"x{i} *= L // d{i}" for i in fam]
+        admits = "".join(f", a{j}" for j in range(len(self.atoms)))
+        lines = [f"def draw(getrandbits, okeys, pkeys, slice_, unsatisfied{admits}):"]
+        if self.atoms:
+            atoms = {j: atom.poly for j, atom in enumerate(self.atoms)}
+            _, _, rows = _rows(atoms, {v: position[v] for v in self.fam_vars})
+            test = " and ".join(f"a{j}({row})" for j, row in enumerate(rows))
+            body = family + [f"if {test}:", "    break"]
+            lines += ["for _ in range(ATOM_SAMPLE_BUDGET):", *("    " + line for line in body)]
+            lines += ["else:", "    raise unsatisfied()"]
+        else:
+            lines += family
+        lines += [
+            f"v = [0] * {free}", f"for i in range({free}):", "    r = getrandbits(6)",
+            "    while r >= 41:", "        r = getrandbits(6)", "    v[i] = (r - 20) * L",
+        ]
+        if self.t2_slice:
+            lines.append(f"v += [{', '.join(f'x{i}' for i in fam)}]")
+            lines += ["L = slice_(v, L)", "if L is None:", "    return None"]
+            free = size
+        if free:
+            lines.append(f"{''.join(f'x{i}, ' for i in range(free))}= v")
+        (lam_row,), omega_rows, psi_rows = (
+            _rows(coeffs, position)[2] for coeffs in ({0: lam}, omega.coeffs, psi.coeffs)
+        )
+        return lines + [
+            f"lam = {lam_row}", "if lam >= 0:", "    return None",
+            f"rows = dict(zip(okeys, [{', '.join(omega_rows)}]))",
+            "omega = candidate_conditions_int(lam, lambda: rows)",
+            "if omega is None:", "    return None",
+            f"return omega, dict(zip(pkeys, [{', '.join(psi_rows)}]))",
+        ]
 
     def _apply_t2_slice(self, values: list, common: int):
         """Move the point onto the zero locus of the gauge determinant, and
@@ -347,7 +437,7 @@ class PairSampler:
         common = _write_rational(
             values, common, at34, k * k * p_num, common * common * (na - nb) * n12
         )
-        coeffs = self.det_int.evaluate((values, common))
+        coeffs = dict(zip(self.det_int.keys, self.det_int.kernel(values, common)))
         A, B, C = (coeffs.get(exp, 0) for exp in (2, 1, 0))
         if A == 0:
             return None
@@ -362,16 +452,4 @@ class PairSampler:
     def draw(self):
         """One trial (omega, psi) in integers, or None (rejected by the
         domain atoms, the slice or candidate_conditions_int)."""
-        family, common = self._draw_family() if self.fam_vars or self.atoms else ([], 1)
-        getrandbits = self.rng.getrandbits
-        values = [common * uniform_int(getrandbits, -20, 20) for _ in self.free_vars] + family
-        if self.t2_slice:
-            common = self._apply_t2_slice(values, common)
-            if common is None:
-                return None
-        point = (values, common)
-        lam = self.lam_int.kernel(values, common)[0]
-        omega = candidate_conditions_int(lam, lambda: self.omega_int.evaluate(point))
-        if omega is None:
-            return None
-        return omega, self.psi_int.evaluate(point)
+        return self._draw(self.rng.getrandbits)

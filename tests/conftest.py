@@ -6,10 +6,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 
 from g2cert.catalog import parse_structure_equations
-from g2cert.certify import standard_su3_pair
 from g2cert.exprs import parse_polynomial
-from g2cert.forms import KForm
 from g2cert.poly import Polynomial
+from oracles import basis_form, standard_su3_pair
 
 
 def P(text):
@@ -27,13 +26,13 @@ def fam(text):
 @pytest.fixture(scope="session")
 def std_phi0():
     return (
-        KForm.basis(7, (1, 2, 3))
-        + KForm.basis(7, (1, 4, 5))
-        + KForm.basis(7, (1, 6, 7))
-        + KForm.basis(7, (2, 4, 6))
-        - KForm.basis(7, (2, 5, 7))
-        - KForm.basis(7, (3, 4, 7))
-        - KForm.basis(7, (3, 5, 6))
+        basis_form(7, (1, 2, 3))
+        + basis_form(7, (1, 4, 5))
+        + basis_form(7, (1, 6, 7))
+        + basis_form(7, (2, 4, 6))
+        - basis_form(7, (2, 5, 7))
+        - basis_form(7, (3, 4, 7))
+        - basis_form(7, (3, 5, 6))
     )
 
 

@@ -13,7 +13,11 @@ by schoolbook products, the extension s x_D R built as a Lie algebra,
 plain substitution of rational functions and a schoolbook Cramer
 substitution to check substitute_cramer against, readers for subspace equality and exact
 polynomial quotients, and quotient traces by per-generator elimination to
-check Subspace.trace against.
+check Subspace.trace against.  The SU(3) pair references are here too:
+the standard pair, the negative control that pulls it back, and the
+sampler's draw as it was before it was generated whole (reference_draw),
+with its flat kernels, and flat_kernel, term-by-term values of a
+CompiledForm kernel.
 
 The package does its linear algebra over Q only.  RationalFunction, the
 field Q(params), lives here: the references that eliminate in full
@@ -30,16 +34,20 @@ derived-algebra tests on Subspaces, and tr(ad e_i).
 
 import enum
 import json
+import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, isqrt, lcm
 
 from g2cert.catalog import SCHEMA, AlgebraEntry
-from g2cert.errors import NilradicalNotInvariant, NonNumericEntries
+from g2cert.errors import AtomUnsatisfiableAfterBudget, NilradicalNotInvariant, NonNumericEntries
 from g2cert.forms import (
     KForm,
     contractions,
     form_value,
     indices_of,
+    mask_of,
+    pullback,
     top_coefficient,
     wedge,
     wedge_coeffs,
@@ -48,6 +56,7 @@ from g2cert.hitchin import Bilinear
 from g2cert.lie import LieAlgebra, Subspace, validate
 from g2cert.linalg import det_fraction
 from g2cert.exprs import parse_polynomial
+from g2cert.numeric import candidate_conditions_int, eval_form_int, su3_passes_int
 from g2cert.poly import P_ONE, P_ZERO, Polynomial
 
 
@@ -431,7 +440,7 @@ def contraction_k(psi: KForm) -> list:
     for i, iota in enumerate(contractions(psi), start=1):
         xi = wedge(iota, psi)
         for j in range(1, 7):
-            entries[j - 1][i - 1] = top_coefficient(wedge(KForm.basis(6, (j,)), xi))
+            entries[j - 1][i - 1] = top_coefficient(wedge(basis_form(6, (j,)), xi))
     return entries
 
 
@@ -792,3 +801,221 @@ def rf_row(v) -> list:
         else RationalFunction.from_scalar(c)
         for c in v
     ]
+
+
+# -- literal forms, the SU(3) pair references and the sampler's draw ---------
+
+
+def basis_form(dim: int, indices) -> KForm:
+    """The basis form e^{i1...ik} for strictly increasing indices."""
+    idx = tuple(indices)
+    if any(i < 1 or i > dim for i in idx) or list(idx) != sorted(set(idx)):
+        raise ValueError(f"indices {idx} must be strictly increasing in 1..{dim}")
+    return KForm(dim, len(idx), {mask_of(idx): 1})
+
+
+def form_from_terms(dim: int, degree: int, terms) -> KForm:
+    """The form sum c e^{indices} over the (indices, c) items of terms."""
+    return KForm(dim, degree, {mask_of(idx): c for idx, c in terms.items()})
+
+
+def standard_su3_pair():
+    """The reference pair omega = e12 + e34 + e56, psi = Re((e1+ie2)^(e3+ie4)^(e5+ie6))."""
+    omega = form_from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1})
+    psi = (
+        basis_form(6, (1, 3, 5))
+        - basis_form(6, (1, 4, 6))
+        - basis_form(6, (2, 3, 6))
+        - basis_form(6, (2, 4, 5))
+    )
+    return omega, psi
+
+
+def negative_control(trials: int = 50, seed: int = 1) -> int:
+    """Feed the falsifier's SU(3) predicate pairs pulled back from the
+    standard SU(3) pair; it must find passes, proving it is not vacuously
+    rejecting."""
+    rng = random.Random(seed)
+    omega0, psi0 = standard_su3_pair()
+    passes = 0
+    for _ in range(trials):
+        diag = [Fraction(rng.choice([x for x in range(-5, 6) if x != 0])) for _ in range(6)]
+        matrix = [[Polynomial.const(diag[i] if i == j else 0) for j in range(6)] for i in range(6)]
+        omega = eval_form_int(pullback(matrix, omega0), {})
+        psi = eval_form_int(pullback(matrix, psi0), {})
+        if su3_passes_int(omega, psi):
+            passes += 1
+    return passes
+
+
+def flat_kernel(coeffs, variables, numerators, common) -> list:
+    """What CompiledForm(coeffs, variables).kernel(numerators, common)
+    returns, term by term: each row's value at numerators / common times
+    q * common^d, for q the lcm of the coefficients' denominators and d the
+    top degree of the rows."""
+    position = {name: i for i, name in enumerate(variables)}
+    terms = [(mono, Fraction(c)) for poly in coeffs.values() for mono, c in poly.terms.items()]
+    scale = lcm(1, *(coeff.denominator for _, coeff in terms))
+    degree = max((sum(exp for _, exp in mono) for mono, _ in terms), default=0)
+    values = []
+    for poly in coeffs.values():
+        total = Fraction(0)
+        for mono, coeff in poly.terms.items():
+            value = Fraction(coeff) * scale * common ** (degree - sum(exp for _, exp in mono))
+            for name, exp in mono:
+                value *= numerators[position[name]] ** exp
+            total += value
+        assert total.denominator == 1
+        values.append(int(total))
+    return values
+
+
+class _FlatForm:
+    """The sampler's compiled form before its rows were in Horner form: one
+    flat generated kernel, and evaluate() dividing out the gcd."""
+
+    def __init__(self, coeffs, variables):
+        position = {name: i for i, name in enumerate(variables)}
+        scale = 1
+        degree = 0
+        for poly in coeffs.values():
+            for mono, coeff in poly.terms.items():
+                scale = lcm(scale, coeff.denominator)
+                degree = max(degree, sum(exp for _, exp in mono))
+        self.scale = scale
+        self.degree = degree
+        self.keys = list(coeffs)
+        read = set()
+        rows = []
+        for poly in coeffs.values():
+            row = ""
+            for mono, coeff in poly.terms.items():
+                factors = [position[name] for name, exp in mono for _ in range(exp)]
+                read.update(factors)
+                product = [f"x{i}" for i in factors]
+                gap = degree - len(factors)
+                if gap:
+                    product.append(f"p{gap}")
+                value = int(coeff * scale)
+                if abs(value) != 1 or not product:
+                    product.insert(0, str(abs(value)))
+                row += (" - " if value < 0 else " + ") + "*".join(product)
+            rows.append(row[3:] if row.startswith(" + ") else row or "0")
+        lines = [f"x{i} = n[{i}]" for i in sorted(read)] + ["p1 = L"]
+        lines += [f"p{gap} = p{gap - 1} * L" for gap in range(2, degree + 1)]
+        lines.append(f"return [{', '.join(rows)}]")
+        source = "def kernel(n, L):\n" + "".join(f"    {line}\n" for line in lines)
+        namespace = {}
+        exec(compile(source, "<_FlatForm>", "exec"), namespace)
+        self.kernel = namespace["kernel"]
+
+    def evaluate(self, point) -> dict:
+        numerators, common = point
+        values = self.kernel(numerators, common)
+        divisor = gcd(self.scale * common**self.degree, *values)
+        return {key: value // divisor for key, value in zip(self.keys, values) if value}
+
+
+def _uniform_int(getrandbits, low: int, high: int) -> int:
+    width = high - low + 1
+    bits = width.bit_length()
+    value = getrandbits(bits)
+    while value >= width:
+        value = getrandbits(bits)
+    return low + value
+
+
+def _write_rational(values: list, common: int, i: int, num: int, den: int) -> int:
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    grow = den // gcd(common, den)
+    if grow != 1:
+        values[:] = [value * grow for value in values]
+        common *= grow
+    values[i] = num * (common // den)
+    return common
+
+
+def reference_draw(context, rng):
+    """A function doing one draw attempt of PairSampler(context, rng) per
+    call, as the sampler did it before its draw was generated whole: each
+    number by uniform_int, the forms by flat kernels, and omega and psi
+    with denominators cleared.  It returns the trial (omega, psi) or None,
+    and reads the same getrandbits stream."""
+    atoms = list(context.atoms)
+    t2_slice = context.step("prose_sample").get("slice") == "t2_zero"
+    psi, omega = context.psi, context.omega
+    names = psi.variables() | omega.variables()
+    fam_vars = sorted(v for v in names if v.startswith("fam_"))
+    free_vars = sorted(v for v in names if not v.startswith("fam_"))
+    variables = free_vars + fam_vars
+    atoms_int = _FlatForm({i: atom.poly for i, atom in enumerate(atoms)}, fam_vars)
+    lam_int = _FlatForm({0: context.lam}, variables)
+    psi_int = _FlatForm(psi.coeffs, variables)
+    omega_int = _FlatForm(omega.coeffs, variables)
+    getrandbits = rng.getrandbits
+    if t2_slice:
+        *_, det, _ = context.gauge
+        parts = {
+            sum(e for _, e in mono): coeff for mono, coeff in det.collect({"alpha_14"}).items()
+        }
+        det_int = _FlatForm(parts, variables)
+        slice_at = [variables.index(name) for name in (
+            "fam_a", "fam_b", "alpha_12", "alpha_13", "alpha_23", "alpha_24", "alpha_34",
+            "alpha_14",
+        )]
+
+    def draw_family():
+        for _ in range(2000):
+            drawn = [
+                (_uniform_int(getrandbits, -1000, 1000), _uniform_int(getrandbits, 1, 12))
+                for _ in fam_vars
+            ]
+            common = lcm(*(den for _, den in drawn))
+            values = [num * (common // den) for num, den in drawn]
+            atom_values = atoms_int.kernel(values, common)
+            if all(atom.admits(value) for atom, value in zip(atoms, atom_values)):
+                return values, common
+        raise AtomUnsatisfiableAfterBudget(f"no sample satisfied {[str(a) for a in atoms]}")
+
+    def apply_t2_slice(values, common):
+        a, b, a12, a13, a23, a24, at34, at14 = slice_at
+        na, nb, n12, n13, n24 = (values[i] for i in (a, b, a12, a13, a24))
+        if na == nb or n12 == 0 or n13 == 0 or n24 == 0 or values[a23] == 0:
+            return None
+        k = _uniform_int(getrandbits, 1, 5)
+        p_num = na * (nb + common) * n13 * n24
+        if p_num == 0:
+            return None
+        common = _write_rational(
+            values, common, at34, k * k * p_num, common * common * (na - nb) * n12
+        )
+        coeffs = det_int.evaluate((values, common))
+        A, B, C = (coeffs.get(exp, 0) for exp in (2, 1, 0))
+        if A == 0:
+            return None
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return None
+        root = isqrt(disc)
+        if root * root != disc:
+            return None
+        return _write_rational(values, common, at14, root - B, 2 * A)
+
+    def draw():
+        family, common = draw_family() if fam_vars or atoms else ([], 1)
+        values = [common * _uniform_int(getrandbits, -20, 20) for _ in free_vars] + family
+        if t2_slice:
+            common = apply_t2_slice(values, common)
+            if common is None:
+                return None
+        point = (values, common)
+        lam = lam_int.kernel(values, common)[0]
+        omega = candidate_conditions_int(lam, lambda: omega_int.evaluate(point))
+        if omega is None:
+            return None
+        return omega, psi_int.evaluate(point)
+
+    return draw

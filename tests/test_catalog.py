@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P, fam
-from oracles import save_catalog
+from oracles import form_from_terms, save_catalog
 from g2cert.catalog import (
     BUILTIN_DATASETS,
     ENTRY_KEYS,
@@ -29,7 +29,6 @@ from g2cert.errors import (
     ValidationFailure,
 )
 from g2cert.exprs import MAX_EXPONENT, parse_polynomial
-from g2cert.forms import KForm
 from g2cert.lie import unimodular_check
 from g2cert.poly import Polynomial
 
@@ -38,7 +37,7 @@ class TestDsl:
     def test_table_row(self):
         L = parse_structure_equations("(-e13, e23, 0, 0, 0, 0)")
         assert L.dim == 6
-        assert L.d_basis(1) == KForm.from_terms(6, 2, {(1, 3): -1})
+        assert L.d_basis(1) == form_from_terms(6, 2, {(1, 3): -1})
         assert L.d_basis(3).is_zero()
 
     def test_abelian(self):
@@ -47,8 +46,8 @@ class TestDsl:
 
     def test_rational_coefficients(self):
         L = parse_structure_equations("(-e24 - 2/3*e15, -e34 + 1/3*e25, 4/3*e35, -e45, 0, 0)")
-        assert L.d_basis(3) == KForm.from_terms(6, 2, {(3, 5): P("4/3")})
-        assert L.d_basis(1) == KForm.from_terms(6, 2, {(2, 4): -1, (1, 5): P("-2/3")})
+        assert L.d_basis(3) == form_from_terms(6, 2, {(3, 5): P("4/3")})
+        assert L.d_basis(1) == form_from_terms(6, 2, {(2, 4): -1, (1, 5): P("-2/3")})
 
     def test_family_parameters_get_fam_prefix(self):
         L = parse_structure_equations("(-e16 - e35, -l*e26 - e45, (1+2*l)*e36, (2+l)*e46, (-2-2*l)*e56, 0)")
@@ -171,7 +170,7 @@ def test_rendered_tuples_round_trip(tuple_and_dim, flip):
     dim, slots = tuple_and_dim
     text = "(" + ", ".join(render_slot(terms, flip) for terms in slots) + ")"
     algebra = parse_structure_equations(text, dim)
-    assert list(algebra.differentials) == [KForm.from_terms(dim, 2, terms) for terms in slots]
+    assert list(algebra.differentials) == [form_from_terms(dim, 2, terms) for terms in slots]
 
 
 class TestBuiltins:

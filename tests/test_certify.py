@@ -1,16 +1,29 @@
 """Certificates, pipelines, sampling, reports."""
 
+import builtins
 import hashlib
 import json
 import random
+import re
 import sys
+import types
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import P, algebra_of
-from oracles import SU3Verdict, oracle_substitute_cramer, su3_check
+from oracles import (
+    SU3Verdict,
+    negative_control,
+    oracle_substitute_cramer,
+    reference_draw,
+    standard_su3_pair,
+    su3_check,
+)
 from g2cert.catalog import (
     BUILTIN_DATASETS,
     AlgebraEntry,
@@ -34,13 +47,11 @@ from g2cert.certify import (
     certify_sign_product,
     certify_zero_diagonal,
     gauge_transport,
-    negative_control,
     recheck_certificate,
     recheck_report,
     run_all,
     run_pipeline,
     sample_falsify,
-    standard_su3_pair,
     _affine_system,
     _exp_nilpotent,
     _solved_family_substitutions,
@@ -291,6 +302,7 @@ class TestGaugeTransport:
             _affine_system(f_psi, [(1, 2, 5), (1, 2, 6)], ["s_1"])
 
 
+@cache
 def sampling_contexts():
     """The context of each sampling certificate of the built-in catalogs:
     each entry or branch that samples, after its strong-unimodularity
@@ -331,25 +343,90 @@ class TestSampling:
         assert len(contexts) == 4
         for context in contexts:
             sampler = PairSampler(context, random.Random(0))
+            lam_int = numeric.CompiledForm({0: context.lam}, sampler.variables)
+            psi_int = numeric.CompiledForm(context.psi.coeffs, sampler.variables)
             alphas = [v for v in sampler.free_vars if v.startswith("alpha_")]
             signs = set()
             for draw in range(120):
                 assignment = {v: Fraction(rng.randint(-3, 3)) for v in sampler.free_vars}
-                family, common = sampler._draw_family()
-                assignment.update(
-                    {v: Fraction(num, common) for v, num in zip(sampler.fam_vars, family)}
-                )
+                while True:  # family values in the sampler's ranges, meeting the atoms
+                    family = {
+                        v: Fraction(rng.randint(-1000, 1000), rng.randint(1, 12))
+                        for v in sampler.fam_vars
+                    }
+                    if all(atom.holds(family) for atom in context.atoms):
+                        break
+                assignment.update(family)
                 if draw % 10 == 0:
                     assignment.update(dict.fromkeys(alphas, Fraction(0)))
                 elif draw % 10 == 1:
                     for v in alphas:
                         assignment[v] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                 point = numeric.integer_point(sampler.variables, assignment)
-                lam = sampler.lam_int.evaluate(point).get(0, 0)
-                trace_sq = hitchin.k_matrix(sampler.psi_int.evaluate(point), 0)[1]
+                lam = lam_int.kernel(*point)[0]
+                psi = dict(zip(psi_int.keys, psi_int.kernel(*point)))
+                trace_sq = hitchin.k_matrix(psi, 0)[1]
                 assert (lam > 0) - (lam < 0) == (trace_sq > 0) - (trace_sq < 0), context.name
                 signs.add((lam > 0) - (lam < 0))
             assert {-1, 0} <= signs, context.name
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**64))
+    @example(0)
+    @example(1)
+    def test_draws_follow_the_reference_stream(self, seed):
+        # the generated draw against the flat draw it replaced, attempt by
+        # attempt on one getrandbits stream: the same rejections, each
+        # trial a positive multiple of the reference's, the same verdicts
+        for context in sampling_contexts():
+            sampler = PairSampler(context, random.Random(seed))
+            reference = reference_draw(context, random.Random(seed))
+            for _ in range(60):
+                drawn, expected = sampler.draw(), reference()
+                assert (drawn is None) == (expected is None), context.name
+                if drawn is None:
+                    continue
+                for form, cleared in zip(drawn, expected):
+                    assert {key for key, value in form.items() if value} == set(cleared)
+                    ratios = {Fraction(form[key], value) for key, value in cleared.items()}
+                    assert len(ratios) == 1 and min(ratios) > 0, context.name
+                assert numeric.su3_passes_int(*drawn) == numeric.su3_passes_int(*expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, None], ids=["seed-0", "seed-1", "shipped-seed"])
+    def test_sampling_data_matches_the_reference_draw(self, seed, monkeypatch):
+        # sample_falsify's passes and attempts, and all its other data, are
+        # those of the same run on the reference draw, at the shipped trials
+        for context in sampling_contexts():
+            step = context.step("prose_sample")
+            inputs = {"trials": step["trials"], "seed": step["seed"] if seed is None else seed}
+            data = sample_falsify(context, inputs).data
+            with monkeypatch.context() as patch:
+                patch.setattr(certify, "PairSampler", lambda context, rng: type(
+                    "ReferenceSampler", (), {"draw": staticmethod(reference_draw(context, rng))}
+                ))
+                assert sample_falsify(context, inputs).data == data, context.name
+
+    def test_generated_draw_holds_no_catalog_text(self):
+        # the draw's code, nested code included, holds only ints and None
+        # as constants, reads only this module's globals and builtins, and
+        # names its locals by position, so no catalog name reaches compile()
+        allowed = set(vars(numeric)) | set(vars(builtins))
+        local = re.compile(r"[xda]\d+|L|r|d|i|_|v|lam|rows|omega|getrandbits|okeys|pkeys"
+                           r"|slice_|unsatisfied|n")
+        for context in sampling_contexts():
+            sampler = PairSampler(context, random.Random(0))
+            kernels = [sampler._draw] + ([sampler.det_int.kernel] if sampler.t2_slice else [])
+            codes = [kernel.__code__ for kernel in kernels]
+            while codes:
+                code = codes.pop()
+                for const in code.co_consts:
+                    if isinstance(const, types.CodeType):
+                        codes.append(const)
+                    else:
+                        assert const is None or type(const) is int, (context.name, const)
+                assert set(code.co_names) <= allowed, context.name
+                for name in code.co_varnames + code.co_cellvars + code.co_freevars:
+                    assert local.fullmatch(name), (context.name, name)
 
     def test_fast_path_matches_exact_su3_check(self):
         # cross-validate the integer fast path against the contraction oracle

@@ -623,17 +623,19 @@ def test_validate_malformed_catalog_is_an_error(text, tmp_path, capsys):
 def assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=None):
     """Write the built-in entry of `dataset` whose name starts with `prefix`,
     after change(node), as a catalog of its own; loading it must raise
-    ValidationFailure and `g2cert validate` must exit 2 naming the entry."""
+    ValidationFailure and `g2cert validate` must exit 2 naming the entry, by
+    its position when its name is not a string."""
     document = json.loads(cat.builtin_text(dataset))
     node = next(e for e in document["entries"] if e["name"].startswith(prefix))
     change(node)
+    label = node["name"] if isinstance(node["name"], str) else "<entry 0>"
     text = json.dumps({"schema": document["schema"], "entries": [node]})
     catalog = tmp_path / "catalog.json"
     catalog.write_text(text)
     with pytest.raises(ValidationFailure, match=match):
         load_catalog_text(text)
     assert main(["validate", str(catalog)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: catalog entry '{prefix}")
+    assert capsys.readouterr().err.startswith(f"error: catalog entry '{label}'")
 
 
 def _set_first_indices(value):
@@ -729,6 +731,9 @@ G6101 = ("indecomposable", "g_{6,101}")
         ("table1", "g_{5,30}", lambda node: node.update(expect_unimodular=1),
          "expect_unimodular is not a bool"),
         ("table1", "g_{5,30}", lambda node: node.update(notes=5), "notes is not a str"),
+        ("table1", "g_{5,30}", lambda node: node.update(name=5), "name is not a str: 5"),
+        ("table1", "g_{5,30}", lambda node: node.update(dim="6"), "dim is not an int: '6'"),
+        ("table1", "g_{5,30}", lambda node: node.update(dim=True), "dim is not an int: True"),
         ("table1", "g_{5,30}", lambda node: node.update(witness={}),
          r"entry has unknown keys \['witness'\]"),
         (*G6101, lambda node: node["family_params"][0].update(atom=[]),
@@ -750,7 +755,8 @@ G6101 = ("indecomposable", "g_{6,101}")
          "su-expected-unknown-key", "branch-subs-not-a-map", "branch-atoms-not-a-list",
          "family-atoms-not-a-list", "family-atom-op", "family-atoms-null", "entry-plan-null",
          "entry-witnesses-null", "entry-stub-not-a-bool", "entry-expect-unimodular-not-a-bool",
-         "entry-notes-not-a-string", "entry-stray-witness",
+         "entry-notes-not-a-string", "entry-name-not-a-string", "entry-dim-a-string",
+         "entry-dim-a-bool", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
          "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60",
          "gauge-three-targets-four-params"],
@@ -773,7 +779,9 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # parameters validated, and run-all ended in a ValueError traceback at
     # the non-square solve.  A "stub" of "false" was read by truth: validate
     # printed "validated ...: stub (data not shipped)" and exited 0, and
-    # run-all reported the entry data-not-shipped
+    # run-all reported the entry data-not-shipped.  A "name" of 5 validated
+    # ("validated 5: ok"), and a "dim" of "6" was compared with the int 6
+    # and refused as "syntax error at position 0 (expected 6 slots, got 6)"
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 

@@ -12,9 +12,8 @@ CALLERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 # Definitions whose only callers are tests, each kept in the package for a
 # stated reason; other test-only code lives in tests/oracles.py.
 TEST_REFERENCES = {
-    "certify.negative_control": "shows the falsifier's SU(3) predicate is not vacuously false, "
-    "until a positive control on the sampler's own draws replaces it",
     "linalg.det_fraction": "the benchmark's span list traces it by its package path",
+    "numeric.eval_form_int": "the benchmark's span list traces it by its package path",
 }
 
 

@@ -12,6 +12,7 @@ from conftest import P, algebra_of, fam
 from oracles import (
     apply_matrix,
     as_polynomial,
+    basis_form,
     basis_vectors,
     extension_algebra,
     oracle_bracket,
@@ -143,7 +144,7 @@ class TestDStarAction:
             L,
             [[Polynomial.const((i + 1) if i == j else 0) for j in range(6)] for i in range(6)],
         )
-        f = KForm.basis(6, (2, 5))
+        f = basis_form(6, (2, 5))
         assert dstar_action(diag, f) == (2 + 5) * f
 
     def test_printed_e12_coefficient_on_double_g34(self):
@@ -307,7 +308,7 @@ def test_split_identity_on_every_shipped_context():
     def lift(f):
         return KForm(7, f.degree, f.coeffs)
 
-    e7 = KForm.basis(7, (7,))
+    e7 = basis_form(7, (7,))
     alpha = lift(generic_two_form(6, "alpha"))
     beta = lift(generic_one_form(6, "beta"))
     checked = 0
@@ -389,7 +390,7 @@ def test_split_identity_at_random_solved_derivations(data):
     context = data.draw(st.sampled_from(solving_contexts()), label="context")
     point = integer_point(data, context.family)
     g = extension_algebra(context.algebra, context.family.substitute(point))
-    e7 = KForm.basis(7, (7,))
+    e7 = basis_form(7, (7,))
     alpha = lift(generic_two_form(6, "alpha"))
     beta = lift(generic_one_form(6, "beta"))
     expected = lift(context.psi) + wedge(lift(context.omega.substitute(point)), e7)

@@ -25,8 +25,10 @@ from g2cert.poly import Polynomial
 from oracles import (
     Definiteness,
     SU3Verdict,
+    basis_form,
     contraction_h,
     contraction_k,
+    form_from_terms,
     is_definite,
     is_symmetric,
     matrix_of,
@@ -101,7 +103,7 @@ class TestDefiniteness:
     def _check(self, values, expected, std_su3_pair):
         assert is_definite(self._diag(values)) == expected
         _, psi = std_su3_pair
-        omega = KForm.from_terms(6, 2, dict(zip([(1, 2), (3, 4), (5, 6)], values)))
+        omega = form_from_terms(6, 2, dict(zip([(1, 2), (3, 4), (5, 6)], values)))
         definite = expected in (Definiteness.POS_DEF, Definiteness.NEG_DEF)
         assert passes_int(omega, psi) == definite
 
@@ -125,7 +127,7 @@ class TestDefiniteness:
 
 class TestKPsi:
     def test_decomposable_form_gives_zero(self):
-        k = k_psi(KForm.basis(6, (1, 2, 3)))
+        k = k_psi(basis_form(6, (1, 2, 3)))
         assert k.lam.is_zero()
         assert all(e.is_zero() for row in k.entries for e in row)
 
@@ -245,7 +247,7 @@ class TestHForm:
         rng = random.Random(53)
         for _ in range(20):
             psi = random_three_form(rng, 6)
-            omega = KForm.from_terms(
+            omega = form_from_terms(
                 6, 2, {(i, j): rng.randint(-3, 3) for i in range(1, 7) for j in range(i + 1, 7)}
             )
             k = k_psi(psi)
@@ -259,7 +261,7 @@ class TestHForm:
 
     def test_zero_operator(self, std_su3_pair):
         omega, _ = std_su3_pair
-        k = k_psi(KForm.basis(6, (1, 2, 3)))
+        k = k_psi(basis_form(6, (1, 2, 3)))
         h = h_form(omega, k)
         assert all(h.entry(i, j).is_zero() for i in range(1, 7) for j in range(1, 7))
 
@@ -278,12 +280,12 @@ class TestHForm:
 
     def test_symmetry_can_fail_without_primitivity(self):
         # omega ^ psi != 0: the conditioned direction is the only claim
-        omega = KForm.from_terms(6, 2, {(1, 2): 1, (1, 3): 1})
+        omega = form_from_terms(6, 2, {(1, 2): 1, (1, 3): 1})
         psi = (
-            KForm.basis(6, (1, 3, 5))
-            - KForm.basis(6, (1, 4, 6))
-            - KForm.basis(6, (2, 3, 6))
-            - KForm.basis(6, (2, 4, 5))
+            basis_form(6, (1, 3, 5))
+            - basis_form(6, (1, 4, 6))
+            - basis_form(6, (2, 3, 6))
+            - basis_form(6, (2, 4, 5))
         )
         assert not wedge(omega, psi).is_zero()
         assert not is_symmetric(h_form(omega, k_psi(psi)))
@@ -302,16 +304,16 @@ class TestSU3Check:
 
     def test_decomposable_psi_fails_stability(self, std_su3_pair):
         omega, _ = std_su3_pair
-        assert self._verdict(omega, KForm.basis(6, (1, 2, 3))) == SU3Verdict.FAILS_STABILITY
+        assert self._verdict(omega, basis_form(6, (1, 2, 3))) == SU3Verdict.FAILS_STABILITY
 
     def test_degenerate_omega_fails_nondegeneracy(self, std_su3_pair):
         _, psi = std_su3_pair
-        omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1})
+        omega = form_from_terms(6, 2, {(1, 2): 1, (3, 4): 1})
         assert self._verdict(omega, psi) == SU3Verdict.FAILS_NONDEGENERACY
 
     def test_nonprimitive_pair_fails(self, std_su3_pair):
         _, psi = std_su3_pair
-        omega = KForm.from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): 1})
+        omega = form_from_terms(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1, (1, 3): 1})
         assert self._verdict(omega, psi) in (
             SU3Verdict.FAILS_PRIMITIVITY,
             SU3Verdict.FAILS_POSITIVITY,

@@ -16,7 +16,9 @@ from conftest import P, algebra_of
 from oracles import (
     apply_matrix,
     as_polynomial,
+    basis_form,
     derived_algebra,
+    form_from_terms,
     is_ideal,
     nilradical_rejection,
     oracle_adjoint,
@@ -63,7 +65,7 @@ G670 = "(e26 - p*e16 - e35, -e16 - p*e26 - e45, 3*p*e36 + e46, 3*p*e46 - e36, -4
 class TestDifferential:
     def test_differential_of_dual_basis(self):
         L = algebra_of(G34_R3)
-        assert ce_differential(L, KForm.basis(6, (1,))) == KForm.from_terms(6, 2, {(1, 3): -1})
+        assert ce_differential(L, basis_form(6, (1,))) == form_from_terms(6, 2, {(1, 3): -1})
 
     def test_differential_of_constant(self):
         L = algebra_of(G34_R3)
@@ -141,7 +143,7 @@ class TestBracket:
     def test_a_non_derivation_ad_means_jacobi_fails(self):
         # de^1 = e12 + e34 breaks Jacobi: d(de^1) = e234; so some ad_{e_i}
         # is not a derivation
-        de1 = KForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1})
+        de1 = form_from_terms(4, 2, {(1, 2): 1, (3, 4): 1})
         L = LieAlgebra(4, [de1] + [KForm(4, 2)] * 3)
         with pytest.raises(JacobiFailure):
             validate(L)
@@ -474,7 +476,7 @@ class TestUnimodularity:
 
 def test_jacobi_failure_reported_with_residual():
     bad = [
-        KForm.from_terms(4, 2, {(1, 2): 1, (3, 4): 1}),
+        form_from_terms(4, 2, {(1, 2): 1, (3, 4): 1}),
         KForm(4, 2),
         KForm(4, 2),
         KForm(4, 2),

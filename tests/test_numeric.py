@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2cert.certify import standard_su3_pair
 from g2cert.forms import KForm, pullback, wedge_coeffs
 from g2cert.hitchin import h_matrix, k_matrix, k_psi
 from g2cert.linalg import det_fraction, leading_minors_int
@@ -30,7 +29,16 @@ from g2cert.numeric import (
     uniform_int,
 )
 from g2cert.poly import Polynomial
-from oracles import SU3Verdict, oracle_k_entry, oracle_omega_cubed, su3_check
+from oracles import (
+    SU3Verdict,
+    basis_form,
+    flat_kernel,
+    form_from_terms,
+    oracle_k_entry,
+    oracle_omega_cubed,
+    standard_su3_pair,
+    su3_check,
+)
 
 NAMES = ("u", "v", "w")
 SMALL = st.integers(-2, 2)
@@ -70,6 +78,20 @@ def rational_forms(draw):
     return KForm(6, degree, coeffs)
 
 
+@st.composite
+def horner_rows(draw):
+    """A polynomial of degree up to 8 in u, v, w with rational coefficients,
+    its terms of any degree below the top."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = draw(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(
+            lambda exps: sum(exps) <= 8
+        ))
+        mono = tuple((name, e) for name, e in zip(NAMES, exps) if e)
+        terms[mono] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+    return Polynomial(terms)
+
+
 U, V, W = (Polynomial.var(name) for name in NAMES)
 AT_THIRDS = {"u": Fraction(1, 3), "v": Fraction(-2, 3), "w": Fraction(5, 6)}
 
@@ -91,11 +113,37 @@ class TestCompiledForm:
         expected = reference_eval(form, assignment)
         assert eval_form_int(form, assignment) == expected
         # compiled against a longer variable list, as the sampler does, and
-        # with one more row that is the zero polynomial
+        # with one more row that is the zero polynomial: the kernel's values
+        # are one positive multiple of the cleared values
         variables = ["a_1", *NAMES, "z"]
         point = integer_point(variables, {**assignment, "a_1": Fraction(1, 7), "z": 3})
-        coeffs = {**form.coeffs, "zero": Polynomial.zero()}
-        assert CompiledForm(coeffs, variables).evaluate(point) == expected
+        compiled = CompiledForm({**form.coeffs, "zero": Polynomial.zero()}, variables)
+        values = dict(zip(compiled.keys, compiled.kernel(*point)))
+        assert values.pop("zero") == 0
+        assert {key for key, value in values.items() if value} == set(expected)
+        ratios = {Fraction(values[key], value) for key, value in expected.items()}
+        assert len(ratios) <= 1 and all(ratio > 0 for ratio in ratios)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(horner_rows(), min_size=1, max_size=4),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+        st.integers(2, 12),
+    )
+    # a row of degree 8 with terms of every lower degree and a shared factor
+    @example(
+        [U**3 * V**3 * W * W - U**3 * V * V + U * V * Fraction(5, 2) - 7 + U**3 * V**3 * W],
+        [2, -3, 5, 1],
+        6,
+    )
+    def test_kernel_matches_the_flat_terms(self, polys, numerators, common):
+        # with a zero row and a constant row, rows of degree HORNER_DEGREE
+        # or more in Horner form must give the term-by-term values
+        coeffs = {i: poly for i, poly in enumerate(polys)}
+        coeffs.update(zero=Polynomial.zero(), constant=Polynomial.const(Fraction(-3, 4)))
+        variables = ["a_1", *NAMES]
+        kernel = CompiledForm(coeffs, variables).kernel(numerators, common)
+        assert kernel == flat_kernel(coeffs, variables, numerators, common)
 
     def test_zero_form_and_zero_values(self):
         assert eval_form_int(KForm(6, 2), {}) == {}
@@ -241,7 +289,7 @@ def integer_pairs(draw):
     both) replaced by a random integer form."""
     _, psi0 = standard_su3_pair()
     signs = [draw(st.sampled_from([1, -1])) for _ in range(3)]
-    omega = KForm.from_terms(6, 2, {(1, 2): signs[0], (3, 4): signs[1], (5, 6): signs[2]})
+    omega = form_from_terms(6, 2, {(1, 2): signs[0], (3, 4): signs[1], (5, 6): signs[2]})
     psi = psi0 * draw(st.sampled_from([1, -1]))
     matrix = [[Polynomial.const(draw(SMALL)) for _ in range(6)] for _ in range(6)]
     omega, psi = pullback(matrix, omega), pullback(matrix, psi)
@@ -264,7 +312,7 @@ class TestSU3Predicate:
         # omega ^ psi != 0, so h is not symmetric, yet its leading minors
         # -8, 64, -512, ... alternate: only the omega ^ psi test rejects it
         omega0, psi0 = standard_su3_pair()
-        omega = eval_form_int(omega0 * 4 + KForm.basis(6, (1, 3)), {})
+        omega = eval_form_int(omega0 * 4 + basis_form(6, (1, 3)), {})
         psi = eval_form_int(psi0, {})
         k, trace_sq = k_matrix(psi, 0)
         h = h_matrix(omega, k, 0)
