@@ -33,8 +33,8 @@ steps, branch values and atoms, the atoms of each family parameter, gauge
 expectations, `su_expected`, and witness trees, expanded to polynomials)
 and builds every object the entry ships, and so runs the mathematical
 checks (Jacobi, unimodularity, the nilradical, distinct branch names,
-Leibniz of every derivation and gauge family with its branch values).
-Jacobi, Leibniz, unimodularity and the nilradical's ideal and
+Leibniz of every derivation and gauge family with its branch values, and
+branch values that make no entry atom false).  Jacobi, Leibniz, unimodularity and the nilradical's ideal and
 derived-algebra conditions are read off the differential d; nilpotency
 builds the descending central series over Q from the brackets inside the
 nilradical, read as rationals off d too, so a nilradical whose brackets
@@ -73,6 +73,7 @@ from typing import Optional
 from .derivations import DerivationFamily, verify_derivation
 from .errors import (
     MALFORMED,
+    AtomFalsified,
     DslSyntaxError,
     G2CertError,
     IndexOutOfRange,
@@ -94,7 +95,7 @@ def _name_map(name: str) -> Polynomial:
     return Polynomial.var(f"fam_{name}")
 
 
-def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = "") -> LieAlgebra:
+def parse_structure_equations(text: str, dim: Optional[int] = None) -> LieAlgebra:
     """Parse an n-tuple of structure equations into a validated LieAlgebra.
 
     Raises DslSyntaxError / IndexOutOfRange on malformed input and
@@ -124,7 +125,7 @@ def parse_structure_equations(text: str, dim: Optional[int] = None, name: str = 
                 raise DslSyntaxError(text, start, "strictly increasing basis indices")
             coeffs[(1 << (i - 1)) | (1 << (j - 1))] = coeff
         differentials.append(KForm(n, 2, coeffs))
-    algebra = LieAlgebra(n, differentials, name=name)
+    algebra = LieAlgebra(n, differentials)
     validate(algebra)
     return algebra
 
@@ -169,6 +170,19 @@ class Atom:
         return f"{self.poly} {sym} 0"
 
 
+def substitute_atoms(atoms, subs) -> list:
+    """The atoms after `subs`, without those it makes true constants;
+    AtomFalsified names one it makes a false constant, and `subs`."""
+    out = []
+    for atom in atoms:
+        poly = atom.poly.substitute(subs)
+        if not poly.is_constant():
+            out.append(Atom(atom.op, poly))
+        elif not atom.admits(poly.constant_value()):
+            raise AtomFalsified(atom, subs)
+    return out
+
+
 def expand_witness(node, depth: int = 0) -> Polynomial:
     """The polynomial of a nonnegativity witness tree: ["square", p] is p*p,
     ["const", c] is c > 0, ["sum", ...] and ["product", ...] combine their
@@ -198,10 +212,6 @@ class FamilyParam:
     def __init__(self, name: str, atoms: list):
         self.name = name  # bare name; the variable is fam_<name>
         self.atoms = atoms  # raw JSON; parsed by AlgebraEntry.atoms
-
-    @property
-    def var(self) -> str:
-        return f"fam_{self.name}"
 
     @staticmethod
     def from_json(node) -> "FamilyParam":
@@ -251,7 +261,7 @@ PLAN_STEPS = {
                                 "a map from indices 1..6 to expressions"),
                   "expect_det_multiple_of?": _TEXT}),
     "prose_sample": (6, {"trials?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
-                         "seed?": (lambda v, e: type(v) is int, "an int"),
+                         "seed?": (lambda v, e: type(v) is int and v >= 0, "an int >= 0"),
                          "slice?": _SLICE, "reason?": _TEXT}),
     "trace_obstruction": (6, {}),
     "branch": (6, {"name": _TEXT, "subs?": _PARSED, "atoms?": _PARSED,
@@ -414,10 +424,8 @@ class AlgebraEntry:
 
         def build():
             if branch_name is None:
-                return parse_structure_equations(self.structure, self.dim, name=self.name)
-            algebra = self.build_algebra().substitute(self.branch_subs(branch_name))
-            algebra.name = f"{self.name}[{branch_name}]"
-            return algebra
+                return parse_structure_equations(self.structure, self.dim)
+            return self.build_algebra().substitute(self.branch_subs(branch_name))
 
         return self._once(("algebra", branch_name), build)
 
@@ -425,16 +433,14 @@ class AlgebraEntry:
         """The derivation family (kind "family") or gauge family (kind
         "gauge") of the entry or of the branch, with these JSON entries and
         parameters, Leibniz-checked on its algebra.  The branch values are
-        substituted into its entries first, since a branch family is a
-        derivation only on the branch-substituted algebra."""
+        substituted into it first, since a branch family is a derivation
+        only on the branch-substituted algebra."""
 
         def build():
-            algebra, subs = self.build_algebra(branch_name), self.branch_subs(branch_name)
+            subs = self.branch_subs(branch_name)
             cells = [[parse_polynomial(cell) for cell in row] for row in matrix]
-            if subs:
-                cells = [[cell.substitute(subs) for cell in row] for row in cells]
-            family = DerivationFamily(algebra, cells, tuple(params))
-            verify_derivation(algebra, family)
+            family = DerivationFamily(cells, tuple(params)).substitute(subs)
+            verify_derivation(self.build_algebra(branch_name), family)
             return family
 
         return self._once((kind, branch_name), build)
@@ -492,7 +498,7 @@ class AlgebraEntry:
         try:
             algebra = self.build_algebra()
             self.atoms  # parses the atoms of every family parameter
-            declared_fam = {p.var for p in self.family_params}
+            declared_fam = {f"fam_{p.name}" for p in self.family_params}
             used_fam = algebra.family_parameters()
             if not used_fam <= declared_fam:
                 raise G2CertError(f"undeclared family parameters {sorted(used_fam - declared_fam)}")
@@ -515,6 +521,7 @@ class AlgebraEntry:
                 self._check_step(step)
             for branch_name in [None, *names]:
                 self.build_algebra(branch_name)
+                substitute_atoms(self.atoms, self.branch_subs(branch_name))
                 self.build_family(branch_name)
                 self.branch_atoms(branch_name)
                 steps = self.steps(branch_name)
@@ -522,12 +529,12 @@ class AlgebraEntry:
                 if len(set(kinds)) != len(kinds):
                     raise G2CertError(f"a context lists a step kind more than once: {kinds}")
                 if "gauge" in kinds:
-                    step = self.step("gauge", branch_name)
-                    targets, params = len(step["targets"]), len(step["s_params"])
+                    # the s_params that the branch values leave free
+                    params = len(self.build_gauge_family(branch_name).params)
+                    targets = len(self.step("gauge", branch_name)["targets"])
                     if targets != params:
                         raise G2CertError(f"gauge step needs one target per s_param, "
                                           f"got {targets} targets and {params} s_params")
-                    self.build_gauge_family(branch_name)
                     self.gauge_expectations(branch_name)
                 elif any(step.get("slice") == "t2_zero" for step in steps):
                     raise G2CertError("the t2_zero slice needs a gauge step")

@@ -44,7 +44,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import numeric
-from .catalog import Atom, AlgebraEntry
+from .catalog import AlgebraEntry, substitute_atoms
 from .derivations import (
     DerivationFamily,
     StrongUnimodularity,
@@ -173,16 +173,6 @@ class EntryResult:
 # -- stage contexts ----------------------------------------------------------
 
 
-def _substitute_atoms(atoms, subs) -> list:
-    """The atoms after `subs`, dropping those that become constant."""
-    out = []
-    for atom in atoms:
-        poly = atom.poly.substitute(subs)
-        if not poly.is_constant():
-            out.append(Atom(atom.op, poly))
-    return out
-
-
 def generic_su3_candidate(algebra: LieAlgebra, family: DerivationFamily) -> KForm:
     """The generic candidate 2-form omega = d beta - D* alpha of an extension
     by the derivation family, with symbolic coefficients beta_i and
@@ -252,31 +242,24 @@ class StageContext:
     @cached_property
     def family(self) -> DerivationFamily:
         """The derivation family after derivation_subs, then fam_subs."""
-        return self._specialized(self.shipped_family.substitute(self.derivation_subs))
-
-    def _specialized(self, family: DerivationFamily) -> DerivationFamily:
-        """A family of the entry or of the branch, after fam_subs."""
-        if not self.fam_subs:
-            return family
-        return DerivationFamily(
-            self.algebra,
-            [[e.substitute(self.fam_subs) for e in row] for row in family.matrix],
-            family.params,
-        )
+        return self.shipped_family.substitute(self.derivation_subs).substitute(self.fam_subs)
 
     @cached_property
     def atoms(self) -> list:
-        """The domain atoms of the entry and the branch, after fam_subs."""
+        """The domain atoms of the entry and the branch, after the branch
+        values and fam_subs (`substitute_atoms`)."""
         atoms = list(self.entry.atoms)
         if self.branch_name is not None:
-            atoms = _substitute_atoms(atoms, self.entry.branch_subs(self.branch_name))
+            atoms = substitute_atoms(atoms, self.entry.branch_subs(self.branch_name))
             atoms += self.entry.branch_atoms(self.branch_name)
-        return _substitute_atoms(atoms, self.fam_subs) if self.fam_subs else atoms
+        return substitute_atoms(atoms, self.fam_subs) if self.fam_subs else atoms
 
     @cached_property
     def assumptions(self) -> list:
         """The entry's atoms, the branch's values and atoms, the
-        substitutions and the unsolved family equations, as text."""
+        substitutions and the unsolved family equations, as text; none of
+        them once the substitutions make an atom false (`atoms`)."""
+        self.atoms  # raises AtomFalsified
         out = [str(a) for a in self.entry.atoms]
         out += [f"{k} = {v}" for k, v in self.entry.branch_subs(self.branch_name).items()]
         out += [str(a) for a in self.entry.branch_atoms(self.branch_name)]
@@ -351,9 +334,9 @@ class StageContext:
         (`solve_linear`; SingularSymbolicSystem when det vanishes
         identically) of the affine system in the gauge parameters that
         kills the step's target coefficients of F*psi."""
-        s_family = self._specialized(self.entry.build_gauge_family(self.branch_name))
+        s_family = self.entry.build_gauge_family(self.branch_name).substitute(self.fam_subs)
         targets = [tuple(t) for t in self.step("gauge")["targets"]]
-        F = _exp_nilpotent(s_family.matrix, s_family.algebra.dim)
+        F = _exp_nilpotent(s_family.matrix)
         f_psi = pullback(F, self.psi)
         det, numerators = solve_linear(*_affine_system(f_psi, targets, list(s_family.params)))
         return s_family, targets, F, f_psi, det, numerators
@@ -568,9 +551,10 @@ def certify_trace_obstruction(context: StageContext, inputs=None) -> Certificate
 # -- gauge transport --------------------------------------------------------
 
 
-def _exp_nilpotent(matrix, dim: int):
-    """exp(S) for a nilpotent polynomial matrix S: the partial sum of the
-    terms S^k / k! before the first that vanishes (k <= dim)."""
+def _exp_nilpotent(matrix):
+    """exp(S) for a nilpotent n x n polynomial matrix S: the partial sum of
+    the terms S^k / k! before the first that vanishes (k <= n)."""
+    dim = len(matrix)
     term = [[Polynomial.const(int(i == j)) for j in range(dim)] for i in range(dim)]
     terms = [term]
     for k in range(1, dim + 1):
@@ -617,8 +601,9 @@ def gauge_transport(context: StageContext, inputs=None) -> Certificate:
     s_family, targets, F, f_psi, det, numerators = context.gauge
     svars = list(s_family.params)
 
-    # (0) the normalized 3-form is polynomial: killed coefficients vanish and
-    # the surviving ones must not involve the gauge parameters
+    # (0) the normalized 3-form is polynomial: the targets vanish at the solved
+    # gauge, and each survivor, N / det^power after the Cramer substitution,
+    # divides exactly (power is 0 unless it involves the gauge parameters)
     psi_bar_coeffs = {}
     target_masks = {sum(1 << (i - 1) for i in t) for t in targets}
     for mask, coeff in f_psi.coeffs.items():
@@ -715,18 +700,18 @@ def sample_falsify(context: StageContext, inputs) -> Certificate:
 
     Non-proving by construction.  A trial is one candidate that satisfies
     the domain atoms, lambda < 0, and omega^3 != 0; drawing attempts are
-    capped at REJECT_BUDGET_FACTOR * trials.  A count below 0 or above
-    MAX_TRIALS is an error raised before any draw, so a certificate that
-    stores one does not recheck.  Its one assumption says that it is
-    NON-PROVING.
+    capped at REJECT_BUDGET_FACTOR * trials.  Trials other than an int in
+    0..MAX_TRIALS, or a seed other than an int >= 0 (random.Random takes
+    floats and bools, and Random(-n) draws the stream of Random(n)), raise
+    before any draw, so a certificate that stores one does not recheck.
+    Its one assumption says that it is NON-PROVING.
     """
     step = context.step("prose_sample")
-    trials = inputs["trials"]
-    if not 0 <= trials <= MAX_TRIALS:
-        raise G2CertError(
-            f"{context.name}: the number of trials must lie in 0..{MAX_TRIALS}, got {trials}"
-        )
-    sampler = PairSampler(context, random.Random(inputs["seed"]))
+    trials, seed = inputs["trials"], inputs["seed"]
+    if not (type(trials) is int and type(seed) is int and 0 <= trials <= MAX_TRIALS and seed >= 0):
+        raise G2CertError(f"{context.name}: trials must be an int in 0..{MAX_TRIALS} and the "
+                          f"seed an int >= 0, got {trials!r} and {seed!r}")
+    sampler = PairSampler(context, random.Random(seed))
     passes = 0
     done = 0
     attempts = 0
@@ -750,7 +735,7 @@ def sample_falsify(context: StageContext, inputs) -> Certificate:
         assumptions=["NON-PROVING: randomized falsification only"],
         data={
             "trials": trials,
-            "seed": inputs["seed"],
+            "seed": seed,
             "passes": passes,
             "attempts": attempts,
             "slice": step.get("slice"),

@@ -40,19 +40,23 @@ from .poly import Polynomial
 
 
 class DerivationFamily:
-    """Matrix family of derivations of a Lie algebra."""
+    """Matrix family of derivations of a Lie algebra, affine in `params`.
+    The matrix is the whole family: its size is the algebra's dimension."""
 
-    __slots__ = ("algebra", "matrix", "params")
+    __slots__ = ("matrix", "params")
 
-    def __init__(self, algebra: LieAlgebra, matrix: list, params: tuple = ()):
-        self.algebra = algebra
+    def __init__(self, matrix: list, params: tuple = ()):
         self.matrix = matrix  # n x n nested list of Polynomial; column j is the image of e_j
         self.params = params
 
     def substitute(self, mapping) -> "DerivationFamily":
+        """The family with `mapping` substituted into every entry, without
+        the parameters it fixes; the family itself for an empty mapping."""
+        if not mapping:
+            return self
         new = [[entry.substitute(mapping) for entry in row] for row in self.matrix]
         params = tuple(p for p in self.params if p not in mapping)
-        return DerivationFamily(self.algebra, new, params)
+        return DerivationFamily(new, params)
 
 
 def leibniz_residuals(algebra: LieAlgebra, family: DerivationFamily) -> list:
@@ -100,9 +104,7 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
             "solve_derivations needs numeric structure constants; fix the family parameters"
         )
     column = {f"D_{l}_{c}": l * n + c for l in range(n) for c in range(n)}
-    generic = DerivationFamily(
-        algebra, [[Polynomial.var(f"D_{l}_{c}") for c in range(n)] for l in range(n)]
-    )
+    generic = DerivationFamily([[Polynomial.var(f"D_{l}_{c}") for c in range(n)] for l in range(n)])
     rows = []
     for residual in leibniz_residuals(algebra, generic):
         for coeff in residual.coeffs.values():
@@ -122,7 +124,7 @@ def solve_derivations(algebra: LieAlgebra) -> DerivationFamily:
                 coeff = vec[l * n + c]
                 if coeff:
                     matrix[l][c] = matrix[l][c] + a * Polynomial.const(coeff)
-    family = DerivationFamily(algebra, matrix, tuple(params))
+    family = DerivationFamily(matrix, tuple(params))
     verify_derivation(algebra, family)
     return family
 
@@ -138,9 +140,9 @@ def dstar_action(family: DerivationFamily, f: KForm) -> KForm:
     The antiderivation of degree 0 extending the 1-forms
     D* e^j = sum_k D[j][k] e^k.  For D = c*Id on a k-form this returns k*c*f.
     """
-    n = family.algebra.dim
+    n = len(family.matrix)
     if f.dim != n:
-        raise DimensionMismatch("form dimension differs from the algebra")
+        raise DimensionMismatch("form dimension differs from the derivation matrix")
     return KForm(n, f.degree, antiderivation(_dual_images(family), f.coeffs))
 
 

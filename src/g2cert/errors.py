@@ -103,6 +103,16 @@ class IdentityFailure(G2CertError):
     """A gauge-transport verification step failed."""
 
 
+class AtomFalsified(G2CertError):
+    """Substituted values make a domain atom a false constant."""
+
+    def __init__(self, atom, subs):
+        self.atom = atom
+        self.subs = subs
+        values = ", ".join(f"{k} = {v}" for k, v in sorted(subs.items()))
+        super().__init__(f"the substitution {values} makes the atom {atom} false")
+
+
 class AtomUnsatisfiableAfterBudget(G2CertError):
     """The rejection sampler exhausted its budget without a valid sample."""
 

@@ -99,11 +99,13 @@ def _k_products() -> tuple:
     Column i - 1 is iota_{e_i} psi ^ psi: mask_a contains e_i, the
     contraction leaves mask_a ^ e_i, which is wedged with a disjoint mask_b
     into a 5-form; its missing index j gives row j - 1, with the sign of
-    putting e^j in front (volume e^123456, 1-form-first pairing).  That
-    gives 240 signed products.  When mask_b also contains e_i, (mask_b,
-    mask_a) is one of them too, with the same row, column and sign, so the
-    two are merged into one doubled entry: 60 entries are single and 90
-    doubled.  The table is returned only after _prove_k_square accepts it.
+    putting e^j in front (volume e^123456, 1-form-first pairing).  Each of
+    the three signs (contraction, wedge, front) is the merge_sign of a pair
+    of masks, the rule the forms module reads.  That gives 240 signed
+    products.  When mask_b also contains e_i, (mask_b, mask_a) is one of
+    them too, with the same row, column and sign, so the two are merged
+    into one doubled entry: 60 entries are single and 90 doubled.  The
+    table is returned only after _prove_k_square accepts it.
     """
     triples = [m for m in range(1 << 6) if m.bit_count() == 3]
     merged = {}
@@ -113,15 +115,14 @@ def _k_products() -> tuple:
             if not mask_a & low:
                 continue
             rest = mask_a ^ low
-            contract_sign = -1 if (mask_a & (low - 1)).bit_count() & 1 else 1
+            contract_sign = merge_sign(low, rest)
             for mask_b in triples:
                 if rest & mask_b:
                     continue
                 five = rest | mask_b
-                j = (FULL6 ^ five).bit_length()
-                front_sign = -1 if (five & ((1 << (j - 1)) - 1)).bit_count() & 1 else 1
-                sign = contract_sign * merge_sign(rest, mask_b) * front_sign
-                key = (j - 1, i - 1, min(mask_a, mask_b), max(mask_a, mask_b))
+                front = FULL6 ^ five
+                sign = contract_sign * merge_sign(rest, mask_b) * merge_sign(front, five)
+                key = (front.bit_length() - 1, i - 1, min(mask_a, mask_b), max(mask_a, mask_b))
                 merged[key] = merged.get(key, 0) + sign
     table = tuple(key + (1 if w > 0 else -1, abs(w) == 2) for key, w in merged.items())
     _prove_k_square(table)

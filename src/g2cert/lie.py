@@ -37,9 +37,9 @@ from .poly import ONE_MONOMIAL, P_ONE, P_ZERO, Polynomial
 class LieAlgebra:
     """Structure constants stored as the 2-forms de^1..de^n."""
 
-    __slots__ = ("dim", "differentials", "name")
+    __slots__ = ("dim", "differentials")
 
-    def __init__(self, dim: int, differentials: Sequence[KForm], name: str = ""):
+    def __init__(self, dim: int, differentials: Sequence[KForm]):
         if len(differentials) != dim:
             raise DimensionMismatch(f"expected {dim} differentials, got {len(differentials)}")
         for d in differentials:
@@ -47,16 +47,10 @@ class LieAlgebra:
                 raise DimensionMismatch("each differential must be a 2-form on the algebra")
         self.dim = dim
         self.differentials = tuple(differentials)
-        self.name = name
-
-    def __repr__(self):
-        return f"LieAlgebra({self.name or self.dim})"
 
     def substitute(self, mapping) -> "LieAlgebra":
         """The algebra with values substituted for its family parameters."""
-        return LieAlgebra(
-            self.dim, [d.substitute(mapping) for d in self.differentials], name=self.name
-        )
+        return LieAlgebra(self.dim, [d.substitute(mapping) for d in self.differentials])
 
     def d_basis(self, k: int) -> KForm:
         """de^k for a 1-based index k."""

@@ -41,5 +41,5 @@ def std_su3_pair():
     return standard_su3_pair()
 
 
-def algebra_of(text, dim=None, name=""):
-    return parse_structure_equations(text, dim, name=name)
+def algebra_of(text, dim=None):
+    return parse_structure_equations(text, dim)

@@ -744,7 +744,7 @@ def extension_algebra(base: LieAlgebra, derivation) -> LieAlgebra:
                 lifted[mask] = lifted.get(mask, Polynomial.zero()) + entry
         differentials.append(KForm(n + 1, 2, lifted))
     differentials.append(KForm(n + 1, 2))
-    extension = LieAlgebra(n + 1, differentials, name=f"{base.name} x R")
+    extension = LieAlgebra(n + 1, differentials)
     validate(extension)
     return extension
 

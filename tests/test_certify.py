@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import P, algebra_of
+from conftest import P
 from oracles import (
     SU3Verdict,
     negative_control,
@@ -56,13 +56,14 @@ from g2cert.certify import (
     _exp_nilpotent,
     _solved_family_substitutions,
 )
-from g2cert.derivations import DerivationFamily
 from g2cert.errors import (
+    AtomFalsified,
     G2CertError,
     IdentityFailure,
     IdentityMismatch,
     NotIdenticallyZero,
     SingularSymbolicSystem,
+    ValidationFailure,
     WitnessMismatch,
 )
 from g2cert.forms import contractions, pullback, top_coefficient, wedge
@@ -291,15 +292,63 @@ class TestGaugeTransport:
     def test_target_not_affine_in_the_gauge(self):
         # S e_1 = s e_2, S e_2 = s e_3 on R^6: S^2 != 0, so exp(S) is quadratic in s
         # and the coefficient of e^126 in F*psi is -s^2/2
-        algebra = algebra_of("(0, 0, 0, 0, 0, 0)")
         matrix = [[Polynomial.zero()] * 6 for _ in range(6)]
         matrix[1][0] = matrix[2][1] = P("s_1")
-        s_family = DerivationFamily(algebra, matrix, ("s_1",))
         _, psi = standard_su3_pair()
-        f_psi = pullback(_exp_nilpotent(s_family.matrix, 6), psi)
+        f_psi = pullback(_exp_nilpotent(matrix), psi)
         assert _affine_system(f_psi, [(1, 2, 5)], ["s_1"]) == ([[P("1")]], [P("0")])
         with pytest.raises(IdentityFailure, match=r"target coefficient \(1, 2, 6\) is not affine"):
             _affine_system(f_psi, [(1, 2, 5), (1, 2, 6)], ["s_1"])
+
+    # Step (0) of gauge_transport: each target coefficient vanishes at the
+    # solved gauge, and each surviving one is polynomial after it.
+
+    def test_a_target_that_survives_the_solved_gauge_fails(self):
+        # the Cramer solve kills every target exactly, so a target survives
+        # only a wrong solution: here every numerator is doubled, and the
+        # target e^136, -alpha_14 s_3 - alpha_15 s_4 - alpha_16, is left at
+        # alpha_16
+        context = StageContext(by_name("table1", G34_PAIR))
+        s_family, targets, F, f_psi, det, numerators = context.gauge
+        context.gauge = (s_family, targets, F, f_psi, det, [n + n for n in numerators])
+        with pytest.raises(IdentityFailure, match="a target coefficient survives the solved gauge"):
+            gauge_transport(context)
+
+    def test_a_survivor_that_is_not_polynomial_after_the_gauge_fails(self):
+        # S e_3 = s_1 e_1: the target e^346, alpha_14 s_1 + alpha_34, gives
+        # s_1 = -alpha_34 / alpha_14, so the survivor e^356, -alpha_15 s_1 -
+        # alpha_35, is (alpha_15 alpha_34 - alpha_14 alpha_35) / alpha_14
+        matrix = [["0"] * 6 for _ in range(6)]
+        matrix[0][2] = "s_1"
+        entry = changed_entry("table1", G34_PAIR, lambda node: node["plan"][0].update(
+            s_matrix=matrix, s_params=["s_1"], targets=[[3, 4, 6]]))
+        context = StageContext(entry)
+        assert context.gauge[4] == P("alpha_14")
+        assert context.gauge[3].coefficient((3, 5, 6)) == P("-alpha_15*s_1 - alpha_35")
+        with pytest.raises(IdentityFailure, match="a surviving coefficient is not polynomial"):
+            gauge_transport(context)
+
+    def test_a_survivor_that_involves_the_gauge_and_divides_exactly_passes_step_0(self):
+        # S e_6 = s_1 (e_1 + e_2) on g_{6,55}^{-4}: the target e^356,
+        # -alpha_12 s_1 - alpha_16 + alpha_35, and the survivor e^456,
+        # alpha_12 s_1 - alpha_26 - 3 alpha_45, differ in s_1 by a constant
+        # factor, so the survivor is the polynomial alpha_35 - alpha_16 -
+        # alpha_26 - 3 alpha_45 after the gauge; the check stops only at
+        # step (a), the pair
+        matrix = [["0"] * 6 for _ in range(6)]
+        matrix[0][5] = matrix[1][5] = "s_1"
+        entry = changed_entry("indecomposable", "g_{6,55}", lambda node: node.update(plan=[{
+            "kind": "gauge", "pair": [1, 2], "s_matrix": matrix, "s_params": ["s_1"],
+            "targets": [[3, 5, 6]]}]))
+        context = StageContext(entry)
+        s_family, targets, F, f_psi, det, numerators = context.gauge
+        survivor = f_psi.coefficient((4, 5, 6))
+        assert survivor == P("alpha_12*s_1 - alpha_26 - 3*alpha_45")
+        num, power = substitute_cramer(survivor, ["s_1"], numerators, det)
+        assert power == 1
+        assert num.divide_exact(det) == P("alpha_35 - alpha_16 - alpha_26 - 3*alpha_45")
+        with pytest.raises(IdentityFailure, match=r"F\*omega\(e_1, e_2\) does not vanish"):
+            gauge_transport(context)
 
 
 @cache
@@ -799,6 +848,23 @@ class TestFullReport:
         malform(node["data"])
         assert not recheck_certificate(entry, Certificate.from_json(node))
 
+    @pytest.mark.parametrize("trials, field, forged", [
+        (5, "trials", 5.0), (1, "trials", True), (5, "seed", 20260811.0), (5, "seed", -20260811),
+    ], ids=["trials-float", "trials-bool", "seed-float", "seed-negative"])
+    def test_a_stored_trials_or_seed_of_another_type_does_not_recheck(self, trials, field, forged):
+        # random.Random takes floats, bools and negative ints, and Random(-n)
+        # draws the stream of Random(n): each of these forged values once
+        # rechecked, on a report of the same value as an int
+        entry = by_name("table1", "g_{5,33}")
+        result = run_pipeline(entry, PipelineOptions(trials_override=trials))
+        (cert,) = [c for c in result.certificates if c.kind is CertKind.SAMPLED_NO_SU3]
+        assert cert.data["seed"] == 20260811
+        assert recheck_certificate(entry, cert)
+        assert abs(forged) == cert.data[field]
+        node = json.loads(json.dumps(cert.to_json()))
+        node["data"][field] = forged
+        assert not recheck_certificate(entry, Certificate.from_json(node))
+
     def test_negative_trials_do_not_recheck(self, full_report):
         entries, document = full_report
         name, node = next(
@@ -876,9 +942,20 @@ def with_value(node, path, value):
     return node
 
 
-# The fields whose mutations may still recheck: the options a run sets
-# (--samples, --seed).  Every other field is the one the plan gives.
+# The fields whose value changes may still recheck: the options a run sets
+# (--samples, --seed), which take ints >= 0.  Every other field is the one
+# the plan gives.
 SWEEP_ALLOWED = {("sampled_no_su3", ("data", "seed")), ("sampled_no_su3", ("data", "trials"))}
+
+
+def type_mutations(value):
+    """(label, mutated value) of each change of the JSON type of an int,
+    keeping its value where the type can: a float, a bool, its negative
+    (-1 for 0) and a string."""
+    yield "float", float(value)
+    yield "bool", bool(value)
+    yield "negative", -value or -1
+    yield "string", str(value)
 
 
 def test_mutation_sweep_rechecks_only_the_allowed_fields(full_report):
@@ -907,6 +984,15 @@ def test_mutation_sweep_rechecks_only_the_allowed_fields(full_report):
         assert {f[1] for f in fields if len(f) == 2} == {k for _, n in found for k in n["data"]}, kind
         for field, by_entry in sorted(fields.items()):
             if (kind, field) in SWEEP_ALLOWED:
+                # a value change may recheck; a change of type may not
+                for name, node in found:
+                    for label, mutated in type_mutations(node["data"][field[1]]):
+                        tried += 1
+                        forged = {"name": name, "certificates": [with_value(node, field, mutated)]}
+                        report = {"schema": document["schema"], "results": [forged]}
+                        [([ok], _)] = recheck_report(report, [by_name[name]])
+                        if ok:
+                            survivors.append((kind, name, field, label))
                 continue
             name = rng.choice(sorted(by_entry))
             chosen = [m for m in by_entry[name] if m[0] == field]
@@ -1122,6 +1208,46 @@ def test_su_expected_drift_stops_the_pipeline(fields):
     entry = g530_with_su_expected(**fields)
     with pytest.raises(G2CertError, match="drifted from su_expected"):
         run_pipeline(entry, PipelineOptions(trials_override=0))
+
+
+def _g670_with_atom_p_nonzero(validate=True):
+    """g_{6,70}^{4p,p}, whose trace conditions fix fam_p = 0, with the
+    atom fam_p != 0 on its family parameter."""
+    return changed_entry("indecomposable", "g_{6,70}", lambda node: node["family_params"][0].update(
+        atoms=[["ne", "fam_p"]]), validate)
+
+
+def test_fam_subs_that_falsify_an_atom_raise_in_discovery_and_recheck(indecomposable):
+    # the atom was dropped once it became constant, so run_all reported the
+    # entry obstructed by a lambda_nonnegative certificate assuming both
+    # fam_p != 0 and fam_p = 0
+    entry = _g670_with_atom_p_nonzero()
+    falsified = "the substitution fam_p = 0 makes the atom fam_p != 0 false"
+    with pytest.raises(AtomFalsified, match=falsified):
+        run_all([entry])
+    shipped = run_pipeline(next(e for e in indecomposable if e.name == entry.name))
+    (cert,) = shipped.certificates
+    assert cert.kind is CertKind.LAMBDA_NONNEG and cert.data["fam_subs"] == {"fam_p": "0"}
+    node = cert.to_json()
+    forged = Certificate.from_json({**node, "assumptions": ["fam_p != 0", *node["assumptions"]]})
+    with pytest.raises(AtomFalsified):
+        VERIFIERS[forged.kind](StageContext(entry).su_context, forged.data)
+    assert not recheck_certificate(entry, forged)
+
+
+def test_branch_values_that_falsify_an_entry_atom_raise():
+    # fam_a = 0 makes the entry atom fam_a*fam_b != 0 false: validation
+    # refuses the branch, and a context of it raises without validation
+    def change(node):
+        next(s for s in node["plan"] if s.get("name") == "a = -1").update(subs={"fam_a": "0"})
+
+    falsified = r"the substitution fam_a = 0 makes the atom fam_a\*fam_b != 0 false"
+    with pytest.raises(ValidationFailure, match=falsified):
+        changed_entry("indecomposable", "g_{6,101}", change)
+    entry = changed_entry("indecomposable", "g_{6,101}", change, validate=False)
+    with pytest.raises(AtomFalsified):
+        StageContext(entry, "a = -1").assumptions
+    assert StageContext(entry, "a != -1").assumptions
 
 
 def test_gauge_family_carries_the_branch_values():

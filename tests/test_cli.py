@@ -749,6 +749,11 @@ G6101 = ("indecomposable", "g_{6,101}")
         ("table1", "g_{3,4}^{-1}+g_{3,4}^{-1}",
          lambda node: node["plan"][0].update(targets=node["plan"][0]["targets"][:3]),
          "gauge step needs one target per s_param, got 3 targets and 4 s_params"),
+        ("table1", "g_{5,33}", _prose_sample(seed=-20260811), "seed: an int >= 0, got -20260811"),
+        (*G6101, lambda node: _branches(node)[0].update(subs={"fam_a": "0"}),
+         r"the substitution fam_a = 0 makes the atom fam_a\*fam_b != 0 false"),
+        (*G6101, lambda node: _branches(node)[0]["subs"].update(s_1="0"),
+         "gauge step needs one target per s_param, got 4 targets and 3 s_params"),
     ],
     ids=["branch-atom-op", "expect-k-not-a-map", "expect-k-index-0", "expect-det-syntax",
          "su-subs-not-a-map", "su-subs-syntax", "t2-zero-slice-without-gauge-step",
@@ -759,7 +764,8 @@ G6101 = ("indecomposable", "g_{6,101}")
          "entry-dim-a-bool", "entry-stray-witness",
          "family-parameter-stray-key", "derivation-family-stray-key", "branch-stray-key",
          "expect-det-not-text", "branch-two-gauge-steps", "expect-det-power-of-degree-60",
-         "gauge-three-targets-four-params"],
+         "gauge-three-targets-four-params", "prose-sample-negative-seed",
+         "branch-values-falsify-an-entry-atom", "branch-values-fix-a-gauge-parameter"],
 )
 def test_validate_parses_every_field_the_pipeline_reads(
     dataset, prefix, change, match, tmp_path, capsys
@@ -781,7 +787,11 @@ def test_validate_parses_every_field_the_pipeline_reads(
     # printed "validated ...: stub (data not shipped)" and exited 0, and
     # run-all reported the entry data-not-shipped.  A "name" of 5 validated
     # ("validated 5: ok"), and a "dim" of "6" was compared with the int 6
-    # and refused as "syntax error at position 0 (expected 6 slots, got 6)"
+    # and refused as "syntax error at position 0 (expected 6 slots, got 6)".
+    # A negative seed validated, and draws the samples of its absolute
+    # value.  A branch whose values made an entry atom false validated, and
+    # the atom was dropped from its contexts.  A branch value for a gauge
+    # parameter validated, and run-all stopped at the singular gauge system.
     assert_validate_rejects_entry(dataset, prefix, change, tmp_path, capsys, match=match)
 
 
